@@ -47,7 +47,7 @@ checked-in scripts/BENCH_<name>.schema also gate on schema drift):
   perf                executor / reference / autotune / fig9-grid timings
   serve               4-producer closed loop through ctb-serve
   chaos               fault-rate sweep over the resilience layer
-  cluster             threaded scaling + kill run + discrete-event sweep
+  cluster             burst scaling + kill run + open-loop event-engine sweep
       --batches N --devices a,b,c --seed S --event-devices a,b,c
       --requests R --smoke
   obs                 instrumented serve loop + trace audit
@@ -482,7 +482,7 @@ fn run_cluster(args: &[String]) {
     use ctb_bench::cluster_bench;
     let (cfg, smoke) = cluster_config(args);
     println!(
-        "== cluster harness: threaded scaling + kill run + discrete-event sweep{} ==",
+        "== cluster harness: burst scaling + kill run + open-loop event-engine sweep{} ==",
         if smoke { " (smoke)" } else { "" }
     );
     let (r, path) = if smoke {

@@ -1,41 +1,36 @@
 //! `reproduce cluster` — the tracked multi-device scaling harness.
 //!
-//! Two experiments over `ctb-cluster`:
+//! Three experiments over the `ctb-cluster` [`EventCluster`] engine:
 //!
 //! 1. **Scaling sweep** — the same mixed-shape workload through 1-, 2-
-//!    and 4-device heterogeneous pools ([`ArchSpec::pool_presets`]).
-//!    The figure of merit is throughput over *simulated* makespan
-//!    (max per-device accumulated simulated time): on the single-core
-//!    host every device executes serially, so wall time cannot show
-//!    pool parallelism, but the analytical model — the same one that
-//!    routes the batches — can. Stealing is disabled for the sweep so
-//!    the figure isolates cost-model placement; on a 1-core host
-//!    wall-clock idleness would otherwise migrate simulated work to
-//!    whichever device the OS scheduler happened to starve.
+//!    and 4-device heterogeneous pools ([`ArchSpec::pool_presets`]),
+//!    arriving as one burst at simulated time zero. The figure of merit
+//!    is throughput over *simulated* makespan (max per-device
+//!    accumulated simulated time): the analytical model that routes
+//!    the batches also times them. Stealing is disabled for the sweep
+//!    so the figure isolates cost-model placement.
 //! 2. **Kill-one-device run** — a burst into the 2-device pool, the
-//!    fastest device killed mid-load. Zero drops and bitwise-exact
-//!    results (checked against [`GemmBatch::reference_result_exact`])
-//!    are the acceptance bar, re-route counts are the evidence.
-//! 3. **Discrete-event scaling sweep** — the same scheduling policy on
-//!    the [`EventCluster`] engine, open-loop Table-2 load at 16 / 256 /
-//!    1k / 10k devices and ≥1M requests per run. Device count is a
-//!    `Vec` length here, not a thread count, so the sweep reports the
-//!    regime the threaded engine cannot reach: makespan, events/sec
-//!    engine throughput, placement error and mean utilization, with a
-//!    sampled witness subset keeping results bitwise-checkable.
+//!    fastest device killed once every batch is placed. Zero drops and
+//!    bitwise-exact results are the acceptance bar, re-route counts are
+//!    the evidence.
+//! 3. **Open-loop scaling sweep** — Table-2 load at 16 / 256 / 1k / 10k
+//!    devices and ≥1M requests per run: makespan, events/sec engine
+//!    throughput, placement error and mean utilization, with a sampled
+//!    witness subset keeping results bitwise-checkable.
+//!
+//! In the two burst sections every batch is a witness: it executes for
+//! real and is checked against
+//! [`ctb_matrix::GemmBatch::reference_result_exact`].
 //!
 //! Results land in `BENCH_cluster.json` at the repository root.
 
 use ctb_cluster::{
-    Cluster, ClusterConfig, EventCluster, EventConfig, LoadGen, PlacementMode, StealPolicy,
+    EngineReport, EventCluster, EventConfig, LoadGen, PlacementMode, SimTime, StealPolicy,
 };
 use ctb_gpu_specs::ArchSpec;
-use ctb_matrix::{bitwise_mismatch, GemmBatch, GemmShape};
+use ctb_matrix::GemmShape;
 use std::path::PathBuf;
-use std::time::Duration;
-
-/// Far beyond any run's real latency: hitting it means a hang.
-const HANG_BOUND: Duration = Duration::from_secs(120);
+use std::sync::Arc;
 
 /// One pool size in the scaling sweep.
 #[derive(Debug, Clone)]
@@ -114,12 +109,16 @@ pub struct ClusterBenchReport {
     pub event_scaling: Vec<EventScalePoint>,
 }
 
+/// One burst batch: its shape signature and the data seed its witness
+/// fills the matrices from.
+type Work = (Arc<[GemmShape]>, u64);
+
 /// Mixed-shape workload for the sweep. Shapes are sized so no single
 /// batch fills the largest device (a handful of blocks each): pool
 /// speedup then tracks per-device *clock* differences rather than SM
 /// counts, which is the regime where adding mid-range devices next to a
 /// V100 actually pays.
-fn workload(batches: usize, seed: u64) -> Vec<GemmBatch> {
+fn workload(batches: usize, seed: u64) -> Vec<Work> {
     let mix: [&[GemmShape]; 4] = [
         &[GemmShape::new(48, 48, 256); 3],
         &[GemmShape::new(32, 64, 128); 4],
@@ -127,7 +126,7 @@ fn workload(batches: usize, seed: u64) -> Vec<GemmBatch> {
         &[GemmShape::new(24, 24, 96); 6],
     ];
     (0..batches)
-        .map(|i| GemmBatch::random(mix[i % mix.len()], 1.0, 0.5, seed.wrapping_add(i as u64)))
+        .map(|i| (mix[i % mix.len()].into(), seed.wrapping_add(i as u64)))
         .collect()
 }
 
@@ -136,15 +135,15 @@ fn workload(batches: usize, seed: u64) -> Vec<GemmBatch> {
 /// [`ClusterBenchConfig::smoke`] is the CI gate's quick variant.
 #[derive(Debug, Clone)]
 pub struct ClusterBenchConfig {
-    /// Batches through the threaded scaling sweep (`--batches`).
+    /// Batches through the burst scaling sweep (`--batches`).
     pub batches: usize,
-    /// Threaded pool sizes to sweep (`--devices`).
+    /// Burst pool sizes to sweep (`--devices`).
     pub devices: Vec<usize>,
-    /// Base data seed for both engines' workloads (`--seed`).
+    /// Base data seed for every section's workload (`--seed`).
     pub seed: u64,
-    /// Event-engine pool sizes to sweep (`--event-devices`).
+    /// Open-loop pool sizes to sweep (`--event-devices`).
     pub event_devices: Vec<usize>,
-    /// Open-loop requests per event-engine point (`--requests`).
+    /// Open-loop requests per pool size (`--requests`).
     pub event_requests: usize,
 }
 
@@ -161,8 +160,8 @@ impl Default for ClusterBenchConfig {
 }
 
 impl ClusterBenchConfig {
-    /// The CI smoke variant: one 256-device / 100k-request event point
-    /// plus a trimmed threaded sweep — exercises every report section
+    /// The CI smoke variant: one 256-device / 100k-request open-loop
+    /// point plus a trimmed burst sweep — exercises every report section
     /// (the schema gate needs them all) in a few seconds.
     pub fn smoke() -> Self {
         ClusterBenchConfig {
@@ -175,57 +174,58 @@ impl ClusterBenchConfig {
     }
 }
 
-fn workload_flops(batches: &[GemmBatch]) -> f64 {
-    batches
-        .iter()
-        .flat_map(|b| b.shapes.iter())
+fn workload_flops(work: &[Work]) -> f64 {
+    work.iter()
+        .flat_map(|(shapes, _)| shapes.iter())
         .map(|s| s.flops() as f64)
         .sum()
 }
 
-fn sweep_config(queue_capacity: usize) -> ClusterConfig {
-    ClusterConfig {
-        queue_capacity,
+/// Drive `work` through `pool` as one burst arriving at t = 0 — queues
+/// deep enough for all of it, stealing off, every batch a witness —
+/// optionally killing device `kill` at t = 1 ns, once every batch is
+/// placed. Panics on a drop or an inexact result.
+fn run_burst(pool: Vec<ArchSpec>, work: &[Work], kill: Option<usize>) -> EngineReport {
+    let cfg = EventConfig {
+        queue_capacity: work.len().max(1),
         steal: StealPolicy { enabled: false, ..StealPolicy::default() },
-        ..ClusterConfig::default()
+        ..EventConfig::default()
+    };
+    let mut eng = EventCluster::new(pool, cfg);
+    for (shapes, seed) in work {
+        eng.submit_at(SimTime::ZERO, Arc::clone(shapes), *seed);
     }
+    if let Some(device) = kill {
+        eng.kill_at(SimTime(1), device);
+    }
+    let report = eng.run();
+    assert_eq!(report.stats.completed, work.len(), "a burst drops nothing");
+    assert_eq!(report.witnesses, work.len(), "every burst batch is a witness");
+    assert_eq!(report.witness_mismatches, 0, "burst result diverged from the exact oracle");
+    report
 }
 
-/// Drive `batches` through an `n`-device pool and report the simulated
+/// Drive `work` through an `n`-device pool and report the simulated
 /// scaling numbers. Every result is verified bitwise against the exact
 /// oracle.
-pub fn run_scale_point(n: usize, batches: &[GemmBatch]) -> ClusterScalePoint {
+pub fn run_scale_point(n: usize, work: &[Work]) -> ClusterScalePoint {
     let pool = ArchSpec::pool_presets(n);
     let device_names: Vec<&'static str> = pool.iter().map(|a| a.name).collect();
-    let cluster = Cluster::new(pool, sweep_config(batches.len().max(1)));
-    let oracles: Vec<_> = batches.iter().map(GemmBatch::reference_result_exact).collect();
-    let tickets: Vec<_> = batches
-        .iter()
-        .map(|b| cluster.submit(b.clone()).expect("sweep submit admitted"))
-        .collect();
-    for (t, oracle) in tickets.into_iter().zip(&oracles) {
-        let out = t.wait_for(HANG_BOUND).expect("sweep batch completed");
-        assert!(
-            bitwise_mismatch(oracle, &out.results).is_none(),
-            "scaling-sweep result diverged from the exact oracle"
-        );
-    }
-    let stats = cluster.shutdown();
-    assert_eq!(stats.completed, batches.len(), "sweep drops nothing");
+    let stats = run_burst(pool, work, None).stats;
     ClusterScalePoint {
         devices: n,
         device_names,
-        batches: batches.len(),
+        batches: work.len(),
         makespan_sim_us: stats.makespan_sim_us,
         total_sim_us: stats.total_sim_us,
-        throughput_gflops: stats.sim_throughput_gflops(workload_flops(batches)),
+        throughput_gflops: stats.sim_throughput_gflops(workload_flops(work)),
         speedup_vs_single: 1.0,
         mean_abs_placement_err_us: stats.mean_abs_placement_err_us,
         utilization: stats.devices.iter().map(|d| d.utilization).collect(),
     }
 }
 
-/// The threaded device scaling sweep on one workload, with speedups
+/// The burst device scaling sweep on one workload, with speedups
 /// normalized to the first (smallest) pool — pool order is
 /// fastest-first, so the default `[1, 2, 4]` normalizes to the best
 /// single device.
@@ -298,28 +298,14 @@ pub fn run_event_sweep(cfg: &ClusterBenchConfig) -> Vec<EventScalePoint> {
 /// and verify the zero-drop / bitwise-exact contract.
 pub fn run_kill_run(batches: usize, seed: u64) -> KillRunReport {
     let work = workload(batches, seed);
-    let oracles: Vec<_> = work.iter().map(GemmBatch::reference_result_exact).collect();
-    let cluster = Cluster::new(ArchSpec::pool_presets(2), sweep_config(batches.max(1)));
-    let tickets: Vec<_> = work
-        .into_iter()
-        .map(|b| cluster.submit(b).expect("kill-run submit admitted"))
-        .collect();
-    cluster.kill_device(0);
-    let mut bitwise_exact = true;
-    let mut completed = 0usize;
-    for (t, oracle) in tickets.into_iter().zip(&oracles) {
-        let out = t.wait_for(HANG_BOUND).expect("zero drops across the kill");
-        completed += 1;
-        bitwise_exact &= bitwise_mismatch(oracle, &out.results).is_none();
-    }
-    let stats = cluster.shutdown();
+    let report = run_burst(ArchSpec::pool_presets(2), &work, Some(0));
     KillRunReport {
         batches,
-        completed,
-        kills: stats.kills,
-        reroutes: stats.reroutes,
-        degraded: stats.degraded,
-        bitwise_exact,
+        completed: report.stats.completed,
+        kills: report.stats.kills,
+        reroutes: report.stats.reroutes,
+        degraded: report.stats.degraded,
+        bitwise_exact: report.witness_mismatches == 0,
     }
 }
 

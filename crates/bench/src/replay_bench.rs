@@ -21,9 +21,7 @@
 //! `--smoke` variant writes `target/experiments/BENCH_replay_smoke.json`
 //! so CI never clobbers tracked full-run numbers.
 
-use ctb_cluster::{
-    ClusterConfig, ClusterStats, EventCluster, EventConfig, ReqOutcome, SimTime,
-};
+use ctb_cluster::{ClusterStats, EventCluster, EventConfig, ReqOutcome, SimTime};
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::GemmShape;
 use ctb_obs::Obs;
@@ -127,9 +125,9 @@ fn mix_shapes(i: usize) -> Arc<[GemmShape]> {
 /// on the timeline: an exec-panic storm on the fastest device of a
 /// 2-device pool, breaker tuned to trip mid-run.
 fn build(cfg: &ReplayBenchConfig) -> (EventCluster, Arc<Obs>) {
-    let cluster_cfg = ClusterConfig {
+    let engine_cfg = EventConfig {
         breaker: BreakerPolicy { trip_threshold: 2, open_batches: 4 },
-        ..ClusterConfig::default()
+        ..EventConfig::default()
     };
     let faults = vec![
         Some(Arc::new(FaultInjector::new(
@@ -139,7 +137,7 @@ fn build(cfg: &ReplayBenchConfig) -> (EventCluster, Arc<Obs>) {
     ];
     let (mut eng, obs) = EventCluster::with_instrumentation(
         ArchSpec::pool_presets(2),
-        EventConfig::from(&cluster_cfg),
+        engine_cfg,
         faults,
     );
     for i in 0..cfg.requests {

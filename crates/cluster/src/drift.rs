@@ -3,7 +3,7 @@
 //!
 //! The event engine's predictions and its charged execution times both
 //! come from the same analytical model, so its placement error is zero
-//! *by construction* — correct for lockstep parity, useless for
+//! *by construction* — correct for replay parity, useless for
 //! studying calibration. A [`GroundTruth`] pool breaks that tie: it
 //! holds one "true silicon" [`ArchSpec`] per device class, derived from
 //! the nominal spec by deterministic drift (throttled clocks, degraded

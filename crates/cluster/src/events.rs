@@ -1,23 +1,24 @@
-//! Discrete-event cluster core: the threaded scheduler's decisions
-//! without the threads.
+//! The discrete-event cluster engine: heterogeneous multi-device
+//! scheduling in *simulated* time.
 //!
-//! The threaded [`crate::Cluster`] caps its scaling story at a handful
-//! of devices because every simulated GPU owns a real worker pool — host
-//! threads, not the analytical model, bound the sweep. This module
-//! replaces the thread structure with a single binary-heap timeline in
-//! *simulated* time: device count becomes a `Vec` length, and a 10k-
-//! device pool processing a million requests is just a larger heap.
+//! Every device is an element of a `Vec` — its own [`Session`] on the
+//! pool-wide [`PlanShare`], a bounded queue, a [`Breaker`] and an
+//! optional [`FaultInjector`] — and one binary-heap timeline drives
+//! them all. No thread is spawned, so pool size is bounded by memory,
+//! not by host threads: a 10k-device pool processing a million requests
+//! is just a larger heap.
 //!
-//! **Decision parity.** Placement, work stealing, breaker trips, kill
-//! re-routing and the per-mille [`FaultInjector`] draws all go through
-//! the exact same seams the threaded engine uses —
-//! [`placer::rank`]/[`placer::choose`](crate::placer::choose),
-//! [`placer::steal_beneficial`], [`Breaker`], and the shared
-//! [`PlanShare`] memo — in the same order a serially-driven threaded
-//! cluster consults them. The lockstep differential suite
-//! (`tests/lockstep.rs`) drives both engines over the chaos schedules
-//! and compares per-request routing decisions, reconciled
-//! [`ClusterStats`] and fault logs.
+//! **Scheduling policy.** Placement ranks candidates through
+//! [`placer::rank`]/[`placer::choose`](crate::placer::choose), idle
+//! devices steal through [`placer::steal_beneficial`], failures charge
+//! the device's [`Breaker`] (a trip drains its queue onto survivors),
+//! kills re-route queued work, and an exhausted re-route budget falls
+//! back to the per-kernel default baseline. A job draws its
+//! per-mille [`FaultInjector`] rolls in one fixed order when it starts
+//! (slow stall → plan failure → exec panic), so a chaos schedule is a
+//! pure function of its seeds. The chaos suite (`tests/chaos.rs`)
+//! reconciles every schedule's trace, [`ClusterStats`] and fault logs
+//! with `==`.
 //!
 //! **Witness-subset bitwise checking.** Executing a million GEMM
 //! batches functionally would make the host CPU the bottleneck again,
@@ -36,7 +37,6 @@
 //! sequence, the same decisions, and — with an [`Obs`] attached — a
 //! byte-identical trace (`tests/determinism.rs`).
 
-use crate::cluster::{ClusterConfig, StealPolicy};
 use crate::drift::{GroundTruth, PlacementDecision};
 use crate::placer::{self, Candidate, LocalityPolicy};
 use crate::stats::{ClusterInner, ClusterStats, DeviceStats};
@@ -54,20 +54,18 @@ use ctb_serve::{
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Matrix fill parameters for witness batches; the lockstep harness
-/// builds its threaded-side batches with the same constants so both
-/// engines execute byte-identical inputs.
+/// Matrix fill parameters for witness batches: a witness with data seed
+/// `s` executes `GemmBatch::random(shapes, WITNESS_ALPHA, WITNESS_BETA,
+/// s)`, so a caller can rebuild any witness's exact inputs.
 pub const WITNESS_ALPHA: f32 = 1.0;
 /// See [`WITNESS_ALPHA`].
 pub const WITNESS_BETA: f32 = 0.5;
 
 /// Sim-time backoff before retrying an initial placement when every
-/// candidate queue is full — mirrors the threaded `submit` loop's 50 µs
-/// backpressure sleep.
+/// candidate queue is full (50 µs of backpressure).
 const BACKOFF_NS: u64 = 50_000;
 
 /// Healing-probe interval after a breaker trip.
@@ -222,10 +220,10 @@ impl<E> Timeline<E> {
 // Events + jobs
 // ---------------------------------------------------------------------------
 
-/// One request in flight inside the event engine. Unlike the threaded
-/// `ClusterJob` it carries no matrices — only the shape signature the
-/// cost model needs — unless it is a witness (see module docs), in
-/// which case the matrices are rebuilt from `seed` at execution time.
+/// One request in flight inside the event engine. It carries no
+/// matrices — only the shape signature the cost model needs — unless it
+/// is a witness (see module docs), in which case the matrices are
+/// rebuilt from `seed` at execution time.
 #[derive(Clone)]
 struct EvJob {
     id: u64,
@@ -234,7 +232,7 @@ struct EvJob {
     seed: u64,
     arrived: SimTime,
     /// Predicted simulated µs on the device currently holding the job
-    /// (re-predicted on steal/re-route, exactly like the threaded path).
+    /// (re-predicted on steal/re-route).
     predicted_us: f64,
     /// Times the job has been moved between devices.
     attempts: u32,
@@ -242,9 +240,8 @@ struct EvJob {
     witness: bool,
 }
 
-/// The fixed event vocabulary. Everything the threaded engine does with
-/// threads — queue polling, steal polling, breaker healing, kill drains
-/// — maps onto one of these six slots.
+/// The fixed event vocabulary. Queue polling, steal polling, breaker
+/// healing and kill drains all map onto one of these six slots.
 enum Ev {
     /// A request enters the system (admission + placement kickoff).
     Arrive { job: EvJob },
@@ -261,8 +258,8 @@ enum Ev {
 }
 
 /// What the fault dice decided a running job's end will look like. The
-/// rolls are drawn when the job *starts* — the same order the threaded
-/// worker draws them — and applied when its `ExecDone` fires.
+/// rolls are drawn when the job *starts*, in a fixed order, and applied
+/// when its `ExecDone` fires.
 enum Fate {
     Complete,
     PlanFailed,
@@ -278,18 +275,17 @@ struct Running {
 // Devices + config
 // ---------------------------------------------------------------------------
 
-/// One simulated GPU in the event engine: the same parts as the
-/// threaded `Device` (session, bounded queue, breaker, optional chaos
-/// schedule) minus the worker threads — plain fields instead of
-/// atomics, because exactly one event handler touches them at a time.
+/// One simulated GPU: session, bounded queue, breaker, optional chaos
+/// schedule and the job it is running. Plain fields, because exactly
+/// one event handler touches them at a time.
 struct EvDevice {
     id: usize,
     session: Arc<Session>,
     queue: BoundedQueue<EvJob>,
     running: Option<Running>,
-    /// Predicted µs of work queued or running here. Same f64
-    /// add/subtract discipline as the threaded `AtomicF64` backlog, so
-    /// the two engines feed identical numbers to the placer.
+    /// Predicted µs of work queued or running here, kept by adding a
+    /// job's prediction when it lands and subtracting that same number
+    /// when it leaves (so the sum is exact whatever the order).
     backlog_us: f64,
     busy_sim_us: f64,
     alive: bool,
@@ -350,27 +346,58 @@ impl EvDevice {
 pub enum PlacementMode {
     /// Exact O(devices) scan below 64 devices, indexed at or above.
     Auto,
-    /// Always the exact scan the threaded engine performs — the mode
-    /// the lockstep suite runs in.
+    /// Always the exact O(devices) scan — the reference the indexed
+    /// path is tested against, and the default.
     Exact,
     /// Always the per-arch-class indexed argmin (O(classes · log n)).
     Indexed,
 }
 
-/// Event-engine tuning knobs. The scheduling fields carry the same
-/// semantics (and defaults) as [`ClusterConfig`]; the extra fields
-/// control witness sampling and the placement index.
+/// Work-stealing policy.
+#[derive(Debug, Clone)]
+pub struct StealPolicy {
+    /// Master switch; disabled, idle devices simply wait for their own
+    /// queue.
+    pub enabled: bool,
+    /// Minimum predicted backlog (µs of simulated work) a victim must
+    /// carry before a thief will consider it — below this, moving a
+    /// batch cannot shorten the makespan enough to bother.
+    pub min_victim_backlog_us: f64,
+    /// Simulated time an idle device waits between looks for a victim
+    /// (the spacing of its `StealCheck` events).
+    pub poll: Duration,
+}
+
+impl Default for StealPolicy {
+    fn default() -> Self {
+        StealPolicy {
+            enabled: true,
+            min_victim_backlog_us: 50.0,
+            poll: Duration::from_millis(1),
+        }
+    }
+}
+
+/// Event-engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EventConfig {
+    /// Per-device queue bound; the placer spills to the next-best
+    /// device when the best one is full, and backs off when every
+    /// queue is.
     pub queue_capacity: usize,
     pub steal: StealPolicy,
+    /// Per-device circuit-breaker policy (same semantics as the
+    /// single-device server's).
     pub breaker: BreakerPolicy,
+    /// Times one batch may be moved between devices (re-routes after
+    /// failures, breaker drains, kills) before it falls back to the
+    /// inline degraded baseline.
     pub max_reroutes: u32,
     /// Every n-th request executes for real and is bitwise-checked;
     /// `0` disables witnesses, `1` checks everything.
     pub witness_every: usize,
     pub placement: PlacementMode,
-    /// Keep a per-request routing outcome log (the lockstep suite's
+    /// Keep a per-request routing outcome log (the suites' per-request
     /// comparison payload); costs one small record per request.
     pub record_outcomes: bool,
     /// Shard/capacity/admission layout of the shared plan cache. Part
@@ -378,29 +405,24 @@ pub struct EventConfig {
     /// cache geometry the blob's gate and shard images describe.
     pub share: PlanShareConfig,
     /// Whether placement ranks candidates with the locality routing
-    /// penalty (same semantics as [`ClusterConfig::locality`]). Part of
-    /// the checkpoint (v3), so a restored engine re-ranks identically.
+    /// penalty. On by default; a no-op on single-chiplet pools (the
+    /// penalty is exactly zero there). Part of the checkpoint (v3), so
+    /// a restored engine re-ranks identically.
     pub locality: LocalityPolicy,
 }
 
 impl Default for EventConfig {
     fn default() -> Self {
-        EventConfig::from(&ClusterConfig::default())
-    }
-}
-
-impl From<&ClusterConfig> for EventConfig {
-    fn from(c: &ClusterConfig) -> Self {
         EventConfig {
-            queue_capacity: c.queue_capacity,
-            steal: c.steal.clone(),
-            breaker: c.breaker.clone(),
-            max_reroutes: c.max_reroutes,
+            queue_capacity: 64,
+            steal: StealPolicy::default(),
+            breaker: BreakerPolicy::default(),
+            max_reroutes: 3,
             witness_every: 1,
             placement: PlacementMode::Exact,
             record_outcomes: true,
             share: PlanShareConfig::default(),
-            locality: c.locality,
+            locality: LocalityPolicy::default(),
         }
     }
 }
@@ -511,8 +533,8 @@ impl LoadGen {
 // Outcomes + report
 // ---------------------------------------------------------------------------
 
-/// Per-request routing outcome — the decision payload the lockstep
-/// suite compares against the threaded engine's `ClusterResult`s.
+/// Per-request routing outcome — the decision payload the suites
+/// compare across runs (restored vs uninterrupted, aware vs blind).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReqOutcome {
     /// Completed with a result (coordinated or degraded).
@@ -552,8 +574,9 @@ pub struct EngineReport {
     pub decisions: Vec<PlacementDecision>,
 }
 
-/// Why a placement attempt found no home (mirrors the threaded
-/// `PlaceFail`).
+/// Why a placement attempt found no home. Boxed at the placement
+/// boundary so the common `Ok` path does not pay for the failure
+/// payload (the job rides along to be re-routed or degraded).
 struct PlaceFail {
     job: EvJob,
     any_full: bool,
@@ -573,15 +596,15 @@ enum IndexedPlace {
 // The engine
 // ---------------------------------------------------------------------------
 
-/// The discrete-event cluster engine. Single-threaded: construct,
-/// enqueue work ([`submit_at`](Self::submit_at) / [`load`](Self::load)
-/// / [`kill_at`](Self::kill_at)), then [`run`](Self::run) the timeline
-/// to exhaustion.
 /// `(arch class name, shape signature) → predicted µs` (or the
 /// planner's rejection, memoized so a poisoned signature is not
 /// re-planned per device).
 type PredictionCache = HashMap<(&'static str, Arc<[GemmShape]>), Result<f64, String>>;
 
+/// The discrete-event cluster engine. Single-threaded: construct,
+/// enqueue work ([`submit_at`](Self::submit_at) / [`load`](Self::load)
+/// / [`kill_at`](Self::kill_at)), then [`run`](Self::run) the timeline
+/// to exhaustion.
 pub struct EventCluster {
     cfg: EventConfig,
     devices: Vec<EvDevice>,
@@ -604,8 +627,9 @@ pub struct EventCluster {
     /// entries are discarded by value on peek.
     index: Vec<BinaryHeap<Reverse<(u64, usize)>>>,
     /// Sticky: once any breaker trips, placement falls back to the
-    /// exact scan so the open-window sidelining semantics stay
-    /// bit-for-bit with the threaded engine.
+    /// exact scan. The class index cannot see which devices serve an
+    /// open window, and the exact scan's skip-and-consume walk over the
+    /// full ranking is what defines the sidelining semantics.
     breaker_active: bool,
     /// Any device in the pool is multi-chiplet. With locality enabled
     /// such a pool always places through the exact scan: the index
@@ -954,7 +978,7 @@ impl EventCluster {
         }
     }
 
-    /// Point-in-time [`ClusterStats`] in the threaded vocabulary.
+    /// Point-in-time [`ClusterStats`].
     pub fn stats_snapshot(&self) -> ClusterStats {
         let mut devices: Vec<DeviceStats> = self.devices.iter().map(EvDevice::snapshot).collect();
         let makespan = devices.iter().map(|d| d.busy_sim_us).fold(0.0, f64::max);
@@ -989,8 +1013,9 @@ impl EventCluster {
         self.pending_arrivals -= 1;
         self.open_jobs += 1;
         self.requests += 1;
-        // Admit is traced before placement, mirroring the threaded
-        // submit path's ordering contract.
+        // Admit is traced before placement: once the job lands on a
+        // device queue, downstream events for it may follow, and the
+        // log must never show those ahead of the admission.
         if let Some(o) = self.obs() {
             o.point(PointKind::Admit { req: job.id });
         }
@@ -1011,13 +1036,12 @@ impl EventCluster {
         let id = job.id;
         match self.place_attempt(job, None) {
             Ok(device) => {
-                self.stats.submitted.fetch_add(1, Ordering::Relaxed);
+                self.stats.submitted += 1;
                 self.maybe_start(device);
             }
             Err(fail) if fail.any_full => {
-                // Backpressure: every candidate queue is full. The
-                // threaded submit loop sleeps 50 µs and retries; we
-                // reschedule the placement the same distance out.
+                // Backpressure: every candidate queue is full. Retry
+                // the placement one backoff interval later.
                 self.timeline.schedule(self.now.plus(BACKOFF_NS), Ev::PlaceDone { job: fail.job });
             }
             Err(fail) => {
@@ -1031,9 +1055,9 @@ impl EventCluster {
                     }
                     return;
                 }
-                // No live device at all: degraded inline, like the
-                // threaded submit path.
-                self.stats.submitted.fetch_add(1, Ordering::Relaxed);
+                // No live device at all: serve inline through the
+                // degraded baseline rather than dropping the request.
+                self.stats.submitted += 1;
                 self.degrade_inline(fail.job);
             }
         }
@@ -1046,14 +1070,14 @@ impl EventCluster {
         match fate {
             Fate::Complete => self.complete_job(device, job),
             Fate::PlanFailed => {
-                self.stats.plan_failures.fetch_add(1, Ordering::Relaxed);
+                self.stats.plan_failures += 1;
                 if let Some(o) = self.obs() {
                     o.point(PointKind::PlanFailure);
                 }
                 self.fail_and_reroute(device, job);
             }
             Fate::Panicked => {
-                self.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
+                self.stats.worker_panics += 1;
                 if let Some(o) = self.obs() {
                     o.point(PointKind::PanicCaught);
                     o.dump_flight("worker panic");
@@ -1100,13 +1124,14 @@ impl EventCluster {
             return; // already dead
         }
         self.devices[device].alive = false;
-        self.stats.kills.fetch_add(1, Ordering::Relaxed);
+        self.stats.kills += 1;
         if let Some(o) = self.obs() {
             o.point(PointKind::Kill { device });
         }
-        // Mirror the threaded kill: close the queue, then re-route
-        // everything that was waiting. A job mid-execution finishes
-        // normally (its ExecDone is already on the heap).
+        // Close the queue, then re-route everything that was waiting.
+        // A job mid-execution finishes normally (its ExecDone is
+        // already on the heap), as a real drain lets in-flight kernels
+        // retire.
         self.devices[device].queue.close();
         self.drain_and_reroute(device);
     }
@@ -1114,8 +1139,10 @@ impl EventCluster {
     // -- placement --------------------------------------------------------
 
     /// Memoized prediction for `shapes` on device `dev_idx`'s arch
-    /// class — the same plan + `simulate_solution` number the threaded
-    /// `predict_us` computes, shared across all devices of the class.
+    /// class: plan through the class's session, then read the chosen
+    /// candidate's simulated time out of the shared memo (best-of-both
+    /// already simulated it, so this never reruns the simulator), shared
+    /// across all devices of the class.
     fn predict_cached(&mut self, dev_idx: usize, shapes: &Arc<[GemmShape]>) -> Result<f64, String> {
         // Cached values include the installed correction, so a profile
         // install (version bump on the share's CalibHandle) invalidates
@@ -1185,11 +1212,11 @@ impl EventCluster {
         self.index[class].push(Reverse((key, device)));
     }
 
-    /// One placement attempt. The exact path mirrors the threaded
-    /// `try_place` line for line; the indexed path short-circuits the
-    /// scan with per-class argmins, which pick the same device whenever
-    /// no breaker is open and the best queue is not full — and fall
-    /// back to the exact scan otherwise. Returns the placed-on device.
+    /// One placement attempt. The exact path ranks every live device;
+    /// the indexed path short-circuits the scan with per-class argmins,
+    /// which pick the same device whenever no breaker is open and the
+    /// best queue is not full — and fall back to the exact scan
+    /// otherwise. Returns the placed-on device.
     fn place_attempt(
         &mut self,
         job: EvJob,
@@ -1272,8 +1299,14 @@ impl EventCluster {
         }
     }
 
-    /// The exact scan — a line-for-line mirror of the threaded
-    /// `try_place`, with predictions served from the class cache.
+    /// The exact scan: predict the job on every eligible device (served
+    /// from the class cache) and queue it on the best-ranked candidate,
+    /// spilling down the ranking when queues are full. A device serving
+    /// its breaker's open window is sidelined, and each sidelining
+    /// consumes one open slot, so the device heals after `open_batches`
+    /// placements routed around it; when *every* candidate is open,
+    /// routing proceeds on cost alone — a suspect device beats the
+    /// baseline.
     fn place_exact(
         &mut self,
         mut job: EvJob,
@@ -1283,9 +1316,8 @@ impl EventCluster {
         let _place = obs_arc.as_ref().map(|o| o.span(SpanKind::Place));
         let shapes = job.shapes.clone();
         // One residency snapshot per placement slate, read before any
-        // candidate is scored — the same read-once discipline as the
-        // threaded `try_place`, so both engines rank from identical
-        // residency state.
+        // candidate is scored, so every candidate is judged against the
+        // same operand home.
         let sig = ctb_core::shape_sig_hash(&shapes);
         let op_bytes = ctb_core::operand_bytes(&shapes);
         let home = self.share.residency_of(sig);
@@ -1334,7 +1366,7 @@ impl EventCluster {
 
     fn finish_placement(&mut self, device: usize, sig: u64, op_bytes: u64) {
         self.devices[device].placements += 1;
-        self.stats.routed.fetch_add(1, Ordering::Relaxed);
+        self.stats.routed += 1;
         if let Some(o) = self.obs() {
             o.point(PointKind::Routed { device });
         }
@@ -1343,10 +1375,10 @@ impl EventCluster {
     }
 
     /// The locality routing penalty for placing this batch on `device`,
-    /// given the residency snapshot `home` — a mirror of the threaded
-    /// engine's `locality_penalty`. Zero for the resident device, for
-    /// monolithic topologies, and under a blind policy; never folded
-    /// into `predicted_us`.
+    /// given the residency snapshot `home`: the interposer-crossing cost
+    /// of staging the remote share of the operands onto it. Zero for the
+    /// resident device, for monolithic topologies, and under a blind
+    /// policy; never folded into `predicted_us`.
     fn locality_penalty(&self, device: usize, home: Option<OperandHome>, op_bytes: u64) -> f64 {
         if !self.cfg.locality.enabled {
             return 0.0;
@@ -1366,16 +1398,14 @@ impl EventCluster {
     fn account_residency(&mut self, device: usize, sig: u64, op_bytes: u64) {
         let topo = self.devices[device].arch().topology;
         if self.share.residency_of(sig).is_some_and(|h| h.device == device) {
-            self.stats.residency_hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.residency_hits += 1;
             if let Some(o) = self.obs() {
                 o.point(PointKind::ResidencyHit { device });
             }
             return;
         }
-        self.stats.residency_misses.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .remote_operand_bytes
-            .fetch_add(ctb_sim::remote_operand_bytes(&topo, op_bytes), Ordering::Relaxed);
+        self.stats.residency_misses += 1;
+        self.stats.remote_operand_bytes += ctb_sim::remote_operand_bytes(&topo, op_bytes);
         if let Some(o) = self.obs() {
             o.point(PointKind::ResidencyMiss { device });
         }
@@ -1395,12 +1425,11 @@ impl EventCluster {
         self.start_job(device, job);
     }
 
-    /// Roll the job's fate (threaded worker order: slow stall → plan
-    /// failure → exec panic) and schedule its `ExecDone`.
+    /// Roll the job's fate (slow stall → plan failure → exec panic) and
+    /// schedule its `ExecDone`.
     fn start_job(&mut self, device: usize, job: EvJob) {
         let dev = &self.devices[device];
-        // Injected worker stall: the threaded engine sleeps wall time;
-        // here the stall is sim time ahead of the work.
+        // Injected worker stall: sim time ahead of the work.
         let stall_ns = match &dev.fault {
             Some(f) => {
                 f.roll_slow().map(|d| d.as_nanos().min(u128::from(u64::MAX)) as u64).unwrap_or(0)
@@ -1423,8 +1452,8 @@ impl EventCluster {
                 let us = self.charged_us(device, &job);
                 ((us * 1_000.0).round() as u64).max(1)
             }
-            // Failures surface almost immediately; the threaded engine
-            // charges no simulated time for them either.
+            // Failures surface almost immediately and charge no
+            // simulated busy time.
             Fate::PlanFailed | Fate::Panicked => 1,
         };
         let done = self.now.plus(stall_ns + exec_ns);
@@ -1473,7 +1502,7 @@ impl EventCluster {
     /// the simulated time the placer predicted — which is the identical
     /// number `SimReport::total_us` would report, because both read the
     /// same memo entry. That shared source of truth is why
-    /// `mean_abs_placement_err_us` stays 0 on both engines. A
+    /// `mean_abs_placement_err_us` stays 0. A
     /// ground-truth pool replaces only the *charged time* with the
     /// true-arch simulation (making the error real); witness execution
     /// and its bitwise check are timing-independent and unchanged.
@@ -1481,8 +1510,8 @@ impl EventCluster {
         let model_time = if job.witness {
             self.witnesses += 1;
             let batch = GemmBatch::random(&job.shapes, WITNESS_ALPHA, WITNESS_BETA, job.seed);
-            // Plan first (warm cache), then the Exec span — the same
-            // span order the threaded worker produces.
+            // Plan first (warm cache), then the Exec span, so the trace
+            // shows planning ahead of execution.
             let plan = self.devices[device]
                 .session
                 .plan(&batch.shapes)
@@ -1530,10 +1559,10 @@ impl EventCluster {
         dev.backlog_us -= job.predicted_us;
         dev.busy_sim_us += executed_us;
         dev.completed += 1;
-        self.stats.completed.fetch_add(1, Ordering::Relaxed);
+        self.stats.completed += 1;
         self.stats.record_placement_err(job.predicted_us, executed_us);
         let wall_us = self.now.as_ns().saturating_sub(job.arrived.as_ns()) as f64 / 1_000.0;
-        self.stats.record_latency(wall_us);
+        self.stats.latencies_us.push(wall_us);
         if let Some(o) = self.obs() {
             o.point(PointKind::BatchDone { req: job.id, device, degraded: false, abandoned: false });
         }
@@ -1550,13 +1579,13 @@ impl EventCluster {
         self.index_touch(device);
     }
 
-    /// Threaded `fail_and_reroute`, verbatim order: charge the breaker
-    /// (a trip drains the queue onto survivors *before* this job
-    /// moves), release the backlog, then re-route the failing job.
+    /// Common failure tail, in this order: charge the breaker (a trip
+    /// drains the queue onto survivors *before* this job moves), release
+    /// the backlog, then re-route the failing job.
     fn fail_and_reroute(&mut self, device: usize, job: EvJob) {
         if self.devices[device].breaker.record_failure() {
             self.devices[device].breaker_trips += 1;
-            self.stats.breaker_trips.fetch_add(1, Ordering::Relaxed);
+            self.stats.breaker_trips += 1;
             self.breaker_active = true;
             if let Some(o) = self.obs() {
                 o.point(PointKind::BreakerTrip);
@@ -1583,7 +1612,7 @@ impl EventCluster {
 
     fn reroute(&mut self, mut job: EvJob, from: usize) {
         job.attempts += 1;
-        self.stats.reroutes.fetch_add(1, Ordering::Relaxed);
+        self.stats.reroutes += 1;
         self.devices[from].reroutes_out += 1;
         if let Some(o) = self.obs() {
             o.point(PointKind::Reroute { from });
@@ -1598,10 +1627,11 @@ impl EventCluster {
         }
     }
 
-    /// Terminal fallback, mirroring the threaded `degrade_inline`: the
-    /// strongest live device's architecture parametrises the baseline;
-    /// only witnesses actually run it (degraded results are bitwise-
-    /// exact too, so the sample proves the path).
+    /// Terminal fallback: the per-kernel default baseline, parametrised
+    /// by the first live device's architecture (any arch yields
+    /// bitwise-identical results — it only shapes the baseline's
+    /// tiling); only witnesses actually run it (degraded results are
+    /// bitwise-exact too, so the sample proves the path).
     fn degrade_inline(&mut self, job: EvJob) {
         let donor = self.devices.iter().find(|d| d.alive).map_or(0, |d| d.id);
         let inject = self.devices[donor].roll(FaultSite::DegradedPanic);
@@ -1609,12 +1639,12 @@ impl EventCluster {
         let guard = obs_arc.as_ref().map(|o| o.span(SpanKind::DegradedExec));
         if inject {
             // The injected baseline panic: span closed first, then the
-            // caught-panic bookkeeping, then the terminal Failed event
-            // — the threaded engine's exact tail.
+            // caught-panic bookkeeping, then the terminal Failed event,
+            // so a flight dump holds the complete span.
             if let Some(g) = guard {
                 g.finish();
             }
-            self.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
+            self.stats.worker_panics += 1;
             if let Some(o) = self.obs() {
                 o.point(PointKind::PanicCaught);
                 o.dump_flight("degraded worker panic");
@@ -1639,9 +1669,9 @@ impl EventCluster {
             g.finish();
         }
         let wall_us = self.now.as_ns().saturating_sub(job.arrived.as_ns()) as f64 / 1_000.0;
-        self.stats.completed.fetch_add(1, Ordering::Relaxed);
-        self.stats.degraded.fetch_add(1, Ordering::Relaxed);
-        self.stats.record_latency(wall_us);
+        self.stats.completed += 1;
+        self.stats.degraded += 1;
+        self.stats.latencies_us.push(wall_us);
         if let Some(o) = self.obs() {
             o.point(PointKind::BatchDone {
                 req: job.id,
@@ -1677,9 +1707,10 @@ impl EventCluster {
         self.timeline.schedule(self.now.plus(poll_ns.max(1)), Ev::StealCheck { device });
     }
 
-    /// The threaded `try_steal`, event-shaped: victim selection, the
-    /// `steal_beneficial` test, and the identity-checked claim all run
-    /// through the same seams.
+    /// An idle device looks for the most-backlogged live peer and, when
+    /// the cost model says the peer's front batch finishes sooner here
+    /// than it would *start* there ([`placer::steal_beneficial`]),
+    /// takes it.
     fn try_steal(&mut self, thief_idx: usize) -> bool {
         let mut victim: Option<(usize, f64)> = None;
         for dev in &self.devices {
@@ -1718,12 +1749,12 @@ impl EventCluster {
         job.stolen = true;
         self.devices[thief_idx].backlog_us += predicted_here;
         self.devices[thief_idx].steals += 1;
-        self.stats.steals.fetch_add(1, Ordering::Relaxed);
+        self.stats.steals += 1;
         if let Some(o) = self.obs() {
             o.point(PointKind::Steal { to: thief_idx, from: victim_idx });
         }
         // A steal moves the operands with the work: the thief becomes
-        // the holder, same as the threaded engine.
+        // the holder.
         self.account_residency(
             thief_idx,
             ctb_core::shape_sig_hash(&shapes),
@@ -2027,54 +2058,54 @@ fn load_gen(r: &mut Reader<'_>) -> Result<LoadGen, SavestateError> {
 
 fn save_stats(w: &mut Writer, s: &ClusterInner) {
     for v in [
-        &s.submitted,
-        &s.completed,
-        &s.degraded,
-        &s.routed,
-        &s.steals,
-        &s.reroutes,
-        &s.worker_panics,
-        &s.plan_failures,
-        &s.breaker_trips,
-        &s.kills,
+        s.submitted,
+        s.completed,
+        s.degraded,
+        s.routed,
+        s.steals,
+        s.reroutes,
+        s.worker_panics,
+        s.plan_failures,
+        s.breaker_trips,
+        s.kills,
     ] {
-        w.len_prefix(v.load(Ordering::Relaxed));
+        w.len_prefix(v);
     }
-    w.f64(s.err_abs_sum_us.load());
-    w.len_prefix(s.err_count.load(Ordering::Relaxed));
-    let lat = s.latencies();
-    w.len_prefix(lat.len());
-    for v in lat {
+    w.f64(s.err_abs_sum_us);
+    w.len_prefix(s.err_count);
+    w.len_prefix(s.latencies_us.len());
+    for &v in &s.latencies_us {
         w.f64(v);
     }
     // v3: residency accounting.
-    w.len_prefix(s.residency_hits.load(Ordering::Relaxed));
-    w.len_prefix(s.residency_misses.load(Ordering::Relaxed));
-    w.u64(s.remote_operand_bytes.load(Ordering::Relaxed));
+    w.len_prefix(s.residency_hits);
+    w.len_prefix(s.residency_misses);
+    w.u64(s.remote_operand_bytes);
 }
 
-fn load_stats(r: &mut Reader<'_>, s: &ClusterInner) -> Result<(), SavestateError> {
+fn load_stats(r: &mut Reader<'_>) -> Result<ClusterInner, SavestateError> {
+    let mut s = ClusterInner::default();
     for slot in [
-        &s.submitted,
-        &s.completed,
-        &s.degraded,
-        &s.routed,
-        &s.steals,
-        &s.reroutes,
-        &s.worker_panics,
-        &s.plan_failures,
-        &s.breaker_trips,
-        &s.kills,
+        &mut s.submitted,
+        &mut s.completed,
+        &mut s.degraded,
+        &mut s.routed,
+        &mut s.steals,
+        &mut s.reroutes,
+        &mut s.worker_panics,
+        &mut s.plan_failures,
+        &mut s.breaker_trips,
+        &mut s.kills,
     ] {
-        slot.store(r.len_prefix()?, Ordering::Relaxed);
+        *slot = r.len_prefix()?;
     }
-    s.err_abs_sum_us.set(r.f64()?);
-    s.err_count.store(r.len_prefix()?, Ordering::Relaxed);
-    s.set_latencies(r.seq(|r| r.f64())?);
-    s.residency_hits.store(r.len_prefix()?, Ordering::Relaxed);
-    s.residency_misses.store(r.len_prefix()?, Ordering::Relaxed);
-    s.remote_operand_bytes.store(r.u64()?, Ordering::Relaxed);
-    Ok(())
+    s.err_abs_sum_us = r.f64()?;
+    s.err_count = r.len_prefix()?;
+    s.latencies_us = r.seq(|r| r.f64())?;
+    s.residency_hits = r.len_prefix()?;
+    s.residency_misses = r.len_prefix()?;
+    s.remote_operand_bytes = r.u64()?;
+    Ok(s)
 }
 
 /// Checkpoint / restore / migration. The engine is single-threaded, so
@@ -2397,8 +2428,7 @@ impl EventCluster {
             predictions.insert((interned, shapes), res);
         }
         let outcomes = r.seq(load_outcome)?;
-        let stats = ClusterInner::default();
-        load_stats(&mut r, &stats)?;
+        let stats = load_stats(&mut r)?;
         if let (Some(clock), Some(obs)) = (&clock, &obs) {
             clock.set(r.u64()?);
             obs.restore_state(&mut r)?;
@@ -2460,7 +2490,7 @@ impl EventCluster {
         assert!(device < self.devices.len(), "no such device");
         if self.devices[device].alive {
             self.devices[device].alive = false;
-            self.stats.kills.fetch_add(1, Ordering::Relaxed);
+            self.stats.kills += 1;
             if let Some(o) = self.obs() {
                 o.point(PointKind::Kill { device });
             }
@@ -2717,5 +2747,115 @@ mod tests {
         assert_eq!(report.witness_mismatches, 0);
         // Jobs that failed on device 0 finish elsewhere.
         assert!(report.stats.reroutes >= report.stats.worker_panics);
+    }
+
+    /// `n` requests of `shapes` (data seeds `0..n`), one every second of
+    /// simulated time: the pool drains between arrivals.
+    fn closed_loop(eng: &mut EventCluster, shapes: &[GemmShape], n: u64) {
+        for i in 0..n {
+            eng.submit_at(SimTime(i * 1_000_000_000), sig(shapes), i);
+        }
+    }
+
+    #[test]
+    fn prediction_matches_execution_exactly_when_not_moved() {
+        // The placer's prediction and the witness's executed report read
+        // the same deterministic simulator; an unmoved batch must
+        // reconcile to zero placement error.
+        let mut eng = EventCluster::new(ArchSpec::pool_presets(2), quiet_cfg());
+        closed_loop(&mut eng, &[GemmShape::new(64, 64, 64); 3], 4);
+        let report = eng.run();
+        assert_eq!((report.witnesses, report.witness_mismatches), (4, 0));
+        assert!(report.outcomes.iter().all(|o| matches!(
+            o,
+            ReqOutcome::Done { degraded: false, stolen: false, reroutes: 0, .. }
+        )));
+        assert_eq!(report.stats.mean_abs_placement_err_us, 0.0);
+    }
+
+    #[test]
+    fn unplannable_shapes_are_rejected_at_placement() {
+        // No device can plan an empty output matrix: the request is
+        // rejected with a typed outcome, never admitted or executed.
+        let mut eng = EventCluster::new(ArchSpec::pool_presets(2), quiet_cfg());
+        eng.submit_at(SimTime::ZERO, sig(&[GemmShape::new(0, 4, 4)]), 1);
+        let report = eng.run();
+        assert_eq!(report.outcomes, vec![ReqOutcome::PlanRejected { id: 0 }]);
+        assert_eq!((report.requests, report.stats.submitted), (1, 0));
+        assert_eq!((report.stats.completed, report.witnesses), (0, 0));
+    }
+
+    #[test]
+    fn closed_device_queue_refuses_placements() {
+        // Admission never closes — every arrival is served — so the
+        // refused-after-close contract lives at the device queue: a
+        // halted device takes no placement, and its peer serves all.
+        let mut eng = EventCluster::new(ArchSpec::pool_presets(2), quiet_cfg());
+        eng.halt_and_export(0);
+        closed_loop(&mut eng, &[GemmShape::new(16, 16, 16)], 3);
+        let report = eng.run();
+        assert_eq!(report.stats.completed, 3);
+        assert_eq!(report.stats.devices[0].placements, 0, "the closed queue took work");
+        assert!(report
+            .outcomes
+            .iter()
+            .all(|o| matches!(o, ReqOutcome::Done { device: 1, degraded: false, .. })));
+    }
+
+    #[test]
+    fn kill_all_devices_still_serves_degraded() {
+        let mut eng = EventCluster::new(ArchSpec::pool_presets(2), quiet_cfg());
+        eng.kill_at(SimTime::ZERO, 0);
+        eng.kill_at(SimTime::ZERO, 1);
+        eng.submit_at(SimTime(1), sig(&[GemmShape::new(32, 32, 32)]), 3);
+        let report = eng.run();
+        assert!(
+            matches!(report.outcomes[..], [ReqOutcome::Done { degraded: true, .. }]),
+            "no live device: must be the baseline"
+        );
+        assert_eq!((report.witnesses, report.witness_mismatches), (1, 0), "degraded vs oracle");
+        assert_eq!(report.stats.kills, 2);
+        assert_eq!(report.stats.degraded, 1);
+        assert_eq!(report.stats.completed, 1);
+    }
+
+    #[test]
+    fn kill_is_idempotent() {
+        let mut eng = EventCluster::new(ArchSpec::pool_presets(2), quiet_cfg());
+        eng.kill_at(SimTime::ZERO, 1);
+        eng.kill_at(SimTime(1), 1);
+        let stats = eng.run().stats;
+        assert_eq!(stats.kills, 1);
+        assert!(!stats.devices[1].alive);
+        assert!(stats.devices[0].alive);
+    }
+
+    #[test]
+    fn plan_cache_is_shared_across_submissions() {
+        let mut eng = EventCluster::new(ArchSpec::pool_presets(2), quiet_cfg());
+        closed_loop(&mut eng, &[GemmShape::new(40, 56, 72); 2], 5);
+        let stats = eng.run().stats;
+        // Each device class plans the signature once (placement
+        // predicts on both classes); after that every placement is an
+        // engine prediction-cache hit and every witness execution a
+        // plan-cache hit.
+        assert_eq!(stats.plan_cache.misses, 2);
+        assert_eq!(stats.plan_cache.hits, 5);
+        assert!(stats.sim_memo.hits + stats.sim_memo.misses > 0);
+    }
+
+    #[test]
+    fn run_drains_every_queued_batch() {
+        // One device, stealing off, a burst queued at once: every
+        // request still completes, bitwise-exact.
+        let mut cfg = quiet_cfg();
+        cfg.steal.enabled = false;
+        let mut eng = EventCluster::new(vec![ArchSpec::maxwell_m60()], cfg);
+        for seed in 0..8 {
+            eng.submit_at(SimTime::ZERO, sig(&[GemmShape::new(96, 96, 96); 2]), seed);
+        }
+        let report = eng.run();
+        assert_eq!(report.stats.completed, 8, "drain contract: all batches complete");
+        assert_eq!((report.witnesses, report.witness_mismatches), (8, 0));
     }
 }

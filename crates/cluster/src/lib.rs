@@ -12,43 +12,40 @@
 //! batch on the argmin — and an idle device steals queued work from a
 //! saturated peer only when that same model says the move wins.
 //!
-//! Built from audited parts: each device is its own
-//! [`ctb_core::Session`] + bounded queue + worker pool (the `ctb-serve`
-//! primitives), with a per-device circuit breaker and optional
-//! deterministic fault injection composing the PR 3 resilience
-//! machinery. Execution everywhere is the functional executor, so
+//! One engine, [`EventCluster`], runs the pool in simulated time: a
+//! timeline of typed [`SimTime`] events drives every device — its own
+//! [`ctb_core::Session`] on the shared plan cache, a bounded queue, a
+//! circuit breaker and an optional deterministic fault injector (the
+//! `ctb-serve` primitives). Witness requests execute for real through
+//! the functional executor and are checked against the exact oracle, so
 //! results are bitwise-exact no matter which device — or how many
-//! re-routes — produced them.
+//! re-routes — produced them. Serving caller-owned data on real threads
+//! is `ctb-serve`'s job.
 //!
 //! ```
-//! use ctb_cluster::{Cluster, ClusterConfig};
+//! use ctb_cluster::{EventCluster, EventConfig, ReqOutcome, SimTime};
 //! use ctb_gpu_specs::ArchSpec;
-//! use ctb_matrix::{GemmBatch, GemmShape};
+//! use ctb_matrix::GemmShape;
 //!
-//! // A V100 + Titan Xp pool, routed by the cost model.
-//! let cluster = Cluster::new(ArchSpec::pool_presets(2), ClusterConfig::default());
-//! let batch = GemmBatch::random(&[GemmShape::new(64, 64, 64); 4], 1.0, 0.0, 1);
-//! let oracle = batch.reference_result_exact();
-//! let out = cluster.call(batch).unwrap();
-//! assert_eq!(out.results.len(), 4);
-//! ctb_matrix::assert_bitwise_eq(&oracle, &out.results, "routed result");
-//! let stats = cluster.shutdown();
-//! assert_eq!(stats.completed, 1);
+//! // A V100 + Titan Xp pool, routed by the cost model. The default
+//! // config executes every request for real and checks it bitwise.
+//! let mut cluster = EventCluster::new(ArchSpec::pool_presets(2), EventConfig::default());
+//! cluster.submit_at(SimTime::ZERO, [GemmShape::new(64, 64, 64); 4].into(), 1);
+//! let report = cluster.run();
+//! assert_eq!(report.stats.completed, 1);
+//! assert_eq!((report.witnesses, report.witness_mismatches), (1, 0));
+//! assert!(matches!(report.outcomes[..], [ReqOutcome::Done { degraded: false, .. }]));
 //! ```
 
-mod cluster;
 pub mod drift;
 pub mod events;
 pub mod placer;
 mod stats;
 
-pub use cluster::{
-    BatchTicket, Cluster, ClusterConfig, ClusterError, ClusterResult, StealPolicy,
-};
 pub use drift::{GroundTruth, PlacementDecision};
 pub use events::{
     EngineReport, EventCluster, EventConfig, LoadGen, PlacementMode, ReqOutcome, ShapeMix,
-    SimTime, Timeline, WITNESS_ALPHA, WITNESS_BETA,
+    SimTime, StealPolicy, Timeline, WITNESS_ALPHA, WITNESS_BETA,
 };
 pub use placer::{choose, steal_beneficial, Candidate, LocalityPolicy};
-pub use stats::{AtomicF64, ClusterInner, ClusterStats, DeviceStats};
+pub use stats::{ClusterInner, ClusterStats, DeviceStats};

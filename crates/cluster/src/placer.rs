@@ -83,9 +83,8 @@ pub fn choose(candidates: &[Candidate]) -> Option<usize> {
 /// Order a full candidate slate best-first: ascending penalty-adjusted
 /// completion, ties toward the lower device id. `rank(..)[0]` agrees
 /// with [`choose`]; the tail is the spill-down order a placer walks
-/// when better queues are full or sidelined. Both the threaded and the
-/// discrete-event cluster engines place through this one ranking, which
-/// is what makes their decisions comparable in the lockstep suite.
+/// when better queues are full or sidelined. The exact placement scan
+/// walks this ranking, and the indexed path is tested against it.
 pub fn rank(mut candidates: Vec<Candidate>) -> Vec<Candidate> {
     candidates
         .sort_by(|a, b| a.score_us().total_cmp(&b.score_us()).then(a.device.cmp(&b.device)));

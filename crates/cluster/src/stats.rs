@@ -2,40 +2,6 @@
 
 use ctb_core::CacheStats;
 use ctb_serve::ServeStats;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// An `f64` cell updated with atomic read-modify-write over its bit
-/// pattern. Used for backlog and busy-time accumulators that many
-/// workers adjust concurrently; precision is exact per operation (the
-/// CAS loop applies plain `f64` addition), ordering is relaxed — these
-/// feed advisory scheduling decisions and end-of-run aggregates, not
-/// synchronization.
-#[derive(Debug, Default)]
-pub struct AtomicF64(AtomicU64);
-
-impl AtomicF64 {
-    pub fn new(v: f64) -> Self {
-        AtomicF64(AtomicU64::new(v.to_bits()))
-    }
-
-    pub fn load(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    pub fn add(&self, delta: f64) {
-        self.0
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-                Some((f64::from_bits(bits) + delta).to_bits())
-            })
-            .expect("closure always returns Some");
-    }
-
-    /// Overwrite with an exact bit pattern (savestate restore).
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-}
 
 /// Point-in-time view of one device in the pool.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,7 +14,7 @@ pub struct DeviceStats {
     pub placements: usize,
     /// Batches this device completed on the coordinated path.
     pub completed: usize,
-    /// Batches this device's workers stole from saturated peers.
+    /// Batches this device stole from saturated peers.
     pub steals: usize,
     /// Batches re-routed *away* after failing here.
     pub reroutes_out: usize,
@@ -65,7 +31,8 @@ pub struct DeviceStats {
     pub queue_depth: usize,
     /// `busy_sim_us / makespan` across the pool (0 when idle).
     pub utilization: f64,
-    /// `false` after [`crate::Cluster::kill_device`].
+    /// `false` once a [`crate::EventCluster::kill_at`] kill (or a
+    /// [`crate::EventCluster::halt_and_export`] halt) took effect.
     pub alive: bool,
     /// Whether the device breaker was open at snapshot time.
     pub breaker_open: bool,
@@ -76,7 +43,8 @@ pub struct DeviceStats {
 /// and the per-device breakdown.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterStats {
-    /// Batches admitted by [`crate::Cluster::submit`].
+    /// Requests admitted past placement (a request no live device can
+    /// plan is rejected instead, and not counted here).
     pub submitted: usize,
     /// Batches completed with a result (coordinated or degraded).
     pub completed: usize,
@@ -89,13 +57,15 @@ pub struct ClusterStats {
     pub steals: usize,
     /// Batches re-routed after a device failure or kill.
     pub reroutes: usize,
-    /// Worker panics caught at the job boundary (workers never die).
+    /// Executor panics caught at the job boundary (a panic never takes
+    /// its device down).
     pub worker_panics: usize,
     /// Planning failures observed across the pool (real or injected).
     pub plan_failures: usize,
     /// Breaker trips summed over devices.
     pub breaker_trips: usize,
-    /// Devices removed by [`crate::Cluster::kill_device`].
+    /// Devices removed by [`crate::EventCluster::kill_at`] kills and
+    /// [`crate::EventCluster::halt_and_export`] halts.
     pub kills: usize,
     /// Per-device breakdown, in pool order.
     pub devices: Vec<DeviceStats>,
@@ -115,9 +85,9 @@ pub struct ClusterStats {
     pub plan_cache: CacheStats,
     /// Simulation-memo accounting of the shared [`ctb_core::PlanShare`].
     pub sim_memo: CacheStats,
-    /// Median end-to-end batch latency, wall µs.
+    /// Median arrival-to-completion batch latency, simulated µs.
     pub p50_wall_us: f64,
-    /// 95th-percentile end-to-end batch latency, wall µs.
+    /// 95th-percentile arrival-to-completion batch latency, simulated µs.
     pub p95_wall_us: f64,
     /// Placements onto the device already holding the batch's operands
     /// (the locality penalty was waived).
@@ -156,48 +126,34 @@ impl ClusterStats {
     }
 }
 
-/// Internal mutable counters behind [`ClusterStats`].
+/// The engine's running counters behind [`ClusterStats`].
 #[derive(Debug, Default)]
 pub struct ClusterInner {
-    pub submitted: AtomicUsize,
-    pub completed: AtomicUsize,
-    pub degraded: AtomicUsize,
-    pub routed: AtomicUsize,
-    pub steals: AtomicUsize,
-    pub reroutes: AtomicUsize,
-    pub worker_panics: AtomicUsize,
-    pub plan_failures: AtomicUsize,
-    pub breaker_trips: AtomicUsize,
-    pub kills: AtomicUsize,
-    pub residency_hits: AtomicUsize,
-    pub residency_misses: AtomicUsize,
-    pub remote_operand_bytes: AtomicU64,
-    pub err_abs_sum_us: AtomicF64,
-    pub err_count: AtomicUsize,
-    latencies_us: Mutex<Vec<f64>>,
+    pub submitted: usize,
+    pub completed: usize,
+    pub degraded: usize,
+    pub routed: usize,
+    pub steals: usize,
+    pub reroutes: usize,
+    pub worker_panics: usize,
+    pub plan_failures: usize,
+    pub breaker_trips: usize,
+    pub kills: usize,
+    pub residency_hits: usize,
+    pub residency_misses: usize,
+    pub remote_operand_bytes: u64,
+    pub err_abs_sum_us: f64,
+    pub err_count: usize,
+    /// Request latencies in completion order. The snapshot sorts a
+    /// copy; the stored order is what a resumed run keeps appending to,
+    /// so save → resume → save stays byte-identical.
+    pub latencies_us: Vec<f64>,
 }
 
 impl ClusterInner {
-    pub fn record_latency(&self, us: f64) {
-        self.latencies_us.lock().unwrap_or_else(|e| e.into_inner()).push(us);
-    }
-
-    /// Recorded request latencies in insertion order — the savestate
-    /// serialization view (the snapshot sorts a copy; the stored order
-    /// is what a resumed run must keep appending to so save → resume →
-    /// save stays byte-identical).
-    pub fn latencies(&self) -> Vec<f64> {
-        self.latencies_us.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    /// Overwrite the latency log (savestate restore).
-    pub fn set_latencies(&self, latencies: Vec<f64>) {
-        *self.latencies_us.lock().unwrap_or_else(|e| e.into_inner()) = latencies;
-    }
-
-    pub fn record_placement_err(&self, predicted_us: f64, simulated_us: f64) {
-        self.err_abs_sum_us.add((predicted_us - simulated_us).abs());
-        self.err_count.fetch_add(1, Ordering::Relaxed);
+    pub fn record_placement_err(&mut self, predicted_us: f64, simulated_us: f64) {
+        self.err_abs_sum_us += (predicted_us - simulated_us).abs();
+        self.err_count += 1;
     }
 
     /// Assemble the snapshot around an externally gathered per-device
@@ -208,38 +164,37 @@ impl ClusterInner {
         plan_cache: CacheStats,
         sim_memo: CacheStats,
     ) -> ClusterStats {
-        let mut lat = self.latencies_us.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        let mut lat = self.latencies_us.clone();
         lat.sort_by(f64::total_cmp);
-        let err_count = self.err_count.load(Ordering::Relaxed);
         let makespan_sim_us =
             devices.iter().map(|d| d.busy_sim_us).fold(0.0, f64::max);
         let total_sim_us = devices.iter().map(|d| d.busy_sim_us).sum();
         ClusterStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            routed: self.routed.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            reroutes: self.reroutes.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            plan_failures: self.plan_failures.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            kills: self.kills.load(Ordering::Relaxed),
+            submitted: self.submitted,
+            completed: self.completed,
+            degraded: self.degraded,
+            routed: self.routed,
+            steals: self.steals,
+            reroutes: self.reroutes,
+            worker_panics: self.worker_panics,
+            plan_failures: self.plan_failures,
+            breaker_trips: self.breaker_trips,
+            kills: self.kills,
             devices,
             makespan_sim_us,
             total_sim_us,
-            mean_abs_placement_err_us: if err_count == 0 {
+            mean_abs_placement_err_us: if self.err_count == 0 {
                 0.0
             } else {
-                self.err_abs_sum_us.load() / err_count as f64
+                self.err_abs_sum_us / self.err_count as f64
             },
             plan_cache,
             sim_memo,
             p50_wall_us: ServeStats::percentile(&lat, 0.50),
             p95_wall_us: ServeStats::percentile(&lat, 0.95),
-            residency_hits: self.residency_hits.load(Ordering::Relaxed),
-            residency_misses: self.residency_misses.load(Ordering::Relaxed),
-            remote_operand_bytes: self.remote_operand_bytes.load(Ordering::Relaxed),
+            residency_hits: self.residency_hits,
+            residency_misses: self.residency_misses,
+            remote_operand_bytes: self.remote_operand_bytes,
         }
     }
 }
@@ -247,36 +202,6 @@ impl ClusterInner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn atomic_f64_accumulates_exactly() {
-        let a = AtomicF64::new(1.5);
-        a.add(2.25);
-        a.add(-0.75);
-        assert_eq!(a.load(), 3.0);
-    }
-
-    #[test]
-    fn atomic_f64_survives_concurrent_adds() {
-        // Sum of 4 threads x 1000 adds of 0.5 (exactly representable,
-        // so f64 addition is associative here and the total is exact).
-        let a = Arc::new(AtomicF64::new(0.0));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let a = Arc::clone(&a);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        a.add(0.5);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("adder ok");
-        }
-        assert_eq!(a.load(), 2000.0);
-    }
 
     fn dev(id: usize, busy: f64) -> DeviceStats {
         DeviceStats {
@@ -298,11 +223,10 @@ mod tests {
 
     #[test]
     fn snapshot_derives_makespan_and_error() {
-        let inner = ClusterInner::default();
+        let mut inner = ClusterInner::default();
         inner.record_placement_err(10.0, 12.0);
         inner.record_placement_err(5.0, 5.0);
-        inner.record_latency(100.0);
-        inner.record_latency(300.0);
+        inner.latencies_us = vec![100.0, 300.0];
         let s = inner.snapshot(
             vec![dev(0, 40.0), dev(1, 25.0)],
             CacheStats::default(),

@@ -1,20 +1,26 @@
 //! Routing-correctness suite: the sim-cost placer must send work where
 //! the paper's hardware model says it belongs.
 //!
-//! These tests pin the *policy*, not incidental timing: placements on an
-//! idle pool are a pure function of the per-arch cost model, so they are
-//! deterministic; the stealing test arranges a saturated victim and an
-//! idle thief explicitly rather than racing the scheduler blind.
+//! These tests pin the *policy*: on the discrete-event engine a
+//! placement is a pure function of the per-arch cost model, the device
+//! backlogs and the arrival order, so every routing outcome is exact.
+//! The stealing tests arrange a stalled victim (an injected slow-worker
+//! stall, charged in simulated time) next to an idle thief explicitly.
+//! Every request is a witness, executed for real and checked bit for
+//! bit against its exact oracle.
 
-use ctb_cluster::{Cluster, ClusterConfig, StealPolicy};
+use ctb_cluster::{EngineReport, EventCluster, EventConfig, ReqOutcome, SimTime, StealPolicy};
 use ctb_gpu_specs::ArchSpec;
-use ctb_matrix::{assert_bitwise_eq, GemmBatch, GemmShape};
+use ctb_matrix::GemmShape;
 use ctb_serve::{FaultConfig, FaultInjector};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Far beyond any test's real latency: hitting it means a hang.
-const HANG_BOUND: Duration = Duration::from_secs(30);
+/// Arrival gap of sequential submissions: every request retires long
+/// before the next one arrives.
+const SEQUENTIAL: u64 = 1_000_000_000;
+/// Arrival gap of a burst: everything arrives at t = 0.
+const BURST: u64 = 0;
 
 fn two_device_pool() -> Vec<ArchSpec> {
     let pool = ArchSpec::pool_presets(2);
@@ -23,28 +29,68 @@ fn two_device_pool() -> Vec<ArchSpec> {
     pool
 }
 
+/// Drive `n` requests of `shapes` (data seeds `0..n`), `gap_ns` apart,
+/// through `pool`; every request must complete bitwise-exact.
+fn run(
+    pool: Vec<ArchSpec>,
+    cfg: EventConfig,
+    faults: Vec<Option<Arc<FaultInjector>>>,
+    shapes: &[GemmShape],
+    n: usize,
+    gap_ns: u64,
+) -> EngineReport {
+    let mut eng = EventCluster::with_faults(pool, cfg, faults);
+    let shapes: Arc<[GemmShape]> = shapes.into();
+    for i in 0..n {
+        eng.submit_at(SimTime(i as u64 * gap_ns), Arc::clone(&shapes), i as u64);
+    }
+    let report = eng.run();
+    assert_eq!(report.stats.completed, n, "zero drops");
+    assert_eq!(report.witnesses, n, "every request is a witness");
+    assert_eq!(report.witness_mismatches, 0, "every result is bitwise-exact");
+    report
+}
+
+/// `(device, stolen, reroutes)` of every request, in completion order.
+fn done(report: &EngineReport) -> Vec<(usize, bool, u32)> {
+    report
+        .outcomes
+        .iter()
+        .map(|o| match o {
+            ReqOutcome::Done { device, degraded: false, stolen, reroutes, .. } => {
+                (*device, *stolen, *reroutes)
+            }
+            other => panic!("fault-free routing completes on the coordinated path, got {other:?}"),
+        })
+        .collect()
+}
+
+/// The cost model's prediction for `shapes` on `arch`: the makespan of
+/// a one-device run, since an unmoved batch charges exactly its
+/// predicted time.
+fn predicted_us(arch: &ArchSpec, shapes: &[GemmShape]) -> f64 {
+    let report = run(vec![arch.clone()], EventConfig::default(), vec![None], shapes, 1, BURST);
+    assert_eq!(report.stats.mean_abs_placement_err_us, 0.0);
+    report.stats.makespan_sim_us
+}
+
 #[test]
 fn compute_bound_large_k_batch_routes_to_v100() {
     // A deep-K compute-bound batch: the V100's higher peak dominates
     // its prediction, so an idle pool must place it there.
-    let cluster = Cluster::new(two_device_pool(), ClusterConfig::default());
-    let shapes = vec![GemmShape::new(128, 128, 1024); 4];
-    let pred_v100 = cluster.predicted_us(0, &shapes).expect("plans on V100");
-    let pred_titan = cluster.predicted_us(1, &shapes).expect("plans on Titan Xp");
+    let pool = two_device_pool();
+    let shapes = [GemmShape::new(128, 128, 1024); 4];
+    let pred_v100 = predicted_us(&pool[0], &shapes);
+    let pred_titan = predicted_us(&pool[1], &shapes);
     assert!(
         pred_v100 < pred_titan,
         "cost model must favour V100 for compute-bound work ({pred_v100} vs {pred_titan})"
     );
 
-    let batch = GemmBatch::random(&shapes, 1.0, 0.0, 11);
-    let oracle = batch.reference_result_exact();
-    let out = cluster.call(batch).expect("runs");
-    assert_eq!(out.device, 0, "compute-bound large-K batch must land on the V100");
-    assert!(!out.stolen && !out.degraded);
-    assert_bitwise_eq(&oracle, &out.results, "routed result vs exact oracle");
-    let stats = cluster.shutdown();
-    assert_eq!(stats.devices[0].placements, 1);
-    assert_eq!(stats.devices[1].placements, 0);
+    let report = run(pool, EventConfig::default(), vec![None, None], &shapes, 1, BURST);
+    assert_eq!(done(&report), vec![(0, false, 0)], "must land on the V100, unmoved");
+    assert_eq!(report.stats.devices[0].placements, 1);
+    assert_eq!(report.stats.devices[1].placements, 0);
 }
 
 #[test]
@@ -53,25 +99,22 @@ fn tiny_launch_dominated_batches_never_cross_devices() {
     // launch cost wins every placement, and sequential submissions on
     // an idle pool leave nothing worth stealing — the batch must not
     // bounce between devices.
-    let cluster = Cluster::new(two_device_pool(), ClusterConfig::default());
-    let shapes = vec![GemmShape::new(8, 8, 8)];
-    for seed in 0..6 {
-        let batch = GemmBatch::random(&shapes, 1.0, 0.0, seed);
-        let oracle = batch.reference_result_exact();
-        let out = cluster
-            .submit(batch)
-            .expect("admitted")
-            .wait_for(HANG_BOUND)
-            .expect("completes");
-        assert_eq!(out.device, 0, "tiny batch crossed to device {}", out.device);
-        assert!(!out.stolen, "nothing to steal on a drained pool");
-        assert_eq!(out.reroutes, 0);
-        assert_bitwise_eq(&oracle, &out.results, "tiny batch result");
-    }
-    let stats = cluster.shutdown();
-    assert_eq!(stats.steals, 0);
-    assert_eq!(stats.reroutes, 0);
-    assert_eq!(stats.devices[1].placements, 0, "all tiny batches stay on the V100");
+    let report = run(
+        two_device_pool(),
+        EventConfig::default(),
+        vec![None, None],
+        &[GemmShape::new(8, 8, 8)],
+        6,
+        SEQUENTIAL,
+    );
+    assert!(
+        done(&report).iter().all(|&d| d == (0, false, 0)),
+        "a tiny batch crossed devices: {:?}",
+        done(&report)
+    );
+    assert_eq!(report.stats.steals, 0);
+    assert_eq!(report.stats.reroutes, 0);
+    assert_eq!(report.stats.devices[1].placements, 0, "all tiny batches stay on the V100");
 }
 
 #[test]
@@ -79,19 +122,15 @@ fn saturated_pool_spreads_load_by_predicted_completion() {
     // A burst larger than any single device's appetite: backlog-aware
     // argmin placement must use both devices, in rough proportion to
     // their predicted speeds (V100 strictly more than the Titan Xp).
-    let cluster = Cluster::new(two_device_pool(), ClusterConfig::default());
-    let shapes = vec![GemmShape::new(96, 96, 256); 4];
-    let batches: Vec<GemmBatch> =
-        (0..12).map(|seed| GemmBatch::random(&shapes, 1.0, 0.0, seed)).collect();
-    let oracles: Vec<_> = batches.iter().map(GemmBatch::reference_result_exact).collect();
-    let tickets: Vec<_> =
-        batches.into_iter().map(|b| cluster.submit(b).expect("admitted")).collect();
-    for (t, oracle) in tickets.into_iter().zip(&oracles) {
-        let out = t.wait_for(HANG_BOUND).expect("completes");
-        assert_bitwise_eq(oracle, &out.results, "burst result vs exact oracle");
-    }
-    let stats = cluster.shutdown();
-    assert_eq!(stats.completed, 12);
+    let report = run(
+        two_device_pool(),
+        EventConfig::default(),
+        vec![None, None],
+        &[GemmShape::new(96, 96, 256); 4],
+        12,
+        BURST,
+    );
+    let stats = &report.stats;
     let (v100, titan) = (&stats.devices[0], &stats.devices[1]);
     assert!(v100.placements > 0, "the fast device must take work");
     assert!(titan.placements + titan.steals > 0, "the burst must spill off the V100");
@@ -103,44 +142,41 @@ fn saturated_pool_spreads_load_by_predicted_completion() {
         titan.completed
     );
     // Both devices contributed simulated work, so the pool's makespan
-    // beats serializing everything on the V100.
+    // beats serializing everything on one device.
     assert!(stats.makespan_sim_us < stats.total_sim_us);
+}
+
+/// Device 0 (V100) stalls `stall` of simulated time per batch.
+fn stalled_v100(seed: u64, stall: Duration) -> Vec<Option<Arc<FaultInjector>>> {
+    let f = FaultInjector::new(FaultConfig::new(seed).slow_worker(1000, stall));
+    vec![Some(Arc::new(f)), None]
 }
 
 #[test]
 fn idle_device_steals_from_a_stalled_victim() {
-    // Pin the steal preconditions instead of racing: device 0 (V100)
-    // always stalls 25 ms per batch (injected slow-worker fault) while
-    // the batches themselves are tiny, so its queue holds predicted
-    // backlog long after device 1 drains and goes idle. Once the V100's
-    // backlog exceeds the Titan Xp's predicted cost for the front
-    // batch, the model approves the steal.
-    let stall = Arc::new(FaultInjector::new(
-        FaultConfig::new(0xC0FFEE).slow_worker(1000, Duration::from_millis(25)),
-    ));
-    let cfg = ClusterConfig {
+    // Device 0 (V100) stalls 25 ms per batch while the batches
+    // themselves are tiny, so its queue holds predicted backlog long
+    // after device 1 drains and goes idle. Once the V100's backlog
+    // exceeds the Titan Xp's predicted cost for the front batch, the
+    // model approves the steal.
+    let cfg = EventConfig {
         steal: StealPolicy {
             enabled: true,
             min_victim_backlog_us: 1.0,
             poll: Duration::from_micros(200),
         },
-        ..ClusterConfig::default()
+        ..EventConfig::default()
     };
-    let cluster = Cluster::with_faults(two_device_pool(), cfg, vec![Some(stall), None]);
-    let shapes = vec![GemmShape::new(32, 32, 64); 2];
-    let batches: Vec<GemmBatch> =
-        (0..16).map(|seed| GemmBatch::random(&shapes, 1.0, 0.0, seed)).collect();
-    let oracles: Vec<_> = batches.iter().map(GemmBatch::reference_result_exact).collect();
-    let tickets: Vec<_> =
-        batches.into_iter().map(|b| cluster.submit(b).expect("admitted")).collect();
-    let mut stolen = 0;
-    for (t, oracle) in tickets.into_iter().zip(&oracles) {
-        let out = t.wait_for(HANG_BOUND).expect("completes");
-        stolen += usize::from(out.stolen);
-        assert_bitwise_eq(oracle, &out.results, "stolen-path result vs exact oracle");
-    }
-    let stats = cluster.shutdown();
-    assert_eq!(stats.completed, 16, "zero drops under stealing");
+    let report = run(
+        two_device_pool(),
+        cfg,
+        stalled_v100(0xC0FFEE, Duration::from_millis(25)),
+        &[GemmShape::new(32, 32, 64); 2],
+        16,
+        BURST,
+    );
+    let stats = &report.stats;
+    let stolen = done(&report).iter().filter(|(_, s, _)| *s).count();
     assert!(
         stats.steals >= 1,
         "an idle Titan Xp next to a stalled V100 must steal (steals = {})",
@@ -154,25 +190,18 @@ fn idle_device_steals_from_a_stalled_victim() {
 
 #[test]
 fn steals_can_be_disabled() {
-    let stall = Arc::new(FaultInjector::new(
-        FaultConfig::new(0xBEEF).slow_worker(1000, Duration::from_millis(2)),
-    ));
-    let cfg = ClusterConfig {
+    let cfg = EventConfig {
         steal: StealPolicy { enabled: false, ..StealPolicy::default() },
-        ..ClusterConfig::default()
+        ..EventConfig::default()
     };
-    let cluster = Cluster::with_faults(two_device_pool(), cfg, vec![Some(stall), None]);
-    let shapes = vec![GemmShape::new(64, 64, 256); 2];
-    let tickets: Vec<_> = (0..8)
-        .map(|seed| {
-            cluster.submit(GemmBatch::random(&shapes, 1.0, 0.0, seed)).expect("admitted")
-        })
-        .collect();
-    for t in tickets {
-        let out = t.wait_for(HANG_BOUND).expect("completes");
-        assert!(!out.stolen);
-    }
-    let stats = cluster.shutdown();
-    assert_eq!(stats.steals, 0);
-    assert_eq!(stats.completed, 8);
+    let report = run(
+        two_device_pool(),
+        cfg,
+        stalled_v100(0xBEEF, Duration::from_millis(2)),
+        &[GemmShape::new(64, 64, 256); 2],
+        8,
+        BURST,
+    );
+    assert!(done(&report).iter().all(|(_, stolen, _)| !stolen));
+    assert_eq!(report.stats.steals, 0);
 }

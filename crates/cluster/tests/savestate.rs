@@ -2,7 +2,7 @@
 //! and `restore` into a fresh engine must change *nothing* observable
 //! about the rest of the run.
 //!
-//! Methodology: every chaos schedule the lockstep suite runs (plus the
+//! Methodology: every chaos schedule the chaos suite runs (plus the
 //! fault-free baseline) is executed twice per crash point —
 //!
 //! 1. uninterrupted, recording the full fingerprint: per-request
@@ -32,7 +32,7 @@
 //! zero drops) and round-trips randomized mid-run states under
 //! proptest.
 
-use ctb_cluster::{ClusterConfig, EventCluster, EventConfig, ReqOutcome, SimTime, StealPolicy};
+use ctb_cluster::{EventCluster, EventConfig, ReqOutcome, SimTime, StealPolicy};
 use ctb_core::{AdmissionPolicy, PlanShareConfig};
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::GemmShape;
@@ -43,7 +43,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Closed-loop inter-arrival gap (matches the lockstep suite).
+/// Closed-loop inter-arrival gap: the pool drains between arrivals.
 const GAP_NS: u64 = 1_000_000_000;
 
 fn pool() -> Vec<ArchSpec> {
@@ -65,9 +65,9 @@ fn injector(cfg: FaultConfig) -> Option<Arc<FaultInjector>> {
 }
 
 /// One reproducible scenario: an event-engine config, a fault schedule
-/// and a request count, mirroring the lockstep chaos schedules.
+/// and a request count, mirroring the chaos suite's schedules.
 struct Schedule {
-    cfg: ClusterConfig,
+    cfg: EventConfig,
     n: usize,
     faults: fn() -> Vec<Option<Arc<FaultInjector>>>,
     kill_first: Option<usize>,
@@ -82,9 +82,9 @@ struct Schedule {
 
 fn breaker_opens_mid_load() -> Schedule {
     Schedule {
-        cfg: ClusterConfig {
+        cfg: EventConfig {
             breaker: BreakerPolicy { trip_threshold: 3, open_batches: 8 },
-            ..ClusterConfig::default()
+            ..EventConfig::default()
         },
         n: 24,
         faults: || vec![injector(FaultConfig::new(0xA11CE).plan_fail(1000)), None],
@@ -96,9 +96,9 @@ fn breaker_opens_mid_load() -> Schedule {
 
 fn exec_panic_storm() -> Schedule {
     Schedule {
-        cfg: ClusterConfig {
+        cfg: EventConfig {
             breaker: BreakerPolicy { trip_threshold: 6, open_batches: 4 },
-            ..ClusterConfig::default()
+            ..EventConfig::default()
         },
         n: 30,
         faults: || vec![injector(FaultConfig::new(0x5EED).exec_panic(400)), None],
@@ -110,9 +110,9 @@ fn exec_panic_storm() -> Schedule {
 
 fn kill_device_routes_to_survivor() -> Schedule {
     Schedule {
-        cfg: ClusterConfig {
+        cfg: EventConfig {
             steal: StealPolicy { enabled: false, ..StealPolicy::default() },
-            ..ClusterConfig::default()
+            ..EventConfig::default()
         },
         n: 16,
         faults: || vec![None, None],
@@ -124,10 +124,10 @@ fn kill_device_routes_to_survivor() -> Schedule {
 
 fn chaos_on_every_device() -> Schedule {
     Schedule {
-        cfg: ClusterConfig {
+        cfg: EventConfig {
             breaker: BreakerPolicy { trip_threshold: 4, open_batches: 4 },
             max_reroutes: 2,
-            ..ClusterConfig::default()
+            ..EventConfig::default()
         },
         n: 32,
         faults: || {
@@ -148,7 +148,7 @@ fn chaos_on_every_device() -> Schedule {
 
 fn fault_free() -> Schedule {
     Schedule {
-        cfg: ClusterConfig::default(),
+        cfg: EventConfig::default(),
         n: 18,
         faults: || vec![None, None],
         kill_first: None,
@@ -165,7 +165,7 @@ fn fault_free() -> Schedule {
 /// proves all of it replays exactly.
 fn bloom_gated_bounded_cache() -> Schedule {
     Schedule {
-        cfg: ClusterConfig::default(),
+        cfg: EventConfig::default(),
         n: 24,
         faults: || vec![injector(FaultConfig::new(0xB100).exec_panic(300)), None],
         kill_first: None,
@@ -186,7 +186,7 @@ fn bloom_gated_bounded_cache() -> Schedule {
 /// re-ranks with the identical locality penalties.
 fn locality_on_chiplet_pool() -> Schedule {
     Schedule {
-        cfg: ClusterConfig::default(),
+        cfg: EventConfig::default(),
         n: 24,
         faults: || vec![None, injector(FaultConfig::new(0x10CA1).exec_panic(200)), None],
         kill_first: None,
@@ -198,7 +198,7 @@ fn locality_on_chiplet_pool() -> Schedule {
 /// Build the schedule's instrumented engine with every request already
 /// on the timeline.
 fn build(s: &Schedule) -> (EventCluster, Arc<Obs>) {
-    let mut ev_cfg = EventConfig::from(&s.cfg);
+    let mut ev_cfg = s.cfg.clone();
     ev_cfg.share = s.share;
     let (mut eng, obs) = EventCluster::with_instrumentation((s.pool)(), ev_cfg, (s.faults)());
     if let Some(dev) = s.kill_first {
@@ -371,7 +371,7 @@ fn restore_rejects_wrong_pool_with_typed_mismatch() {
 /// completes on the source's survivors or on the target pool.
 #[test]
 fn halted_device_queue_migrates_to_peer_engine_with_zero_drops() {
-    let mut cfg = EventConfig::from(&ClusterConfig::default());
+    let mut cfg = EventConfig::default();
     cfg.steal.enabled = false; // keep jobs parked where they were placed
     cfg.witness_every = 3;
     let n = 12;
@@ -404,7 +404,7 @@ fn halted_device_queue_migrates_to_peer_engine_with_zero_drops() {
     assert_eq!(source_report.stats.kills, 1, "halt counts as removing the device");
     // Truncated migration blobs fail typed, not by panic.
     assert!(matches!(
-        EventCluster::new(pool(), EventConfig::from(&ClusterConfig::default()))
+        EventCluster::new(pool(), EventConfig::default())
             .import_jobs(&blob[..blob.len().saturating_sub(3)]),
         Err(SavestateError::Corrupt(_))
     ));
@@ -559,8 +559,7 @@ proptest! {
         exec_panic in 0u32..400,
         instrumented in 0u32..2,
     ) {
-        let mut cfg = EventConfig::from(&ClusterConfig::default());
-        cfg.witness_every = 5;
+        let cfg = EventConfig { witness_every: 5, ..EventConfig::default() };
         let faults = vec![
             injector(FaultConfig::new(seed).plan_fail(plan_fail).exec_panic(exec_panic)),
             None,

@@ -99,36 +99,32 @@ impl<T> BoundedQueue<T> {
     /// Submission batching: move items from the front of `buf` into the
     /// queue while there is capacity, under a single lock acquisition.
     /// Returns how many were pushed plus the blocker that stopped the
-    /// flush (`None` when `buf` was fully drained). Same error priority
-    /// as [`BoundedQueue::try_push`]: `Full` when the queue is at
-    /// capacity (even if also closed), `Closed` otherwise.
+    /// flush (`None` when `buf` was fully drained, even when its last
+    /// item took the last free slot). Same error priority as
+    /// [`BoundedQueue::try_push`]: `Full` when the queue is at capacity
+    /// (even if also closed), `Closed` otherwise.
     pub fn try_push_many(&self, buf: &mut VecDeque<T>) -> (usize, Option<PushError>) {
         if buf.is_empty() {
             return (0, None);
         }
         let mut pushed = 0usize;
-        let blocker;
         let mut st = self.lock();
-        loop {
+        // Emptiness is checked before capacity: a flush that fills the
+        // queue exactly has nothing left blocked, so it must not report
+        // `Full` (a drain would then wait for space it never needs).
+        let blocker = loop {
+            if buf.is_empty() {
+                break None;
+            }
             if st.q.len() >= self.capacity {
-                blocker = Some(PushError::Full);
-                break;
+                break Some(PushError::Full);
             }
             if st.closed {
-                blocker = Some(PushError::Closed);
-                break;
+                break Some(PushError::Closed);
             }
-            match buf.pop_front() {
-                Some(item) => {
-                    st.q.push_back(item);
-                    pushed += 1;
-                }
-                None => {
-                    blocker = None;
-                    break;
-                }
-            }
-        }
+            st.q.extend(buf.pop_front());
+            pushed += 1;
+        };
         drop(st);
         if pushed > 0 {
             self.not_empty.notify_all();
@@ -218,9 +214,9 @@ impl<T> BoundedQueue<T> {
     /// Non-blocking unconditional pop: take the front item if one is
     /// queued, never wait. This is the single-threaded seam the
     /// discrete-event cluster engine drains device queues through — the
-    /// same bounded queue the threaded workers block on, minus the
+    /// same bounded queue the serving workers block on, minus the
     /// blocking: capacity, close and steal (`pop_if`/`peek_map`)
-    /// semantics stay identical across both engines.
+    /// semantics are the queue's own.
     pub fn try_pop(&self) -> Option<T> {
         self.pop_if(|_| true)
     }
@@ -394,6 +390,14 @@ mod tests {
         assert_eq!(q.try_push_many(&mut buf), (1, Some(PushError::Full)), "stops at capacity");
         assert_eq!(buf, VecDeque::from(vec![4, 5, 6]), "unpushed tail stays buffered in order");
         assert_eq!(q.len(), 3);
+
+        // Exact fill: the last buffered item takes the last free slot,
+        // so nothing is left blocked.
+        let exact = BoundedQueue::new(2);
+        exact.try_push(0).unwrap();
+        let mut one: VecDeque<i32> = VecDeque::from(vec![1]);
+        assert_eq!(exact.try_push_many(&mut one), (1, None), "exact fill drains the buffer");
+        assert!(one.is_empty());
 
         q.close();
         assert_eq!(q.try_push_many(&mut buf), (0, Some(PushError::Full)), "full wins over closed");

@@ -8,8 +8,8 @@
 //! that loop offline by fitting a small least-squares correction per
 //! [`ArchSpec`](https://docs.rs) name from recorded predicted-vs-actual
 //! pairs; this module is the *runtime* half: the correction itself, kept
-//! deliberately tiny so every predictor (event engine, threaded cluster,
-//! serve sessions) can apply it on the hot path.
+//! deliberately tiny so every predictor (event engine, serve sessions)
+//! can apply it on the hot path.
 //!
 //! A correction is affine over the feature vector
 //!
@@ -21,7 +21,7 @@
 //! (mean batch dimensions plus batch size). The identity correction —
 //! and, equivalently, a [`CorrectionSet`] with no entry for an arch —
 //! returns `model_us` bit-for-bit unchanged, which is what keeps every
-//! zero-error / lockstep / savestate-parity invariant intact until a
+//! zero-error / replay / savestate-parity invariant intact until a
 //! calibrated profile is explicitly installed.
 
 /// Number of terms in the correction feature vector φ.

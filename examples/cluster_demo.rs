@@ -1,15 +1,15 @@
 //! Cluster-layer demo: a heterogeneous pool of simulated GPUs serves a
 //! mixed-shape burst, with the paper's analytical cost model deciding
-//! which device each coordinated batch runs on. Mid-burst the fastest
-//! device is killed; its queued batches re-route and every result still
-//! comes back bitwise-identical to the exact oracle.
+//! which device each coordinated batch runs on. Once the burst is
+//! placed the fastest device is killed; its queued batches re-route and
+//! every result still comes back bitwise-identical to the exact oracle.
 //!
 //! ```text
 //! cargo run --example cluster_demo --release
 //! ```
 
 use ctb::prelude::*;
-use std::time::Duration;
+use std::sync::Arc;
 
 fn main() {
     const BATCHES: usize = 24;
@@ -17,47 +17,40 @@ fn main() {
     // A V100 + Titan Xp + GTX 1080 Ti pool (fastest-first presets).
     let pool = ArchSpec::pool_presets(3);
     let names: Vec<_> = pool.iter().map(|a| a.name).collect();
-    let cluster = Cluster::new(
+    // Every batch is a witness (the default `witness_every: 1`): it
+    // executes for real and is checked bitwise against its exact oracle.
+    let mut engine = EventCluster::new(
         pool,
-        ClusterConfig {
+        EventConfig {
             queue_capacity: BATCHES,
             steal: StealPolicy { enabled: false, ..StealPolicy::default() },
-            ..ClusterConfig::default()
+            ..EventConfig::default()
         },
     );
 
-    // A burst of variable-size coordinated batches: submit everything,
-    // keep each batch's exact oracle for the final bitwise check.
+    // A burst of variable-size coordinated batches, all arriving at t = 0.
     let mix: [&[GemmShape]; 3] = [
         &[GemmShape::new(48, 48, 256); 3],
         &[GemmShape::new(32, 64, 128); 4],
         &[GemmShape::new(24, 24, 96); 6],
     ];
-    let batches: Vec<GemmBatch> = (0..BATCHES)
-        .map(|i| GemmBatch::random(mix[i % mix.len()], 1.0, 0.5, i as u64))
-        .collect();
-    let oracles: Vec<_> = batches.iter().map(GemmBatch::reference_result_exact).collect();
-    let tickets: Vec<_> = batches
-        .into_iter()
-        .map(|b| cluster.submit(b).expect("admitted"))
-        .collect();
-
-    // Kill the V100 while its queue is loaded: queued work must move.
-    cluster.kill_device(0);
-
-    for (t, oracle) in tickets.into_iter().zip(&oracles) {
-        let out = t
-            .wait_for(Duration::from_secs(120))
-            .expect("zero drops across the kill");
-        ctb::matrix::assert_bitwise_eq(oracle, &out.results, "clustered result vs oracle");
+    for i in 0..BATCHES {
+        engine.submit_at(SimTime::ZERO, Arc::from(mix[i % mix.len()]), i as u64);
     }
 
-    let stats = cluster.shutdown();
+    // Kill the V100 while its queue is loaded: queued work must move.
+    engine.kill_at(SimTime(1), 0);
+
+    let report = engine.run();
+    assert_eq!(report.stats.completed, BATCHES, "zero drops across the kill");
+    assert_eq!(report.witness_mismatches, 0, "clustered result vs oracle");
+
+    let stats = report.stats;
     println!("== ctb-cluster demo: sim-cost routing + kill-one-device failover ==\n");
     println!("pool: {}", names.join(", "));
     println!(
-        "completed {}/{} batches, every result bitwise-verified; {} re-routed off the dead V100",
-        stats.completed, stats.submitted, stats.reroutes
+        "completed {}/{} batches, {} bitwise-verified; {} re-routed off the dead V100",
+        stats.completed, stats.submitted, report.witnesses, stats.reroutes
     );
     for d in &stats.devices {
         println!(

@@ -47,9 +47,6 @@ cargo test -q -p ctb-serve --test obs
 echo "== observability harness + BENCH_obs.json schema gate =="
 cargo run -q -p ctb-bench --bin reproduce --release -- obs
 
-echo "== cluster lockstep suite (event engine vs threaded, decision parity) =="
-cargo test -q -p ctb-cluster --test lockstep
-
 echo "== savestate codec (versioned binary reader/writer) =="
 cargo test -q -p ctb-savestate
 
@@ -83,37 +80,7 @@ cargo run -q -p ctb-bench --bin reproduce --release -- calibrate --smoke
 echo "== cluster demo compiles against the release profile =="
 cargo build --release --example cluster_demo
 
-echo "== cargo clippy --all-targets -- -D warnings =="
-cargo clippy --all-targets -- -D warnings
-
-echo "== cargo clippy -p ctb-core --all-targets -- -D warnings =="
-cargo clippy -p ctb-core --all-targets -- -D warnings
-
-echo "== cargo clippy -p ctb-matrix --all-targets -- -D warnings =="
-cargo clippy -p ctb-matrix --all-targets -- -D warnings
-
-echo "== cargo clippy -p ctb-serve --all-targets -- -D warnings =="
-cargo clippy -p ctb-serve --all-targets -- -D warnings
-
-echo "== cargo clippy -p ctb-cluster --all-targets -- -D warnings =="
-cargo clippy -p ctb-cluster --all-targets -- -D warnings
-
-echo "== cargo clippy -p ctb-obs --all-targets -- -D warnings =="
-cargo clippy -p ctb-obs --all-targets -- -D warnings
-
-echo "== cargo clippy -p ctb-savestate --all-targets -- -D warnings =="
-cargo clippy -p ctb-savestate --all-targets -- -D warnings
-
-echo "== cargo clippy -p ctb-calib --all-targets -- -D warnings =="
-cargo clippy -p ctb-calib --all-targets -- -D warnings
-
-echo "== cargo clippy -p ctb-gpu-specs --all-targets -- -D warnings =="
-cargo clippy -p ctb-gpu-specs --all-targets -- -D warnings
-
-echo "== cargo clippy -p ctb-sim --all-targets -- -D warnings =="
-cargo clippy -p ctb-sim --all-targets -- -D warnings
-
-echo "== cargo clippy -p ctb-bench --all-targets -- -D warnings =="
-cargo clippy -p ctb-bench --all-targets -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "check.sh: all gates passed"

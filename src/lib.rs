@@ -35,8 +35,7 @@ pub mod prelude {
     pub use ctb_batching::{BatchPlan, BatchingHeuristic};
     pub use ctb_calib::{fit_decisions, CalibProfile, GroundTruth, TraceDataset};
     pub use ctb_cluster::{
-        Cluster, ClusterConfig, ClusterStats, EventCluster, EventConfig, LoadGen, PlacementMode,
-        SimTime, StealPolicy,
+        ClusterStats, EventCluster, EventConfig, LoadGen, PlacementMode, SimTime, StealPolicy,
     };
     pub use ctb_core::{Framework, FrameworkConfig, RunOutcome, Session};
     pub use ctb_gpu_specs::{ArchSpec, Thresholds};
