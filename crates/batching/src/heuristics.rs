@@ -3,10 +3,9 @@
 
 use crate::tile::TileTask;
 use ctb_gpu_specs::Thresholds;
-use serde::{Deserialize, Serialize};
 
 /// Which batching policy assigns tiles to thread blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BatchingHeuristic {
     /// One tile per block — the classic design; used to evaluate the
     /// tiling engine alone (Fig 8) and as MAGMA's implicit policy.
@@ -18,6 +17,12 @@ pub enum BatchingHeuristic {
     /// min-K with max-K, minimising `|K_i + K_j − θ|` (Eq 5).
     Binary,
 }
+
+ctb_savestate::savestate_enum!(BatchingHeuristic {
+    0 => OneTilePerBlock,
+    1 => Threshold,
+    2 => Binary,
+});
 
 impl std::fmt::Display for BatchingHeuristic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

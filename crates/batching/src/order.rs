@@ -8,10 +8,9 @@
 //! quantifies the difference.
 
 use crate::tile::TileTask;
-use serde::{Deserialize, Serialize};
 
 /// Order in which tiles are fed to the batching heuristics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TileOrder {
     /// The tiling engine's natural order: all tiles of GEMM 0, then
     /// GEMM 1, … (row-major within each GEMM).

@@ -4,7 +4,6 @@
 use crate::tile::TileTask;
 use ctb_matrix::GemmShape;
 use ctb_tiling::{TilingSolution, TilingStrategy};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// The five auxiliary arrays of Fig 6 plus the unified block size.
@@ -14,7 +13,7 @@ use std::collections::HashSet;
 /// * `gemm[t]`, `tiling[t]`, `y_coord[t]`, `x_coord[t]` describe tile
 ///   `t`: its source GEMM, the Table 2 strategy id (0‥=11), and its tile
 ///   coordinates within the GEMM's grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchPlan {
     /// Per-block prefix offsets into the tile arrays.
     pub tile: Vec<usize>,

@@ -2,10 +2,9 @@
 
 use ctb_matrix::GemmShape;
 use ctb_tiling::{TilingSolution, TilingStrategy};
-use serde::{Deserialize, Serialize};
 
 /// One C tile of one GEMM, as produced by the tiling engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileTask {
     /// Index of the GEMM this tile belongs to.
     pub gemm: usize,

@@ -20,8 +20,8 @@
 use ctb_core::hotswap::CalibHandle;
 use ctb_core::selector::OnlineSelector;
 use ctb_forest::RandomForest;
-use ctb_savestate::{Reader, SavestateError, Writer};
-use ctb_sim::{CorrectionSet, CostCorrection, PHI_LEN};
+use ctb_savestate::{savestate_struct, Reader, Savestate, SavestateError, Writer};
+use ctb_sim::CorrectionSet;
 use std::sync::Arc;
 
 /// Section tag distinguishing a profile blob from other `CTBS` blobs.
@@ -44,6 +44,8 @@ pub struct ProfileMeta {
     pub drift_seed: u64,
 }
 
+savestate_struct!(ProfileMeta { source_decisions, trained_cases, drift_seed });
+
 /// Corrections + optional retrained selector forest, as shipped to a
 /// running fleet.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,76 +57,37 @@ pub struct CalibProfile {
     pub meta: ProfileMeta,
 }
 
+savestate_struct!(CalibProfile { meta, corrections, selector_forest });
+
 impl CalibProfile {
     /// Serialize to the canonical byte layout.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::with_header();
-        w.str(PROFILE_TAG);
-        w.u32(PROFILE_VERSION);
-        w.u64(self.meta.source_decisions);
-        w.u64(self.meta.trained_cases);
-        w.u64(self.meta.drift_seed);
-        w.len_prefix(self.corrections.len());
-        for (arch, c) in self.corrections.entries() {
-            w.str(arch);
-            for coeff in c.coeffs {
-                w.f64(coeff);
-            }
-        }
-        match &self.selector_forest {
-            None => w.bool(false),
-            Some(forest) => {
-                w.bool(true);
-                w.str(&ctb_forest::codec::encode(forest));
-            }
-        }
+        PROFILE_TAG.save(&mut w);
+        PROFILE_VERSION.save(&mut w);
+        self.save(&mut w);
         w.into_bytes()
     }
 
     /// Decode a profile; every failure is a typed [`SavestateError`].
     pub fn from_bytes(bytes: &[u8]) -> Result<CalibProfile, SavestateError> {
         let (mut r, _container_version) = Reader::with_header(bytes)?;
-        let tag = r.str()?;
+        let tag = String::load(&mut r)?;
         if tag != PROFILE_TAG {
             return Err(SavestateError::Mismatch(format!(
                 "blob tagged '{tag}', expected a '{PROFILE_TAG}' blob"
             )));
         }
-        let version = r.u32()?;
+        let version = u32::load(&mut r)?;
         if version > PROFILE_VERSION {
             return Err(SavestateError::UnsupportedVersion {
                 found: version,
                 supported: PROFILE_VERSION,
             });
         }
-        let meta = ProfileMeta {
-            source_decisions: r.u64()?,
-            trained_cases: r.u64()?,
-            drift_seed: r.u64()?,
-        };
-        let entries = r.seq(|r| {
-            let arch = r.str()?;
-            let mut coeffs = [0.0; PHI_LEN];
-            for c in &mut coeffs {
-                *c = r.f64()?;
-            }
-            Ok((arch, CostCorrection { coeffs }))
-        })?;
-        let mut corrections = CorrectionSet::identity();
-        for (arch, c) in entries {
-            corrections.insert(&arch, c);
-        }
-        let selector_forest = if r.bool()? {
-            let text = r.str()?;
-            Some(
-                ctb_forest::codec::decode(&text)
-                    .map_err(|e| SavestateError::Corrupt(format!("embedded forest: {e}")))?,
-            )
-        } else {
-            None
-        };
+        let profile = CalibProfile::load(&mut r)?;
         r.expect_end()?;
-        Ok(CalibProfile { corrections, selector_forest, meta })
+        Ok(profile)
     }
 
     /// Atomically install this profile into `handle`; returns the new
@@ -144,6 +107,7 @@ mod tests {
     use super::*;
     use ctb_gpu_specs::{ArchSpec, Thresholds};
     use ctb_matrix::gen;
+    use ctb_sim::CostCorrection;
 
     fn sample_profile(with_forest: bool) -> CalibProfile {
         let mut corrections = CorrectionSet::identity();
@@ -175,7 +139,7 @@ mod tests {
     #[test]
     fn truncation_is_a_typed_corrupt_error() {
         let bytes = sample_profile(true).to_bytes();
-        for cut in [0, 3, 8, 20, bytes.len() - 1] {
+        for cut in 0..bytes.len() {
             match CalibProfile::from_bytes(&bytes[..cut]) {
                 Err(SavestateError::Corrupt(_)) => {}
                 other => panic!("cut at {cut}: expected Corrupt, got {other:?}"),
@@ -186,8 +150,8 @@ mod tests {
     #[test]
     fn newer_profile_version_is_rejected() {
         let mut w = Writer::with_header();
-        w.str("ctb-calib/profile");
-        w.u32(PROFILE_VERSION + 1);
+        "ctb-calib/profile".save(&mut w);
+        (PROFILE_VERSION + 1).save(&mut w);
         match CalibProfile::from_bytes(&w.into_bytes()) {
             Err(SavestateError::UnsupportedVersion { found, supported }) => {
                 assert_eq!(found, PROFILE_VERSION + 1);
@@ -200,7 +164,7 @@ mod tests {
     #[test]
     fn foreign_tag_is_a_mismatch() {
         let mut w = Writer::with_header();
-        w.str("ctb-cluster/checkpoint");
+        "ctb-cluster/checkpoint".save(&mut w);
         match CalibProfile::from_bytes(&w.into_bytes()) {
             Err(SavestateError::Mismatch(_)) => {}
             other => panic!("expected Mismatch, got {other:?}"),

@@ -41,16 +41,15 @@ use crate::drift::{GroundTruth, PlacementDecision};
 use crate::placer::{self, Candidate, LocalityPolicy};
 use crate::stats::{ClusterInner, ClusterStats, DeviceStats};
 use ctb_core::{
-    AdmissionPolicy, BatchingPolicy, CacheStats, Framework, FrameworkConfig, OperandHome,
-    PlanShare, PlanShareConfig, Session,
+    BatchingPolicy, CacheStats, Framework, FrameworkConfig, OperandHome, PlanShare,
+    PlanShareConfig, Session,
 };
-use ctb_gpu_specs::ArchSpec;
+use ctb_gpu_specs::{ArchSpec, ChipletTopology};
 use ctb_matrix::{bitwise_mismatch, GemmBatch, GemmShape};
 use ctb_obs::{Obs, ObsClock, PointKind, SimClock, SpanKind};
-use ctb_savestate::{Reader, SavestateError, Writer};
+use ctb_savestate::{savestate_enum, savestate_struct, Reader, Savestate, SavestateError, Writer};
 use ctb_serve::{
-    BoundedQueue, Breaker, BreakerPolicy, FaultConfig, FaultInjector, FaultLog, FaultSite,
-    PushError, FAULT_SITES,
+    BoundedQueue, Breaker, BreakerPolicy, FaultInjector, FaultLog, FaultSite, PushError,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -99,6 +98,15 @@ impl SimTime {
 
     pub fn as_us(self) -> u64 {
         self.0 / 1_000
+    }
+}
+
+impl Savestate for SimTime {
+    fn save(&self, w: &mut Writer) {
+        self.0.save(w);
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, SavestateError> {
+        u64::load(r).map(SimTime)
     }
 }
 
@@ -171,48 +179,39 @@ impl<E> Timeline<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
+}
 
-    /// Serialize the pending entries sorted by `(at, seq)` — pop order,
-    /// which is also the unique byte-stable order — plus the tie-break
-    /// counter, via `f` for the event payloads.
-    fn save_with(&self, w: &mut Writer, mut f: impl FnMut(&mut Writer, &E)) {
-        w.u64(self.seq);
+/// The tie-break counter, then the pending entries sorted by
+/// `(at, seq)` — pop order, which is also the unique byte-stable order.
+/// The restored heap holds the same `(at, seq, ev)` set, so its pop
+/// order — and every tie-break the resumed run assigns from `seq`
+/// onward — is identical to the original's.
+impl<E: Savestate> Savestate for Timeline<E> {
+    fn save(&self, w: &mut Writer) {
+        self.seq.save(w);
         let mut entries: Vec<&Entry<E>> = self.heap.iter().map(|Reverse(e)| e).collect();
-        entries.sort_by_key(|e| (e.at, e.seq));
+        entries.sort_unstable_by_key(|e| (e.at, e.seq));
         w.len_prefix(entries.len());
         for e in entries {
-            w.u64(e.at.as_ns());
-            w.u64(e.seq);
-            f(w, &e.ev);
+            e.at.save(w);
+            e.seq.save(w);
+            e.ev.save(w);
         }
     }
 
-    /// Rebuild a timeline serialized by [`Timeline::save_with`]. The
-    /// restored heap holds the same `(at, seq, ev)` set, so its pop
-    /// order — and every tie-break the resumed run assigns from `seq`
-    /// onward — is identical to the original's.
-    fn load_with(
-        r: &mut Reader<'_>,
-        mut f: impl FnMut(&mut Reader<'_>) -> Result<E, SavestateError>,
-    ) -> Result<Self, SavestateError> {
-        let seq = r.u64()?;
+    fn load(r: &mut Reader<'_>) -> Result<Self, SavestateError> {
+        let seq = u64::load(r)?;
         let entries = r.seq(|r| {
-            let at = SimTime(r.u64()?);
-            let entry_seq = r.u64()?;
-            let ev = f(r)?;
-            Ok(Entry { at, seq: entry_seq, ev })
-        })?;
-        let mut heap = BinaryHeap::with_capacity(entries.len());
-        for e in entries {
+            let e = Entry { at: SimTime::load(r)?, seq: u64::load(r)?, ev: E::load(r)? };
             if e.seq >= seq {
                 return Err(SavestateError::Corrupt(format!(
                     "timeline entry seq {} not below the tie-break counter {seq}",
                     e.seq
                 )));
             }
-            heap.push(Reverse(e));
-        }
-        Ok(Timeline { heap, seq })
+            Ok(Reverse(e))
+        })?;
+        Ok(Timeline { heap: BinaryHeap::from(entries), seq })
     }
 }
 
@@ -240,6 +239,8 @@ struct EvJob {
     witness: bool,
 }
 
+savestate_struct!(EvJob { id, shapes, seed, arrived, predicted_us, attempts, stolen, witness });
+
 /// The fixed event vocabulary. Queue polling, steal polling, breaker
 /// healing and kill drains all map onto one of these six slots.
 enum Ev {
@@ -257,19 +258,34 @@ enum Ev {
     DeviceKill { device: usize },
 }
 
+savestate_enum!(Ev {
+    0 => Arrive { job },
+    1 => PlaceDone { job },
+    2 => ExecDone { device },
+    3 => StealCheck { device },
+    4 => BreakerProbe { device },
+    5 => DeviceKill { device },
+});
+
 /// What the fault dice decided a running job's end will look like. The
 /// rolls are drawn when the job *starts*, in a fixed order, and applied
 /// when its `ExecDone` fires.
+#[derive(Clone)]
 enum Fate {
     Complete,
     PlanFailed,
     Panicked,
 }
 
+savestate_enum!(Fate { 0 => Complete, 1 => PlanFailed, 2 => Panicked });
+
+#[derive(Clone)]
 struct Running {
     job: EvJob,
     fate: Fate,
 }
+
+savestate_struct!(Running { job, fate });
 
 // ---------------------------------------------------------------------------
 // Devices + config
@@ -353,6 +369,8 @@ pub enum PlacementMode {
     Indexed,
 }
 
+savestate_enum!(PlacementMode { 0 => Auto, 1 => Exact, 2 => Indexed });
+
 /// Work-stealing policy.
 #[derive(Debug, Clone)]
 pub struct StealPolicy {
@@ -367,6 +385,8 @@ pub struct StealPolicy {
     /// (the spacing of its `StealCheck` events).
     pub poll: Duration,
 }
+
+savestate_struct!(StealPolicy { enabled, min_victim_backlog_us, poll });
 
 impl Default for StealPolicy {
     fn default() -> Self {
@@ -411,6 +431,18 @@ pub struct EventConfig {
     pub locality: LocalityPolicy,
 }
 
+savestate_struct!(EventConfig {
+    queue_capacity,
+    steal,
+    breaker,
+    max_reroutes,
+    witness_every,
+    placement,
+    record_outcomes,
+    share,
+    locality,
+});
+
 impl Default for EventConfig {
     fn default() -> Self {
         EventConfig {
@@ -449,6 +481,26 @@ pub struct ShapeMix {
     pub weight: u32,
 }
 
+/// A restored name is interned back to a `&'static str`: the known
+/// [`LoadGen::table2`] classes for free, anything else by leaking one
+/// small allocation per distinct name per process — bounded by the
+/// restore call sites, which are test/replay harnesses.
+impl Savestate for ShapeMix {
+    fn save(&self, w: &mut Writer) {
+        self.name.save(w);
+        self.shapes.save(w);
+        self.weight.save(w);
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, SavestateError> {
+        let name = String::load(r)?;
+        let name = ["small", "medium", "large", "tall", "wide", "huge"]
+            .into_iter()
+            .find(|known| *known == name)
+            .unwrap_or_else(|| Box::leak(name.into_boxed_str()));
+        Ok(ShapeMix { name, shapes: Savestate::load(r)?, weight: Savestate::load(r)? })
+    }
+}
+
 /// Open-loop load generator: seeded exponential inter-arrivals over a
 /// weighted mix of batch shape signatures. Both the mix draw and the
 /// inter-arrival draw are pure functions of `(seed, n)`, so a generator
@@ -463,6 +515,8 @@ pub struct LoadGen {
     remaining: usize,
     drawn: u64,
 }
+
+savestate_struct!(LoadGen { seed, mean_interarrival_ns, mixes, total_weight, remaining, drawn });
 
 impl LoadGen {
     pub fn new(
@@ -544,6 +598,12 @@ pub enum ReqOutcome {
     /// Terminal failure (degraded-path panic).
     Failed { id: u64 },
 }
+
+savestate_enum!(ReqOutcome {
+    0 => Done { id, device, degraded, stolen, reroutes },
+    1 => PlanRejected { id },
+    2 => Failed { id },
+});
 
 /// What one engine run produced: the familiar [`ClusterStats`] plus the
 /// engine-level figures the scaling sweep reports.
@@ -1770,342 +1830,83 @@ impl EventCluster {
 // Savestate
 // ---------------------------------------------------------------------------
 
-fn save_shapes(w: &mut Writer, shapes: &[GemmShape]) {
-    w.len_prefix(shapes.len());
-    for s in shapes {
-        w.u64(s.m as u64);
-        w.u64(s.n as u64);
-        w.u64(s.k as u64);
-    }
+/// One device's checkpoint record. Its session, queue and breaker are
+/// live objects, rebuilt around these values on restore.
+struct DeviceImage {
+    /// Checked against the restore pool, device by device.
+    arch: String,
+    alive: bool,
+    closed: bool,
+    queue: Vec<EvJob>,
+    running: Option<Running>,
+    backlog_us: f64,
+    busy_sim_us: f64,
+    /// Breaker `(consecutive failures, open slots remaining)`.
+    breaker: (usize, usize),
+    fault: Option<Arc<FaultInjector>>,
+    placements: usize,
+    completed: usize,
+    steals: usize,
+    reroutes_out: usize,
+    breaker_trips: usize,
+    steal_pending: bool,
+    probe_pending: bool,
+    /// Plan-cache accounting, pinned back after the restore replans
+    /// (replanning would otherwise count as misses).
+    cache: CacheStats,
+    plan_failures: usize,
+    /// v3: validated against the restore pool so a resumed run ranks
+    /// with the same locality penalties.
+    topology: ChipletTopology,
 }
 
-fn load_shapes(r: &mut Reader<'_>) -> Result<Arc<[GemmShape]>, SavestateError> {
-    let v = r.seq(|r| {
-        Ok(GemmShape::new(r.u64()? as usize, r.u64()? as usize, r.u64()? as usize))
-    })?;
-    Ok(v.into())
-}
+savestate_struct!(DeviceImage {
+    arch,
+    alive,
+    closed,
+    queue,
+    running,
+    backlog_us,
+    busy_sim_us,
+    breaker,
+    fault,
+    placements,
+    completed,
+    steals,
+    reroutes_out,
+    breaker_trips,
+    steal_pending,
+    probe_pending,
+    cache,
+    plan_failures,
+    topology,
+});
 
-fn save_job(w: &mut Writer, j: &EvJob) {
-    w.u64(j.id);
-    save_shapes(w, &j.shapes);
-    w.u64(j.seed);
-    w.u64(j.arrived.as_ns());
-    w.f64(j.predicted_us);
-    w.u32(j.attempts);
-    w.bool(j.stolen);
-    w.bool(j.witness);
-}
-
-fn load_job(r: &mut Reader<'_>) -> Result<EvJob, SavestateError> {
-    Ok(EvJob {
-        id: r.u64()?,
-        shapes: load_shapes(r)?,
-        seed: r.u64()?,
-        arrived: SimTime(r.u64()?),
-        predicted_us: r.f64()?,
-        attempts: r.u32()?,
-        stolen: r.bool()?,
-        witness: r.bool()?,
-    })
-}
-
-fn save_ev(w: &mut Writer, ev: &Ev) {
-    match ev {
-        Ev::Arrive { job } => {
-            w.u8(0);
-            save_job(w, job);
-        }
-        Ev::PlaceDone { job } => {
-            w.u8(1);
-            save_job(w, job);
-        }
-        Ev::ExecDone { device } => {
-            w.u8(2);
-            w.len_prefix(*device);
-        }
-        Ev::StealCheck { device } => {
-            w.u8(3);
-            w.len_prefix(*device);
-        }
-        Ev::BreakerProbe { device } => {
-            w.u8(4);
-            w.len_prefix(*device);
-        }
-        Ev::DeviceKill { device } => {
-            w.u8(5);
-            w.len_prefix(*device);
-        }
-    }
-}
-
-fn load_ev(r: &mut Reader<'_>) -> Result<Ev, SavestateError> {
-    Ok(match r.u8()? {
-        0 => Ev::Arrive { job: load_job(r)? },
-        1 => Ev::PlaceDone { job: load_job(r)? },
-        2 => Ev::ExecDone { device: r.len_prefix()? },
-        3 => Ev::StealCheck { device: r.len_prefix()? },
-        4 => Ev::BreakerProbe { device: r.len_prefix()? },
-        5 => Ev::DeviceKill { device: r.len_prefix()? },
-        t => return Err(SavestateError::Corrupt(format!("bad event tag {t}"))),
-    })
-}
-
-fn save_fate(w: &mut Writer, f: &Fate) {
-    w.u8(match f {
-        Fate::Complete => 0,
-        Fate::PlanFailed => 1,
-        Fate::Panicked => 2,
-    });
-}
-
-fn load_fate(r: &mut Reader<'_>) -> Result<Fate, SavestateError> {
-    Ok(match r.u8()? {
-        0 => Fate::Complete,
-        1 => Fate::PlanFailed,
-        2 => Fate::Panicked,
-        t => return Err(SavestateError::Corrupt(format!("bad fate tag {t}"))),
-    })
-}
-
-fn save_outcome(w: &mut Writer, o: &ReqOutcome) {
-    match o {
-        ReqOutcome::Done { id, device, degraded, stolen, reroutes } => {
-            w.u8(0);
-            w.u64(*id);
-            w.len_prefix(*device);
-            w.bool(*degraded);
-            w.bool(*stolen);
-            w.u32(*reroutes);
-        }
-        ReqOutcome::PlanRejected { id } => {
-            w.u8(1);
-            w.u64(*id);
-        }
-        ReqOutcome::Failed { id } => {
-            w.u8(2);
-            w.u64(*id);
+impl EvDevice {
+    fn image(&self) -> DeviceImage {
+        let (queue, closed) = self.queue.snapshot_with(EvJob::clone);
+        DeviceImage {
+            arch: self.arch().name.to_string(),
+            alive: self.alive,
+            closed,
+            queue,
+            running: self.running.clone(),
+            backlog_us: self.backlog_us,
+            busy_sim_us: self.busy_sim_us,
+            breaker: self.breaker.state(),
+            fault: self.fault.clone(),
+            placements: self.placements,
+            completed: self.completed,
+            steals: self.steals,
+            reroutes_out: self.reroutes_out,
+            breaker_trips: self.breaker_trips,
+            steal_pending: self.steal_pending,
+            probe_pending: self.probe_pending,
+            cache: self.session.stats(),
+            plan_failures: self.session.plan_failures(),
+            topology: self.arch().topology,
         }
     }
-}
-
-fn load_outcome(r: &mut Reader<'_>) -> Result<ReqOutcome, SavestateError> {
-    Ok(match r.u8()? {
-        0 => ReqOutcome::Done {
-            id: r.u64()?,
-            device: r.len_prefix()?,
-            degraded: r.bool()?,
-            stolen: r.bool()?,
-            reroutes: r.u32()?,
-        },
-        1 => ReqOutcome::PlanRejected { id: r.u64()? },
-        2 => ReqOutcome::Failed { id: r.u64()? },
-        t => return Err(SavestateError::Corrupt(format!("bad outcome tag {t}"))),
-    })
-}
-
-fn save_cfg(w: &mut Writer, c: &EventConfig) {
-    w.len_prefix(c.queue_capacity);
-    w.bool(c.steal.enabled);
-    w.f64(c.steal.min_victim_backlog_us);
-    w.u64(c.steal.poll.as_nanos().min(u128::from(u64::MAX)) as u64);
-    w.len_prefix(c.breaker.trip_threshold);
-    w.len_prefix(c.breaker.open_batches);
-    w.u32(c.max_reroutes);
-    w.len_prefix(c.witness_every);
-    w.u8(match c.placement {
-        PlacementMode::Auto => 0,
-        PlacementMode::Exact => 1,
-        PlacementMode::Indexed => 2,
-    });
-    w.bool(c.record_outcomes);
-    w.len_prefix(c.share.shards);
-    match c.share.capacity_per_shard {
-        Some(cap) => {
-            w.bool(true);
-            w.len_prefix(cap);
-        }
-        None => w.bool(false),
-    }
-    match c.share.admission {
-        AdmissionPolicy::AdmitAll => w.u8(0),
-        AdmissionPolicy::SeenTwice { seed, slots_log2 } => {
-            w.u8(1);
-            w.u64(seed);
-            w.u32(slots_log2);
-        }
-    }
-    // v3: locality-aware ranking flag.
-    w.bool(c.locality.enabled);
-}
-
-fn load_cfg(r: &mut Reader<'_>) -> Result<EventConfig, SavestateError> {
-    Ok(EventConfig {
-        queue_capacity: r.len_prefix()?,
-        steal: StealPolicy {
-            enabled: r.bool()?,
-            min_victim_backlog_us: r.f64()?,
-            poll: Duration::from_nanos(r.u64()?),
-        },
-        breaker: BreakerPolicy {
-            trip_threshold: r.len_prefix()?,
-            open_batches: r.len_prefix()?,
-        },
-        max_reroutes: r.u32()?,
-        witness_every: r.len_prefix()?,
-        placement: match r.u8()? {
-            0 => PlacementMode::Auto,
-            1 => PlacementMode::Exact,
-            2 => PlacementMode::Indexed,
-            t => return Err(SavestateError::Corrupt(format!("bad placement tag {t}"))),
-        },
-        record_outcomes: r.bool()?,
-        share: PlanShareConfig {
-            shards: r.len_prefix()?,
-            capacity_per_shard: if r.bool()? { Some(r.len_prefix()?) } else { None },
-            admission: match r.u8()? {
-                0 => AdmissionPolicy::AdmitAll,
-                1 => AdmissionPolicy::SeenTwice { seed: r.u64()?, slots_log2: r.u32()? },
-                t => return Err(SavestateError::Corrupt(format!("bad admission tag {t}"))),
-            },
-        },
-        locality: LocalityPolicy { enabled: r.bool()? },
-    })
-}
-
-fn save_fault(w: &mut Writer, f: &FaultInjector) {
-    let cfg = f.config();
-    w.u64(cfg.seed);
-    w.u32(cfg.admit_reject_per_mille);
-    w.u32(cfg.expire_per_mille);
-    w.u32(cfg.plan_fail_per_mille);
-    w.u32(cfg.exec_panic_per_mille);
-    w.u32(cfg.degraded_panic_per_mille);
-    w.u32(cfg.slow_worker_per_mille);
-    w.u64(cfg.slow_delay.as_nanos().min(u128::from(u64::MAX)) as u64);
-    let (draws, fired) = f.state();
-    for v in draws {
-        w.len_prefix(v);
-    }
-    for v in fired {
-        w.len_prefix(v);
-    }
-}
-
-fn load_fault(r: &mut Reader<'_>) -> Result<FaultInjector, SavestateError> {
-    let mut cfg = FaultConfig::new(r.u64()?);
-    cfg.admit_reject_per_mille = r.u32()?;
-    cfg.expire_per_mille = r.u32()?;
-    cfg.plan_fail_per_mille = r.u32()?;
-    cfg.exec_panic_per_mille = r.u32()?;
-    cfg.degraded_panic_per_mille = r.u32()?;
-    cfg.slow_worker_per_mille = r.u32()?;
-    cfg.slow_delay = Duration::from_nanos(r.u64()?);
-    let mut draws = [0usize; FAULT_SITES];
-    for v in &mut draws {
-        *v = r.len_prefix()?;
-    }
-    let mut fired = [0usize; FAULT_SITES];
-    for v in &mut fired {
-        *v = r.len_prefix()?;
-    }
-    Ok(FaultInjector::with_state(cfg, draws, fired))
-}
-
-fn save_gen(w: &mut Writer, g: &LoadGen) {
-    w.u64(g.seed);
-    w.f64(g.mean_interarrival_ns);
-    w.len_prefix(g.mixes.len());
-    for m in &g.mixes {
-        w.str(m.name);
-        save_shapes(w, &m.shapes);
-        w.u32(m.weight);
-    }
-    w.u64(g.total_weight);
-    w.len_prefix(g.remaining);
-    w.u64(g.drawn);
-}
-
-/// Map a restored mix-class name back to a `&'static str`: the known
-/// [`LoadGen::table2`] classes intern for free; anything else leaks one
-/// small allocation per distinct name per process — bounded by the
-/// restore call sites, which are test/replay harnesses.
-fn intern_mix_name(s: String) -> &'static str {
-    for known in ["small", "medium", "large", "tall", "wide", "huge"] {
-        if known == s {
-            return known;
-        }
-    }
-    Box::leak(s.into_boxed_str())
-}
-
-fn load_gen(r: &mut Reader<'_>) -> Result<LoadGen, SavestateError> {
-    Ok(LoadGen {
-        seed: r.u64()?,
-        mean_interarrival_ns: r.f64()?,
-        mixes: r.seq(|r| {
-            Ok(ShapeMix {
-                name: intern_mix_name(r.str()?),
-                shapes: load_shapes(r)?,
-                weight: r.u32()?,
-            })
-        })?,
-        total_weight: r.u64()?,
-        remaining: r.len_prefix()?,
-        drawn: r.u64()?,
-    })
-}
-
-fn save_stats(w: &mut Writer, s: &ClusterInner) {
-    for v in [
-        s.submitted,
-        s.completed,
-        s.degraded,
-        s.routed,
-        s.steals,
-        s.reroutes,
-        s.worker_panics,
-        s.plan_failures,
-        s.breaker_trips,
-        s.kills,
-    ] {
-        w.len_prefix(v);
-    }
-    w.f64(s.err_abs_sum_us);
-    w.len_prefix(s.err_count);
-    w.len_prefix(s.latencies_us.len());
-    for &v in &s.latencies_us {
-        w.f64(v);
-    }
-    // v3: residency accounting.
-    w.len_prefix(s.residency_hits);
-    w.len_prefix(s.residency_misses);
-    w.u64(s.remote_operand_bytes);
-}
-
-fn load_stats(r: &mut Reader<'_>) -> Result<ClusterInner, SavestateError> {
-    let mut s = ClusterInner::default();
-    for slot in [
-        &mut s.submitted,
-        &mut s.completed,
-        &mut s.degraded,
-        &mut s.routed,
-        &mut s.steals,
-        &mut s.reroutes,
-        &mut s.worker_panics,
-        &mut s.plan_failures,
-        &mut s.breaker_trips,
-        &mut s.kills,
-    ] {
-        *slot = r.len_prefix()?;
-    }
-    s.err_abs_sum_us = r.f64()?;
-    s.err_count = r.len_prefix()?;
-    s.latencies_us = r.seq(|r| r.f64())?;
-    s.residency_hits = r.len_prefix()?;
-    s.residency_misses = r.len_prefix()?;
-    s.remote_operand_bytes = r.u64()?;
-    Ok(s)
 }
 
 /// Checkpoint / restore / migration. The engine is single-threaded, so
@@ -2141,115 +1942,46 @@ impl EventCluster {
              CalibHandle at version 0 before checkpointing"
         );
         let mut w = Writer::with_header();
-        save_cfg(&mut w, &self.cfg);
-        w.bool(self.obs.is_some());
+        self.cfg.save(&mut w);
+        self.obs.is_some().save(&mut w);
         // -- engine scalars
-        w.u64(self.now.as_ns());
-        w.u64(self.next_job_id);
-        w.u64(self.events_processed);
-        w.len_prefix(self.requests);
-        w.len_prefix(self.witnesses);
-        w.len_prefix(self.witness_mismatches);
-        w.len_prefix(self.pending_arrivals);
-        w.len_prefix(self.open_jobs);
-        w.bool(self.breaker_active);
+        self.now.save(&mut w);
+        self.next_job_id.save(&mut w);
+        self.events_processed.save(&mut w);
+        self.requests.save(&mut w);
+        self.witnesses.save(&mut w);
+        self.witness_mismatches.save(&mut w);
+        self.pending_arrivals.save(&mut w);
+        self.open_jobs.save(&mut w);
+        self.breaker_active.save(&mut w);
         // -- open-loop load source
-        match &self.gen {
-            Some(g) => {
-                w.bool(true);
-                save_gen(&mut w, g);
-            }
-            None => w.bool(false),
-        }
-        // -- devices (pool order)
+        self.gen.save(&mut w);
+        // -- devices (pool order), one image at a time
         w.len_prefix(self.devices.len());
         for d in &self.devices {
-            w.str(d.arch().name);
-            w.bool(d.alive);
-            let (items, closed) = d.queue.snapshot_with(EvJob::clone);
-            w.bool(closed);
-            w.len_prefix(items.len());
-            for j in &items {
-                save_job(&mut w, j);
-            }
-            match &d.running {
-                Some(Running { job, fate }) => {
-                    w.bool(true);
-                    save_job(&mut w, job);
-                    save_fate(&mut w, fate);
-                }
-                None => w.bool(false),
-            }
-            w.f64(d.backlog_us);
-            w.f64(d.busy_sim_us);
-            let (consecutive, open_remaining) = d.breaker.state();
-            w.len_prefix(consecutive);
-            w.len_prefix(open_remaining);
-            match &d.fault {
-                Some(f) => {
-                    w.bool(true);
-                    save_fault(&mut w, f);
-                }
-                None => w.bool(false),
-            }
-            w.len_prefix(d.placements);
-            w.len_prefix(d.completed);
-            w.len_prefix(d.steals);
-            w.len_prefix(d.reroutes_out);
-            w.len_prefix(d.breaker_trips);
-            w.bool(d.steal_pending);
-            w.bool(d.probe_pending);
-            // Plan-cache accounting, pinned back after the restore
-            // replans (replanning would otherwise count as misses).
-            let s = d.session.stats();
-            w.len_prefix(s.hits);
-            w.len_prefix(s.misses);
-            w.len_prefix(d.session.plan_failures());
-            // v3: chiplet topology, validated against the restore pool
-            // so a resumed run ranks with the same locality penalties.
-            let topo = d.arch().topology;
-            w.u32(topo.chiplets);
-            w.f64(topo.local_bandwidth_gbps);
-            w.f64(topo.remote_bandwidth_gbps);
-            w.f64(topo.interposer_latency_us);
+            d.image().save(&mut w);
         }
         // -- timeline (pending events + tie-break counter)
-        self.timeline.save_with(&mut w, save_ev);
+        self.timeline.save(&mut w);
         // -- shared plans + simulation memo
         self.share.save(&mut w);
         // -- engine prediction cache, sorted for byte-stable output
-        type PredEntry<'a> = (&'a (&'static str, Arc<[GemmShape]>), &'a Result<f64, String>);
-        let mut preds: Vec<PredEntry<'_>> = self.predictions.iter().collect();
-        preds.sort_by_key(|((name, shapes), _)| {
-            (*name, shapes.iter().map(|s| (s.m, s.n, s.k)).collect::<Vec<_>>())
-        });
+        let mut preds: Vec<_> = self.predictions.iter().collect();
+        preds.sort_unstable_by(|a, b| a.0.cmp(b.0));
         w.len_prefix(preds.len());
         for ((name, shapes), res) in preds {
-            w.str(name);
-            save_shapes(&mut w, shapes);
-            match res {
-                Ok(us) => {
-                    w.u8(0);
-                    w.f64(*us);
-                }
-                Err(m) => {
-                    w.u8(1);
-                    w.str(m);
-                }
-            }
+            name.save(&mut w);
+            shapes.save(&mut w);
+            res.save(&mut w);
         }
-        // -- recorded outcomes
-        w.len_prefix(self.outcomes.len());
-        for o in &self.outcomes {
-            save_outcome(&mut w, o);
-        }
-        // -- cluster-wide counters + latency log
-        save_stats(&mut w, &self.stats);
+        // -- recorded outcomes, cluster-wide counters + latency log
+        self.outcomes.save(&mut w);
+        self.stats.save(&mut w);
         // -- instrumentation state, last: restore replays plans first
         // (which emits events), then overwrites the log with this.
         if let (Some(clock), Some(obs)) = (&self.clock, &self.obs) {
-            w.u64(clock.now_us());
-            obs.save_state(&mut w);
+            clock.now_us().save(&mut w);
+            obs.save(&mut w);
         }
         w.into_bytes()
     }
@@ -2285,24 +2017,24 @@ impl EventCluster {
                  and residency layout (v3); re-checkpoint with the current engine"
             )));
         }
-        let cfg = load_cfg(&mut r)?;
-        let (clock, obs) = if r.bool()? {
+        let cfg = EventConfig::load(&mut r)?;
+        let (clock, obs) = if bool::load(&mut r)? {
             let clock = Arc::new(SimClock::new());
             let obs = Arc::new(Obs::sim(Arc::clone(&clock)));
             (Some(clock), Some(obs))
         } else {
             (None, None)
         };
-        let now = SimTime(r.u64()?);
-        let next_job_id = r.u64()?;
-        let events_processed = r.u64()?;
-        let requests = r.len_prefix()?;
-        let witnesses = r.len_prefix()?;
-        let witness_mismatches = r.len_prefix()?;
-        let pending_arrivals = r.len_prefix()?;
-        let open_jobs = r.len_prefix()?;
-        let breaker_active = r.bool()?;
-        let gen = if r.bool()? { Some(load_gen(&mut r)?) } else { None };
+        let now = SimTime::load(&mut r)?;
+        let next_job_id = u64::load(&mut r)?;
+        let events_processed = u64::load(&mut r)?;
+        let requests = usize::load(&mut r)?;
+        let witnesses = usize::load(&mut r)?;
+        let witness_mismatches = usize::load(&mut r)?;
+        let pending_arrivals = usize::load(&mut r)?;
+        let open_jobs = usize::load(&mut r)?;
+        let breaker_active = bool::load(&mut r)?;
+        let gen = Option::<LoadGen>::load(&mut r)?;
 
         let n_devices = r.len_prefix()?;
         if n_devices != pool.len() {
@@ -2321,11 +2053,17 @@ impl EventCluster {
         let mut devices = Vec::with_capacity(n_devices);
         let mut session_stats = Vec::with_capacity(n_devices);
         for (id, arch) in pool.into_iter().enumerate() {
-            let saved_name = r.str()?;
-            if saved_name != arch.name {
+            let d = DeviceImage::load(&mut r)?;
+            if d.arch != arch.name {
                 return Err(SavestateError::Mismatch(format!(
-                    "device {id}: checkpoint arch {saved_name:?}, restore pool has {:?}",
-                    arch.name
+                    "device {id}: checkpoint arch {:?}, restore pool has {:?}",
+                    d.arch, arch.name
+                )));
+            }
+            if d.topology != arch.topology {
+                return Err(SavestateError::Mismatch(format!(
+                    "device {id}: checkpoint topology {:?}, restore pool has {:?}",
+                    d.topology, arch.topology
                 )));
             }
             let class = match class_names.iter().position(|n| *n == arch.name) {
@@ -2342,96 +2080,64 @@ impl EventCluster {
                 Some(o) => s.with_obs(Arc::clone(o)),
                 None => s,
             });
-            let alive = r.bool()?;
-            let closed = r.bool()?;
-            let items = r.seq(load_job)?;
-            let queue = BoundedQueue::restore(cfg.queue_capacity, closed, items);
-            let running = if r.bool()? {
-                let job = load_job(&mut r)?;
-                let fate = load_fate(&mut r)?;
-                Some(Running { job, fate })
-            } else {
-                None
-            };
-            let backlog_us = r.f64()?;
-            let busy_sim_us = r.f64()?;
-            let consecutive = r.len_prefix()?;
-            let open_remaining = r.len_prefix()?;
-            let breaker = Breaker::restore(cfg.breaker.clone(), consecutive, open_remaining);
-            let fault = if r.bool()? { Some(Arc::new(load_fault(&mut r)?)) } else { None };
-            let placements = r.len_prefix()?;
-            let completed = r.len_prefix()?;
-            let steals = r.len_prefix()?;
-            let reroutes_out = r.len_prefix()?;
-            let breaker_trips = r.len_prefix()?;
-            let steal_pending = r.bool()?;
-            let probe_pending = r.bool()?;
-            let hits = r.len_prefix()?;
-            let misses = r.len_prefix()?;
-            let plan_failures = r.len_prefix()?;
-            session_stats.push((hits, misses, plan_failures));
-            let topo = ctb_gpu_specs::ChipletTopology {
-                chiplets: r.u32()?,
-                local_bandwidth_gbps: r.f64()?,
-                remote_bandwidth_gbps: r.f64()?,
-                interposer_latency_us: r.f64()?,
-            };
-            let pool_topo = session.framework().arch().topology;
-            if topo != pool_topo {
-                return Err(SavestateError::Mismatch(format!(
-                    "device {id}: checkpoint topology {topo:?}, restore pool has {pool_topo:?}"
-                )));
-            }
+            session_stats.push((d.cache, d.plan_failures));
             devices.push(EvDevice {
                 id,
                 session,
-                queue,
-                running,
-                backlog_us,
-                busy_sim_us,
-                alive,
-                breaker,
-                fault,
-                placements,
-                completed,
-                steals,
-                reroutes_out,
-                breaker_trips,
-                steal_pending,
-                probe_pending,
+                queue: BoundedQueue::restore(cfg.queue_capacity, d.closed, d.queue),
+                running: d.running,
+                backlog_us: d.backlog_us,
+                busy_sim_us: d.busy_sim_us,
+                alive: d.alive,
+                breaker: Breaker::restore(cfg.breaker.clone(), d.breaker),
+                fault: d.fault,
+                placements: d.placements,
+                completed: d.completed,
+                steals: d.steals,
+                reroutes_out: d.reroutes_out,
+                breaker_trips: d.breaker_trips,
+                steal_pending: d.steal_pending,
+                probe_pending: d.probe_pending,
             });
         }
-        let timeline = Timeline::load_with(&mut r, load_ev)?;
+        let timeline = Timeline::<Ev>::load(&mut r)?;
+        for Reverse(e) in timeline.heap.iter() {
+            if let Ev::ExecDone { device }
+            | Ev::StealCheck { device }
+            | Ev::BreakerProbe { device }
+            | Ev::DeviceKill { device } = e.ev
+            {
+                if device >= n_devices {
+                    return Err(SavestateError::Corrupt(format!(
+                        "pending event names device {device}, the pool holds {n_devices}"
+                    )));
+                }
+            }
+        }
         {
             let sessions: Vec<&Session> = devices.iter().map(|d| &*d.session).collect();
             share.restore_with_sessions(&mut r, &sessions)?;
         }
-        for (d, (hits, misses, plan_failures)) in devices.iter().zip(session_stats) {
-            d.session.set_stats(CacheStats { hits, misses });
+        for (d, (stats, plan_failures)) in devices.iter().zip(session_stats) {
+            d.session.set_stats(stats);
             d.session.set_plan_failures(plan_failures);
         }
-        let n_preds = r.len_prefix()?;
-        let mut predictions = PredictionCache::with_capacity(n_preds.min(4096));
-        for _ in 0..n_preds {
-            let name = r.str()?;
+        type PredEntry = ((String, Arc<[GemmShape]>), Result<f64, String>);
+        let saved_preds = Vec::<PredEntry>::load(&mut r)?;
+        let mut predictions = PredictionCache::with_capacity(saved_preds.len());
+        for ((name, shapes), res) in saved_preds {
             let Some(interned) = class_names.iter().copied().find(|n| *n == name) else {
                 return Err(SavestateError::Mismatch(format!(
                     "prediction cache names arch {name:?}, absent from the restore pool"
                 )));
             };
-            let shapes = load_shapes(&mut r)?;
-            let res = match r.u8()? {
-                0 => Ok(r.f64()?),
-                1 => Err(r.str()?),
-                t => return Err(SavestateError::Corrupt(format!("bad prediction tag {t}"))),
-            };
             predictions.insert((interned, shapes), res);
         }
-        let outcomes = r.seq(load_outcome)?;
-        let stats = load_stats(&mut r)?;
+        let outcomes = Vec::<ReqOutcome>::load(&mut r)?;
+        let stats = ClusterInner::load(&mut r)?;
         if let (Some(clock), Some(obs)) = (&clock, &obs) {
-            clock.set(r.u64()?);
-            obs.restore_state(&mut r)?;
+            clock.set(u64::load(&mut r)?);
+            obs.restore(&mut r)?;
         }
         r.expect_end()?;
         // Per-class index heaps restart from the live backlogs: the
@@ -2503,10 +2209,7 @@ impl EventCluster {
             jobs.push(job);
         }
         let mut w = Writer::with_header();
-        w.len_prefix(jobs.len());
-        for j in &jobs {
-            save_job(&mut w, j);
-        }
+        jobs.save(&mut w);
         w.into_bytes()
     }
 
@@ -2517,7 +2220,7 @@ impl EventCluster {
     /// how many jobs were admitted.
     pub fn import_jobs(&mut self, bytes: &[u8]) -> Result<usize, SavestateError> {
         let (mut r, _version) = Reader::with_header(bytes)?;
-        let jobs = r.seq(load_job)?;
+        let jobs = Vec::<EvJob>::load(&mut r)?;
         r.expect_end()?;
         let n = jobs.len();
         for mut job in jobs {
@@ -2598,6 +2301,27 @@ mod tests {
             report.outcomes[..],
             [ReqOutcome::Done { id: 0, degraded: false, stolen: false, reroutes: 0, .. }]
         ));
+    }
+
+    /// A checkpoint whose pending event names a device outside the pool
+    /// restores as `Corrupt` instead of panicking on the first `step`.
+    #[test]
+    fn restore_rejects_pending_events_naming_devices_outside_the_pool() {
+        let pool = || ArchSpec::pool_presets(2);
+        for bad in [
+            Ev::ExecDone { device: 7 },
+            Ev::StealCheck { device: 2 },
+            Ev::BreakerProbe { device: 9 },
+            Ev::DeviceKill { device: usize::MAX },
+        ] {
+            let mut eng = EventCluster::new(pool(), quiet_cfg());
+            eng.timeline.schedule(SimTime(10), bad);
+            match EventCluster::restore(pool(), &eng.checkpoint()) {
+                Err(SavestateError::Corrupt(msg)) => assert!(msg.contains("device"), "{msg}"),
+                Err(e) => panic!("expected Corrupt, got {e:?}"),
+                Ok(_) => panic!("restore accepted a device outside the pool"),
+            }
+        }
     }
 
     #[test]

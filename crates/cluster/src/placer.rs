@@ -19,6 +19,8 @@ pub struct LocalityPolicy {
     pub enabled: bool,
 }
 
+ctb_savestate::savestate_struct!(LocalityPolicy { enabled });
+
 impl Default for LocalityPolicy {
     fn default() -> Self {
         LocalityPolicy { enabled: true }

@@ -150,6 +150,26 @@ pub struct ClusterInner {
     pub latencies_us: Vec<f64>,
 }
 
+// The residency counters (v3) follow the latency log in the blob.
+ctb_savestate::savestate_struct!(ClusterInner {
+    submitted,
+    completed,
+    degraded,
+    routed,
+    steals,
+    reroutes,
+    worker_panics,
+    plan_failures,
+    breaker_trips,
+    kills,
+    err_abs_sum_us,
+    err_count,
+    latencies_us,
+    residency_hits,
+    residency_misses,
+    remote_operand_bytes,
+});
+
 impl ClusterInner {
     pub fn record_placement_err(&mut self, predicted_us: f64, simulated_us: f64) {
         self.err_abs_sum_us += (predicted_us - simulated_us).abs();

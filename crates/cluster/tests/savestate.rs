@@ -501,11 +501,13 @@ fn v2_checkpoint_is_rejected_with_typed_mismatch() {
     }
 }
 
-/// Truncation anywhere in the blob is a typed `Corrupt`, not a panic.
+/// Truncation anywhere in the blob is a typed `Corrupt`, not a panic:
+/// every proper prefix of the fixture is tried, so each reader the
+/// restore runs sees a cut inside every field it decodes.
 #[test]
 fn truncated_fixture_fails_typed_not_panicking() {
     let bytes = fixture_bytes();
-    for cut in [9, bytes.len() / 3, bytes.len() / 2, bytes.len() - 1] {
+    for cut in 0..bytes.len() {
         match EventCluster::restore(pool(), &bytes[..cut]) {
             Err(SavestateError::Corrupt(_)) => {}
             Err(e) => panic!("truncation at {cut} gave the wrong error kind: {e:?}"),

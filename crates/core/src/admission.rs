@@ -20,6 +20,7 @@
 //! extra miss, but the cache is never polluted by a key that was not
 //! genuinely seen before.
 
+use ctb_savestate::{savestate_enum, Reader, Savestate, SavestateError, Writer};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// How [`crate::PlanShare`] decides whether a freshly planned key may
@@ -36,6 +37,10 @@ pub enum AdmissionPolicy {
     SeenTwice { seed: u64, slots_log2: u32 },
 }
 
+savestate_enum!(AdmissionPolicy {
+    0 => AdmitAll,
+    1 => SeenTwice { seed, slots_log2 },
+});
 
 /// Admission counters exposed through `PlanShare::admission_stats` and
 /// `ServeStats`.
@@ -156,31 +161,27 @@ impl BloomGate {
     /// Serialize seed, slot array and eviction counter. The slot array
     /// is written in index order, so save → load → save is
     /// byte-identical.
-    pub fn save(&self, w: &mut ctb_savestate::Writer) {
-        w.u64(self.seed);
+    pub fn save(&self, w: &mut Writer) {
+        self.seed.save(w);
         w.len_prefix(self.slots.len());
         for s in &self.slots {
-            w.u64(s.load(Ordering::Relaxed));
+            s.load(Ordering::Relaxed).save(w);
         }
-        w.u64(self.evicted.load(Ordering::Relaxed) as u64);
+        self.evicted_tags().save(w);
     }
 
     /// Restore state written by [`BloomGate::save`] into this gate. The
     /// blob must describe a gate of the same geometry (seed and slot
     /// count) — anything else is a typed `Mismatch`.
-    pub fn load(
-        &self,
-        r: &mut ctb_savestate::Reader<'_>,
-    ) -> Result<(), ctb_savestate::SavestateError> {
-        use ctb_savestate::SavestateError;
-        let seed = r.u64()?;
+    pub fn load(&self, r: &mut Reader<'_>) -> Result<(), SavestateError> {
+        let seed = u64::load(r)?;
         if seed != self.seed {
             return Err(SavestateError::Mismatch(format!(
                 "bloom gate seed {seed:#x} does not match configured {:#x}",
                 self.seed
             )));
         }
-        let slots = r.seq(|r| r.u64())?;
+        let slots = Vec::<u64>::load(r)?;
         if slots.len() != self.slots.len() {
             return Err(SavestateError::Mismatch(format!(
                 "bloom gate has {} slots, blob has {}",
@@ -191,7 +192,7 @@ impl BloomGate {
         for (dst, v) in self.slots.iter().zip(slots) {
             dst.store(v, Ordering::Relaxed);
         }
-        self.evicted.store(r.u64()? as usize, Ordering::Relaxed);
+        self.evicted.store(usize::load(r)?, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -254,7 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn save_load_round_trips_byte_identically() {
+    fn round_trip_is_byte_identical() {
         let g = BloomGate::new(99, 6);
         for key in 0..200u64 {
             g.observe(key * 3);
@@ -275,7 +276,7 @@ mod tests {
     }
 
     #[test]
-    fn load_rejects_wrong_geometry_with_typed_mismatch() {
+    fn restore_rejects_wrong_geometry_with_typed_mismatch() {
         let g = BloomGate::new(99, 6);
         let mut w = ctb_savestate::Writer::new();
         g.save(&mut w);

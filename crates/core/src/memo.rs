@@ -19,14 +19,16 @@ use crate::lowering::lower_plan;
 use ctb_batching::{assign_blocks, tiles_for, BatchPlan, BatchingHeuristic};
 use ctb_gpu_specs::{ArchSpec, Thresholds};
 use ctb_matrix::GemmShape;
+use ctb_savestate::{savestate_struct, Reader, Savestate, SavestateError, Writer};
 use ctb_sim::{simulate, LaunchSequence};
 use ctb_tiling::TilingSolution;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Identity of one simulated candidate plan.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Identity of one simulated candidate plan. Ordered field by field,
+/// which is the order [`SimMemo::save`] writes entries in.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 struct SimKey {
     /// Fingerprint of the evaluation context: architecture, thresholds
     /// and the shape list (order-sensitive — tile enumeration is
@@ -38,6 +40,8 @@ struct SimKey {
     strategies: Vec<u8>,
     heuristic: BatchingHeuristic,
 }
+
+savestate_struct!(SimKey { context, threads, strategies, heuristic });
 
 /// FNV-1a over a byte stream.
 pub(crate) fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
@@ -153,30 +157,17 @@ impl SimMemo {
     /// hit/miss counters. Entries are written sorted by key so the
     /// blob is independent of `HashMap` iteration order (save → load →
     /// save is byte-identical).
-    pub fn save(&self, w: &mut ctb_savestate::Writer) {
+    pub fn save(&self, w: &mut Writer) {
         let map = self.map.lock();
         let mut entries: Vec<(&SimKey, &f64)> = map.iter().collect();
-        entries.sort_by(|(a, _), (b, _)| {
-            (a.context, a.threads, &a.strategies, heuristic_tag(a.heuristic)).cmp(&(
-                b.context,
-                b.threads,
-                &b.strategies,
-                heuristic_tag(b.heuristic),
-            ))
-        });
+        entries.sort_by_key(|&(k, _)| k);
         w.len_prefix(entries.len());
-        for (k, &us) in entries {
-            w.u64(k.context);
-            w.u32(k.threads);
-            w.len_prefix(k.strategies.len());
-            for &s in &k.strategies {
-                w.u8(s);
-            }
-            w.u8(heuristic_tag(k.heuristic));
-            w.f64(us);
+        for (k, us) in entries {
+            k.save(w);
+            us.save(w);
         }
-        w.len_prefix(self.hits());
-        w.len_prefix(self.misses());
+        self.hits().save(w);
+        self.misses().save(w);
     }
 
     /// Load entries saved by [`SimMemo::save`] into this memo and
@@ -184,23 +175,10 @@ impl SimMemo {
     /// exact `f64` bit patterns the original computed, so every
     /// post-restore simulation that hits the memo replays the original
     /// run bitwise.
-    pub fn load(&self, r: &mut ctb_savestate::Reader<'_>) -> Result<(), ctb_savestate::SavestateError> {
-        let entries = r.seq(|r| {
-            let context = r.u64()?;
-            let threads = r.u32()?;
-            let strategies = r.seq(|r| r.u8())?;
-            let heuristic = heuristic_from_tag(r.u8()?)?;
-            let us = r.f64()?;
-            Ok((SimKey { context, threads, strategies, heuristic }, us))
-        })?;
-        let hits = r.len_prefix()?;
-        let misses = r.len_prefix()?;
-        {
-            let mut map = self.map.lock();
-            for (k, us) in entries {
-                map.insert(k, us);
-            }
-        }
+    pub fn load(&self, r: &mut Reader<'_>) -> Result<(), SavestateError> {
+        let entries = Vec::<(SimKey, f64)>::load(r)?;
+        let (hits, misses) = (usize::load(r)?, usize::load(r)?);
+        self.map.lock().extend(entries);
         self.set_counters(hits, misses);
         Ok(())
     }
@@ -212,26 +190,6 @@ impl SimMemo {
     pub fn set_counters(&self, hits: usize, misses: usize) {
         self.hits.store(hits, Ordering::Relaxed);
         self.misses.store(misses, Ordering::Relaxed);
-    }
-}
-
-/// Stable on-disk discriminant for [`BatchingHeuristic`].
-fn heuristic_tag(h: BatchingHeuristic) -> u8 {
-    match h {
-        BatchingHeuristic::OneTilePerBlock => 0,
-        BatchingHeuristic::Threshold => 1,
-        BatchingHeuristic::Binary => 2,
-    }
-}
-
-fn heuristic_from_tag(tag: u8) -> Result<BatchingHeuristic, ctb_savestate::SavestateError> {
-    match tag {
-        0 => Ok(BatchingHeuristic::OneTilePerBlock),
-        1 => Ok(BatchingHeuristic::Threshold),
-        2 => Ok(BatchingHeuristic::Binary),
-        t => Err(ctb_savestate::SavestateError::Corrupt(format!(
-            "bad batching-heuristic tag {t}"
-        ))),
     }
 }
 
@@ -314,11 +272,11 @@ mod tests {
     fn memo_load_rejects_bad_heuristic_tag_with_typed_error() {
         let mut w = ctb_savestate::Writer::new();
         w.len_prefix(1);
-        w.u64(1);
-        w.u32(128);
+        1u64.save(&mut w);
+        128u32.save(&mut w);
         w.len_prefix(0);
-        w.u8(9); // no such heuristic
-        w.f64(1.0);
+        9u8.save(&mut w); // no such heuristic
+        1.0f64.save(&mut w);
         w.len_prefix(0);
         w.len_prefix(0);
         let bytes = w.into_bytes();

@@ -14,6 +14,7 @@ use crate::hotswap::CalibHandle;
 use crate::memo::{fnv1a, SimMemo};
 use ctb_matrix::{GemmBatch, GemmShape};
 use ctb_obs::{Obs, PointKind, SpanKind};
+use ctb_savestate::{savestate_struct, Reader, Savestate, SavestateError, Writer};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -25,6 +26,8 @@ pub struct CacheStats {
     pub hits: usize,
     pub misses: usize,
 }
+
+savestate_struct!(CacheStats { hits, misses });
 
 impl CacheStats {
     /// Fraction of lookups answered from the cache (0 when idle).
@@ -95,6 +98,8 @@ pub struct PlanShareConfig {
     pub admission: AdmissionPolicy,
 }
 
+savestate_struct!(PlanShareConfig { shards, capacity_per_shard, admission });
+
 impl Default for PlanShareConfig {
     fn default() -> Self {
         PlanShareConfig {
@@ -126,6 +131,23 @@ pub struct OperandHome {
     pub device: usize,
     /// Home chiplet on that device (always 0 on monolithic parts).
     pub chiplet: u32,
+}
+
+/// `chiplet` is widened to `u64` in the blob; a value past `u32::MAX`
+/// decodes as `Corrupt`.
+impl Savestate for OperandHome {
+    fn save(&self, w: &mut Writer) {
+        self.device.save(w);
+        u64::from(self.chiplet).save(w);
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, SavestateError> {
+        let device = usize::load(r)?;
+        let chiplet = u64::load(r)?;
+        let chiplet = u32::try_from(chiplet).map_err(|_| {
+            SavestateError::Corrupt(format!("chiplet index {chiplet} does not fit u32"))
+        })?;
+        Ok(OperandHome { device, chiplet })
+    }
 }
 
 /// Stable hash of a shape signature, used as the residency key and as
@@ -312,57 +334,30 @@ impl PlanShare {
     /// re-plan replays every candidate simulation from the memo,
     /// rebuilding bit-identical plans for free. Keys-only blobs stay
     /// small and can never smuggle a stale plan past a code change.
-    pub fn save(&self, w: &mut ctb_savestate::Writer) {
+    pub fn save(&self, w: &mut Writer) {
         self.sim_memo.save(w);
         // Lock every shard for a consistent snapshot; keys are written
         // globally sorted so save → restore → save is byte-identical
         // regardless of shard layout or map iteration order.
         let guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
         let mut keys: Vec<&PlanKey> = guards.iter().flat_map(|g| g.map.keys()).collect();
-        keys.sort_by_key(|(fp, shapes)| {
-            (*fp, shapes.iter().map(|s| (s.m, s.n, s.k)).collect::<Vec<_>>())
-        });
-        w.len_prefix(keys.len());
-        for (fp, shapes) in keys {
-            w.u64(*fp);
-            w.len_prefix(shapes.len());
-            for s in shapes {
-                w.u64(s.m as u64);
-                w.u64(s.n as u64);
-                w.u64(s.k as u64);
-            }
-        }
+        keys.sort_unstable();
+        w.seq(keys);
         drop(guards);
         // v2 section: layout + admission state.
-        w.u64(self.shards.len() as u64);
-        match self.capacity_per_shard {
-            None => w.u8(0),
-            Some(cap) => {
-                w.u8(1);
-                w.u64(cap as u64);
-            }
+        self.shards.len().save(w);
+        self.capacity_per_shard.save(w);
+        self.gate.is_some().save(w);
+        if let Some(g) = &self.gate {
+            g.save(w);
         }
-        match &self.gate {
-            None => w.u8(0),
-            Some(g) => {
-                w.u8(1);
-                g.save(w);
-            }
-        }
-        w.u64(self.admitted.load(Ordering::Relaxed) as u64);
-        w.u64(self.denied.load(Ordering::Relaxed) as u64);
+        self.admitted.load(Ordering::Relaxed).save(w);
+        self.denied.load(Ordering::Relaxed).save(w);
         // v3 section: operand residency, sig-sorted for byte stability.
-        let residency = self.residency.lock();
         let mut homes: Vec<(u64, OperandHome)> =
-            residency.iter().map(|(sig, home)| (*sig, *home)).collect();
-        drop(residency);
-        homes.sort_by_key(|(sig, _)| *sig);
-        w.len_prefix(homes.len());
-        for (sig, home) in homes {
-            w.u64(sig);
-            w.u64(home.device as u64);
-            w.u64(u64::from(home.chiplet));
-        }
+            self.residency.lock().iter().map(|(sig, home)| (*sig, *home)).collect();
+        homes.sort_unstable_by_key(|(sig, _)| *sig);
+        homes.save(w);
     }
 
     /// Restore a blob written by [`PlanShare::save`] into this share.
@@ -387,10 +382,9 @@ impl PlanShare {
     /// typed [`Mismatch`](ctb_savestate::SavestateError::Mismatch).
     pub fn restore_with_sessions(
         &self,
-        r: &mut ctb_savestate::Reader<'_>,
+        r: &mut Reader<'_>,
         sessions: &[&Session],
-    ) -> Result<(), ctb_savestate::SavestateError> {
-        use ctb_savestate::SavestateError;
+    ) -> Result<(), SavestateError> {
         for s in sessions {
             if !std::ptr::eq(Arc::as_ptr(&s.share), self) {
                 return Err(SavestateError::Mismatch(
@@ -400,15 +394,7 @@ impl PlanShare {
         }
         self.sim_memo.load(r)?;
         let (memo_hits, memo_misses) = (self.sim_memo.hits(), self.sim_memo.misses());
-        let keys = r.seq(|r| {
-            let fp = r.u64()?;
-            let shapes = r.seq(|r| {
-                let (m, n, k) = (r.u64()?, r.u64()?, r.u64()?);
-                Ok(GemmShape::new(m as usize, n as usize, k as usize))
-            })?;
-            Ok((fp, shapes))
-        })?;
-        for (fp, shapes) in keys {
+        for (fp, shapes) in Vec::<PlanKey>::load(r)? {
             let session = sessions.iter().find(|s| s.fp == fp).ok_or_else(|| {
                 SavestateError::Mismatch(format!(
                     "no session matches planning fingerprint {fp:#018x} \
@@ -422,41 +408,33 @@ impl PlanShare {
         // Undo the rebuild's accounting pollution (replans hit the memo).
         self.sim_memo.set_counters(memo_hits, memo_misses);
         // v2 section: layout + admission state.
-        let shard_count = r.u64()? as usize;
+        let shard_count = usize::load(r)?;
         if shard_count != self.shards.len() {
             return Err(SavestateError::Mismatch(format!(
                 "share has {} shards, blob has {shard_count}",
                 self.shards.len()
             )));
         }
-        let capacity = match r.u8()? {
-            0 => None,
-            _ => Some(r.u64()? as usize),
-        };
+        let capacity = Option::<usize>::load(r)?;
         if capacity != self.capacity_per_shard {
             return Err(SavestateError::Mismatch(format!(
                 "share capacity {:?} does not match blob {capacity:?}",
                 self.capacity_per_shard
             )));
         }
-        match (r.u8()?, &self.gate) {
-            (0, None) => {}
-            (1, Some(g)) => g.load(r)?,
+        match (bool::load(r)?, &self.gate) {
+            (false, None) => {}
+            (true, Some(g)) => g.load(r)?,
             (flag, _) => {
                 return Err(SavestateError::Mismatch(format!(
                     "blob gate flag {flag} does not match configured admission policy"
                 )));
             }
         }
-        self.admitted.store(r.u64()? as usize, Ordering::Relaxed);
-        self.denied.store(r.u64()? as usize, Ordering::Relaxed);
+        self.admitted.store(usize::load(r)?, Ordering::Relaxed);
+        self.denied.store(usize::load(r)?, Ordering::Relaxed);
         // v3 section: operand residency.
-        let homes = r.seq(|r| {
-            let sig = r.u64()?;
-            let device = r.u64()? as usize;
-            let chiplet = r.u64()? as u32;
-            Ok((sig, OperandHome { device, chiplet }))
-        })?;
+        let homes = Vec::<(u64, OperandHome)>::load(r)?;
         let mut residency = self.residency.lock();
         residency.clear();
         residency.extend(homes);

@@ -13,6 +13,7 @@
 
 use crate::forest::RandomForest;
 use crate::tree::{DecisionTree, Node};
+use ctb_savestate::{Reader, Savestate, SavestateError, Writer};
 
 /// Serialise a forest to the text format.
 pub fn encode(forest: &RandomForest) -> String {
@@ -112,6 +113,18 @@ pub fn decode(text: &str) -> Result<RandomForest, String> {
         trees.push(DecisionTree::from_nodes(nodes, n_classes));
     }
     Ok(RandomForest { trees, n_classes })
+}
+
+/// In a savestate blob a forest is its text encoding, carried as a
+/// string; text that does not parse is `Corrupt`.
+impl Savestate for RandomForest {
+    fn save(&self, w: &mut Writer) {
+        encode(self).save(w);
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, SavestateError> {
+        decode(&String::load(r)?)
+            .map_err(|e| SavestateError::Corrupt(format!("embedded forest: {e}")))
+    }
 }
 
 #[cfg(test)]

@@ -6,13 +6,11 @@
 //! hard-coded to a device, which is how the paper's §7.4 portability
 //! experiment (Fig 11) is reproduced.
 
-use serde::{Deserialize, Serialize};
-
 /// GPU micro-architecture generation. Maxwell/Pascal/Volta are the
 /// paper's platforms; Turing and Ampere are post-paper extension
 /// presets; Hopper and Blackwell are the tile-centric / multi-chiplet
 /// generations behind the locality presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArchFamily {
     Maxwell,
     Pascal,
@@ -49,7 +47,7 @@ impl std::fmt::Display for ArchFamily {
 /// `local + remote == ArchSpec::mem_bandwidth_gbps` holds exactly for
 /// every preset (the splits are constructed as `total·f` and
 /// `total − total·f`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipletTopology {
     /// Number of compute chiplets (dies) behind one device. `1` means a
     /// monolithic part: no interposer, no remote region.
@@ -63,6 +61,13 @@ pub struct ChipletTopology {
     /// interposer at least once.
     pub interposer_latency_us: f64,
 }
+
+ctb_savestate::savestate_struct!(ChipletTopology {
+    chiplets,
+    local_bandwidth_gbps,
+    remote_bandwidth_gbps,
+    interposer_latency_us,
+});
 
 impl ChipletTopology {
     /// The flat-memory topology of a monolithic GPU: one chiplet, the
@@ -139,7 +144,7 @@ impl ChipletTopology {
 /// the generation (e.g. ~400–600 cycle DRAM latency, ~5 µs kernel-launch
 /// overhead); the paper's qualitative results depend on their order of
 /// magnitude, not their exact value — see `DESIGN.md` §3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchSpec {
     /// Human-readable device name, e.g. `"Tesla V100"`.
     pub name: &'static str,

@@ -8,10 +8,9 @@
 //! the paper's TLP argument in mechanical form.
 
 use crate::arch::ArchSpec;
-use serde::{Deserialize, Serialize};
 
 /// Resource footprint of one thread block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockFootprint {
     /// Threads launched per block (counting idle threads).
     pub threads: u32,
@@ -33,7 +32,7 @@ impl BlockFootprint {
 }
 
 /// Result of the occupancy computation for one kernel on one device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Occupancy {
     /// Blocks resident per SM.
     pub blocks_per_sm: u32,
@@ -46,7 +45,7 @@ pub struct Occupancy {
 }
 
 /// The resource that limits residency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Limiter {
     Threads,
     Registers,

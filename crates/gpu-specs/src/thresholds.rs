@@ -10,10 +10,9 @@
 //! the simulator, which sits above this crate).
 
 use crate::arch::ArchSpec;
-use serde::{Deserialize, Serialize};
 
 /// The two architecture-dependent constants of the framework.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Thresholds {
     /// Minimum total thread-level parallelism the tiling engine must
     /// preserve before it trades TLP for ILP (Eq 1 vs §4.2.3 step 3).

@@ -5,12 +5,16 @@ use crate::mat::MatF32;
 use rayon::prelude::*;
 
 /// The size of one GEMM: `C (M×N) = alpha * A (M×K) * B (K×N) + beta * C`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Ordered lexicographically by `(m, n, k)`, the canonical order
+/// savestate blobs sort shape signatures in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GemmShape {
     pub m: usize,
     pub n: usize,
     pub k: usize,
 }
+
+ctb_savestate::savestate_struct!(GemmShape { m, n, k });
 
 impl GemmShape {
     pub const fn new(m: usize, n: usize, k: usize) -> Self {

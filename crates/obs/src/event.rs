@@ -216,200 +216,47 @@ impl Event {
     }
 }
 
-fn span_tag(s: SpanKind) -> u8 {
-    match s {
-        SpanKind::Plan => 0,
-        SpanKind::Autotune => 1,
-        SpanKind::Exec => 2,
-        SpanKind::DegradedExec => 3,
-        SpanKind::Coalesce => 4,
-        SpanKind::Place => 5,
-    }
-}
+ctb_savestate::savestate_enum!(SpanKind {
+    0 => Plan,
+    1 => Autotune,
+    2 => Exec,
+    3 => DegradedExec,
+    4 => Coalesce,
+    5 => Place,
+});
 
-fn span_from_tag(tag: u8) -> Result<SpanKind, ctb_savestate::SavestateError> {
-    SpanKind::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or_else(|| ctb_savestate::SavestateError::Corrupt(format!("bad span tag {tag}")))
-}
+// Tags 17..=19 were appended after the cluster tags, so every tag value
+// stays stable across format versions.
+ctb_savestate::savestate_enum!(PointKind {
+    0 => Admit { req },
+    1 => Reject { req },
+    2 => Retry { req },
+    3 => PanicCaught,
+    4 => PlanFailure,
+    5 => BreakerTrip,
+    6 => BatchExecuted { size },
+    7 => Respond { req, batch, degraded, abandoned, queue_us, plan_us, exec_us, total_us },
+    8 => Expired { req, abandoned },
+    9 => Failed { req, abandoned },
+    10 => PlanCacheHit,
+    11 => PlanCacheMiss,
+    12 => Routed { device },
+    13 => Steal { to, from },
+    14 => Reroute { from },
+    15 => Kill { device },
+    16 => BatchDone { req, device, degraded, abandoned },
+    17 => PlanCacheDenied,
+    18 => ResidencyHit { device },
+    19 => ResidencyMiss { device },
+});
 
-fn save_opt_u64(w: &mut ctb_savestate::Writer, v: Option<u64>) {
-    match v {
-        Some(x) => {
-            w.bool(true);
-            w.u64(x);
-        }
-        None => w.bool(false),
-    }
-}
+ctb_savestate::savestate_enum!(EventKind {
+    0 => SpanBegin { span, id },
+    1 => SpanEnd { span, id },
+    2 => Point(point),
+});
 
-fn load_opt_u64(
-    r: &mut ctb_savestate::Reader<'_>,
-) -> Result<Option<u64>, ctb_savestate::SavestateError> {
-    Ok(if r.bool()? { Some(r.u64()?) } else { None })
-}
-
-impl ctb_savestate::Savestate for Event {
-    fn save(&self, w: &mut ctb_savestate::Writer) {
-        w.u64(self.seq);
-        w.u64(self.t_us);
-        w.u32(self.worker);
-        match self.kind {
-            EventKind::SpanBegin { span, id } => {
-                w.u8(0);
-                w.u8(span_tag(span));
-                w.u64(id);
-            }
-            EventKind::SpanEnd { span, id } => {
-                w.u8(1);
-                w.u8(span_tag(span));
-                w.u64(id);
-            }
-            EventKind::Point(p) => {
-                w.u8(2);
-                match p {
-                    PointKind::Admit { req } => {
-                        w.u8(0);
-                        w.u64(req);
-                    }
-                    PointKind::Reject { req } => {
-                        w.u8(1);
-                        save_opt_u64(w, req);
-                    }
-                    PointKind::Retry { req } => {
-                        w.u8(2);
-                        w.u64(req);
-                    }
-                    PointKind::PanicCaught => w.u8(3),
-                    PointKind::PlanFailure => w.u8(4),
-                    PointKind::BreakerTrip => w.u8(5),
-                    PointKind::BatchExecuted { size } => {
-                        w.u8(6);
-                        w.u64(size as u64);
-                    }
-                    PointKind::Respond {
-                        req,
-                        batch,
-                        degraded,
-                        abandoned,
-                        queue_us,
-                        plan_us,
-                        exec_us,
-                        total_us,
-                    } => {
-                        w.u8(7);
-                        w.u64(req);
-                        w.u64(batch);
-                        w.bool(degraded);
-                        w.bool(abandoned);
-                        w.f64(queue_us);
-                        w.f64(plan_us);
-                        w.f64(exec_us);
-                        w.f64(total_us);
-                    }
-                    PointKind::Expired { req, abandoned } => {
-                        w.u8(8);
-                        w.u64(req);
-                        w.bool(abandoned);
-                    }
-                    PointKind::Failed { req, abandoned } => {
-                        w.u8(9);
-                        w.u64(req);
-                        w.bool(abandoned);
-                    }
-                    PointKind::PlanCacheHit => w.u8(10),
-                    PointKind::PlanCacheMiss => w.u8(11),
-                    PointKind::Routed { device } => {
-                        w.u8(12);
-                        w.u64(device as u64);
-                    }
-                    PointKind::Steal { to, from } => {
-                        w.u8(13);
-                        w.u64(to as u64);
-                        w.u64(from as u64);
-                    }
-                    PointKind::Reroute { from } => {
-                        w.u8(14);
-                        w.u64(from as u64);
-                    }
-                    PointKind::Kill { device } => {
-                        w.u8(15);
-                        w.u64(device as u64);
-                    }
-                    PointKind::BatchDone { req, device, degraded, abandoned } => {
-                        w.u8(16);
-                        w.u64(req);
-                        w.u64(device as u64);
-                        w.bool(degraded);
-                        w.bool(abandoned);
-                    }
-                    // Appended after the cluster tags so every tag
-                    // value stays stable across format versions.
-                    PointKind::PlanCacheDenied => w.u8(17),
-                    PointKind::ResidencyHit { device } => {
-                        w.u8(18);
-                        w.u64(device as u64);
-                    }
-                    PointKind::ResidencyMiss { device } => {
-                        w.u8(19);
-                        w.u64(device as u64);
-                    }
-                }
-            }
-        }
-    }
-
-    fn load(r: &mut ctb_savestate::Reader<'_>) -> Result<Self, ctb_savestate::SavestateError> {
-        use ctb_savestate::SavestateError;
-        let seq = r.u64()?;
-        let t_us = r.u64()?;
-        let worker = r.u32()?;
-        let kind = match r.u8()? {
-            0 => EventKind::SpanBegin { span: span_from_tag(r.u8()?)?, id: r.u64()? },
-            1 => EventKind::SpanEnd { span: span_from_tag(r.u8()?)?, id: r.u64()? },
-            2 => EventKind::Point(match r.u8()? {
-                0 => PointKind::Admit { req: r.u64()? },
-                1 => PointKind::Reject { req: load_opt_u64(r)? },
-                2 => PointKind::Retry { req: r.u64()? },
-                3 => PointKind::PanicCaught,
-                4 => PointKind::PlanFailure,
-                5 => PointKind::BreakerTrip,
-                6 => PointKind::BatchExecuted { size: r.u64()? as usize },
-                7 => PointKind::Respond {
-                    req: r.u64()?,
-                    batch: r.u64()?,
-                    degraded: r.bool()?,
-                    abandoned: r.bool()?,
-                    queue_us: r.f64()?,
-                    plan_us: r.f64()?,
-                    exec_us: r.f64()?,
-                    total_us: r.f64()?,
-                },
-                8 => PointKind::Expired { req: r.u64()?, abandoned: r.bool()? },
-                9 => PointKind::Failed { req: r.u64()?, abandoned: r.bool()? },
-                10 => PointKind::PlanCacheHit,
-                11 => PointKind::PlanCacheMiss,
-                12 => PointKind::Routed { device: r.u64()? as usize },
-                13 => PointKind::Steal { to: r.u64()? as usize, from: r.u64()? as usize },
-                14 => PointKind::Reroute { from: r.u64()? as usize },
-                15 => PointKind::Kill { device: r.u64()? as usize },
-                16 => PointKind::BatchDone {
-                    req: r.u64()?,
-                    device: r.u64()? as usize,
-                    degraded: r.bool()?,
-                    abandoned: r.bool()?,
-                },
-                17 => PointKind::PlanCacheDenied,
-                18 => PointKind::ResidencyHit { device: r.u64()? as usize },
-                19 => PointKind::ResidencyMiss { device: r.u64()? as usize },
-                t => return Err(SavestateError::Corrupt(format!("bad point tag {t}"))),
-            }),
-            t => return Err(SavestateError::Corrupt(format!("bad event-kind tag {t}"))),
-        };
-        Ok(Event { seq, t_us, worker, kind })
-    }
-}
+ctb_savestate::savestate_struct!(Event { seq, t_us, worker, kind });
 
 #[cfg(test)]
 mod tests {
@@ -495,11 +342,10 @@ mod tests {
     fn event_codec_rejects_bad_tags_with_typed_errors() {
         use ctb_savestate::{Reader, Savestate as _, SavestateError, Writer};
         let mut w = Writer::new();
-        w.u64(0);
-        w.u64(0);
-        w.u32(0);
-        w.u8(2); // point…
-        w.u8(99); // …with an invalid point tag
+        (0u64, 0u64).save(&mut w);
+        0u32.save(&mut w);
+        2u8.save(&mut w); // point…
+        99u8.save(&mut w); // …with an invalid point tag
         let bytes = w.into_bytes();
         assert!(matches!(
             Event::load(&mut Reader::new(&bytes)),

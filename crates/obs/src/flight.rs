@@ -12,6 +12,8 @@ pub struct FlightDump {
     pub events: Vec<Event>,
 }
 
+ctb_savestate::savestate_struct!(FlightDump { reason, events });
+
 impl FlightDump {
     /// Human-readable rendering for panic messages and logs.
     pub fn render(&self) -> String {

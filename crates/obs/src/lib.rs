@@ -56,12 +56,13 @@ pub use event::{Event, EventKind, PointKind, SpanKind};
 pub use flight::FlightDump;
 pub use metrics::{Histogram, Metrics, MetricsSnapshot, HIST_BUCKETS};
 
+use ctb_savestate::Savestate;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
 /// Bus configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObsConfig {
     /// Flight-recorder capacity (most recent events kept).
     pub ring_capacity: usize,
@@ -69,6 +70,8 @@ pub struct ObsConfig {
     /// long-running metric-only subscribers.
     pub record_log: bool,
 }
+
+ctb_savestate::savestate_struct!(ObsConfig { ring_capacity, record_log });
 
 impl Default for ObsConfig {
     fn default() -> Self {
@@ -226,66 +229,45 @@ impl Obs {
     /// dense id the original's did. The metrics registry is not part
     /// of the byte-compared surface (`render()` covers events only)
     /// and is left to re-accumulate.
-    pub fn save_state(&self, w: &mut ctb_savestate::Writer) {
-        use ctb_savestate::Savestate as _;
-        w.len_prefix(self.cfg.ring_capacity);
-        w.bool(self.cfg.record_log);
+    pub fn save(&self, w: &mut ctb_savestate::Writer) {
+        self.cfg.save(w);
         let inner = self.inner.lock().unwrap();
-        w.u64(inner.next_seq);
-        w.len_prefix(inner.events.len());
-        for e in &inner.events {
-            e.save(w);
-        }
-        w.len_prefix(inner.ring.len());
-        for e in &inner.ring {
-            e.save(w);
-        }
+        inner.next_seq.save(w);
+        inner.events.save(w);
+        w.seq(&inner.ring);
         drop(inner);
-        let dumps = self.dumps.lock().unwrap();
-        w.len_prefix(dumps.len());
-        for d in dumps.iter() {
-            w.str(&d.reason);
-            w.len_prefix(d.events.len());
-            for e in &d.events {
-                e.save(w);
-            }
-        }
+        self.dumps.lock().unwrap().save(w);
     }
 
     /// Overwrite this bus's state with a blob written by
-    /// [`Obs::save_state`]. The receiving bus must have been built
+    /// [`Obs::save`]. The receiving bus must have been built
     /// with the same config (typed `Mismatch` otherwise). Events
     /// emitted on this bus before the restore — e.g. by plan-cache
     /// rebuilding during an engine restore — are discarded wholesale,
     /// which is why engine restores apply the obs blob *last*.
-    pub fn restore_state(
+    pub fn restore(
         &self,
         r: &mut ctb_savestate::Reader<'_>,
     ) -> Result<(), ctb_savestate::SavestateError> {
-        use ctb_savestate::{Savestate as _, SavestateError};
-        let ring_capacity = r.len_prefix()?;
-        let record_log = r.bool()?;
-        if ring_capacity != self.cfg.ring_capacity || record_log != self.cfg.record_log {
+        use ctb_savestate::SavestateError;
+        let cfg = ObsConfig::load(r)?;
+        if cfg != self.cfg {
             return Err(SavestateError::Mismatch(format!(
-                "obs config differs: blob (ring {ring_capacity}, log {record_log}) vs \
-                 bus (ring {}, log {})",
-                self.cfg.ring_capacity, self.cfg.record_log
+                "obs config differs: blob {cfg:?} vs bus {:?}",
+                self.cfg
             )));
         }
-        let next_seq = r.u64()?;
-        let events = r.seq(Event::load)?;
-        let ring = r.seq(Event::load)?;
-        if ring.len() > ring_capacity {
+        let next_seq = u64::load(r)?;
+        let events = Vec::<Event>::load(r)?;
+        let ring = Vec::<Event>::load(r)?;
+        if ring.len() > cfg.ring_capacity {
             return Err(SavestateError::Corrupt(format!(
-                "flight ring holds {} events, capacity {ring_capacity}",
-                ring.len()
+                "flight ring holds {} events, capacity {}",
+                ring.len(),
+                cfg.ring_capacity
             )));
         }
-        let dumps = r.seq(|r| {
-            let reason = r.str()?;
-            let events = r.seq(Event::load)?;
-            Ok(FlightDump { reason, events })
-        })?;
+        let dumps = Vec::<FlightDump>::load(r)?;
         let mut inner = self.inner.lock().unwrap();
         inner.next_seq = next_seq;
         inner.events = events;
@@ -440,7 +422,7 @@ mod tests {
     }
 
     #[test]
-    fn save_restore_resumes_byte_identical_traces() {
+    fn checkpointed_bus_resumes_byte_identical_traces() {
         // Two buses run the same scripted workload; one is checkpointed
         // mid-script and restored into a fresh bus which finishes the
         // script. Final renders must agree byte-for-byte.
@@ -466,7 +448,7 @@ mod tests {
         let b = Obs::sim(Arc::clone(&clock_b));
         script_prefix(&b, &clock_b);
         let mut w = ctb_savestate::Writer::new();
-        b.save_state(&mut w);
+        b.save(&mut w);
         let bytes = w.into_bytes();
 
         let clock_c = Arc::new(SimClock::new());
@@ -474,7 +456,7 @@ mod tests {
         // Pollution emitted before the restore is discarded by it.
         c.point(PointKind::PlanCacheMiss);
         let mut r = ctb_savestate::Reader::new(&bytes);
-        c.restore_state(&mut r).unwrap();
+        c.restore(&mut r).unwrap();
         r.expect_end().unwrap();
         clock_c.set(clock_b.now_us());
         script_suffix(&c, &clock_c);
@@ -489,19 +471,19 @@ mod tests {
         let a = Obs::with_clock(Arc::new(SimClock::new()), ObsConfig { ring_capacity: 4, record_log: true });
         a.point(PointKind::PanicCaught);
         let mut w = ctb_savestate::Writer::new();
-        a.save_state(&mut w);
+        a.save(&mut w);
         let bytes = w.into_bytes();
 
         let wrong_cfg = Obs::with_clock(Arc::new(SimClock::new()), ObsConfig { ring_capacity: 8, record_log: true });
         assert!(matches!(
-            wrong_cfg.restore_state(&mut ctb_savestate::Reader::new(&bytes)),
+            wrong_cfg.restore(&mut ctb_savestate::Reader::new(&bytes)),
             Err(ctb_savestate::SavestateError::Mismatch(_))
         ));
 
         // Truncation surfaces as Corrupt, never a panic.
         let same_cfg = Obs::with_clock(Arc::new(SimClock::new()), ObsConfig { ring_capacity: 4, record_log: true });
         assert!(matches!(
-            same_cfg.restore_state(&mut ctb_savestate::Reader::new(&bytes[..bytes.len() - 3])),
+            same_cfg.restore(&mut ctb_savestate::Reader::new(&bytes[..bytes.len() - 3])),
             Err(ctb_savestate::SavestateError::Corrupt(_))
         ));
     }

@@ -27,6 +27,7 @@
 //! asserted by the chaos suite are meaningful under any interleaving
 //! because the log records what actually fired.
 
+use ctb_savestate::{savestate_struct, Reader, Savestate, SavestateError, Writer};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -91,6 +92,17 @@ pub struct FaultConfig {
     /// Stall length when a `SlowWorker` fault fires.
     pub slow_delay: Duration,
 }
+
+savestate_struct!(FaultConfig {
+    seed,
+    admit_reject_per_mille,
+    expire_per_mille,
+    plan_fail_per_mille,
+    exec_panic_per_mille,
+    degraded_panic_per_mille,
+    slow_worker_per_mille,
+    slow_delay,
+});
 
 impl FaultConfig {
     /// A quiet schedule (all rates zero) with the given seed; chain the
@@ -200,10 +212,6 @@ impl FaultInjector {
         }
     }
 
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// Draw the next decision at `site`: `true` means inject. The n-th
     /// draw at a site is a pure function of `(seed, site, n)`.
     pub fn roll(&self, site: FaultSite) -> bool {
@@ -246,41 +254,28 @@ impl FaultInjector {
     pub fn draws(&self, site: FaultSite) -> usize {
         self.draws[site as usize].load(Ordering::Relaxed)
     }
-
-    /// The injector's full RNG state: per-site `(draws, fired)`
-    /// cursors in [`FaultSite`] discriminant order. Because the n-th
-    /// decision at a site is a pure function of `(seed, site, n)`,
-    /// these cursors (plus the config) are *all* the state there is —
-    /// an injector rebuilt by [`FaultInjector::with_state`] continues
-    /// the exact decision stream the original would have drawn next.
-    pub fn state(&self) -> ([usize; N_SITES], [usize; N_SITES]) {
-        let ld = |a: &[AtomicUsize; N_SITES]| {
-            let mut out = [0usize; N_SITES];
-            for (o, v) in out.iter_mut().zip(a.iter()) {
-                *o = v.load(Ordering::Relaxed);
-            }
-            out
-        };
-        (ld(&self.draws), ld(&self.fired))
-    }
-
-    /// Rebuild an injector mid-stream from [`FaultInjector::state`]
-    /// cursors (savestate restore).
-    pub fn with_state(cfg: FaultConfig, draws: [usize; N_SITES], fired: [usize; N_SITES]) -> Self {
-        let inj = FaultInjector::new(cfg);
-        for (slot, v) in inj.draws.iter().zip(draws) {
-            slot.store(v, Ordering::Relaxed);
-        }
-        for (slot, v) in inj.fired.iter().zip(fired) {
-            slot.store(v, Ordering::Relaxed);
-        }
-        inj
-    }
 }
 
-/// Number of [`FaultSite`] variants — the length of the cursor arrays
-/// exchanged by [`FaultInjector::state`] / [`FaultInjector::with_state`].
-pub const FAULT_SITES: usize = N_SITES;
+/// The config, then the per-site draw and fired cursors in
+/// [`FaultSite`] discriminant order. The n-th decision at a site is a
+/// pure function of `(seed, site, n)`, so the cursors are all the
+/// state there is: a loaded injector continues the exact decision
+/// stream the saved one would have drawn next.
+impl Savestate for FaultInjector {
+    fn save(&self, w: &mut Writer) {
+        self.cfg.save(w);
+        for v in self.draws.iter().chain(&self.fired) {
+            v.load(Ordering::Relaxed).save(w);
+        }
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, SavestateError> {
+        let inj = FaultInjector::new(FaultConfig::load(r)?);
+        for v in inj.draws.iter().chain(&inj.fired) {
+            v.store(usize::load(r)?, Ordering::Relaxed);
+        }
+        Ok(inj)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -337,8 +332,8 @@ mod tests {
 
     #[test]
     fn restored_cursors_continue_the_exact_decision_stream() {
-        let cfg = FaultConfig::new(0xC0FFEE).exec_panic(300).plan_fail(200);
-        let original = FaultInjector::new(cfg.clone());
+        let original =
+            FaultInjector::new(FaultConfig::new(0xC0FFEE).exec_panic(300).plan_fail(200));
         // Burn an uneven prefix of draws across two sites.
         for _ in 0..37 {
             original.roll(FaultSite::ExecPanic);
@@ -346,8 +341,12 @@ mod tests {
         for _ in 0..11 {
             original.roll(FaultSite::PlanFail);
         }
-        let (draws, fired) = original.state();
-        let restored = FaultInjector::with_state(cfg, draws, fired);
+        let mut w = Writer::new();
+        original.save(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let restored = FaultInjector::load(&mut r).unwrap();
+        r.expect_end().unwrap();
         assert_eq!(restored.log(), original.log(), "fired counts carry over");
         // Both continue with byte-identical decision streams.
         for _ in 0..100 {
@@ -361,7 +360,9 @@ mod tests {
             );
         }
         assert_eq!(restored.log(), original.log());
-        assert_eq!(restored.state(), original.state());
+        for site in [FaultSite::ExecPanic, FaultSite::PlanFail] {
+            assert_eq!(restored.draws(site), original.draws(site));
+        }
     }
 
     #[test]

@@ -54,8 +54,8 @@ mod server;
 mod stats;
 
 pub use fault::{
-    panic_message, FaultConfig, FaultInjector, FaultLog, FaultSite, FAULT_SITES,
-    INJECTED_DEGRADED_PANIC_MSG, INJECTED_PANIC_MSG,
+    panic_message, FaultConfig, FaultInjector, FaultLog, FaultSite, INJECTED_DEGRADED_PANIC_MSG,
+    INJECTED_PANIC_MSG,
 };
 pub use front::AsyncFront;
 pub use queue::{BoundedQueue, PopTimedOut, PushError};

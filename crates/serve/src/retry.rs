@@ -65,6 +65,8 @@ pub struct BreakerPolicy {
     pub open_batches: usize,
 }
 
+ctb_savestate::savestate_struct!(BreakerPolicy { trip_threshold, open_batches });
+
 impl Default for BreakerPolicy {
     fn default() -> Self {
         BreakerPolicy { trip_threshold: 8, open_batches: 16 }
@@ -138,13 +140,9 @@ impl Breaker {
         )
     }
 
-    pub fn policy(&self) -> &BreakerPolicy {
-        &self.policy
-    }
-
     /// Rebuild a breaker mid-run from [`Breaker::state`] (savestate
     /// restore): same policy, same failure run, same open slots.
-    pub fn restore(policy: BreakerPolicy, consecutive: usize, open_remaining: usize) -> Self {
+    pub fn restore(policy: BreakerPolicy, (consecutive, open_remaining): (usize, usize)) -> Self {
         Breaker {
             policy,
             consecutive: AtomicUsize::new(consecutive),
@@ -203,17 +201,16 @@ mod tests {
 
     #[test]
     fn restored_breaker_continues_mid_run() {
-        let b = Breaker::new(BreakerPolicy { trip_threshold: 3, open_batches: 4 });
+        let policy = BreakerPolicy { trip_threshold: 3, open_batches: 4 };
+        let b = Breaker::new(policy.clone());
         b.record_failure();
         b.record_failure();
-        let (consecutive, open) = b.state();
-        assert_eq!((consecutive, open), (2, 0));
-        let r = Breaker::restore(b.policy().clone(), consecutive, open);
+        assert_eq!(b.state(), (2, 0));
+        let r = Breaker::restore(policy.clone(), b.state());
         assert!(r.record_failure(), "third failure after restore trips");
         assert!(r.is_open());
         // An open breaker round-trips its remaining slots too.
-        let (c2, o2) = r.state();
-        let r2 = Breaker::restore(r.policy().clone(), c2, o2);
+        let r2 = Breaker::restore(policy, r.state());
         assert_eq!(r2.state(), r.state());
         for _ in 0..4 {
             assert!(r2.consume_open());

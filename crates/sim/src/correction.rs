@@ -24,6 +24,8 @@
 //! zero-error / replay / savestate-parity invariant intact until a
 //! calibrated profile is explicitly installed.
 
+use ctb_savestate::{Reader, Savestate, SavestateError, Writer};
+
 /// Number of terms in the correction feature vector φ.
 pub const PHI_LEN: usize = 6;
 
@@ -41,6 +43,8 @@ pub fn phi(model_us: f64, features: &[f64]) -> [f64; PHI_LEN] {
 pub struct CostCorrection {
     pub coeffs: [f64; PHI_LEN],
 }
+
+ctb_savestate::savestate_struct!(CostCorrection { coeffs });
 
 /// Corrected predictions are clamped here: a fit extrapolated onto an
 /// unseen signature must never produce a zero or negative time (those
@@ -85,6 +89,22 @@ pub struct CorrectionSet {
     entries: Vec<(String, CostCorrection)>,
 }
 
+/// The name-sorted entries, laid out as a `Vec<(String, CostCorrection)>`.
+/// Loading re-inserts every entry, so the set stays sorted and
+/// duplicate-free whatever order the blob lists them in.
+impl Savestate for CorrectionSet {
+    fn save(&self, w: &mut Writer) {
+        self.entries.save(w);
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, SavestateError> {
+        let mut set = CorrectionSet::identity();
+        for (arch, c) in Vec::<(String, CostCorrection)>::load(r)? {
+            set.insert(&arch, c);
+        }
+        Ok(set)
+    }
+}
+
 impl CorrectionSet {
     /// The empty set: every arch passes through uncorrected.
     pub fn identity() -> Self {
@@ -105,11 +125,6 @@ impl CorrectionSet {
             .binary_search_by(|(n, _)| n.as_str().cmp(arch))
             .ok()
             .map(|i| &self.entries[i].1)
-    }
-
-    /// Name-sorted view of every entry (serialization order).
-    pub fn entries(&self) -> &[(String, CostCorrection)] {
-        &self.entries
     }
 
     pub fn len(&self) -> usize {
@@ -169,7 +184,7 @@ mod tests {
         s.insert("b", CostCorrection::identity());
         s.insert("a", CostCorrection::identity());
         s.insert("c", CostCorrection::identity());
-        let names: Vec<&str> = s.entries().iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<&str> = s.entries.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["a", "b", "c"]);
         s.insert("b", CostCorrection { coeffs: [1.0; PHI_LEN] });
         assert_eq!(s.len(), 3);

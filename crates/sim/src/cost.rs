@@ -2,12 +2,11 @@
 //! kernel descriptions and launch sequences.
 
 use ctb_gpu_specs::BlockFootprint;
-use serde::{Deserialize, Serialize};
 
 /// One tile's main loop (Fig 2), reduced to per-iteration instruction
 /// counts *per thread*. Per-warp counts are identical because every
 /// thread of a warp executes the same instruction stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TilePass {
     /// Main-loop iterations: `ceil(K / BK)`.
     pub iterations: u32,
@@ -45,7 +44,7 @@ impl TilePass {
 
 /// The work of one thread block: the tiles it executes, one after the
 /// other, in the persistent-threads style of the paper's Fig 7.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockWork {
     /// Threads that actually have a sub-tile to compute. Equal to the
     /// kernel's block size in the paper's unified thread structure;
@@ -75,7 +74,7 @@ impl BlockWork {
 /// One CUDA-kernel equivalent: a uniform block footprint (the CUDA
 /// programming model requires one block size per kernel) plus the
 /// per-block work.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelDesc {
     /// Diagnostic label, e.g. `"magma_vbatch"` or `"gemm 2 of 5"`.
     pub name: String,
@@ -132,7 +131,7 @@ impl KernelDesc {
 }
 
 /// How a batched-GEMM execution reaches the device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LaunchSequence {
     /// Default execution: kernels run one-by-one, each paying the launch
     /// overhead (§3 "default execution mode").

@@ -1,11 +1,10 @@
 //! Simulation reports.
 
 use ctb_gpu_specs::Occupancy;
-use serde::{Deserialize, Serialize};
 
 /// Fractions of a kernel's block-cycles attributed to each binding
 /// constraint (diagnostics for the TLP/ILP analysis; sums to ~1).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BoundBreakdown {
     /// Rounds bound by SM issue / bandwidth throughput.
     pub throughput: f64,
@@ -19,7 +18,7 @@ pub struct BoundBreakdown {
 }
 
 /// Timing result for one kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelReport {
     pub name: String,
     /// Kernel duration in core cycles (excluding launch overhead).
@@ -41,7 +40,7 @@ pub struct KernelReport {
 }
 
 /// End-to-end timing of a launch sequence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Wall time in microseconds including launch overheads.
     pub total_us: f64,

@@ -16,11 +16,10 @@ use crate::model::tlp;
 use crate::strategy::{batched, StrategyKind, ThreadCount, TilingStrategy};
 use ctb_gpu_specs::Thresholds;
 use ctb_matrix::GemmShape;
-use serde::{Deserialize, Serialize};
 
 /// The tiling engine's output: one strategy per GEMM, all sharing the
 /// same thread-block size (the unified thread structure of §4.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TilingSolution {
     /// The unified thread count (128 or 256) shared by every block.
     pub thread_count: ThreadCount,

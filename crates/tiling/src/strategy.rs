@@ -7,10 +7,9 @@
 //! exactly one sub-tile of C.
 
 use ctb_gpu_specs::BlockFootprint;
-use serde::{Deserialize, Serialize};
 
 /// The six strategy families of Tables 1 and 2, from small to huge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StrategyKind {
     Small,
     Medium,
@@ -52,7 +51,7 @@ impl std::fmt::Display for StrategyKind {
 }
 
 /// The unified thread-block sizes of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ThreadCount {
     T128,
     T256,
@@ -68,7 +67,7 @@ impl ThreadCount {
 }
 
 /// One tiling strategy: the unit the tiling engine selects per GEMM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TilingStrategy {
     pub kind: StrategyKind,
     /// C-tile rows (`BY`).

@@ -8,10 +8,9 @@ use crate::select::TilingSolution;
 use crate::strategy::{batched, StrategyKind, ThreadCount, TilingStrategy};
 use ctb_gpu_specs::Thresholds;
 use ctb_matrix::GemmShape;
-use serde::{Deserialize, Serialize};
 
 /// One round of the selection walk.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceRound {
     /// Thread-count version this round ran under.
     pub thread_count: ThreadCount,
@@ -24,7 +23,7 @@ pub struct TraceRound {
 }
 
 /// A full selection trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectionTrace {
     pub threshold: u64,
     pub rounds: Vec<TraceRound>,
