@@ -11,14 +11,16 @@
 //! print the paper's row/series layout and mirror CSV under
 //! `target/experiments/`; the serving harnesses (`perf`, `serve`,
 //! `chaos`, `cluster`, `obs`, `replay`, `storm`, `calibrate`,
-//! `locality`)
-//! additionally write a tracked `BENCH_<name>.json` at the repository
-//! root, and those with a checked-in golden schema diff the exported
-//! key set against `scripts/BENCH_<name>.schema` and fail on drift.
+//! `locality`) additionally write a tracked `BENCH_<name>.json` at the
+//! repository root through [`ctb_bench::publish`], with the key set
+//! gated against the committed `BENCH_<name>.json`: a report that adds
+//! or drops a key path fails the run.
 
 use ctb_bench::figures::{fig11_portability, fig8_grid, fig9_grid, mean_speedup, CellResult};
 use ctb_bench::{ablations, calibrate, fans, googlenet_exp, motivation, tables, write_csv};
+use ctb_bench::Json;
 use ctb_gpu_specs::{ArchSpec, Thresholds};
+use std::str::FromStr;
 
 /// The complete sub-command and flag listing — printed by `--help` and
 /// on any unknown sub-command or flag, so every entry point is
@@ -42,8 +44,9 @@ paper experiments (print the paper's layout; CSV under target/experiments/):
   custom <file>       run every executor on a workload file (M,N,K per line)
   all                 every paper experiment above (not the harnesses)
 
-serving harnesses (write BENCH_<name>.json at the repo root; those with a
-checked-in scripts/BENCH_<name>.schema also gate on schema drift):
+serving harnesses (write BENCH_<name>.json at the repo root, or
+target/experiments/BENCH_<name>_smoke.json with --smoke; the key set is
+gated against the committed BENCH_<name>.json and drift fails the run):
   perf                executor / reference / autotune / fig9-grid timings
   serve               4-producer closed loop through ctb-serve
   chaos               fault-rate sweep over the resilience layer
@@ -58,11 +61,11 @@ checked-in scripts/BENCH_<name>.schema also gate on schema drift):
   calibrate           closed loop: record drifted trace -> fit corrections ->
                       retrain selector -> hot-swap replay (gates on strictly
                       lower placement error)
-      --devices N --requests N --seed S --drift-seed S --smoke
+      --devices N --requests N --seed S --drift-seed S
   locality            locality-aware vs locality-blind placement on a drifted
                       multi-chiplet pool (gates on strictly less remote
                       operand traffic)
-      --devices N --requests N --seed S --drift-seed S --smoke
+      --devices N --requests N --seed S --drift-seed S
 
 flags: --help | -h | help    print this listing
 "
@@ -109,63 +112,75 @@ fn main() {
             run_fans(&arch);
             run_splitk_demo(&arch);
         }
-        other => {
-            eprintln!("unknown experiment '{other}'\n\n{}", usage());
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown experiment '{other}'\n\n{}", usage())),
     }
 }
 
-/// Parse `--flag value` pairs for the calibration loop.
-fn calibrate_config(args: &[String]) -> (ctb_bench::calib_bench::CalibBenchConfig, bool) {
-    use ctb_bench::calib_bench::CalibBenchConfig;
-    let mut cfg = CalibBenchConfig::default();
-    let mut smoke = false;
+/// Print `msg` and exit 2: a malformed command line is a usage error,
+/// never a panic.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// `raw` parsed as the value of `flag`, or a usage error.
+fn parse_value<T: FromStr>(raw: &str, flag: &str) -> T {
+    raw.parse().unwrap_or_else(|_| usage_error(&format!("bad value '{raw}' for {flag}")))
+}
+
+/// The value following `flag` on the command line, parsed.
+fn flag_value<T: FromStr>(args: &mut std::slice::Iter<'_, String>, flag: &str) -> T {
+    let raw = args.next().unwrap_or_else(|| usage_error(&format!("flag {flag} needs a value")));
+    parse_value(raw, flag)
+}
+
+/// The comma-separated list following `flag`, each item parsed.
+fn flag_list<T: FromStr>(args: &mut std::slice::Iter<'_, String>, flag: &str) -> Vec<T> {
+    let raw: String = flag_value(args, flag);
+    raw.split(',').map(|item| parse_value(item.trim(), flag)).collect()
+}
+
+/// Write `report` through [`ctb_bench::publish`], the one writer and
+/// key-set gate of every tracked report; exits 1 if it refuses.
+fn publish(name: &str, report: &Json, smoke: bool) {
+    let path = ctb_bench::publish(name, report, smoke).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1)
+    });
+    println!("(json: {}; key set matches the committed BENCH_{name}.json)\n", path.display());
+}
+
+/// Parse `--devices N --requests N --seed S --drift-seed S`, the flags
+/// the calibration loop and the locality differential share, into the
+/// matching config fields.
+fn pool_flags(
+    args: &[String],
+    subcommand: &str,
+    [devices, requests]: [&mut usize; 2],
+    [seed, drift_seed]: [&mut u64; 2],
+) {
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("flag {name} needs a value");
-                    std::process::exit(2);
-                })
-                .as_str()
-        };
         match flag.as_str() {
-            "--devices" => cfg.devices = value("--devices").parse().expect("usize devices"),
-            "--requests" => cfg.requests = value("--requests").parse().expect("usize requests"),
-            "--seed" => cfg.seed = value("--seed").parse().expect("u64 seed"),
-            "--drift-seed" => {
-                cfg.drift_seed = value("--drift-seed").parse().expect("u64 drift seed");
-            }
-            "--smoke" => smoke = true,
-            other => {
-                eprintln!(
-                    "unknown calibrate flag '{other}'; expected --devices N, --requests N, \
-                     --seed S, --drift-seed S, --smoke"
-                );
-                std::process::exit(2);
-            }
+            "--devices" => *devices = flag_value(&mut it, flag),
+            "--requests" => *requests = flag_value(&mut it, flag),
+            "--seed" => *seed = flag_value(&mut it, flag),
+            "--drift-seed" => *drift_seed = flag_value(&mut it, flag),
+            other => usage_error(&format!(
+                "unknown {subcommand} flag '{other}'; expected --devices N, --requests N, \
+                 --seed S, --drift-seed S"
+            )),
         }
     }
-    if smoke {
-        cfg = CalibBenchConfig::smoke();
-    }
-    (cfg, smoke)
 }
 
 fn run_calibrate_loop(args: &[String]) {
     use ctb_bench::calib_bench;
-    let (cfg, smoke) = calibrate_config(args);
-    println!(
-        "== calibration loop: record drifted trace -> fit -> retrain -> hot-swap replay{} ==",
-        if smoke { " (smoke)" } else { "" }
-    );
-    let (r, path) = if smoke {
-        calib_bench::run_and_write_smoke()
-    } else {
-        calib_bench::run_and_write(&cfg)
-    };
+    let mut cfg = calib_bench::CalibBenchConfig::default();
+    let sizes = [&mut cfg.devices, &mut cfg.requests];
+    pool_flags(args, "calibrate", sizes, [&mut cfg.seed, &mut cfg.drift_seed]);
+    println!("== calibration loop: record drifted trace -> fit -> retrain -> hot-swap replay ==");
+    let r = calib_bench::run_calib_bench(&cfg);
     println!(
         "   record: {} decisions over {} devices (drift seed {}) | mean placement err {:.3} us | \
          {} witness mismatches",
@@ -201,7 +216,7 @@ fn run_calibrate_loop(args: &[String]) {
         r.swap_completed,
         r.swap_dropped
     );
-    println!("(json: {})", path.display());
+    publish("calibrate", &calib_bench::report_json(&r), false);
     if r.replay.mean_abs_err_us >= r.record.mean_abs_err_us {
         eprintln!(
             "calibration regression: replay error {:.4} us did not fall below the recorded \
@@ -218,59 +233,17 @@ fn run_calibrate_loop(args: &[String]) {
         );
         std::process::exit(1);
     }
-    schema_gate("BENCH_calibrate.json", &calib_bench::golden_schema_path(), &path);
-}
-
-/// Parse `--flag value` pairs for the locality differential.
-fn locality_config(args: &[String]) -> (ctb_bench::locality_bench::LocalityBenchConfig, bool) {
-    use ctb_bench::locality_bench::LocalityBenchConfig;
-    let mut cfg = LocalityBenchConfig::default();
-    let mut smoke = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("flag {name} needs a value");
-                    std::process::exit(2);
-                })
-                .as_str()
-        };
-        match flag.as_str() {
-            "--devices" => cfg.devices = value("--devices").parse().expect("usize devices"),
-            "--requests" => cfg.requests = value("--requests").parse().expect("usize requests"),
-            "--seed" => cfg.seed = value("--seed").parse().expect("u64 seed"),
-            "--drift-seed" => {
-                cfg.drift_seed = value("--drift-seed").parse().expect("u64 drift seed");
-            }
-            "--smoke" => smoke = true,
-            other => {
-                eprintln!(
-                    "unknown locality flag '{other}'; expected --devices N, --requests N, \
-                     --seed S, --drift-seed S, --smoke"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if smoke {
-        cfg = LocalityBenchConfig::smoke();
-    }
-    (cfg, smoke)
 }
 
 fn run_locality(args: &[String]) {
     use ctb_bench::locality_bench;
-    let (cfg, smoke) = locality_config(args);
+    let mut cfg = locality_bench::LocalityBenchConfig::default();
+    let sizes = [&mut cfg.devices, &mut cfg.requests];
+    pool_flags(args, "locality", sizes, [&mut cfg.seed, &mut cfg.drift_seed]);
     println!(
-        "== locality differential: aware vs blind placement on a drifted multi-chiplet pool{} ==",
-        if smoke { " (smoke)" } else { "" }
+        "== locality differential: aware vs blind placement on a drifted multi-chiplet pool =="
     );
-    let (r, path) = if smoke {
-        locality_bench::run_and_write_smoke()
-    } else {
-        locality_bench::run_and_write(&cfg)
-    };
+    let r = locality_bench::run_locality_bench(&cfg);
     println!(
         "   pool: {} x MCM-GPU 4-die (drift seed {}) | {} requests (seed {:#x})",
         r.cfg.devices, r.cfg.drift_seed, r.cfg.requests, r.cfg.seed
@@ -294,7 +267,7 @@ fn run_locality(args: &[String]) {
         r.miss_reduction_pct(),
         r.remote_bytes_reduction_pct()
     );
-    println!("(json: {})", path.display());
+    publish("locality", &locality_bench::report_json(&r), false);
     if !r.gate_passed() {
         eprintln!(
             "locality regression: aware arm must strictly reduce remote traffic with exact \
@@ -308,13 +281,12 @@ fn run_locality(args: &[String]) {
         );
         std::process::exit(1);
     }
-    schema_gate("BENCH_locality.json", &locality_bench::golden_schema_path(), &path);
 }
 
 fn run_perf(arch: &ArchSpec) {
     use ctb_bench::perf;
     println!("== perf harness: executor / reference / autotune / fig9 grid ({}) ==", arch.name);
-    let (entries, path) = perf::run_and_write(arch);
+    let entries = perf::run_perf(arch);
     for e in &entries {
         println!(
             "   {:<40} {:>10.2} ms   ({} evaluated, {} cache hits)",
@@ -326,13 +298,13 @@ fn run_perf(arch: &ArchSpec) {
     if let (Some(p), Some(u)) = (packed, unpacked) {
         println!("   packed executor speedup over unpacked baseline: {:.2}x", u.wall_ms / p.wall_ms);
     }
-    println!("(json: {})\n", path.display());
+    publish("executor", &perf::report_json(arch, &entries), false);
 }
 
 fn run_serve(arch: &ArchSpec) {
     use ctb_bench::serve_bench;
     println!("== serve harness: 4-producer closed loop through ctb-serve ({}) ==", arch.name);
-    let (r, path) = serve_bench::run_and_write(arch);
+    let r = serve_bench::run_serve_bench(arch, 4, 50);
     println!(
         "   {} requests in {:.1} ms -> {:.0} req/s",
         r.requests, r.wall_ms, r.throughput_rps
@@ -346,7 +318,7 @@ fn run_serve(arch: &ArchSpec) {
         100.0 * r.sim_memo_hit_rate
     );
     println!("   latency p50 {:.0} us, p95 {:.0} us", r.p50_us, r.p95_us);
-    println!("(json: {})\n", path.display());
+    publish("serve", &serve_bench::report_json(arch, &r), false);
 }
 
 fn run_chaos(arch: &ArchSpec) {
@@ -355,7 +327,7 @@ fn run_chaos(arch: &ArchSpec) {
         "== chaos harness: fault-rate sweep over the resilience layer ({}) ==",
         arch.name
     );
-    let (points, path) = chaos_bench::run_and_write(arch);
+    let points = chaos_bench::run_chaos_sweep(arch, 4, 50);
     for p in &points {
         println!(
             "   fault rate {:>4}‰ | {:>5.1}% degraded | {:>3} retries | {:>3} panics caught | \
@@ -369,13 +341,13 @@ fn run_chaos(arch: &ArchSpec) {
             p.throughput_rps
         );
     }
-    println!("(json: {})\n", path.display());
+    publish("chaos", &chaos_bench::report_json(arch, &points), false);
 }
 
 fn run_obs(arch: &ArchSpec) {
     use ctb_bench::obs_bench;
     println!("== obs harness: instrumented serve closed loop + trace audit ({}) ==", arch.name);
-    let (r, path) = obs_bench::run_and_write(arch);
+    let r = obs_bench::run_obs_bench(arch, 4, 40);
     println!(
         "   {} requests -> {} events ({} spans) in {:.1} ms | {} flight dumps",
         r.requests,
@@ -395,35 +367,7 @@ fn run_obs(arch: &ArchSpec) {
             0.0
         }
     );
-    println!("(json: {})", path.display());
-    schema_gate("BENCH_obs.json", &obs_bench::golden_schema_path(), &path);
-}
-
-/// Schema-drift gate shared by the JSON-writing harnesses: the exported
-/// key set must match the checked-in golden schema exactly; a drift is
-/// a deliberate, reviewed change.
-fn schema_gate(label: &str, golden_path: &std::path::Path, json_path: &std::path::Path) {
-    let golden = std::fs::read_to_string(golden_path)
-        .unwrap_or_else(|e| panic!("cannot read golden schema {}: {e}", golden_path.display()));
-    let golden: Vec<String> = golden.lines().map(str::to_string).collect();
-    let json = std::fs::read_to_string(json_path).expect("re-read the report just written");
-    let got = ctb_bench::obs_bench::key_paths(&json);
-    if got != golden {
-        eprintln!("{label} schema drift detected:");
-        for g in &golden {
-            if !got.contains(g) {
-                eprintln!("   missing key: {g}");
-            }
-        }
-        for g in &got {
-            if !golden.contains(g) {
-                eprintln!("   unexpected key: {g}");
-            }
-        }
-        eprintln!("update {} deliberately if this is intended", golden_path.display());
-        std::process::exit(1);
-    }
-    println!("   schema gate: {} key paths match {}\n", got.len(), golden_path.display());
+    publish("obs", &obs_bench::report_json(arch, &r), false);
 }
 
 /// Parse `--flag value` pairs for the cluster harness. Unknown flags
@@ -434,42 +378,17 @@ fn cluster_config(args: &[String]) -> (ctb_bench::cluster_bench::ClusterBenchCon
     let mut smoke = false;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("flag {name} needs a value");
-                    std::process::exit(2);
-                })
-                .as_str()
-        };
-        let parse_list = |name: &str, v: &str| -> Vec<usize> {
-            v.split(',')
-                .map(|d| {
-                    d.trim().parse().unwrap_or_else(|_| {
-                        eprintln!("bad device count '{d}' for {name}");
-                        std::process::exit(2);
-                    })
-                })
-                .collect()
-        };
         match flag.as_str() {
-            "--batches" => cfg.batches = value("--batches").parse().expect("usize batches"),
-            "--devices" => cfg.devices = parse_list("--devices", value("--devices")),
-            "--seed" => cfg.seed = value("--seed").parse().expect("u64 seed"),
-            "--event-devices" => {
-                cfg.event_devices = parse_list("--event-devices", value("--event-devices"));
-            }
-            "--requests" => {
-                cfg.event_requests = value("--requests").parse().expect("usize requests");
-            }
+            "--batches" => cfg.batches = flag_value(&mut it, flag),
+            "--devices" => cfg.devices = flag_list(&mut it, flag),
+            "--seed" => cfg.seed = flag_value(&mut it, flag),
+            "--event-devices" => cfg.event_devices = flag_list(&mut it, flag),
+            "--requests" => cfg.event_requests = flag_value(&mut it, flag),
             "--smoke" => smoke = true,
-            other => {
-                eprintln!(
-                    "unknown cluster flag '{other}'; expected --batches N, --devices a,b,c, \
-                     --seed S, --event-devices a,b,c, --requests R, --smoke"
-                );
-                std::process::exit(2);
-            }
+            other => usage_error(&format!(
+                "unknown cluster flag '{other}'; expected --batches N, --devices a,b,c, \
+                 --seed S, --event-devices a,b,c, --requests R, --smoke"
+            )),
         }
     }
     if smoke {
@@ -485,11 +404,7 @@ fn run_cluster(args: &[String]) {
         "== cluster harness: burst scaling + kill run + open-loop event-engine sweep{} ==",
         if smoke { " (smoke)" } else { "" }
     );
-    let (r, path) = if smoke {
-        cluster_bench::run_and_write_smoke()
-    } else {
-        cluster_bench::run_and_write(&cfg)
-    };
+    let r = cluster_bench::run_report(&cfg);
     for p in &r.scaling {
         println!(
             "   {} device(s) [{}]: makespan {:>9.1} sim us | {:>8.1} GFLOPS | \
@@ -521,8 +436,7 @@ fn run_cluster(args: &[String]) {
             p.witness_mismatches
         );
     }
-    println!("(json: {})", path.display());
-    schema_gate("BENCH_cluster.json", &cluster_bench::golden_schema_path(), &path);
+    publish("cluster", &cluster_bench::report_json(&r), smoke);
 }
 
 /// Parse `--flag value` pairs for the replay harness.
@@ -532,28 +446,15 @@ fn replay_config(args: &[String]) -> (ctb_bench::replay_bench::ReplayBenchConfig
     let mut smoke = false;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("flag {name} needs a value");
-                    std::process::exit(2);
-                })
-                .as_str()
-        };
         match flag.as_str() {
-            "--requests" => cfg.requests = value("--requests").parse().expect("usize requests"),
-            "--seed" => cfg.seed = value("--seed").parse().expect("u64 seed"),
-            "--panics" => {
-                cfg.exec_panic_per_mille = value("--panics").parse().expect("u32 per-mille");
-            }
+            "--requests" => cfg.requests = flag_value(&mut it, flag),
+            "--seed" => cfg.seed = flag_value(&mut it, flag),
+            "--panics" => cfg.exec_panic_per_mille = flag_value(&mut it, flag),
             "--smoke" => smoke = true,
-            other => {
-                eprintln!(
-                    "unknown replay flag '{other}'; expected --requests N, --seed S, \
-                     --panics PER_MILLE, --smoke"
-                );
-                std::process::exit(2);
-            }
+            other => usage_error(&format!(
+                "unknown replay flag '{other}'; expected --requests N, --seed S, \
+                 --panics PER_MILLE, --smoke"
+            )),
         }
     }
     if smoke {
@@ -569,11 +470,7 @@ fn run_replay(args: &[String]) {
         "== replay harness: record a seeded panic storm, re-run + crash/restore it exactly{} ==",
         if smoke { " (smoke)" } else { "" }
     );
-    let (r, path) = if smoke {
-        replay_bench::run_and_write_smoke()
-    } else {
-        replay_bench::run_and_write(&cfg)
-    };
+    let r = replay_bench::run_report(&cfg);
     println!(
         "   recorded: {} requests (seed {:#x}, {}‰ exec panics) -> {} events | \
          {} completed, {} failed | {} panics caught, {} breaker trips",
@@ -598,33 +495,26 @@ fn run_replay(args: &[String]) {
         r.replay.checkpoint_bytes,
         r.replay.resume_identical
     );
-    println!("(json: {})", path.display());
+    publish("replay", &replay_bench::report_json(&r), smoke);
     if !r.replay.rerun_identical || !r.replay.resume_identical {
         eprintln!("replay divergence: the recorded failure did not re-execute identically");
         std::process::exit(1);
     }
-    schema_gate("BENCH_replay.json", &replay_bench::golden_schema_path(), &path);
 }
 
 fn run_storm(arch: &ArchSpec, args: &[String]) {
-    use ctb_bench::storm_bench;
+    use ctb_bench::storm_bench::{self, StormBenchConfig};
     let smoke = match args {
         [] => false,
         [flag] if flag == "--smoke" => true,
-        _ => {
-            eprintln!("unknown storm flags {args:?}; expected at most --smoke");
-            std::process::exit(2);
-        }
+        _ => usage_error(&format!("unknown storm flags {args:?}; expected at most --smoke")),
     };
     println!(
         "== storm harness: distinct-shape storm vs two plan-cache arms{} ==",
         if smoke { " (smoke)" } else { "" }
     );
-    let (r, path) = if smoke {
-        storm_bench::run_and_write_smoke(arch)
-    } else {
-        storm_bench::run_and_write(arch)
-    };
+    let cfg = if smoke { StormBenchConfig::smoke() } else { StormBenchConfig::default() };
+    let r = storm_bench::run_storm_bench(arch, &cfg);
     println!(
         "   {} requests over a {}-signature space ({} hot shapes, cache bound {})",
         r.requests, r.cfg.shape_space, r.cfg.hot_shapes, r.cfg.capacity_total
@@ -649,7 +539,7 @@ fn run_storm(arch: &ArchSpec, args: &[String]) {
         100.0 * (r.sharded.hit_rate - r.baseline.hit_rate),
         if r.sharded.p95_us > 0.0 { r.baseline.p95_us / r.sharded.p95_us } else { 0.0 }
     );
-    println!("(json: {})", path.display());
+    publish("storm", &storm_bench::report_json(arch, &r), smoke);
     if r.sharded.hit_rate < r.baseline.hit_rate {
         eprintln!(
             "storm regression: sharded+Bloom hit rate {:.4} fell below the unsharded \
@@ -658,7 +548,6 @@ fn run_storm(arch: &ArchSpec, args: &[String]) {
         );
         std::process::exit(1);
     }
-    schema_gate("BENCH_storm.json", &storm_bench::golden_schema_path(), &path);
 }
 
 fn run_tables() {

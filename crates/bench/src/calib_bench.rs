@@ -19,10 +19,12 @@
 //!    **swap** arm installs the profile *mid-run* and must complete
 //!    every request.
 //!
-//! Full runs land in `BENCH_calibrate.json` at the repository root
-//! (`--smoke` writes `target/experiments/BENCH_calibrate_smoke.json`)
-//! and the key set is diffed against `scripts/BENCH_calibrate.schema`.
+//! Runs land in `BENCH_calibrate.json` at the repository root, with the
+//! key set gated against the committed `BENCH_calibrate.json`. The run
+//! is deterministic, so CI also requires it to regenerate that file
+//! byte for byte.
 
+use crate::Json;
 use ctb_calib::{
     fit_decisions, forest_shape, retrain_selector, CalibProfile, ForestShape, ProfileMeta,
     TraceDataset, PROFILE_VERSION,
@@ -34,7 +36,6 @@ use ctb_core::selector::OnlineSelector;
 use ctb_gpu_specs::{ArchSpec, Thresholds};
 use ctb_matrix::GemmShape;
 use ctb_obs::TraceAudit;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Workload + calibration knobs; every arm replays the same seeded
@@ -70,8 +71,8 @@ impl Default for CalibBenchConfig {
 }
 
 impl CalibBenchConfig {
-    /// Scaled-down configuration for the CI gate: same loop, an order
-    /// of magnitude fewer requests.
+    /// Scaled-down configuration for the unit tests: same loop, an
+    /// order of magnitude fewer requests.
     pub fn smoke() -> Self {
         CalibBenchConfig { devices: 4, requests: 320, witness_every: 32, ..Default::default() }
     }
@@ -281,96 +282,64 @@ pub fn run_calib_bench(cfg: &CalibBenchConfig) -> CalibBenchReport {
     }
 }
 
-fn render_arm(out: &mut String, label: &str, a: &CalibArm) {
-    out.push_str(&format!(
-        "  \"{label}\": {{\n    \"decisions\": {},\n    \"mean_abs_err_us\": {:.4},\n    \
-         \"witness_mismatches\": {}\n  }},\n",
-        a.decisions, a.mean_abs_err_us, a.witness_mismatches
-    ));
-}
-
-fn render_forest(out: &mut String, label: &str, s: &ForestShape) {
-    let hist: Vec<String> = s.depth_histogram.iter().map(|n| n.to_string()).collect();
-    out.push_str(&format!(
-        "  \"{label}\": {{\n    \"trees\": {},\n    \"total_nodes\": {},\n    \
-         \"max_depth\": {},\n    \"depth_histogram\": [{}],\n    \"splits_m\": {},\n    \
-         \"splits_n\": {},\n    \"splits_k\": {},\n    \"splits_b\": {}\n  }},\n",
-        s.trees,
-        s.total_nodes,
-        s.max_depth,
-        hist.join(", "),
-        s.feature_splits[0],
-        s.feature_splits[1],
-        s.feature_splits[2],
-        s.feature_splits[3],
-    ));
-}
-
-/// Serialize the report as the tracked JSON schema.
-pub fn render_json(r: &CalibBenchReport) -> String {
-    let mut out = format!(
-        "{{\n  \"bench\": \"calibrate\",\n  \"devices\": {},\n  \"requests\": {},\n  \
-         \"seed\": {},\n  \"drift_seed\": {},\n",
-        r.cfg.devices, r.cfg.requests, r.cfg.seed, r.cfg.drift_seed
-    );
-    render_arm(&mut out, "record", &r.record);
-    out.push_str(&format!(
-        "  \"fit\": {{\n    \"arches\": {},\n    \"corrected\": {},\n    \"cases\": {},\n    \
-         \"err_before_us\": {:.4},\n    \"err_after_us\": {:.4}\n  }},\n",
-        r.fit_arches, r.fit_corrected, r.fit_cases, r.fit_err_before_us, r.fit_err_after_us
-    ));
-    out.push_str(&format!(
-        "  \"retrain\": {{\n    \"accepted\": {},\n    \"signatures\": {},\n    \
-         \"label_flips\": {},\n    \"regret_before_us\": {:.4},\n    \
-         \"regret_after_us\": {:.4}\n  }},\n",
-        r.retrain_accepted,
-        r.retrain_signatures,
-        r.retrain_label_flips,
-        r.regret_before_us,
-        r.regret_after_us
-    ));
-    render_forest(&mut out, "forest_before", &r.forest_before);
-    render_forest(&mut out, "forest_after", &r.forest_after);
-    out.push_str(&format!(
-        "  \"profile\": {{\n    \"version\": {},\n    \"bytes\": {}\n  }},\n",
-        PROFILE_VERSION, r.profile_bytes
-    ));
-    render_arm(&mut out, "replay", &r.replay);
-    out.push_str(&format!(
-        "  \"swap\": {{\n    \"installed_version\": {},\n    \"completed\": {},\n    \
-         \"dropped\": {}\n  }},\n",
-        r.swap_version, r.swap_completed, r.swap_dropped
-    ));
-    out.push_str(&format!("  \"err_reduction_pct\": {:.2}\n}}\n", r.err_reduction_pct()));
-    out
-}
-
-/// Path of the tracked report at the repo root.
-pub fn report_path() -> PathBuf {
-    crate::bench_json_path("calibrate")
-}
-
-/// Path of the checked-in golden schema the gate diffs against.
-pub fn golden_schema_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scripts/BENCH_calibrate.schema")
-}
-
-/// Run the full tracked configuration (or a flag-adjusted one) and
-/// write `BENCH_calibrate.json`.
-pub fn run_and_write(cfg: &CalibBenchConfig) -> (CalibBenchReport, PathBuf) {
-    let report = run_calib_bench(cfg);
-    let path = crate::write_bench_json("calibrate", &render_json(&report));
-    (report, path)
-}
-
-/// Run the smoke configuration and write
-/// `target/experiments/BENCH_calibrate_smoke.json`, leaving the tracked
-/// root report to full runs only.
-pub fn run_and_write_smoke() -> (CalibBenchReport, PathBuf) {
-    let report = run_calib_bench(&CalibBenchConfig::smoke());
-    let path = crate::experiments_dir().join("BENCH_calibrate_smoke.json");
-    std::fs::write(&path, render_json(&report)).expect("write BENCH_calibrate_smoke.json");
-    (report, path)
+/// The tracked `BENCH_calibrate.json` report.
+pub fn report_json(r: &CalibBenchReport) -> Json {
+    let arm = |a: &CalibArm| {
+        Json::obj([
+            ("decisions", a.decisions.into()),
+            ("mean_abs_err_us", Json::fixed(a.mean_abs_err_us, 4)),
+            ("witness_mismatches", a.witness_mismatches.into()),
+        ])
+    };
+    let forest = |s: &ForestShape| {
+        Json::obj([
+            ("trees", s.trees.into()),
+            ("total_nodes", s.total_nodes.into()),
+            ("max_depth", s.max_depth.into()),
+            ("depth_histogram", Json::arr(s.depth_histogram.iter().map(|&n| n.into()))),
+            ("splits_m", s.feature_splits[0].into()),
+            ("splits_n", s.feature_splits[1].into()),
+            ("splits_k", s.feature_splits[2].into()),
+            ("splits_b", s.feature_splits[3].into()),
+        ])
+    };
+    let fit = Json::obj([
+        ("arches", r.fit_arches.into()),
+        ("corrected", r.fit_corrected.into()),
+        ("cases", r.fit_cases.into()),
+        ("err_before_us", Json::fixed(r.fit_err_before_us, 4)),
+        ("err_after_us", Json::fixed(r.fit_err_after_us, 4)),
+    ]);
+    let retrain = Json::obj([
+        ("accepted", r.retrain_accepted.into()),
+        ("signatures", r.retrain_signatures.into()),
+        ("label_flips", r.retrain_label_flips.into()),
+        ("regret_before_us", Json::fixed(r.regret_before_us, 4)),
+        ("regret_after_us", Json::fixed(r.regret_after_us, 4)),
+    ]);
+    let profile =
+        Json::obj([("version", PROFILE_VERSION.into()), ("bytes", r.profile_bytes.into())]);
+    let swap = Json::obj([
+        ("installed_version", r.swap_version.into()),
+        ("completed", r.swap_completed.into()),
+        ("dropped", r.swap_dropped.into()),
+    ]);
+    Json::obj([
+        ("bench", "calibrate".into()),
+        ("devices", r.cfg.devices.into()),
+        ("requests", r.cfg.requests.into()),
+        ("seed", r.cfg.seed.into()),
+        ("drift_seed", r.cfg.drift_seed.into()),
+        ("record", arm(&r.record)),
+        ("fit", fit),
+        ("retrain", retrain),
+        ("forest_before", forest(&r.forest_before)),
+        ("forest_after", forest(&r.forest_after)),
+        ("profile", profile),
+        ("replay", arm(&r.replay)),
+        ("swap", swap),
+        ("err_reduction_pct", Json::fixed(r.err_reduction_pct(), 2)),
+    ])
 }
 
 #[cfg(test)]
@@ -393,6 +362,7 @@ mod tests {
         assert_eq!(r.swap_dropped, 0, "mid-run install dropped requests");
         assert_eq!(r.swap_version, 1);
         assert!(r.profile_bytes > 0);
+        crate::assert_committed_keys("calibrate", &report_json(&r));
     }
 
     #[test]
@@ -404,54 +374,5 @@ mod tests {
             "only {} distinct signatures",
             sigs.len()
         );
-    }
-
-    #[test]
-    fn json_schema_has_stable_keys() {
-        let arm = CalibArm { decisions: 0, mean_abs_err_us: 0.0, witness_mismatches: 0 };
-        let shape = ForestShape {
-            trees: 0,
-            total_nodes: 0,
-            max_depth: 0,
-            depth_histogram: vec![0],
-            feature_splits: vec![0; 4],
-        };
-        let r = CalibBenchReport {
-            cfg: CalibBenchConfig::default(),
-            record: arm.clone(),
-            replay: arm,
-            fit_arches: 0,
-            fit_corrected: 0,
-            fit_cases: 0,
-            fit_err_before_us: 0.0,
-            fit_err_after_us: 0.0,
-            retrain_accepted: false,
-            retrain_signatures: 0,
-            retrain_label_flips: 0,
-            regret_before_us: 0.0,
-            regret_after_us: 0.0,
-            forest_before: shape.clone(),
-            forest_after: shape,
-            profile_bytes: 0,
-            swap_version: 0,
-            swap_completed: 0,
-            swap_dropped: 0,
-        };
-        let json = render_json(&r);
-        let golden = std::fs::read_to_string(golden_schema_path())
-            .expect("golden schema checked in");
-        let golden: Vec<String> = golden.lines().map(str::to_string).collect();
-        assert_eq!(
-            crate::obs_bench::key_paths(&json),
-            golden,
-            "BENCH_calibrate.json schema drifted; update scripts/BENCH_calibrate.schema deliberately"
-        );
-    }
-
-    #[test]
-    fn report_path_is_the_repo_root() {
-        let p = report_path();
-        assert!(p.ends_with("BENCH_calibrate.json"));
-        assert!(p.parent().unwrap().join("Cargo.toml").exists());
     }
 }

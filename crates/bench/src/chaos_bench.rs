@@ -10,13 +10,13 @@
 //! the zero-rate point doubles as the "injection armed but silent"
 //! overhead reference.
 
+use crate::Json;
 use ctb_core::{Framework, Session};
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::{bitwise_mismatch, GemmBatch, GemmShape};
 use ctb_serve::{
     BreakerPolicy, FaultConfig, FaultInjector, GemmRequest, RetryPolicy, ServeConfig, Server,
 };
-use std::path::PathBuf;
 use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
@@ -175,44 +175,26 @@ pub fn run_chaos_sweep(arch: &ArchSpec, producers: usize, per_producer: usize) -
         .collect()
 }
 
-/// Serialize the sweep as the tracked JSON schema.
-pub fn render_json(arch: &ArchSpec, points: &[ChaosPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"fault_per_mille\": {}, \"requests\": {}, \"degraded_fraction\": {:.4}, \
-                 \"retries\": {}, \"worker_panics\": {}, \"breaker_trips\": {}, \
-                 \"throughput_rps\": {:.1}, \"p50_us\": {:.1}, \"p95_us\": {:.1}}}",
-                p.fault_per_mille,
-                p.requests,
-                p.degraded_fraction,
-                p.retries,
-                p.worker_panics,
-                p.breaker_trips,
-                p.throughput_rps,
-                p.p50_us,
-                p.p95_us
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"bench\": \"chaos\",\n  \"arch\": \"{}\",\n  \"points\": [\n{}\n  ]\n}}\n",
-        arch.name,
-        rows.join(",\n")
-    )
-}
-
-/// Path of the tracked report: `BENCH_chaos.json` at the repo root.
-pub fn report_path() -> PathBuf {
-    crate::bench_json_path("chaos")
-}
-
-/// Run the standard tracked sweep and write the report.
-pub fn run_and_write(arch: &ArchSpec) -> (Vec<ChaosPoint>, PathBuf) {
-    let points = run_chaos_sweep(arch, 4, 50);
-    let path = crate::write_bench_json("chaos", &render_json(arch, &points));
-    (points, path)
+/// The tracked `BENCH_chaos.json` report.
+pub fn report_json(arch: &ArchSpec, points: &[ChaosPoint]) -> Json {
+    let point = |p: &ChaosPoint| {
+        Json::obj([
+            ("fault_per_mille", p.fault_per_mille.into()),
+            ("requests", p.requests.into()),
+            ("degraded_fraction", Json::fixed(p.degraded_fraction, 4)),
+            ("retries", p.retries.into()),
+            ("worker_panics", p.worker_panics.into()),
+            ("breaker_trips", p.breaker_trips.into()),
+            ("throughput_rps", Json::fixed(p.throughput_rps, 1)),
+            ("p50_us", Json::fixed(p.p50_us, 1)),
+            ("p95_us", Json::fixed(p.p95_us, 1)),
+        ])
+    };
+    Json::obj([
+        ("bench", "chaos".into()),
+        ("arch", arch.name.into()),
+        ("points", Json::arr(points.iter().map(point))),
+    ])
 }
 
 #[cfg(test)]
@@ -227,6 +209,7 @@ mod tests {
         assert!(p.worker_panics > 0, "30% panic rate over 20 requests fires essentially always");
         assert!(p.throughput_rps > 0.0);
         assert!(p.p95_us >= p.p50_us);
+        crate::assert_committed_keys("chaos", &report_json(&ArchSpec::volta_v100(), &[p]));
     }
 
     #[test]
@@ -235,35 +218,5 @@ mod tests {
         assert_eq!(p.degraded_fraction, 0.0);
         assert_eq!(p.worker_panics, 0);
         assert_eq!(p.retries, 0);
-    }
-
-    #[test]
-    fn json_schema_has_stable_keys() {
-        let points = vec![ChaosPoint {
-            fault_per_mille: 50,
-            requests: 200,
-            degraded_fraction: 0.12,
-            retries: 9,
-            worker_panics: 11,
-            breaker_trips: 0,
-            throughput_rps: 1500.0,
-            p50_us: 500.0,
-            p95_us: 1200.0,
-        }];
-        let json = render_json(&ArchSpec::volta_v100(), &points);
-        for key in [
-            "\"bench\"",
-            "\"arch\"",
-            "\"points\"",
-            "\"fault_per_mille\"",
-            "\"degraded_fraction\"",
-            "\"retries\"",
-            "\"worker_panics\"",
-            "\"breaker_trips\"",
-            "\"throughput_rps\"",
-            "\"p95_us\"",
-        ] {
-            assert!(json.contains(key), "missing key {key} in {json}");
-        }
     }
 }

@@ -24,12 +24,12 @@
 //!
 //! Results land in `BENCH_cluster.json` at the repository root.
 
+use crate::Json;
 use ctb_cluster::{
     EngineReport, EventCluster, EventConfig, LoadGen, PlacementMode, SimTime, StealPolicy,
 };
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::GemmShape;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// One pool size in the scaling sweep.
@@ -309,87 +309,52 @@ pub fn run_kill_run(batches: usize, seed: u64) -> KillRunReport {
     }
 }
 
-/// Serialize the report as the tracked JSON schema.
-pub fn render_json(r: &ClusterBenchReport) -> String {
-    let scaling_rows: Vec<String> = r
-        .scaling
-        .iter()
-        .map(|p| {
-            let names: Vec<String> =
-                p.device_names.iter().map(|n| format!("\"{n}\"")).collect();
-            let utils: Vec<String> =
-                p.utilization.iter().map(|u| format!("{u:.3}")).collect();
-            format!(
-                "    {{\n      \"devices\": {},\n      \"device_names\": [{}],\n      \
-                 \"batches\": {},\n      \"makespan_sim_us\": {:.3},\n      \
-                 \"total_sim_us\": {:.3},\n      \"throughput_gflops\": {:.3},\n      \
-                 \"speedup_vs_single\": {:.3},\n      \
-                 \"mean_abs_placement_err_us\": {:.6},\n      \
-                 \"utilization\": [{}]\n    }}",
-                p.devices,
-                names.join(", "),
-                p.batches,
-                p.makespan_sim_us,
-                p.total_sim_us,
-                p.throughput_gflops,
-                p.speedup_vs_single,
-                p.mean_abs_placement_err_us,
-                utils.join(", ")
-            )
-        })
-        .collect();
-    let event_rows: Vec<String> = r
-        .event_scaling
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\n      \"devices\": {},\n      \"requests\": {},\n      \
-                 \"seed\": {},\n      \"makespan_sim_us\": {:.3},\n      \
-                 \"total_sim_us\": {:.3},\n      \"events_processed\": {},\n      \
-                 \"wall_s\": {:.6},\n      \"events_per_sec\": {:.0},\n      \
-                 \"mean_utilization\": {:.4},\n      \
-                 \"mean_abs_placement_err_us\": {:.6},\n      \"witnesses\": {},\n      \
-                 \"witness_mismatches\": {}\n    }}",
-                p.devices,
-                p.requests,
-                p.seed,
-                p.makespan_sim_us,
-                p.total_sim_us,
-                p.events_processed,
-                p.wall_s,
-                p.events_per_sec,
-                p.mean_utilization,
-                p.mean_abs_placement_err_us,
-                p.witnesses,
-                p.witness_mismatches
-            )
-        })
-        .collect();
+/// The tracked `BENCH_cluster.json` report.
+pub fn report_json(r: &ClusterBenchReport) -> Json {
+    let scale_point = |p: &ClusterScalePoint| {
+        Json::obj([
+            ("devices", p.devices.into()),
+            ("device_names", Json::arr(p.device_names.iter().map(|&n| n.into()))),
+            ("batches", p.batches.into()),
+            ("makespan_sim_us", Json::fixed(p.makespan_sim_us, 3)),
+            ("total_sim_us", Json::fixed(p.total_sim_us, 3)),
+            ("throughput_gflops", Json::fixed(p.throughput_gflops, 3)),
+            ("speedup_vs_single", Json::fixed(p.speedup_vs_single, 3)),
+            ("mean_abs_placement_err_us", Json::fixed(p.mean_abs_placement_err_us, 6)),
+            ("utilization", Json::arr(p.utilization.iter().map(|&u| Json::fixed(u, 3)))),
+        ])
+    };
+    let event_point = |p: &EventScalePoint| {
+        Json::obj([
+            ("devices", p.devices.into()),
+            ("requests", p.requests.into()),
+            ("seed", p.seed.into()),
+            ("makespan_sim_us", Json::fixed(p.makespan_sim_us, 3)),
+            ("total_sim_us", Json::fixed(p.total_sim_us, 3)),
+            ("events_processed", p.events_processed.into()),
+            ("wall_s", Json::fixed(p.wall_s, 6)),
+            ("events_per_sec", Json::fixed(p.events_per_sec, 0)),
+            ("mean_utilization", Json::fixed(p.mean_utilization, 4)),
+            ("mean_abs_placement_err_us", Json::fixed(p.mean_abs_placement_err_us, 6)),
+            ("witnesses", p.witnesses.into()),
+            ("witness_mismatches", p.witness_mismatches.into()),
+        ])
+    };
     let k = &r.kill_run;
-    format!(
-        "{{\n  \"bench\": \"cluster\",\n  \"scaling\": [\n{}\n  ],\n  \"kill_run\": {{\n    \
-         \"batches\": {},\n    \"completed\": {},\n    \"kills\": {},\n    \
-         \"reroutes\": {},\n    \"degraded\": {},\n    \"bitwise_exact\": {}\n  }},\n  \
-         \"event_scaling\": [\n{}\n  ]\n}}\n",
-        scaling_rows.join(",\n"),
-        k.batches,
-        k.completed,
-        k.kills,
-        k.reroutes,
-        k.degraded,
-        k.bitwise_exact,
-        event_rows.join(",\n")
-    )
-}
-
-/// Path of the tracked report: `BENCH_cluster.json` at the repo root.
-pub fn report_path() -> PathBuf {
-    crate::bench_json_path("cluster")
-}
-
-/// Path of the checked-in golden schema the drift gate diffs against.
-pub fn golden_schema_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scripts/BENCH_cluster.schema")
+    let kill_run = Json::obj([
+        ("batches", k.batches.into()),
+        ("completed", k.completed.into()),
+        ("kills", k.kills.into()),
+        ("reroutes", k.reroutes.into()),
+        ("degraded", k.degraded.into()),
+        ("bitwise_exact", k.bitwise_exact.into()),
+    ]);
+    Json::obj([
+        ("bench", "cluster".into()),
+        ("scaling", Json::arr(r.scaling.iter().map(scale_point))),
+        ("kill_run", kill_run),
+        ("event_scaling", Json::arr(r.event_scaling.iter().map(event_point))),
+    ])
 }
 
 /// Run every section of the harness under `cfg`.
@@ -399,25 +364,6 @@ pub fn run_report(cfg: &ClusterBenchConfig) -> ClusterBenchReport {
         kill_run: run_kill_run((cfg.batches * 3) / 5, cfg.seed),
         event_scaling: run_event_sweep(cfg),
     }
-}
-
-/// Run `cfg` and write the tracked `BENCH_cluster.json`; returns the
-/// report and the path written.
-pub fn run_and_write(cfg: &ClusterBenchConfig) -> (ClusterBenchReport, PathBuf) {
-    let report = run_report(cfg);
-    let path = crate::write_bench_json("cluster", &render_json(&report));
-    (report, path)
-}
-
-/// Run the smoke configuration and write it under `target/experiments/`
-/// (NOT the tracked root file — the CI gate must not clobber the
-/// tracked full-run numbers with smoke numbers).
-pub fn run_and_write_smoke() -> (ClusterBenchReport, PathBuf) {
-    let report = run_report(&ClusterBenchConfig::smoke());
-    let path = crate::experiments_dir().join("BENCH_cluster_smoke.json");
-    std::fs::write(&path, render_json(&report))
-        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    (report, path)
 }
 
 #[cfg(test)]
@@ -478,72 +424,9 @@ mod tests {
     }
 
     #[test]
-    fn json_schema_has_stable_keys() {
-        let r = ClusterBenchReport {
-            scaling: vec![ClusterScalePoint {
-                devices: 2,
-                device_names: vec!["Tesla V100", "Titan Xp"],
-                batches: 40,
-                makespan_sim_us: 100.0,
-                total_sim_us: 180.0,
-                throughput_gflops: 42.0,
-                speedup_vs_single: 1.8,
-                mean_abs_placement_err_us: 0.0,
-                utilization: vec![1.0, 0.8],
-            }],
-            kill_run: KillRunReport {
-                batches: 24,
-                completed: 24,
-                kills: 1,
-                reroutes: 9,
-                degraded: 0,
-                bitwise_exact: true,
-            },
-            event_scaling: vec![EventScalePoint {
-                devices: 10_000,
-                requests: 1_000_000,
-                seed: 0,
-                makespan_sim_us: 1.0e6,
-                total_sim_us: 9.0e9,
-                events_processed: 4_000_000,
-                wall_s: 2.5,
-                events_per_sec: 1.6e6,
-                mean_utilization: 0.9,
-                mean_abs_placement_err_us: 0.0,
-                witnesses: 244,
-                witness_mismatches: 0,
-            }],
-        };
-        let json = render_json(&r);
-        for key in [
-            "\"bench\"",
-            "\"scaling\"",
-            "\"devices\"",
-            "\"device_names\"",
-            "\"makespan_sim_us\"",
-            "\"throughput_gflops\"",
-            "\"speedup_vs_single\"",
-            "\"mean_abs_placement_err_us\"",
-            "\"utilization\"",
-            "\"kill_run\"",
-            "\"reroutes\"",
-            "\"bitwise_exact\"",
-            "\"event_scaling\"",
-            "\"requests\"",
-            "\"events_processed\"",
-            "\"events_per_sec\"",
-            "\"mean_utilization\"",
-            "\"witnesses\"",
-            "\"witness_mismatches\"",
-        ] {
-            assert!(json.contains(key), "missing key {key} in {json}");
-        }
-    }
-
-    #[test]
-    fn report_path_is_the_repo_root() {
-        let p = report_path();
-        assert!(p.ends_with("BENCH_cluster.json"));
-        assert!(p.parent().unwrap().join("Cargo.toml").exists());
+    fn tiny_report_has_the_committed_key_set() {
+        let smoke = ClusterBenchConfig::smoke();
+        let cfg = ClusterBenchConfig { event_devices: vec![4], event_requests: 16, ..smoke };
+        crate::assert_committed_keys("cluster", &report_json(&run_report(&cfg)));
     }
 }

@@ -13,18 +13,18 @@
 //! The run is gated: the aware arm must take strictly fewer remote
 //! placements *and* charge strictly fewer remote operand bytes, with
 //! zero witness mismatches in both arms (`reproduce locality` exits
-//! non-zero otherwise). Full runs land in `BENCH_locality.json` at the
-//! repository root (`--smoke` writes
-//! `target/experiments/BENCH_locality_smoke.json`) and the key set is
-//! diffed against `scripts/BENCH_locality.schema`.
+//! non-zero otherwise). Runs land in `BENCH_locality.json` at the
+//! repository root, with the key set gated against the committed
+//! `BENCH_locality.json`. The run is deterministic, so CI also requires
+//! it to regenerate that file byte for byte.
 
+use crate::Json;
 use ctb_cluster::{
     EventCluster, EventConfig, GroundTruth, LoadGen, LocalityPolicy, ReqOutcome, ShapeMix,
 };
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::GemmShape;
 use ctb_obs::TraceAudit;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Workload knobs; both arms replay the same seeded stream over the
@@ -62,8 +62,8 @@ impl Default for LocalityBenchConfig {
 }
 
 impl LocalityBenchConfig {
-    /// Scaled-down configuration for the CI gate: same differential, an
-    /// order of magnitude fewer requests.
+    /// Scaled-down configuration for the unit tests: same
+    /// differential, an order of magnitude fewer requests.
     pub fn smoke() -> Self {
         LocalityBenchConfig { devices: 3, requests: 240, witness_every: 32, ..Default::default() }
     }
@@ -209,69 +209,34 @@ pub fn run_locality_bench(cfg: &LocalityBenchConfig) -> LocalityBenchReport {
     LocalityBenchReport { cfg: cfg.clone(), aware, blind }
 }
 
-fn render_arm(out: &mut String, label: &str, a: &LocalityArm) {
-    out.push_str(&format!(
-        "  \"{label}\": {{\n    \"completed\": {},\n    \"routed\": {},\n    \"steals\": {},\n    \
-         \"residency_hits\": {},\n    \"residency_misses\": {},\n    \"hit_rate\": {:.4},\n    \
-         \"remote_operand_bytes\": {},\n    \"makespan_sim_us\": {:.1},\n    \
-         \"witness_mismatches\": {}\n  }},\n",
-        a.completed,
-        a.routed,
-        a.steals,
-        a.residency_hits,
-        a.residency_misses,
-        a.hit_rate(),
-        a.remote_operand_bytes,
-        a.makespan_sim_us,
-        a.witness_mismatches
-    ));
-}
-
-/// Serialize the report as the tracked JSON schema.
-pub fn render_json(r: &LocalityBenchReport) -> String {
-    let mut out = format!(
-        "{{\n  \"bench\": \"locality\",\n  \"devices\": {},\n  \"requests\": {},\n  \
-         \"seed\": {},\n  \"drift_seed\": {},\n  \"mean_interarrival_ns\": {:.1},\n",
-        r.cfg.devices, r.cfg.requests, r.cfg.seed, r.cfg.drift_seed, r.cfg.mean_interarrival_ns
-    );
-    render_arm(&mut out, "aware", &r.aware);
-    render_arm(&mut out, "blind", &r.blind);
-    out.push_str(&format!(
-        "  \"miss_reduction_pct\": {:.2},\n  \"remote_bytes_reduction_pct\": {:.2},\n  \
-         \"gate_passed\": {}\n}}\n",
-        r.miss_reduction_pct(),
-        r.remote_bytes_reduction_pct(),
-        r.gate_passed()
-    ));
-    out
-}
-
-/// Path of the tracked report at the repo root.
-pub fn report_path() -> PathBuf {
-    crate::bench_json_path("locality")
-}
-
-/// Path of the checked-in golden schema the gate diffs against.
-pub fn golden_schema_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scripts/BENCH_locality.schema")
-}
-
-/// Run the full tracked configuration (or a flag-adjusted one) and
-/// write `BENCH_locality.json`.
-pub fn run_and_write(cfg: &LocalityBenchConfig) -> (LocalityBenchReport, PathBuf) {
-    let report = run_locality_bench(cfg);
-    let path = crate::write_bench_json("locality", &render_json(&report));
-    (report, path)
-}
-
-/// Run the smoke configuration and write
-/// `target/experiments/BENCH_locality_smoke.json`, leaving the tracked
-/// root report to full runs only.
-pub fn run_and_write_smoke() -> (LocalityBenchReport, PathBuf) {
-    let report = run_locality_bench(&LocalityBenchConfig::smoke());
-    let path = crate::experiments_dir().join("BENCH_locality_smoke.json");
-    std::fs::write(&path, render_json(&report)).expect("write BENCH_locality_smoke.json");
-    (report, path)
+/// The tracked `BENCH_locality.json` report.
+pub fn report_json(r: &LocalityBenchReport) -> Json {
+    let arm = |a: &LocalityArm| {
+        Json::obj([
+            ("completed", a.completed.into()),
+            ("routed", a.routed.into()),
+            ("steals", a.steals.into()),
+            ("residency_hits", a.residency_hits.into()),
+            ("residency_misses", a.residency_misses.into()),
+            ("hit_rate", Json::fixed(a.hit_rate(), 4)),
+            ("remote_operand_bytes", a.remote_operand_bytes.into()),
+            ("makespan_sim_us", Json::fixed(a.makespan_sim_us, 1)),
+            ("witness_mismatches", a.witness_mismatches.into()),
+        ])
+    };
+    Json::obj([
+        ("bench", "locality".into()),
+        ("devices", r.cfg.devices.into()),
+        ("requests", r.cfg.requests.into()),
+        ("seed", r.cfg.seed.into()),
+        ("drift_seed", r.cfg.drift_seed.into()),
+        ("mean_interarrival_ns", Json::fixed(r.cfg.mean_interarrival_ns, 1)),
+        ("aware", arm(&r.aware)),
+        ("blind", arm(&r.blind)),
+        ("miss_reduction_pct", Json::fixed(r.miss_reduction_pct(), 2)),
+        ("remote_bytes_reduction_pct", Json::fixed(r.remote_bytes_reduction_pct(), 2)),
+        ("gate_passed", r.gate_passed().into()),
+    ])
 }
 
 #[cfg(test)]
@@ -294,6 +259,7 @@ mod tests {
             r.aware.remote_operand_bytes,
             r.blind.remote_operand_bytes
         );
+        crate::assert_committed_keys("locality", &report_json(&r));
     }
 
     #[test]
@@ -301,40 +267,5 @@ mod tests {
         for spec in locality_pool(4) {
             assert!(!spec.topology.is_unified(), "{} must be multi-chiplet", spec.name);
         }
-    }
-
-    #[test]
-    fn json_schema_has_stable_keys() {
-        let arm = LocalityArm {
-            completed: 0,
-            routed: 0,
-            steals: 0,
-            residency_hits: 0,
-            residency_misses: 0,
-            remote_operand_bytes: 0,
-            makespan_sim_us: 0.0,
-            witness_mismatches: 0,
-        };
-        let r = LocalityBenchReport {
-            cfg: LocalityBenchConfig::default(),
-            aware: arm.clone(),
-            blind: arm,
-        };
-        let json = render_json(&r);
-        let golden =
-            std::fs::read_to_string(golden_schema_path()).expect("golden schema checked in");
-        let golden: Vec<String> = golden.lines().map(str::to_string).collect();
-        assert_eq!(
-            crate::obs_bench::key_paths(&json),
-            golden,
-            "BENCH_locality.json schema drifted; update scripts/BENCH_locality.schema deliberately"
-        );
-    }
-
-    #[test]
-    fn report_path_is_the_repo_root() {
-        let p = report_path();
-        assert!(p.ends_with("BENCH_locality.json"));
-        assert!(p.parent().unwrap().join("Cargo.toml").exists());
     }
 }

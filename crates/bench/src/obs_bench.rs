@@ -5,21 +5,20 @@
 //! end-to-end invariant check), and exports a **fixed-schema**
 //! `BENCH_obs.json`: every span kind and every point kind appears, even
 //! at zero, so the key set never depends on which code paths a
-//! particular run happened to exercise. `scripts/check.sh` extracts the
-//! key paths and diffs them against the checked-in golden schema
-//! (`scripts/BENCH_obs.schema`) — schema drift fails the gate.
+//! particular run happened to exercise. The key set is gated against
+//! the committed `BENCH_obs.json`, and drift fails the run.
 
+use crate::Json;
 use ctb_core::{Framework, Session};
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::{GemmBatch, GemmShape};
 use ctb_obs::{MetricsSnapshot, Obs, PointKind, SpanKind, TraceAudit, TraceCounts};
 use ctb_serve::{GemmRequest, ServeConfig, Server};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The tracked observability numbers for one instrumented run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ObsBenchReport {
     pub producers: usize,
     pub requests: usize,
@@ -111,125 +110,40 @@ pub fn run_obs_bench(arch: &ArchSpec, producers: usize, per_producer: usize) -> 
     }
 }
 
-/// Fixed-schema JSON: `spans` iterates [`SpanKind::ALL`] and `points`
-/// iterates [`PointKind::ALL_NAMES`], reading every key through
+/// The tracked `BENCH_obs.json` report, with a fixed key set: `spans`
+/// iterates [`SpanKind::ALL`] and `points` iterates
+/// [`PointKind::ALL_NAMES`], reading every key through
 /// [`MetricsSnapshot::counter`] so absent metrics export as 0 instead
 /// of disappearing. The key set is therefore a constant of the code,
-/// not of the run — which is exactly what the schema gate diffs.
-pub fn render_json(arch: &ArchSpec, r: &ObsBenchReport) -> String {
-    let mut out = format!(
-        "{{\n  \"bench\": \"obs\",\n  \"arch\": \"{}\",\n  \"producers\": {},\n  \
-         \"requests\": {},\n  \"events\": {},\n  \"flight_dumps\": {},\n  \"wall_ms\": {:.3},\n",
-        arch.name, r.producers, r.requests, r.events, r.flight_dumps, r.wall_ms
-    );
-    out.push_str("  \"spans\": {\n");
-    for (i, kind) in SpanKind::ALL.iter().enumerate() {
+/// not of the run, which is what the drift gate compares.
+pub fn report_json(arch: &ArchSpec, r: &ObsBenchReport) -> Json {
+    let span = |kind: &SpanKind| {
         let name = kind.name();
-        let count = r.snapshot.counter(&format!("span.{name}.count"));
         let (p50, p95) = r
             .snapshot
             .histograms
             .get(&format!("span.{name}.us"))
             .map(|h| (h.percentile(0.50), h.percentile(0.95)))
             .unwrap_or((0.0, 0.0));
-        out.push_str(&format!(
-            "    \"{name}\": {{ \"count\": {count}, \"p50_us\": {p50:.1}, \"p95_us\": {p95:.1} }}{}\n",
-            if i + 1 < SpanKind::ALL.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  },\n  \"points\": {\n");
-    for (i, name) in PointKind::ALL_NAMES.iter().enumerate() {
-        let count = r.snapshot.counter(&format!("point.{name}"));
-        out.push_str(&format!(
-            "    \"{name}\": {count}{}\n",
-            if i + 1 < PointKind::ALL_NAMES.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
-/// Key paths of a JSON document in our own renderers' shape (one key
-/// per line, objects opened by `"key": {`). Returned in document order,
-/// dotted: `spans.plan.count`. This is the schema the drift gate diffs
-/// — values are deliberately ignored.
-pub fn key_paths(json: &str) -> Vec<String> {
-    let bytes = json.as_bytes();
-    let mut keyed_path: Vec<String> = Vec::new();
-    // One entry per currently-open brace: was it introduced by a key?
-    let mut opens: Vec<bool> = Vec::new();
-    let mut paths = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    j += 1;
-                }
-                let key = &json[start..j];
-                let mut k = j + 1;
-                while k < bytes.len() && bytes[k].is_ascii_whitespace() {
-                    k += 1;
-                }
-                if k < bytes.len() && bytes[k] == b':' {
-                    // A key, not a string value: record its path, and
-                    // descend if its value is an object.
-                    let mut v = k + 1;
-                    while v < bytes.len() && bytes[v].is_ascii_whitespace() {
-                        v += 1;
-                    }
-                    paths.push(if keyed_path.is_empty() {
-                        key.to_string()
-                    } else {
-                        format!("{}.{}", keyed_path.join("."), key)
-                    });
-                    if v < bytes.len() && bytes[v] == b'{' {
-                        keyed_path.push(key.to_string());
-                        opens.push(true);
-                        i = v + 1;
-                        continue;
-                    }
-                    i = v;
-                } else {
-                    i = j + 1;
-                }
-            }
-            b'{' => {
-                opens.push(false);
-                i += 1;
-            }
-            b'}' => {
-                if opens.pop() == Some(true) {
-                    keyed_path.pop();
-                }
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    paths.sort();
-    paths.dedup();
-    paths
-}
-
-/// Path of the tracked report at the repo root.
-pub fn report_path() -> PathBuf {
-    crate::bench_json_path("obs")
-}
-
-/// Path of the checked-in golden schema the gate diffs against.
-pub fn golden_schema_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scripts/BENCH_obs.schema")
-}
-
-/// Run the standard tracked configuration, write `BENCH_obs.json`, and
-/// return the report plus the path written.
-pub fn run_and_write(arch: &ArchSpec) -> (ObsBenchReport, PathBuf) {
-    let report = run_obs_bench(arch, 4, 40);
-    let path = crate::write_bench_json("obs", &render_json(arch, &report));
-    (report, path)
+        let span = Json::obj([
+            ("count", r.snapshot.counter(&format!("span.{name}.count")).into()),
+            ("p50_us", Json::fixed(p50, 1)),
+            ("p95_us", Json::fixed(p95, 1)),
+        ]);
+        (name, span)
+    };
+    let point = |&name: &&'static str| (name, r.snapshot.counter(&format!("point.{name}")).into());
+    Json::obj([
+        ("bench", "obs".into()),
+        ("arch", arch.name.into()),
+        ("producers", r.producers.into()),
+        ("requests", r.requests.into()),
+        ("events", r.events.into()),
+        ("flight_dumps", r.flight_dumps.into()),
+        ("wall_ms", Json::fixed(r.wall_ms, 3)),
+        ("spans", Json::obj(SpanKind::ALL.iter().map(span))),
+        ("points", Json::obj(PointKind::ALL_NAMES.iter().map(point))),
+    ])
 }
 
 #[cfg(test)]
@@ -244,57 +158,14 @@ mod tests {
         assert_eq!(r.flight_dumps, 0, "healthy run must not dump");
         assert!(r.events > 0);
         assert_eq!(r.snapshot.counter("point.respond"), 10);
+        crate::assert_committed_keys("obs", &report_json(&ArchSpec::volta_v100(), &r));
     }
 
     #[test]
-    fn json_schema_is_fixed_regardless_of_exercised_paths() {
-        // An empty report (no events at all) must export the same key
-        // set as a real run — that is the whole point of the gate.
-        let empty = ObsBenchReport {
-            producers: 0,
-            requests: 0,
-            events: 0,
-            flight_dumps: 0,
-            wall_ms: 0.0,
-            counts: TraceCounts::default(),
-            snapshot: MetricsSnapshot::default(),
-        };
-        let real = run_obs_bench(&ArchSpec::volta_v100(), 1, 3);
-        let arch = ArchSpec::volta_v100();
-        assert_eq!(
-            key_paths(&render_json(&arch, &empty)),
-            key_paths(&render_json(&arch, &real)),
-            "schema must not depend on which seams fired"
-        );
-    }
-
-    #[test]
-    fn key_paths_walks_nested_and_inline_objects() {
-        let json = "{\n  \"a\": 1,\n  \"b\": {\n    \"c\": { \"d\": 2, \"e\": 3 },\n    \"f\": 4\n  }\n}\n";
-        let paths = key_paths(json);
-        for expect in ["a", "b", "b.c", "b.c.d", "b.c.e", "b.f"] {
-            assert!(paths.contains(&expect.to_string()), "missing {expect} in {paths:?}");
-        }
-    }
-
-    #[test]
-    fn golden_schema_matches_the_renderer() {
-        let golden = std::fs::read_to_string(golden_schema_path())
-            .expect("scripts/BENCH_obs.schema is checked in");
-        let golden: Vec<String> = golden.lines().map(str::to_string).collect();
-        let empty = ObsBenchReport {
-            producers: 0,
-            requests: 0,
-            events: 0,
-            flight_dumps: 0,
-            wall_ms: 0.0,
-            counts: TraceCounts::default(),
-            snapshot: MetricsSnapshot::default(),
-        };
-        assert_eq!(
-            key_paths(&render_json(&ArchSpec::volta_v100(), &empty)),
-            golden,
-            "BENCH_obs.json schema drifted; update scripts/BENCH_obs.schema deliberately"
-        );
+    fn key_set_is_fixed_regardless_of_exercised_paths() {
+        // An empty report (no events at all) must export the committed
+        // key set too: that is the whole point of the gate.
+        let empty = ObsBenchReport::default();
+        crate::assert_committed_keys("obs", &report_json(&ArchSpec::volta_v100(), &empty));
     }
 }

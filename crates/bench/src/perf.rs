@@ -9,11 +9,11 @@
 //! machine-readable trajectory record.
 
 use crate::figures::fig9_grid;
+use crate::Json;
 use ctb_core::autotune::autotune;
 use ctb_core::{execute_plan, execute_plan_unpacked, Framework};
 use ctb_gpu_specs::{ArchSpec, Thresholds};
 use ctb_matrix::{gen, GemmBatch};
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// One timed workload.
@@ -122,38 +122,21 @@ pub fn run_perf(arch: &ArchSpec) -> Vec<PerfEntry> {
     entries
 }
 
-/// Serialize entries as the tracked JSON schema. Keys are stable:
-/// `workload`, `wall_ms`, `evaluated`, `cache_hits`.
-pub fn render_json(arch: &ArchSpec, entries: &[PerfEntry]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"bench\": \"executor\",\n  \"arch\": \"{}\",\n", arch.name));
-    out.push_str("  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"wall_ms\": {:.3}, \"evaluated\": {}, \"cache_hits\": {}}}{}\n",
-            e.workload,
-            e.wall_ms,
-            e.evaluated,
-            e.cache_hits,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Path of the tracked report: `BENCH_executor.json` at the repo root,
-/// independent of the working directory the binary runs from.
-pub fn report_path() -> PathBuf {
-    crate::bench_json_path("executor")
-}
-
-/// Run the suite and write the tracked report; returns the entries and
-/// the path written.
-pub fn run_and_write(arch: &ArchSpec) -> (Vec<PerfEntry>, PathBuf) {
-    let entries = run_perf(arch);
-    let path = crate::write_bench_json("executor", &render_json(arch, &entries));
-    (entries, path)
+/// The tracked `BENCH_executor.json` report.
+pub fn report_json(arch: &ArchSpec, entries: &[PerfEntry]) -> Json {
+    let entry = |e: &PerfEntry| {
+        Json::obj([
+            ("workload", e.workload.as_str().into()),
+            ("wall_ms", Json::fixed(e.wall_ms, 3)),
+            ("evaluated", e.evaluated.into()),
+            ("cache_hits", e.cache_hits.into()),
+        ])
+    };
+    Json::obj([
+        ("bench", "executor".into()),
+        ("arch", arch.name.into()),
+        ("entries", Json::arr(entries.iter().map(entry))),
+    ])
 }
 
 #[cfg(test)]
@@ -161,27 +144,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_schema_has_stable_keys() {
-        let arch = ArchSpec::volta_v100();
-        let entries = vec![PerfEntry {
-            workload: "w".into(),
-            wall_ms: 1.25,
-            evaluated: 3,
-            cache_hits: 2,
-        }];
-        let json = render_json(&arch, &entries);
-        for key in ["\"bench\"", "\"arch\"", "\"entries\"", "\"workload\"", "\"wall_ms\"", "\"evaluated\"", "\"cache_hits\""] {
-            assert!(json.contains(key), "missing key {key} in {json}");
-        }
-        assert!(json.contains("\"wall_ms\": 1.250"));
-    }
-
-    #[test]
-    fn report_path_is_the_repo_root() {
-        let p = report_path();
-        assert!(p.ends_with("BENCH_executor.json"));
-        // The parent must contain the workspace manifest.
-        let root = p.parent().unwrap();
-        assert!(root.join("Cargo.toml").exists(), "expected repo root, got {root:?}");
+    fn report_has_the_committed_key_set() {
+        let entries =
+            vec![PerfEntry { workload: "w".into(), wall_ms: 1.25, evaluated: 3, cache_hits: 2 }];
+        let json = report_json(&ArchSpec::volta_v100(), &entries);
+        crate::assert_committed_keys("executor", &json);
+        assert!(json.render().contains("\"wall_ms\": 1.250"));
     }
 }

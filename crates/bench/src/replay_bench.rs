@@ -19,14 +19,15 @@
 //!
 //! Results land in `BENCH_replay.json` at the repository root; the
 //! `--smoke` variant writes `target/experiments/BENCH_replay_smoke.json`
-//! so CI never clobbers tracked full-run numbers.
+//! so CI never clobbers tracked full-run numbers. Both are key-set gated
+//! against the committed `BENCH_replay.json`.
 
+use crate::Json;
 use ctb_cluster::{ClusterStats, EventCluster, EventConfig, ReqOutcome, SimTime};
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::GemmShape;
 use ctb_obs::Obs;
 use ctb_serve::{BreakerPolicy, FaultConfig, FaultInjector};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -233,63 +234,38 @@ pub fn run_report(cfg: &ReplayBenchConfig) -> ReplayBenchReport {
     }
 }
 
-/// Serialize the report as the tracked JSON schema.
-pub fn render_json(r: &ReplayBenchReport) -> String {
-    format!(
-        "{{\n  \"bench\": \"replay\",\n  \"scenario\": {{\n    \"devices\": 2,\n    \
-         \"requests\": {},\n    \"seed\": {},\n    \"exec_panic_per_mille\": {}\n  }},\n  \
-         \"recorded\": {{\n    \"events_processed\": {},\n    \"completed\": {},\n    \
-         \"failed\": {},\n    \"worker_panics\": {},\n    \"breaker_trips\": {},\n    \
-         \"flight_dumps\": {},\n    \"dump_events\": {},\n    \"trace_bytes\": {}\n  }},\n  \
-         \"replay\": {{\n    \"rerun_identical\": {},\n    \"resume_offset\": {},\n    \
-         \"checkpoint_bytes\": {},\n    \"resume_identical\": {}\n  }},\n  \
-         \"wall_ms\": {:.3}\n}}\n",
-        r.cfg.requests,
-        r.cfg.seed,
-        r.cfg.exec_panic_per_mille,
-        r.recorded.events_processed,
-        r.recorded.completed,
-        r.recorded.failed,
-        r.recorded.worker_panics,
-        r.recorded.breaker_trips,
-        r.recorded.flight_dumps,
-        r.recorded.dump_events,
-        r.recorded.trace_bytes,
-        r.replay.rerun_identical,
-        r.replay.resume_offset,
-        r.replay.checkpoint_bytes,
-        r.replay.resume_identical,
-        r.wall_ms
-    )
-}
-
-/// Path of the tracked report: `BENCH_replay.json` at the repo root.
-pub fn report_path() -> PathBuf {
-    crate::bench_json_path("replay")
-}
-
-/// Path of the checked-in golden schema the drift gate diffs against.
-pub fn golden_schema_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scripts/BENCH_replay.schema")
-}
-
-/// Run `cfg` and write the tracked `BENCH_replay.json`; returns the
-/// report and the path written.
-pub fn run_and_write(cfg: &ReplayBenchConfig) -> (ReplayBenchReport, PathBuf) {
-    let report = run_report(cfg);
-    let path = crate::write_bench_json("replay", &render_json(&report));
-    (report, path)
-}
-
-/// Run the smoke configuration and write it under `target/experiments/`
-/// (NOT the tracked root file — the CI gate must not clobber the
-/// tracked full-run numbers with smoke numbers).
-pub fn run_and_write_smoke() -> (ReplayBenchReport, PathBuf) {
-    let report = run_report(&ReplayBenchConfig::smoke());
-    let path = crate::experiments_dir().join("BENCH_replay_smoke.json");
-    std::fs::write(&path, render_json(&report))
-        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    (report, path)
+/// The tracked `BENCH_replay.json` report.
+pub fn report_json(r: &ReplayBenchReport) -> Json {
+    let (rec, check) = (&r.recorded, &r.replay);
+    let scenario = Json::obj([
+        ("devices", 2u32.into()),
+        ("requests", r.cfg.requests.into()),
+        ("seed", r.cfg.seed.into()),
+        ("exec_panic_per_mille", r.cfg.exec_panic_per_mille.into()),
+    ]);
+    let recorded = Json::obj([
+        ("events_processed", rec.events_processed.into()),
+        ("completed", rec.completed.into()),
+        ("failed", rec.failed.into()),
+        ("worker_panics", rec.worker_panics.into()),
+        ("breaker_trips", rec.breaker_trips.into()),
+        ("flight_dumps", rec.flight_dumps.into()),
+        ("dump_events", rec.dump_events.into()),
+        ("trace_bytes", rec.trace_bytes.into()),
+    ]);
+    let replay = Json::obj([
+        ("rerun_identical", check.rerun_identical.into()),
+        ("resume_offset", check.resume_offset.into()),
+        ("checkpoint_bytes", check.checkpoint_bytes.into()),
+        ("resume_identical", check.resume_identical.into()),
+    ]);
+    Json::obj([
+        ("bench", "replay".into()),
+        ("scenario", scenario),
+        ("recorded", recorded),
+        ("replay", replay),
+        ("wall_ms", Json::fixed(r.wall_ms, 3)),
+    ])
 }
 
 #[cfg(test)]
@@ -307,6 +283,7 @@ mod tests {
         assert!(r.replay.resume_identical, "crash/restore replay must be byte-identical");
         assert!(r.replay.checkpoint_bytes > 0);
         assert!(r.replay.resume_offset > 0);
+        crate::assert_committed_keys("replay", &report_json(&r));
     }
 
     #[test]
@@ -314,58 +291,5 @@ mod tests {
         let a = record(&ReplayBenchConfig::smoke()).0;
         let b = record(&ReplayBenchConfig { seed: 0xBAD5EED, ..ReplayBenchConfig::smoke() }).0;
         assert_ne!(a.trace, b.trace, "the seed is the identity of the recorded failure");
-    }
-
-    #[test]
-    fn json_schema_has_stable_keys() {
-        let r = ReplayBenchReport {
-            cfg: ReplayBenchConfig::default(),
-            recorded: RecordedRun {
-                events_processed: 1000,
-                completed: 150,
-                failed: 10,
-                worker_panics: 40,
-                breaker_trips: 2,
-                flight_dumps: 42,
-                dump_events: 500,
-                trace_bytes: 90_000,
-            },
-            replay: ReplayCheck {
-                rerun_identical: true,
-                resume_offset: 500,
-                checkpoint_bytes: 7_000,
-                resume_identical: true,
-            },
-            wall_ms: 120.0,
-        };
-        let json = render_json(&r);
-        for key in [
-            "\"bench\"",
-            "\"scenario\"",
-            "\"requests\"",
-            "\"seed\"",
-            "\"exec_panic_per_mille\"",
-            "\"recorded\"",
-            "\"events_processed\"",
-            "\"worker_panics\"",
-            "\"flight_dumps\"",
-            "\"dump_events\"",
-            "\"trace_bytes\"",
-            "\"replay\"",
-            "\"rerun_identical\"",
-            "\"resume_offset\"",
-            "\"checkpoint_bytes\"",
-            "\"resume_identical\"",
-            "\"wall_ms\"",
-        ] {
-            assert!(json.contains(key), "missing key {key} in {json}");
-        }
-    }
-
-    #[test]
-    fn report_path_is_the_repo_root() {
-        let p = report_path();
-        assert!(p.ends_with("BENCH_replay.json"));
-        assert!(p.parent().unwrap().join("Cargo.toml").exists());
     }
 }

@@ -9,11 +9,11 @@
 //! `BENCH_serve.json` at the repository root so successive commits can
 //! be compared.
 
+use crate::Json;
 use ctb_core::Framework;
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::{bitwise_mismatch, GemmBatch, GemmShape};
 use ctb_serve::{GemmRequest, ServeConfig, Server};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -128,40 +128,22 @@ pub fn run_serve_bench(arch: &ArchSpec, producers: usize, per_producer: usize) -
     }
 }
 
-/// Serialize the report as the tracked JSON schema.
-pub fn render_json(arch: &ArchSpec, r: &ServeBenchReport) -> String {
-    format!(
-        "{{\n  \"bench\": \"serve\",\n  \"arch\": \"{}\",\n  \"producers\": {},\n  \
-         \"requests\": {},\n  \"batches\": {},\n  \"mean_batch_size\": {:.3},\n  \
-         \"plan_cache_hit_rate\": {:.4},\n  \"sim_memo_hit_rate\": {:.4},\n  \
-         \"wall_ms\": {:.3},\n  \"throughput_rps\": {:.1},\n  \"p50_us\": {:.1},\n  \
-         \"p95_us\": {:.1}\n}}\n",
-        arch.name,
-        r.producers,
-        r.requests,
-        r.batches,
-        r.mean_batch_size,
-        r.plan_cache_hit_rate,
-        r.sim_memo_hit_rate,
-        r.wall_ms,
-        r.throughput_rps,
-        r.p50_us,
-        r.p95_us
-    )
-}
-
-/// Path of the tracked report: `BENCH_serve.json` at the repo root,
-/// independent of the working directory the binary runs from.
-pub fn report_path() -> PathBuf {
-    crate::bench_json_path("serve")
-}
-
-/// Run the standard tracked configuration (4 producers, closed loop)
-/// and write the report; returns it and the path written.
-pub fn run_and_write(arch: &ArchSpec) -> (ServeBenchReport, PathBuf) {
-    let report = run_serve_bench(arch, 4, 50);
-    let path = crate::write_bench_json("serve", &render_json(arch, &report));
-    (report, path)
+/// The tracked `BENCH_serve.json` report.
+pub fn report_json(arch: &ArchSpec, r: &ServeBenchReport) -> Json {
+    Json::obj([
+        ("bench", "serve".into()),
+        ("arch", arch.name.into()),
+        ("producers", r.producers.into()),
+        ("requests", r.requests.into()),
+        ("batches", r.batches.into()),
+        ("mean_batch_size", Json::fixed(r.mean_batch_size, 3)),
+        ("plan_cache_hit_rate", Json::fixed(r.plan_cache_hit_rate, 4)),
+        ("sim_memo_hit_rate", Json::fixed(r.sim_memo_hit_rate, 4)),
+        ("wall_ms", Json::fixed(r.wall_ms, 3)),
+        ("throughput_rps", Json::fixed(r.throughput_rps, 1)),
+        ("p50_us", Json::fixed(r.p50_us, 1)),
+        ("p95_us", Json::fixed(r.p95_us, 1)),
+    ])
 }
 
 #[cfg(test)]
@@ -177,43 +159,6 @@ mod tests {
         assert!((0.0..=1.0).contains(&r.plan_cache_hit_rate));
         assert!(r.throughput_rps > 0.0);
         assert!(r.p95_us >= r.p50_us);
-    }
-
-    #[test]
-    fn json_schema_has_stable_keys() {
-        let r = ServeBenchReport {
-            producers: 4,
-            requests: 200,
-            batches: 31,
-            mean_batch_size: 6.45,
-            plan_cache_hit_rate: 0.9,
-            sim_memo_hit_rate: 0.5,
-            wall_ms: 123.0,
-            throughput_rps: 1626.0,
-            p50_us: 400.0,
-            p95_us: 900.0,
-        };
-        let json = render_json(&ArchSpec::volta_v100(), &r);
-        for key in [
-            "\"bench\"",
-            "\"arch\"",
-            "\"producers\"",
-            "\"requests\"",
-            "\"batches\"",
-            "\"mean_batch_size\"",
-            "\"plan_cache_hit_rate\"",
-            "\"throughput_rps\"",
-            "\"p50_us\"",
-            "\"p95_us\"",
-        ] {
-            assert!(json.contains(key), "missing key {key} in {json}");
-        }
-    }
-
-    #[test]
-    fn report_path_is_the_repo_root() {
-        let p = report_path();
-        assert!(p.ends_with("BENCH_serve.json"));
-        assert!(p.parent().unwrap().join("Cargo.toml").exists());
+        crate::assert_committed_keys("serve", &report_json(&ArchSpec::volta_v100(), &r));
     }
 }

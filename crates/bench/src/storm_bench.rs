@@ -19,14 +19,14 @@
 //! arms directly comparable. Every served result is still verified
 //! bitwise against the exact oracle. Full runs land in
 //! `BENCH_storm.json` at the repository root (`--smoke` writes
-//! `target/experiments/BENCH_storm_smoke.json` instead) and the
-//! exported key set is diffed against `scripts/BENCH_storm.schema`.
+//! `target/experiments/BENCH_storm_smoke.json` instead), with the key
+//! set gated against the committed `BENCH_storm.json`.
 
+use crate::Json;
 use ctb_core::{AdmissionPolicy, Framework, PlanShare, PlanShareConfig, Session};
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::{bitwise_mismatch, GemmBatch, GemmShape};
 use ctb_serve::{GemmRequest, ServeConfig, Server};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -261,69 +261,35 @@ pub fn run_storm_bench(arch: &ArchSpec, cfg: &StormBenchConfig) -> StormBenchRep
     }
 }
 
-fn render_arm(out: &mut String, label: &str, a: &StormArm, last: bool) {
-    out.push_str(&format!(
-        "  \"{label}\": {{\n    \"shards\": {},\n    \"admission\": \"{}\",\n    \
-         \"plan_cache_hits\": {},\n    \"plan_cache_misses\": {},\n    \
-         \"hit_rate\": {:.4},\n    \"admitted\": {},\n    \"denied\": {},\n    \
-         \"evicted_tags\": {},\n    \"wall_ms\": {:.3},\n    \"throughput_rps\": {:.1},\n    \
-         \"p50_us\": {:.1},\n    \"p95_us\": {:.1}\n  }}{}\n",
-        a.shards,
-        a.admission,
-        a.plan_cache_hits,
-        a.plan_cache_misses,
-        a.hit_rate,
-        a.admitted,
-        a.denied,
-        a.evicted_tags,
-        a.wall_ms,
-        a.throughput_rps,
-        a.p50_us,
-        a.p95_us,
-        if last { "" } else { "," }
-    ));
-}
-
-/// Serialize the report as the tracked JSON schema.
-pub fn render_json(arch: &ArchSpec, r: &StormBenchReport) -> String {
-    let mut out = format!(
-        "{{\n  \"bench\": \"storm\",\n  \"arch\": \"{}\",\n  \"producers\": {},\n  \
-         \"requests\": {},\n  \"shape_space\": {},\n  \"hot_shapes\": {},\n  \
-         \"capacity_total\": {},\n",
-        arch.name, r.cfg.producers, r.requests, r.cfg.shape_space, r.cfg.hot_shapes,
-        r.cfg.capacity_total
-    );
-    render_arm(&mut out, "baseline", &r.baseline, false);
-    render_arm(&mut out, "sharded", &r.sharded, true);
-    out.push_str("}\n");
-    out
-}
-
-/// Path of the tracked report at the repo root.
-pub fn report_path() -> PathBuf {
-    crate::bench_json_path("storm")
-}
-
-/// Path of the checked-in golden schema the gate diffs against.
-pub fn golden_schema_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scripts/BENCH_storm.schema")
-}
-
-/// Run the full tracked configuration and write `BENCH_storm.json`.
-pub fn run_and_write(arch: &ArchSpec) -> (StormBenchReport, PathBuf) {
-    let report = run_storm_bench(arch, &StormBenchConfig::default());
-    let path = crate::write_bench_json("storm", &render_json(arch, &report));
-    (report, path)
-}
-
-/// Run the smoke configuration and write
-/// `target/experiments/BENCH_storm_smoke.json`, leaving the tracked
-/// root report to full runs only.
-pub fn run_and_write_smoke(arch: &ArchSpec) -> (StormBenchReport, PathBuf) {
-    let report = run_storm_bench(arch, &StormBenchConfig::smoke());
-    let path = crate::experiments_dir().join("BENCH_storm_smoke.json");
-    std::fs::write(&path, render_json(arch, &report)).expect("write BENCH_storm_smoke.json");
-    (report, path)
+/// The tracked `BENCH_storm.json` report.
+pub fn report_json(arch: &ArchSpec, r: &StormBenchReport) -> Json {
+    let arm = |a: &StormArm| {
+        Json::obj([
+            ("shards", a.shards.into()),
+            ("admission", a.admission.into()),
+            ("plan_cache_hits", a.plan_cache_hits.into()),
+            ("plan_cache_misses", a.plan_cache_misses.into()),
+            ("hit_rate", Json::fixed(a.hit_rate, 4)),
+            ("admitted", a.admitted.into()),
+            ("denied", a.denied.into()),
+            ("evicted_tags", a.evicted_tags.into()),
+            ("wall_ms", Json::fixed(a.wall_ms, 3)),
+            ("throughput_rps", Json::fixed(a.throughput_rps, 1)),
+            ("p50_us", Json::fixed(a.p50_us, 1)),
+            ("p95_us", Json::fixed(a.p95_us, 1)),
+        ])
+    };
+    Json::obj([
+        ("bench", "storm".into()),
+        ("arch", arch.name.into()),
+        ("producers", r.cfg.producers.into()),
+        ("requests", r.requests.into()),
+        ("shape_space", r.cfg.shape_space.into()),
+        ("hot_shapes", r.cfg.hot_shapes.into()),
+        ("capacity_total", r.cfg.capacity_total.into()),
+        ("baseline", arm(&r.baseline)),
+        ("sharded", arm(&r.sharded)),
+    ])
 }
 
 #[cfg(test)]
@@ -374,45 +340,6 @@ mod tests {
             assert!((0.0..=1.0).contains(&a.hit_rate));
             assert!(a.p95_us >= a.p50_us);
         }
-    }
-
-    #[test]
-    fn json_schema_has_stable_keys() {
-        let arm = StormArm {
-            shards: 1,
-            admission: "admit_all",
-            plan_cache_hits: 0,
-            plan_cache_misses: 0,
-            hit_rate: 0.0,
-            admitted: 0,
-            denied: 0,
-            evicted_tags: 0,
-            wall_ms: 0.0,
-            throughput_rps: 0.0,
-            p50_us: 0.0,
-            p95_us: 0.0,
-        };
-        let r = StormBenchReport {
-            cfg: StormBenchConfig::default(),
-            requests: 0,
-            baseline: arm.clone(),
-            sharded: arm,
-        };
-        let json = render_json(&ArchSpec::volta_v100(), &r);
-        let golden = std::fs::read_to_string(golden_schema_path())
-            .expect("golden schema checked in");
-        let golden: Vec<String> = golden.lines().map(str::to_string).collect();
-        assert_eq!(
-            crate::obs_bench::key_paths(&json),
-            golden,
-            "BENCH_storm.json schema drifted; update scripts/BENCH_storm.schema deliberately"
-        );
-    }
-
-    #[test]
-    fn report_path_is_the_repo_root() {
-        let p = report_path();
-        assert!(p.ends_with("BENCH_storm.json"));
-        assert!(p.parent().unwrap().join("Cargo.toml").exists());
+        crate::assert_committed_keys("storm", &report_json(&ArchSpec::volta_v100(), &r));
     }
 }

@@ -16,23 +16,32 @@ cargo build --release --examples
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 
-echo "== observability harness + BENCH_obs.json schema gate =="
+# Every harness below writes its report through `ctb_bench::publish`,
+# which fails the run when the key set differs from the committed
+# BENCH_<name>.json; --smoke runs write under target/experiments/.
+echo "== observability harness + BENCH_obs.json key-set gate =="
 cargo run -q -p ctb-bench --bin reproduce --release -- obs
 
-echo "== locality differential smoke (aware vs blind traffic gate) + BENCH_locality schema gate =="
-cargo run -q -p ctb-bench --bin reproduce --release -- locality --smoke
+# The locality and calibration runs are deterministic simulated-time
+# experiments of a few seconds each in release: run them in full and
+# require the committed reports to regenerate byte for byte.
+echo "== locality differential (aware vs blind traffic gate) + BENCH_locality.json key-set gate =="
+cargo run -q -p ctb-bench --bin reproduce --release -- locality
 
-echo "== cluster smoke sweep (256 devices / 100k requests) + BENCH_cluster schema gate =="
+echo "== calibration loop (record -> fit -> replay -> swap) + BENCH_calibrate.json key-set gate =="
+cargo run -q -p ctb-bench --bin reproduce --release -- calibrate
+
+echo "== BENCH_locality.json and BENCH_calibrate.json regenerate byte for byte =="
+git diff --exit-code -- BENCH_locality.json BENCH_calibrate.json
+
+echo "== cluster smoke sweep (256 devices / 100k requests) + BENCH_cluster.json key-set gate =="
 cargo run -q -p ctb-bench --bin reproduce --release -- cluster --smoke
 
-echo "== replay harness smoke (record -> re-run -> crash/restore) + BENCH_replay schema gate =="
+echo "== replay harness smoke (record -> re-run -> crash/restore) + BENCH_replay.json key-set gate =="
 cargo run -q -p ctb-bench --bin reproduce --release -- replay --smoke
 
-echo "== storm harness smoke (plan-cache admission under distinct-shape storm) + BENCH_storm schema gate =="
+echo "== storm harness smoke (plan-cache admission under distinct-shape storm) + BENCH_storm.json key-set gate =="
 cargo run -q -p ctb-bench --bin reproduce --release -- storm --smoke
-
-echo "== calibration loop smoke (record -> fit -> replay -> swap) + BENCH_calibrate schema gate =="
-cargo run -q -p ctb-bench --bin reproduce --release -- calibrate --smoke
 
 echo "== cluster demo compiles against the release profile =="
 cargo build --release --example cluster_demo
