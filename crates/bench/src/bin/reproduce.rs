@@ -134,6 +134,24 @@ fn flag_value<T: FromStr>(args: &mut std::slice::Iter<'_, String>, flag: &str) -
     parse_value(raw, flag)
 }
 
+/// The value following `flag`, which must be at least 1.
+fn flag_count(args: &mut std::slice::Iter<'_, String>, flag: &str) -> usize {
+    match flag_value(args, flag) {
+        0 => usage_error(&format!("bad value '0' for {flag}: needs at least 1")),
+        count => count,
+    }
+}
+
+/// `text` as a GEMM shape: three unsigned integers separated by `x` or
+/// `,` (`MxNxK` or `M,N,K`).
+fn parse_shape(text: &str) -> Option<ctb_matrix::GemmShape> {
+    let dims: Option<Vec<usize>> = text.split([',', 'x']).map(|d| d.trim().parse().ok()).collect();
+    match dims?[..] {
+        [m, n, k] => Some(ctb_matrix::GemmShape::new(m, n, k)),
+        _ => None,
+    }
+}
+
 /// The comma-separated list following `flag`, each item parsed.
 fn flag_list<T: FromStr>(args: &mut std::slice::Iter<'_, String>, flag: &str) -> Vec<T> {
     let raw: String = flag_value(args, flag);
@@ -162,8 +180,8 @@ fn pool_flags(
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--devices" => *devices = flag_value(&mut it, flag),
-            "--requests" => *requests = flag_value(&mut it, flag),
+            "--devices" => *devices = flag_count(&mut it, flag),
+            "--requests" => *requests = flag_count(&mut it, flag),
             "--seed" => *seed = flag_value(&mut it, flag),
             "--drift-seed" => *drift_seed = flag_value(&mut it, flag),
             other => usage_error(&format!(
@@ -286,6 +304,7 @@ fn run_locality(args: &[String]) {
 fn run_perf(arch: &ArchSpec) {
     use ctb_bench::perf;
     println!("== perf harness: executor / reference / autotune / fig9 grid ({}) ==", arch.name);
+    println!("   tile kernel: {}", ctb_core::tile_kernel_name());
     let entries = perf::run_perf(arch);
     for e in &entries {
         println!(
@@ -796,15 +815,14 @@ fn run_plan_explain(arch: &ArchSpec, spec: Option<&str>) {
     let shapes: Vec<GemmShape> = spec
         .split(',')
         .map(|s| {
-            let dims: Vec<usize> = s
-                .trim()
-                .split('x')
-                .map(|d| d.parse().unwrap_or_else(|_| panic!("bad dimension in '{s}'")))
-                .collect();
-            assert_eq!(dims.len(), 3, "expected MxNxK, got '{s}'");
-            GemmShape::new(dims[0], dims[1], dims[2])
+            parse_shape(s).unwrap_or_else(|| {
+                usage_error(&format!("bad shape '{s}' in '{spec}'; expected MxNxK[,MxNxK...]"))
+            })
         })
         .collect();
+    let fw = Framework::new(arch.clone());
+    let plan =
+        fw.plan(&shapes).unwrap_or_else(|e| usage_error(&format!("cannot plan '{spec}': {e}")));
 
     println!("== plan explainer on {} ==", arch.name);
     let th = Thresholds::for_arch(arch);
@@ -815,8 +833,6 @@ fn run_plan_explain(arch: &ArchSpec, spec: Option<&str>) {
         println!("  {s:>16} -> {st}");
     }
 
-    let fw = Framework::new(arch.clone());
-    let plan = fw.plan(&shapes).expect("plannable");
     println!(
         "\nbatching: {} -> {} tiles in {} blocks (max {} tiles/block)",
         plan.heuristic,
@@ -824,7 +840,7 @@ fn run_plan_explain(arch: &ArchSpec, spec: Option<&str>) {
         plan.plan.num_blocks(),
         plan.plan.max_tiles_per_block()
     );
-    let report = fw.simulate_only(&shapes).expect("plannable");
+    let report = fw.simulate_only(&shapes).expect("the same shapes planned above");
     let k = &report.kernels[0];
     println!(
         "simulated: {:.1} us | occupancy {} blocks/SM | avg active warps {:.1} | \
@@ -852,25 +868,29 @@ fn run_custom(arch: &ArchSpec, path: Option<&str>) {
         std::process::exit(2);
     };
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read workload file {path}: {e}"));
+        .unwrap_or_else(|e| usage_error(&format!("cannot read workload file {path}: {e}")));
     let shapes: Vec<GemmShape> = text
         .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            let dims: Vec<usize> = l
-                .split([',', 'x'])
-                .map(|d| d.trim().parse().unwrap_or_else(|_| panic!("bad line '{l}'")))
-                .collect();
-            assert_eq!(dims.len(), 3, "expected three dimensions in '{l}'");
-            GemmShape::new(dims[0], dims[1], dims[2])
+        .enumerate()
+        .map(|(i, l)| (i + 1, l.trim()))
+        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
+        .map(|(line, l)| {
+            parse_shape(l).unwrap_or_else(|| {
+                usage_error(&format!("{path}:{line}: bad shape '{l}'; expected M,N,K or MxNxK"))
+            })
         })
         .collect();
-    assert!(!shapes.is_empty(), "workload file {path} has no shapes");
+    if shapes.is_empty() {
+        usage_error(&format!("workload file {path} has no shapes"));
+    }
+
+    let fw = Framework::new(arch.clone());
+    let ours = fw
+        .simulate_only(&shapes)
+        .unwrap_or_else(|e| usage_error(&format!("cannot plan {path}: {e}")))
+        .total_us;
 
     println!("== custom workload: {} GEMMs from {path} on {} ==", shapes.len(), arch.name);
-    let fw = Framework::new(arch.clone());
-    let ours = fw.simulate_only(&shapes).expect("plannable").total_us;
     let mut rows = vec![("coordinated (ours)".to_string(), ours)];
     for run in [
         default_serial(arch, &shapes),

@@ -11,7 +11,7 @@
 use crate::figures::fig9_grid;
 use crate::Json;
 use ctb_core::autotune::autotune;
-use ctb_core::{execute_plan, execute_plan_unpacked, Framework};
+use ctb_core::{execute_plan, execute_plan_unpacked, tile_kernel_name, Framework};
 use ctb_gpu_specs::{ArchSpec, Thresholds};
 use ctb_matrix::{gen, GemmBatch};
 use std::time::Instant;
@@ -122,7 +122,9 @@ pub fn run_perf(arch: &ArchSpec) -> Vec<PerfEntry> {
     entries
 }
 
-/// The tracked `BENCH_executor.json` report.
+/// The tracked `BENCH_executor.json` report. `kernel` names the tile
+/// kernel `execute_plan` ran on this host, since the executor timings
+/// depend on it.
 pub fn report_json(arch: &ArchSpec, entries: &[PerfEntry]) -> Json {
     let entry = |e: &PerfEntry| {
         Json::obj([
@@ -135,6 +137,7 @@ pub fn report_json(arch: &ArchSpec, entries: &[PerfEntry]) -> Json {
     Json::obj([
         ("bench", "executor".into()),
         ("arch", arch.name.into()),
+        ("kernel", tile_kernel_name().into()),
         ("entries", Json::arr(entries.iter().map(entry))),
     ])
 }

@@ -1,5 +1,6 @@
-//! A malformed `reproduce` flag value is a usage error: exit code 2 and
-//! a message naming the value and the flag, never a panic.
+//! A malformed `reproduce` flag value, shape list or workload file is a
+//! usage error: exit code 2 and a message naming the bad value or line,
+//! never a panic.
 
 use std::process::Command;
 
@@ -28,6 +29,10 @@ fn bad_flag_values_exit_2_without_panicking() {
         ("replay", "--requests", "x"),
         ("replay", "--seed", "-1"),
         ("replay", "--panics", "4294967296"),
+        ("calibrate", "--devices", "0"),
+        ("calibrate", "--requests", "0"),
+        ("locality", "--devices", "0"),
+        ("locality", "--requests", "0"),
     ] {
         let (code, stderr) = run(&[subcommand, flag, value]);
         let what = format!("reproduce {subcommand} {flag} '{value}'");
@@ -43,5 +48,29 @@ fn a_flag_without_its_value_exits_2() {
         let (code, stderr) = run(&[subcommand, "--seed"]);
         assert_eq!(code, Some(2), "reproduce {subcommand} --seed: stderr {stderr}");
         assert!(stderr.contains("flag --seed needs a value"), "stderr {stderr}");
+    }
+}
+
+#[test]
+fn bad_shapes_and_workload_files_exit_2_without_panicking() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let two_dims = dir.join("cli_args_two_dims.csv");
+    std::fs::write(&two_dims, "4,4,4\n1,2\n").expect("write workload file");
+    let no_shapes = dir.join("cli_args_no_shapes.csv");
+    std::fs::write(&no_shapes, "# comment only\n\n").expect("write workload file");
+    let (two_dims, no_shapes) = (two_dims.to_str().unwrap(), no_shapes.to_str().unwrap());
+    for (args, names) in [
+        (["plan", "1x2"], "'1x2'".to_string()),
+        (["plan", "4xQx8"], "'4xQx8'".to_string()),
+        (["plan", "0x0x0"], "'0x0x0'".to_string()),
+        (["custom", "/nonexistent"], "/nonexistent".to_string()),
+        (["custom", two_dims], format!("{two_dims}:2: bad shape '1,2'")),
+        (["custom", no_shapes], format!("{no_shapes} has no shapes")),
+    ] {
+        let (code, stderr) = run(&args);
+        let what = format!("reproduce {}", args.join(" "));
+        assert_eq!(code, Some(2), "{what}: stderr {stderr}");
+        assert!(!stderr.contains("panicked"), "{what} panicked: {stderr}");
+        assert!(stderr.contains(&names), "{what}: stderr {stderr}");
     }
 }

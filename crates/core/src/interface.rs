@@ -15,9 +15,12 @@
 //!   bucketed per (GEMM, tile-row) and each output matrix is split into
 //!   disjoint row bands, so every band is computed and written by
 //!   exactly one worker with no intermediate tile buffers. The inner
-//!   loop is a 4×4 register-tile kernel over hoisted A-row slices with
-//!   a scalar fallback for boundary fringes; the alpha/beta epilogue is
-//!   folded into the single per-worker accumulator pass.
+//!   loop is an `MR × NR` register-tile kernel over hoisted A-row
+//!   slices with a row-at-a-time fallback for boundary fringes, built
+//!   twice and picked once per call for the CPU it runs on: 8×16 with
+//!   AVX-512F, otherwise a portable 4×8 (the only one built for targets
+//!   other than x86-64). The alpha/beta epilogue is folded into the
+//!   single per-worker accumulator pass.
 //! * [`execute_plan_unpacked`] — the original collect-then-scatter
 //!   interpreter, kept as the A/B baseline for the perf harness.
 //!
@@ -37,10 +40,12 @@ use rayon::prelude::*;
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    /// Per-worker accumulator scratch, reused across every tile a worker
-    /// executes. Grows to the largest `by * bx` seen and is never freed
-    /// until the thread exits, so the steady-state hot loop performs no
-    /// heap allocation.
+    /// Per-worker accumulator scratch, reused across the tiles one worker
+    /// runs within a parallel pass and grown to the largest `by * bx`
+    /// seen. The rayon shim spawns fresh threads for every pass over two
+    /// or more bands, so each such [`execute_plan`] call allocates it
+    /// again per worker; only single-band calls, which run on the
+    /// calling thread, keep it across calls.
     static TILE_ACC: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -60,15 +65,20 @@ struct BandJob<'a> {
 }
 
 /// Accumulate one `rows × cols` C tile into `acc` (row-major), reading
-/// A rows as hoisted slices. The interior runs a 4-row register-packed
-/// kernel: each K step broadcasts four A scalars against one contiguous
-/// B row segment, updating four accumulator rows at once (the inner
-/// loop auto-vectorizes and B is read once per four C rows instead of
-/// once per row). Leftover rows fall back to a scalar single-row loop.
-/// Every element accumulates in ascending-k order, so results are
-/// bitwise identical to the naive per-element loop.
+/// A rows as hoisted slices. The interior runs an `MR × NR` register
+/// tile: each K step broadcasts `MR` A scalars against one contiguous
+/// `NR`-wide B row segment, so B is read once per `MR` C rows and the
+/// accumulators stay in vector registers. Column and row fringes fall
+/// back to one accumulator row segment at a time.
+///
+/// Every element gets its own multiply and add per k, in ascending k,
+/// starting from `0.0`: the naive per-element loop's operation
+/// sequence, so every `MR × NR` instantiation is bitwise identical to
+/// it. Rust never contracts `av * bv` and `+=` into a fused
+/// multiply-add, even where the target feature offers one.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn tile_kernel(
+fn tile_kernel<const MR: usize, const NR: usize>(
     a: &[f32],
     b: &[f32],
     kdim: usize,
@@ -80,21 +90,14 @@ fn tile_kernel(
     acc: &mut [f32],
 ) {
     debug_assert_eq!(acc.len(), rows * cols);
-    const MR: usize = 4;
-    const NR: usize = 8;
     let mut i = 0;
     while i + MR <= rows {
-        let ra = [
-            &a[(y0 + i) * kdim..(y0 + i) * kdim + kdim],
-            &a[(y0 + i + 1) * kdim..(y0 + i + 1) * kdim + kdim],
-            &a[(y0 + i + 2) * kdim..(y0 + i + 2) * kdim + kdim],
-            &a[(y0 + i + 3) * kdim..(y0 + i + 3) * kdim + kdim],
-        ];
+        let ra: [&[f32]; MR] =
+            std::array::from_fn(|r| &a[(y0 + i + r) * kdim..(y0 + i + r + 1) * kdim]);
         let mut j = 0;
         while j + NR <= cols {
-            // MR × NR register tile: A scalars broadcast against one
-            // contiguous B panel; `regs` and `brow` stay in registers
-            // (the s-loops fully unroll).
+            // `regs` and `brow` stay in registers (the r- and s-loops
+            // fully unroll).
             let mut regs = [[0.0f32; NR]; MR];
             for p in 0..kdim {
                 let off = p * n + x0 + j;
@@ -111,8 +114,8 @@ fn tile_kernel(
             }
             j += NR;
         }
-        // Column fringe of the 4-row band: one accumulator row segment
-        // at a time, still ascending-k per element.
+        // Column fringe of the `MR`-row band: one accumulator row
+        // segment at a time, still ascending-k per element.
         if j < cols {
             for (r, ri) in ra.iter().enumerate() {
                 let arow = &mut acc[(i + r) * cols + j..(i + r) * cols + cols];
@@ -140,6 +143,92 @@ fn tile_kernel(
     }
 }
 
+/// [`tile_kernel`] with an 8 × 16 tile on 512-bit vectors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+fn tile_kernel_avx512f(
+    a: &[f32],
+    b: &[f32],
+    kdim: usize,
+    n: usize,
+    y0: usize,
+    x0: usize,
+    rows: usize,
+    cols: usize,
+    acc: &mut [f32],
+) {
+    tile_kernel::<8, 16>(a, b, kdim, n, y0, x0, rows, cols, acc);
+}
+
+/// One instantiation of [`tile_kernel`]. The vector variant is built
+/// only by [`Kernel::available`], after its CPU feature check passed:
+/// the `unsafe` call in [`Kernel::run`] relies on that.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    /// 4 × 8 on the baseline target (128-bit SSE2 on x86-64).
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx512f,
+}
+
+impl Kernel {
+    /// Every kernel this CPU runs, narrowest first.
+    fn available() -> Vec<Kernel> {
+        #[allow(unused_mut)]
+        let mut kernels = vec![Kernel::Portable];
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f") {
+            kernels.push(Kernel::Avx512f);
+        }
+        kernels
+    }
+
+    /// The widest kernel this CPU runs: the one [`execute_plan`] uses.
+    fn detect() -> Kernel {
+        *Kernel::available().last().expect("the portable kernel runs everywhere")
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Kernel::Portable => "portable 4x8",
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512f => "avx512f 8x16",
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        self,
+        a: &[f32],
+        b: &[f32],
+        kdim: usize,
+        n: usize,
+        y0: usize,
+        x0: usize,
+        rows: usize,
+        cols: usize,
+        acc: &mut [f32],
+    ) {
+        match self {
+            Kernel::Portable => tile_kernel::<4, 8>(a, b, kdim, n, y0, x0, rows, cols, acc),
+            // SAFETY: `Kernel::available` builds `Avx512f` only after
+            // `is_x86_feature_detected!("avx512f")` returned true.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512f => unsafe {
+                tile_kernel_avx512f(a, b, kdim, n, y0, x0, rows, cols, acc)
+            },
+        }
+    }
+}
+
+/// The tile kernel [`execute_plan`] runs on this CPU, e.g.
+/// `"avx512f 8x16"`: the instruction set it is compiled for and its
+/// register tile, rows × columns.
+pub fn tile_kernel_name() -> &'static str {
+    Kernel::detect().name()
+}
+
 /// Execute a batch plan with the packed micro-kernel engine.
 ///
 /// The output matrices start as clones of C and are split into disjoint
@@ -147,7 +236,9 @@ fn tile_kernel(
 /// all GEMMs form one flat job list executed in a single parallel pass;
 /// each job accumulates its tiles in per-worker thread-local scratch and
 /// writes `alpha * acc + beta * C` straight into its band — no
-/// intermediate tile buffers and no serial scatter.
+/// intermediate tile buffers and no serial scatter. The tile kernel is
+/// the widest one this CPU runs ([`tile_kernel_name`]), picked once
+/// per call; every kernel gives the same bits.
 ///
 /// If a GEMM's tiles carry heterogeneous tiling ids (which
 /// [`ctb_tiling::select_tiling`] never produces, but a hand-built plan
@@ -199,6 +290,7 @@ pub fn execute_plan(batch: &GemmBatch, plan: &BatchPlan) -> Vec<MatF32> {
         }
     }
 
+    let kernel = Kernel::detect();
     jobs.into_par_iter().for_each(|job| {
         let shape = batch.shapes[job.gemm];
         let a = batch.a[job.gemm].as_slice();
@@ -214,7 +306,7 @@ pub fn execute_plan(batch: &GemmBatch, plan: &BatchPlan) -> Vec<MatF32> {
                 let cols = (shape.n - x0).min(st.bx);
                 acc.clear();
                 acc.resize(rows * cols, 0.0);
-                tile_kernel(a, b, shape.k, shape.n, y0, x0, rows, cols, &mut acc);
+                kernel.run(a, b, shape.k, shape.n, y0, x0, rows, cols, &mut acc);
                 // Epilogue folded into the accumulator pass: read the
                 // original C from the band, write the result back in
                 // place. Each element belongs to exactly one tile, so
@@ -388,6 +480,81 @@ mod tests {
             1.0,
             1.0,
         );
+    }
+
+    /// Row-major `rows × cols` operand of values in [-1, 1). Of the
+    /// lines (rows when `by_row`, columns otherwise), those whose index
+    /// is 1 modulo `every` carry a special value at every third k
+    /// instead, and those at 2 modulo `every` are zero, so that 0 × ∞
+    /// and 0 × NaN reach the results.
+    fn operand(rows: usize, cols: usize, by_row: bool, every: usize, seed: u64) -> Vec<f32> {
+        // The NaN operand is the one this CPU's arithmetic makes (∞ × 0),
+        // so every NaN a result can hold has the same bits. Rust leaves
+        // unspecified which payload an operation on two different NaNs
+        // returns, and LLVM commutes `fadd` operands: with `f32::NAN`
+        // here, the naive loop and every kernel width disagree on the
+        // NaN sign bit in release.
+        let nan = std::hint::black_box(f32::INFINITY) * std::hint::black_box(0.0);
+        let specials =
+            [nan, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, 1e-40, f32::MAX, -f32::MAX];
+        let mut state = seed;
+        let mut out = Vec::with_capacity(rows * cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let (line, k) = if by_row { (r, c) } else { (c, r) };
+                out.push(match line % every {
+                    1 if (line + k) % 3 == 0 => specials[(line + k / 3) % specials.len()],
+                    2 => 0.0,
+                    _ => (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0,
+                });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_kernel_this_cpu_runs_is_bitwise_exact() {
+        assert!(1e-40f32.is_subnormal());
+        let kernels = Kernel::available();
+        assert_eq!(Some(&Kernel::detect()), kernels.last());
+        let (y0, x0) = (3, 5);
+        let (mut nan, mut inf, mut finite) = (0, 0, 0);
+        for kdim in [0, 1, 5, 64] {
+            for rows in [1, 3, 4, 7, 8, 9, 16, 17] {
+                for cols in [1, 7, 8, 15, 16, 17, 33] {
+                    // Rows and columns on every side of the tile, so the
+                    // kernel must offset by `y0` and `x0` and stride by `n`.
+                    let (m, n) = (y0 + rows + 2, x0 + cols + 3);
+                    let a = operand(m, kdim, true, 4, 11);
+                    let b = operand(kdim, n, false, 5, 23);
+                    let mut naive = vec![0.0f32; rows * cols];
+                    for (e, v) in naive.iter_mut().enumerate() {
+                        let (i, j) = (y0 + e / cols, x0 + e % cols);
+                        for p in 0..kdim {
+                            *v += a[i * kdim + p] * b[p * n + j];
+                        }
+                        nan += usize::from(v.is_nan());
+                        inf += usize::from(v.is_infinite());
+                        finite += usize::from(v.is_finite());
+                    }
+                    for kernel in &kernels {
+                        let mut acc = vec![0.0f32; rows * cols];
+                        kernel.run(&a, &b, kdim, n, y0, x0, rows, cols, &mut acc);
+                        for (e, (want, got)) in naive.iter().zip(&acc).enumerate() {
+                            assert_eq!(
+                                want.to_bits(),
+                                got.to_bits(),
+                                "{}: {rows}x{cols} tile, K {kdim}, element {e}: \
+                                 expected {want:?}, got {got:?}",
+                                kernel.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(nan > 0 && inf > 0 && finite > 0, "{nan} NaN, {inf} ±Inf, {finite} finite");
     }
 
     #[test]

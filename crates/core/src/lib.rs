@@ -33,7 +33,7 @@ pub mod splitk;
 
 pub use framework::{BatchingPolicy, ExecutionPlan, Framework, FrameworkConfig, RunOutcome};
 pub use hotswap::{CalibHandle, CalibState};
-pub use interface::{execute_plan, execute_plan_unpacked};
+pub use interface::{execute_plan, execute_plan_unpacked, tile_kernel_name};
 pub use memo::SimMemo;
 pub use lowering::{lower_plan, tile_pass};
 pub use selector::OnlineSelector;

@@ -16,6 +16,14 @@ cargo build --release --examples
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 
+# The debug profile vectorizes none of the packed executor's tile
+# kernels, so the bitwise suites run again on the release build the
+# benchmark times: every kernel this CPU runs against the naive loop,
+# and every executor path against `reference_result_exact`.
+echo "== bitwise suites in release =="
+cargo test -q --release -p ctb-core --lib
+cargo test -q --release --test differential --test properties
+
 # Every harness below writes its report through `ctb_bench::publish`,
 # which fails the run when the key set differs from the committed
 # BENCH_<name>.json; --smoke runs write under target/experiments/.
