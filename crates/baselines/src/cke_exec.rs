@@ -31,7 +31,7 @@ mod tests {
     use super::*;
     use crate::default_exec::default_serial;
     use crate::run::{execute_baseline, simulate_baseline};
-    use ctb_matrix::{assert_all_close, GemmBatch};
+    use ctb_matrix::{assert_bitwise_eq, GemmBatch};
 
     #[test]
     fn cke_is_no_slower_than_default_on_many_small_gemms() {
@@ -53,6 +53,6 @@ mod tests {
         let shapes = vec![GemmShape::new(40, 56, 24), GemmShape::new(72, 24, 80)];
         let batch = GemmBatch::random(&shapes, 0.5, 1.0, 31);
         let (results, _) = execute_baseline(&arch, &batch, &cke(&arch, &shapes));
-        assert_all_close(&batch.reference_result(), &results, 2e-4);
+        assert_bitwise_eq(&batch.reference_result_exact(), &results, "cke");
     }
 }

@@ -53,7 +53,7 @@ mod tests {
     use super::*;
     use crate::default_exec::default_serial;
     use crate::run::{execute_baseline, simulate_baseline};
-    use ctb_matrix::{assert_all_close, GemmBatch};
+    use ctb_matrix::{assert_bitwise_eq, GemmBatch};
 
     #[test]
     fn uniform_batch_needs_one_launch() {
@@ -95,6 +95,6 @@ mod tests {
         ];
         let batch = GemmBatch::random(&shapes, 1.25, -0.5, 13);
         let (results, _) = execute_baseline(&arch, &batch, &cublas_like(&arch, &shapes));
-        assert_all_close(&batch.reference_result(), &results, 2e-4);
+        assert_bitwise_eq(&batch.reference_result_exact(), &results, "cublas-like");
     }
 }

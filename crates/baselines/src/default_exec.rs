@@ -63,7 +63,7 @@ pub fn default_functional(arch: &ArchSpec, batch: &ctb_matrix::GemmBatch) -> Vec
 mod tests {
     use super::*;
     use crate::run::execute_baseline;
-    use ctb_matrix::{assert_all_close, GemmBatch};
+    use ctb_matrix::{assert_bitwise_eq, GemmBatch};
 
     #[test]
     fn one_kernel_per_gemm() {
@@ -94,7 +94,7 @@ mod tests {
         let batch = GemmBatch::random(&shapes, 1.0, 0.5, 77);
         let run = default_serial(&arch, &shapes);
         let (results, report) = execute_baseline(&arch, &batch, &run);
-        assert_all_close(&batch.reference_result(), &results, 2e-4);
+        assert_bitwise_eq(&batch.reference_result_exact(), &results, "default serial");
         // Serial launches: at least 2 launch overheads.
         assert!(report.total_us >= 2.0 * arch.kernel_launch_overhead_us);
     }

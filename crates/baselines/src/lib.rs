@@ -4,8 +4,8 @@
 //!
 //! Every baseline produces a [`BaselineRun`]: a [`LaunchSequence`] for
 //! the timing simulator plus a functional [`BatchPlan`] so its numerical
-//! results can be verified against the reference GEMM exactly like the
-//! coordinated framework's.
+//! results can be verified against the reference GEMM bit for bit, like
+//! the coordinated framework's.
 
 pub mod cke_exec;
 pub mod cublas_like_exec;

@@ -81,7 +81,7 @@ pub fn magma_vbatch(arch: &ArchSpec, shapes: &[GemmShape]) -> BaselineRun {
 mod tests {
     use super::*;
     use crate::run::{execute_baseline, simulate_baseline};
-    use ctb_matrix::{assert_all_close, GemmBatch};
+    use ctb_matrix::{assert_bitwise_eq, GemmBatch};
     use ctb_tiling::StrategyKind;
 
     fn v100() -> ArchSpec {
@@ -152,7 +152,7 @@ mod tests {
         let batch = GemmBatch::random(&shapes, 1.0, 2.0, 99);
         let run = magma_vbatch(&v100(), &shapes);
         let (results, report) = execute_baseline(&v100(), &batch, &run);
-        assert_all_close(&batch.reference_result(), &results, 2e-4);
+        assert_bitwise_eq(&batch.reference_result_exact(), &results, "magma vbatch");
         assert_eq!(report.kernels.len(), 1);
     }
 

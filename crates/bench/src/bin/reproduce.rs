@@ -47,7 +47,7 @@ paper experiments (print the paper's layout; CSV under target/experiments/):
 serving harnesses (write BENCH_<name>.json at the repo root, or
 target/experiments/BENCH_<name>_smoke.json with --smoke; the key set is
 gated against the committed BENCH_<name>.json and drift fails the run):
-  perf                executor / reference / autotune / fig9-grid timings
+  perf                executor / autotune / fig9-grid timings
   serve               4-producer closed loop through ctb-serve
   chaos               fault-rate sweep over the resilience layer
   cluster             burst scaling + kill run + open-loop event-engine sweep
@@ -303,7 +303,7 @@ fn run_locality(args: &[String]) {
 
 fn run_perf(arch: &ArchSpec) {
     use ctb_bench::perf;
-    println!("== perf harness: executor / reference / autotune / fig9 grid ({}) ==", arch.name);
+    println!("== perf harness: executor / autotune / fig9 grid ({}) ==", arch.name);
     println!("   tile kernel: {}", ctb_core::tile_kernel_name());
     let entries = perf::run_perf(arch);
     for e in &entries {

@@ -1,19 +1,18 @@
 //! `reproduce perf` — the tracked performance harness.
 //!
 //! Times the hot paths this repository optimises (the packed executor
-//! against the unpacked baseline, the reference GEMM path, the
-//! memoized autotuner and one Fig 9 grid) and writes the results as
-//! `BENCH_executor.json` at the repository root so successive commits
-//! can be compared. Criterion benches (`cargo bench -p ctb-bench`)
-//! provide finer-grained numbers; this harness is the cheap,
-//! machine-readable trajectory record.
+//! against the unpacked baseline, the memoized autotuner and one Fig 9
+//! grid) and writes the results as `BENCH_executor.json` at the
+//! repository root so successive commits can be compared. It is the
+//! quick, machine-readable trajectory record; `benchmark/` is the
+//! end-to-end harness with a noise rule.
 
 use crate::figures::fig9_grid;
 use crate::Json;
 use ctb_core::autotune::autotune;
 use ctb_core::{execute_plan, execute_plan_unpacked, tile_kernel_name, Framework};
 use ctb_gpu_specs::{ArchSpec, Thresholds};
-use ctb_matrix::{gen, GemmBatch};
+use ctb_matrix::{assert_bitwise_eq, gen, GemmBatch};
 use std::time::Instant;
 
 /// One timed workload.
@@ -21,12 +20,12 @@ use std::time::Instant;
 pub struct PerfEntry {
     /// Stable workload identifier.
     pub workload: String,
-    /// Wall-clock milliseconds. For iterated workloads (executor and
-    /// reference entries) this is the best single iteration — the
+    /// Wall-clock milliseconds. For iterated workloads (the executor
+    /// entries) this is the best single iteration — the
     /// standard noise-robust kernel-timing estimate; autotune and the
     /// grid are single-shot totals.
     pub wall_ms: f64,
-    /// Work items processed: executor/reference iterations, autotune
+    /// Work items processed: executor iterations, autotune
     /// candidate evaluations, or grid cells.
     pub evaluated: usize,
     /// Cache hits (simulation-memo hits for autotune, 0 elsewhere).
@@ -86,18 +85,7 @@ pub fn run_perf(arch: &ArchSpec) -> Vec<PerfEntry> {
         cache_hits: 0,
     });
     // Guard: the two engines must agree bitwise or the timing is moot.
-    for (p, u) in packed.iter().zip(&unpacked) {
-        assert_eq!(p.as_slice(), u.as_slice(), "packed/unpacked results diverged");
-    }
-
-    // Reference path (parallel per-GEMM gemm_auto dispatch).
-    let (ref_ms, _) = time_best_ms(EXEC_ITERS, || std::hint::black_box(batch.reference_result()));
-    entries.push(PerfEntry {
-        workload: "reference_result_b16_128x128x256".into(),
-        wall_ms: ref_ms,
-        evaluated: EXEC_ITERS,
-        cache_hits: 0,
-    });
+    assert_bitwise_eq(&unpacked, &packed, "packed vs unpacked");
 
     // Memoized autotune on the paper's uniform workload.
     let th = Thresholds::for_arch(arch);

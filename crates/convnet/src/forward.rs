@@ -229,7 +229,7 @@ mod tests {
     use super::*;
     use crate::googlenet::inception;
     use ctb_gpu_specs::ArchSpec;
-    use ctb_matrix::max_abs_diff;
+    use ctb_matrix::{assert_bitwise_eq, max_abs_diff};
 
     fn engine() -> ForwardEngine {
         ForwardEngine::new(Framework::new(ArchSpec::volta_v100()))
@@ -320,7 +320,7 @@ mod tests {
         let out = eng.conv(&conv, &weights, &input);
         let mut expect = MatF32::zeros(3, 20);
         ctb_matrix::gemm_ref(1.0, weights.get(&conv), &input.data, 0.0, &mut expect);
-        assert!(max_abs_diff(&out.data, &expect) < 1e-4);
+        assert_bitwise_eq(&[expect], &[out.data], "1x1 conv");
     }
 
     #[test]

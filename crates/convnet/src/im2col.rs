@@ -6,7 +6,7 @@
 //! GoogleNet layers into batched GEMMs.
 
 use crate::conv::Conv2dDesc;
-use ctb_matrix::{gemm_blocked, MatF32};
+use ctb_matrix::{gemm_ref, MatF32};
 
 /// Lower a batch of images to the im2col matrix: `(in_c·kh·kw) ×
 /// (out_h·out_w·batch)`, with batch-major columns (image 0's positions
@@ -53,7 +53,7 @@ pub fn conv_via_gemm(desc: &Conv2dDesc, weights: &MatF32, input: &[MatF32]) -> M
     assert_eq!(weights.cols(), desc.in_c * desc.kh * desc.kw, "filter size");
     let cols = im2col(desc, input);
     let mut out = MatF32::zeros(desc.out_c, cols.cols());
-    gemm_blocked(1.0, weights, &cols, 0.0, &mut out);
+    gemm_ref(1.0, weights, &cols, 0.0, &mut out);
     out
 }
 

@@ -153,7 +153,7 @@ mod tests {
 
     #[test]
     fn dynamic_plan_validates_and_computes_correctly() {
-        use ctb_matrix::{assert_all_close, GemmBatch};
+        use ctb_matrix::{assert_bitwise_eq, GemmBatch};
         let (arch, th) = setup();
         let shapes = vec![
             GemmShape::new(48, 40, 512),
@@ -164,7 +164,7 @@ mod tests {
         plan.validate(&shapes, &sol).expect("valid plan");
         let batch = GemmBatch::random(&shapes, 1.0, 0.5, 77);
         let got = crate::interface::execute_plan(&batch, &plan);
-        assert_all_close(&batch.reference_result(), &got, 5e-4);
+        assert_bitwise_eq(&batch.reference_result_exact(), &got, "dynamic plan");
     }
 
     #[test]

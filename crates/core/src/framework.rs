@@ -233,7 +233,7 @@ impl Framework {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ctb_matrix::assert_all_close;
+    use ctb_matrix::assert_bitwise_eq;
 
     fn shapes() -> Vec<GemmShape> {
         vec![
@@ -248,7 +248,7 @@ mod tests {
         let fw = Framework::new(ArchSpec::volta_v100());
         let batch = GemmBatch::random(&shapes(), 1.0, 0.25, 5);
         let out = fw.run(&batch).expect("runs");
-        assert_all_close(&batch.reference_result(), &out.results, 2e-4);
+        assert_bitwise_eq(&batch.reference_result_exact(), &out.results, "framework run");
         assert!(out.report.total_us > 0.0);
         assert_eq!(out.report.kernels.len(), 1, "single coordinated kernel");
     }
@@ -291,7 +291,7 @@ mod tests {
         let fw = Framework::new(ArchSpec::volta_v100());
         let batch = GemmBatch::random(&[GemmShape::new(32, 32, 0)], 1.0, 0.5, 3);
         let out = fw.run(&batch).expect("runs");
-        assert_all_close(&batch.reference_result(), &out.results, 1e-6);
+        assert_bitwise_eq(&batch.reference_result_exact(), &out.results, "K = 0 run");
     }
 
     #[test]

@@ -390,7 +390,7 @@ fn run_tile(
 /// Execute a batch plan with the original collect-then-scatter
 /// interpreter: every block computes its tiles into freshly allocated
 /// buffers, then a serial pass scatters them into clones of C. Kept as
-/// the A/B baseline for `reproduce perf` and the criterion benches.
+/// the A/B baseline for `reproduce perf`.
 pub fn execute_plan_unpacked(batch: &GemmBatch, plan: &BatchPlan) -> Vec<MatF32> {
     // The Fig 7 outer structure: parallel over thread blocks, serial
     // over the tiles of a block.
@@ -424,7 +424,7 @@ mod tests {
     use super::*;
     use ctb_batching::{assign_blocks, tiles_for, BatchingHeuristic};
     use ctb_gpu_specs::Thresholds;
-    use ctb_matrix::{assert_all_close, GemmShape};
+    use ctb_matrix::{assert_bitwise_eq, GemmShape};
     use ctb_tiling::select_tiling;
 
     fn run_case(shapes: &[GemmShape], heuristic: BatchingHeuristic, alpha: f32, beta: f32) {
@@ -435,20 +435,11 @@ mod tests {
         let blocks = assign_blocks(&tiles, heuristic, &th, sol.thread_count.threads());
         let plan = BatchPlan::from_blocks(&blocks, sol.thread_count.threads());
         plan.validate(shapes, &sol).expect("valid plan");
-        let got = execute_plan(&batch, &plan);
-        let expect = batch.reference_result();
-        assert_all_close(&expect, &got, 2e-4);
-        // The packed engine must agree with the original interpreter
-        // bitwise: both accumulate each element in ascending-k order and
-        // apply the identical epilogue expression.
-        let unpacked = execute_plan_unpacked(&batch, &plan);
-        for (g, (p, u)) in got.iter().zip(&unpacked).enumerate() {
-            assert_eq!(
-                p.as_slice(),
-                u.as_slice(),
-                "packed and unpacked diverge on gemm {g}"
-            );
-        }
+        // Both engines accumulate each element in ascending-k order and
+        // apply the oracle's epilogue expression, so both match it bitwise.
+        let expect = batch.reference_result_exact();
+        assert_bitwise_eq(&expect, &execute_plan(&batch, &plan), "packed executor");
+        assert_bitwise_eq(&expect, &execute_plan_unpacked(&batch, &plan), "unpacked executor");
     }
 
     #[test]

@@ -758,7 +758,7 @@ impl Session {
 mod tests {
     use super::*;
     use ctb_gpu_specs::ArchSpec;
-    use ctb_matrix::assert_all_close;
+    use ctb_matrix::assert_bitwise_eq;
 
     fn session() -> Session {
         Session::new(Framework::new(ArchSpec::volta_v100()))
@@ -774,7 +774,7 @@ mod tests {
         for step in 0..5u64 {
             let batch = GemmBatch::random(&shapes(), 1.0, 0.0, step);
             let out = s.run(&batch).expect("runs");
-            assert_all_close(&batch.reference_result(), &out.results, 2e-4);
+            assert_bitwise_eq(&batch.reference_result_exact(), &out.results, "session run");
         }
         let stats = s.stats();
         assert_eq!(stats.misses, 1, "one planning event");
@@ -1157,7 +1157,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let batch = GemmBatch::random(&shapes(), 1.0, 0.0, t);
                 let out = s.run(&batch).expect("runs");
-                assert_all_close(&batch.reference_result(), &out.results, 2e-4);
+                assert_bitwise_eq(&batch.reference_result_exact(), &out.results, "shared session run");
             }));
         }
         for h in handles {

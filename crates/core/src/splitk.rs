@@ -11,8 +11,10 @@
 //! This module implements split-K on top of the same tiling engine and
 //! cost model: a main kernel whose blocks each compute one K-slice of
 //! one tile into a workspace, followed by a reduction kernel that
-//! combines the partials and applies `alpha`/`beta`. Functionally it is
-//! verified against the reference GEMM like every other execution path.
+//! combines the partials and applies `alpha`/`beta`. Because each
+//! K-slice is summed on its own, split-K reassociates on purpose: it is
+//! the one GEMM path checked against the reference GEMM within a
+//! tolerance rather than bit for bit.
 
 use crate::lowering::{active_threads_for, tile_pass};
 use ctb_batching::{tiles_for, TileTask};
@@ -290,7 +292,7 @@ mod tests {
     fn functional_results_match_reference_for_all_splits() {
         let shapes = vec![GemmShape::new(48, 40, 200), GemmShape::new(17, 65, 33)];
         let batch = GemmBatch::random(&shapes, 0.75, -0.5, 21);
-        let expected = batch.reference_result();
+        let expected = batch.reference_result_exact();
         for split in [1usize, 2, 4, 7] {
             let (results, report) = run_splitk(&v100(), &batch, split).expect("runs");
             assert_all_close(&expected, &results, 5e-4);
@@ -334,6 +336,6 @@ mod tests {
         let shapes = vec![GemmShape::new(16, 16, 0)];
         let batch = GemmBatch::random(&shapes, 1.0, 0.5, 3);
         let (results, _) = run_splitk(&v100(), &batch, 4).expect("runs");
-        assert_all_close(&batch.reference_result(), &results, 1e-6);
+        assert_all_close(&batch.reference_result_exact(), &results, 1e-6);
     }
 }

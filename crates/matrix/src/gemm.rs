@@ -1,15 +1,16 @@
-//! Reference GEMM implementations.
+//! The reference GEMM.
 //!
-//! `C = alpha * A * B + beta * C` in three flavours: a naive triple loop
-//! (the oracle for correctness tests), a cache-blocked single-thread
-//! version, and a rayon-parallel blocked version used by the functional
-//! executor's comparison path when matrices get large.
+//! `C = alpha * A * B + beta * C` as a naive triple loop: each element
+//! sums its products in ascending k from `0.0`, then applies
+//! `alpha * acc + beta * c`. Every executor in the repository replays
+//! that operation sequence and is checked against this loop bit for
+//! bit. The one fast host GEMM is the packed executor's tile kernel in
+//! ctb-core.
 
 use crate::mat::MatF32;
-use rayon::prelude::*;
 
-/// Naive triple-loop GEMM. The correctness oracle for every other
-/// implementation in this repository.
+/// Naive triple-loop GEMM. The correctness oracle for every executor
+/// in this repository.
 pub fn gemm_ref(alpha: f32, a: &MatF32, b: &MatF32, beta: f32, c: &mut MatF32) {
     let (m, k) = (a.rows(), a.cols());
     let n = b.cols();
@@ -30,143 +31,10 @@ pub fn gemm_ref(alpha: f32, a: &MatF32, b: &MatF32, beta: f32, c: &mut MatF32) {
     }
 }
 
-/// Cache-blocked GEMM with a fixed 64×64×64 blocking. Single-threaded.
-pub fn gemm_blocked(alpha: f32, a: &MatF32, b: &MatF32, beta: f32, c: &mut MatF32) {
-    const BS: usize = 64;
-    let (m, k) = (a.rows(), a.cols());
-    let n = b.cols();
-    assert_eq!(b.rows(), k, "inner dimensions must agree");
-    assert_eq!((c.rows(), c.cols()), (m, n), "C shape");
-
-    // Scale C by beta once up front, then accumulate alpha * A*B.
-    for v in c.as_mut_slice() {
-        *v *= beta;
-    }
-    let (as_, bs, cs) = (a.as_slice(), b.as_slice(), c.as_mut_slice());
-    for i0 in (0..m).step_by(BS) {
-        let i1 = (i0 + BS).min(m);
-        for p0 in (0..k).step_by(BS) {
-            let p1 = (p0 + BS).min(k);
-            for j0 in (0..n).step_by(BS) {
-                let j1 = (j0 + BS).min(n);
-                for i in i0..i1 {
-                    for p in p0..p1 {
-                        let av = alpha * as_[i * k + p];
-                        let brow = &bs[p * n + j0..p * n + j1];
-                        let crow = &mut cs[i * n + j0..i * n + j1];
-                        for (cv, &bv) in crow.iter_mut().zip(brow) {
-                            *cv += av * bv;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Rayon-parallel blocked GEMM: rows of `C` are partitioned across the
-/// thread pool; each band is computed with the blocked kernel.
-pub fn gemm_par(alpha: f32, a: &MatF32, b: &MatF32, beta: f32, c: &mut MatF32) {
-    let (m, k) = (a.rows(), a.cols());
-    let n = b.cols();
-    assert_eq!(b.rows(), k, "inner dimensions must agree");
-    assert_eq!((c.rows(), c.cols()), (m, n), "C shape");
-    if m == 0 || n == 0 {
-        return;
-    }
-
-    let as_ = a.as_slice();
-    let bs = b.as_slice();
-    // Band size: a few rows per task keeps tasks balanced without
-    // oversplitting tiny matrices.
-    let band = (m / (4 * rayon::current_num_threads().max(1))).max(8);
-    c.as_mut_slice()
-        .par_chunks_mut(band * n)
-        .enumerate()
-        .for_each(|(bi, cband)| {
-            let i0 = bi * band;
-            let rows = cband.len() / n;
-            for v in cband.iter_mut() {
-                *v *= beta;
-            }
-            for (ri, crow) in cband.chunks_mut(n).enumerate() {
-                let i = i0 + ri;
-                debug_assert!(ri < rows);
-                for p in 0..k {
-                    // No zero-skip shortcut here: `0.0 * b` is NOT a
-                    // no-op when `b` is NaN or infinite, and skipping
-                    // would silently diverge from `gemm_ref`.
-                    let av = alpha * as_[i * k + p];
-                    let brow = &bs[p * n..p * n + n];
-                    for (cv, &bv) in crow.iter_mut().zip(brow) {
-                        *cv += av * bv;
-                    }
-                }
-            }
-        });
-}
-
-/// Size-dispatched reference GEMM: one entry point that picks the
-/// cheapest implementation for the problem size.
-///
-/// * tiny problems (a few thousand FLOPs) — the naive triple loop;
-///   blocking and thread fan-out only add overhead,
-/// * mid-size problems — the single-thread register-blocked
-///   [`crate::micro::gemm_micro`] kernel,
-/// * large problems (≥ ~2 MFLOP with enough rows to band) — the
-///   rayon-parallel kernel.
-///
-/// All three agree with `gemm_ref` to within the usual f32 reassociation
-/// tolerance, so callers can treat this as the reference path.
-pub fn gemm_auto(alpha: f32, a: &MatF32, b: &MatF32, beta: f32, c: &mut MatF32) {
-    let (m, k) = (a.rows(), a.cols());
-    let n = b.cols();
-    let flops = 2 * (m as u64) * (n as u64) * (k as u64);
-    if flops <= 16 * 1024 {
-        gemm_ref(alpha, a, b, beta, c);
-    } else if flops < (1 << 21) || m < 32 {
-        crate::micro::gemm_micro(alpha, a, b, beta, c);
-    } else {
-        gemm_par(alpha, a, b, beta, c);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compare::max_abs_diff;
-
-    fn check_against_ref(m: usize, n: usize, k: usize, alpha: f32, beta: f32, seed: u64) {
-        let a = MatF32::random(m, k, seed);
-        let b = MatF32::random(k, n, seed + 1);
-        let c0 = MatF32::random(m, n, seed + 2);
-
-        let mut c_ref = c0.clone();
-        gemm_ref(alpha, &a, &b, beta, &mut c_ref);
-
-        let mut c_blk = c0.clone();
-        gemm_blocked(alpha, &a, &b, beta, &mut c_blk);
-        assert!(max_abs_diff(&c_ref, &c_blk) < 1e-3, "blocked deviates");
-
-        let mut c_par = c0.clone();
-        gemm_par(alpha, &a, &b, beta, &mut c_par);
-        assert!(max_abs_diff(&c_ref, &c_par) < 1e-3, "parallel deviates");
-    }
-
-    #[test]
-    fn small_square() {
-        check_against_ref(8, 8, 8, 1.0, 0.0, 1);
-    }
-
-    #[test]
-    fn rectangular_with_alpha_beta() {
-        check_against_ref(33, 17, 65, 0.5, -1.25, 2);
-    }
-
-    #[test]
-    fn larger_than_blocking() {
-        check_against_ref(130, 70, 200, 1.0, 1.0, 3);
-    }
 
     #[test]
     fn identity_times_matrix_is_matrix() {
@@ -199,48 +67,7 @@ mod tests {
         let a = MatF32::zeros(0, 5);
         let b = MatF32::random(5, 2, 3);
         let mut c = MatF32::zeros(0, 2);
-        gemm_par(1.0, &a, &b, 0.0, &mut c);
-    }
-
-    #[test]
-    fn gemm_auto_matches_ref_across_dispatch_sizes() {
-        // One case per dispatch branch: naive, blocked, parallel.
-        for (m, n, k, seed) in [(8usize, 8usize, 8usize, 7u64), (48, 40, 64, 8), (160, 96, 128, 9)] {
-            let a = MatF32::random(m, k, seed);
-            let b = MatF32::random(k, n, seed + 1);
-            let c0 = MatF32::random(m, n, seed + 2);
-            let mut c_ref = c0.clone();
-            gemm_ref(1.0, &a, &b, 0.5, &mut c_ref);
-            let mut c_auto = c0.clone();
-            gemm_auto(1.0, &a, &b, 0.5, &mut c_auto);
-            assert!(max_abs_diff(&c_ref, &c_auto) < 1e-3, "auto deviates at {m}x{n}x{k}");
-        }
-    }
-
-    #[test]
-    fn zero_a_rows_propagate_nan_and_inf_from_b() {
-        // Regression: gemm_par used to skip `av == 0.0` multiplies, so a
-        // zero A row silently dropped NaN/Inf contributions from B and
-        // diverged from gemm_ref (0 * NaN = NaN, 0 * inf = NaN).
-        let m = 12;
-        let n = 6;
-        let k = 4;
-        let a = MatF32::zeros(m, k);
-        let mut b = MatF32::random(k, n, 3);
-        b.set(1, 2, f32::NAN);
-        b.set(2, 4, f32::INFINITY);
-        let c0 = MatF32::filled(m, n, 1.0);
-
-        let mut c_ref = c0.clone();
-        gemm_ref(1.0, &a, &b, 1.0, &mut c_ref);
-        let mut c_par = c0.clone();
-        gemm_par(1.0, &a, &b, 1.0, &mut c_par);
-
-        assert!(c_ref.as_slice().iter().any(|v| v.is_nan()), "oracle must see the NaN");
-        for (i, (r, p)) in c_ref.as_slice().iter().zip(c_par.as_slice()).enumerate() {
-            let same = (r.is_nan() && p.is_nan()) || r == p;
-            assert!(same, "element {i}: ref {r} vs par {p}");
-        }
+        gemm_ref(1.0, &a, &b, 0.0, &mut c);
     }
 
     #[test]

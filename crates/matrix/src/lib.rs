@@ -1,9 +1,11 @@
-//! Matrices, reference GEMM implementations, and synthetic batched-GEMM
-//! workload generators.
+//! Matrices, the reference GEMM, and synthetic batched-GEMM workload
+//! generators.
 //!
 //! Everything in the reproduction is checked against [`gemm::gemm_ref`]:
-//! the framework, all four baselines and the convolution lowering produce
-//! numerically comparable `C` matrices for the same inputs.
+//! the framework, both plan interpreters and all four baselines produce
+//! `C` matrices bitwise identical to it for the same inputs
+//! ([`GemmBatch::reference_result_exact`]), under the NaN-payload
+//! contract stated on [`bitwise_mismatch`].
 //!
 //! Matrices are dense row-major `f32` ([`MatF32`]); GEMM semantics follow
 //! the paper: `C = alpha * A * B + beta * C` with `A: M×K`, `B: K×N`,
@@ -14,10 +16,8 @@ pub mod compare;
 pub mod gemm;
 pub mod gen;
 pub mod mat;
-pub mod micro;
 
 pub use batch::{GemmBatch, GemmShape};
 pub use compare::{assert_all_close, assert_bitwise_eq, bitwise_mismatch, max_abs_diff, MatchReport};
-pub use gemm::{gemm_auto, gemm_blocked, gemm_par, gemm_ref};
-pub use micro::gemm_micro;
+pub use gemm::gemm_ref;
 pub use mat::MatF32;

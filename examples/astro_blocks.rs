@@ -3,8 +3,8 @@
 //! thousands of tiny independent systems).
 //!
 //! Compares all four baselines against the coordinated framework on a
-//! batch of small, size-varying GEMMs, with full numerical verification
-//! of every execution path.
+//! batch of small, size-varying GEMMs, verifying every execution path
+//! bit for bit against the naive reference GEMM.
 //!
 //! ```text
 //! cargo run --example astro_blocks --release
@@ -22,7 +22,7 @@ fn main() {
     // cublasSgemmBatched and motivates vbatch-style execution.
     let shapes = jittered_case(24, 48, 48, 96, 0.6, 99);
     let batch = GemmBatch::random(&shapes, 1.0, 0.0, 17);
-    let expected = batch.reference_result();
+    let expected = batch.reference_result_exact();
 
     println!("== batched small GEMMs: baselines vs coordinated framework ==\n");
     println!("batch of {} GEMMs, e.g. {}, {}, {} ...", shapes.len(), shapes[0], shapes[1], shapes[2]);
@@ -36,13 +36,13 @@ fn main() {
         magma_vbatch(&arch, &shapes),
     ] {
         let (results, report) = execute_baseline(&arch, &batch, &run);
-        ctb::matrix::assert_all_close(&expected, &results, 1e-4);
+        ctb::matrix::assert_bitwise_eq(&expected, &results, run.name);
         rows.push((run.name.to_string(), report.total_us));
     }
 
     let framework = Framework::new(arch);
     let outcome = framework.run(&batch).expect("plannable");
-    ctb::matrix::assert_all_close(&expected, &outcome.results, 1e-4);
+    ctb::matrix::assert_bitwise_eq(&expected, &outcome.results, "coordinated");
     rows.push(("coordinated (ours)".into(), outcome.report.total_us));
 
     let worst = rows.iter().map(|(_, us)| *us).fold(0.0f64, f64::max);
@@ -50,5 +50,5 @@ fn main() {
     for (name, us) in &rows {
         println!("{name:<20} {us:>10.1}  {:>7.2}x", worst / us);
     }
-    println!("\nall five execution paths verified against the reference GEMM");
+    println!("\nall five execution paths bitwise equal to the reference GEMM");
 }

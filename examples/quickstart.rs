@@ -47,9 +47,9 @@ fn main() {
         framework.arch().peak_gflops()
     );
 
-    // The functional results are real f32 GEMM outputs — verify against
-    // the reference implementation.
-    let expected = batch.reference_result();
-    ctb::matrix::assert_all_close(&expected, &outcome.results, 1e-4);
-    println!("\nnumerical check vs reference GEMM: OK");
+    // The functional results are real f32 GEMM outputs — verify them
+    // bit for bit against the naive reference GEMM.
+    let expected = batch.reference_result_exact();
+    ctb::matrix::assert_bitwise_eq(&expected, &outcome.results, "framework");
+    println!("\nbitwise check vs reference GEMM: OK");
 }

@@ -1,5 +1,6 @@
 //! Cross-crate integration tests: every execution path (framework and
-//! all four baselines) computes reference-equal results, and the
+//! all four baselines) computes results bitwise identical to the naive
+//! oracle, and the
 //! simulated performance relationships the paper claims hold end-to-end.
 
 use ctb::baselines::run::execute_baseline;
@@ -22,10 +23,10 @@ fn all_executors_agree_on_random_variable_batches() {
         let shapes = clamp_shapes(random_case(seed), 160);
         let shapes = &shapes[..shapes.len().min(8)];
         let batch = GemmBatch::random(shapes, 1.0, 0.5, seed + 100);
-        let expected = batch.reference_result();
+        let expected = batch.reference_result_exact();
 
         let outcome = fw.run(&batch).expect("framework runs");
-        ctb::matrix::assert_all_close(&expected, &outcome.results, 2e-4);
+        ctb::matrix::assert_bitwise_eq(&expected, &outcome.results, "framework");
 
         for run in [
             default_serial(&arch, shapes),
@@ -34,7 +35,7 @@ fn all_executors_agree_on_random_variable_batches() {
             magma_vbatch(&arch, shapes),
         ] {
             let (results, report) = execute_baseline(&arch, &batch, &run);
-            ctb::matrix::assert_all_close(&expected, &results, 2e-4);
+            ctb::matrix::assert_bitwise_eq(&expected, &results, run.name);
             assert!(report.total_us > 0.0, "{} reported zero time", run.name);
         }
     }
@@ -106,7 +107,11 @@ fn per_gemm_alpha_beta_semantics_survive_batching() {
     for (alpha, beta) in [(1.0f32, 0.0f32), (0.5, 1.0), (-2.0, 0.25), (0.0, 3.0)] {
         let batch = GemmBatch::random(&shapes, alpha, beta, 5);
         let outcome = fw.run(&batch).expect("runs");
-        ctb::matrix::assert_all_close(&batch.reference_result(), &outcome.results, 2e-4);
+        ctb::matrix::assert_bitwise_eq(
+            &batch.reference_result_exact(),
+            &outcome.results,
+            &format!("alpha {alpha}, beta {beta}"),
+        );
     }
 }
 

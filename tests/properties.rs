@@ -45,8 +45,8 @@ proptest! {
         prop_assert!(blocks.iter().all(|b| !b.is_empty()));
     }
 
-    /// The persistent-threads interpreter computes reference-equal
-    /// results for any plan of any heuristic.
+    /// The persistent-threads interpreter computes results bitwise
+    /// identical to the naive oracle for any plan of any heuristic.
     #[test]
     fn functional_results_match_reference(
         shapes in shape_batch(),
@@ -62,8 +62,8 @@ proptest! {
         let blocks = assign_blocks(&tiles, h, &th, sol.thread_count.threads());
         let plan = BatchPlan::from_blocks(&blocks, sol.thread_count.threads());
         let got = ctb::core::execute_plan(&batch, &plan);
-        let report = MatchReport::compare(&batch.reference_result(), &got);
-        prop_assert!(report.within(5e-4), "max_rel = {}", report.max_rel);
+        let mismatch = ctb::matrix::bitwise_mismatch(&batch.reference_result_exact(), &got);
+        prop_assert!(mismatch.is_none(), "(gemm, element, expected bits, got bits) = {mismatch:?}");
     }
 
     /// The packed micro-kernel executor is bitwise-identical to the
@@ -197,35 +197,12 @@ fn regression_corpus_replays_recorded_cases() {
     }
 }
 
-fn any_mat(rows: usize, cols: usize, seed: u64) -> ctb::matrix::MatF32 {
-    ctb::matrix::MatF32::random(rows, cols, seed)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The register-blocked micro-kernel agrees with the naive loop on
-    /// arbitrary shapes and scalars.
-    #[test]
-    fn micro_kernel_matches_reference(
-        m in 1usize..40,
-        n in 1usize..40,
-        k in 0usize..40,
-        alpha in -2.0f32..2.0,
-        beta in -2.0f32..2.0,
-        seed in 0u64..1000,
-    ) {
-        let a = any_mat(m, k, seed);
-        let b = any_mat(k, n, seed + 1);
-        let c0 = any_mat(m, n, seed + 2);
-        let mut expect = c0.clone();
-        ctb::matrix::gemm_ref(alpha, &a, &b, beta, &mut expect);
-        let mut got = c0;
-        ctb::matrix::gemm_micro(alpha, &a, &b, beta, &mut got);
-        prop_assert!(ctb::matrix::max_abs_diff(&expect, &got) < 1e-3);
-    }
-
-    /// Split-K produces reference-equal results for every split factor.
+    /// Split-K produces results within tolerance of the naive oracle for
+    /// every split factor: it sums each K slice on its own, so it
+    /// reassociates on purpose.
     #[test]
     fn splitk_matches_reference(
         shapes in shape_batch(),
@@ -236,7 +213,7 @@ proptest! {
         let batch = GemmBatch::random(&shapes, 1.0, 0.5, seed);
         let (results, report) =
             ctb::core::run_splitk(&arch, &batch, split).expect("split-k runs");
-        let expect = batch.reference_result();
+        let expect = batch.reference_result_exact();
         let r = MatchReport::compare(&expect, &results);
         prop_assert!(r.within(1e-3), "split {split}: max_rel {}", r.max_rel);
         prop_assert!(report.total_us > 0.0);
