@@ -2,8 +2,9 @@
 //! and the artifact appendix): `default`, `cke`, a cuBLAS-like same-size
 //! batcher, and MAGMA `vbatch`.
 //!
-//! Every baseline produces a [`BaselineRun`]: a [`LaunchSequence`] for
-//! the timing simulator plus a functional [`BatchPlan`] so its numerical
+//! Every baseline produces a [`BaselineRun`]: a
+//! [`LaunchSequence`](ctb_sim::LaunchSequence) for the timing simulator
+//! plus a functional [`BatchPlan`](ctb_batching::BatchPlan) so its numerical
 //! results can be verified against the reference GEMM bit for bit, like
 //! the coordinated framework's.
 

@@ -87,7 +87,7 @@ pub fn ablate_tiling_adaptivity(arch: &ArchSpec) -> Vec<AblationPoint> {
     let fw = Framework::new(arch.clone());
     let mut out = vec![AblationPoint {
         label: "adaptive (tiling engine)".into(),
-        mean_us: mean_time(&workloads, |s| fw.simulate_only(s).expect("plannable").total_us),
+        mean_us: mean_time(&workloads, |s| fw.plan(s).expect("plannable").predicted_us),
     }];
     for kind in [StrategyKind::Small, StrategyKind::Medium, StrategyKind::Large, StrategyKind::Huge]
     {
@@ -117,7 +117,7 @@ pub fn ablate_tlp_threshold(arch: &ArchSpec) -> Vec<AblationPoint> {
             AblationPoint {
                 label: format!("TLP threshold {t}"),
                 mean_us: mean_time(&workloads, |s| {
-                    fw.simulate_only(s).expect("plannable").total_us
+                    fw.plan(s).expect("plannable").predicted_us
                 }),
             }
         })
@@ -184,7 +184,7 @@ pub fn ablate_heuristic_vs_autotune(arch: &ArchSpec) -> Vec<AblationPoint> {
     let th = Thresholds::for_arch(arch);
     let workloads = gen::random_cases(6, 43);
     let heuristic = mean_time(&workloads, |s| {
-        Framework::new(arch.clone()).simulate_only(s).expect("plannable").total_us
+        Framework::new(arch.clone()).plan(s).expect("plannable").predicted_us
     });
     let tuned = mean_time(&workloads, |s| autotune(arch, s, &th).us);
     vec![
@@ -206,12 +206,11 @@ pub fn ablate_dynamic_queue(arch: &ArchSpec) -> Vec<AblationPoint> {
             s
         })
         .collect();
+    let fw = Framework::new(arch.clone());
     vec![
         AblationPoint {
             label: "best static heuristic".into(),
-            mean_us: mean_time(&workloads, |s| {
-                ctb_core::dynamic::simulate_best_static(arch, s, &th)
-            }),
+            mean_us: mean_time(&workloads, |s| fw.plan(s).expect("plannable").predicted_us),
         },
         AblationPoint {
             label: "dynamic queue (LPT)".into(),

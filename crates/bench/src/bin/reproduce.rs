@@ -809,6 +809,7 @@ fn run_splitk_demo(arch: &ArchSpec) {
 fn run_plan_explain(arch: &ArchSpec, spec: Option<&str>) {
     use ctb_core::Framework;
     use ctb_matrix::GemmShape;
+    use ctb_sim::{simulate, LaunchSequence};
     use ctb_tiling::select_tiling_traced;
 
     let spec = spec.unwrap_or("16x32x128,64x64x64,256x256x64");
@@ -840,7 +841,7 @@ fn run_plan_explain(arch: &ArchSpec, spec: Option<&str>) {
         plan.plan.num_blocks(),
         plan.plan.max_tiles_per_block()
     );
-    let report = fw.simulate_only(&shapes).expect("the same shapes planned above");
+    let report = simulate(arch, &LaunchSequence::Single(plan.kernel));
     let k = &report.kernels[0];
     println!(
         "simulated: {:.1} us | occupancy {} blocks/SM | avg active warps {:.1} | \
@@ -886,9 +887,9 @@ fn run_custom(arch: &ArchSpec, path: Option<&str>) {
 
     let fw = Framework::new(arch.clone());
     let ours = fw
-        .simulate_only(&shapes)
+        .plan(&shapes)
         .unwrap_or_else(|e| usage_error(&format!("cannot plan {path}: {e}")))
-        .total_us;
+        .predicted_us;
 
     println!("== custom workload: {} GEMMs from {path} on {} ==", shapes.len(), arch.name);
     let mut rows = vec![("coordinated (ours)".to_string(), ours)];

@@ -17,7 +17,7 @@ use ctb_sim::simulate;
 pub type FanRow = (String, f64);
 
 fn speedup(fw: &Framework, arch: &ArchSpec, shapes: &[GemmShape]) -> f64 {
-    let ours = fw.simulate_only(shapes).expect("plannable").total_us;
+    let ours = fw.plan(shapes).expect("plannable").predicted_us;
     let magma = simulate(arch, &magma_vbatch(arch, shapes).seq).total_us;
     magma / ours
 }

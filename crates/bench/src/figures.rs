@@ -53,7 +53,7 @@ fn grid_with(arch: &ArchSpec, policy: impl Fn() -> BatchingPolicy) -> Vec<CellRe
         .map(|(b, mn, k)| {
             let shapes = gen::uniform_case(b, mn, mn, k);
             let magma_us = simulate_baseline(arch, &magma_vbatch(arch, &shapes)).total_us;
-            let ours_us = fw.simulate_only(&shapes).expect("plannable").total_us;
+            let ours_us = fw.plan(&shapes).expect("plannable").predicted_us;
             CellResult { batch: b, mn, k, magma_us, ours_us }
         })
         .collect()
@@ -111,7 +111,7 @@ pub fn portability_for(arch: &ArchSpec, cases: usize, seed: u64) -> PortabilityR
 
 fn speedup_for_case(fw: &Framework, arch: &ArchSpec, shapes: &[GemmShape]) -> f64 {
     let magma = simulate_baseline(arch, &magma_vbatch(arch, shapes)).total_us;
-    let ours = fw.simulate_only(shapes).expect("plannable").total_us;
+    let ours = fw.plan(shapes).expect("plannable").predicted_us;
     magma / ours
 }
 

@@ -23,6 +23,7 @@
 //! set gated against the committed `BENCH_storm.json`.
 
 use crate::Json;
+use ctb_core::hash::{mix64, GOLDEN_GAMMA};
 use ctb_core::{AdmissionPolicy, Framework, PlanShare, PlanShareConfig, Session};
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::{bitwise_mismatch, GemmBatch, GemmShape};
@@ -125,14 +126,11 @@ pub struct StormBenchReport {
     pub sharded: StormArm,
 }
 
-/// SplitMix64 — the stream generator; one independent stream per
+/// SplitMix64 as a stream generator: one independent stream per
 /// producer so both arms replay identical request sequences.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+fn next_draw(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(GOLDEN_GAMMA);
+    mix64(*state)
 }
 
 /// Map an index of the shape space to a distinct small signature
@@ -145,13 +143,13 @@ fn shape_at(index: usize) -> GemmShape {
 /// `hot_per_mille`, otherwise a uniform draw from the shape space.
 fn request_shape(cfg: &StormBenchConfig, t: usize, i: usize) -> GemmShape {
     let mut state = cfg.seed ^ ((t as u64) << 32) ^ i as u64;
-    let roll = splitmix64(&mut state);
+    let roll = next_draw(&mut state);
     if (roll % 1000) < cfg.hot_per_mille as u64 {
         // Hot set: spread through the space so shards share the load.
-        let hot = splitmix64(&mut state) as usize % cfg.hot_shapes;
+        let hot = next_draw(&mut state) as usize % cfg.hot_shapes;
         shape_at(hot * (cfg.shape_space / cfg.hot_shapes))
     } else {
-        shape_at(splitmix64(&mut state) as usize % cfg.shape_space)
+        shape_at(next_draw(&mut state) as usize % cfg.shape_space)
     }
 }
 

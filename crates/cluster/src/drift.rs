@@ -14,6 +14,7 @@
 //! real signal, and every completion can be logged as a
 //! [`PlacementDecision`] for the offline calibrator to fit against.
 
+use ctb_core::hash::splitmix64;
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::GemmShape;
 use std::sync::Arc;
@@ -57,15 +58,6 @@ pub struct GroundTruth {
     specs: Vec<ArchSpec>,
 }
 
-/// splitmix64 finalizer — full-avalanche, so consecutive seeds give
-/// uncorrelated drift factors.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Uniform in `[0, 1)` from a hash.
 fn u01(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
@@ -96,13 +88,13 @@ impl GroundTruth {
             if specs.iter().any(|s| s.name == nominal.name) {
                 continue;
             }
-            let mut h = mix(seed ^ 0xD21F_7D21_F7D2_1F7D);
+            let mut h = splitmix64(seed ^ 0xD21F_7D21_F7D2_1F7D);
             for b in nominal.name.as_bytes() {
-                h = mix(h ^ u64::from(*b));
+                h = splitmix64(h ^ u64::from(*b));
             }
             let mut spec = nominal.clone();
-            spec.clock_ghz *= 0.85 + 0.12 * u01(mix(h ^ 1));
-            let bw = 0.80 + 0.15 * u01(mix(h ^ 2));
+            spec.clock_ghz *= 0.85 + 0.12 * u01(splitmix64(h ^ 1));
+            let bw = 0.80 + 0.15 * u01(splitmix64(h ^ 2));
             spec.mem_bandwidth_gbps *= bw;
             // The bus degrades as a whole: local and remote shares scale
             // by the same factor, so the topology split tracks the
@@ -110,9 +102,9 @@ impl GroundTruth {
             // two products).
             spec.topology.local_bandwidth_gbps *= bw;
             spec.topology.remote_bandwidth_gbps *= bw;
-            spec.global_mem_latency =
-                ((spec.global_mem_latency as f64) * (1.05 + 0.30 * u01(mix(h ^ 3)))).round() as u32;
-            spec.kernel_launch_overhead_us *= 1.0 + 0.5 * u01(mix(h ^ 4));
+            let latency = 1.05 + 0.30 * u01(splitmix64(h ^ 3));
+            spec.global_mem_latency = ((spec.global_mem_latency as f64) * latency).round() as u32;
+            spec.kernel_launch_overhead_us *= 1.0 + 0.5 * u01(splitmix64(h ^ 4));
             specs.push(spec);
         }
         GroundTruth { specs }

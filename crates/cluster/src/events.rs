@@ -9,7 +9,7 @@
 //! is just a larger heap.
 //!
 //! **Scheduling policy.** Placement ranks candidates through
-//! [`placer::rank`]/[`placer::choose`](crate::placer::choose), idle
+//! [`placer::rank`]/[`placer::choose`], idle
 //! devices steal through [`placer::steal_beneficial`], failures charge
 //! the device's [`Breaker`] (a trip drains its queue onto survivors),
 //! kills re-route queued work, and an exhausted re-route budget falls
@@ -22,9 +22,9 @@
 //!
 //! **Witness-subset bitwise checking.** Executing a million GEMM
 //! batches functionally would make the host CPU the bottleneck again,
-//! so most requests carry only their shape signature: cost comes from
-//! the shared `SimMemo` (the identical number the placer compared), and
-//! completion is pure accounting. Every `witness_every`-th request is a
+//! so most requests carry only their shape signature: cost is the
+//! plan's predicted time (the identical number the placer compared),
+//! and completion is pure accounting. Every `witness_every`-th request is a
 //! *witness*: it materializes real matrices from its seed, runs the
 //! full coordinated plan through the functional executor, and bitwise-
 //! compares against `reference_result_exact`. The bitwise-exactness
@@ -40,6 +40,7 @@
 use crate::drift::{GroundTruth, PlacementDecision};
 use crate::placer::{self, Candidate, LocalityPolicy};
 use crate::stats::{ClusterInner, ClusterStats, DeviceStats};
+use ctb_core::hash::splitmix64;
 use ctb_core::{
     BatchingPolicy, CacheStats, Framework, FrameworkConfig, OperandHome, PlanShare,
     PlanShareConfig, Session,
@@ -463,16 +464,6 @@ impl Default for EventConfig {
 // Load generation
 // ---------------------------------------------------------------------------
 
-/// SplitMix64 output mixer (the same full-avalanche hash the fault
-/// injector uses; reproduced here because the injector keeps its
-/// private).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A weighted shape-signature class in an open-loop workload mix.
 #[derive(Debug, Clone)]
 pub struct ShapeMix {
@@ -563,7 +554,8 @@ impl LoadGen {
         self.remaining -= 1;
         let n = self.drawn;
         self.drawn += 1;
-        let h_mix = mix(self.seed ^ 0xA076_1D64_78BD_642F ^ n.wrapping_mul(0xE703_7ED1_A0B4_28DB));
+        let h_mix =
+            splitmix64(self.seed ^ 0xA076_1D64_78BD_642F ^ n.wrapping_mul(0xE703_7ED1_A0B4_28DB));
         let pick = h_mix % self.total_weight;
         let mut acc = 0u64;
         let mut shapes = self.mixes[0].shapes.clone();
@@ -576,10 +568,11 @@ impl LoadGen {
         }
         // Exponential inter-arrival: invert a uniform draw built from
         // the hash's top 53 bits (offset half a ULP so ln never sees 0).
-        let h_dt = mix(self.seed ^ 0x8EBC_6AF0_9C88_C6E3 ^ n.wrapping_mul(0x5899_65CC_7537_4CC3));
+        let h_dt =
+            splitmix64(self.seed ^ 0x8EBC_6AF0_9C88_C6E3 ^ n.wrapping_mul(0x5899_65CC_7537_4CC3));
         let u = ((h_dt >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
         let dt = (-u.ln() * self.mean_interarrival_ns).round().max(1.0) as u64;
-        Some((dt, shapes, mix(self.seed ^ n)))
+        Some((dt, shapes, splitmix64(self.seed ^ n)))
     }
 }
 
@@ -674,10 +667,10 @@ pub struct EventCluster {
     clock: Option<Arc<SimClock>>,
     stats: ClusterInner,
     outcomes: Vec<ReqOutcome>,
-    /// Engine-level prediction cache: one `session.plan` +
-    /// `simulate_solution` per (arch class, shape signature); after
-    /// that a placement across 10k devices costs `classes` hash
-    /// lookups, not `devices` planner calls.
+    /// Engine-level prediction cache: one `session.plan` per (arch
+    /// class, shape signature); after that a placement across 10k
+    /// devices costs `classes` hash lookups, not `devices` planner
+    /// calls.
     predictions: PredictionCache,
     /// Device → arch-class index, and one representative device per
     /// class (predictions are identical within a class).
@@ -1199,10 +1192,10 @@ impl EventCluster {
     // -- placement --------------------------------------------------------
 
     /// Memoized prediction for `shapes` on device `dev_idx`'s arch
-    /// class: plan through the class's session, then read the chosen
-    /// candidate's simulated time out of the shared memo (best-of-both
-    /// already simulated it, so this never reruns the simulator), shared
-    /// across all devices of the class.
+    /// class: plan through the class's session and take the plan's
+    /// `predicted_us` (the planner simulated the chosen candidate while
+    /// choosing it), corrected by the installed calibration profile and
+    /// shared across all devices of the class.
     fn predict_cached(&mut self, dev_idx: usize, shapes: &Arc<[GemmShape]>) -> Result<f64, String> {
         // Cached values include the installed correction, so a profile
         // install (version bump on the share's CalibHandle) invalidates
@@ -1218,17 +1211,7 @@ impl EventCluster {
         if let Some(r) = self.predictions.get(&(name, Arc::clone(shapes))) {
             return r.clone();
         }
-        let session = &self.devices[rep].session;
-        let raw = session.plan(shapes).map(|plan| {
-            let fw = session.framework();
-            session.sim_memo().simulate_solution(
-                fw.arch(),
-                shapes,
-                &plan.solution,
-                plan.heuristic,
-                fw.thresholds(),
-            )
-        });
+        let raw = self.devices[rep].session.plan(shapes).map(|plan| plan.predicted_us);
         let r = match raw {
             Ok(model) => {
                 self.model_us.insert((name, Arc::clone(shapes)), model);

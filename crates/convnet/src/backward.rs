@@ -100,8 +100,7 @@ mod tests {
         let fw = Framework::new(ArchSpec::volta_v100());
         let m = &net.modules[2]; // inception4a
         for shapes in [inception_dgrad_batch(m, 1), inception_wgrad_batch(m, 1)] {
-            let report = fw.simulate_only(&shapes).expect("plannable");
-            assert!(report.total_us > 0.0);
+            assert!(fw.plan(&shapes).expect("plannable").predicted_us > 0.0);
         }
     }
 }

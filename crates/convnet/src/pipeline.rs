@@ -59,7 +59,7 @@ fn streams_us(arch: &ArchSpec, shapes: &[GemmShape]) -> f64 {
 
 /// Coordinated (framework-batched) execution time of a set of GEMMs.
 fn coordinated_us(fw: &Framework, shapes: &[GemmShape]) -> f64 {
-    fw.simulate_only(shapes).expect("plannable").total_us
+    fw.plan(shapes).expect("plannable").predicted_us
 }
 
 /// MAGMA vbatch execution time of a set of GEMMs.

@@ -4,8 +4,8 @@
 //! to millions of entries, most of them one-shot shapes that are never
 //! looked up again. Following the Stream-K++ observation that cheap
 //! probabilistic membership state beats unbounded exact maps for
-//! kernel-selection caches, insertion into a bounded [`PlanShare`]
-//! (crate::PlanShare) can be gated by a "seen twice" doorkeeper: a key
+//! kernel-selection caches, insertion into a bounded
+//! [`PlanShare`](crate::PlanShare) can be gated by a "seen twice" doorkeeper: a key
 //! is admitted only on its *second* sighting, so one-shot shapes never
 //! displace resident hot plans.
 //!
@@ -20,6 +20,7 @@
 //! extra miss, but the cache is never polluted by a key that was not
 //! genuinely seen before.
 
+use crate::hash::mix64;
 use ctb_savestate::{savestate_enum, Reader, Savestate, SavestateError, Writer};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -56,20 +57,6 @@ pub struct AdmissionStats {
     pub evicted_tags: usize,
 }
 
-/// SplitMix64 finalizer — a bijective mix, so distinct inputs always
-/// produce distinct tags (zero false positives for `u64` keys). Also
-/// used by the plan-cache shard selector to spread FNV hashes (whose
-/// low bits cluster for structured keys) across shards.
-#[inline]
-pub(crate) fn mix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x
-}
-
 /// Seeded two-probe tagged doorkeeper. See the module docs for the
 /// guarantee structure. All operations are lock-free; racing observers
 /// of *different* keys can at worst lose a recording (a false
@@ -98,7 +85,7 @@ impl BloomGate {
     /// empty-slot sentinel.
     #[inline]
     fn tag(&self, key_hash: u64) -> u64 {
-        let t = mix(self.seed ^ key_hash);
+        let t = mix64(self.seed ^ key_hash);
         if t == 0 {
             1
         } else {
@@ -111,7 +98,7 @@ impl BloomGate {
     /// sighting and the key should be admitted.
     pub fn observe(&self, key_hash: u64) -> bool {
         let tag = self.tag(key_hash);
-        let ix = mix(tag);
+        let ix = mix64(tag);
         let i1 = (ix & self.mask) as usize;
         let i2 = ((ix >> 32) & self.mask) as usize;
         let s1 = self.slots[i1].load(Ordering::Relaxed);
@@ -141,7 +128,7 @@ impl BloomGate {
     /// recording a sighting.
     pub fn contains(&self, key_hash: u64) -> bool {
         let tag = self.tag(key_hash);
-        let ix = mix(tag);
+        let ix = mix64(tag);
         let i1 = (ix & self.mask) as usize;
         let i2 = ((ix >> 32) & self.mask) as usize;
         self.slots[i1].load(Ordering::Relaxed) == tag

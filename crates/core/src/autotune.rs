@@ -9,13 +9,12 @@
 //! heuristic against this tuned bound, quantifying how much the
 //! threshold rule leaves on the table.
 
-use crate::framework::plan_with_heuristic;
 use crate::memo::SimMemo;
-use ctb_batching::BatchingHeuristic;
+use ctb_batching::{tiles_for, BatchingHeuristic};
 use ctb_gpu_specs::{ArchSpec, Thresholds};
 use ctb_matrix::GemmShape;
 use ctb_tiling::strategy::{batched, StrategyKind, ThreadCount};
-use ctb_tiling::{model, TilingSolution};
+use ctb_tiling::{model, select_tiling, TilingSolution};
 use rayon::prelude::*;
 
 /// Result of the exhaustive search.
@@ -62,16 +61,16 @@ pub fn autotune(arch: &ArchSpec, shapes: &[GemmShape], thresholds: &Thresholds) 
         BatchingHeuristic::Binary,
     ];
     let memo = SimMemo::new();
+    let sim_us = |sol: &TilingSolution, h| {
+        memo.candidate(arch, thresholds, shapes, sol, &tiles_for(shapes, sol), h).us
+    };
     // Evaluate `(solution index, heuristic)` pairs in parallel,
     // returning times in pair order for the deterministic serial scans.
     let eval_pairs = |sols: &[TilingSolution]| -> Vec<(usize, BatchingHeuristic, f64)> {
         let pairs: Vec<(usize, BatchingHeuristic)> = (0..sols.len())
             .flat_map(|i| heuristics.iter().map(move |&h| (i, h)))
             .collect();
-        pairs
-            .into_par_iter()
-            .map(|(i, h)| (i, h, memo.simulate_solution(arch, shapes, &sols[i], h, thresholds)))
-            .collect()
+        pairs.into_par_iter().map(|(i, h)| (i, h, sim_us(&sols[i], h))).collect()
     };
 
     let mut evaluated = 0usize;
@@ -137,10 +136,7 @@ pub fn autotune(arch: &ArchSpec, shapes: &[GemmShape], thresholds: &Thresholds) 
     // heuristic's solution goes through the memo too: on uniform
     // batches the threshold-selected solution is one of the uniform
     // candidates above, so this lookup is a guaranteed hit.
-    let (heuristic_sol, _heuristic_plan) =
-        plan_with_heuristic(shapes, thresholds, BatchingHeuristic::Threshold);
-    let heuristic_us =
-        memo.simulate_solution(arch, shapes, &heuristic_sol, BatchingHeuristic::Threshold, thresholds);
+    let heuristic_us = sim_us(&select_tiling(shapes, thresholds), BatchingHeuristic::Threshold);
 
     AutotuneResult {
         solution: sol,
@@ -204,20 +200,16 @@ mod tests {
         assert_eq!(r.sim_calls + r.memo_hits, r.evaluated + 1);
         assert!(r.memo_hits > 0, "expected memo hits, got none");
         assert!(r.sim_calls < r.evaluated, "sim {} vs evaluated {}", r.sim_calls, r.evaluated);
-        // The memoized winner replays the exact uncached simulation.
-        let uncached =
-            crate::memo::simulate_solution_uncached(&arch, &shapes, &r.solution, r.heuristic, &th);
-        assert_eq!(uncached.to_bits(), r.us.to_bits(), "memoized us diverges from uncached");
+        // The memoized winner replays the exact time a fresh memo
+        // simulates.
+        let uncached = |sol: &TilingSolution, h| {
+            SimMemo::new().candidate(&arch, &th, &shapes, sol, &tiles_for(&shapes, sol), h).us
+        };
+        let us = uncached(&r.solution, r.heuristic);
+        assert_eq!(us.to_bits(), r.us.to_bits(), "memoized us diverges from uncached");
         // Same for the heuristic comparison point.
-        let (h_sol, _) = plan_with_heuristic(&shapes, &th, BatchingHeuristic::Threshold);
-        let h_uncached = crate::memo::simulate_solution_uncached(
-            &arch,
-            &shapes,
-            &h_sol,
-            BatchingHeuristic::Threshold,
-            &th,
-        );
-        assert_eq!(h_uncached.to_bits(), r.heuristic_us.to_bits());
+        let h_us = uncached(&select_tiling(&shapes, &th), BatchingHeuristic::Threshold);
+        assert_eq!(h_us.to_bits(), r.heuristic_us.to_bits());
     }
 
     #[test]

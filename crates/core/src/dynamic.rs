@@ -16,8 +16,7 @@
 //! encode the result in the ordinary five-array [`BatchPlan`], so the
 //! functional interpreter and the simulator run it unchanged.
 
-use crate::framework::plan_with_heuristic;
-use ctb_batching::{tiles_for, BatchPlan, BatchingHeuristic, TileTask};
+use ctb_batching::{tiles_for, BatchPlan, TileTask};
 use ctb_gpu_specs::{occupancy, ArchSpec, BlockFootprint, Thresholds};
 use ctb_matrix::GemmShape;
 use ctb_tiling::{select_tiling, TilingSolution};
@@ -66,11 +65,12 @@ pub fn lpt_assign(tiles: &[TileTask], workers: usize) -> Vec<Vec<TileTask>> {
 /// tile assignment onto a persistent worker set whose size is auto-tuned
 /// by simulation (full residency capacity down to a handful of workers —
 /// fewer, longer-lived workers win when a few heavy tiles dominate).
+/// Returns the solution, the winning plan and its simulated time (µs).
 pub fn plan_dynamic(
     arch: &ArchSpec,
     shapes: &[GemmShape],
     thresholds: &Thresholds,
-) -> (TilingSolution, BatchPlan) {
+) -> (TilingSolution, BatchPlan, f64) {
     use crate::lowering::lower_plan;
     use ctb_sim::{simulate, LaunchSequence};
     let solution = select_tiling(shapes, thresholds);
@@ -96,33 +96,15 @@ pub fn plan_dynamic(
             best = Some((us, plan));
         }
     }
-    let (_, plan) = best.expect("at least one candidate");
-    (solution, plan)
+    let (us, plan) = best.expect("at least one candidate");
+    (solution, plan, us)
 }
 
 /// Simulated time of the dynamic-queue plan (µs), for comparisons.
 pub fn simulate_dynamic(arch: &ArchSpec, shapes: &[GemmShape], thresholds: &Thresholds) -> f64 {
-    use crate::lowering::lower_plan;
-    use ctb_sim::{simulate, LaunchSequence};
-    let (solution, plan) = plan_dynamic(arch, shapes, thresholds);
+    let (solution, plan, us) = plan_dynamic(arch, shapes, thresholds);
     debug_assert!(plan.validate(shapes, &solution).is_ok());
-    let kd = lower_plan("dynamic_queue", &plan, shapes);
-    simulate(arch, &LaunchSequence::Single(kd)).total_us
-}
-
-/// Convenience: the simulated time of the paper's best static heuristic
-/// on the same batch (for head-to-head tests).
-pub fn simulate_best_static(arch: &ArchSpec, shapes: &[GemmShape], thresholds: &Thresholds) -> f64 {
-    use crate::lowering::lower_plan;
-    use ctb_sim::{simulate, LaunchSequence};
-    [BatchingHeuristic::OneTilePerBlock, BatchingHeuristic::Threshold, BatchingHeuristic::Binary]
-        .into_iter()
-        .map(|h| {
-            let (_, plan) = plan_with_heuristic(shapes, thresholds, h);
-            let kd = lower_plan("static", &plan, shapes);
-            simulate(arch, &LaunchSequence::Single(kd)).total_us
-        })
-        .fold(f64::INFINITY, f64::min)
+    us
 }
 
 #[cfg(test)]
@@ -160,7 +142,7 @@ mod tests {
             GemmShape::new(17, 65, 33),
             GemmShape::new(96, 96, 128),
         ];
-        let (sol, plan) = plan_dynamic(&arch, &shapes, &th);
+        let (sol, plan, _) = plan_dynamic(&arch, &shapes, &th);
         plan.validate(&shapes, &sol).expect("valid plan");
         let batch = GemmBatch::random(&shapes, 1.0, 0.5, 77);
         let got = crate::interface::execute_plan(&batch, &plan);
@@ -175,7 +157,7 @@ mod tests {
         let mut shapes = vec![GemmShape::new(64, 64, 2048); 4];
         shapes.extend(vec![GemmShape::new(64, 64, 32); 28]);
         let dynamic = simulate_dynamic(&arch, &shapes, &th);
-        let static_best = simulate_best_static(&arch, &shapes, &th);
+        let static_best = crate::Framework::new(arch.clone()).plan(&shapes).unwrap().predicted_us;
         assert!(
             dynamic <= static_best * 1.25,
             "dynamic {dynamic} vs best static {static_best}"

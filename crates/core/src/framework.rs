@@ -2,9 +2,9 @@
 
 use crate::interface::execute_plan;
 use crate::lowering::lower_plan;
-use crate::memo::SimMemo;
-use crate::selector::{simulated_us, OnlineSelector};
-use ctb_batching::{assign_blocks, tiles_for, BatchPlan, BatchingHeuristic};
+use crate::memo::{SimMemo, KERNEL_NAME};
+use crate::selector::OnlineSelector;
+use ctb_batching::{tiles_for, BatchPlan, BatchingHeuristic};
 use ctb_gpu_specs::{ArchSpec, Thresholds};
 use ctb_matrix::{GemmBatch, GemmShape, MatF32};
 use ctb_sim::{simulate, KernelDesc, LaunchSequence, SimReport};
@@ -15,9 +15,10 @@ use ctb_tiling::{select_tiling, TilingSolution};
 pub enum BatchingPolicy {
     /// Always use one heuristic.
     Fixed(BatchingHeuristic),
-    /// Plan with both heuristics, simulate both, keep the faster — the
-    /// paper's recommendation when shapes are fixed across calls (e.g.
-    /// training a fixed network).
+    /// Plan with the threshold and binary heuristics (§5) and with one
+    /// tile per block, simulate all three, keep the fastest (the first
+    /// in that order on a tie) — the paper's recommendation when shapes
+    /// are fixed across calls (e.g. training a fixed network).
     BestOfBoth,
     /// The random-forest on-line selector — the paper's recommendation
     /// when shapes vary between calls.
@@ -56,6 +57,10 @@ pub struct ExecutionPlan {
     pub plan: BatchPlan,
     /// Lowered single-kernel description for the simulator.
     pub kernel: KernelDesc,
+    /// Simulated time of `kernel` on the framework's device (µs):
+    /// `simulate(arch, &LaunchSequence::Single(kernel)).total_us`, bit
+    /// for bit.
+    pub predicted_us: f64,
 }
 
 /// Results of running a batch through the framework.
@@ -67,20 +72,6 @@ pub struct RunOutcome {
     pub report: SimReport,
     /// The plan that produced them.
     pub plan: ExecutionPlan,
-}
-
-/// Plan tiling + batching for `shapes` with a fixed heuristic.
-/// (Shared with the selector's labelling oracle.)
-pub fn plan_with_heuristic(
-    shapes: &[GemmShape],
-    thresholds: &Thresholds,
-    heuristic: BatchingHeuristic,
-) -> (TilingSolution, BatchPlan) {
-    let solution = select_tiling(shapes, thresholds);
-    let tiles = tiles_for(shapes, &solution);
-    let blocks = assign_blocks(&tiles, heuristic, thresholds, solution.thread_count.threads());
-    let plan = BatchPlan::from_blocks(&blocks, solution.thread_count.threads());
-    (solution, plan)
 }
 
 /// The coordinated tiling + batching framework bound to one device.
@@ -135,39 +126,21 @@ impl Framework {
 
     /// Phase 1 + 2: produce the execution plan for a batch of shapes.
     pub fn plan(&self, shapes: &[GemmShape]) -> Result<ExecutionPlan, String> {
-        self.plan_inner(shapes, None, None)
+        self.plan_memoized_with(shapes, &SimMemo::new(), None)
     }
 
-    /// [`Framework::plan`] with a simulation memo: best-of-both
-    /// candidate simulations already seen by `memo` are answered from
-    /// the cache. The chosen plan is identical to `plan`'s — a hit
-    /// replays the exact time the uncached pipeline produced.
-    pub fn plan_memoized(
-        &self,
-        shapes: &[GemmShape],
-        memo: &SimMemo,
-    ) -> Result<ExecutionPlan, String> {
-        self.plan_inner(shapes, Some(memo), None)
-    }
-
-    /// [`Framework::plan_memoized`] with an optional heuristic override
-    /// for the [`BatchingPolicy::Swappable`] policy — the hot-swap seam
-    /// through which a session injects its calibration handle's current
-    /// selector choice. Ignored under every other policy (those remain
-    /// fully determined by the framework's own configuration).
+    /// [`Framework::plan`] with a simulation memo and an optional
+    /// heuristic override. Candidates already simulated by `memo` are
+    /// answered from it, so the chosen plan and its `predicted_us` are
+    /// identical to `plan`'s. The override serves the
+    /// [`BatchingPolicy::Swappable`] policy — the hot-swap seam through
+    /// which a session injects its calibration handle's current
+    /// selector choice — and is ignored under every other policy (those
+    /// remain fully determined by the framework's own configuration).
     pub fn plan_memoized_with(
         &self,
         shapes: &[GemmShape],
         memo: &SimMemo,
-        heuristic_override: Option<BatchingHeuristic>,
-    ) -> Result<ExecutionPlan, String> {
-        self.plan_inner(shapes, Some(memo), heuristic_override)
-    }
-
-    fn plan_inner(
-        &self,
-        shapes: &[GemmShape],
-        memo: Option<&SimMemo>,
         heuristic_override: Option<BatchingHeuristic>,
     ) -> Result<ExecutionPlan, String> {
         if shapes.is_empty() {
@@ -176,16 +149,13 @@ impl Framework {
         if shapes.iter().any(|s| s.m == 0 || s.n == 0) {
             return Err("GEMM with empty output matrix".into());
         }
-        let candidate_us = |h: BatchingHeuristic| match memo {
-            Some(memo) => {
-                let (solution, _) = plan_with_heuristic(shapes, &self.thresholds, h);
-                memo.simulate_solution(&self.arch, shapes, &solution, h, &self.thresholds)
-            }
-            None => simulated_us(&self.arch, &self.thresholds, shapes, h),
-        };
+        let solution = select_tiling(shapes, &self.thresholds);
+        let tiles = tiles_for(shapes, &solution);
+        let build =
+            |h| memo.candidate(&self.arch, &self.thresholds, shapes, &solution, &tiles, h);
         // Try both heuristics (§5) plus the degenerate
         // one-tile-per-block scheme (what threshold batching
-        // produces with no TLP headroom), keeping the fastest.
+        // produces with no TLP headroom), keeping the first fastest.
         let best_of_both = || {
             [
                 BatchingHeuristic::Threshold,
@@ -193,19 +163,25 @@ impl Framework {
                 BatchingHeuristic::OneTilePerBlock,
             ]
             .into_iter()
-            .min_by(|&x, &y| candidate_us(x).total_cmp(&candidate_us(y)))
+            .map(build)
+            .min_by(|x, y| x.us.total_cmp(&y.us))
             .expect("non-empty candidate list")
         };
-        let heuristic = match &self.config.batching {
-            BatchingPolicy::Fixed(h) => *h,
-            BatchingPolicy::Forest(selector) => selector.select_shapes(shapes),
+        let best = match &self.config.batching {
+            BatchingPolicy::Fixed(h) => build(*h),
+            BatchingPolicy::Forest(selector) => build(selector.select_shapes(shapes)),
             BatchingPolicy::BestOfBoth => best_of_both(),
-            BatchingPolicy::Swappable => heuristic_override.unwrap_or_else(best_of_both),
+            BatchingPolicy::Swappable => heuristic_override.map_or_else(best_of_both, build),
         };
-        let (solution, plan) = plan_with_heuristic(shapes, &self.thresholds, heuristic);
-        plan.validate(shapes, &solution)?;
-        let kernel = lower_plan("coordinated_batched_gemm", &plan, shapes);
-        Ok(ExecutionPlan { solution, heuristic, plan, kernel })
+        best.plan.validate(shapes, &solution)?;
+        let kernel = best.kernel.unwrap_or_else(|| lower_plan(KERNEL_NAME, &best.plan, shapes));
+        Ok(ExecutionPlan {
+            solution,
+            heuristic: best.heuristic,
+            plan: best.plan,
+            kernel,
+            predicted_us: best.us,
+        })
     }
 
     /// Execute a plan: functional results + simulated timing.
@@ -222,17 +198,12 @@ impl Framework {
         let (results, report) = self.execute(batch, &plan);
         Ok(RunOutcome { results, report, plan })
     }
-
-    /// Simulated time only (used by benches; skips the functional pass).
-    pub fn simulate_only(&self, shapes: &[GemmShape]) -> Result<SimReport, String> {
-        let plan = self.plan(shapes)?;
-        Ok(simulate(&self.arch, &LaunchSequence::Single(plan.kernel)))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::selector::simulated_us;
     use ctb_matrix::assert_bitwise_eq;
 
     fn shapes() -> Vec<GemmShape> {
@@ -271,7 +242,7 @@ mod tests {
         let fw = Framework::new(arch.clone());
         let th = *fw.thresholds();
         let s = shapes();
-        let best = fw.simulate_only(&s).unwrap().total_us;
+        let best = fw.plan(&s).unwrap().predicted_us;
         let t = simulated_us(&arch, &th, &s, BatchingHeuristic::Threshold);
         let b = simulated_us(&arch, &th, &s, BatchingHeuristic::Binary);
         assert!(best <= t.min(b) + 1e-9, "best {best} vs threshold {t} / binary {b}");
@@ -292,6 +263,68 @@ mod tests {
         let batch = GemmBatch::random(&[GemmShape::new(32, 32, 0)], 1.0, 0.5, 3);
         let out = fw.run(&batch).expect("runs");
         assert_bitwise_eq(&batch.reference_result_exact(), &out.results, "K = 0 run");
+    }
+
+    /// A heuristic, its plan and the plan's simulated time.
+    type Scored = (BatchingHeuristic, BatchPlan, f64);
+
+    /// Memo-free oracle: every heuristic's plan and its simulated time,
+    /// in the best-of-both order Threshold → Binary → OneTilePerBlock.
+    fn oracle(arch: &ArchSpec, th: &Thresholds, shapes: &[GemmShape]) -> Vec<Scored> {
+        let solution = select_tiling(shapes, th);
+        let tiles = tiles_for(shapes, &solution);
+        let threads = solution.thread_count.threads();
+        use BatchingHeuristic::{Binary, OneTilePerBlock, Threshold};
+        [Threshold, Binary, OneTilePerBlock]
+            .into_iter()
+            .map(|h| {
+                let blocks = ctb_batching::assign_blocks(&tiles, h, th, threads);
+                let plan = BatchPlan::from_blocks(&blocks, threads);
+                let kernel = lower_plan("oracle", &plan, shapes);
+                (h, plan, simulate(arch, &LaunchSequence::Single(kernel)).total_us)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_policy_picks_the_oracle_plan_with_its_simulated_time() {
+        let mut ties = 0;
+        for arch in [ArchSpec::volta_v100(), ArchSpec::pascal_p100()] {
+            let th = Thresholds::for_arch(&arch);
+            let with = |batching| {
+                Framework::with_config(arch.clone(), FrameworkConfig { batching, thresholds: None })
+            };
+            let swappable = with(BatchingPolicy::Swappable);
+            for seed in 0..200u64 {
+                let shapes = ctb_matrix::gen::random_case(seed);
+                let scored = oracle(&arch, &th, &shapes);
+                // The first minimum by `total_cmp`.
+                let best = scored
+                    .iter()
+                    .reduce(|a, b| if b.2.total_cmp(&a.2).is_lt() { b } else { a })
+                    .expect("three candidates");
+                ties += usize::from(scored.iter().filter(|c| c.2 == best.2).count() > 1);
+                let check = |got: Result<ExecutionPlan, String>, want: &Scored, what: &str| {
+                    let got = got.expect("plannable");
+                    let kernel_us = simulate(&arch, &LaunchSequence::Single(got.kernel)).total_us;
+                    let context = format!("{what}, {} seed {seed}", arch.name);
+                    assert_eq!(got.heuristic, want.0, "{context}");
+                    assert_eq!(got.plan, want.1, "{context}");
+                    assert_eq!(got.predicted_us.to_bits(), want.2.to_bits(), "{context}");
+                    assert_eq!(got.predicted_us.to_bits(), kernel_us.to_bits(), "{context}");
+                };
+                check(with(BatchingPolicy::BestOfBoth).plan(&shapes), best, "best-of-both");
+                check(swappable.plan(&shapes), best, "swappable");
+                for want in &scored {
+                    check(with(BatchingPolicy::Fixed(want.0)).plan(&shapes), want, "fixed");
+                    let memo = SimMemo::new();
+                    let overridden = swappable.plan_memoized_with(&shapes, &memo, Some(want.0));
+                    check(overridden, want, "override");
+                    assert_eq!((memo.hits(), memo.misses()), (0, 1), "one candidate built");
+                }
+            }
+        }
+        assert!(ties > 0, "no tied candidates: the tie rule went unexercised");
     }
 
     #[test]

@@ -23,6 +23,7 @@ pub mod admission;
 pub mod autotune;
 pub mod dynamic;
 pub mod framework;
+pub mod hash;
 pub mod hotswap;
 pub mod interface;
 pub mod lowering;

@@ -1,30 +1,35 @@
-//! Memoized candidate-plan simulation.
+//! The candidate builder and its simulation memo.
 //!
-//! The autotuner and the best-of-both planner both evaluate many
-//! candidate `(tiling solution, batching heuristic)` pairs through the
-//! full `tiles_for → assign_blocks → lower_plan → simulate` pipeline.
-//! That pipeline is deterministic: the simulated time of a candidate is
-//! a pure function of the architecture, the thresholds, the batch
-//! shapes, the per-GEMM strategy ids (plus the unified thread count)
-//! and the heuristic. [`SimMemo`] caches simulated times under exactly
-//! that key, so revisited candidates — coordinate descent re-proposing
-//! a strategy, clamped uniform passes that collapse to the same
-//! assignment, the final heuristic comparison re-simulating a uniform
-//! winner — cost a hash lookup instead of a simulator run.
+//! Every planner — the framework's batching policies, the autotuner and
+//! the selector's labelling oracle — evaluates `(tiling solution,
+//! batching heuristic)` candidates through one builder,
+//! `SimMemo::candidate`: `assign_blocks → BatchPlan::from_blocks →
+//! lower_plan → simulate`. The simulated time of a candidate is a pure
+//! function of the architecture, the thresholds, the batch shapes, the
+//! per-GEMM strategy ids (plus the unified thread count) and the
+//! heuristic. [`SimMemo`] caches simulated times under exactly that
+//! key, so revisited candidates — coordinate descent re-proposing a
+//! strategy, clamped uniform passes that collapse to the same
+//! assignment, a re-plan after a plan-cache clear or a savestate
+//! restore — skip the lowering and the simulator run.
 //!
 //! Memoization never changes a computed time: a hit returns the exact
-//! `f64` the uncached pipeline produced when the key was first seen.
+//! `f64` the builder produced when the key was first seen.
 
+use crate::hash::{fnv1a, fnv1a_shapes, FNV_OFFSET};
 use crate::lowering::lower_plan;
-use ctb_batching::{assign_blocks, tiles_for, BatchPlan, BatchingHeuristic};
+use ctb_batching::{assign_blocks, BatchPlan, BatchingHeuristic, TileTask};
 use ctb_gpu_specs::{ArchSpec, Thresholds};
 use ctb_matrix::GemmShape;
 use ctb_savestate::{savestate_struct, Reader, Savestate, SavestateError, Writer};
-use ctb_sim::{simulate, LaunchSequence};
+use ctb_sim::{simulate, KernelDesc, LaunchSequence};
 use ctb_tiling::TilingSolution;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Name of every kernel the builder lowers.
+pub(crate) const KERNEL_NAME: &str = "coordinated_batched_gemm";
 
 /// Identity of one simulated candidate plan. Ordered field by field,
 /// which is the order [`SimMemo::save`] writes entries in.
@@ -43,46 +48,32 @@ struct SimKey {
 
 savestate_struct!(SimKey { context, threads, strategies, heuristic });
 
-/// FNV-1a over a byte stream.
-pub(crate) fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+/// FNV-1a of an architecture name and thresholds: the prefix of every
+/// planning-context fingerprint.
+pub(crate) fn arch_fingerprint(arch: &ArchSpec, thresholds: &Thresholds) -> u64 {
+    let h = fnv1a(FNV_OFFSET, arch.name.as_bytes());
+    let h = fnv1a(h, &thresholds.tlp_threshold.to_le_bytes());
+    fnv1a(h, &thresholds.theta.to_le_bytes())
 }
 
 /// Fingerprint of an `(arch, thresholds, shapes)` evaluation context.
 fn context_fingerprint(arch: &ArchSpec, thresholds: &Thresholds, shapes: &[GemmShape]) -> u64 {
-    let mut h = fnv1a(0xCBF2_9CE4_8422_2325, arch.name.as_bytes());
-    h = fnv1a(h, &thresholds.tlp_threshold.to_le_bytes());
-    h = fnv1a(h, &thresholds.theta.to_le_bytes());
-    for s in shapes {
-        h = fnv1a(h, &(s.m as u64).to_le_bytes());
-        h = fnv1a(h, &(s.n as u64).to_le_bytes());
-        h = fnv1a(h, &(s.k as u64).to_le_bytes());
-    }
-    h
+    fnv1a_shapes(arch_fingerprint(arch, thresholds), shapes)
 }
 
-/// Simulate one candidate without memoization: build the plan for the
-/// solution under `heuristic`, lower it, and run the simulator.
-pub fn simulate_solution_uncached(
-    arch: &ArchSpec,
-    shapes: &[GemmShape],
-    solution: &TilingSolution,
-    heuristic: BatchingHeuristic,
-    thresholds: &Thresholds,
-) -> f64 {
-    let tiles = tiles_for(shapes, solution);
-    let blocks = assign_blocks(&tiles, heuristic, thresholds, solution.thread_count.threads());
-    let plan = BatchPlan::from_blocks(&blocks, solution.thread_count.threads());
-    let kd = lower_plan("candidate", &plan, shapes);
-    simulate(arch, &LaunchSequence::Single(kd)).total_us
+/// One candidate plan, as built by [`SimMemo::candidate`].
+#[derive(Debug)]
+pub(crate) struct Candidate {
+    pub heuristic: BatchingHeuristic,
+    pub plan: BatchPlan,
+    /// The lowered plan; `None` when the memo already held the time and
+    /// the builder skipped lowering.
+    pub kernel: Option<KernelDesc>,
+    /// `simulate(arch, &LaunchSequence::Single(kernel)).total_us`.
+    pub us: f64,
 }
 
-/// A concurrent memo table for candidate-plan simulation.
+/// A concurrent memo table of candidate simulated times.
 #[derive(Debug, Default)]
 pub struct SimMemo {
     map: Mutex<HashMap<SimKey, f64>>,
@@ -95,32 +86,42 @@ impl SimMemo {
         SimMemo::default()
     }
 
-    /// Simulated time of `(solution, heuristic)` in context, computed at
-    /// most once per distinct key.
-    pub fn simulate_solution(
+    /// Build the `heuristic` candidate for `solution`, whose tiles are
+    /// `tiles`: assign the tiles to blocks, then lower and simulate the
+    /// plan unless the memo already holds its time. Each distinct key
+    /// is simulated at most once.
+    pub(crate) fn candidate(
         &self,
         arch: &ArchSpec,
+        thresholds: &Thresholds,
         shapes: &[GemmShape],
         solution: &TilingSolution,
+        tiles: &[TileTask],
         heuristic: BatchingHeuristic,
-        thresholds: &Thresholds,
-    ) -> f64 {
+    ) -> Candidate {
+        let threads = solution.thread_count.threads();
+        let blocks = assign_blocks(tiles, heuristic, thresholds, threads);
+        let plan = BatchPlan::from_blocks(&blocks, threads);
         let key = SimKey {
             context: context_fingerprint(arch, thresholds, shapes),
-            threads: solution.thread_count.threads(),
+            threads,
             strategies: solution.per_gemm.iter().map(|st| st.id()).collect(),
             heuristic,
         };
         if let Some(&us) = self.map.lock().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return us;
+            return Candidate { heuristic, plan, kernel: None, us };
         }
-        let us = simulate_solution_uncached(arch, shapes, solution, heuristic, thresholds);
+        let launch = LaunchSequence::Single(lower_plan(KERNEL_NAME, &plan, shapes));
+        let us = simulate(arch, &launch).total_us;
+        let LaunchSequence::Single(kernel) = launch else {
+            unreachable!("built as a single launch")
+        };
         // Two workers can race on the same fresh key; both compute the
         // identical deterministic value. Only the first insert counts as
         // a miss (so `misses == len()` holds even under races); a loser
         // is answered by the winner's entry and counts as a hit.
-        match self.map.lock().entry(key) {
+        let us = match self.map.lock().entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 *e.get()
@@ -129,7 +130,8 @@ impl SimMemo {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 *v.insert(us)
             }
-        }
+        };
+        Candidate { heuristic, plan, kernel: Some(kernel), us }
     }
 
     /// Lookups answered from the table (including racers that computed
@@ -174,10 +176,16 @@ impl SimMemo {
     /// force the counters to the saved values. Restored times are the
     /// exact `f64` bit patterns the original computed, so every
     /// post-restore simulation that hits the memo replays the original
-    /// run bitwise.
+    /// run bitwise. A blob whose keys are not strictly ascending, as
+    /// `save` writes them, is [`SavestateError::Corrupt`].
     pub fn load(&self, r: &mut Reader<'_>) -> Result<(), SavestateError> {
         let entries = Vec::<(SimKey, f64)>::load(r)?;
         let (hits, misses) = (usize::load(r)?, usize::load(r)?);
+        // `save` writes strictly ascending keys; anything else (a
+        // repeated key in particular) would break `misses() == len()`.
+        if entries.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Err(SavestateError::Corrupt("memo keys not strictly ascending".into()));
+        }
         self.map.lock().extend(entries);
         self.set_counters(hits, misses);
         Ok(())
@@ -196,6 +204,7 @@ impl SimMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ctb_batching::tiles_for;
     use ctb_tiling::select_tiling;
 
     fn setup() -> (ArchSpec, Thresholds, Vec<GemmShape>) {
@@ -205,23 +214,41 @@ mod tests {
         (arch, th, shapes)
     }
 
+    const HEURISTICS: [BatchingHeuristic; 3] = [
+        BatchingHeuristic::OneTilePerBlock,
+        BatchingHeuristic::Threshold,
+        BatchingHeuristic::Binary,
+    ];
+
+    /// `memo`'s simulated time for `h` on the tiling engine's solution.
+    fn time(
+        memo: &SimMemo,
+        arch: &ArchSpec,
+        th: &Thresholds,
+        shapes: &[GemmShape],
+        h: BatchingHeuristic,
+    ) -> f64 {
+        let sol = select_tiling(shapes, th);
+        memo.candidate(arch, th, shapes, &sol, &tiles_for(shapes, &sol), h).us
+    }
+
     #[test]
     fn memo_returns_identical_times_to_uncached_simulation() {
         let (arch, th, shapes) = setup();
         let sol = select_tiling(&shapes, &th);
+        let tiles = tiles_for(&shapes, &sol);
         let memo = SimMemo::new();
-        for h in [
-            BatchingHeuristic::OneTilePerBlock,
-            BatchingHeuristic::Threshold,
-            BatchingHeuristic::Binary,
-        ] {
-            let uncached = simulate_solution_uncached(&arch, &shapes, &sol, h, &th);
-            let first = memo.simulate_solution(&arch, &shapes, &sol, h, &th);
-            let second = memo.simulate_solution(&arch, &shapes, &sol, h, &th);
-            // Bit-exact equality: a hit replays the stored f64 and the
-            // first miss runs the very same pipeline as the uncached call.
-            assert_eq!(uncached.to_bits(), first.to_bits());
-            assert_eq!(uncached.to_bits(), second.to_bits());
+        for h in HEURISTICS {
+            let first = memo.candidate(&arch, &th, &shapes, &sol, &tiles, h);
+            let second = memo.candidate(&arch, &th, &shapes, &sol, &tiles, h);
+            // A miss lowers the plan and simulates it; a hit replays the
+            // stored f64 and skips the lowering.
+            let kernel = first.kernel.expect("a miss lowers the plan");
+            let simulated = simulate(&arch, &LaunchSequence::Single(kernel)).total_us;
+            assert_eq!(simulated.to_bits(), first.us.to_bits());
+            assert_eq!(simulated.to_bits(), second.us.to_bits());
+            assert!(second.kernel.is_none(), "a hit skips the lowering");
+            assert_eq!(first.plan, second.plan);
         }
         assert_eq!(memo.misses(), 3);
         assert_eq!(memo.hits(), 3);
@@ -231,16 +258,11 @@ mod tests {
     #[test]
     fn memo_save_load_round_trips_bitwise_and_rewrites_identically() {
         let (arch, th, shapes) = setup();
-        let sol = select_tiling(&shapes, &th);
         let memo = SimMemo::new();
-        for h in [
-            BatchingHeuristic::OneTilePerBlock,
-            BatchingHeuristic::Threshold,
-            BatchingHeuristic::Binary,
-        ] {
-            memo.simulate_solution(&arch, &shapes, &sol, h, &th);
+        for h in HEURISTICS {
+            time(&memo, &arch, &th, &shapes, h);
         }
-        memo.simulate_solution(&arch, &shapes, &sol, BatchingHeuristic::Binary, &th);
+        time(&memo, &arch, &th, &shapes, BatchingHeuristic::Binary);
 
         let mut w = ctb_savestate::Writer::new();
         memo.save(&mut w);
@@ -254,8 +276,8 @@ mod tests {
         assert_eq!(restored.hits(), memo.hits());
         assert_eq!(restored.misses(), memo.misses());
         // Restored lookups are hits returning the exact stored bits.
-        let orig = memo.simulate_solution(&arch, &shapes, &sol, BatchingHeuristic::Binary, &th);
-        let got = restored.simulate_solution(&arch, &shapes, &sol, BatchingHeuristic::Binary, &th);
+        let orig = time(&memo, &arch, &th, &shapes, BatchingHeuristic::Binary);
+        let got = time(&restored, &arch, &th, &shapes, BatchingHeuristic::Binary);
         assert_eq!(orig.to_bits(), got.to_bits());
         // save(load(save(x))) is byte-identical (counters were bumped
         // identically by the lookups above).
@@ -286,16 +308,39 @@ mod tests {
     }
 
     #[test]
+    fn memo_load_rejects_repeated_and_unordered_keys_with_typed_error() {
+        let key = |context: u64| SimKey {
+            context,
+            threads: 128,
+            strategies: vec![0],
+            heuristic: BatchingHeuristic::Threshold,
+        };
+        for keys in [[key(1), key(1)], [key(2), key(1)]] {
+            let mut w = ctb_savestate::Writer::new();
+            w.len_prefix(keys.len());
+            for k in &keys {
+                k.save(&mut w);
+                1.0f64.save(&mut w);
+            }
+            2usize.save(&mut w);
+            2usize.save(&mut w);
+            let bytes = w.into_bytes();
+            let memo = SimMemo::new();
+            let err = memo.load(&mut ctb_savestate::Reader::new(&bytes)).unwrap_err();
+            assert!(matches!(err, SavestateError::Corrupt(_)), "{keys:?}: {err:?}");
+            assert!(memo.is_empty());
+        }
+    }
+
+    #[test]
     fn distinct_contexts_do_not_collide() {
         let (arch, th, shapes) = setup();
-        let sol = select_tiling(&shapes, &th);
         let memo = SimMemo::new();
-        let a = memo.simulate_solution(&arch, &shapes, &sol, BatchingHeuristic::Threshold, &th);
-        // Same solution under a different architecture must be a miss.
+        let a = time(&memo, &arch, &th, &shapes, BatchingHeuristic::Threshold);
+        // The same shapes under a different architecture must be a miss.
         let pascal = ArchSpec::pascal_p100();
         let th_p = Thresholds::for_arch(&pascal);
-        let sol_p = select_tiling(&shapes, &th_p);
-        let b = memo.simulate_solution(&pascal, &shapes, &sol_p, BatchingHeuristic::Threshold, &th_p);
+        let b = time(&memo, &pascal, &th_p, &shapes, BatchingHeuristic::Threshold);
         assert_eq!(memo.misses(), 2, "different arch is a different key");
         assert!(a != b || memo.len() == 2);
     }

@@ -6,13 +6,12 @@
 //! Training labels come from running both heuristics; the paper measures
 //! on hardware (≈2 h), we measure on the timing simulator (<1 s).
 
-use crate::framework::plan_with_heuristic;
-use crate::lowering::lower_plan;
-use ctb_batching::BatchingHeuristic;
+use crate::memo::SimMemo;
+use ctb_batching::{tiles_for, BatchingHeuristic};
 use ctb_forest::{ForestConfig, RandomForest};
 use ctb_gpu_specs::{ArchSpec, Thresholds};
 use ctb_matrix::{GemmBatch, GemmShape};
-use ctb_sim::{simulate, LaunchSequence};
+use ctb_tiling::select_tiling;
 
 /// The two classes the selector distinguishes, in label order.
 pub const CLASSES: [BatchingHeuristic; 2] =
@@ -24,18 +23,20 @@ pub struct OnlineSelector {
     forest: RandomForest,
 }
 
-/// Simulated execution time of `shapes` under `heuristic` (the labelling
-/// oracle, also used by the best-of-both policy).
+/// Simulated execution time of `shapes` under `heuristic` on the tiling
+/// engine's solution (the labelling oracle).
 pub fn simulated_us(
     arch: &ArchSpec,
     thresholds: &Thresholds,
     shapes: &[GemmShape],
     heuristic: BatchingHeuristic,
 ) -> f64 {
-    let (solution, plan) = plan_with_heuristic(shapes, thresholds, heuristic);
-    debug_assert!(plan.validate(shapes, &solution).is_ok());
-    let kd = lower_plan("label", &plan, shapes);
-    simulate(arch, &LaunchSequence::Single(kd)).total_us
+    let solution = select_tiling(shapes, thresholds);
+    let tiles = tiles_for(shapes, &solution);
+    let candidate =
+        SimMemo::new().candidate(arch, thresholds, shapes, &solution, &tiles, heuristic);
+    debug_assert!(candidate.plan.validate(shapes, &solution).is_ok());
+    candidate.us
 }
 
 /// Feature vector of §5: average M, N, K and batch size B.

@@ -27,6 +27,7 @@
 //! asserted by the chaos suite are meaningful under any interleaving
 //! because the log records what actually fired.
 
+use ctb_core::hash::splitmix64;
 use ctb_savestate::{savestate_struct, Reader, Savestate, SavestateError, Writer};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -195,14 +196,6 @@ pub struct FaultInjector {
     fired: [AtomicUsize; N_SITES],
 }
 
-/// SplitMix64 output mixer — a full-avalanche hash of the draw index.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl FaultInjector {
     pub fn new(cfg: FaultConfig) -> Self {
         FaultInjector {
@@ -220,7 +213,9 @@ impl FaultInjector {
             return false;
         }
         let n = self.draws[site as usize].fetch_add(1, Ordering::Relaxed) as u64;
-        let h = mix(self.cfg.seed ^ ((site as u64 + 1) << 56) ^ n.wrapping_mul(0xD6E8_FEB8_6659_FD93));
+        let h = splitmix64(
+            self.cfg.seed ^ ((site as u64 + 1) << 56) ^ n.wrapping_mul(0xD6E8_FEB8_6659_FD93),
+        );
         let hit = h % 1000 < rate as u64;
         if hit {
             self.fired[site as usize].fetch_add(1, Ordering::Relaxed);

@@ -5,7 +5,7 @@
 //! Two strategy tables are provided:
 //! * [`strategy::SINGLE_GEMM_STRATEGIES`] — Table 1, classic strategies
 //!   for a lone GEMM (each with its own thread-block size);
-//! * [`strategy::BATCHED_STRATEGIES`] — Table 2, the paper's unified
+//! * [`strategy::batched_strategies`] — Table 2, the paper's unified
 //!   thread structure: every strategy comes in a 128-thread and a
 //!   256-thread version so that *all* tiles in a batched kernel can share
 //!   one block size without idling threads.

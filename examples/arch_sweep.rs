@@ -25,7 +25,7 @@ fn main() {
         let fw = Framework::new(arch.clone());
         let mut speedups = Vec::new();
         for shapes in &cases {
-            let ours = fw.simulate_only(shapes).expect("plannable").total_us;
+            let ours = fw.plan(shapes).expect("plannable").predicted_us;
             let magma = simulate(&arch, &magma_vbatch(&arch, shapes).seq).total_us;
             speedups.push(magma / ours);
         }

@@ -61,7 +61,7 @@ fn main() {
         plan.heuristic
     );
 
-    let ours = framework.simulate_only(&shapes).unwrap().total_us;
+    let ours = framework.plan(&shapes).unwrap().predicted_us;
     let magma = {
         let run = magma_vbatch(&arch, &shapes);
         ctb::sim::simulate(&arch, &run.seq).total_us

@@ -54,6 +54,10 @@ cargo run -q -p ctb-bench --bin reproduce --release -- storm --smoke
 echo "== cluster demo compiles against the release profile =="
 cargo build --release --example cluster_demo
 
+# A doc link to a deleted or renamed item fails the gate.
+echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 

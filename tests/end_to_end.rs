@@ -48,7 +48,7 @@ fn framework_beats_magma_on_the_paper_regime() {
     let fw = Framework::new(arch.clone());
     for (b, mn, k) in [(8, 64, 64), (16, 128, 32), (32, 128, 128), (8, 256, 16)] {
         let shapes = uniform_case(b, mn, mn, k);
-        let ours = fw.simulate_only(&shapes).unwrap().total_us;
+        let ours = fw.plan(&shapes).unwrap().predicted_us;
         let magma = simulate(&arch, &magma_vbatch(&arch, &shapes).seq).total_us;
         assert!(
             magma / ours > 1.0,
@@ -62,7 +62,7 @@ fn single_kernel_batching_beats_serial_launches_for_small_gemms() {
     let arch = ArchSpec::volta_v100();
     let fw = Framework::new(arch.clone());
     let shapes = uniform_case(24, 64, 64, 64);
-    let ours = fw.simulate_only(&shapes).unwrap().total_us;
+    let ours = fw.plan(&shapes).unwrap().predicted_us;
     let serial = simulate(&arch, &default_serial(&arch, &shapes).seq).total_us;
     // 24 launches of ~5 us alone exceed the batched kernel.
     assert!(ours < serial, "ours {ours} vs serial {serial}");
@@ -77,7 +77,7 @@ fn variable_sizes_are_where_vbatch_style_wins_over_cublas_grouping() {
     let shapes = jittered_case(16, 96, 96, 96, 0.5, 4);
     let distinct: std::collections::HashSet<_> = shapes.iter().collect();
     assert!(distinct.len() > 8, "jitter should produce distinct sizes");
-    let ours = fw.simulate_only(&shapes).unwrap().total_us;
+    let ours = fw.plan(&shapes).unwrap().predicted_us;
     let grouped = simulate(&arch, &cublas_like(&arch, &shapes).seq).total_us;
     assert!(ours < grouped, "ours {ours} vs cublas-like {grouped}");
 }
@@ -120,7 +120,7 @@ fn portability_every_arch_plans_and_wins_on_small_batches() {
     let shapes = uniform_case(16, 96, 96, 48);
     for arch in ArchSpec::all_presets() {
         let fw = Framework::new(arch.clone());
-        let ours = fw.simulate_only(&shapes).unwrap().total_us;
+        let ours = fw.plan(&shapes).unwrap().predicted_us;
         let magma = simulate(&arch, &magma_vbatch(&arch, &shapes).seq).total_us;
         assert!(ours > 0.0 && magma > 0.0);
         assert!(

@@ -80,7 +80,7 @@ fn portability_speedups() {
         let mut wins = 0usize;
         let cases = ctb::matrix::gen::random_cases(12, 77);
         for shapes in &cases {
-            let ours = fw.simulate_only(shapes).unwrap().total_us;
+            let ours = fw.plan(shapes).unwrap().predicted_us;
             let magma = simulate(&arch, &magma_vbatch(&arch, shapes).seq).total_us;
             wins += usize::from(magma > ours);
         }
@@ -104,7 +104,7 @@ fn coordinated_beats_per_kernel_default_on_many_small_gemms() {
     let fw = Framework::new(arch.clone());
     for (b, mn, k) in [(32, 64, 64), (16, 32, 32), (64, 16, 128), (8, 64, 16), (16, 128, 32)] {
         let shapes = ctb::matrix::gen::uniform_case(b, mn, mn, k);
-        let ours = fw.simulate_only(&shapes).unwrap().total_us;
+        let ours = fw.plan(&shapes).unwrap().predicted_us;
         let per_kernel = simulate(&arch, &default_serial(&arch, &shapes).seq).total_us;
         let magma = simulate(&arch, &magma_vbatch(&arch, &shapes).seq).total_us;
         assert!(
@@ -135,7 +135,7 @@ fn coordinated_never_loses_badly_on_large_uniform_gemms() {
         [(1, 1024, 1024), (2, 512, 512), (4, 512, 256), (1, 2048, 512), (4, 1024, 1024)]
     {
         let shapes = ctb::matrix::gen::uniform_case(b, mn, mn, k);
-        let ours = fw.simulate_only(&shapes).unwrap().total_us;
+        let ours = fw.plan(&shapes).unwrap().predicted_us;
         let per_kernel = simulate(&arch, &default_serial(&arch, &shapes).seq).total_us;
         let magma = simulate(&arch, &magma_vbatch(&arch, &shapes).seq).total_us;
         let ratio = ours / per_kernel;
@@ -166,7 +166,7 @@ fn speedup_over_default_decays_from_small_to_large() {
     let fw = Framework::new(arch.clone());
     let speedup = |b: usize, mn: usize, k: usize| {
         let shapes = ctb::matrix::gen::uniform_case(b, mn, mn, k);
-        let ours = fw.simulate_only(&shapes).unwrap().total_us;
+        let ours = fw.plan(&shapes).unwrap().predicted_us;
         simulate(&arch, &default_serial(&arch, &shapes).seq).total_us / ours
     };
     let small = speedup(32, 64, 64);

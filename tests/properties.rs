@@ -135,8 +135,8 @@ proptest! {
     ) {
         let arch = ArchSpec::volta_v100();
         let fw = Framework::new(arch);
-        let t1 = fw.simulate_only(&ctb::matrix::gen::uniform_case(b, mn, mn, k)).unwrap().total_us;
-        let t2 = fw.simulate_only(&ctb::matrix::gen::uniform_case(b, mn, mn, 2 * k)).unwrap().total_us;
+        let t1 = fw.plan(&ctb::matrix::gen::uniform_case(b, mn, mn, k)).unwrap().predicted_us;
+        let t2 = fw.plan(&ctb::matrix::gen::uniform_case(b, mn, mn, 2 * k)).unwrap().predicted_us;
         prop_assert!(t2 >= t1 * 0.95, "K {k}->{}: {t1} -> {t2}", 2 * k);
     }
 
@@ -150,8 +150,8 @@ proptest! {
     ) {
         let arch = ArchSpec::volta_v100();
         let fw = Framework::new(arch);
-        let t1 = fw.simulate_only(&ctb::matrix::gen::uniform_case(b, mn, mn, k)).unwrap().total_us;
-        let t2 = fw.simulate_only(&ctb::matrix::gen::uniform_case(2 * b, mn, mn, k)).unwrap().total_us;
+        let t1 = fw.plan(&ctb::matrix::gen::uniform_case(b, mn, mn, k)).unwrap().predicted_us;
+        let t2 = fw.plan(&ctb::matrix::gen::uniform_case(2 * b, mn, mn, k)).unwrap().predicted_us;
         prop_assert!(t2 >= t1 * 0.95, "B {b}->{}: {t1} -> {t2}", 2 * b);
     }
 
@@ -183,16 +183,16 @@ fn regression_corpus_replays_recorded_cases() {
     // cc 3d4e6c…47dba: shrinks to b = 1, mn = 37, k = 65
     // cc a13cfc…cf3a73: shrinks to b = 2, mn = 62, k = 217
     for (b, mn, k) in [(1usize, 37usize, 65usize), (2, 62, 217)] {
-        let t1 = fw.simulate_only(&ctb::matrix::gen::uniform_case(b, mn, mn, k)).unwrap().total_us;
+        let t1 = fw.plan(&ctb::matrix::gen::uniform_case(b, mn, mn, k)).unwrap().predicted_us;
         let tk = fw
-            .simulate_only(&ctb::matrix::gen::uniform_case(b, mn, mn, 2 * k))
+            .plan(&ctb::matrix::gen::uniform_case(b, mn, mn, 2 * k))
             .unwrap()
-            .total_us;
+            .predicted_us;
         assert!(tk >= t1 * 0.95, "K-monotonicity regression (b={b}, mn={mn}, k={k}): {t1} -> {tk}");
         let tb = fw
-            .simulate_only(&ctb::matrix::gen::uniform_case(2 * b, mn, mn, k))
+            .plan(&ctb::matrix::gen::uniform_case(2 * b, mn, mn, k))
             .unwrap()
-            .total_us;
+            .predicted_us;
         assert!(tb >= t1 * 0.95, "B-monotonicity regression (b={b}, mn={mn}, k={k}): {t1} -> {tb}");
     }
 }
@@ -224,7 +224,7 @@ proptest! {
     fn dynamic_plans_always_validate(shapes in shape_batch()) {
         let arch = ArchSpec::volta_v100();
         let th = Thresholds::for_arch(&arch);
-        let (sol, plan) = ctb::core::plan_dynamic(&arch, &shapes, &th);
+        let (sol, plan, _) = ctb::core::plan_dynamic(&arch, &shapes, &th);
         prop_assert!(plan.validate(&shapes, &sol).is_ok());
     }
 
