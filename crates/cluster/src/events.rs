@@ -2,14 +2,13 @@
 //! scheduling in *simulated* time.
 //!
 //! Every device is an element of a `Vec` — its own [`Session`] on the
-//! pool-wide [`PlanShare`], a bounded queue, a [`Breaker`] and an
-//! optional [`FaultInjector`] — and one binary-heap timeline drives
-//! them all. No thread is spawned, so pool size is bounded by memory,
-//! not by host threads: a 10k-device pool processing a million requests
-//! is just a larger heap.
+//! pool-wide [`PlanShare`], a bounded `VecDeque` of jobs, a [`Breaker`]
+//! and an optional [`FaultInjector`] — and one binary-heap timeline
+//! drives them all. No thread is spawned and nothing is locked, so pool
+//! size is bounded by memory, not by host threads: a 10k-device pool
+//! processing a million requests is just a larger heap.
 //!
-//! **Scheduling policy.** Placement ranks candidates through
-//! [`placer::rank`]/[`placer::choose`], idle
+//! **Scheduling policy.** Placement walks [`placer::rank`], idle
 //! devices steal through [`placer::steal_beneficial`], failures charge
 //! the device's [`Breaker`] (a trip drains its queue onto survivors),
 //! kills re-route queued work, and an exhausted re-route budget falls
@@ -49,11 +48,9 @@ use ctb_gpu_specs::{ArchSpec, ChipletTopology};
 use ctb_matrix::{bitwise_mismatch, GemmBatch, GemmShape};
 use ctb_obs::{Obs, ObsClock, PointKind, SimClock, SpanKind};
 use ctb_savestate::{savestate_enum, savestate_struct, Reader, Savestate, SavestateError, Writer};
-use ctb_serve::{
-    BoundedQueue, Breaker, BreakerPolicy, FaultInjector, FaultLog, FaultSite, PushError,
-};
+use ctb_serve::{Breaker, BreakerPolicy, FaultInjector, FaultLog, FaultSite};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -292,13 +289,16 @@ savestate_struct!(Running { job, fate });
 // Devices + config
 // ---------------------------------------------------------------------------
 
-/// One simulated GPU: session, bounded queue, breaker, optional chaos
+/// One simulated GPU: session, job queue, breaker, optional chaos
 /// schedule and the job it is running. Plain fields, because exactly
-/// one event handler touches them at a time.
+/// one event handler touches them at a time. The queue holds at most
+/// [`EventConfig::queue_capacity`] jobs (see [`EventCluster::enqueue`]);
+/// a dead device takes none, because every placement, steal and
+/// re-route skips devices that are not `alive`.
 struct EvDevice {
     id: usize,
-    session: Arc<Session>,
-    queue: BoundedQueue<EvJob>,
+    session: Session,
+    queue: VecDeque<EvJob>,
     running: Option<Running>,
     /// Predicted µs of work queued or running here, kept by adding a
     /// job's prediction when it lands and subtracting that same number
@@ -823,14 +823,14 @@ impl EventCluster {
                     Framework::new(arch)
                 };
                 let s = Session::with_share(fw, Arc::clone(&share));
-                let session = Arc::new(match &obs {
+                let session = match &obs {
                     Some(o) => s.with_obs(Arc::clone(o)),
                     None => s,
-                });
+                };
                 EvDevice {
                     id,
                     session,
-                    queue: BoundedQueue::new(cfg.queue_capacity),
+                    queue: VecDeque::new(),
                     running: None,
                     backlog_us: 0.0,
                     busy_sim_us: 0.0,
@@ -1181,11 +1181,9 @@ impl EventCluster {
         if let Some(o) = self.obs() {
             o.point(PointKind::Kill { device });
         }
-        // Close the queue, then re-route everything that was waiting.
-        // A job mid-execution finishes normally (its ExecDone is
-        // already on the heap), as a real drain lets in-flight kernels
-        // retire.
-        self.devices[device].queue.close();
+        // Re-route everything that was waiting. A job mid-execution
+        // finishes normally (its ExecDone is already on the heap), as a
+        // real drain lets in-flight kernels retire.
         self.drain_and_reroute(device);
     }
 
@@ -1330,12 +1328,12 @@ impl EventCluster {
         };
         job.predicted_us = c.predicted_us;
         self.devices[c.device].backlog_us += c.predicted_us;
-        match self.devices[c.device].queue.try_push(job) {
+        match self.enqueue(c.device, job) {
             Ok(()) => {
                 self.finish_placement(c.device, sig, op_bytes);
                 IndexedPlace::Placed(c.device)
             }
-            Err((_kind, j)) => {
+            Err(j) => {
                 self.devices[c.device].backlog_us -= c.predicted_us;
                 IndexedPlace::Fallback(j)
             }
@@ -1392,19 +1390,30 @@ impl EventCluster {
             }
             job.predicted_us = c.predicted_us;
             self.devices[c.device].backlog_us += c.predicted_us;
-            match self.devices[c.device].queue.try_push(job) {
+            match self.enqueue(c.device, job) {
                 Ok(()) => {
                     self.finish_placement(c.device, sig, op_bytes);
                     return Ok(c.device);
                 }
-                Err((kind, j)) => {
+                Err(j) => {
                     self.devices[c.device].backlog_us -= c.predicted_us;
-                    any_full |= kind == PushError::Full;
+                    any_full = true;
                     job = j;
                 }
             }
         }
         Err(Box::new(PlaceFail { job, any_full, plan_err: None }))
+    }
+
+    /// Queue `job` on `device`, or hand it back when the queue already
+    /// holds `queue_capacity` jobs (at least one).
+    fn enqueue(&mut self, device: usize, job: EvJob) -> Result<(), EvJob> {
+        let queue = &mut self.devices[device].queue;
+        if queue.len() >= self.cfg.queue_capacity.max(1) {
+            return Err(job);
+        }
+        queue.push_back(job);
+        Ok(())
     }
 
     fn finish_placement(&mut self, device: usize, sig: u64, op_bytes: u64) {
@@ -1462,7 +1471,7 @@ impl EventCluster {
         if self.devices[device].running.is_some() {
             return;
         }
-        let Some(job) = self.devices[device].queue.try_pop() else {
+        let Some(job) = self.devices[device].queue.pop_front() else {
             return;
         };
         self.start_job(device, job);
@@ -1646,7 +1655,7 @@ impl EventCluster {
     }
 
     fn drain_and_reroute(&mut self, device: usize) {
-        while let Some(job) = self.devices[device].queue.try_pop() {
+        while let Some(job) = self.devices[device].queue.pop_front() {
             self.devices[device].backlog_us -= job.predicted_us;
             self.reroute(job, device);
         }
@@ -1770,7 +1779,7 @@ impl EventCluster {
         let Some((victim_idx, victim_backlog)) = victim else {
             return false;
         };
-        let Some(shapes) = self.devices[victim_idx].queue.peek_map(|j| j.shapes.clone()) else {
+        let Some(shapes) = self.devices[victim_idx].queue.front().map(|j| j.shapes.clone()) else {
             return false;
         };
         let Ok(predicted_here) = self.predict_cached(thief_idx, &shapes) else {
@@ -1783,7 +1792,7 @@ impl EventCluster {
         ) {
             return false;
         }
-        let Some(mut job) = self.devices[victim_idx].queue.pop_if(|j| j.shapes == shapes) else {
+        let Some(mut job) = self.devices[victim_idx].queue.pop_front() else {
             return false;
         };
         self.devices[victim_idx].backlog_us -= job.predicted_us;
@@ -1813,12 +1822,14 @@ impl EventCluster {
 // Savestate
 // ---------------------------------------------------------------------------
 
-/// One device's checkpoint record. Its session, queue and breaker are
-/// live objects, rebuilt around these values on restore.
+/// One device's checkpoint record. Its session and breaker are live
+/// objects, rebuilt around these values on restore.
 struct DeviceImage {
     /// Checked against the restore pool, device by device.
     arch: String,
     alive: bool,
+    /// Always `!alive`, since a dead device takes no jobs; part of the
+    /// v3 layout. Restore rejects an image where the two disagree.
     closed: bool,
     queue: Vec<EvJob>,
     running: Option<Running>,
@@ -1867,12 +1878,11 @@ savestate_struct!(DeviceImage {
 
 impl EvDevice {
     fn image(&self) -> DeviceImage {
-        let (queue, closed) = self.queue.snapshot_with(EvJob::clone);
         DeviceImage {
             arch: self.arch().name.to_string(),
             alive: self.alive,
-            closed,
-            queue,
+            closed: !self.alive,
+            queue: self.queue.iter().cloned().collect(),
             running: self.running.clone(),
             backlog_us: self.backlog_us,
             busy_sim_us: self.busy_sim_us,
@@ -1889,6 +1899,26 @@ impl EvDevice {
             plan_failures: self.session.plan_failures(),
             topology: self.arch().topology,
         }
+    }
+
+    /// Overwrite this freshly built device with a checkpointed image
+    /// (its arch, topology and fault schedule are already in place).
+    fn restore_image(&mut self, d: DeviceImage, breaker: BreakerPolicy) {
+        self.queue = d.queue.into();
+        self.running = d.running;
+        self.backlog_us = d.backlog_us;
+        self.busy_sim_us = d.busy_sim_us;
+        self.alive = d.alive;
+        self.breaker = Breaker::restore(breaker, d.breaker);
+        self.placements = d.placements;
+        self.completed = d.completed;
+        self.steals = d.steals;
+        self.reroutes_out = d.reroutes_out;
+        self.breaker_trips = d.breaker_trips;
+        self.steal_pending = d.steal_pending;
+        self.probe_pending = d.probe_pending;
+        self.session.set_stats(d.cache);
+        self.session.set_plan_failures(d.plan_failures);
     }
 }
 
@@ -1976,13 +2006,15 @@ impl EventCluster {
     /// when the checkpoint was instrumented, its freshly attached
     /// [`Obs`] (the caller's handle for trace comparison).
     ///
-    /// Restore order matters and is fixed: sessions are rebuilt first,
-    /// the shared memo loads, plans are *replanned* through their
-    /// fingerprint-matched sessions (every candidate simulation hits
-    /// the restored memo, so this is cheap and bitwise-faithful), then
-    /// the cache counters are pinned back over the replanning traffic,
-    /// and the obs log is overwritten last — discarding the plan spans
-    /// replanning just emitted.
+    /// Restore order matters and is fixed: every device image is
+    /// validated against the pool, the engine is built exactly as
+    /// [`new`](Self::new) builds it, the shared memo loads, plans are
+    /// *replanned* through their fingerprint-matched sessions (every
+    /// candidate simulation hits the restored memo, so this is cheap
+    /// and bitwise-faithful), then the device images and cache counters
+    /// overwrite the fresh state and the replanning traffic, and the obs
+    /// log is overwritten last — discarding the plan spans replanning
+    /// just emitted.
     pub fn restore(
         pool: Vec<ArchSpec>,
         bytes: &[u8],
@@ -2000,6 +2032,9 @@ impl EventCluster {
                  and residency layout (v3); re-checkpoint with the current engine"
             )));
         }
+        // The cfg carries the share's shard/capacity/admission layout,
+        // so the share `build` makes matches the gate and shard images
+        // embedded later in the blob.
         let cfg = EventConfig::load(&mut r)?;
         let (clock, obs) = if bool::load(&mut r)? {
             let clock = Arc::new(SimClock::new());
@@ -2020,22 +2055,17 @@ impl EventCluster {
         let gen = Option::<LoadGen>::load(&mut r)?;
 
         let n_devices = r.len_prefix()?;
+        if n_devices == 0 {
+            return Err(SavestateError::Corrupt("checkpoint declares zero devices".into()));
+        }
         if n_devices != pool.len() {
             return Err(SavestateError::Mismatch(format!(
                 "checkpoint holds {n_devices} devices, restore pool holds {}",
                 pool.len()
             )));
         }
-        // The cfg (loaded above) carries the share's shard/capacity/
-        // admission layout, so the receiving share matches the gate and
-        // shard images embedded later in the blob.
-        let share = Arc::new(PlanShare::with_config(cfg.share));
-        let mut class_names: Vec<&'static str> = Vec::new();
-        let mut class_of = Vec::with_capacity(n_devices);
-        let mut class_rep = Vec::new();
-        let mut devices = Vec::with_capacity(n_devices);
-        let mut session_stats = Vec::with_capacity(n_devices);
-        for (id, arch) in pool.into_iter().enumerate() {
+        let mut images = Vec::with_capacity(n_devices);
+        for (id, arch) in pool.iter().enumerate() {
             let d = DeviceImage::load(&mut r)?;
             if d.arch != arch.name {
                 return Err(SavestateError::Mismatch(format!(
@@ -2049,39 +2079,13 @@ impl EventCluster {
                     d.topology, arch.topology
                 )));
             }
-            let class = match class_names.iter().position(|n| *n == arch.name) {
-                Some(c) => c,
-                None => {
-                    class_names.push(arch.name);
-                    class_rep.push(id);
-                    class_names.len() - 1
-                }
-            };
-            class_of.push(class);
-            let s = Session::with_share(Framework::new(arch), Arc::clone(&share));
-            let session = Arc::new(match &obs {
-                Some(o) => s.with_obs(Arc::clone(o)),
-                None => s,
-            });
-            session_stats.push((d.cache, d.plan_failures));
-            devices.push(EvDevice {
-                id,
-                session,
-                queue: BoundedQueue::restore(cfg.queue_capacity, d.closed, d.queue),
-                running: d.running,
-                backlog_us: d.backlog_us,
-                busy_sim_us: d.busy_sim_us,
-                alive: d.alive,
-                breaker: Breaker::restore(cfg.breaker.clone(), d.breaker),
-                fault: d.fault,
-                placements: d.placements,
-                completed: d.completed,
-                steals: d.steals,
-                reroutes_out: d.reroutes_out,
-                breaker_trips: d.breaker_trips,
-                steal_pending: d.steal_pending,
-                probe_pending: d.probe_pending,
-            });
+            if d.closed == d.alive {
+                return Err(SavestateError::Corrupt(format!(
+                    "device {id}: alive {} with closed {}; only a dead device is closed",
+                    d.alive, d.closed
+                )));
+            }
+            images.push(d);
         }
         let timeline = Timeline::<Ev>::load(&mut r)?;
         for Reverse(e) in timeline.heap.iter() {
@@ -2097,69 +2101,48 @@ impl EventCluster {
                 }
             }
         }
+        let faults = images.iter_mut().map(|d| d.fault.take()).collect();
+        let mut eng = EventCluster::build(pool, cfg, faults, obs.clone(), clock, false);
         {
-            let sessions: Vec<&Session> = devices.iter().map(|d| &*d.session).collect();
-            share.restore_with_sessions(&mut r, &sessions)?;
+            let sessions: Vec<&Session> = eng.devices.iter().map(|d| &d.session).collect();
+            eng.share.restore_with_sessions(&mut r, &sessions)?;
         }
-        for (d, (stats, plan_failures)) in devices.iter().zip(session_stats) {
-            d.session.set_stats(stats);
-            d.session.set_plan_failures(plan_failures);
+        for (dev, d) in eng.devices.iter_mut().zip(images) {
+            dev.restore_image(d, eng.cfg.breaker.clone());
         }
         type PredEntry = ((String, Arc<[GemmShape]>), Result<f64, String>);
-        let saved_preds = Vec::<PredEntry>::load(&mut r)?;
-        let mut predictions = PredictionCache::with_capacity(saved_preds.len());
-        for ((name, shapes), res) in saved_preds {
-            let Some(interned) = class_names.iter().copied().find(|n| *n == name) else {
+        for ((name, shapes), res) in Vec::<PredEntry>::load(&mut r)? {
+            let mut classes = eng.class_rep.iter().map(|&rep| eng.devices[rep].arch().name);
+            let Some(interned) = classes.find(|n| *n == name) else {
                 return Err(SavestateError::Mismatch(format!(
                     "prediction cache names arch {name:?}, absent from the restore pool"
                 )));
             };
-            predictions.insert((interned, shapes), res);
+            eng.predictions.insert((interned, shapes), res);
         }
-        let outcomes = Vec::<ReqOutcome>::load(&mut r)?;
-        let stats = ClusterInner::load(&mut r)?;
-        if let (Some(clock), Some(obs)) = (&clock, &obs) {
+        eng.outcomes = Vec::<ReqOutcome>::load(&mut r)?;
+        eng.stats = ClusterInner::load(&mut r)?;
+        if let (Some(clock), Some(obs)) = (&eng.clock, &eng.obs) {
             clock.set(u64::load(&mut r)?);
             obs.restore(&mut r)?;
         }
         r.expect_end()?;
-        // Per-class index heaps restart from the live backlogs: the
-        // original heap's extra entries are stale-by-value and thus
-        // semantically invisible, so one fresh entry per alive device
-        // reproduces the same argmin choices.
-        let index = (0..class_rep.len()).map(|_| BinaryHeap::new()).collect();
-        let has_chiplets = devices.iter().any(|d| !d.arch().topology.is_unified());
-        let mut eng = EventCluster {
-            cfg,
-            devices,
-            share,
-            timeline,
-            obs: obs.clone(),
-            clock,
-            stats,
-            outcomes,
-            predictions,
-            class_of,
-            class_rep,
-            index,
-            breaker_active,
-            has_chiplets,
-            gen,
-            now,
-            next_job_id,
-            events_processed,
-            requests,
-            witnesses,
-            witness_mismatches,
-            pending_arrivals,
-            open_jobs,
-            ground_truth: None,
-            actuals: HashMap::new(),
-            model_us: HashMap::new(),
-            decisions: None,
-            calib_version: 0,
-            swappable: false,
-        };
+        eng.timeline = timeline;
+        eng.breaker_active = breaker_active;
+        eng.gen = gen;
+        eng.now = now;
+        eng.next_job_id = next_job_id;
+        eng.events_processed = events_processed;
+        eng.requests = requests;
+        eng.witnesses = witnesses;
+        eng.witness_mismatches = witness_mismatches;
+        eng.pending_arrivals = pending_arrivals;
+        eng.open_jobs = open_jobs;
+        // The class heaps restart from the restored backlogs: the
+        // original heap's extra entries are stale by value and thus
+        // invisible, so one entry per alive device reproduces the same
+        // argmin choices.
+        eng.index.iter_mut().for_each(BinaryHeap::clear);
         for id in 0..eng.devices.len() {
             if eng.devices[id].alive {
                 eng.index_touch(id);
@@ -2170,11 +2153,11 @@ impl EventCluster {
 
     /// Take `device` out of service and export its *queued* jobs as a
     /// portable blob — the migration half of a planned drain. Like
-    /// [`kill_at`](Self::kill_at) the device is marked dead, its queue
-    /// closed, and a job mid-execution still completes here (its
-    /// `ExecDone` is already on the heap); unlike a kill, the queued
-    /// work leaves this engine instead of re-routing, so a peer can
-    /// [`import_jobs`](Self::import_jobs) it with zero drops.
+    /// [`kill_at`](Self::kill_at) the device is marked dead, so it takes
+    /// no further placements, and a job mid-execution still completes
+    /// here (its `ExecDone` is already on the heap); unlike a kill, the
+    /// queued work leaves this engine instead of re-routing, so a peer
+    /// can [`import_jobs`](Self::import_jobs) it with zero drops.
     pub fn halt_and_export(&mut self, device: usize) -> Vec<u8> {
         assert!(device < self.devices.len(), "no such device");
         if self.devices[device].alive {
@@ -2183,10 +2166,9 @@ impl EventCluster {
             if let Some(o) = self.obs() {
                 o.point(PointKind::Kill { device });
             }
-            self.devices[device].queue.close();
         }
         let mut jobs = Vec::new();
-        while let Some(job) = self.devices[device].queue.try_pop() {
+        while let Some(job) = self.devices[device].queue.pop_front() {
             self.devices[device].backlog_us -= job.predicted_us;
             self.open_jobs -= 1;
             jobs.push(job);
@@ -2307,6 +2289,59 @@ mod tests {
         }
     }
 
+    /// Replace the one occurrence of `from` in `blob` with `to`.
+    fn splice(blob: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
+        let at: Vec<usize> = (0..blob.len()).filter(|&i| blob[i..].starts_with(from)).collect();
+        assert_eq!(at.len(), 1, "the record must occur exactly once in the blob");
+        [&blob[..at[0]], to, &blob[at[0] + from.len()..]].concat()
+    }
+
+    fn encoded(value: &impl Savestate) -> Vec<u8> {
+        let mut w = Writer::new();
+        value.save(&mut w);
+        w.into_bytes()
+    }
+
+    /// No engine writes a checkpoint without devices (`build` refuses
+    /// an empty pool), so restoring one over an empty pool is `Corrupt`
+    /// rather than an engine whose first placement panics.
+    #[test]
+    fn restore_rejects_a_checkpoint_without_devices() {
+        let eng = EventCluster::new(vec![ArchSpec::maxwell_m60()], quiet_cfg());
+        let mut one = Writer::new();
+        one.len_prefix(1);
+        eng.devices[0].image().save(&mut one);
+        let mut none = Writer::new();
+        none.len_prefix(0);
+        let blob = splice(&eng.checkpoint(), &one.into_bytes(), &none.into_bytes());
+        match EventCluster::restore(Vec::new(), &blob) {
+            Err(SavestateError::Corrupt(msg)) => assert!(msg.contains("zero devices"), "{msg}"),
+            Err(e) => panic!("expected Corrupt, got {e:?}"),
+            Ok(_) => panic!("restore accepted a checkpoint without devices"),
+        }
+    }
+
+    /// The engine writes a device's `closed` flag as `!alive`; an image
+    /// where the two disagree, either way round, is `Corrupt`.
+    #[test]
+    fn restore_rejects_a_closed_flag_that_disagrees_with_alive() {
+        for halted in [false, true] {
+            let mut eng = EventCluster::new(ArchSpec::pool_presets(2), quiet_cfg());
+            if halted {
+                eng.halt_and_export(0);
+            }
+            let mut image = eng.devices[0].image();
+            let honest = encoded(&image);
+            image.closed = !image.closed;
+            let blob = splice(&eng.checkpoint(), &honest, &encoded(&image));
+            match EventCluster::restore(ArchSpec::pool_presets(2), &blob) {
+                Err(SavestateError::Corrupt(msg)) => assert!(msg.contains("device 0"), "{msg}"),
+                Err(e) => panic!("expected Corrupt, got {e:?}"),
+                Ok(_) => panic!("restore accepted closed {} on alive {}", image.closed, !halted),
+            }
+        }
+    }
+
     #[test]
     fn loadgen_is_deterministic_and_conserves_requests() {
         let mut a = LoadGen::table2(11, 40_000.0, 64);
@@ -2360,22 +2395,39 @@ mod tests {
 
     #[test]
     fn indexed_placement_matches_exact_scan() {
-        let run = |mode: PlacementMode| {
-            let mut cfg = quiet_cfg();
-            cfg.witness_every = 0;
-            cfg.placement = mode;
-            let mut eng = EventCluster::new(ArchSpec::pool_presets(12), cfg);
-            // Tight inter-arrivals so queues build and spill-down and
-            // steals actually exercise the index.
-            eng.load(LoadGen::table2(9, 4_000.0, 500));
-            eng.run()
-        };
-        let exact = run(PlacementMode::Exact);
-        let indexed = run(PlacementMode::Indexed);
-        assert_eq!(exact.outcomes, indexed.outcomes, "index changed a routing decision");
-        assert_eq!(exact.stats.makespan_sim_us, indexed.stats.makespan_sim_us);
-        assert_eq!(exact.stats.steals, indexed.stats.steals);
-        assert_eq!(exact.stats.completed, 500);
+        // Tight inter-arrivals so queues build and spill-down and steals
+        // actually exercise the index. The second input holds every
+        // queue to two jobs: placements spill past full queues, the
+        // index falls back to the exact scan, and arrivals back off.
+        let inputs =
+            [(64, 0, LoadGen::table2(9, 4_000.0, 500)), (2, 7, LoadGen::table2(9, 500.0, 600))];
+        let mut full_queue_run = None;
+        for (queue_capacity, witness_every, gen) in inputs {
+            let run = |placement| {
+                let cfg = EventConfig { queue_capacity, witness_every, placement, ..quiet_cfg() };
+                let mut eng = EventCluster::new(ArchSpec::pool_presets(12), cfg);
+                eng.load(gen.clone());
+                while eng.step() {
+                    let depth = eng.devices.iter().map(|d| d.queue.len()).max().unwrap();
+                    assert!(depth <= queue_capacity, "queue depth {depth} over {queue_capacity}");
+                }
+                eng.report()
+            };
+            let exact = run(PlacementMode::Exact);
+            let indexed = run(PlacementMode::Indexed);
+            assert_eq!(exact.outcomes, indexed.outcomes, "index changed a routing decision");
+            assert_eq!(exact.events_processed, indexed.events_processed);
+            assert_eq!(exact.stats.makespan_sim_us, indexed.stats.makespan_sim_us);
+            assert_eq!(exact.stats.steals, indexed.stats.steals);
+            assert_eq!(exact.stats.completed, gen.requests_remaining());
+            assert_eq!(exact.witness_mismatches + indexed.witness_mismatches, 0);
+            full_queue_run = Some(exact);
+        }
+        // Pinned, so a change to the bound check cannot pass unseen.
+        let full = full_queue_run.unwrap();
+        assert_eq!(full.events_processed, 2_463);
+        // 461.99995121500507 µs.
+        assert_eq!(full.stats.makespan_sim_us.to_bits(), 0x407c_dfff_ccd8_60ad);
     }
 
     #[test]
@@ -2495,8 +2547,8 @@ mod tests {
     #[test]
     fn closed_device_queue_refuses_placements() {
         // Admission never closes — every arrival is served — so the
-        // refused-after-close contract lives at the device queue: a
-        // halted device takes no placement, and its peer serves all.
+        // refused-after-halt contract lives at the device: a halted
+        // device takes no placement, and its peer serves all.
         let mut eng = EventCluster::new(ArchSpec::pool_presets(2), quiet_cfg());
         eng.halt_and_export(0);
         closed_loop(&mut eng, &[GemmShape::new(16, 16, 16)], 3);

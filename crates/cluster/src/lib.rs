@@ -14,9 +14,10 @@
 //!
 //! One engine, [`EventCluster`], runs the pool in simulated time: a
 //! timeline of typed [`SimTime`] events drives every device — its own
-//! [`ctb_core::Session`] on the shared plan cache, a bounded queue, a
-//! circuit breaker and an optional deterministic fault injector (the
-//! `ctb-serve` primitives). Witness requests execute for real through
+//! [`ctb_core::Session`] on the shared plan cache, a bounded job queue
+//! (a plain `VecDeque`: the engine is single-threaded, so nothing
+//! locks), and `ctb-serve`'s circuit breaker and optional deterministic
+//! fault injector. Witness requests execute for real through
 //! the functional executor and are checked against the exact oracle, so
 //! results are bitwise-exact no matter which device — or how many
 //! re-routes — produced them. Serving caller-owned data on real threads
@@ -47,5 +48,5 @@ pub use events::{
     EngineReport, EventCluster, EventConfig, LoadGen, PlacementMode, ReqOutcome, ShapeMix,
     SimTime, StealPolicy, Timeline, WITNESS_ALPHA, WITNESS_BETA,
 };
-pub use placer::{choose, steal_beneficial, Candidate, LocalityPolicy};
+pub use placer::{steal_beneficial, Candidate, LocalityPolicy};
 pub use stats::{ClusterInner, ClusterStats, DeviceStats};

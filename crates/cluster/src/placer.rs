@@ -4,8 +4,8 @@
 //! Both decisions are driven entirely by the analytical simulator — the
 //! same model the paper uses to choose tilings and batchings chooses the
 //! device here. Keeping the policy pure (no locks, no atomics, plain
-//! slices in, index out) makes it exhaustively testable without spinning
-//! up a cluster.
+//! values in, a ranking or a verdict out) makes it exhaustively testable
+//! without spinning up a cluster.
 
 /// Whether placement folds the locality routing penalty into candidate
 /// ranking. Enabled by default — the penalty is *exactly* `0.0` on
@@ -72,21 +72,12 @@ impl Candidate {
     }
 }
 
-/// Pick the device with the earliest penalty-adjusted completion time.
-/// Ties break toward the lower device id (pools are fastest-first, so
-/// ties prefer the stronger device); an empty slate returns `None`.
-pub fn choose(candidates: &[Candidate]) -> Option<usize> {
-    candidates
-        .iter()
-        .min_by(|a, b| a.score_us().total_cmp(&b.score_us()).then(a.device.cmp(&b.device)))
-        .map(|c| c.device)
-}
-
 /// Order a full candidate slate best-first: ascending penalty-adjusted
-/// completion, ties toward the lower device id. `rank(..)[0]` agrees
-/// with [`choose`]; the tail is the spill-down order a placer walks
-/// when better queues are full or sidelined. The exact placement scan
-/// walks this ranking, and the indexed path is tested against it.
+/// completion, ties toward the lower device id (pools are
+/// fastest-first, so ties prefer the stronger device). `rank(..)[0]` is
+/// the placement; the tail is the spill-down order a placer walks when
+/// better queues are full or sidelined. The exact placement scan walks
+/// this ranking, and the indexed path is tested against it.
 pub fn rank(mut candidates: Vec<Candidate>) -> Vec<Candidate> {
     candidates
         .sort_by(|a, b| a.score_us().total_cmp(&b.score_us()).then(a.device.cmp(&b.device)));
@@ -122,41 +113,44 @@ mod tests {
         Candidate { device, backlog_us, predicted_us, penalty_us }
     }
 
+    /// The device a placement lands on: the head of the ranking.
+    fn best(slate: &[Candidate]) -> Option<usize> {
+        rank(slate.to_vec()).first().map(|c| c.device)
+    }
+
     #[test]
     fn chooses_minimum_completion_not_minimum_predicted() {
         // Device 0 runs the batch faster but is saturated; device 1 is
         // slower per-batch yet finishes sooner overall.
-        let got = choose(&[c(0, 1000.0, 10.0), c(1, 0.0, 25.0)]);
+        let got = best(&[c(0, 1000.0, 10.0), c(1, 0.0, 25.0)]);
         assert_eq!(got, Some(1));
     }
 
     #[test]
     fn idle_pool_routes_to_the_fastest_device() {
-        let got = choose(&[c(0, 0.0, 10.0), c(1, 0.0, 12.0), c(2, 0.0, 30.0)]);
+        let got = best(&[c(0, 0.0, 10.0), c(1, 0.0, 12.0), c(2, 0.0, 30.0)]);
         assert_eq!(got, Some(0));
     }
 
     #[test]
     fn ties_break_toward_the_lower_id() {
-        assert_eq!(choose(&[c(2, 5.0, 5.0), c(1, 0.0, 10.0)]), Some(1));
-        assert_eq!(choose(&[c(1, 0.0, 10.0), c(2, 5.0, 5.0)]), Some(1));
+        assert_eq!(best(&[c(2, 5.0, 5.0), c(1, 0.0, 10.0)]), Some(1));
+        assert_eq!(best(&[c(1, 0.0, 10.0), c(2, 5.0, 5.0)]), Some(1));
     }
 
     #[test]
     fn empty_slate_has_no_placement() {
-        assert_eq!(choose(&[]), None);
+        assert_eq!(best(&[]), None);
     }
 
     #[test]
     fn singleton_always_wins() {
-        assert_eq!(choose(&[c(3, 99.0, 1.0)]), Some(3));
+        assert_eq!(best(&[c(3, 99.0, 1.0)]), Some(3));
     }
 
     #[test]
-    fn rank_agrees_with_choose_and_orders_the_spill() {
-        let slate = vec![c(2, 5.0, 5.0), c(0, 1000.0, 10.0), c(1, 0.0, 25.0)];
-        let ranked = rank(slate.clone());
-        assert_eq!(ranked[0].device, choose(&slate).unwrap());
+    fn rank_orders_the_spill_best_first() {
+        let ranked = rank(vec![c(2, 5.0, 5.0), c(0, 1000.0, 10.0), c(1, 0.0, 25.0)]);
         let order: Vec<usize> = ranked.iter().map(|x| x.device).collect();
         assert_eq!(order, vec![2, 1, 0]);
         // Ties break toward the lower id at every rank, not just the head.
@@ -180,13 +174,13 @@ mod tests {
         // resident device 1 wins once the crossing cost outweighs the
         // completion gap.
         let slate = vec![cp(0, 0.0, 10.0, 6.0), cp(1, 0.0, 12.0, 0.0)];
-        assert_eq!(choose(&slate), Some(1));
+        assert_eq!(best(&slate), Some(1));
         // A small penalty that doesn't close the gap changes nothing.
         let slate = vec![cp(0, 0.0, 10.0, 1.0), cp(1, 0.0, 12.0, 0.0)];
-        assert_eq!(choose(&slate), Some(0));
+        assert_eq!(best(&slate), Some(0));
         // Ties on score still break toward the lower id.
         let slate = vec![cp(1, 0.0, 12.0, 0.0), cp(0, 0.0, 10.0, 2.0)];
-        assert_eq!(choose(&slate), Some(0));
+        assert_eq!(best(&slate), Some(0));
         // And rank orders the spill by the same score.
         let ranked = rank(vec![cp(0, 0.0, 10.0, 6.0), cp(1, 0.0, 12.0, 0.0), cp(2, 0.0, 11.0, 9.0)]);
         let order: Vec<usize> = ranked.iter().map(|x| x.device).collect();

@@ -69,6 +69,8 @@ fn injector(cfg: FaultConfig) -> Option<Arc<FaultInjector>> {
 struct Schedule {
     cfg: EventConfig,
     n: usize,
+    /// Simulated ns between arrivals.
+    gap_ns: u64,
     faults: fn() -> Vec<Option<Arc<FaultInjector>>>,
     kill_first: Option<usize>,
     /// Plan-cache shard/capacity/admission layout (default = 16 shards,
@@ -87,6 +89,7 @@ fn breaker_opens_mid_load() -> Schedule {
             ..EventConfig::default()
         },
         n: 24,
+        gap_ns: GAP_NS,
         faults: || vec![injector(FaultConfig::new(0xA11CE).plan_fail(1000)), None],
         kill_first: None,
         share: PlanShareConfig::default(),
@@ -101,6 +104,7 @@ fn exec_panic_storm() -> Schedule {
             ..EventConfig::default()
         },
         n: 30,
+        gap_ns: GAP_NS,
         faults: || vec![injector(FaultConfig::new(0x5EED).exec_panic(400)), None],
         kill_first: None,
         share: PlanShareConfig::default(),
@@ -115,6 +119,7 @@ fn kill_device_routes_to_survivor() -> Schedule {
             ..EventConfig::default()
         },
         n: 16,
+        gap_ns: GAP_NS,
         faults: || vec![None, None],
         kill_first: Some(0),
         share: PlanShareConfig::default(),
@@ -130,6 +135,7 @@ fn chaos_on_every_device() -> Schedule {
             ..EventConfig::default()
         },
         n: 32,
+        gap_ns: GAP_NS,
         faults: || {
             vec![
                 injector(FaultConfig::new(0xD00D).plan_fail(250).exec_panic(150)),
@@ -150,6 +156,7 @@ fn fault_free() -> Schedule {
     Schedule {
         cfg: EventConfig::default(),
         n: 18,
+        gap_ns: GAP_NS,
         faults: || vec![None, None],
         kill_first: None,
         share: PlanShareConfig::default(),
@@ -167,6 +174,7 @@ fn bloom_gated_bounded_cache() -> Schedule {
     Schedule {
         cfg: EventConfig::default(),
         n: 24,
+        gap_ns: GAP_NS,
         faults: || vec![injector(FaultConfig::new(0xB100).exec_panic(300)), None],
         kill_first: None,
         share: PlanShareConfig {
@@ -188,10 +196,26 @@ fn locality_on_chiplet_pool() -> Schedule {
     Schedule {
         cfg: EventConfig::default(),
         n: 24,
+        gap_ns: GAP_NS,
         faults: || vec![None, injector(FaultConfig::new(0x10CA1).exec_panic(200)), None],
         kill_first: None,
         share: PlanShareConfig::default(),
         pool: || ArchSpec::chiplet_pool_presets(3),
+    }
+}
+
+/// Queues of one job under a burst of arrivals 100 ns apart and a light
+/// panic storm: placements spill past full queues and back off, and
+/// mid-run checkpoints hold full queues.
+fn burst_into_one_job_queues() -> Schedule {
+    Schedule {
+        cfg: EventConfig { queue_capacity: 1, ..EventConfig::default() },
+        n: 24,
+        gap_ns: 100,
+        faults: || vec![injector(FaultConfig::new(0xB0257).exec_panic(200)), None],
+        kill_first: None,
+        share: PlanShareConfig::default(),
+        pool,
     }
 }
 
@@ -205,7 +229,7 @@ fn build(s: &Schedule) -> (EventCluster, Arc<Obs>) {
         eng.kill_at(SimTime::ZERO, dev);
     }
     for i in 0..s.n {
-        eng.submit_at(SimTime(1 + i as u64 * GAP_NS), mix_shapes(i), i as u64);
+        eng.submit_at(SimTime(1 + i as u64 * s.gap_ns), mix_shapes(i), i as u64);
     }
     (eng, obs)
 }
@@ -321,6 +345,24 @@ fn crash_restore_locality_on_chiplet_pool() {
     assert!(baseline.stats.residency_misses > 0, "schedule never staged operands");
     assert!(baseline.stats.residency_hits > 0, "schedule never re-used a resident device");
     assert!(baseline.stats.remote_operand_bytes > 0, "chiplet pool never charged remote bytes");
+    differential(s);
+}
+
+/// Full queues under fire: every crash point must round-trip the queued
+/// jobs, and the resumed run must spill and back off exactly as the
+/// uninterrupted run does.
+#[test]
+fn crash_restore_burst_into_one_job_queues() {
+    let s = burst_into_one_job_queues();
+    // Some queue must actually sit at its bound, or the sweep proves
+    // nothing about it.
+    let (mut eng, _obs) = build(&s);
+    let mut filled = false;
+    while eng.run_steps(1) == 1 {
+        let devices = eng.stats_snapshot().devices;
+        filled |= devices.iter().any(|d| d.queue_depth >= s.cfg.queue_capacity);
+    }
+    assert!(filled, "schedule never filled a queue");
     differential(s);
 }
 

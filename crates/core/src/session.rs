@@ -229,22 +229,6 @@ impl PlanShare {
         self.residency.lock().get(&sig).copied()
     }
 
-    /// Roll back a residency move: restore `sig`'s previous home, or
-    /// forget the signature entirely when it had none. Placement engines
-    /// claim residency *before* a queue push (so a racing re-route sees
-    /// the landing) and call this when the push is refused.
-    pub fn restore_residency(&self, sig: u64, prev: Option<OperandHome>) {
-        let mut map = self.residency.lock();
-        match prev {
-            Some(home) => {
-                map.insert(sig, home);
-            }
-            None => {
-                map.remove(&sig);
-            }
-        }
-    }
-
     /// Number of shape signatures with a recorded operand home.
     pub fn residency_len(&self) -> usize {
         self.residency.lock().len()

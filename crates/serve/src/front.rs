@@ -7,7 +7,7 @@
 //! burdens: `try_submit` *always* returns a [`Ticket`] once the request
 //! validates, and requests the bounded queue cannot take right now are
 //! buffered inside the front and flushed — many at a time, under one
-//! queue lock ([`crate::BoundedQueue::try_push_many`]) — as capacity
+//! queue lock (`BoundedQueue::try_push_many`) — as capacity
 //! frees up. Producers never block and never see backpressure; the
 //! bound still holds because buffered requests only enter the server
 //! when the queue has room.

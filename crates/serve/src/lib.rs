@@ -58,7 +58,6 @@ pub use fault::{
     INJECTED_PANIC_MSG,
 };
 pub use front::AsyncFront;
-pub use queue::{BoundedQueue, PopTimedOut, PushError};
 pub use request::{GemmRequest, GemmResult, RequestTiming, ServeError, Ticket};
 pub use retry::{Breaker, BreakerPolicy, RetryPolicy};
 pub use server::{ServeConfig, Server};

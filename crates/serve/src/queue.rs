@@ -1,4 +1,5 @@
-//! Bounded MPSC admission queue with blocking backpressure.
+//! Bounded MPSC queue with blocking backpressure: the server's
+//! admission queue and its batch job queue.
 //!
 //! `std::sync::mpsc` channels are unbounded, so admission control is
 //! built directly on a `Mutex<VecDeque>` + two condvars: producers block
@@ -195,38 +196,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Non-blocking conditional pop: hand the front item to `pred` and
-    /// pop it only when `pred` says so. `None` when the queue is empty
-    /// or the predicate declined. This is the work-stealing primitive:
-    /// a thief examines a victim's head-of-line job and takes it only
-    /// when the predicted steal cost beats waiting.
-    pub fn pop_if(&self, pred: impl FnOnce(&T) -> bool) -> Option<T> {
-        let mut st = self.lock();
-        if !pred(st.q.front()?) {
-            return None;
-        }
-        let item = st.q.pop_front();
-        drop(st);
-        self.not_full.notify_one();
-        item
-    }
-
-    /// Non-blocking unconditional pop: take the front item if one is
-    /// queued, never wait. This is the single-threaded seam the
-    /// discrete-event cluster engine drains device queues through — the
-    /// same bounded queue the serving workers block on, minus the
-    /// blocking: capacity, close and steal (`pop_if`/`peek_map`)
-    /// semantics are the queue's own.
-    pub fn try_pop(&self) -> Option<T> {
-        self.pop_if(|_| true)
-    }
-
-    /// Inspect the front item (without popping) under the lock. `None`
-    /// when empty. Keep `f` cheap — it runs with the queue locked.
-    pub fn peek_map<R>(&self, f: impl FnOnce(&T) -> R) -> Option<R> {
-        self.lock().q.front().map(f)
-    }
-
     /// Stop accepting items and wake every waiter. Items already queued
     /// remain poppable.
     pub fn close(&self) {
@@ -239,47 +208,8 @@ impl<T> BoundedQueue<T> {
         self.lock().q.len()
     }
 
-    /// The bound `push`/`try_push` enforce (constructor clamps 0 to 1).
-    /// Exposed so an external placer can reason about queue headroom:
-    /// `capacity() - len()` slots accept a push without blocking.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     pub fn is_empty(&self) -> bool {
         self.lock().q.is_empty()
-    }
-
-    /// Whether [`BoundedQueue::close`] has been called. Part of the
-    /// queue's *observable* state: a restored queue must answer this
-    /// exactly like the original did, or a `try_push` that used to see
-    /// `Closed` would see `Full`/`Ok` after a restore.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
-    /// Snapshot every queued item (front to back, via `f`) together
-    /// with the closed flag, under one lock acquisition — the
-    /// serialization view of the queue. Keep `f` cheap: it runs with
-    /// the queue locked.
-    pub fn snapshot_with<R>(&self, mut f: impl FnMut(&T) -> R) -> (Vec<R>, bool) {
-        let st = self.lock();
-        (st.q.iter().map(&mut f).collect(), st.closed)
-    }
-
-    /// Rebuild a queue from serialized state: same clamped capacity,
-    /// same closed flag, same items in FIFO order. The restored queue
-    /// is observably identical — `capacity()`, `is_closed()`, `len()`,
-    /// `try_push`-on-closed and `pop_if` all answer as the original
-    /// would have (capacity goes through the same `max(1)` clamp as
-    /// [`BoundedQueue::new`], so a clamped original round-trips).
-    pub fn restore(capacity: usize, closed: bool, items: Vec<T>) -> Self {
-        BoundedQueue {
-            state: Mutex::new(State { q: VecDeque::from(items), closed }),
-            capacity: capacity.max(1),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        }
     }
 }
 
@@ -288,22 +218,6 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::time::Duration;
-
-    #[test]
-    fn try_pop_never_blocks_and_preserves_fifo() {
-        let q = BoundedQueue::new(4);
-        assert_eq!(q.try_pop(), None, "empty queue yields None immediately");
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        assert_eq!(q.try_pop(), Some(1));
-        assert_eq!(q.try_pop(), Some(2));
-        assert_eq!(q.try_pop(), None);
-        // Closed queues still drain through try_pop.
-        q.push(3).unwrap();
-        q.close();
-        assert_eq!(q.try_pop(), Some(3));
-        assert_eq!(q.try_pop(), None);
-    }
 
     #[test]
     fn try_push_observes_capacity_and_returns_the_item() {
@@ -441,82 +355,6 @@ mod tests {
         let deadline = Instant::now() + Duration::from_millis(5);
         assert_eq!(q.pop_until(deadline), Err(PopTimedOut));
     }
-
-    #[test]
-    fn capacity_is_readable_and_clamped() {
-        assert_eq!(BoundedQueue::<i32>::new(7).capacity(), 7);
-        assert_eq!(BoundedQueue::<i32>::new(0).capacity(), 1, "constructor clamp is visible");
-    }
-
-    #[test]
-    fn pop_if_consults_the_front_item_only() {
-        let q = BoundedQueue::new(4);
-        q.push(10).unwrap();
-        q.push(3).unwrap();
-        assert_eq!(q.pop_if(|&v| v > 5), Some(10), "front matches: popped");
-        assert_eq!(q.pop_if(|&v| v > 5), None, "front is 3: declined");
-        assert_eq!(q.len(), 1, "declined item stays queued");
-        assert_eq!(q.pop(), Some(3), "FIFO order undisturbed");
-        assert_eq!(q.pop_if(|_| true), None, "empty queue never calls pred");
-    }
-
-    #[test]
-    fn peek_map_observes_without_popping() {
-        let q = BoundedQueue::new(2);
-        assert_eq!(q.peek_map(|&v: &i32| v), None);
-        q.push(42).unwrap();
-        assert_eq!(q.peek_map(|&v| v * 2), Some(84));
-        assert_eq!(q.len(), 1, "peek leaves the item in place");
-    }
-
-    #[test]
-    fn restored_queue_reports_the_original_observable_state() {
-        // Original: capacity 3, two items popped to one, then closed.
-        let q = BoundedQueue::new(3);
-        q.push(10).unwrap();
-        q.push(20).unwrap();
-        assert_eq!(q.pop(), Some(10));
-        q.close();
-
-        let (items, closed) = q.snapshot_with(|&v| v);
-        assert_eq!((items.as_slice(), closed), (&[20][..], true));
-
-        let r = BoundedQueue::restore(q.capacity(), closed, items);
-        assert_eq!(r.capacity(), q.capacity());
-        assert_eq!(r.is_closed(), q.is_closed());
-        assert_eq!(r.len(), q.len());
-        // try_push on the restored closed queue sees Closed (never
-        // Full/Ok), exactly like the original.
-        assert_eq!(r.try_push(99), Err((PushError::Closed, 99)));
-        assert_eq!(q.try_push(99), Err((PushError::Closed, 99)));
-        // pop_if still drains the surviving item, then closed+drained.
-        assert_eq!(r.pop_if(|&v| v == 20), Some(20));
-        assert_eq!(r.pop(), None, "closed + drained");
-        assert!(r.is_closed(), "drained queue stays closed");
-    }
-
-    #[test]
-    fn restored_clamped_capacity_round_trips() {
-        let q = BoundedQueue::<i32>::new(0);
-        let (items, closed) = q.snapshot_with(|&v| v);
-        let r = BoundedQueue::restore(q.capacity(), closed, items);
-        assert_eq!(r.capacity(), 1, "clamp survives the round-trip");
-        assert!(!r.is_closed());
-        r.try_push(1).unwrap();
-        assert_eq!(r.try_push(2), Err((PushError::Full, 2)));
-    }
-
-    #[test]
-    fn pop_if_frees_a_slot_for_blocked_pushers() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.push(1).unwrap();
-        let q2 = Arc::clone(&q);
-        let pusher = std::thread::spawn(move || q2.push(2));
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.pop_if(|_| true), Some(1));
-        pusher.join().unwrap().expect("push succeeds after conditional pop");
-        assert_eq!(q.pop(), Some(2));
-    }
 }
 
 #[cfg(test)]
@@ -603,8 +441,6 @@ mod invariant_props {
             // Two blocking producers and one consumer hammer the queue
             // while a sampler thread continuously observes the depth;
             // every observation must respect the constructor's bound.
-            // This is the invariant the cluster placer relies on when it
-            // reads `len()`/`capacity()` from outside the serving layer.
             let q: Arc<BoundedQueue<u64>> = Arc::new(BoundedQueue::new(cap));
             let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
             let sampler = {
@@ -647,12 +483,7 @@ mod invariant_props {
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
             let max_seen = sampler.join().unwrap();
             prop_assert_eq!(got, 2 * per_producer, "every accepted item drained");
-            prop_assert!(
-                max_seen <= q.capacity(),
-                "observed depth {} exceeds capacity {}",
-                max_seen,
-                q.capacity()
-            );
+            prop_assert!(max_seen <= cap, "observed depth {} exceeds capacity {}", max_seen, cap);
         }
 
         #[test]

@@ -377,11 +377,6 @@ impl Server {
         &self.shared.session
     }
 
-    /// The attached chaos schedule, if any.
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.shared.fault.as_ref()
-    }
-
     /// The attached observability bus, if any.
     pub fn observer(&self) -> Option<&Arc<Obs>> {
         self.shared.obs.as_ref()
