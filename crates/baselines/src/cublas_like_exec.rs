@@ -5,7 +5,7 @@
 
 use crate::run::{functional_plan, gemm_tiles, BaselineRun};
 use ctb_batching::TileTask;
-use ctb_core::lowering::block_work;
+use ctb_core::lowering::lower_block;
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::GemmShape;
 use ctb_sim::{KernelDesc, LaunchSequence};
@@ -26,19 +26,16 @@ pub fn cublas_like(arch: &ArchSpec, shapes: &[GemmShape]) -> BaselineRun {
     let mut all_tiles: Vec<TileTask> = Vec::new();
     for (shape, members) in &groups {
         let st = select_single_gemm(shape, arch);
-        let mut blocks = Vec::new();
+        let name = format!("cublas_batched_{shape}_x{}", members.len());
+        let mut kernel = KernelDesc::new(name, st.footprint());
         for &g in members {
             // gridDim.z stacking: every member contributes a full grid.
             for t in gemm_tiles(g, shape, st) {
-                blocks.push(block_work(std::slice::from_ref(&t), st.threads, shapes));
+                lower_block(&mut kernel, [t], st.threads, shapes);
                 all_tiles.push(t);
             }
         }
-        kernels.push(KernelDesc::new(
-            format!("cublas_batched_{shape}_x{}", members.len()),
-            st.footprint(),
-            blocks,
-        ));
+        kernels.push(kernel);
     }
 
     BaselineRun {

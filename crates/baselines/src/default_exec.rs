@@ -4,7 +4,7 @@
 
 use crate::run::{functional_plan, gemm_tiles, BaselineRun};
 use ctb_batching::TileTask;
-use ctb_core::lowering::block_work;
+use ctb_core::lowering::lower_block;
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::GemmShape;
 use ctb_sim::{KernelDesc, LaunchSequence};
@@ -21,15 +21,12 @@ pub(crate) fn per_gemm_kernels(
     for (g, shape) in shapes.iter().enumerate() {
         let st = select_single_gemm(shape, arch);
         let tiles = gemm_tiles(g, shape, st);
-        let blocks = tiles
-            .iter()
-            .map(|t| block_work(std::slice::from_ref(t), st.threads, shapes))
-            .collect();
-        kernels.push(KernelDesc::new(
-            format!("default_gemm_{g}_{shape}"),
-            st.footprint(),
-            blocks,
-        ));
+        let mut kernel = KernelDesc::new(format!("default_gemm_{g}_{shape}"), st.footprint());
+        kernel.reserve(tiles.len(), tiles.len());
+        for &t in &tiles {
+            lower_block(&mut kernel, [t], st.threads, shapes);
+        }
+        kernels.push(kernel);
         all_tiles.extend(tiles);
     }
     (kernels, all_tiles)

@@ -18,10 +18,10 @@
 
 use crate::run::{functional_plan, BaselineRun};
 use ctb_batching::TileTask;
-use ctb_core::lowering::block_work;
+use ctb_core::lowering::lower_block;
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::GemmShape;
-use ctb_sim::{BlockWork, KernelDesc, LaunchSequence};
+use ctb_sim::{KernelDesc, LaunchSequence};
 use ctb_tiling::strategy::SINGLE_GEMM_STRATEGIES;
 use ctb_tiling::TilingStrategy;
 
@@ -42,8 +42,14 @@ pub fn magma_vbatch(arch: &ArchSpec, shapes: &[GemmShape]) -> BaselineRun {
     let gy_max = grids.iter().map(|g| g.0).max().unwrap_or(0);
     let gx_max = grids.iter().map(|g| g.1).max().unwrap_or(0);
 
-    let mut blocks: Vec<BlockWork> = Vec::with_capacity(shapes.len() * gy_max * gx_max);
-    let mut tiles: Vec<TileTask> = Vec::new();
+    // MAGMA's vbatch kernel lacks the fine-grained software-pipelining
+    // optimisations (§7: "without the fine-grained tiling and batching
+    // optimizations"), so it runs at prefetch depth 1.
+    let name = format!("magma_vbatch_{}x{}x{}_B{}", st.by, st.bx, st.bk, shapes.len());
+    let mut kernel = KernelDesc::new(name, st.footprint()).unpipelined();
+    let tile_count = grids.iter().map(|&(gy, gx)| gy * gx).sum();
+    kernel.reserve(shapes.len() * gy_max * gx_max, tile_count);
+    let mut tiles: Vec<TileTask> = Vec::with_capacity(tile_count);
     // Grid order (z, y, x): the rasteriser dispatch order bubbles
     // interleave with.
     for (g, shape) in shapes.iter().enumerate() {
@@ -52,24 +58,15 @@ pub fn magma_vbatch(arch: &ArchSpec, shapes: &[GemmShape]) -> BaselineRun {
             for x in 0..gx_max {
                 if y < gy && x < gx {
                     let t = TileTask { gemm: g, y, x, k: shape.k, strategy: st };
-                    blocks.push(block_work(std::slice::from_ref(&t), st.threads, shapes));
+                    lower_block(&mut kernel, [t], st.threads, shapes);
                     tiles.push(t);
                 } else {
-                    blocks.push(BlockWork::bubble());
+                    kernel.push_block(0, []);
                 }
             }
         }
     }
 
-    // MAGMA's vbatch kernel lacks the fine-grained software-pipelining
-    // optimisations (§7: "without the fine-grained tiling and batching
-    // optimizations"), so it runs at prefetch depth 1.
-    let kernel = KernelDesc::new(
-        format!("magma_vbatch_{}x{}x{}_B{}", st.by, st.bx, st.bk, shapes.len()),
-        st.footprint(),
-        blocks,
-    )
-    .unpipelined();
     BaselineRun {
         name: "magma_vbatch",
         seq: LaunchSequence::Single(kernel),

@@ -4,15 +4,19 @@
 use crate::tile::TileTask;
 use ctb_matrix::GemmShape;
 use ctb_tiling::{TilingSolution, TilingStrategy};
-use std::collections::HashSet;
 
-/// The five auxiliary arrays of Fig 6 plus the unified block size.
+/// The five auxiliary arrays of Fig 6 plus the unified block size: a
+/// prefix array over the blocks and four flat arrays over the tiles, so
+/// a scheme of any shape takes five allocations.
 ///
 /// * `tile[b] .. tile[b+1]` is the range of tile indices owned by thread
 ///   block `b` (`tile.len() == blocks + 1`);
 /// * `gemm[t]`, `tiling[t]`, `y_coord[t]`, `x_coord[t]` describe tile
 ///   `t`: its source GEMM, the Table 2 strategy id (0‥=11), and its tile
 ///   coordinates within the GEMM's grid.
+///
+/// The batching heuristics write these arrays block by block;
+/// [`BatchPlan::from_blocks`] flattens a scheme built by hand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchPlan {
     /// Per-block prefix offsets into the tile arrays.
@@ -30,26 +34,44 @@ pub struct BatchPlan {
 }
 
 impl BatchPlan {
+    /// A plan with no blocks yet and room for exactly `blocks` blocks of
+    /// `tiles` tiles in all.
+    pub(crate) fn with_capacity(threads: u32, blocks: usize, tiles: usize) -> Self {
+        let mut tile = Vec::with_capacity(blocks + 1);
+        tile.push(0);
+        BatchPlan {
+            tile,
+            gemm: Vec::with_capacity(tiles),
+            tiling: Vec::with_capacity(tiles),
+            y_coord: Vec::with_capacity(tiles),
+            x_coord: Vec::with_capacity(tiles),
+            threads,
+        }
+    }
+
+    /// Append `t` to the block under construction.
+    pub(crate) fn push_tile(&mut self, t: &TileTask) {
+        self.gemm.push(t.gemm);
+        self.tiling.push(t.strategy.id());
+        self.y_coord.push(t.y);
+        self.x_coord.push(t.x);
+    }
+
+    /// Close the block under construction: it owns the tiles pushed
+    /// since the previous block closed.
+    pub(crate) fn end_block(&mut self) {
+        self.tile.push(self.gemm.len());
+    }
+
     /// Flatten a per-block tile assignment into the five arrays.
     pub fn from_blocks(blocks: &[Vec<TileTask>], threads: u32) -> Self {
-        let total: usize = blocks.iter().map(Vec::len).sum();
-        let mut plan = BatchPlan {
-            tile: Vec::with_capacity(blocks.len() + 1),
-            gemm: Vec::with_capacity(total),
-            tiling: Vec::with_capacity(total),
-            y_coord: Vec::with_capacity(total),
-            x_coord: Vec::with_capacity(total),
-            threads,
-        };
-        plan.tile.push(0);
+        let total = blocks.iter().map(Vec::len).sum();
+        let mut plan = BatchPlan::with_capacity(threads, blocks.len(), total);
         for block in blocks {
             for t in block {
-                plan.gemm.push(t.gemm);
-                plan.tiling.push(t.strategy.id());
-                plan.y_coord.push(t.y);
-                plan.x_coord.push(t.x);
+                plan.push_tile(t);
             }
-            plan.tile.push(plan.gemm.len());
+            plan.end_block();
         }
         plan
     }
@@ -64,18 +86,16 @@ impl BatchPlan {
         self.gemm.len()
     }
 
-    /// The tiles of block `b` (Fig 7 lines 1–3), reconstructed from the
-    /// arrays.
-    pub fn block_tiles(&self, b: usize, shapes: &[GemmShape]) -> Vec<TileTask> {
-        (self.tile[b]..self.tile[b + 1])
-            .map(|t| TileTask {
-                gemm: self.gemm[t],
-                y: self.y_coord[t],
-                x: self.x_coord[t],
-                k: shapes[self.gemm[t]].k,
-                strategy: TilingStrategy::from_id(self.tiling[t]),
-            })
-            .collect()
+    /// Tile `t`, reconstructed from the arrays (Fig 7 lines 4–5); block
+    /// `b` owns tiles `tile[b]..tile[b + 1]`.
+    pub fn tile_task(&self, t: usize, shapes: &[GemmShape]) -> TileTask {
+        TileTask {
+            gemm: self.gemm[t],
+            y: self.y_coord[t],
+            x: self.x_coord[t],
+            k: shapes[self.gemm[t]].k,
+            strategy: TilingStrategy::from_id(self.tiling[t]),
+        }
     }
 
     /// Aggregate TLP of the plan: blocks × threads.
@@ -112,7 +132,15 @@ impl BatchPlan {
             return Err("per-tile arrays must have equal length".into());
         }
 
-        let mut seen: HashSet<(usize, usize, usize)> = HashSet::with_capacity(self.num_tiles());
+        // One bit per tile of the solution, GEMM after GEMM: GEMM g's
+        // tile (y, x) is bit `first[g] + y * gx + x`.
+        let mut first = Vec::with_capacity(shapes.len() + 1);
+        first.push(0);
+        for (s, st) in shapes.iter().zip(&solution.per_gemm) {
+            first.push(first[first.len() - 1] + st.tiles(s.m, s.n));
+        }
+        let expected = first[first.len() - 1];
+        let mut seen = vec![false; expected];
         for t in 0..self.num_tiles() {
             let g = self.gemm[t];
             if g >= shapes.len() {
@@ -126,15 +154,10 @@ impl BatchPlan {
             if self.y_coord[t] >= gy || self.x_coord[t] >= gx {
                 return Err(format!("tile {t}: coordinate out of grid"));
             }
-            if !seen.insert((g, self.y_coord[t], self.x_coord[t])) {
+            if std::mem::replace(&mut seen[first[g] + self.y_coord[t] * gx + self.x_coord[t]], true) {
                 return Err(format!("tile {t}: duplicate tile"));
             }
         }
-        let expected: usize = shapes
-            .iter()
-            .zip(&solution.per_gemm)
-            .map(|(s, st)| st.tiles(s.m, s.n))
-            .sum();
         if self.num_tiles() != expected {
             return Err(format!("plan has {} tiles, solution implies {expected}", self.num_tiles()));
         }
@@ -170,7 +193,9 @@ mod tests {
         assert_eq!(plan.num_tiles(), tiles.len());
         assert_eq!(plan.num_blocks(), blocks.len());
         for (b, expect) in blocks.iter().enumerate() {
-            assert_eq!(&plan.block_tiles(b, &shapes), expect);
+            let got: Vec<TileTask> =
+                (plan.tile[b]..plan.tile[b + 1]).map(|t| plan.tile_task(t, &shapes)).collect();
+            assert_eq!(&got, expect);
         }
     }
 

@@ -14,7 +14,7 @@
 //!    into threshold batching.
 
 use crate::geomean;
-use ctb_batching::{assign_blocks, order_tiles, tiles_for, BatchPlan, BatchingHeuristic, TileOrder};
+use ctb_batching::{assign_blocks, order_tiles, tiles_for, BatchingHeuristic, TileOrder};
 use ctb_core::autotune::autotune;
 use ctb_core::lowering::lower_plan;
 use ctb_core::Framework;
@@ -74,8 +74,7 @@ fn simulate_uniform_kind(
     let tlp = model::tlp(shapes, &per_gemm);
     let sol = TilingSolution { thread_count: ThreadCount::T256, per_gemm, tlp };
     let tiles = tiles_for(shapes, &sol);
-    let blocks = assign_blocks(&tiles, BatchingHeuristic::OneTilePerBlock, thresholds, 256);
-    let plan = BatchPlan::from_blocks(&blocks, 256);
+    let plan = assign_blocks(&tiles, BatchingHeuristic::OneTilePerBlock, thresholds, 256);
     let kd = lower_plan("uniform", &plan, shapes);
     simulate(arch, &LaunchSequence::Single(kd)).total_us
 }
@@ -139,13 +138,12 @@ pub fn ablate_theta(arch: &ArchSpec) -> Vec<AblationPoint> {
             let mean_us = mean_time(&workloads, |s| {
                 let sol = select_tiling(s, &th);
                 let tiles = tiles_for(s, &sol);
-                let blocks = assign_blocks(
+                let plan = assign_blocks(
                     &tiles,
                     BatchingHeuristic::Threshold,
                     &th,
                     sol.thread_count.threads(),
                 );
-                let plan = BatchPlan::from_blocks(&blocks, sol.thread_count.threads());
                 let kd = lower_plan("theta", &plan, s);
                 simulate(arch, &LaunchSequence::Single(kd)).total_us
             });
@@ -163,9 +161,8 @@ pub fn ablate_cross_tile_prefetch(arch: &ArchSpec) -> Vec<AblationPoint> {
         mean_time(&workloads, |s| {
             let sol = select_tiling(s, &th);
             let tiles = tiles_for(s, &sol);
-            let blocks =
+            let plan =
                 assign_blocks(&tiles, BatchingHeuristic::Threshold, &th, sol.thread_count.threads());
-            let plan = BatchPlan::from_blocks(&blocks, sol.thread_count.threads());
             let mut kd = lower_plan("prefetch", &plan, s);
             if per_tile {
                 kd = kd.without_cross_tile_prefetch();
@@ -229,13 +226,12 @@ pub fn ablate_tile_order(arch: &ArchSpec) -> Vec<AblationPoint> {
             let mean_us = mean_time(&workloads, |s| {
                 let sol = select_tiling(s, &th);
                 let tiles = order_tiles(&tiles_for(s, &sol), order);
-                let blocks = assign_blocks(
+                let plan = assign_blocks(
                     &tiles,
                     BatchingHeuristic::Threshold,
                     &th,
                     sol.thread_count.threads(),
                 );
-                let plan = BatchPlan::from_blocks(&blocks, sol.thread_count.threads());
                 let kd = lower_plan("order", &plan, s);
                 simulate(arch, &LaunchSequence::Single(kd)).total_us
             });

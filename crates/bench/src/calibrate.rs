@@ -3,7 +3,7 @@
 //! decreasing the TLP iteratively. We choose the inflection point with
 //! large performance degradation as the TLP threshold."
 
-use ctb_batching::{assign_blocks, tiles_for, BatchPlan, BatchingHeuristic};
+use ctb_batching::{assign_blocks, tiles_for, BatchingHeuristic};
 use ctb_core::lowering::lower_plan;
 use ctb_gpu_specs::{ArchSpec, Thresholds};
 use ctb_matrix::GemmShape;
@@ -40,13 +40,12 @@ pub fn calibration_sweep(arch: &ArchSpec) -> Vec<CalibrationPoint> {
             };
             let tiles = tiles_for(&[shape], &solution);
             let tlp = tiles.len() as u64 * 256;
-            let blocks = assign_blocks(
+            let plan = assign_blocks(
                 &tiles,
                 BatchingHeuristic::OneTilePerBlock,
                 &Thresholds::paper_v100(),
                 256,
             );
-            let plan = BatchPlan::from_blocks(&blocks, 256);
             let kd = lower_plan("calibration", &plan, &[shape]);
             let report = simulate(arch, &LaunchSequence::Single(kd));
             CalibrationPoint { strategy: kind, tlp, gflops: report.gflops(shape.flops()) }

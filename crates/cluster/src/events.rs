@@ -2101,6 +2101,26 @@ impl EventCluster {
                 }
             }
         }
+        // `work_pending` reads the two counters, and every arrival and
+        // job decrements one: a counter that disagrees with the events
+        // and jobs the blob holds underflows on the first `step` (or,
+        // wrapped, keeps idle devices re-arming their steal checks).
+        let pending =
+            |of: fn(&Ev) -> bool| timeline.heap.iter().filter(|Reverse(e)| of(&e.ev)).count();
+        let arrivals = pending(|ev| matches!(ev, Ev::Arrive { .. }));
+        if pending_arrivals != arrivals {
+            return Err(SavestateError::Corrupt(format!(
+                "pending_arrivals {pending_arrivals}, the timeline holds {arrivals} arrivals"
+            )));
+        }
+        let held: usize =
+            images.iter().map(|d| d.queue.len() + usize::from(d.running.is_some())).sum();
+        let jobs = pending(|ev| matches!(ev, Ev::PlaceDone { .. })) + held;
+        if open_jobs != jobs {
+            return Err(SavestateError::Corrupt(format!(
+                "open_jobs {open_jobs}, the checkpoint holds {jobs} placing, queued or running jobs"
+            )));
+        }
         let faults = images.iter_mut().map(|d| d.fault.take()).collect();
         let mut eng = EventCluster::build(pool, cfg, faults, obs.clone(), clock, false);
         {
@@ -2338,6 +2358,64 @@ mod tests {
                 Err(SavestateError::Corrupt(msg)) => assert!(msg.contains("device 0"), "{msg}"),
                 Err(e) => panic!("expected Corrupt, got {e:?}"),
                 Ok(_) => panic!("restore accepted closed {} on alive {}", image.closed, !halted),
+            }
+        }
+    }
+
+    /// The engine scalars `checkpoint` writes, `now` to `breaker_active`.
+    fn scalars(eng: &EventCluster) -> Vec<u8> {
+        let mut w = Writer::new();
+        eng.now.save(&mut w);
+        eng.next_job_id.save(&mut w);
+        eng.events_processed.save(&mut w);
+        eng.requests.save(&mut w);
+        eng.witnesses.save(&mut w);
+        eng.witness_mismatches.save(&mut w);
+        eng.pending_arrivals.save(&mut w);
+        eng.open_jobs.save(&mut w);
+        eng.breaker_active.save(&mut w);
+        w.into_bytes()
+    }
+
+    /// Checkpoint `eng`, then splice in the scalars `eng` has after
+    /// `corrupt`, and restore the result.
+    fn restore_corrupted(
+        mut eng: EventCluster,
+        corrupt: impl FnOnce(&mut EventCluster),
+    ) -> Result<(EventCluster, Option<Arc<Obs>>), SavestateError> {
+        let (blob, honest) = (eng.checkpoint(), scalars(&eng));
+        corrupt(&mut eng);
+        EventCluster::restore(ArchSpec::pool_presets(2), &splice(&blob, &honest, &scalars(&eng)))
+    }
+
+    /// A checkpoint holding one pending arrival whose `pending_arrivals`
+    /// says none is `Corrupt`, not an engine whose first `step`
+    /// underflows the counter.
+    #[test]
+    fn restore_rejects_pending_arrivals_that_disagree_with_the_timeline() {
+        let mut eng = EventCluster::new(ArchSpec::pool_presets(2), quiet_cfg());
+        eng.submit_at(SimTime::ZERO, sig(&[GemmShape::new(48, 64, 96)]), 7);
+        assert_eq!(eng.pending_arrivals, 1);
+        match restore_corrupted(eng, |eng| eng.pending_arrivals = 0) {
+            Err(SavestateError::Corrupt(msg)) => assert!(msg.contains("pending_arrivals"), "{msg}"),
+            Err(e) => panic!("expected Corrupt, got {e:?}"),
+            Ok(_) => panic!("restore accepted pending_arrivals 0 with an arrival pending"),
+        }
+    }
+
+    /// A checkpoint holding one job awaiting placement whose `open_jobs`
+    /// disagrees, either way, is `Corrupt`.
+    #[test]
+    fn restore_rejects_open_jobs_that_disagree_with_the_jobs_held() {
+        for wrong in [0, 2] {
+            let mut eng = EventCluster::new(ArchSpec::pool_presets(2), quiet_cfg());
+            eng.submit_at(SimTime::ZERO, sig(&[GemmShape::new(48, 64, 96)]), 7);
+            assert!(eng.step(), "the arrival fires");
+            assert_eq!((eng.pending_arrivals, eng.open_jobs), (0, 1));
+            match restore_corrupted(eng, |eng| eng.open_jobs = wrong) {
+                Err(SavestateError::Corrupt(msg)) => assert!(msg.contains("open_jobs"), "{msg}"),
+                Err(e) => panic!("expected Corrupt, got {e:?}"),
+                Ok(_) => panic!("restore accepted open_jobs {wrong} with one job open"),
             }
         }
     }

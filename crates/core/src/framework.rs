@@ -278,8 +278,7 @@ mod tests {
         [Threshold, Binary, OneTilePerBlock]
             .into_iter()
             .map(|h| {
-                let blocks = ctb_batching::assign_blocks(&tiles, h, th, threads);
-                let plan = BatchPlan::from_blocks(&blocks, threads);
+                let plan = ctb_batching::assign_blocks(&tiles, h, th, threads);
                 let kernel = lower_plan("oracle", &plan, shapes);
                 (h, plan, simulate(arch, &LaunchSequence::Single(kernel)).total_us)
             })
@@ -334,5 +333,33 @@ mod tests {
         let b = fw.plan(&shapes()).unwrap();
         assert_eq!(a.plan, b.plan);
         assert_eq!(a.heuristic, b.heuristic);
+    }
+
+    /// FNV-1a over every planned scheme of 200 `random_case` seeds on
+    /// V100 and P100 under best-of-both: the heuristic, the five arrays
+    /// and `threads`, the predicted time's bits, and the kernel's block
+    /// and pass counts. The constant was recorded before the batching
+    /// heuristics, the lowering and the simulator moved to the flat
+    /// layout, so any change to a plan or a simulated time shows here.
+    #[test]
+    fn planned_schemes_match_the_golden_digest() {
+        use crate::hash::{fnv1a, FNV_OFFSET};
+        let word = |h: u64, v: usize| fnv1a(h, &(v as u64).to_le_bytes());
+        let mut h = FNV_OFFSET;
+        for arch in [ArchSpec::volta_v100(), ArchSpec::pascal_p100()] {
+            let fw = Framework::new(arch);
+            for seed in 0..200u64 {
+                let p = fw.plan(&ctb_matrix::gen::random_case(seed)).expect("plannable");
+                h = fnv1a(h, &[p.heuristic as u8]);
+                for array in [&p.plan.tile, &p.plan.gemm, &p.plan.y_coord, &p.plan.x_coord] {
+                    h = array.iter().fold(word(h, array.len()), |h, &v| word(h, v));
+                }
+                h = fnv1a(word(h, p.plan.tiling.len()), &p.plan.tiling);
+                h = fnv1a(h, &p.plan.threads.to_le_bytes());
+                h = fnv1a(h, &p.predicted_us.to_bits().to_le_bytes());
+                h = word(word(h, p.kernel.blocks.len()), p.kernel.passes.len());
+            }
+        }
+        assert_eq!(h, 0xe818_a995_40b6_b1c0, "digest {h:#018x}");
     }
 }

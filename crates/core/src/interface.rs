@@ -432,8 +432,7 @@ mod tests {
         let batch = GemmBatch::random(shapes, alpha, beta, 42);
         let sol = select_tiling(shapes, &th);
         let tiles = tiles_for(shapes, &sol);
-        let blocks = assign_blocks(&tiles, heuristic, &th, sol.thread_count.threads());
-        let plan = BatchPlan::from_blocks(&blocks, sol.thread_count.threads());
+        let plan = assign_blocks(&tiles, heuristic, &th, sol.thread_count.threads());
         plan.validate(shapes, &sol).expect("valid plan");
         // Both engines accumulate each element in ascending-k order and
         // apply the oracle's epilogue expression, so both match it bitwise.

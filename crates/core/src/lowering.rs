@@ -9,7 +9,7 @@
 use ctb_batching::{BatchPlan, TileTask};
 use ctb_gpu_specs::BlockFootprint;
 use ctb_matrix::GemmShape;
-use ctb_sim::{BlockWork, KernelDesc, TilePass};
+use ctb_sim::{KernelDesc, TilePass};
 use ctb_tiling::{model, TilingStrategy};
 
 /// Per-thread auxiliary (address/loop) instructions per main-loop
@@ -49,23 +49,25 @@ pub fn active_threads_for(tile: &TileTask, block_size: u32, shapes: &[GemmShape]
     active.div_ceil(WARP) * WARP
 }
 
-/// The work of one thread block executing `tiles` within a
-/// `block_size`-thread block. The block's active-thread count is the
-/// worst (largest) demand among its tiles.
-pub fn block_work(tiles: &[TileTask], block_size: u32, shapes: &[GemmShape]) -> BlockWork {
-    let active = tiles
-        .iter()
-        .map(|t| active_threads_for(t, block_size, shapes))
-        .max()
-        .unwrap_or(0)
-        .min(block_size.div_ceil(WARP) * WARP);
-    BlockWork {
-        active_threads: active,
-        passes: tiles.iter().map(|t| tile_pass(&t.strategy, t.k)).collect(),
+/// Lower one thread block that executes `tiles`, one after the other,
+/// within a `block_size`-thread block, appending it to `kd`. The block's
+/// active-thread count is the worst (largest) demand among its tiles.
+pub fn lower_block(
+    kd: &mut KernelDesc,
+    tiles: impl IntoIterator<Item = TileTask>,
+    block_size: u32,
+    shapes: &[GemmShape],
+) {
+    let mut active = 0;
+    for tile in tiles {
+        active = active.max(active_threads_for(&tile, block_size, shapes));
+        kd.passes.push(tile_pass(&tile.strategy, tile.k));
     }
+    kd.end_block(active.min(block_size.div_ceil(WARP) * WARP));
 }
 
-/// Lower a coordinated [`BatchPlan`] to a single-kernel description.
+/// Lower a coordinated [`BatchPlan`] to a single-kernel description,
+/// block by block from the plan's arrays into the kernel's pass array.
 ///
 /// Under the unified thread structure every strategy in the plan uses
 /// the plan's block size, so every thread is active; the footprint takes
@@ -80,11 +82,13 @@ pub fn lower_plan(name: &str, plan: &BatchPlan, shapes: &[GemmShape]) -> KernelD
         regs = regs.max(st.regs_per_thread());
         smem = smem.max(st.smem_bytes());
     }
-    let footprint = BlockFootprint::new(plan.threads, regs, smem);
-    let blocks = (0..plan.num_blocks())
-        .map(|b| block_work(&plan.block_tiles(b, shapes), plan.threads, shapes))
-        .collect();
-    KernelDesc::new(name, footprint, blocks)
+    let mut kd = KernelDesc::new(name, BlockFootprint::new(plan.threads, regs, smem));
+    kd.reserve(plan.num_blocks(), plan.num_tiles());
+    for b in 0..plan.num_blocks() {
+        let tiles = (plan.tile[b]..plan.tile[b + 1]).map(|t| plan.tile_task(t, shapes));
+        lower_block(&mut kd, tiles, plan.threads, shapes);
+    }
+    kd
 }
 
 #[cfg(test)]
@@ -125,15 +129,20 @@ mod tests {
         let th = Thresholds::paper_v100();
         let sol = select_tiling(&shapes, &th);
         let tiles = tiles_for(&shapes, &sol);
-        let blocks = assign_blocks(&tiles, BatchingHeuristic::Threshold, &th, sol.thread_count.threads());
-        let plan = ctb_batching::BatchPlan::from_blocks(&blocks, sol.thread_count.threads());
+        let plan = assign_blocks(&tiles, BatchingHeuristic::Threshold, &th, sol.thread_count.threads());
         let kd = lower_plan("test", &plan, &shapes);
         assert_eq!(kd.blocks.len(), plan.num_blocks());
         assert_eq!(kd.footprint.threads, sol.thread_count.threads());
         assert_eq!(kd.bubble_blocks(), 0, "coordinated plans have no bubbles");
-        // Pass counts match tiles per block.
+        // Each block's passes are its tiles' passes, in plan order.
+        assert_eq!(kd.passes.len(), plan.num_tiles());
         for (b, bw) in kd.blocks.iter().enumerate() {
-            assert_eq!(bw.passes.len(), plan.block_tiles(b, &shapes).len());
+            let tiles = plan.tile[b]..plan.tile[b + 1];
+            assert_eq!(bw.passes.start as usize..bw.passes.end as usize, tiles.clone());
+            for (t, pass) in tiles.zip(kd.block_passes(bw)) {
+                let tile = plan.tile_task(t, &shapes);
+                assert_eq!(*pass, tile_pass(&tile.strategy, tile.k));
+            }
             assert_eq!(bw.active_threads, plan.threads);
         }
     }

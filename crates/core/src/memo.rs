@@ -3,8 +3,12 @@
 //! Every planner — the framework's batching policies, the autotuner and
 //! the selector's labelling oracle — evaluates `(tiling solution,
 //! batching heuristic)` candidates through one builder,
-//! `SimMemo::candidate`: `assign_blocks → BatchPlan::from_blocks →
-//! lower_plan → simulate`. The simulated time of a candidate is a pure
+//! `SimMemo::candidate`: `assign_blocks → lower_plan → simulate`. One
+//! layout runs through it, the flat prefix arrays of the paper's Fig 6:
+//! `assign_blocks` writes the plan's five arrays, `lower_plan` writes
+//! one array of tile passes with a thread count and pass range per
+//! block, and the simulator reads them without allocating per block or
+//! per pass. The simulated time of a candidate is a pure
 //! function of the architecture, the thresholds, the batch shapes, the
 //! per-GEMM strategy ids (plus the unified thread count) and the
 //! heuristic. [`SimMemo`] caches simulated times under exactly that
@@ -100,8 +104,7 @@ impl SimMemo {
         heuristic: BatchingHeuristic,
     ) -> Candidate {
         let threads = solution.thread_count.threads();
-        let blocks = assign_blocks(tiles, heuristic, thresholds, threads);
-        let plan = BatchPlan::from_blocks(&blocks, threads);
+        let plan = assign_blocks(tiles, heuristic, thresholds, threads);
         let key = SimKey {
             context: context_fingerprint(arch, thresholds, shapes),
             threads,

@@ -20,7 +20,7 @@ use crate::lowering::{active_threads_for, tile_pass};
 use ctb_batching::{tiles_for, TileTask};
 use ctb_gpu_specs::{ArchSpec, BlockFootprint, Thresholds};
 use ctb_matrix::{GemmBatch, GemmShape, MatF32};
-use ctb_sim::{simulate, BlockWork, KernelDesc, LaunchSequence, SimReport, TilePass};
+use ctb_sim::{simulate, KernelDesc, LaunchSequence, SimReport, TilePass};
 use ctb_tiling::{select_tiling, TilingSolution};
 
 /// One K-slice of one tile: the unit of work of a split-K block.
@@ -121,51 +121,31 @@ pub fn plan_splitk(
         smem = smem.max(st.smem_bytes());
     }
     let threads = solution.thread_count.threads();
-    let main_blocks: Vec<BlockWork> = slices
-        .iter()
-        .map(|s| {
-            let mut pass = tile_pass(&s.tile.strategy, s.k1 - s.k0);
-            // Partials are written unreduced; same store volume.
-            pass.iterations = ((s.k1 - s.k0).div_ceil(s.tile.strategy.bk)).max(1) as u32;
-            BlockWork {
-                active_threads: active_threads_for(&s.tile, threads, shapes),
-                passes: vec![pass],
-            }
-        })
-        .collect();
-    let main = KernelDesc::new(
-        format!("splitk_main_x{split}"),
-        BlockFootprint::new(threads, regs, smem),
-        main_blocks,
-    );
+    let mut main =
+        KernelDesc::new(format!("splitk_main_x{split}"), BlockFootprint::new(threads, regs, smem));
+    for s in &slices {
+        let mut pass = tile_pass(&s.tile.strategy, s.k1 - s.k0);
+        // Partials are written unreduced; same store volume.
+        pass.iterations = ((s.k1 - s.k0).div_ceil(s.tile.strategy.bk)).max(1) as u32;
+        main.push_block(active_threads_for(&s.tile, threads, shapes), [pass]);
+    }
 
     // Reduction kernel: one block per tile, each thread summing its
     // sub-tile across `split` partials and applying alpha/beta.
-    let reduction_blocks: Vec<BlockWork> = tiles
-        .iter()
-        .map(|t| {
-            let elems_per_thread =
-                (t.strategy.by * t.strategy.bx) as f64 / threads as f64;
-            let pass = TilePass {
-                iterations: split.max(1) as u32,
-                fma_per_thread: elems_per_thread,
-                ld_shared_per_thread: 0.0,
-                // One 4-float load per 4 elements per partial.
-                ld_global_per_thread: elems_per_thread / 4.0,
-                aux_per_thread: 2.0,
-                epilogue_stores: (elems_per_thread / 4.0).max(1.0),
-            };
-            BlockWork {
-                active_threads: active_threads_for(t, threads, shapes),
-                passes: vec![pass],
-            }
-        })
-        .collect();
-    let reduction = KernelDesc::new(
-        "splitk_reduce",
-        BlockFootprint::new(threads, 24, 0),
-        reduction_blocks,
-    );
+    let mut reduction = KernelDesc::new("splitk_reduce", BlockFootprint::new(threads, 24, 0));
+    for t in &tiles {
+        let elems_per_thread = (t.strategy.by * t.strategy.bx) as f64 / threads as f64;
+        let pass = TilePass {
+            iterations: split.max(1) as u32,
+            fma_per_thread: elems_per_thread,
+            ld_shared_per_thread: 0.0,
+            // One 4-float load per 4 elements per partial.
+            ld_global_per_thread: elems_per_thread / 4.0,
+            aux_per_thread: 2.0,
+            epilogue_stores: (elems_per_thread / 4.0).max(1.0),
+        };
+        reduction.push_block(active_threads_for(t, threads, shapes), [pass]);
+    }
 
     let sequence = if split <= 1 {
         LaunchSequence::Single(main)

@@ -55,7 +55,7 @@ use crate::queue::{BoundedQueue, PushError};
 use crate::request::{GemmRequest, GemmResult, RequestTiming, ServeError, Ticket};
 use crate::retry::{Breaker, BreakerPolicy, RetryPolicy};
 use crate::stats::{ServeStats, StatsInner};
-use ctb_core::{ExecutionPlan, Framework, Session};
+use ctb_core::{execute_plan, ExecutionPlan, Framework, Session};
 use ctb_matrix::{GemmBatch, MatF32};
 use ctb_obs::{Obs, PointKind, SpanKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -634,10 +634,10 @@ fn run_job(shared: &Shared, job: Job) {
             // can filter injected-fault noise out of the panic hook.
             std::panic::panic_any(INJECTED_PANIC_MSG);
         }
-        shared.session.framework().execute(&job.batch, &plan)
+        execute_plan(&job.batch, &plan.plan)
     }));
     match executed {
-        Ok((results, _report)) => {
+        Ok(results) => {
             shared.breaker.record_success();
             let (batch_span, exec_us) = match exec_guard {
                 Some(g) => {

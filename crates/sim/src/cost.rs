@@ -1,7 +1,8 @@
-//! The cost IR consumed by the simulator: tile passes, block work,
+//! The cost IR consumed by the simulator: tile passes, block records,
 //! kernel descriptions and launch sequences.
 
 use ctb_gpu_specs::BlockFootprint;
+use std::ops::Range;
 
 /// One tile's main loop (Fig 2), reduced to per-iteration instruction
 /// counts *per thread*. Per-warp counts are identical because every
@@ -42,25 +43,23 @@ impl TilePass {
     }
 }
 
-/// The work of one thread block: the tiles it executes, one after the
-/// other, in the persistent-threads style of the paper's Fig 7.
-#[derive(Debug, Clone, PartialEq)]
+/// One thread block's record in a [`KernelDesc`]: the threads that
+/// work and the range of its tile passes in [`KernelDesc::passes`],
+/// which it executes one after the other in the persistent-threads
+/// style of the paper's Fig 7.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockWork {
     /// Threads that actually have a sub-tile to compute. Equal to the
     /// kernel's block size in the paper's unified thread structure;
     /// smaller for MAGMA-style uniform blocks executing small tiles
     /// (idle threads, Fig 3b); zero for bubble blocks (Fig 3a).
     pub active_threads: u32,
-    /// Tiles assigned to this block by the batching engine.
-    pub passes: Vec<TilePass>,
+    /// This block's passes: `KernelDesc::passes[start..end]`.
+    pub passes: Range<u32>,
 }
 
 impl BlockWork {
-    /// A bubble block: dispatched, does nothing, retires.
-    pub fn bubble() -> Self {
-        BlockWork { active_threads: 0, passes: Vec::new() }
-    }
-
+    /// A bubble block (dispatched, does nothing, retires) has no passes.
     pub fn is_bubble(&self) -> bool {
         self.passes.is_empty()
     }
@@ -73,15 +72,22 @@ impl BlockWork {
 
 /// One CUDA-kernel equivalent: a uniform block footprint (the CUDA
 /// programming model requires one block size per kernel) plus the
-/// per-block work.
+/// per-block work, in the prefix layout of the paper's Fig 6: one flat
+/// array of tile passes, and per block its active threads and its range
+/// in that array. Blocks are appended in grid order, each closed by
+/// [`KernelDesc::end_block`] after its passes are pushed (or by
+/// [`KernelDesc::push_block`]), so each block's range starts where the
+/// previous one ends.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelDesc {
     /// Diagnostic label, e.g. `"magma_vbatch"` or `"gemm 2 of 5"`.
     pub name: String,
     /// The resource footprint shared by every block.
     pub footprint: BlockFootprint,
-    /// One entry per thread block in the grid.
+    /// One entry per thread block in the grid, in dispatch order.
     pub blocks: Vec<BlockWork>,
+    /// Every block's tile passes, block after block.
+    pub passes: Vec<TilePass>,
     /// Whether the kernel uses the software-pipelined double buffering
     /// of Fig 2 (prefetch depth 2). The paper's kernels and the tuned
     /// single-GEMM library kernels do; MAGMA `vbatch` "only provides
@@ -97,14 +103,43 @@ pub struct KernelDesc {
 }
 
 impl KernelDesc {
-    pub fn new(name: impl Into<String>, footprint: BlockFootprint, blocks: Vec<BlockWork>) -> Self {
+    /// A kernel with no blocks yet.
+    pub fn new(name: impl Into<String>, footprint: BlockFootprint) -> Self {
         KernelDesc {
             name: name.into(),
             footprint,
-            blocks,
+            blocks: Vec::new(),
+            passes: Vec::new(),
             software_pipelined: true,
             per_tile_fill: false,
         }
+    }
+
+    /// Make room for `blocks` more blocks running `passes` more passes.
+    pub fn reserve(&mut self, blocks: usize, passes: usize) {
+        self.blocks.reserve_exact(blocks);
+        self.passes.reserve_exact(passes);
+    }
+
+    /// Close the block under construction: it runs the passes pushed
+    /// onto `passes` since the previous block closed (none makes it a
+    /// bubble) with `active_threads` working threads.
+    pub fn end_block(&mut self, active_threads: u32) {
+        let start = self.blocks.last().map_or(0, |b| b.passes.end);
+        let end = u32::try_from(self.passes.len()).expect("fewer than 2^32 passes per kernel");
+        self.blocks.push(BlockWork { active_threads, passes: start..end });
+    }
+
+    /// Append a block that runs `passes` with `active_threads` working
+    /// threads; no passes make it a bubble.
+    pub fn push_block(&mut self, active_threads: u32, passes: impl IntoIterator<Item = TilePass>) {
+        self.passes.extend(passes);
+        self.end_block(active_threads);
+    }
+
+    /// The passes `block` executes, in order.
+    pub fn block_passes(&self, block: &BlockWork) -> &[TilePass] {
+        &self.passes[block.passes.start as usize..block.passes.end as usize]
     }
 
     /// Mark the kernel as lacking software pipelining (prefetch depth 1).
@@ -173,20 +208,21 @@ mod tests {
     #[test]
     fn bubble_blocks_counted() {
         let fp = BlockFootprint::new(256, 32, 4096);
-        let kd = KernelDesc::new(
-            "k",
-            fp,
-            vec![BlockWork::bubble(), BlockWork { active_threads: 256, passes: vec![pass(4)] }],
-        );
+        let mut kd = KernelDesc::new("k", fp);
+        kd.push_block(0, []);
+        kd.push_block(256, [pass(4), pass(2)]);
         assert_eq!(kd.useful_blocks(), 1);
         assert_eq!(kd.bubble_blocks(), 1);
+        assert_eq!(kd.blocks[0].passes, 0..0);
+        assert_eq!(kd.blocks[1].passes, 0..2);
+        assert_eq!(kd.block_passes(&kd.blocks[1]), &[pass(4), pass(2)]);
     }
 
     #[test]
     fn active_warps_round_up() {
-        let b = BlockWork { active_threads: 33, passes: vec![pass(1)] };
+        let b = BlockWork { active_threads: 33, passes: 0..1 };
         assert_eq!(b.active_warps(32), 2);
-        assert_eq!(BlockWork::bubble().active_warps(32), 0);
+        assert_eq!(BlockWork { active_threads: 0, passes: 1..1 }.active_warps(32), 0);
     }
 
     #[test]
@@ -201,7 +237,7 @@ mod tests {
     #[test]
     fn launch_sequence_enumerates_kernels() {
         let fp = BlockFootprint::new(128, 32, 1024);
-        let k = |n: &str| KernelDesc::new(n, fp, vec![]);
+        let k = |n: &str| KernelDesc::new(n, fp);
         let seq = LaunchSequence::Serial(vec![k("a"), k("b")]);
         assert_eq!(seq.kernels().len(), 2);
         let seq = LaunchSequence::Single(k("c"));

@@ -148,7 +148,7 @@ pub fn simulate_streams(arch: &ArchSpec, streams: usize, kernels: &[KernelDesc])
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{BlockWork, LaunchSequence, TilePass};
+    use crate::cost::{LaunchSequence, TilePass};
     use crate::engine::simulate;
     use ctb_gpu_specs::BlockFootprint;
 
@@ -161,11 +161,11 @@ mod tests {
             aux_per_thread: 4.0,
             epilogue_stores: 4.0,
         };
-        KernelDesc::new(
-            name,
-            BlockFootprint::new(256, 48, 8192),
-            vec![BlockWork { active_threads: 256, passes: vec![pass] }; blocks],
-        )
+        let mut kd = KernelDesc::new(name, BlockFootprint::new(256, 48, 8192));
+        for _ in 0..blocks {
+            kd.push_block(256, [pass]);
+        }
+        kd
     }
 
     #[test]

@@ -3,17 +3,12 @@
 //!
 //! The timeline answers "where did the time go" questions the aggregate
 //! report cannot: wave structure, slot imbalance, straggler blocks. It
-//! re-runs the same deterministic scheduling as
-//! [`crate::engine::simulate_kernel`], so the makespan matches the
-//! report exactly.
+//! runs the slot scheduler of [`crate::engine::simulate_kernel`], so
+//! the makespan matches the report exactly.
 
 use crate::cost::KernelDesc;
-use crate::engine::{
-    active_warps_at, block_time_detail, kernel_mean_iter_cost, mean_active_warps_per_block, rates,
-};
+use crate::engine::schedule;
 use ctb_gpu_specs::{occupancy, ArchSpec};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// One scheduled block.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,59 +96,23 @@ impl Timeline {
     }
 }
 
-/// Capture the timeline of one kernel (same scheduling as
+/// Capture the timeline of one kernel (the scheduler of
 /// [`crate::engine::simulate_kernel`]).
 pub fn capture_timeline(arch: &ArchSpec, kd: &KernelDesc) -> Timeline {
     let occ = occupancy::occupancy(arch, &kd.footprint);
     assert!(occ.blocks_per_sm > 0, "infeasible footprint");
-    let slots = (arch.sms * occ.blocks_per_sm) as usize;
-    if kd.blocks.is_empty() {
-        return Timeline { kernel: kd.name.clone(), slots, makespan: 0.0, events: Vec::new() };
-    }
-    let busy_sms = (kd.useful_blocks() as f64).min(arch.sms as f64);
-    let r = rates(arch, busy_sms);
-    let mean_warps = mean_active_warps_per_block(arch, kd);
-    let c_bar = kernel_mean_iter_cost(arch, &r, &kd.blocks);
-    let depth = if kd.software_pipelined { r.pipeline_depth } else { 1.0 };
-
-    #[derive(PartialEq)]
-    struct C(f64);
-    impl Eq for C {}
-    impl PartialOrd for C {
-        fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(o))
-        }
-    }
-    impl Ord for C {
-        fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-            self.0.total_cmp(&o.0)
-        }
-    }
-
-    let mut heap: BinaryHeap<Reverse<(C, usize)>> =
-        (0..slots).map(|s| Reverse((C(0.0), s))).collect();
     let mut events = Vec::with_capacity(kd.blocks.len());
-    let mut makespan = 0.0f64;
-    let mut remaining = kd.useful_blocks();
-    for (i, block) in kd.blocks.iter().enumerate() {
-        let Reverse((C(free), slot)) = heap.pop().expect("slots > 0");
-        let a = active_warps_at(arch, &occ, mean_warps, remaining.max(1));
-        let bt = block_time_detail(arch, &r, block, a, c_bar, depth, kd.per_tile_fill);
-        let end = free + bt.cycles;
-        events.push(BlockEvent { block: i, slot, start: free, end, bubble: block.is_bubble() });
-        makespan = makespan.max(end);
-        heap.push(Reverse((C(end), slot)));
-        if !block.is_bubble() {
-            remaining -= 1;
-        }
-    }
-    Timeline { kernel: kd.name.clone(), slots, makespan, events }
+    let s = schedule(arch, kd, &occ, |block, slot, start, bt| {
+        let bubble = kd.blocks[block].is_bubble();
+        events.push(BlockEvent { block, slot, start, end: start + bt.cycles, bubble });
+    });
+    Timeline { kernel: kd.name.clone(), slots: s.slots, makespan: s.makespan, events }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{BlockWork, TilePass};
+    use crate::cost::TilePass;
     use crate::engine::simulate_kernel;
     use ctb_gpu_specs::BlockFootprint;
 
@@ -166,11 +125,11 @@ mod tests {
             aux_per_thread: 4.0,
             epilogue_stores: 4.0,
         };
-        KernelDesc::new(
-            "timeline",
-            BlockFootprint::new(256, 48, 8192),
-            vec![BlockWork { active_threads: 256, passes: vec![pass] }; blocks],
-        )
+        let mut kd = KernelDesc::new("timeline", BlockFootprint::new(256, 48, 8192));
+        for _ in 0..blocks {
+            kd.push_block(256, [pass]);
+        }
+        kd
     }
 
     #[test]

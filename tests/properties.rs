@@ -2,7 +2,7 @@
 //! framework: plan well-formedness, functional correctness against the
 //! reference GEMM, simulator sanity and model monotonicity.
 
-use ctb::batching::{assign_blocks, tiles_for, BatchPlan, BatchingHeuristic};
+use ctb::batching::{assign_blocks, tiles_for, BatchPlan, BatchingHeuristic, TileTask};
 use ctb::core::lowering::lower_plan;
 use ctb::matrix::MatchReport;
 use ctb::prelude::*;
@@ -37,12 +37,11 @@ proptest! {
         let th = Thresholds::paper_v100();
         let sol = select_tiling(&shapes, &th);
         let tiles = tiles_for(&shapes, &sol);
-        let blocks = assign_blocks(&tiles, h, &th, sol.thread_count.threads());
-        let plan = BatchPlan::from_blocks(&blocks, sol.thread_count.threads());
+        let plan = assign_blocks(&tiles, h, &th, sol.thread_count.threads());
         prop_assert!(plan.validate(&shapes, &sol).is_ok());
         // No empty blocks, every block within the device's block-size
         // limit.
-        prop_assert!(blocks.iter().all(|b| !b.is_empty()));
+        prop_assert!(plan.tile.windows(2).all(|w| w[0] < w[1]));
     }
 
     /// The persistent-threads interpreter computes results bitwise
@@ -59,8 +58,7 @@ proptest! {
         let batch = GemmBatch::random(&shapes, alpha, beta, seed);
         let sol = select_tiling(&shapes, &th);
         let tiles = tiles_for(&shapes, &sol);
-        let blocks = assign_blocks(&tiles, h, &th, sol.thread_count.threads());
-        let plan = BatchPlan::from_blocks(&blocks, sol.thread_count.threads());
+        let plan = assign_blocks(&tiles, h, &th, sol.thread_count.threads());
         let got = ctb::core::execute_plan(&batch, &plan);
         let mismatch = ctb::matrix::bitwise_mismatch(&batch.reference_result_exact(), &got);
         prop_assert!(mismatch.is_none(), "(gemm, element, expected bits, got bits) = {mismatch:?}");
@@ -82,8 +80,7 @@ proptest! {
         let batch = GemmBatch::random(&shapes, alpha, beta, seed);
         let sol = select_tiling(&shapes, &th);
         let tiles = tiles_for(&shapes, &sol);
-        let blocks = assign_blocks(&tiles, h, &th, sol.thread_count.threads());
-        let plan = BatchPlan::from_blocks(&blocks, sol.thread_count.threads());
+        let plan = assign_blocks(&tiles, h, &th, sol.thread_count.threads());
         let packed = ctb::core::execute_plan(&batch, &plan);
         let unpacked = ctb::core::execute_plan_unpacked(&batch, &plan);
         prop_assert_eq!(packed.len(), unpacked.len());
@@ -115,8 +112,7 @@ proptest! {
         let th = Thresholds::paper_v100();
         let sol = select_tiling(&shapes, &th);
         let tiles = tiles_for(&shapes, &sol);
-        let blocks = assign_blocks(&tiles, h, &th, sol.thread_count.threads());
-        let plan = BatchPlan::from_blocks(&blocks, sol.thread_count.threads());
+        let plan = assign_blocks(&tiles, h, &th, sol.thread_count.threads());
         let kd = lower_plan("prop", &plan, &shapes);
         let report = simulate(&arch, &ctb::sim::LaunchSequence::Single(kd));
         prop_assert!(report.total_us.is_finite());
@@ -162,11 +158,20 @@ proptest! {
         let th = Thresholds::paper_v100();
         let sol = select_tiling(&shapes, &th);
         let tiles = tiles_for(&shapes, &sol);
-        let blocks = assign_blocks(&tiles, h, &th, sol.thread_count.threads());
-        let plan = BatchPlan::from_blocks(&blocks, sol.thread_count.threads());
-        for (b, expect) in blocks.iter().enumerate() {
-            prop_assert_eq!(&plan.block_tiles(b, &shapes), expect);
-        }
+        let plan = assign_blocks(&tiles, h, &th, sol.thread_count.threads());
+        let blocks: Vec<Vec<TileTask>> = plan
+            .tile
+            .windows(2)
+            .map(|w| (w[0]..w[1]).map(|t| plan.tile_task(t, &shapes)).collect())
+            .collect();
+        prop_assert_eq!(&BatchPlan::from_blocks(&blocks, plan.threads), &plan);
+        // The reconstructed tiles are the tiling engine's, K and
+        // strategy included.
+        let mut got: Vec<TileTask> = blocks.concat();
+        let mut want = tiles.clone();
+        got.sort_by_key(|t| (t.gemm, t.y, t.x));
+        want.sort_by_key(|t| (t.gemm, t.y, t.x));
+        prop_assert_eq!(got, want);
     }
 }
 
@@ -236,8 +241,7 @@ proptest! {
         let th = Thresholds::paper_v100();
         let sol = select_tiling(&shapes, &th);
         let tiles = tiles_for(&shapes, &sol);
-        let blocks = assign_blocks(&tiles, h, &th, sol.thread_count.threads());
-        let plan = BatchPlan::from_blocks(&blocks, sol.thread_count.threads());
+        let plan = assign_blocks(&tiles, h, &th, sol.thread_count.threads());
         let kd = lower_plan("prop-timeline", &plan, &shapes);
         let report = ctb::sim::simulate_kernel(&arch, &kd);
         let timeline = ctb::sim::capture_timeline(&arch, &kd);
