@@ -18,18 +18,16 @@ pub enum BatchingPolicy {
     /// Plan with the threshold and binary heuristics (§5) and with one
     /// tile per block, simulate all three, keep the fastest (the first
     /// in that order on a tie) — the paper's recommendation when shapes
-    /// are fixed across calls (e.g. training a fixed network).
+    /// are fixed across calls (e.g. training a fixed network). This is
+    /// also the hot-swap seam: a session consults its share's
+    /// [`CalibHandle`](crate::CalibHandle) per plan and passes an
+    /// installed selector's choice in as a heuristic override. With no
+    /// selector installed (or when `Framework::plan` is called
+    /// standalone, outside a session) all three candidates are tried.
     BestOfBoth,
     /// The random-forest on-line selector — the paper's recommendation
     /// when shapes vary between calls.
     Forest(OnlineSelector),
-    /// Hot-swappable selector: the session consults its share's
-    /// [`CalibHandle`](crate::CalibHandle) per plan and passes the
-    /// selector's choice in as a heuristic override. With no profile
-    /// installed (or when `Framework::plan` is called standalone,
-    /// outside a session) this behaves exactly like
-    /// [`BestOfBoth`](BatchingPolicy::BestOfBoth).
-    Swappable,
 }
 
 /// Framework configuration.
@@ -133,7 +131,7 @@ impl Framework {
     /// heuristic override. Candidates already simulated by `memo` are
     /// answered from it, so the chosen plan and its `predicted_us` are
     /// identical to `plan`'s. The override serves the
-    /// [`BatchingPolicy::Swappable`] policy — the hot-swap seam through
+    /// [`BatchingPolicy::BestOfBoth`] policy — the hot-swap seam through
     /// which a session injects its calibration handle's current
     /// selector choice — and is ignored under every other policy (those
     /// remain fully determined by the framework's own configuration).
@@ -170,8 +168,7 @@ impl Framework {
         let best = match &self.config.batching {
             BatchingPolicy::Fixed(h) => build(*h),
             BatchingPolicy::Forest(selector) => build(selector.select_shapes(shapes)),
-            BatchingPolicy::BestOfBoth => best_of_both(),
-            BatchingPolicy::Swappable => heuristic_override.map_or_else(best_of_both, build),
+            BatchingPolicy::BestOfBoth => heuristic_override.map_or_else(best_of_both, build),
         };
         best.plan.validate(shapes, &solution)?;
         let kernel = best.kernel.unwrap_or_else(|| lower_plan(KERNEL_NAME, &best.plan, shapes));
@@ -293,7 +290,7 @@ mod tests {
             let with = |batching| {
                 Framework::with_config(arch.clone(), FrameworkConfig { batching, thresholds: None })
             };
-            let swappable = with(BatchingPolicy::Swappable);
+            let best_of_both = with(BatchingPolicy::BestOfBoth);
             for seed in 0..200u64 {
                 let shapes = ctb_matrix::gen::random_case(seed);
                 let scored = oracle(&arch, &th, &shapes);
@@ -312,12 +309,11 @@ mod tests {
                     assert_eq!(got.predicted_us.to_bits(), want.2.to_bits(), "{context}");
                     assert_eq!(got.predicted_us.to_bits(), kernel_us.to_bits(), "{context}");
                 };
-                check(with(BatchingPolicy::BestOfBoth).plan(&shapes), best, "best-of-both");
-                check(swappable.plan(&shapes), best, "swappable");
+                check(best_of_both.plan(&shapes), best, "best-of-both");
                 for want in &scored {
                     check(with(BatchingPolicy::Fixed(want.0)).plan(&shapes), want, "fixed");
                     let memo = SimMemo::new();
-                    let overridden = swappable.plan_memoized_with(&shapes, &memo, Some(want.0));
+                    let overridden = best_of_both.plan_memoized_with(&shapes, &memo, Some(want.0));
                     check(overridden, want, "override");
                     assert_eq!((memo.hits(), memo.misses()), (0, 1), "one candidate built");
                 }

@@ -37,8 +37,8 @@ pub struct CalibState {
     pub version: u64,
     /// Per-arch model corrections (empty = pass-through).
     pub correction: Arc<CorrectionSet>,
-    /// Retrained selector for [`BatchingPolicy::Swappable`](crate::BatchingPolicy::Swappable)
-    /// sessions; `None` falls back to the best-of-both exhaustive choice.
+    /// Retrained selector for [`BatchingPolicy::BestOfBoth`](crate::BatchingPolicy::BestOfBoth)
+    /// sessions; `None` keeps their exhaustive three-candidate choice.
     pub selector: Option<Arc<OnlineSelector>>,
 }
 
