@@ -1,13 +1,16 @@
 #!/bin/sh
-# Rust line count of the workspace (crates/ src/ tests/ vendor/
-# examples/), three ways: total, outside tests, and tests. A test line
-# is any line of a file under a `tests/` directory, and in every other
-# file any line from its first `#[cfg(test)]` to its end.
+# Rust line count, three ways: total, outside tests, and tests. A test
+# line is any line of a file under a `tests/` directory, and in every
+# other file any line from its first `#[cfg(test)]` to its end.
 #
-# Usage: sh scripts/loc.sh
+# Usage: sh scripts/loc.sh [PATH...]
+# PATHs are relative to the repository root and default to the whole
+# workspace: crates src tests vendor examples. A refactor can pass the
+# crates it touched, e.g. `sh scripts/loc.sh crates/cluster crates/core`.
 set -eu
 cd "$(dirname "$0")/.."
-find crates src tests vendor examples -name '*.rs' -type f | awk '
+[ "$#" -gt 0 ] || set -- crates src tests vendor examples
+find "$@" -name '*.rs' -type f | awk '
 {
     file = $0
     in_test = file ~ /(^|\/)tests\//
