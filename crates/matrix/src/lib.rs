@@ -5,7 +5,12 @@
 //! the framework, both plan interpreters and all four baselines produce
 //! `C` matrices bitwise identical to it for the same inputs
 //! ([`GemmBatch::reference_result_exact`]), under the NaN-payload
-//! contract stated on [`bitwise_mismatch`].
+//! contract stated on [`bitwise_mismatch`]. What makes it the oracle is
+//! its per-output summation order: `C[i][j]` starts at `+0.0`, adds
+//! `A[i][p] * B[p][j]` for `p = 0..k` in ascending order, and ends as
+//! `alpha * acc + beta * C[i][j]`. It walks B by rows into one
+//! accumulator row per output row, so the compiler vectorizes across
+//! `j` without reordering any output's sum.
 //!
 //! Matrices are dense row-major `f32` ([`MatF32`]); GEMM semantics follow
 //! the paper: `C = alpha * A * B + beta * C` with `A: M×K`, `B: K×N`,

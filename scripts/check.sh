@@ -16,11 +16,14 @@ cargo build --release --examples
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 
-# The debug profile vectorizes none of the packed executor's tile
-# kernels, so the bitwise suites run again on the release build the
-# benchmark times: every kernel this CPU runs against the naive loop,
-# and every executor path against `reference_result_exact`.
+# The debug profile (opt-level 1) vectorizes none of the packed
+# executor's tile kernels, nor the oracle's row loop in `gemm_ref`, so
+# the bitwise suites run again on the release build the benchmark
+# times: the vectorized oracle against the element-at-a-time loop,
+# every kernel this CPU runs against the naive loop, and every executor
+# path against `reference_result_exact`.
 echo "== bitwise suites in release =="
+cargo test -q --release -p ctb-matrix --lib
 cargo test -q --release -p ctb-core --lib
 cargo test -q --release --test differential --test properties
 
