@@ -8,11 +8,9 @@ use super::{EvDevice, EvJob, EventCluster, EventConfig, LoadGen, ReqOutcome};
 use crate::stats::ClusterInner;
 use ctb_core::{CacheStats, Session};
 use ctb_gpu_specs::{ArchSpec, ChipletTopology};
-use ctb_matrix::GemmShape;
 use ctb_obs::{Obs, ObsClock, SimClock};
 use ctb_savestate::{savestate_struct, Reader, Savestate, SavestateError, Writer};
 use ctb_serve::{Breaker, BreakerPolicy, FaultInjector, FaultLog};
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// One device's checkpoint record. Its session and breaker are live
@@ -175,15 +173,8 @@ impl EventCluster {
             self.residency.iter().map(|(sig, home)| (*sig, *home)).collect();
         homes.sort_unstable_by_key(|(sig, _)| *sig);
         homes.save(&mut w);
-        // -- engine prediction cache, sorted for byte-stable output
-        let mut preds: Vec<_> = self.predictions.iter().collect();
-        preds.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        w.len_prefix(preds.len());
-        for ((name, shapes), res) in preds {
-            name.save(&mut w);
-            shapes.save(&mut w);
-            res.save(&mut w);
-        }
+        // -- engine prediction cache
+        self.save_predictions(&mut w);
         // -- recorded outcomes, cluster-wide counters + latency log
         self.outcomes.save(&mut w);
         self.stats.save(&mut w);
@@ -284,7 +275,7 @@ impl EventCluster {
             }
             images.push(d);
         }
-        let timeline = Timeline::load(&mut r)?;
+        let mut timeline = Timeline::load(&mut r)?;
         for ev in timeline.pending() {
             if let Ev::ExecDone { device }
             | Ev::StealCheck { device }
@@ -324,19 +315,19 @@ impl EventCluster {
             eng.share.restore_with_sessions(&mut r, &sessions)?;
         }
         eng.residency = Vec::<(u64, OperandHome)>::load(&mut r)?.into_iter().collect();
+        // Signature ids are engine-local and never written: every job the
+        // blob held is interned again here.
+        for d in &mut images {
+            for job in d.queue.iter_mut().chain(d.running.as_mut().map(Running::job_mut)) {
+                job.sig = eng.intern(&job.shapes);
+            }
+        }
+        timeline.for_each_job(|job| job.sig = eng.intern(&job.shapes));
         for (dev, d) in eng.devices.iter_mut().zip(images) {
             dev.restore_image(d, eng.cfg.breaker.clone());
         }
-        type PredEntry = ((String, Arc<[GemmShape]>), Result<f64, String>);
-        for ((name, shapes), res) in Vec::<PredEntry>::load(&mut r)? {
-            let mut classes = eng.class_rep.iter().map(|&rep| eng.devices[rep].arch().name);
-            let Some(interned) = classes.find(|n| *n == name) else {
-                return Err(SavestateError::Mismatch(format!(
-                    "prediction cache names arch {name:?}, absent from the restore pool"
-                )));
-            };
-            eng.predictions.insert((interned, shapes), res);
-        }
+        eng.queued = eng.devices.iter().filter(|d| !d.queue.is_empty()).count();
+        eng.load_predictions(&mut r)?;
         eng.outcomes = Vec::<ReqOutcome>::load(&mut r)?;
         eng.stats = ClusterInner::load(&mut r)?;
         if let (Some(clock), Some(obs)) = (&eng.clock, &eng.obs) {
@@ -359,12 +350,7 @@ impl EventCluster {
         // original heap's extra entries are stale by value and thus
         // invisible, so one entry per alive device reproduces the same
         // argmin choices.
-        eng.index.iter_mut().for_each(BinaryHeap::clear);
-        for id in 0..eng.devices.len() {
-            if eng.devices[id].alive {
-                eng.index_touch(id);
-            }
-        }
+        (0..eng.classes.len()).for_each(|class| eng.reindex(class));
         Ok((eng, obs))
     }
 
@@ -379,7 +365,7 @@ impl EventCluster {
         assert!(device < self.devices.len(), "no such device");
         self.retire(device);
         let mut jobs = Vec::new();
-        while let Some(job) = self.devices[device].queue.pop_front() {
+        while let Some(job) = self.dequeue(device) {
             self.devices[device].backlog_us -= job.predicted_us;
             self.open_jobs -= 1;
             jobs.push(job);

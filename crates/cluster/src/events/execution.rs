@@ -5,7 +5,7 @@
 use super::timeline::Ev;
 use super::{EvJob, EventCluster, ReqOutcome, WITNESS_ALPHA, WITNESS_BETA};
 use crate::drift::PlacementDecision;
-use ctb_matrix::{bitwise_mismatch, GemmBatch, GemmShape, MatF32};
+use ctb_matrix::{bitwise_mismatch, GemmBatch, MatF32};
 use ctb_obs::{PointKind, SpanKind};
 use ctb_savestate::{savestate_enum, savestate_struct};
 use ctb_serve::FaultSite;
@@ -33,6 +33,12 @@ pub(super) struct Running {
 }
 
 savestate_struct!(Running { job, fate });
+
+impl Running {
+    pub(super) fn job_mut(&mut self) -> &mut EvJob {
+        &mut self.job
+    }
+}
 
 impl EventCluster {
     pub(super) fn on_exec_done(&mut self, device: usize) {
@@ -66,7 +72,7 @@ impl EventCluster {
         if self.devices[device].running.is_some() {
             return;
         }
-        let Some(job) = self.devices[device].queue.pop_front() else {
+        let Some(job) = self.dequeue(device) else {
             return;
         };
         self.start_job(device, job);
@@ -116,31 +122,32 @@ impl EventCluster {
         if self.ground_truth.is_none() {
             return job.predicted_us;
         }
-        self.actual_us(device, &job.shapes)
+        self.actual_us(device, job)
     }
 
-    /// Memoized "what the true silicon takes" for `shapes` on
-    /// `device`'s arch class. Simulates the *planned* kernel directly on
+    /// Memoized "what the true silicon takes" for `job`'s signature on
+    /// `device`'s arch class, kept in the signature's prediction cell.
+    /// Simulates the *planned* kernel directly on
     /// the drifted spec — deliberately outside the SimMemo, whose
     /// context key is the arch name and so cannot distinguish nominal
     /// from drifted. Classes the pool does not drift charge the nominal
     /// simulation (the model is their truth).
-    fn actual_us(&mut self, device: usize, shapes: &Arc<[GemmShape]>) -> f64 {
+    fn actual_us(&mut self, device: usize, job: &EvJob) -> f64 {
         let class = self.class_of[device];
-        let rep = self.class_rep[class];
-        let name = self.devices[rep].arch().name;
-        if let Some(&us) = self.actuals.get(&(name, Arc::clone(shapes))) {
+        if let Some(us) = self.cell(job.sig, class).actual_us {
             return us;
         }
+        let rep = self.classes[class][0];
+        let name = self.devices[rep].arch().name;
         let plan = self.devices[rep]
             .session
-            .plan(shapes)
+            .plan(&job.shapes)
             .expect("ground-truth timing is only charged for placed jobs, whose plan is warm");
         let truth = self.ground_truth.as_ref().expect("checked by charged_us");
         let spec = truth.spec(name).unwrap_or_else(|| self.devices[rep].arch());
         let us =
             ctb_sim::simulate(spec, &ctb_sim::LaunchSequence::Single(plan.kernel.clone())).total_us;
-        self.actuals.insert((name, Arc::clone(shapes)), us);
+        self.cell(job.sig, class).actual_us = Some(us);
         us
     }
 
@@ -172,23 +179,16 @@ impl EventCluster {
             }
             job.predicted_us
         };
-        let executed_us = if self.ground_truth.is_some() {
-            self.actual_us(device, &job.shapes)
-        } else {
-            model_time
-        };
+        let executed_us =
+            if self.ground_truth.is_some() { self.actual_us(device, &job) } else { model_time };
+        let model_us = self.cell(job.sig, self.class_of[device]).model_us;
         if let Some(log) = &mut self.decisions {
-            let name = self.devices[device].arch().name;
             log.push(PlacementDecision {
                 id: job.id,
                 device,
-                arch: name,
+                arch: self.devices[device].arch().name,
                 shapes: Arc::clone(&job.shapes),
-                model_us: self
-                    .model_us
-                    .get(&(name, Arc::clone(&job.shapes)))
-                    .copied()
-                    .unwrap_or(job.predicted_us),
+                model_us: model_us.unwrap_or(job.predicted_us),
                 predicted_us: job.predicted_us,
                 actual_us: executed_us,
             });
@@ -284,7 +284,7 @@ impl EventCluster {
     }
 
     pub(super) fn drain_and_reroute(&mut self, device: usize) {
-        while let Some(job) = self.devices[device].queue.pop_front() {
+        while let Some(job) = self.dequeue(device) {
             self.devices[device].backlog_us -= job.predicted_us;
             self.reroute(job, device);
         }

@@ -20,6 +20,17 @@
 //! reconciles every schedule's trace, [`ClusterStats`] and fault logs
 //! with `==`.
 //!
+//! **Placement cost.** A placement is a few table reads, whatever the
+//! pool size. Every shape signature gets a dense id at admission, and
+//! the prediction cache is one `Vec` indexed by (signature, arch class):
+//! one `session.plan` per cell, and the calibration version read once
+//! per placement. At 64 devices and more, placement peeks one lazy
+//! min-heap of backlogs per arch class instead of ranking every device;
+//! a heap that outgrows twice its class's devices is rebuilt to one
+//! entry per live device. An idle device's steal check scans the pool
+//! for a victim only while some queue holds a job, which the engine
+//! counts where queues go empty ↔ non-empty.
+//!
 //! **Witness-subset bitwise checking.** Executing a million GEMM
 //! batches functionally would make the host CPU the bottleneck again,
 //! so most requests carry only their shape signature: cost is the
@@ -58,7 +69,7 @@ mod placement;
 mod timeline;
 
 use execution::Running;
-use placement::{OperandHome, PredictionCache};
+use placement::{ClassPrediction, OperandHome, Signature};
 pub use timeline::SimTime;
 use timeline::{Ev, Timeline};
 
@@ -85,6 +96,10 @@ const BACKOFF_NS: u64 = 50_000;
 struct EvJob {
     id: u64,
     shapes: Arc<[GemmShape]>,
+    /// Dense id of `shapes` in the engine's signature table, assigned at
+    /// admission ([`EventCluster::intern`]). Engine-local: never
+    /// written, and [`UNINTERNED`] on a job just loaded from a blob.
+    sig: usize,
     /// Data seed a witness materializes its matrices from.
     seed: u64,
     arrived: SimTime,
@@ -97,7 +112,38 @@ struct EvJob {
     witness: bool,
 }
 
-savestate_struct!(EvJob { id, shapes, seed, arrived, predicted_us, attempts, stolen, witness });
+/// The `sig` of a job no engine has admitted yet. It indexes nothing,
+/// so a job that skipped interning fails loudly at its first lookup.
+const UNINTERNED: usize = usize::MAX;
+
+/// Every field but `sig`, which names a row of one engine's table: a
+/// loaded job is re-interned by admission or by
+/// [`EventCluster::restore`].
+impl Savestate for EvJob {
+    fn save(&self, w: &mut Writer) {
+        self.id.save(w);
+        self.shapes.save(w);
+        self.seed.save(w);
+        self.arrived.save(w);
+        self.predicted_us.save(w);
+        self.attempts.save(w);
+        self.stolen.save(w);
+        self.witness.save(w);
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, SavestateError> {
+        Ok(EvJob {
+            id: Savestate::load(r)?,
+            shapes: Savestate::load(r)?,
+            sig: UNINTERNED,
+            seed: Savestate::load(r)?,
+            arrived: Savestate::load(r)?,
+            predicted_us: Savestate::load(r)?,
+            attempts: Savestate::load(r)?,
+            stolen: Savestate::load(r)?,
+            witness: Savestate::load(r)?,
+        })
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Devices + config
@@ -106,9 +152,10 @@ savestate_struct!(EvJob { id, shapes, seed, arrived, predicted_us, attempts, sto
 /// One simulated GPU: session, job queue, breaker, optional chaos
 /// schedule and the job it is running. Plain fields, because exactly
 /// one event handler touches them at a time. The queue holds at most
-/// [`EventConfig::queue_capacity`] jobs (see [`EventCluster::enqueue`]);
-/// a dead device takes none, because every placement, steal and
-/// re-route skips devices that are not `alive`.
+/// [`EventConfig::queue_capacity`] jobs (`land` checks the bound
+/// before [`EventCluster::enqueue`]); a dead device takes none,
+/// because every placement, steal and re-route skips devices that are
+/// not `alive`.
 struct EvDevice {
     id: usize,
     session: Session,
@@ -496,21 +543,33 @@ pub struct EventCluster {
     clock: Option<Arc<SimClock>>,
     stats: ClusterInner,
     outcomes: Vec<ReqOutcome>,
-    /// Engine-level prediction cache: one `session.plan` per (arch
-    /// class, shape signature); after that a placement across 10k
-    /// devices costs `classes` hash lookups, not `devices` planner
-    /// calls.
-    predictions: PredictionCache,
+    /// Dense signature ids: every shape signature gets one at
+    /// admission ([`intern`](Self::intern)), and `sigs[id]` holds it.
+    sig_ids: HashMap<Arc<[GemmShape]>, usize>,
+    sigs: Vec<Signature>,
+    /// The engine's prediction cache, one [`ClassPrediction`] per
+    /// (signature, arch class) at `sig * classes.len() + class`: one
+    /// `session.plan` per cell, after which a placement across 10k
+    /// devices costs `classes` table reads, not `devices` planner calls.
+    predictions: Vec<ClassPrediction>,
     /// Operand residency by shape signature, the locality ranking's
     /// input (see [`OperandHome`]).
     residency: HashMap<u64, OperandHome>,
-    /// Device → arch-class index, and one representative device per
-    /// class (predictions are identical within a class).
+    /// Device → arch-class index, and each class's devices in pool
+    /// order; the first is the class's representative (predictions are
+    /// identical within a class).
     class_of: Vec<usize>,
-    class_rep: Vec<usize>,
+    classes: Vec<Vec<usize>>,
     /// Per-class lazy min-heaps over `(backlog bits, device)`; stale
-    /// entries are discarded by value on peek.
+    /// entries are discarded by value on peek. A heap that outgrows
+    /// twice its class's devices is rebuilt to one entry per live
+    /// device ([`reindex`](Self::reindex)).
     index: Vec<BinaryHeap<Reverse<(u64, usize)>>>,
+    /// Devices whose queue holds at least one job, kept where a queue
+    /// goes empty ↔ non-empty ([`enqueue`](Self::enqueue),
+    /// [`dequeue`](Self::dequeue)); a steal check with none returns
+    /// without scanning the pool.
+    queued: usize,
     /// Sticky: once any breaker trips, placement falls back to the
     /// exact scan. The class index cannot see which devices serve an
     /// open window, and the exact scan's skip-and-consume walk over the
@@ -538,15 +597,6 @@ pub struct EventCluster {
     /// zero by construction. Never serialized — ground-truth runs
     /// refuse to checkpoint.
     ground_truth: Option<GroundTruth>,
-    /// Memoized true-arch execution time per (class name, signature);
-    /// only populated under a ground-truth pool. Bypasses the SimMemo
-    /// deliberately: drifted specs share names with their nominal
-    /// presets, so the memo's context key cannot tell them apart.
-    actuals: HashMap<(&'static str, Arc<[GemmShape]>), f64>,
-    /// Raw (uncorrected) model prediction per (class name, signature) —
-    /// what `predictions` held before the installed correction was
-    /// applied; kept for [`PlacementDecision::model_us`].
-    model_us: HashMap<(&'static str, Arc<[GemmShape]>), f64>,
     /// When `Some`, completions append a [`PlacementDecision`]
     /// ([`EventCluster::record_decisions`]). Never serialized.
     decisions: Option<Vec<PlacementDecision>>,
@@ -595,20 +645,18 @@ impl EventCluster {
         let share = Arc::new(PlanShare::with_config(cfg.share));
         let mut class_names: Vec<&'static str> = Vec::new();
         let mut class_of = Vec::with_capacity(pool.len());
-        let mut class_rep = Vec::new();
+        let mut classes: Vec<Vec<usize>> = Vec::new();
         let devices: Vec<EvDevice> = pool
             .into_iter()
             .zip(faults)
             .enumerate()
             .map(|(id, (arch, fault))| {
-                let class = match class_names.iter().position(|n| *n == arch.name) {
-                    Some(c) => c,
-                    None => {
-                        class_names.push(arch.name);
-                        class_rep.push(id);
-                        class_names.len() - 1
-                    }
-                };
+                let class = class_names.iter().position(|n| *n == arch.name).unwrap_or_else(|| {
+                    class_names.push(arch.name);
+                    classes.push(Vec::new());
+                    class_names.len() - 1
+                });
+                classes[class].push(id);
                 class_of.push(class);
                 let s = Session::with_share(Framework::new(arch), Arc::clone(&share));
                 let session = match &obs {
@@ -635,13 +683,6 @@ impl EventCluster {
                 }
             })
             .collect();
-        // Seed every class heap with the all-idle state so the indexed
-        // path sees the whole pool from the first placement.
-        let mut index: Vec<BinaryHeap<Reverse<(u64, usize)>>> =
-            (0..class_rep.len()).map(|_| BinaryHeap::new()).collect();
-        for (id, class) in class_of.iter().enumerate() {
-            index[*class].push(Reverse((0u64, id)));
-        }
         let has_chiplets = devices.iter().any(|d| !d.arch().topology.is_unified());
         EventCluster {
             cfg,
@@ -652,11 +693,17 @@ impl EventCluster {
             clock,
             stats: ClusterInner::default(),
             outcomes: Vec::new(),
-            predictions: HashMap::new(),
+            sig_ids: HashMap::new(),
+            sigs: Vec::new(),
+            predictions: Vec::new(),
             residency: HashMap::new(),
+            // Seed every class heap with the all-idle state (a zero
+            // backlog's key is 0) so the indexed path sees the whole
+            // pool from the first placement.
+            index: classes.iter().map(|c| c.iter().map(|&d| Reverse((0, d))).collect()).collect(),
             class_of,
-            class_rep,
-            index,
+            classes,
+            queued: 0,
             breaker_active: false,
             has_chiplets,
             gen: None,
@@ -669,8 +716,6 @@ impl EventCluster {
             pending_arrivals: 0,
             open_jobs: 0,
             ground_truth: None,
-            actuals: HashMap::new(),
-            model_us: HashMap::new(),
             decisions: None,
             calib_version: 0,
         }
@@ -714,6 +759,7 @@ impl EventCluster {
         let job = EvJob {
             id,
             shapes,
+            sig: UNINTERNED,
             seed,
             arrived: at,
             predicted_us: 0.0,
@@ -759,6 +805,22 @@ impl EventCluster {
 
     fn obs(&self) -> Option<&Obs> {
         self.obs.as_deref()
+    }
+
+    /// Queue `job` behind `device`'s queue (the caller checked the
+    /// bound), counting the queue in `queued` if it was empty.
+    fn enqueue(&mut self, device: usize, job: EvJob) {
+        let queue = &mut self.devices[device].queue;
+        self.queued += usize::from(queue.is_empty());
+        queue.push_back(job);
+    }
+
+    /// Take `device`'s front job, uncounting the queue if it empties.
+    fn dequeue(&mut self, device: usize) -> Option<EvJob> {
+        let queue = &mut self.devices[device].queue;
+        let job = queue.pop_front()?;
+        self.queued -= usize::from(queue.is_empty());
+        Some(job)
     }
 
     /// Process the next pending event. Returns `false` when the
@@ -850,7 +912,8 @@ impl EventCluster {
         }
     }
 
-    fn on_arrive(&mut self, job: EvJob) {
+    fn on_arrive(&mut self, mut job: EvJob) {
+        job.sig = self.intern(&job.shapes);
         self.pending_arrivals -= 1;
         self.open_jobs += 1;
         self.requests += 1;
@@ -1185,6 +1248,8 @@ mod tests {
         // actually exercise the index. The second input holds every
         // queue to two jobs: placements spill past full queues, the
         // index falls back to the exact scan, and arrivals back off.
+        // Both inputs have two devices per class, so the class heaps are
+        // rebuilt many times.
         let inputs =
             [(64, 0, LoadGen::table2(9, 4_000.0, 500)), (2, 7, LoadGen::table2(9, 500.0, 600))];
         let mut full_queue_run = None;
@@ -1196,6 +1261,12 @@ mod tests {
                 while eng.step() {
                     let depth = eng.devices.iter().map(|d| d.queue.len()).max().unwrap();
                     assert!(depth <= queue_capacity, "queue depth {depth} over {queue_capacity}");
+                    for (heap, members) in eng.index.iter().zip(&eng.classes) {
+                        let bound = 2 * members.len();
+                        assert!(heap.len() <= bound, "class heap {} over {bound}", heap.len());
+                    }
+                    let queued = eng.devices.iter().filter(|d| !d.queue.is_empty()).count();
+                    assert_eq!(eng.queued, queued, "queued-device count");
                 }
                 eng.report()
             };
@@ -1210,10 +1281,14 @@ mod tests {
             full_queue_run = Some(exact);
         }
         // Pinned, so a change to the bound check cannot pass unseen.
+        // Before `land` checked the bound ahead of charging the backlog,
+        // a refused landing moved the backlog's last bits, and this run
+        // took 2,463 events and 461.99995121500507 µs
+        // (0x407c_dfff_ccd8_60ad).
         let full = full_queue_run.unwrap();
-        assert_eq!(full.events_processed, 2_463);
-        // 461.99995121500507 µs.
-        assert_eq!(full.stats.makespan_sim_us.to_bits(), 0x407c_dfff_ccd8_60ad);
+        assert_eq!(full.events_processed, 2_483);
+        // 463.79484745762716 µs.
+        assert_eq!(full.stats.makespan_sim_us.to_bits(), 0x407c_fcb7_b1f7_bd14);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Placement: the per-class prediction cache, the exact and indexed
-//! placement scans, operand residency and work stealing.
+//! Placement: signature interning and the per-class prediction cache,
+//! the exact and indexed placement scans, the class heaps, operand
+//! residency and work stealing.
 
 use super::timeline::Ev;
 use super::{EvJob, EventCluster, PlacementMode};
@@ -8,7 +9,7 @@ use ctb_matrix::GemmShape;
 use ctb_obs::{PointKind, SpanKind};
 use ctb_savestate::{Reader, Savestate, SavestateError, Writer};
 use std::cmp::Reverse;
-use std::collections::HashMap;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Why a placement attempt found no home. Boxed at the placement
@@ -20,10 +21,30 @@ pub(super) struct PlaceFail {
     pub(super) plan_err: Option<String>,
 }
 
-/// `(arch class name, shape signature) → predicted µs` (or the
-/// planner's rejection, memoized so a poisoned signature is not
-/// re-planned per device).
-pub(super) type PredictionCache = HashMap<(&'static str, Arc<[GemmShape]>), Result<f64, String>>;
+/// An interned shape signature, with what every landing of it reads.
+pub(super) struct Signature {
+    shapes: Arc<[GemmShape]>,
+    /// [`ctb_core::shape_sig_hash`]: the residency map's key.
+    hash: u64,
+    /// [`ctb_core::operand_bytes`].
+    op_bytes: u64,
+}
+
+/// What the engine has computed for one signature on one arch class.
+#[derive(Default)]
+pub(super) struct ClassPrediction {
+    /// Predicted µs, corrected by the installed calibration profile, or
+    /// the planner's rejection, memoized so a poisoned signature is not
+    /// re-planned per device. `None` until first asked, and again after
+    /// a profile install.
+    predicted: Option<Result<f64, String>>,
+    /// The raw model µs behind `predicted`, before the correction; kept
+    /// for [`PlacementDecision::model_us`](crate::drift::PlacementDecision::model_us).
+    pub(super) model_us: Option<f64>,
+    /// The true-arch µs under a ground-truth pool, memoized by
+    /// `actual_us`.
+    pub(super) actual_us: Option<f64>,
+}
 
 /// Where a shape signature's operands currently live: a device in the
 /// pool and the home chiplet the device's topology assigns them. The
@@ -57,36 +78,104 @@ impl Savestate for OperandHome {
 }
 
 impl EventCluster {
-    /// Memoized prediction for `shapes` on device `dev_idx`'s arch
-    /// class: plan through the class's session and take the plan's
-    /// `predicted_us` (the planner simulated the chosen candidate while
-    /// choosing it), corrected by the installed calibration profile and
-    /// shared across all devices of the class.
-    fn predict_cached(&mut self, dev_idx: usize, shapes: &Arc<[GemmShape]>) -> Result<f64, String> {
-        // Cached values include the installed correction, so a profile
-        // install (version bump on the share's CalibHandle) invalidates
-        // the whole cache.
+    /// The dense id of `shapes`, interned on first sight with one empty
+    /// [`ClassPrediction`] per arch class. Admission calls it once per
+    /// request, and `restore` once per job it loads.
+    pub(super) fn intern(&mut self, shapes: &Arc<[GemmShape]>) -> usize {
+        if let Some(&sig) = self.sig_ids.get(&shapes[..]) {
+            return sig;
+        }
+        let sig = self.sigs.len();
+        let hash = ctb_core::shape_sig_hash(shapes);
+        let op_bytes = ctb_core::operand_bytes(shapes);
+        self.sigs.push(Signature { shapes: Arc::clone(shapes), hash, op_bytes });
+        self.sig_ids.insert(Arc::clone(shapes), sig);
+        let cells = self.predictions.len() + self.classes.len();
+        self.predictions.resize_with(cells, ClassPrediction::default);
+        sig
+    }
+
+    /// The prediction cell of signature `sig` on arch class `class`.
+    pub(super) fn cell(&mut self, sig: usize, class: usize) -> &mut ClassPrediction {
+        let classes = self.classes.len();
+        &mut self.predictions[sig * classes + class]
+    }
+
+    /// Write every cached prediction as `((arch name, shapes), result)`,
+    /// sorted by name, then shapes, for byte-stable output. Signature
+    /// ids are engine-local and not written.
+    pub(super) fn save_predictions(&self, w: &mut Writer) {
+        let classes = self.classes.len();
+        let mut preds: Vec<_> = self
+            .predictions
+            .iter()
+            .enumerate()
+            .filter_map(|(at, cell)| {
+                let name = self.devices[self.classes[at % classes][0]].arch().name;
+                Some(((name, &self.sigs[at / classes].shapes), cell.predicted.as_ref()?))
+            })
+            .collect();
+        preds.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        w.len_prefix(preds.len());
+        for ((name, shapes), res) in preds {
+            name.save(w);
+            shapes.save(w);
+            res.save(w);
+        }
+    }
+
+    /// Read what [`save_predictions`](Self::save_predictions) wrote,
+    /// interning each signature; every arch name must be a class of the
+    /// restore pool.
+    pub(super) fn load_predictions(&mut self, r: &mut Reader<'_>) -> Result<(), SavestateError> {
+        type Entry = ((String, Arc<[GemmShape]>), Result<f64, String>);
+        for ((name, shapes), res) in Vec::<Entry>::load(r)? {
+            let rep_name = |c: &Vec<usize>| self.devices[c[0]].arch().name;
+            let Some(class) = self.classes.iter().position(|c| rep_name(c) == name) else {
+                return Err(SavestateError::Mismatch(format!(
+                    "prediction cache names arch {name:?}, absent from the restore pool"
+                )));
+            };
+            let sig = self.intern(&shapes);
+            self.cell(sig, class).predicted = Some(res);
+        }
+        Ok(())
+    }
+
+    /// Cached predictions include the installed calibration correction,
+    /// so a profile install (version bump on the share's `CalibHandle`)
+    /// invalidates them all. Read once per placement attempt or steal.
+    fn sync_calibration(&mut self) {
         let version = self.share.calib().version();
         if version != self.calib_version {
-            self.predictions.clear();
+            self.predictions.iter_mut().for_each(|cell| cell.predicted = None);
             self.calib_version = version;
         }
-        let class = self.class_of[dev_idx];
-        let rep = self.class_rep[class];
-        let name = self.devices[rep].arch().name;
-        if let Some(r) = self.predictions.get(&(name, Arc::clone(shapes))) {
+    }
+
+    /// Memoized prediction for signature `sig` on arch class `class`:
+    /// plan through the class representative's session and take the
+    /// plan's `predicted_us` (the planner simulated the chosen
+    /// candidate while choosing it), corrected by the installed
+    /// calibration profile and shared across all devices of the class.
+    /// The caller has run [`sync_calibration`](Self::sync_calibration).
+    fn predict(&mut self, sig: usize, class: usize) -> Result<f64, String> {
+        if let Some(r) = &self.cell(sig, class).predicted {
             return r.clone();
         }
-        let raw = self.devices[rep].session.plan(shapes).map(|plan| plan.predicted_us);
-        let r = match raw {
-            Ok(model) => {
-                self.model_us.insert((name, Arc::clone(shapes)), model);
-                // Identity state (version 0) returns `model` bit-for-bit.
-                Ok(self.share.calib().correct(name, model, &ctb_core::selector::features(shapes)))
+        let rep = self.classes[class][0];
+        let shapes = Arc::clone(&self.sigs[sig].shapes);
+        let name = self.devices[rep].arch().name;
+        let r = match self.devices[rep].session.plan(&shapes) {
+            Ok(plan) => {
+                self.cell(sig, class).model_us = Some(plan.predicted_us);
+                // Identity state (version 0) returns the model bit-for-bit.
+                let features = ctb_core::selector::features(&shapes);
+                Ok(self.share.calib().correct(name, plan.predicted_us, &features))
             }
             Err(e) => Err(e),
         };
-        self.predictions.insert((name, Arc::clone(shapes)), r.clone());
+        self.cell(sig, class).predicted = Some(r.clone());
         r
     }
 
@@ -115,10 +204,30 @@ impl EventCluster {
 
     /// Record `device`'s current backlog in its class heap (lazy
     /// invalidation: older entries for the device go stale by value).
+    /// Every backlog change is followed by a touch, so each live device
+    /// keeps one valid entry, and a heap past twice its class's devices
+    /// drops its stale ones.
     pub(super) fn index_touch(&mut self, device: usize) {
         let class = self.class_of[device];
         let key = self.index_key(device);
         self.index[class].push(Reverse((key, device)));
+        if self.index[class].len() > 2 * self.classes[class].len() {
+            self.reindex(class);
+        }
+    }
+
+    /// Rebuild `class`'s heap to one entry per live device, keyed by its
+    /// current backlog: exactly the entries the lazy heap treats as
+    /// valid, so every argmin it answers stays the same.
+    pub(super) fn reindex(&mut self, class: usize) {
+        let mut entries = std::mem::take(&mut self.index[class]).into_vec();
+        entries.clear();
+        for &device in &self.classes[class] {
+            if self.devices[device].alive {
+                entries.push(Reverse((self.index_key(device), device)));
+            }
+        }
+        self.index[class] = BinaryHeap::from(entries);
     }
 
     /// One placement attempt. The exact path ranks every live device;
@@ -145,14 +254,11 @@ impl EventCluster {
     fn place_indexed(&mut self, job: EvJob) -> Result<usize, Box<PlaceFail>> {
         let obs_arc = self.obs.clone();
         let place = obs_arc.as_ref().map(|o| o.span(SpanKind::Place));
-        let shapes = job.shapes.clone();
-        let sig = ctb_core::shape_sig_hash(&shapes);
-        let op_bytes = ctb_core::operand_bytes(&shapes);
+        self.sync_calibration();
         let mut plan_err: Option<String> = None;
         let mut best: Option<Candidate> = None;
-        for class in 0..self.class_rep.len() {
-            let rep = self.class_rep[class];
-            let predicted_us = match self.predict_cached(rep, &shapes) {
+        for class in 0..self.classes.len() {
+            let predicted_us = match self.predict(job.sig, class) {
                 Ok(v) => v,
                 Err(m) => {
                     plan_err = Some(m);
@@ -190,7 +296,7 @@ impl EventCluster {
             // No live device bid: all dead, or every class failed to plan.
             return Err(Box::new(PlaceFail { job, any_full: false, plan_err }));
         };
-        match self.land(&c, job, sig, op_bytes) {
+        match self.land(&c, job) {
             Ok(()) => Ok(c.device),
             // The best queue is full: close this span and spill down the
             // exact ranking.
@@ -216,20 +322,19 @@ impl EventCluster {
     ) -> Result<usize, Box<PlaceFail>> {
         let obs_arc = self.obs.clone();
         let _place = obs_arc.as_ref().map(|o| o.span(SpanKind::Place));
-        let shapes = job.shapes.clone();
+        self.sync_calibration();
         // One residency snapshot per placement slate, read before any
         // candidate is scored, so every candidate is judged against the
         // same operand home.
-        let sig = ctb_core::shape_sig_hash(&shapes);
-        let op_bytes = ctb_core::operand_bytes(&shapes);
-        let resident = self.residency.get(&sig).map(|h| h.device);
+        let Signature { hash, op_bytes, .. } = self.sigs[job.sig];
+        let resident = self.residency.get(&hash).map(|h| h.device);
         let mut candidates = Vec::with_capacity(self.devices.len());
         let mut plan_err = None;
         for i in 0..self.devices.len() {
             if Some(i) == exclude || !self.devices[i].alive {
                 continue;
             }
-            match self.predict_cached(i, &shapes) {
+            match self.predict(job.sig, self.class_of[i]) {
                 Ok(predicted_us) => candidates.push(Candidate {
                     device: i,
                     backlog_us: self.devices[i].backlog(),
@@ -249,7 +354,7 @@ impl EventCluster {
             if !all_open && self.devices[c.device].breaker.consume_open() {
                 continue;
             }
-            match self.land(c, job, sig, op_bytes) {
+            match self.land(c, job) {
                 Ok(()) => return Ok(c.device),
                 Err(refused) => {
                     any_full = true;
@@ -262,31 +367,24 @@ impl EventCluster {
 
     /// Queue `job` on candidate `c` with `c`'s prediction, or hand it
     /// back when the queue already holds `queue_capacity` jobs (at least
-    /// one). A refused job's prediction is added to the backlog and taken
-    /// off again; that can move the backlog's last bits, and every later
-    /// ranking reads those bits, so the order is part of the engine's
-    /// decisions.
-    fn land(
-        &mut self,
-        c: &Candidate,
-        mut job: EvJob,
-        sig: u64,
-        op_bytes: u64,
-    ) -> Result<(), EvJob> {
+    /// one). The bound is checked before the backlog is charged, so a
+    /// refused landing leaves the device's backlog bits, and with them
+    /// its class-heap entry, exactly as they were.
+    fn land(&mut self, c: &Candidate, mut job: EvJob) -> Result<(), EvJob> {
         job.predicted_us = c.predicted_us;
-        let dev = &mut self.devices[c.device];
-        dev.backlog_us += c.predicted_us;
-        if dev.queue.len() >= self.cfg.queue_capacity.max(1) {
-            dev.backlog_us -= c.predicted_us;
+        if self.devices[c.device].queue.len() >= self.cfg.queue_capacity.max(1) {
             return Err(job);
         }
-        dev.queue.push_back(job);
+        let sig = job.sig;
+        let dev = &mut self.devices[c.device];
+        dev.backlog_us += c.predicted_us;
         dev.placements += 1;
+        self.enqueue(c.device, job);
         self.stats.routed += 1;
         if let Some(o) = self.obs() {
             o.point(PointKind::Routed { device: c.device });
         }
-        self.account_residency(c.device, sig, op_bytes);
+        self.account_residency(c.device, sig);
         self.index_touch(c.device);
         Ok(())
     }
@@ -309,9 +407,10 @@ impl EventCluster {
     /// that charges the remote share of the operand bytes and re-homes
     /// the signature on `device` (last writer wins). Runs under aware
     /// *and* blind policies — the bench arms differ only in ranking.
-    fn account_residency(&mut self, device: usize, sig: u64, op_bytes: u64) {
+    fn account_residency(&mut self, device: usize, sig: usize) {
+        let Signature { hash, op_bytes, .. } = self.sigs[sig];
         let topo = self.devices[device].arch().topology;
-        if self.residency.get(&sig).is_some_and(|h| h.device == device) {
+        if self.residency.get(&hash).is_some_and(|h| h.device == device) {
             self.stats.residency_hits += 1;
             if let Some(o) = self.obs() {
                 o.point(PointKind::ResidencyHit { device });
@@ -323,7 +422,7 @@ impl EventCluster {
         if let Some(o) = self.obs() {
             o.point(PointKind::ResidencyMiss { device });
         }
-        self.residency.insert(sig, OperandHome { device, chiplet: topo.home_chiplet(sig) });
+        self.residency.insert(hash, OperandHome { device, chiplet: topo.home_chiplet(hash) });
     }
 
     pub(super) fn on_steal_check(&mut self, thief_idx: usize) {
@@ -355,8 +454,17 @@ impl EventCluster {
     /// An idle device looks for the most-backlogged live peer and, when
     /// the cost model says the peer's front batch finishes sooner here
     /// than it would *start* there ([`placer::steal_beneficial`]),
-    /// takes it.
+    /// takes it. With no job queued anywhere there is no victim, and the
+    /// pool is not scanned.
     fn try_steal(&mut self, thief_idx: usize) -> bool {
+        debug_assert_eq!(
+            self.queued,
+            self.devices.iter().filter(|d| !d.queue.is_empty()).count(),
+            "queued-device count out of step with the queues"
+        );
+        if self.queued == 0 {
+            return false;
+        }
         let mut victim: Option<(usize, f64)> = None;
         for dev in &self.devices {
             if dev.id == thief_idx || !dev.alive || dev.queue.is_empty() {
@@ -372,10 +480,11 @@ impl EventCluster {
         let Some((victim_idx, victim_backlog)) = victim else {
             return false;
         };
-        let Some(shapes) = self.devices[victim_idx].queue.front().map(|j| j.shapes.clone()) else {
+        let Some(sig) = self.devices[victim_idx].queue.front().map(|j| j.sig) else {
             return false;
         };
-        let Ok(predicted_here) = self.predict_cached(thief_idx, &shapes) else {
+        self.sync_calibration();
+        let Ok(predicted_here) = self.predict(sig, self.class_of[thief_idx]) else {
             return false;
         };
         if !placer::steal_beneficial(
@@ -385,7 +494,7 @@ impl EventCluster {
         ) {
             return false;
         }
-        let Some(mut job) = self.devices[victim_idx].queue.pop_front() else {
+        let Some(mut job) = self.dequeue(victim_idx) else {
             return false;
         };
         self.devices[victim_idx].backlog_us -= job.predicted_us;
@@ -400,13 +509,53 @@ impl EventCluster {
         }
         // A steal moves the operands with the work: the thief becomes
         // the holder.
-        self.account_residency(
-            thief_idx,
-            ctb_core::shape_sig_hash(&shapes),
-            ctb_core::operand_bytes(&shapes),
-        );
+        self.account_residency(thief_idx, sig);
         self.index_touch(thief_idx);
         self.start_job(thief_idx, job);
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{EventConfig, SimTime};
+    use super::*;
+    use ctb_gpu_specs::ArchSpec;
+
+    /// A landing refused by a full queue leaves the device's backlog bit
+    /// for bit as it was, and with it the device's class-heap entry.
+    /// Charging 0.2 onto a backlog of 0.1 and refunding it would leave
+    /// 0.10000000000000003.
+    #[test]
+    fn a_refused_landing_leaves_the_backlog_bits() {
+        let cfg = EventConfig { queue_capacity: 1, ..EventConfig::default() };
+        let mut eng = EventCluster::new(vec![ArchSpec::maxwell_m60()], cfg);
+        let shapes: Arc<[GemmShape]> = Arc::from([GemmShape::new(16, 16, 16)]);
+        let sig = eng.intern(&shapes);
+        let job = |id| EvJob {
+            id,
+            shapes: Arc::clone(&shapes),
+            sig,
+            seed: id,
+            arrived: SimTime::ZERO,
+            predicted_us: 0.0,
+            attempts: 0,
+            stolen: false,
+            witness: false,
+        };
+        let at = |backlog_us, predicted_us| Candidate {
+            device: 0,
+            backlog_us,
+            predicted_us,
+            penalty_us: 0.0,
+        };
+        assert!(eng.land(&at(0.0, 0.1), job(0)).is_ok(), "the empty queue takes a job");
+        assert_eq!(eng.devices[0].backlog_us, 0.1);
+        let refused = eng.land(&at(0.1, 0.2), job(1)).expect_err("the full queue refuses");
+        assert_eq!(refused.id, 1);
+        assert_eq!(eng.devices[0].backlog_us.to_bits(), 0.1f64.to_bits());
+        assert_eq!(eng.devices[0].queue.len(), 1);
+        let key = eng.index_key(0);
+        assert!(eng.index[0].iter().any(|&Reverse(entry)| entry == (key, 0)), "entry went stale");
     }
 }

@@ -98,6 +98,18 @@ impl Timeline {
     pub(super) fn pending(&self) -> impl Iterator<Item = &Ev> {
         self.heap.iter().map(|Reverse(e)| &e.ev)
     }
+
+    /// Apply `f` to the job of every pending arrival and placement. The
+    /// `(at, seq)` keys are untouched, so the pop order is too.
+    pub(super) fn for_each_job(&mut self, mut f: impl FnMut(&mut EvJob)) {
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        for Reverse(e) in &mut entries {
+            if let Ev::Arrive { job } | Ev::PlaceDone { job } = &mut e.ev {
+                f(job);
+            }
+        }
+        self.heap = BinaryHeap::from(entries);
+    }
 }
 
 /// The tie-break counter, then the pending entries sorted by
