@@ -150,8 +150,7 @@ mod tests {
         for (truth, nominal) in gt.specs().iter().zip(&pool) {
             assert_eq!(truth.topology.chiplets, nominal.topology.chiplets);
             assert_eq!(
-                truth.topology.interposer_latency_us,
-                nominal.topology.interposer_latency_us,
+                truth.topology.interposer_latency_us, nominal.topology.interposer_latency_us,
                 "drift degrades bandwidth, not the interposer wire"
             );
             assert!(truth.topology.local_bandwidth_gbps < nominal.topology.local_bandwidth_gbps);

@@ -45,8 +45,8 @@ mod stats;
 
 pub use drift::{GroundTruth, PlacementDecision};
 pub use events::{
-    EngineReport, EventCluster, EventConfig, LoadGen, PlacementMode, ReqOutcome, ShapeMix,
-    SimTime, StealPolicy, WITNESS_ALPHA, WITNESS_BETA,
+    EngineReport, EventCluster, EventConfig, LoadGen, PlacementMode, ReqOutcome, ShapeMix, SimTime,
+    StealPolicy, WITNESS_ALPHA, WITNESS_BETA,
 };
 pub use placer::{steal_beneficial, Candidate, LocalityPolicy};
 pub use stats::{ClusterInner, ClusterStats, DeviceStats};

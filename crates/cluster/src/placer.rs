@@ -79,8 +79,7 @@ impl Candidate {
 /// better queues are full or sidelined. The exact placement scan walks
 /// this ranking, and the indexed path is tested against it.
 pub fn rank(mut candidates: Vec<Candidate>) -> Vec<Candidate> {
-    candidates
-        .sort_by(|a, b| a.score_us().total_cmp(&b.score_us()).then(a.device.cmp(&b.device)));
+    candidates.sort_by(|a, b| a.score_us().total_cmp(&b.score_us()).then(a.device.cmp(&b.device)));
     candidates
 }
 
@@ -182,7 +181,8 @@ mod tests {
         let slate = vec![cp(1, 0.0, 12.0, 0.0), cp(0, 0.0, 10.0, 2.0)];
         assert_eq!(best(&slate), Some(0));
         // And rank orders the spill by the same score.
-        let ranked = rank(vec![cp(0, 0.0, 10.0, 6.0), cp(1, 0.0, 12.0, 0.0), cp(2, 0.0, 11.0, 9.0)]);
+        let ranked =
+            rank(vec![cp(0, 0.0, 10.0, 6.0), cp(1, 0.0, 12.0, 0.0), cp(2, 0.0, 11.0, 9.0)]);
         let order: Vec<usize> = ranked.iter().map(|x| x.device).collect();
         assert_eq!(order, vec![1, 0, 2]);
     }
