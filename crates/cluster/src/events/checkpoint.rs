@@ -2,7 +2,6 @@
 //! boundary, and the halt-and-export / import migration pair.
 
 use super::execution::Running;
-use super::placement::OperandHome;
 use super::timeline::{Ev, SimTime, Timeline};
 use super::{EvDevice, EvJob, EventCluster, EventConfig, LoadGen, ReqOutcome};
 use crate::stats::ClusterInner;
@@ -13,15 +12,12 @@ use ctb_savestate::{savestate_struct, Reader, Savestate, SavestateError, Writer}
 use ctb_serve::{Breaker, BreakerPolicy, FaultInjector, FaultLog};
 use std::sync::Arc;
 
-/// One device's checkpoint record. Its session and breaker are live
-/// objects, rebuilt around these values on restore.
+/// One device's checkpoint record. Its breaker is a live object,
+/// rebuilt around these values on restore.
 pub(super) struct DeviceImage {
     /// Checked against the restore pool, device by device.
     arch: String,
     alive: bool,
-    /// Always `!alive`, since a dead device takes no jobs; part of the
-    /// v3 layout. Restore rejects an image where the two disagree.
-    pub(super) closed: bool,
     queue: Vec<EvJob>,
     running: Option<Running>,
     backlog_us: f64,
@@ -36,19 +32,14 @@ pub(super) struct DeviceImage {
     breaker_trips: usize,
     steal_pending: bool,
     probe_pending: bool,
-    /// Plan-cache accounting, pinned back after the restore replans
-    /// (replanning would otherwise count as misses).
-    cache: CacheStats,
-    plan_failures: usize,
-    /// v3: validated against the restore pool so a resumed run ranks
-    /// with the same locality penalties.
+    /// Validated against the restore pool so a resumed run ranks with
+    /// the same locality penalties.
     topology: ChipletTopology,
 }
 
 savestate_struct!(DeviceImage {
     arch,
     alive,
-    closed,
     queue,
     running,
     backlog_us,
@@ -62,17 +53,14 @@ savestate_struct!(DeviceImage {
     breaker_trips,
     steal_pending,
     probe_pending,
-    cache,
-    plan_failures,
     topology,
 });
 
 impl EvDevice {
-    pub(super) fn image(&self) -> DeviceImage {
+    pub(super) fn image(&self, arch: &ArchSpec) -> DeviceImage {
         DeviceImage {
-            arch: self.arch().name.to_string(),
+            arch: arch.name.to_string(),
             alive: self.alive,
-            closed: !self.alive,
             queue: self.queue.iter().cloned().collect(),
             running: self.running.clone(),
             backlog_us: self.backlog_us,
@@ -86,9 +74,7 @@ impl EvDevice {
             breaker_trips: self.breaker_trips,
             steal_pending: self.steal_pending,
             probe_pending: self.probe_pending,
-            cache: self.session.stats(),
-            plan_failures: self.session.plan_failures(),
-            topology: self.arch().topology,
+            topology: arch.topology,
         }
     }
 
@@ -108,8 +94,6 @@ impl EvDevice {
         self.breaker_trips = d.breaker_trips;
         self.steal_pending = d.steal_pending;
         self.probe_pending = d.probe_pending;
-        self.session.set_stats(d.cache);
-        self.session.set_plan_failures(d.plan_failures);
     }
 }
 
@@ -162,17 +146,17 @@ impl EventCluster {
         // -- devices (pool order), one image at a time
         w.len_prefix(self.devices.len());
         for d in &self.devices {
-            d.image().save(&mut w);
+            d.image(self.arch(d.id)).save(&mut w);
         }
+        // -- plan-cache accounting, one record per arch class in class
+        // order, pinned back after the restore replans (replanning
+        // would otherwise count as misses)
+        w.seq(&self.classes.iter().map(|c| c.session.stats()).collect::<Vec<_>>());
         // -- timeline (pending events + tie-break counter)
         self.timeline.save(&mut w);
-        // -- shared plans + simulation memo, then operand residency,
-        // sorted for byte-stable output
+        // -- shared plans + simulation memo, then operand residency
         self.share.save(&mut w);
-        let mut homes: Vec<(u64, OperandHome)> =
-            self.residency.iter().map(|(sig, home)| (*sig, *home)).collect();
-        homes.sort_unstable_by_key(|(sig, _)| *sig);
-        homes.save(&mut w);
+        self.save_residency(&mut w);
         // -- engine prediction cache
         self.save_predictions(&mut w);
         // -- recorded outcomes, cluster-wide counters + latency log
@@ -197,12 +181,12 @@ impl EventCluster {
     /// Restore order matters and is fixed: every device image is
     /// validated against the pool, the engine is built exactly as
     /// [`new`](Self::new) builds it, the shared memo loads, plans are
-    /// *replanned* through their fingerprint-matched sessions (every
-    /// candidate simulation hits the restored memo, so this is cheap
-    /// and bitwise-faithful), then the device images and cache counters
-    /// overwrite the fresh state and the replanning traffic, and the obs
-    /// log is overwritten last — discarding the plan spans replanning
-    /// just emitted.
+    /// *replanned* through the class sessions (every candidate
+    /// simulation hits the restored memo, so this is cheap and
+    /// bitwise-faithful), then the device images and the classes' cache
+    /// counters overwrite the fresh state and the replanning traffic,
+    /// and the obs log is overwritten last — discarding the plan spans
+    /// replanning just emitted.
     pub fn restore(
         pool: Vec<ArchSpec>,
         bytes: &[u8],
@@ -211,13 +195,15 @@ impl EventCluster {
         // v2 extended the embedded `PlanShare` image (shard layout,
         // capacity bound, admission gate); v3 added chiplet topology,
         // the locality ranking flag, operand residency and its
-        // counters. Either way an older checkpoint no longer describes
-        // a decodable engine. `import_jobs` still accepts older exports
-        // — the job layout is unchanged.
-        if version < 3 {
+        // counters; v4 moved plan-cache accounting from the devices to
+        // the arch classes and keys residency by shapes. Each time an
+        // older checkpoint stopped describing a decodable engine.
+        // `import_jobs` still accepts older exports — the job layout is
+        // unchanged.
+        if version < 4 {
             return Err(SavestateError::Mismatch(format!(
-                "cluster checkpoint format v{version} predates the chiplet-topology \
-                 and residency layout (v3); re-checkpoint with the current engine"
+                "cluster checkpoint format v{version} predates the per-class plan-cache \
+                 and shape-keyed residency layout (v4); re-checkpoint with the current engine"
             )));
         }
         // The cfg carries the share's shard/capacity/admission layout,
@@ -267,14 +253,9 @@ impl EventCluster {
                     d.topology, arch.topology
                 )));
             }
-            if d.closed == d.alive {
-                return Err(SavestateError::Corrupt(format!(
-                    "device {id}: alive {} with closed {}; only a dead device is closed",
-                    d.alive, d.closed
-                )));
-            }
             images.push(d);
         }
+        let cache = Vec::<CacheStats>::load(&mut r)?;
         let mut timeline = Timeline::load(&mut r)?;
         for ev in timeline.pending() {
             if let Ev::ExecDone { device }
@@ -310,11 +291,19 @@ impl EventCluster {
         }
         let faults = images.iter_mut().map(|d| d.fault.take()).collect();
         let mut eng = EventCluster::build(pool, cfg, faults, obs.clone(), clock);
-        {
-            let sessions: Vec<&Session> = eng.devices.iter().map(|d| &d.session).collect();
-            eng.share.restore_with_sessions(&mut r, &sessions)?;
+        if cache.len() != eng.classes.len() {
+            return Err(SavestateError::Corrupt(format!(
+                "checkpoint holds plan-cache counters for {} arch classes, the pool has {}",
+                cache.len(),
+                eng.classes.len()
+            )));
         }
-        eng.residency = Vec::<(u64, OperandHome)>::load(&mut r)?.into_iter().collect();
+        let sessions: Vec<&Session> = eng.classes.iter().map(|c| &c.session).collect();
+        eng.share.restore_with_sessions(&mut r, &sessions)?;
+        for (class, stats) in eng.classes.iter().zip(cache) {
+            class.session.set_stats(stats);
+        }
+        eng.load_residency(&mut r)?;
         // Signature ids are engine-local and never written: every job the
         // blob held is interned again here.
         for d in &mut images {

@@ -137,14 +137,13 @@ impl EventCluster {
         if let Some(us) = self.cell(job.sig, class).actual_us {
             return us;
         }
-        let rep = self.classes[class][0];
-        let name = self.devices[rep].arch().name;
-        let plan = self.devices[rep]
-            .session
+        let session = &self.classes[class].session;
+        let plan = session
             .plan(&job.shapes)
             .expect("ground-truth timing is only charged for placed jobs, whose plan is warm");
+        let nominal = session.framework().arch();
         let truth = self.ground_truth.as_ref().expect("checked by charged_us");
-        let spec = truth.spec(name).unwrap_or_else(|| self.devices[rep].arch());
+        let spec = truth.spec(nominal.name).unwrap_or(nominal);
         let us =
             ctb_sim::simulate(spec, &ctb_sim::LaunchSequence::Single(plan.kernel.clone())).total_us;
         self.cell(job.sig, class).actual_us = Some(us);
@@ -165,7 +164,7 @@ impl EventCluster {
             self.run_witness(&job, |eng, batch| {
                 // Plan first (warm cache), then the Exec span, so the
                 // trace shows planning ahead of execution.
-                let session = &eng.devices[device].session;
+                let session = &eng.classes[eng.class_of[device]].session;
                 let plan = session
                     .plan(&batch.shapes)
                     .expect("witness plan is warm: placement already planned this signature");
@@ -182,11 +181,12 @@ impl EventCluster {
         let executed_us =
             if self.ground_truth.is_some() { self.actual_us(device, &job) } else { model_time };
         let model_us = self.cell(job.sig, self.class_of[device]).model_us;
+        let arch = self.arch(device).name;
         if let Some(log) = &mut self.decisions {
             log.push(PlacementDecision {
                 id: job.id,
                 device,
-                arch: self.devices[device].arch().name,
+                arch,
                 shapes: Arc::clone(&job.shapes),
                 model_us: model_us.unwrap_or(job.predicted_us),
                 predicted_us: job.predicted_us,
@@ -333,7 +333,7 @@ impl EventCluster {
         }
         if job.witness {
             self.run_witness(&job, |eng, batch| {
-                (ctb_baselines::default_functional(eng.devices[donor].arch(), batch), ())
+                (ctb_baselines::default_functional(eng.arch(donor), batch), ())
             });
         }
         drop(guard);

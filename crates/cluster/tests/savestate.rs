@@ -18,19 +18,21 @@
 //! save → load → save byte-identically at every crash point.
 //!
 //! The suite also pins the golden on-disk fixture
-//! (`tests/fixtures/savestate_v3.bin`) for format-version discipline —
+//! (`tests/fixtures/savestate_v4.bin`) for format-version discipline —
 //! since v2 the embedded `PlanShare` image carries the shard layout,
 //! the optional capacity bound and the Bloom admission gate, and one
 //! crash-swept schedule runs with a `SeenTwice` gate over a bounded
 //! sharded cache so the gate's tag slots and the shard maps round-trip
 //! under fire; since v3 the blob additionally carries each device's
-//! chiplet topology, the locality-ranking flag, the operand-residency
-//! map and the residency counters, and one crash-swept schedule runs
+//! chiplet topology, the locality-ranking flag, operand residency and
+//! the residency counters, and one crash-swept schedule runs
 //! locality-aware placement over a multi-chiplet pool so all of it
-//! replays under fire. The suite further exercises queue migration
-//! between two engine instances (`halt_and_export` → `import_jobs`,
-//! zero drops) and round-trips randomized mid-run states under
-//! proptest.
+//! replays under fire; since v4 it holds the plan-cache counters once
+//! per arch class and residency as `(shapes, device)` records. The v3
+//! fixture stays committed as the input of a typed-rejection test. The
+//! suite further exercises queue migration between two engine
+//! instances (`halt_and_export` → `import_jobs`, zero drops) and
+//! round-trips randomized mid-run states under proptest.
 
 use ctb_cluster::{EventCluster, EventConfig, ReqOutcome, SimTime, StealPolicy};
 use ctb_core::{AdmissionPolicy, PlanShareConfig};
@@ -188,8 +190,8 @@ fn bloom_gated_bounded_cache() -> Schedule {
 
 /// The v3 coverage schedule: locality-aware placement over a
 /// multi-chiplet pool (B200 2-die, H100, MCM-GPU 4-die) with stealing
-/// under a light panic storm. Mid-run checkpoints embed a populated
-/// operand-residency map, non-zero residency counters and per-device
+/// under a light panic storm. Mid-run checkpoints embed signature
+/// holders, non-zero residency counters and per-device
 /// chiplet topologies, and the crash sweep proves the resumed engine
 /// re-ranks with the identical locality penalties.
 fn locality_on_chiplet_pool() -> Schedule {
@@ -332,7 +334,7 @@ fn crash_restore_fault_free() {
 }
 
 /// Chiplet topology + residency under fire: every crash point must
-/// round-trip the residency map, its counters and the per-device
+/// round-trip the signature holders, their counters and the per-device
 /// topologies byte-identically, and the resumed run's locality-aware
 /// placements must match the uninterrupted run's exactly.
 #[test]
@@ -454,8 +456,9 @@ fn halted_device_queue_migrates_to_peer_engine_with_zero_drops() {
 
 // -- golden fixture + format-version discipline -----------------------------
 
-fn fixture_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/savestate_v3.bin")
+fn fixture_path(version: u32) -> std::path::PathBuf {
+    let name = format!("tests/fixtures/savestate_v{version}.bin");
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(name)
 }
 
 /// The fixture's construction: the exec-panic storm checkpointed 40
@@ -473,7 +476,7 @@ fn fixture_bytes() -> Vec<u8> {
 #[test]
 fn golden_fixture_matches_current_format_and_resumes() {
     let bytes = fixture_bytes();
-    let path = fixture_path();
+    let path = fixture_path(FORMAT_VERSION);
     if std::env::var("CTB_WRITE_FIXTURE").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &bytes).unwrap();
@@ -541,6 +544,38 @@ fn v2_checkpoint_is_rejected_with_typed_mismatch() {
     if let Err(SavestateError::Mismatch(msg)) = EventCluster::restore(pool(), &bytes) {
         assert!(msg.contains("v2"), "message should name the stale version: {msg}");
     }
+}
+
+/// The committed v3 fixture, written before plan-cache counters moved
+/// to the arch classes and residency to the signatures, is refused with
+/// a typed [`SavestateError::Mismatch`] that names v3.
+#[test]
+fn v3_checkpoint_is_rejected_with_typed_mismatch() {
+    let v3 = std::fs::read(fixture_path(3)).expect("the v3 fixture is committed");
+    match EventCluster::restore(pool(), &v3) {
+        Err(SavestateError::Mismatch(msg)) => assert!(msg.contains("v3"), "{msg}"),
+        Err(e) => panic!("expected Mismatch, got {e:?}"),
+        Ok(_) => panic!("the v3 fixture restored successfully"),
+    }
+}
+
+/// The job layout has not changed since v1, so `import_jobs` reads a
+/// job export stamped with an older version as it reads a current one.
+#[test]
+fn import_jobs_reads_a_v3_job_export() {
+    let mut source = EventCluster::new(pool(), EventConfig::default());
+    let shapes: Arc<[GemmShape]> = [GemmShape::new(64, 64, 320); 2].into();
+    for i in 0..6 {
+        source.submit_at(SimTime::ZERO, shapes.clone(), i);
+    }
+    source.run_steps(12);
+    let mut export = source.halt_and_export(0);
+    export[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&3u32.to_le_bytes());
+    let mut target = EventCluster::new(pool(), EventConfig::default());
+    let imported = target.import_jobs(&export).expect("a v3 job export imports");
+    assert!(imported > 0, "device 0 held no queued jobs to export");
+    let report = target.run();
+    assert_eq!((report.requests, report.stats.completed), (imported, imported));
 }
 
 /// Truncation anywhere in the blob is a typed `Corrupt`, not a panic:

@@ -13,6 +13,7 @@ use crate::memo::SimMemo;
 use ctb_batching::{tiles_for, BatchingHeuristic};
 use ctb_gpu_specs::{ArchSpec, Thresholds};
 use ctb_matrix::GemmShape;
+use ctb_tiling::select::available;
 use ctb_tiling::strategy::{batched, StrategyKind, ThreadCount};
 use ctb_tiling::{model, select_tiling, TilingSolution};
 use rayon::prelude::*;
@@ -31,18 +32,6 @@ pub struct AutotuneResult {
     pub sim_calls: usize,
     /// Candidate evaluations answered from the simulation memo.
     pub memo_hits: usize,
-}
-
-fn available_for(shape: &GemmShape, tc: ThreadCount) -> Vec<ctb_tiling::TilingStrategy> {
-    let mut v: Vec<_> = StrategyKind::ALL
-        .iter()
-        .map(|&k| batched(k, tc))
-        .filter(|st| st.fits(shape.m, shape.n))
-        .collect();
-    if v.is_empty() {
-        v.push(batched(StrategyKind::Small, tc));
-    }
-    v
 }
 
 /// Exhaustively search tile strategies (uniform passes + coordinate
@@ -82,7 +71,7 @@ pub fn autotune(arch: &ArchSpec, shapes: &[GemmShape], thresholds: &Thresholds) 
             let per_gemm: Vec<_> = shapes
                 .iter()
                 .map(|s| {
-                    let avail = available_for(s, tc);
+                    let avail = available(s, tc);
                     let target = batched(kind, tc);
                     avail.iter().rev().find(|st| st.kind <= target.kind).copied().unwrap_or(avail[0])
                 })
@@ -110,7 +99,7 @@ pub fn autotune(arch: &ArchSpec, shapes: &[GemmShape], thresholds: &Thresholds) 
     while improved {
         improved = false;
         for g in 0..shapes.len() {
-            let trials: Vec<TilingSolution> = available_for(&shapes[g], sol.thread_count)
+            let trials: Vec<TilingSolution> = available(&shapes[g], sol.thread_count)
                 .into_iter()
                 .filter(|cand| *cand != sol.per_gemm[g])
                 .map(|cand| {

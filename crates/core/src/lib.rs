@@ -39,6 +39,6 @@ pub use memo::SimMemo;
 pub use lowering::{lower_plan, tile_pass};
 pub use selector::OnlineSelector;
 pub use admission::{AdmissionPolicy, AdmissionStats, BloomGate};
-pub use session::{operand_bytes, shape_sig_hash, CacheStats, PlanShare, PlanShareConfig, Session};
+pub use session::{operand_bytes, CacheStats, PlanShare, PlanShareConfig, Session};
 pub use dynamic::{plan_dynamic, simulate_dynamic};
 pub use splitk::{plan_splitk, run_splitk};

@@ -113,18 +113,6 @@ impl ChipletTopology {
         self.local_bandwidth_gbps + self.remote_bandwidth_gbps
     }
 
-    /// The chiplet a shape signature's operands call home on this
-    /// topology — the tile-to-chiplet affinity function. Deterministic
-    /// in the signature hash, so every engine (and every restored
-    /// engine) agrees on it.
-    pub fn home_chiplet(&self, sig_hash: u64) -> u32 {
-        if self.chiplets <= 1 {
-            0
-        } else {
-            (sig_hash % u64::from(self.chiplets)) as u32
-        }
-    }
-
     /// The fraction of an operand footprint that crosses the interposer
     /// when the operands are *not* already resident on this device:
     /// striped HBM leaves `1/chiplets` of the footprint local to the
@@ -760,7 +748,6 @@ mod tests {
             assert_eq!(a.topology.remote_bandwidth_gbps, 0.0);
             assert_eq!(a.topology.interposer_latency_us, 0.0);
             assert_eq!(a.topology.remote_fraction(), 0.0);
-            assert_eq!(a.topology.home_chiplet(u64::MAX), 0);
         }
     }
 
@@ -772,12 +759,6 @@ mod tests {
             assert!(a.topology.remote_bandwidth_gbps > 0.0);
             assert!(a.topology.interposer_latency_us > 0.0);
             assert!(a.topology.remote_fraction() > 0.0 && a.topology.remote_fraction() < 1.0);
-            // Affinity is deterministic and lands on a real chiplet.
-            for sig in [0u64, 1, 7, u64::MAX] {
-                let home = a.topology.home_chiplet(sig);
-                assert!(home < a.topology.chiplets);
-                assert_eq!(home, a.topology.home_chiplet(sig));
-            }
         }
     }
 

@@ -45,10 +45,13 @@ pub const MAGIC: [u8; 4] = *b"CTBS";
 /// the embedded `PlanShare` image with the shard layout, the optional
 /// per-shard capacity bound and the Bloom admission gate; v3 added
 /// per-device chiplet topology, the locality-ranking flag, the operand
-/// residency map and its counters. Each extension changed the layout
-/// in place, so older blobs no longer decode (the cluster restore
-/// rejects them with a typed [`SavestateError::Mismatch`]).
-pub const FORMAT_VERSION: u32 = 3;
+/// residency map and its counters; v4 writes the plan-cache counters
+/// once per arch class instead of per device, drops each device's
+/// failed-planning count and `closed` flag, and writes residency as
+/// `(shapes, device)` records. Each extension changed the layout in
+/// place, so older blobs no longer decode (the cluster restore rejects
+/// them with a typed [`SavestateError::Mismatch`]).
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Cap on speculative pre-allocation while decoding length-prefixed
 /// containers. Real lengths above this are still decoded — the vector

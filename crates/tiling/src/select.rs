@@ -33,7 +33,7 @@ pub struct TilingSolution {
 /// thread-count version) whose tile fits the GEMM, smallest first.
 /// Falls back to `small` when nothing fits (e.g. `M < 16`), so every
 /// GEMM always has at least one strategy.
-fn available(shape: &GemmShape, tc: ThreadCount) -> Vec<TilingStrategy> {
+pub fn available(shape: &GemmShape, tc: ThreadCount) -> Vec<TilingStrategy> {
     let mut q: Vec<TilingStrategy> = StrategyKind::ALL
         .iter()
         .map(|&k| batched(k, tc))
@@ -45,7 +45,9 @@ fn available(shape: &GemmShape, tc: ThreadCount) -> Vec<TilingStrategy> {
     q
 }
 
-/// Run one pass of steps 2–3 for a fixed thread-count version.
+/// Run one pass of steps 2–3 for a fixed thread-count version, handing
+/// `round` every candidate solution: its strategies, its aggregate TLP
+/// and whether it was accepted.
 ///
 /// Returns `Ok(solution)` once TLP drops to (or below) the threshold, or
 /// `Err(solution_at_exhaustion)` when every queue is down to one entry
@@ -54,17 +56,18 @@ fn select_pass(
     shapes: &[GemmShape],
     tc: ThreadCount,
     threshold: u64,
+    round: &mut impl FnMut(ThreadCount, &[TilingStrategy], u64, bool),
 ) -> Result<TilingSolution, TilingSolution> {
     let queues: Vec<Vec<TilingStrategy>> = shapes.iter().map(|s| available(s, tc)).collect();
     // Index of the current strategy within each queue; step 2's first
     // "pop" yields the front element.
     let mut idx = vec![0usize; shapes.len()];
-
+    let mut current: Vec<TilingStrategy> = queues.iter().map(|q| q[0]).collect();
     loop {
-        let current: Vec<TilingStrategy> =
-            queues.iter().zip(&idx).map(|(q, &i)| q[i]).collect();
         let current_tlp = tlp(shapes, &current);
-        if current_tlp <= threshold {
+        let accepted = current_tlp <= threshold;
+        round(tc, &current, current_tlp, accepted);
+        if accepted {
             return Ok(TilingSolution { thread_count: tc, per_gemm: current, tlp: current_tlp });
         }
         // Step 3: TLP is above the threshold — advance every queue that
@@ -73,6 +76,7 @@ fn select_pass(
         for (i, q) in queues.iter().enumerate() {
             if idx[i] + 1 < q.len() {
                 idx[i] += 1;
+                current[i] = q[idx[i]];
                 advanced = true;
             }
         }
@@ -107,13 +111,24 @@ fn select_pass(
 /// exhausts, the largest 128-thread solution is returned — the GEMMs are
 /// big enough that ILP is the only thing left to optimise.
 pub fn select_tiling(shapes: &[GemmShape], thresholds: &Thresholds) -> TilingSolution {
+    select_tiling_with(shapes, thresholds, &mut |_, _, _, _| {})
+}
+
+/// [`select_tiling`], handing `round` every candidate of the walk in
+/// order: its thread-count version, strategies, aggregate TLP and
+/// whether it was accepted.
+pub(crate) fn select_tiling_with(
+    shapes: &[GemmShape],
+    thresholds: &Thresholds,
+    round: &mut impl FnMut(ThreadCount, &[TilingStrategy], u64, bool),
+) -> TilingSolution {
     assert!(!shapes.is_empty(), "empty batch");
-    match select_pass(shapes, ThreadCount::T256, thresholds.tlp_threshold) {
+    let threshold = thresholds.tlp_threshold;
+    match select_pass(shapes, ThreadCount::T256, threshold, round) {
         Ok(sol) => sol,
-        Err(_) => match select_pass(shapes, ThreadCount::T128, thresholds.tlp_threshold) {
-            Ok(sol) => sol,
-            Err(sol) => sol,
-        },
+        Err(_) => {
+            select_pass(shapes, ThreadCount::T128, threshold, round).unwrap_or_else(|sol| sol)
+        }
     }
 }
 

@@ -3,9 +3,8 @@
 //! of the TLP walk so tools (and tests) can explain *why* a strategy was
 //! chosen. The paper's worked example is literally one of these traces.
 
-use crate::model::tlp;
-use crate::select::TilingSolution;
-use crate::strategy::{batched, StrategyKind, ThreadCount, TilingStrategy};
+use crate::select::{select_tiling_with, TilingSolution};
+use crate::strategy::{StrategyKind, ThreadCount};
 use ctb_gpu_specs::Thresholds;
 use ctb_matrix::GemmShape;
 
@@ -60,68 +59,18 @@ impl SelectionTrace {
     }
 }
 
-fn available(shape: &GemmShape, tc: ThreadCount) -> Vec<TilingStrategy> {
-    let mut q: Vec<TilingStrategy> = StrategyKind::ALL
-        .iter()
-        .map(|&k| batched(k, tc))
-        .filter(|st| st.fits(shape.m, shape.n))
-        .collect();
-    if q.is_empty() {
-        q.push(batched(StrategyKind::Small, tc));
-    }
-    q
-}
-
-fn traced_pass(
-    shapes: &[GemmShape],
-    tc: ThreadCount,
-    threshold: u64,
-    rounds: &mut Vec<TraceRound>,
-) -> Option<TilingSolution> {
-    let queues: Vec<Vec<TilingStrategy>> = shapes.iter().map(|s| available(s, tc)).collect();
-    let mut idx = vec![0usize; shapes.len()];
-    loop {
-        let current: Vec<TilingStrategy> = queues.iter().zip(&idx).map(|(q, &i)| q[i]).collect();
-        let current_tlp = tlp(shapes, &current);
-        let accepted = current_tlp <= threshold;
-        rounds.push(TraceRound {
-            thread_count: tc,
-            kinds: current.iter().map(|s| s.kind).collect(),
-            tlp: current_tlp,
-            accepted,
-        });
-        if accepted {
-            return Some(TilingSolution { thread_count: tc, per_gemm: current, tlp: current_tlp });
-        }
-        let mut advanced = false;
-        for (i, q) in queues.iter().enumerate() {
-            if idx[i] + 1 < q.len() {
-                idx[i] += 1;
-                advanced = true;
-            }
-        }
-        if !advanced {
-            return None;
-        }
-    }
-}
-
 /// Run the §4.2.3 selection while recording the full walk. The returned
-/// solution is identical to [`crate::select::select_tiling`]'s.
+/// solution is [`crate::select::select_tiling`]'s: both run the same
+/// pass.
 pub fn select_tiling_traced(
     shapes: &[GemmShape],
     thresholds: &Thresholds,
 ) -> (TilingSolution, SelectionTrace) {
-    assert!(!shapes.is_empty(), "empty batch");
     let mut rounds = Vec::new();
-    let solution = traced_pass(shapes, ThreadCount::T256, thresholds.tlp_threshold, &mut rounds)
-        .or_else(|| traced_pass(shapes, ThreadCount::T128, thresholds.tlp_threshold, &mut rounds))
-        .unwrap_or_else(|| {
-            // Both versions exhausted: keep the last 128-thread round.
-            let last = rounds.last().expect("at least one round");
-            let per_gemm: Vec<TilingStrategy> =
-                last.kinds.iter().map(|&k| batched(k, ThreadCount::T128)).collect();
-            TilingSolution { thread_count: ThreadCount::T128, per_gemm, tlp: last.tlp }
+    let solution =
+        select_tiling_with(shapes, thresholds, &mut |thread_count, current, tlp, accepted| {
+            let kinds = current.iter().map(|s| s.kind).collect();
+            rounds.push(TraceRound { thread_count, kinds, tlp, accepted });
         });
     let chosen = rounds.len() - 1;
     let trace = SelectionTrace { threshold: thresholds.tlp_threshold, rounds, chosen };
