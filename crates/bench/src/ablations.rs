@@ -103,24 +103,28 @@ pub fn ablate_tiling_adaptivity(arch: &ArchSpec) -> Vec<AblationPoint> {
 pub fn ablate_tlp_threshold(arch: &ArchSpec) -> Vec<AblationPoint> {
     let base = Thresholds::for_arch(arch);
     let workloads = ablation_workloads(42);
-    [base.tlp_threshold / 4, base.tlp_threshold / 2, base.tlp_threshold, base.tlp_threshold * 2, base.tlp_threshold * 4]
-        .into_iter()
-        .map(|t| {
-            let fw = Framework::with_config(
-                arch.clone(),
-                FrameworkConfig {
-                    thresholds: Some(Thresholds { tlp_threshold: t, theta: base.theta }),
-                    ..FrameworkConfig::default()
-                },
-            );
-            AblationPoint {
-                label: format!("TLP threshold {t}"),
-                mean_us: mean_time(&workloads, |s| {
-                    fw.plan(s).expect("plannable").predicted_us
-                }),
-            }
-        })
-        .collect()
+    [
+        base.tlp_threshold / 4,
+        base.tlp_threshold / 2,
+        base.tlp_threshold,
+        base.tlp_threshold * 2,
+        base.tlp_threshold * 4,
+    ]
+    .into_iter()
+    .map(|t| {
+        let fw = Framework::with_config(
+            arch.clone(),
+            FrameworkConfig {
+                thresholds: Some(Thresholds { tlp_threshold: t, theta: base.theta }),
+                ..FrameworkConfig::default()
+            },
+        );
+        AblationPoint {
+            label: format!("TLP threshold {t}"),
+            mean_us: mean_time(&workloads, |s| fw.plan(s).expect("plannable").predicted_us),
+        }
+    })
+    .collect()
 }
 
 /// Ablation 3: θ sensitivity on a small-K workload (where the batching
@@ -128,9 +132,8 @@ pub fn ablate_tlp_threshold(arch: &ArchSpec) -> Vec<AblationPoint> {
 pub fn ablate_theta(arch: &ArchSpec) -> Vec<AblationPoint> {
     let base = Thresholds::for_arch(arch);
     // Small-K, many tiles: the regime θ governs.
-    let workloads: Vec<Vec<GemmShape>> = (0..6)
-        .map(|i| gen::uniform_case(16 + 4 * i, 192, 192, 16 << (i % 3)))
-        .collect();
+    let workloads: Vec<Vec<GemmShape>> =
+        (0..6).map(|i| gen::uniform_case(16 + 4 * i, 192, 192, 16 << (i % 3))).collect();
     [64u32, 128, 256, 512, 1024]
         .into_iter()
         .map(|theta| {
@@ -161,8 +164,12 @@ pub fn ablate_cross_tile_prefetch(arch: &ArchSpec) -> Vec<AblationPoint> {
         mean_time(&workloads, |s| {
             let sol = select_tiling(s, &th);
             let tiles = tiles_for(s, &sol);
-            let plan =
-                assign_blocks(&tiles, BatchingHeuristic::Threshold, &th, sol.thread_count.threads());
+            let plan = assign_blocks(
+                &tiles,
+                BatchingHeuristic::Threshold,
+                &th,
+                sol.thread_count.threads(),
+            );
             let mut kd = lower_plan("prefetch", &plan, s);
             if per_tile {
                 kd = kd.without_cross_tile_prefetch();
@@ -292,10 +299,7 @@ mod tests {
     fn dynamic_queue_is_competitive_on_heterogeneous_k() {
         let pts = ablate_dynamic_queue(&v100());
         let (static_best, dynamic) = (pts[0].mean_us, pts[1].mean_us);
-        assert!(
-            dynamic <= static_best * 1.1,
-            "dynamic {dynamic} vs static {static_best}"
-        );
+        assert!(dynamic <= static_best * 1.1, "dynamic {dynamic} vs static {static_best}");
     }
 
     #[test]

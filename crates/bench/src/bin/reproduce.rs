@@ -17,8 +17,8 @@
 //! or drops a key path fails the run.
 
 use ctb_bench::figures::{fig11_portability, fig8_grid, fig9_grid, mean_speedup, CellResult};
-use ctb_bench::{ablations, calibrate, fans, googlenet_exp, motivation, tables, write_csv};
 use ctb_bench::Json;
+use ctb_bench::{ablations, calibrate, fans, googlenet_exp, motivation, tables, write_csv};
 use ctb_gpu_specs::{ArchSpec, Thresholds};
 use std::str::FromStr;
 
@@ -202,7 +202,10 @@ fn run_calibrate_loop(args: &[String]) {
     println!(
         "   record: {} decisions over {} devices (drift seed {}) | mean placement err {:.3} us | \
          {} witness mismatches",
-        r.record.decisions, r.cfg.devices, r.cfg.drift_seed, r.record.mean_abs_err_us,
+        r.record.decisions,
+        r.cfg.devices,
+        r.cfg.drift_seed,
+        r.record.mean_abs_err_us,
         r.record.witness_mismatches
     );
     println!(
@@ -315,7 +318,10 @@ fn run_perf(arch: &ArchSpec) {
     let packed = entries.iter().find(|e| e.workload.starts_with("execute_plan_packed"));
     let unpacked = entries.iter().find(|e| e.workload.starts_with("execute_plan_unpacked"));
     if let (Some(p), Some(u)) = (packed, unpacked) {
-        println!("   packed executor speedup over unpacked baseline: {:.2}x", u.wall_ms / p.wall_ms);
+        println!(
+            "   packed executor speedup over unpacked baseline: {:.2}x",
+            u.wall_ms / p.wall_ms
+        );
     }
     publish("executor", &perf::report_json(arch, &entries), false);
 }
@@ -324,10 +330,7 @@ fn run_serve(arch: &ArchSpec) {
     use ctb_bench::serve_bench;
     println!("== serve harness: 4-producer closed loop through ctb-serve ({}) ==", arch.name);
     let r = serve_bench::run_serve_bench(arch, 4, 50);
-    println!(
-        "   {} requests in {:.1} ms -> {:.0} req/s",
-        r.requests, r.wall_ms, r.throughput_rps
-    );
+    println!("   {} requests in {:.1} ms -> {:.0} req/s", r.requests, r.wall_ms, r.throughput_rps);
     println!(
         "   {} batches (mean batch size {:.2}) | plan-cache hit rate {:.1}% | \
          sim-memo hit rate {:.1}%",
@@ -342,10 +345,7 @@ fn run_serve(arch: &ArchSpec) {
 
 fn run_chaos(arch: &ArchSpec) {
     use ctb_bench::chaos_bench;
-    println!(
-        "== chaos harness: fault-rate sweep over the resilience layer ({}) ==",
-        arch.name
-    );
+    println!("== chaos harness: fault-rate sweep over the resilience layer ({}) ==", arch.name);
     let points = chaos_bench::run_chaos_sweep(arch, 4, 50);
     for p in &points {
         println!(
@@ -612,13 +612,11 @@ fn run_grid(arch: &ArchSpec, which: u8) {
     );
     let rows: Vec<String> = cells
         .iter()
-        .map(|c| format!("{},{},{},{},{},{}", c.batch, c.mn, c.k, c.magma_us, c.ours_us, c.speedup()))
+        .map(|c| {
+            format!("{},{},{},{},{},{}", c.batch, c.mn, c.k, c.magma_us, c.ours_us, c.speedup())
+        })
         .collect();
-    let path = write_csv(
-        &format!("fig{which}"),
-        "batch,mn,k,magma_us,ours_us,speedup",
-        &rows,
-    );
+    let path = write_csv(&format!("fig{which}"), "batch,mn,k,magma_us,ours_us,speedup", &rows);
     println!("(csv: {})\n", path.display());
 }
 
@@ -698,11 +696,8 @@ fn run_fig11() {
     let results = fig11_portability(100, 2024);
     let mut csv = Vec::new();
     for r in &results {
-        let paper_x = paper
-            .iter()
-            .find(|(n, _)| *n == r.arch_name)
-            .map(|(_, x)| *x)
-            .unwrap_or(f64::NAN);
+        let paper_x =
+            paper.iter().find(|(n, _)| *n == r.arch_name).map(|(_, x)| *x).unwrap_or(f64::NAN);
         println!("{:>12}: {:.2}x  (paper: {paper_x:.2}x)", r.arch_name, r.mean_speedup);
         csv.push(format!("{},{},{}", r.arch_name, r.mean_speedup, paper_x));
     }
@@ -745,7 +740,12 @@ fn run_ablations(arch: &ArchSpec) {
         println!("-- {suite}");
         let best = points.iter().map(|p| p.mean_us).fold(f64::INFINITY, f64::min);
         for p in points {
-            println!("   {:<28} {:>9.1} us  ({:+.1}% vs best)", p.label, p.mean_us, 100.0 * (p.mean_us / best - 1.0));
+            println!(
+                "   {:<28} {:>9.1} us  ({:+.1}% vs best)",
+                p.label,
+                p.mean_us,
+                100.0 * (p.mean_us / best - 1.0)
+            );
             csv.push(format!("{suite},{},{}", p.label, p.mean_us));
         }
     }

@@ -168,8 +168,8 @@ fn engine_config(cfg: &CalibBenchConfig) -> EventConfig {
 }
 
 fn arm_from(report: &EngineReport) -> CalibArm {
-    let ds = TraceDataset::from_recording(report, None)
-        .expect("recorded arm always yields decisions");
+    let ds =
+        TraceDataset::from_recording(report, None).expect("recorded arm always yields decisions");
     CalibArm {
         decisions: ds.decisions.len(),
         mean_abs_err_us: ds.mean_abs_err_us(),
@@ -201,9 +201,8 @@ fn run_arm(
     }
     cluster.load(calib_load(cfg));
     let report = cluster.run();
-    let counts = obs.map(|o| {
-        TraceAudit::new(o.events()).check().expect("calibration trace audits clean")
-    });
+    let counts =
+        obs.map(|o| TraceAudit::new(o.events()).check().expect("calibration trace audits clean"));
     (report, counts)
 }
 
@@ -211,8 +210,8 @@ fn run_arm(
 pub fn run_calib_bench(cfg: &CalibBenchConfig) -> CalibBenchReport {
     // 1. Record under the pristine model, instrumented.
     let (recording, counts) = run_arm(cfg, None, true);
-    let dataset = TraceDataset::from_recording(&recording, counts.as_ref())
-        .expect("recording ingests");
+    let dataset =
+        TraceDataset::from_recording(&recording, counts.as_ref()).expect("recording ingests");
 
     // 2. Fit corrections and retrain the selector from the trace.
     let fit = fit_decisions(&dataset.decisions);
@@ -220,7 +219,8 @@ pub fn run_calib_bench(cfg: &CalibBenchConfig) -> CalibBenchReport {
     let thresholds = Thresholds::for_arch(&arch);
     let baseline = OnlineSelector::pretrained_v100();
     let corrections = fit.correction_set();
-    let retrained = retrain_selector(&arch, &thresholds, &dataset.decisions, &corrections, &baseline);
+    let retrained =
+        retrain_selector(&arch, &thresholds, &dataset.decisions, &corrections, &baseline);
     let forest_before = forest_shape(baseline.forest());
     let (selector_forest, forest_after, retrain_accepted, signatures, label_flips, regret) =
         match &retrained {
@@ -260,11 +260,8 @@ pub fn run_calib_bench(cfg: &CalibBenchConfig) -> CalibBenchReport {
     swap.run_steps(cfg.requests as u64 / 2);
     let swap_version = profile.install(swap.share().calib());
     let swap_report = swap.run();
-    let swap_completed = swap_report
-        .outcomes
-        .iter()
-        .filter(|o| matches!(o, ReqOutcome::Done { .. }))
-        .count();
+    let swap_completed =
+        swap_report.outcomes.iter().filter(|o| matches!(o, ReqOutcome::Done { .. })).count();
 
     CalibBenchReport {
         cfg: cfg.clone(),

@@ -33,11 +33,8 @@ pub fn calibration_sweep(arch: &ArchSpec) -> Vec<CalibrationPoint> {
         .iter()
         .map(|&kind| {
             let st = batched(kind, ThreadCount::T256);
-            let solution = TilingSolution {
-                thread_count: ThreadCount::T256,
-                per_gemm: vec![st],
-                tlp: 0,
-            };
+            let solution =
+                TilingSolution { thread_count: ThreadCount::T256, per_gemm: vec![st], tlp: 0 };
             let tiles = tiles_for(&[shape], &solution);
             let tlp = tiles.len() as u64 * 256;
             let plan = assign_blocks(

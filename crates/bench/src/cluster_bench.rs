@@ -125,9 +125,7 @@ fn workload(batches: usize, seed: u64) -> Vec<Work> {
         &[GemmShape::new(64, 64, 320); 2],
         &[GemmShape::new(24, 24, 96); 6],
     ];
-    (0..batches)
-        .map(|i| (mix[i % mix.len()].into(), seed.wrapping_add(i as u64)))
-        .collect()
+    (0..batches).map(|i| (mix[i % mix.len()].into(), seed.wrapping_add(i as u64))).collect()
 }
 
 /// Knobs of the tracked harness, every one surfaced as a `reproduce
@@ -175,10 +173,7 @@ impl ClusterBenchConfig {
 }
 
 fn workload_flops(work: &[Work]) -> f64 {
-    work.iter()
-        .flat_map(|(shapes, _)| shapes.iter())
-        .map(|s| s.flops() as f64)
-        .sum()
+    work.iter().flat_map(|(shapes, _)| shapes.iter()).map(|s| s.flops() as f64).sum()
 }
 
 /// Drive `work` through `pool` as one burst arriving at t = 0 — queues
@@ -259,16 +254,12 @@ fn event_sweep_config(requests: usize) -> EventConfig {
 /// rate scales with pool size so every pool runs loaded rather than
 /// trickle-fed.
 pub fn run_event_scale_point(devices: usize, requests: usize, seed: u64) -> EventScalePoint {
-    let mut eng =
-        EventCluster::new(ArchSpec::pool_presets(devices), event_sweep_config(requests));
+    let mut eng = EventCluster::new(ArchSpec::pool_presets(devices), event_sweep_config(requests));
     let mean_interarrival_ns = (20_000.0 / devices as f64).max(1.0);
     eng.load(LoadGen::table2(seed, mean_interarrival_ns, requests));
     let report = eng.run();
     assert_eq!(report.requests, requests, "open loop must deliver every request");
-    assert_eq!(
-        report.stats.completed, requests,
-        "a fault-free sweep point completes everything"
-    );
+    assert_eq!(report.stats.completed, requests, "a fault-free sweep point completes everything");
     assert_eq!(report.witness_mismatches, 0, "sampled witnesses must stay bitwise-exact");
     EventScalePoint {
         devices,

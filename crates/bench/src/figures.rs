@@ -91,10 +91,7 @@ pub struct PortabilityResult {
 /// Fig 11: run `cases` random batched-GEMM cases on every non-V100
 /// preset (the paper's Maxwell/Pascal portability experiment).
 pub fn fig11_portability(cases: usize, seed: u64) -> Vec<PortabilityResult> {
-    ArchSpec::fig11_presets()
-        .into_iter()
-        .map(|arch| portability_for(&arch, cases, seed))
-        .collect()
+    ArchSpec::fig11_presets().into_iter().map(|arch| portability_for(&arch, cases, seed)).collect()
 }
 
 /// The Fig 11 measurement for one device. Cases are drawn serially

@@ -45,9 +45,7 @@ pub fn experiments_dir() -> PathBuf {
 /// Absolute path of the tracked `BENCH_<name>.json` report at the repo
 /// root, independent of the working directory the binary runs from.
 pub fn bench_json_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(format!("BENCH_{name}.json"))
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(format!("BENCH_{name}.json"))
 }
 
 /// Why [`publish`] refused a report.
@@ -153,7 +151,15 @@ mod tests {
 
     /// Every tracked report at the repo root.
     const REPORTS: [&str; 9] = [
-        "calibrate", "chaos", "cluster", "executor", "locality", "obs", "replay", "serve", "storm",
+        "calibrate",
+        "chaos",
+        "cluster",
+        "executor",
+        "locality",
+        "obs",
+        "replay",
+        "serve",
+        "storm",
     ];
 
     fn committed_text(name: &str) -> String {

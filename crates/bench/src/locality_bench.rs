@@ -188,8 +188,7 @@ fn run_arm(cfg: &LocalityBenchConfig, locality: LocalityPolicy) -> LocalityArm {
     let counts = TraceAudit::new(obs.events()).check().expect("locality trace audits clean");
     assert_eq!(counts.residency_hits, report.stats.residency_hits, "hit events reconcile");
     assert_eq!(counts.residency_misses, report.stats.residency_misses, "miss events reconcile");
-    let completed =
-        report.outcomes.iter().filter(|o| matches!(o, ReqOutcome::Done { .. })).count();
+    let completed = report.outcomes.iter().filter(|o| matches!(o, ReqOutcome::Done { .. })).count();
     LocalityArm {
         completed,
         routed: report.stats.routed,

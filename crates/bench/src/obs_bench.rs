@@ -56,8 +56,7 @@ pub fn run_obs_bench(arch: &ArchSpec, producers: usize, per_producer: usize) -> 
         workers: 2,
         ..ServeConfig::default()
     };
-    let server =
-        Arc::new(Server::with_instrumentation(session, cfg, None, Some(Arc::clone(&obs))));
+    let server = Arc::new(Server::with_instrumentation(session, cfg, None, Some(Arc::clone(&obs))));
     let pool = shape_pool();
 
     let t0 = Instant::now();

@@ -300,8 +300,7 @@ mod tests {
         let a: Vec<GemmShape> = (0..50).map(|i| request_shape(&cfg, 1, i)).collect();
         let b: Vec<GemmShape> = (0..50).map(|i| request_shape(&cfg, 1, i)).collect();
         assert_eq!(a, b, "streams are a pure function of (seed, producer, index)");
-        let distinct: std::collections::HashSet<String> =
-            a.iter().map(|s| s.to_string()).collect();
+        let distinct: std::collections::HashSet<String> = a.iter().map(|s| s.to_string()).collect();
         assert!(distinct.len() > 10, "a storm draws many distinct shapes, got {}", distinct.len());
     }
 

@@ -2,7 +2,9 @@
 
 use ctb_gpu_specs::Thresholds;
 use ctb_matrix::GemmShape;
-use ctb_tiling::strategy::{BATCHED_STRATEGIES_128, BATCHED_STRATEGIES_256, SINGLE_GEMM_STRATEGIES};
+use ctb_tiling::strategy::{
+    BATCHED_STRATEGIES_128, BATCHED_STRATEGIES_256, SINGLE_GEMM_STRATEGIES,
+};
 use ctb_tiling::{model, select_tiling};
 
 /// Render Table 1 (single-GEMM strategies) as the paper lays it out.
@@ -25,8 +27,7 @@ pub fn table1() -> String {
 
 /// Render Table 2 (batched strategies, both thread versions).
 pub fn table2() -> String {
-    let mut out =
-        String::from("  Name |  BY |  BX | BK | Sub-Tile(128T) | Sub-Tile(256T)\n");
+    let mut out = String::from("  Name |  BY |  BX | BK | Sub-Tile(128T) | Sub-Tile(256T)\n");
     for (s128, s256) in BATCHED_STRATEGIES_128.iter().zip(&BATCHED_STRATEGIES_256) {
         out.push_str(&format!(
             "{:>6} | {:>3} | {:>3} | {:>2} | {:>14} | {}x{}\n",
@@ -44,11 +45,8 @@ pub fn table2() -> String {
 
 /// Replay the §4.2.3 worked example, returning its narrative.
 pub fn worked_example() -> String {
-    let shapes = [
-        GemmShape::new(16, 32, 128),
-        GemmShape::new(64, 64, 64),
-        GemmShape::new(256, 256, 64),
-    ];
+    let shapes =
+        [GemmShape::new(16, 32, 128), GemmShape::new(64, 64, 64), GemmShape::new(256, 256, 64)];
     let th = Thresholds::paper_v100();
     let sol = select_tiling(&shapes, &th);
     let kinds: Vec<String> = sol.per_gemm.iter().map(|s| s.kind.to_string()).collect();
