@@ -3,7 +3,7 @@
 
 use super::execution::Running;
 use super::timeline::{Ev, SimTime, Timeline};
-use super::{EvDevice, EvJob, EventCluster, EventConfig, LoadGen, ReqOutcome};
+use super::{ArchClass, EvDevice, EvJob, EventCluster, EventConfig, LoadGen, ReqOutcome};
 use crate::stats::ClusterInner;
 use ctb_core::{CacheStats, Session};
 use ctb_gpu_specs::{ArchSpec, ChipletTopology};
@@ -12,11 +12,26 @@ use ctb_savestate::{savestate_struct, Reader, Savestate, SavestateError, Writer}
 use ctb_serve::{Breaker, BreakerPolicy, FaultInjector, FaultLog};
 use std::sync::Arc;
 
-/// One device's checkpoint record. Its breaker is a live object,
-/// rebuilt around these values on restore.
+/// One arch class's checkpoint record, written once for all its
+/// devices: the name and topology each of them is checked against on
+/// restore, and the class session's plan-cache counters, pinned back
+/// after the restore replans (replanning would otherwise count as
+/// misses).
+pub(super) struct ClassImage {
+    name: String,
+    topology: ChipletTopology,
+    cache: CacheStats,
+}
+
+savestate_struct!(ClassImage { name, topology, cache });
+
+/// One device's checkpoint record. Its arch is the one of its class
+/// record, and its breaker is a live object, rebuilt around these values
+/// on restore. Whether a steal check or a breaker probe is pending for
+/// it is not written: restore reads both off the timeline.
 pub(super) struct DeviceImage {
-    /// Checked against the restore pool, device by device.
-    arch: String,
+    /// Index of the device's [`ClassImage`] in the checkpoint.
+    class: usize,
     alive: bool,
     queue: Vec<EvJob>,
     running: Option<Running>,
@@ -30,15 +45,10 @@ pub(super) struct DeviceImage {
     steals: usize,
     reroutes_out: usize,
     breaker_trips: usize,
-    steal_pending: bool,
-    probe_pending: bool,
-    /// Validated against the restore pool so a resumed run ranks with
-    /// the same locality penalties.
-    topology: ChipletTopology,
 }
 
 savestate_struct!(DeviceImage {
-    arch,
+    class,
     alive,
     queue,
     running,
@@ -51,15 +61,12 @@ savestate_struct!(DeviceImage {
     steals,
     reroutes_out,
     breaker_trips,
-    steal_pending,
-    probe_pending,
-    topology,
 });
 
 impl EvDevice {
-    pub(super) fn image(&self, arch: &ArchSpec) -> DeviceImage {
+    pub(super) fn image(&self, class: usize) -> DeviceImage {
         DeviceImage {
-            arch: arch.name.to_string(),
+            class,
             alive: self.alive,
             queue: self.queue.iter().cloned().collect(),
             running: self.running.clone(),
@@ -72,9 +79,6 @@ impl EvDevice {
             steals: self.steals,
             reroutes_out: self.reroutes_out,
             breaker_trips: self.breaker_trips,
-            steal_pending: self.steal_pending,
-            probe_pending: self.probe_pending,
-            topology: arch.topology,
         }
     }
 
@@ -92,8 +96,6 @@ impl EvDevice {
         self.steals = d.steals;
         self.reroutes_out = d.reroutes_out;
         self.breaker_trips = d.breaker_trips;
-        self.steal_pending = d.steal_pending;
-        self.probe_pending = d.probe_pending;
     }
 }
 
@@ -138,20 +140,14 @@ impl EventCluster {
         self.requests.save(&mut w);
         self.witnesses.save(&mut w);
         self.witness_mismatches.save(&mut w);
-        self.pending_arrivals.save(&mut w);
-        self.open_jobs.save(&mut w);
-        self.breaker_active.save(&mut w);
         // -- open-loop load source
         self.gen.save(&mut w);
-        // -- devices (pool order), one image at a time
+        // -- arch classes (class order), then devices (pool order)
+        self.class_images().save(&mut w);
         w.len_prefix(self.devices.len());
         for d in &self.devices {
-            d.image(self.arch(d.id)).save(&mut w);
+            d.image(self.class_of[d.id]).save(&mut w);
         }
-        // -- plan-cache accounting, one record per arch class in class
-        // order, pinned back after the restore replans (replanning
-        // would otherwise count as misses)
-        w.seq(&self.classes.iter().map(|c| c.session.stats()).collect::<Vec<_>>());
         // -- timeline (pending events + tie-break counter)
         self.timeline.save(&mut w);
         // -- shared plans + simulation memo, then operand residency
@@ -159,7 +155,7 @@ impl EventCluster {
         self.save_residency(&mut w);
         // -- engine prediction cache
         self.save_predictions(&mut w);
-        // -- recorded outcomes, cluster-wide counters + latency log
+        // -- recorded outcomes, cluster-wide counters
         self.outcomes.save(&mut w);
         self.stats.save(&mut w);
         // -- instrumentation state, last: restore replays plans first
@@ -173,7 +169,8 @@ impl EventCluster {
 
     /// Rebuild an engine from a [`checkpoint`](Self::checkpoint) blob.
     /// `pool` must be the same architecture sequence the checkpointed
-    /// engine was built over (checked by name, per device — a typed
+    /// engine was built over (checked by name and topology, per device,
+    /// against the device's class record — a typed
     /// [`SavestateError::Mismatch`] otherwise). Returns the engine and,
     /// when the checkpoint was instrumented, its freshly attached
     /// [`Obs`] (the caller's handle for trace comparison).
@@ -186,7 +183,10 @@ impl EventCluster {
     /// bitwise-faithful), then the device images and the classes' cache
     /// counters overwrite the fresh state and the replanning traffic,
     /// and the obs log is overwritten last — discarding the plan spans
-    /// replanning just emitted.
+    /// replanning just emitted. What the blob does not hold because the
+    /// timeline and the devices fix it is counted from them: the pending
+    /// arrivals, the open jobs, the pending steal checks and breaker
+    /// probes, and whether any breaker has tripped.
     pub fn restore(
         pool: Vec<ArchSpec>,
         bytes: &[u8],
@@ -196,14 +196,14 @@ impl EventCluster {
         // capacity bound, admission gate); v3 added chiplet topology,
         // the locality ranking flag, operand residency and its
         // counters; v4 moved plan-cache accounting from the devices to
-        // the arch classes and keys residency by shapes. Each time an
-        // older checkpoint stopped describing a decodable engine.
-        // `import_jobs` still accepts older exports — the job layout is
-        // unchanged.
-        if version < 4 {
+        // the arch classes and keys residency by shapes; v5 writes each
+        // arch once per class and drops what restore can count. Each
+        // time an older checkpoint stopped describing a decodable
+        // engine.
+        if version < 5 {
             return Err(SavestateError::Mismatch(format!(
-                "cluster checkpoint format v{version} predates the per-class plan-cache \
-                 and shape-keyed residency layout (v4); re-checkpoint with the current engine"
+                "cluster checkpoint format v{version} predates the per-class arch records \
+                 and the derived counters (v5); re-checkpoint with the current engine"
             )));
         }
         // The cfg carries the share's shard/capacity/admission layout,
@@ -223,11 +223,9 @@ impl EventCluster {
         let requests = usize::load(&mut r)?;
         let witnesses = usize::load(&mut r)?;
         let witness_mismatches = usize::load(&mut r)?;
-        let pending_arrivals = usize::load(&mut r)?;
-        let open_jobs = usize::load(&mut r)?;
-        let breaker_active = bool::load(&mut r)?;
         let gen = Option::<LoadGen>::load(&mut r)?;
 
+        let classes = Vec::<ClassImage>::load(&mut r)?;
         let n_devices = r.len_prefix()?;
         if n_devices == 0 {
             return Err(SavestateError::Corrupt("checkpoint declares zero devices".into()));
@@ -241,21 +239,27 @@ impl EventCluster {
         let mut images = Vec::with_capacity(n_devices);
         for (id, arch) in pool.iter().enumerate() {
             let d = DeviceImage::load(&mut r)?;
-            if d.arch != arch.name {
+            let Some(class) = classes.get(d.class) else {
+                return Err(SavestateError::Corrupt(format!(
+                    "device {id} names arch class {}, the checkpoint holds {} arch classes",
+                    d.class,
+                    classes.len()
+                )));
+            };
+            if class.name != arch.name {
                 return Err(SavestateError::Mismatch(format!(
                     "device {id}: checkpoint arch {:?}, restore pool has {:?}",
-                    d.arch, arch.name
+                    class.name, arch.name
                 )));
             }
-            if d.topology != arch.topology {
+            if class.topology != arch.topology {
                 return Err(SavestateError::Mismatch(format!(
                     "device {id}: checkpoint topology {:?}, restore pool has {:?}",
-                    d.topology, arch.topology
+                    class.topology, arch.topology
                 )));
             }
             images.push(d);
         }
-        let cache = Vec::<CacheStats>::load(&mut r)?;
         let mut timeline = Timeline::load(&mut r)?;
         for ev in timeline.pending() {
             if let Ev::ExecDone { device }
@@ -270,38 +274,19 @@ impl EventCluster {
                 }
             }
         }
-        // `work_pending` reads the two counters, and every arrival and
-        // job decrements one: a counter that disagrees with the events
-        // and jobs the blob holds underflows on the first `step` (or,
-        // wrapped, keeps idle devices re-arming their steal checks).
-        let pending = |of: fn(&Ev) -> bool| timeline.pending().filter(|ev| of(ev)).count();
-        let arrivals = pending(|ev| matches!(ev, Ev::Arrive { .. }));
-        if pending_arrivals != arrivals {
-            return Err(SavestateError::Corrupt(format!(
-                "pending_arrivals {pending_arrivals}, the timeline holds {arrivals} arrivals"
-            )));
-        }
-        let held: usize =
-            images.iter().map(|d| d.queue.len() + usize::from(d.running.is_some())).sum();
-        let jobs = pending(|ev| matches!(ev, Ev::PlaceDone { .. })) + held;
-        if open_jobs != jobs {
-            return Err(SavestateError::Corrupt(format!(
-                "open_jobs {open_jobs}, the checkpoint holds {jobs} placing, queued or running jobs"
-            )));
-        }
         let faults = images.iter_mut().map(|d| d.fault.take()).collect();
         let mut eng = EventCluster::build(pool, cfg, faults, obs.clone(), clock);
-        if cache.len() != eng.classes.len() {
+        if classes.len() != eng.classes.len() {
             return Err(SavestateError::Corrupt(format!(
-                "checkpoint holds plan-cache counters for {} arch classes, the pool has {}",
-                cache.len(),
+                "checkpoint holds {} arch classes, the pool has {}",
+                classes.len(),
                 eng.classes.len()
             )));
         }
         let sessions: Vec<&Session> = eng.classes.iter().map(|c| &c.session).collect();
         eng.share.restore_with_sessions(&mut r, &sessions)?;
-        for (class, stats) in eng.classes.iter().zip(cache) {
-            class.session.set_stats(stats);
+        for (class, image) in eng.classes.iter().zip(classes) {
+            class.session.set_stats(image.cache);
         }
         eng.load_residency(&mut r)?;
         // Signature ids are engine-local and never written: every job the
@@ -316,6 +301,22 @@ impl EventCluster {
             dev.restore_image(d, eng.cfg.breaker.clone());
         }
         eng.queued = eng.devices.iter().filter(|d| !d.queue.is_empty()).count();
+        // Each pending count and flag is kept where its events are
+        // scheduled and fired, so the timeline and the devices fix it:
+        // an open job is awaiting placement, queued or running.
+        for ev in timeline.pending() {
+            match *ev {
+                Ev::Arrive { .. } => eng.pending_arrivals += 1,
+                Ev::PlaceDone { .. } => eng.open_jobs += 1,
+                Ev::StealCheck { device } => eng.devices[device].steal_pending = true,
+                Ev::BreakerProbe { device } => eng.devices[device].probe_pending = true,
+                Ev::ExecDone { .. } | Ev::DeviceKill { .. } => {}
+            }
+        }
+        for d in &eng.devices {
+            eng.open_jobs += d.queue.len() + usize::from(d.running.is_some());
+        }
+        eng.breaker_active = eng.devices.iter().any(|d| d.breaker_trips > 0);
         eng.load_predictions(&mut r)?;
         eng.outcomes = Vec::<ReqOutcome>::load(&mut r)?;
         eng.stats = ClusterInner::load(&mut r)?;
@@ -325,7 +326,6 @@ impl EventCluster {
         }
         r.expect_end()?;
         eng.timeline = timeline;
-        eng.breaker_active = breaker_active;
         eng.gen = gen;
         eng.now = now;
         eng.next_job_id = next_job_id;
@@ -333,14 +333,22 @@ impl EventCluster {
         eng.requests = requests;
         eng.witnesses = witnesses;
         eng.witness_mismatches = witness_mismatches;
-        eng.pending_arrivals = pending_arrivals;
-        eng.open_jobs = open_jobs;
         // The class heaps restart from the restored backlogs: the
         // original heap's extra entries are stale by value and thus
         // invisible, so one entry per alive device reproduces the same
         // argmin choices.
         (0..eng.classes.len()).for_each(|class| eng.reindex(class));
         Ok((eng, obs))
+    }
+
+    /// One record per arch class, in class order.
+    pub(super) fn class_images(&self) -> Vec<ClassImage> {
+        let image = |c: &ArchClass| ClassImage {
+            name: c.arch().name.to_string(),
+            topology: c.arch().topology,
+            cache: c.session.stats(),
+        };
+        self.classes.iter().map(image).collect()
     }
 
     /// Take `device` out of service and export its *queued* jobs as a
@@ -370,14 +378,20 @@ impl EventCluster {
     /// keeping its shape signature, data seed and witness flag. Returns
     /// how many jobs were admitted.
     pub fn import_jobs(&mut self, bytes: &[u8]) -> Result<usize, SavestateError> {
-        let (mut r, _version) = Reader::with_header(bytes)?;
+        let (mut r, version) = Reader::with_header(bytes)?;
+        // v5 dropped the arrival time from the job layout.
+        if version < 5 {
+            return Err(SavestateError::Mismatch(format!(
+                "job export format v{version} predates the v5 job layout; re-export with \
+                 the current engine"
+            )));
+        }
         let jobs = Vec::<EvJob>::load(&mut r)?;
         r.expect_end()?;
         let n = jobs.len();
         for mut job in jobs {
             job.id = self.next_job_id;
             self.next_job_id += 1;
-            job.arrived = self.now;
             job.attempts = 0;
             self.pending_arrivals += 1;
             self.timeline.schedule(self.now, Ev::Arrive { job });

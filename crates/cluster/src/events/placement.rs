@@ -373,7 +373,6 @@ impl EventCluster {
         dev.backlog_us += c.predicted_us;
         dev.placements += 1;
         self.enqueue(c.device, job);
-        self.stats.routed += 1;
         if let Some(o) = self.obs() {
             o.point(PointKind::Routed { device: c.device });
         }
@@ -497,7 +496,6 @@ impl EventCluster {
         job.stolen = true;
         self.devices[thief_idx].backlog_us += predicted_here;
         self.devices[thief_idx].steals += 1;
-        self.stats.steals += 1;
         if let Some(o) = self.obs() {
             o.point(PointKind::Steal { to: thief_idx, from: victim_idx });
         }
@@ -512,7 +510,7 @@ impl EventCluster {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{EventConfig, SimTime};
+    use super::super::EventConfig;
     use super::*;
     use ctb_gpu_specs::ArchSpec;
 
@@ -531,7 +529,6 @@ mod tests {
             shapes: Arc::clone(&shapes),
             sig,
             seed: id,
-            arrived: SimTime::ZERO,
             predicted_us: 0.0,
             attempts: 0,
             stolen: false,

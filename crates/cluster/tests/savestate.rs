@@ -18,7 +18,7 @@
 //! save → load → save byte-identically at every crash point.
 //!
 //! The suite also pins the golden on-disk fixture
-//! (`tests/fixtures/savestate_v4.bin`) for format-version discipline —
+//! (`tests/fixtures/savestate_v5.bin`) for format-version discipline —
 //! since v2 the embedded `PlanShare` image carries the shard layout,
 //! the optional capacity bound and the Bloom admission gate, and one
 //! crash-swept schedule runs with a `SeenTwice` gate over a bounded
@@ -28,9 +28,11 @@
 //! the residency counters, and one crash-swept schedule runs
 //! locality-aware placement over a multi-chiplet pool so all of it
 //! replays under fire; since v4 it holds the plan-cache counters once
-//! per arch class and residency as `(shapes, device)` records. The v3
-//! fixture stays committed as the input of a typed-rejection test. The
-//! suite further exercises queue migration between two engine
+//! per arch class and residency as `(shapes, device)` records; since v5
+//! it writes each arch's name and topology once per class, and none of
+//! the pending counts and flags restore counts from the timeline. The
+//! v4 fixture stays committed as the input of a typed-rejection test.
+//! The suite further exercises queue migration between two engine
 //! instances (`halt_and_export` → `import_jobs`, zero drops) and
 //! round-trips randomized mid-run states under proptest.
 
@@ -406,6 +408,31 @@ fn restore_rejects_wrong_pool_with_typed_mismatch() {
         panic!("swapped pool restored a mismatched checkpoint");
     };
     assert!(matches!(err, SavestateError::Mismatch(_)), "got {err:?}");
+    // The class records match, device 1 does not: the checkpoint pool
+    // has the same two classes in another device order.
+    let (v100, titan) = (ArchSpec::volta_v100(), ArchSpec::pascal_titan_xp());
+    let reordered = vec![v100.clone(), v100.clone(), titan.clone()];
+    let blob =
+        EventCluster::new(vec![v100.clone(), titan, v100], EventConfig::default()).checkpoint();
+    match EventCluster::restore(reordered, &blob) {
+        Err(SavestateError::Mismatch(msg)) => assert!(msg.contains("device 1"), "{msg}"),
+        Err(e) => panic!("expected Mismatch, got {e:?}"),
+        Ok(_) => panic!("a reordered pool restored the checkpoint"),
+    }
+    // Only device 0's topology differs.
+    let stock = ArchSpec::mcm_gpu_4die();
+    let rewired = ArchSpec {
+        topology: ctb_gpu_specs::ChipletTopology::split(4, 3_000.0, 0.6, 400.0),
+        ..stock.clone()
+    };
+    let blob = EventCluster::new(vec![stock], EventConfig::default()).checkpoint();
+    match EventCluster::restore(vec![rewired], &blob) {
+        Err(SavestateError::Mismatch(msg)) => {
+            assert!(msg.contains("device 0") && msg.contains("topology"), "{msg}")
+        }
+        Err(e) => panic!("expected Mismatch, got {e:?}"),
+        Ok(_) => panic!("a rewired device restored the checkpoint"),
+    }
 }
 
 // -- queue migration --------------------------------------------------------
@@ -518,8 +545,6 @@ fn newer_format_version_fails_typed_not_panicking() {
 /// Version skew the other way: a v1 checkpoint predates the sharded
 /// plan-cache image, so the cluster restore rejects it with a typed
 /// [`SavestateError::Mismatch`] instead of misparsing the payload.
-/// (`import_jobs` still accepts v1 exports — the job layout has not
-/// changed since.)
 #[test]
 fn v1_checkpoint_is_rejected_with_typed_mismatch() {
     let mut bytes = fixture_bytes();
@@ -546,36 +571,41 @@ fn v2_checkpoint_is_rejected_with_typed_mismatch() {
     }
 }
 
-/// The committed v3 fixture, written before plan-cache counters moved
-/// to the arch classes and residency to the signatures, is refused with
-/// a typed [`SavestateError::Mismatch`] that names v3.
+/// The committed v4 fixture, written before each arch was recorded once
+/// per class and before restore counted the pending work itself, is
+/// refused with a typed [`SavestateError::Mismatch`] that names v4.
 #[test]
-fn v3_checkpoint_is_rejected_with_typed_mismatch() {
-    let v3 = std::fs::read(fixture_path(3)).expect("the v3 fixture is committed");
-    match EventCluster::restore(pool(), &v3) {
-        Err(SavestateError::Mismatch(msg)) => assert!(msg.contains("v3"), "{msg}"),
+fn v4_checkpoint_is_rejected_with_typed_mismatch() {
+    let v4 = std::fs::read(fixture_path(4)).expect("the v4 fixture is committed");
+    match EventCluster::restore(pool(), &v4) {
+        Err(SavestateError::Mismatch(msg)) => assert!(msg.contains("v4"), "{msg}"),
         Err(e) => panic!("expected Mismatch, got {e:?}"),
-        Ok(_) => panic!("the v3 fixture restored successfully"),
+        Ok(_) => panic!("the v4 fixture restored successfully"),
     }
 }
 
-/// The job layout has not changed since v1, so `import_jobs` reads a
-/// job export stamped with an older version as it reads a current one.
+/// The v5 job layout has no arrival time, so `import_jobs` refuses a job
+/// export stamped v4 with a typed [`SavestateError::Mismatch`] that
+/// names v4, and imports the same export stamped v5.
 #[test]
-fn import_jobs_reads_a_v3_job_export() {
+fn import_jobs_refuses_a_v4_job_export() {
     let mut source = EventCluster::new(pool(), EventConfig::default());
     let shapes: Arc<[GemmShape]> = [GemmShape::new(64, 64, 320); 2].into();
     for i in 0..6 {
         source.submit_at(SimTime::ZERO, shapes.clone(), i);
     }
     source.run_steps(12);
-    let mut export = source.halt_and_export(0);
-    export[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&3u32.to_le_bytes());
+    let export = source.halt_and_export(0);
+    let mut v4 = export.clone();
+    v4[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&4u32.to_le_bytes());
     let mut target = EventCluster::new(pool(), EventConfig::default());
-    let imported = target.import_jobs(&export).expect("a v3 job export imports");
+    match target.import_jobs(&v4) {
+        Err(SavestateError::Mismatch(msg)) => assert!(msg.contains("v4"), "{msg}"),
+        Err(e) => panic!("expected Mismatch, got {e:?}"),
+        Ok(n) => panic!("a v4 job export imported {n} jobs"),
+    }
+    let imported = target.import_jobs(&export).expect("the v5 export imports");
     assert!(imported > 0, "device 0 held no queued jobs to export");
-    let report = target.run();
-    assert_eq!((report.requests, report.stats.completed), (imported, imported));
 }
 
 /// Truncation anywhere in the blob is a typed `Corrupt`, not a panic:
