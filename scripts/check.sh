@@ -33,23 +33,23 @@ cargo test -q --release --test differential --test properties
 echo "== observability harness + BENCH_obs.json key-set gate =="
 cargo run -q -p ctb-bench --bin reproduce --release -- obs
 
-# The locality and calibration runs are deterministic simulated-time
-# experiments of a few seconds each in release: run them in full and
-# require the committed reports to regenerate byte for byte.
+# The locality, calibration and replay runs are deterministic
+# simulated-time experiments of a few seconds each in release: run them
+# in full and require the committed reports to regenerate byte for byte.
 echo "== locality differential (aware vs blind traffic gate) + BENCH_locality.json key-set gate =="
 cargo run -q -p ctb-bench --bin reproduce --release -- locality
 
 echo "== calibration loop (record -> fit -> replay -> swap) + BENCH_calibrate.json key-set gate =="
 cargo run -q -p ctb-bench --bin reproduce --release -- calibrate
 
-echo "== BENCH_locality.json and BENCH_calibrate.json regenerate byte for byte =="
-git diff --exit-code -- BENCH_locality.json BENCH_calibrate.json
+echo "== replay harness (record -> re-run -> crash/restore) + BENCH_replay.json key-set gate =="
+cargo run -q -p ctb-bench --bin reproduce --release -- replay
+
+echo "== BENCH_locality.json, BENCH_calibrate.json and BENCH_replay.json regenerate byte for byte =="
+git diff --exit-code -- BENCH_locality.json BENCH_calibrate.json BENCH_replay.json
 
 echo "== cluster smoke sweep (256 devices / 100k requests) + BENCH_cluster.json key-set gate =="
 cargo run -q -p ctb-bench --bin reproduce --release -- cluster --smoke
-
-echo "== replay harness smoke (record -> re-run -> crash/restore) + BENCH_replay.json key-set gate =="
-cargo run -q -p ctb-bench --bin reproduce --release -- replay --smoke
 
 echo "== storm harness smoke (plan-cache admission under distinct-shape storm) + BENCH_storm.json key-set gate =="
 cargo run -q -p ctb-bench --bin reproduce --release -- storm --smoke
@@ -66,7 +66,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # rustfmt.toml holds the style the code follows. Only the crates
 # formatted under it so far are gated; ROADMAP lists the rest.
-echo "== cargo fmt -p ctb-cluster -- --check =="
-cargo fmt -p ctb-cluster -- --check
+echo "== cargo fmt -p ctb-cluster -p ctb-savestate -p ctb-bench -- --check =="
+cargo fmt -p ctb-cluster -p ctb-savestate -p ctb-bench -- --check
 
 echo "check.sh: all gates passed"
