@@ -164,8 +164,7 @@ impl TraceAudit {
                     let (_, begin_us) = open_spans
                         .remove(&id)
                         .ok_or_else(|| format!("span end for unknown id at {}", e.render()))?;
-                    closed_spans
-                        .insert(id, ClosedSpan { kind: span, begin_us, end_us: e.t_us });
+                    closed_spans.insert(id, ClosedSpan { kind: span, begin_us, end_us: e.t_us });
                     *counts.spans.entry(span.name()).or_insert(0) += 1;
                 }
                 EventKind::Point(p) => {
@@ -388,7 +387,12 @@ mod tests {
     fn terminal_for_unadmitted_request_is_caught() {
         let mut trace = healthy_trace();
         trace[0] = ev(0, 10, 0, EventKind::Point(PointKind::Admit { req: 99 }));
-        trace.push(ev(9, 90, 0, EventKind::Point(PointKind::Expired { req: 99, abandoned: false })));
+        trace.push(ev(
+            9,
+            90,
+            0,
+            EventKind::Point(PointKind::Expired { req: 99, abandoned: false }),
+        ));
         let err = TraceAudit::new(trace).check().expect_err("must fail");
         assert!(err.contains("unadmitted"), "unexpected error: {err}");
     }

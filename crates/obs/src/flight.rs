@@ -17,7 +17,8 @@ ctb_savestate::savestate_struct!(FlightDump { reason, events });
 impl FlightDump {
     /// Human-readable rendering for panic messages and logs.
     pub fn render(&self) -> String {
-        let mut out = format!("flight recorder dump ({}): {} events\n", self.reason, self.events.len());
+        let mut out =
+            format!("flight recorder dump ({}): {} events\n", self.reason, self.events.len());
         for e in &self.events {
             out.push_str(&e.render());
             out.push('\n');
