@@ -2,18 +2,22 @@
 //!
 //! Runs the serve closed loop with an [`Obs`] bus installed, audits the
 //! resulting trace with [`TraceAudit`] (the bench doubles as an
-//! end-to-end invariant check), and exports a **fixed-schema**
-//! `BENCH_obs.json`: every span kind and every point kind appears, even
-//! at zero, so the key set never depends on which code paths a
-//! particular run happened to exercise. The key set is gated against
-//! the committed `BENCH_obs.json`, and drift fails the run.
+//! end-to-end invariant check), and reads every number it reports from
+//! that audited log: point counts by kind, and each span's exact
+//! duration, paired from its `SpanBegin` and `SpanEnd`, with nearest-rank
+//! percentiles over them. `BENCH_obs.json` has a **fixed schema**: every
+//! span kind and every point kind appears, even at zero, so the key set
+//! never depends on which code paths a particular run happened to
+//! exercise. The key set is gated against the committed
+//! `BENCH_obs.json`, and drift fails the run.
 
 use crate::Json;
 use ctb_core::{Framework, Session};
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::{GemmBatch, GemmShape};
-use ctb_obs::{MetricsSnapshot, Obs, PointKind, SpanKind, TraceAudit, TraceCounts};
-use ctb_serve::{GemmRequest, ServeConfig, Server};
+use ctb_obs::{Event, EventKind, Obs, PointKind, SpanKind, TraceAudit, TraceCounts};
+use ctb_serve::{GemmRequest, ServeConfig, ServeStats, Server};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,8 +33,36 @@ pub struct ObsBenchReport {
     pub wall_ms: f64,
     /// Audited trace counts (exact reconciliation already checked).
     pub counts: TraceCounts,
-    /// Snapshot of the bus's metrics registry.
-    pub snapshot: MetricsSnapshot,
+    /// Point events per [`PointKind::name`].
+    pub points: BTreeMap<&'static str, usize>,
+    /// Each closed span's duration in µs per [`SpanKind::name`],
+    /// ascending.
+    pub span_us: BTreeMap<&'static str, Vec<f64>>,
+}
+
+/// One pass over a log: point counts by kind name, and every closed
+/// span's exact duration (its `SpanEnd` time minus the time of the
+/// `SpanBegin` with the same id) by kind name, sorted ascending.
+fn read_log(events: &[Event]) -> (BTreeMap<&'static str, usize>, BTreeMap<&'static str, Vec<f64>>) {
+    let mut points = BTreeMap::new();
+    let mut span_us: BTreeMap<_, Vec<f64>> = BTreeMap::new();
+    let mut open = HashMap::new();
+    for e in events {
+        match e.kind {
+            EventKind::Point(kind) => *points.entry(kind.name()).or_insert(0) += 1,
+            EventKind::SpanBegin { id, .. } => {
+                open.insert(id, e.t_us);
+            }
+            EventKind::SpanEnd { span, id } => {
+                let begin = open.remove(&id).expect("an audited span ends after it begins");
+                span_us.entry(span.name()).or_default().push((e.t_us - begin) as f64);
+            }
+        }
+    }
+    for us in span_us.values_mut() {
+        us.sort_by(f64::total_cmp);
+    }
+    (points, span_us)
 }
 
 /// Same repeated-signature pool as the serve harness: cache hits and
@@ -97,41 +129,40 @@ pub fn run_obs_bench(arch: &ArchSpec, producers: usize, per_producer: usize) -> 
     let counts = TraceAudit::new(obs.events()).check().expect("bench trace audits clean");
     assert_eq!(counts.responds, stats.completed, "trace reconciles with ServeStats");
     assert_eq!(counts.batches, stats.batches);
+    let events = obs.events();
+    let (points, span_us) = read_log(&events);
 
     ObsBenchReport {
         producers,
         requests,
-        events: obs.events().len(),
+        events: events.len(),
         flight_dumps: obs.flight_dumps().len(),
         wall_ms,
         counts,
-        snapshot: obs.metrics().snapshot(),
+        points,
+        span_us,
     }
 }
 
 /// The tracked `BENCH_obs.json` report, with a fixed key set: `spans`
 /// iterates [`SpanKind::ALL`] and `points` iterates
-/// [`PointKind::ALL_NAMES`], reading every key through
-/// [`MetricsSnapshot::counter`] so absent metrics export as 0 instead
-/// of disappearing. The key set is therefore a constant of the code,
-/// not of the run, which is what the drift gate compares.
+/// [`PointKind::ALL_NAMES`], so a kind the run never emitted exports
+/// as 0 instead of disappearing. The key set is therefore a constant of
+/// the code, not of the run, which is what the drift gate compares.
+/// `p50_us`/`p95_us` are [`ServeStats::percentile`]'s nearest-rank
+/// values of the exact durations.
 pub fn report_json(arch: &ArchSpec, r: &ObsBenchReport) -> Json {
     let span = |kind: &SpanKind| {
         let name = kind.name();
-        let (p50, p95) = r
-            .snapshot
-            .histograms
-            .get(&format!("span.{name}.us"))
-            .map(|h| (h.percentile(0.50), h.percentile(0.95)))
-            .unwrap_or((0.0, 0.0));
+        let us = r.span_us.get(name).map_or(&[][..], Vec::as_slice);
         let span = Json::obj([
-            ("count", r.snapshot.counter(&format!("span.{name}.count")).into()),
-            ("p50_us", Json::fixed(p50, 1)),
-            ("p95_us", Json::fixed(p95, 1)),
+            ("count", us.len().into()),
+            ("p50_us", Json::fixed(ServeStats::percentile(us, 0.50), 1)),
+            ("p95_us", Json::fixed(ServeStats::percentile(us, 0.95), 1)),
         ]);
         (name, span)
     };
-    let point = |&name: &&'static str| (name, r.snapshot.counter(&format!("point.{name}")).into());
+    let point = |&name: &&'static str| (name, r.points.get(name).copied().unwrap_or(0).into());
     Json::obj([
         ("bench", "obs".into()),
         ("arch", arch.name.into()),
@@ -156,8 +187,33 @@ mod tests {
         assert_eq!(r.counts.responds, 10);
         assert_eq!(r.flight_dumps, 0, "healthy run must not dump");
         assert!(r.events > 0);
-        assert_eq!(r.snapshot.counter("point.respond"), 10);
+        assert_eq!(r.points["respond"], 10);
+        assert_eq!(r.span_us["exec"].len(), r.counts.batches);
         crate::assert_committed_keys("obs", &report_json(&ArchSpec::volta_v100(), &r));
+    }
+
+    #[test]
+    fn span_percentiles_are_exact_nearest_rank_durations() {
+        let clock = Arc::new(ctb_obs::SimClock::new());
+        let obs = Obs::sim(Arc::clone(&clock));
+        for us in [3, 10, 100, 1_000] {
+            let exec = obs.span(SpanKind::Exec);
+            clock.advance(us);
+            exec.finish();
+        }
+        let (points, span_us) = read_log(&obs.events());
+        let r = ObsBenchReport { points, span_us, ..ObsBenchReport::default() };
+        let field = |json: &Json, key: &str| match json {
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()),
+            _ => None,
+        };
+        let spans = field(&report_json(&ArchSpec::volta_v100(), &r), "spans").expect("spans");
+        let expect = Json::obj([
+            ("count", 4usize.into()),
+            ("p50_us", Json::fixed(10.0, 1)),
+            ("p95_us", Json::fixed(1000.0, 1)),
+        ]);
+        assert_eq!(field(&spans, "exec"), Some(expect));
     }
 
     #[test]

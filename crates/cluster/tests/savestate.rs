@@ -18,7 +18,7 @@
 //! save → load → save byte-identically at every crash point.
 //!
 //! The suite also pins the golden on-disk fixture
-//! (`tests/fixtures/savestate_v5.bin`) for format-version discipline —
+//! (`tests/fixtures/savestate_v6.bin`) for format-version discipline —
 //! since v2 the embedded `PlanShare` image carries the shard layout,
 //! the optional capacity bound and the Bloom admission gate, and one
 //! crash-swept schedule runs with a `SeenTwice` gate over a bounded
@@ -30,8 +30,9 @@
 //! replays under fire; since v4 it holds the plan-cache counters once
 //! per arch class and residency as `(shapes, device)` records; since v5
 //! it writes each arch's name and topology once per class, and none of
-//! the pending counts and flags restore counts from the timeline. The
-//! v4 fixture stays committed as the input of a typed-rejection test.
+//! the pending counts and flags restore counts from the timeline; since
+//! v6 its obs image holds no bus config. The v5 fixture stays committed
+//! as the input of a typed-rejection test.
 //! The suite further exercises queue migration between two engine
 //! instances (`halt_and_export` → `import_jobs`, zero drops) and
 //! round-trips randomized mid-run states under proptest.
@@ -571,22 +572,23 @@ fn v2_checkpoint_is_rejected_with_typed_mismatch() {
     }
 }
 
-/// The committed v4 fixture, written before each arch was recorded once
-/// per class and before restore counted the pending work itself, is
-/// refused with a typed [`SavestateError::Mismatch`] that names v4.
+/// The committed v5 fixture, whose obs image still holds the bus
+/// config, is refused with a typed [`SavestateError::Mismatch`] that
+/// names v5.
 #[test]
-fn v4_checkpoint_is_rejected_with_typed_mismatch() {
-    let v4 = std::fs::read(fixture_path(4)).expect("the v4 fixture is committed");
-    match EventCluster::restore(pool(), &v4) {
-        Err(SavestateError::Mismatch(msg)) => assert!(msg.contains("v4"), "{msg}"),
+fn v5_checkpoint_is_rejected_with_typed_mismatch() {
+    let v5 = std::fs::read(fixture_path(5)).expect("the v5 fixture is committed");
+    match EventCluster::restore(pool(), &v5) {
+        Err(SavestateError::Mismatch(msg)) => assert!(msg.contains("v5"), "{msg}"),
         Err(e) => panic!("expected Mismatch, got {e:?}"),
-        Ok(_) => panic!("the v4 fixture restored successfully"),
+        Ok(_) => panic!("the v5 fixture restored successfully"),
     }
 }
 
 /// The v5 job layout has no arrival time, so `import_jobs` refuses a job
 /// export stamped v4 with a typed [`SavestateError::Mismatch`] that
-/// names v4, and imports the same export stamped v5.
+/// names v4, and imports the same export stamped v5 (the job layout did
+/// not change in v6) and as written.
 #[test]
 fn import_jobs_refuses_a_v4_job_export() {
     let mut source = EventCluster::new(pool(), EventConfig::default());
@@ -604,8 +606,11 @@ fn import_jobs_refuses_a_v4_job_export() {
         Err(e) => panic!("expected Mismatch, got {e:?}"),
         Ok(n) => panic!("a v4 job export imported {n} jobs"),
     }
-    let imported = target.import_jobs(&export).expect("the v5 export imports");
+    let mut v5 = export.clone();
+    v5[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&5u32.to_le_bytes());
+    let imported = target.import_jobs(&v5).expect("the v5 export imports");
     assert!(imported > 0, "device 0 held no queued jobs to export");
+    assert_eq!(target.import_jobs(&export), Ok(imported), "the current export imports");
 }
 
 /// Truncation anywhere in the blob is a typed `Corrupt`, not a panic:
