@@ -54,6 +54,7 @@ gated against the committed BENCH_<name>.json and drift fails the run):
       --batches N --devices a,b,c --seed S --event-devices a,b,c
       --requests R --smoke
   obs                 instrumented serve loop + trace audit
+      --smoke
   replay              record a seeded panic storm, re-run + crash/restore
       --requests N --seed S --panics PER_MILLE --smoke
   storm               distinct-shape storm vs two plan-cache arms
@@ -94,7 +95,7 @@ fn main() {
         "serve" => run_serve(&arch),
         "chaos" => run_chaos(&arch),
         "cluster" => run_cluster(&args[1..]),
-        "obs" => run_obs(&arch),
+        "obs" => run_obs(&arch, &args[1..]),
         "replay" => run_replay(&args[1..]),
         "storm" => run_storm(&arch, &args[1..]),
         "calibrate" => run_calibrate_loop(&args[1..]),
@@ -363,9 +364,18 @@ fn run_chaos(arch: &ArchSpec) {
     publish("chaos", &chaos_bench::report_json(arch, &points), false);
 }
 
-fn run_obs(arch: &ArchSpec) {
+fn run_obs(arch: &ArchSpec, args: &[String]) {
     use ctb_bench::obs_bench;
-    println!("== obs harness: instrumented serve closed loop + trace audit ({}) ==", arch.name);
+    let smoke = match args {
+        [] => false,
+        [flag] if flag == "--smoke" => true,
+        _ => usage_error(&format!("unknown obs flags {args:?}; expected at most --smoke")),
+    };
+    println!(
+        "== obs harness: instrumented serve closed loop + trace audit ({}){} ==",
+        arch.name,
+        if smoke { " (smoke)" } else { "" }
+    );
     let r = obs_bench::run_obs_bench(arch, 4, 40);
     println!(
         "   {} requests -> {} events ({} spans) in {:.1} ms | {} flight dumps",
@@ -386,7 +396,7 @@ fn run_obs(arch: &ArchSpec) {
             0.0
         }
     );
-    publish("obs", &obs_bench::report_json(arch, &r), false);
+    publish("obs", &obs_bench::report_json(arch, &r), smoke);
 }
 
 /// Parse `--flag value` pairs for the cluster harness. Unknown flags

@@ -52,6 +52,14 @@ fn a_flag_without_its_value_exits_2() {
 }
 
 #[test]
+fn an_unknown_obs_flag_exits_2() {
+    let (code, stderr) = run(&["obs", "--bogus"]);
+    assert_eq!(code, Some(2), "reproduce obs --bogus: stderr {stderr}");
+    assert!(!stderr.contains("panicked"), "reproduce obs --bogus panicked: {stderr}");
+    assert!(stderr.contains("--bogus"), "stderr {stderr}");
+}
+
+#[test]
 fn bad_shapes_and_workload_files_exit_2_without_panicking() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
     let two_dims = dir.join("cli_args_two_dims.csv");

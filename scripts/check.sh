@@ -30,8 +30,8 @@ cargo test -q --release --test differential --test properties
 # Every harness below writes its report through `ctb_bench::publish`,
 # which fails the run when the key set differs from the committed
 # BENCH_<name>.json; --smoke runs write under target/experiments/.
-echo "== observability harness + BENCH_obs.json key-set gate =="
-cargo run -q -p ctb-bench --bin reproduce --release -- obs
+echo "== observability harness smoke + BENCH_obs.json key-set gate =="
+cargo run -q -p ctb-bench --bin reproduce --release -- obs --smoke
 
 # The locality, calibration and replay runs are deterministic
 # simulated-time experiments of a few seconds each in release: run them
@@ -66,7 +66,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # rustfmt.toml holds the style the code follows. Only the crates
 # formatted under it so far are gated; ROADMAP lists the rest.
-echo "== cargo fmt -p ctb-cluster -p ctb-savestate -p ctb-bench -- --check =="
-cargo fmt -p ctb-cluster -p ctb-savestate -p ctb-bench -- --check
+echo "== cargo fmt -p ctb-cluster -p ctb-savestate -p ctb-bench -p ctb-obs -- --check =="
+cargo fmt -p ctb-cluster -p ctb-savestate -p ctb-bench -p ctb-obs -- --check
 
 echo "check.sh: all gates passed"
