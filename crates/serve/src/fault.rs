@@ -198,11 +198,7 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     pub fn new(cfg: FaultConfig) -> Self {
-        FaultInjector {
-            cfg,
-            draws: Default::default(),
-            fired: Default::default(),
-        }
+        FaultInjector { cfg, draws: Default::default(), fired: Default::default() }
     }
 
     /// Draw the next decision at `site`: `true` means inject. The n-th
@@ -345,14 +341,8 @@ mod tests {
         assert_eq!(restored.log(), original.log(), "fired counts carry over");
         // Both continue with byte-identical decision streams.
         for _ in 0..100 {
-            assert_eq!(
-                restored.roll(FaultSite::ExecPanic),
-                original.roll(FaultSite::ExecPanic)
-            );
-            assert_eq!(
-                restored.roll(FaultSite::PlanFail),
-                original.roll(FaultSite::PlanFail)
-            );
+            assert_eq!(restored.roll(FaultSite::ExecPanic), original.roll(FaultSite::ExecPanic));
+            assert_eq!(restored.roll(FaultSite::PlanFail), original.roll(FaultSite::PlanFail));
         }
         assert_eq!(restored.log(), original.log());
         for site in [FaultSite::ExecPanic, FaultSite::PlanFail] {

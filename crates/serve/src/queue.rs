@@ -188,10 +188,8 @@ impl<T> BoundedQueue<T> {
             if now >= deadline {
                 return Err(PopTimedOut);
             }
-            let (guard, _timeout) = self
-                .not_empty
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
+            let (guard, _timeout) =
+                self.not_empty.wait_timeout(st, deadline - now).unwrap_or_else(|e| e.into_inner());
             st = guard;
         }
     }
@@ -286,7 +284,11 @@ mod tests {
         let q = BoundedQueue::new(1);
         q.push(1).unwrap();
         q.close();
-        assert_eq!(q.try_push(2), Err((PushError::Full, 2)), "saturation attribution survives close");
+        assert_eq!(
+            q.try_push(2),
+            Err((PushError::Full, 2)),
+            "saturation attribution survives close"
+        );
         // Once the close is observable through a free slot, Closed is
         // the right answer again.
         assert_eq!(q.pop(), Some(1));
@@ -316,7 +318,11 @@ mod tests {
         q.close();
         assert_eq!(q.try_push_many(&mut buf), (0, Some(PushError::Full)), "full wins over closed");
         assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.try_push_many(&mut buf), (0, Some(PushError::Closed)), "closed with free slots");
+        assert_eq!(
+            q.try_push_many(&mut buf),
+            (0, Some(PushError::Closed)),
+            "closed with free slots"
+        );
         assert_eq!(buf.len(), 3, "nothing lost on a closed queue");
         // FIFO across the flushes: 1 popped above, 2 and 3 remain.
         assert_eq!(q.pop(), Some(2));

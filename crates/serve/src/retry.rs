@@ -134,10 +134,7 @@ impl Breaker {
     /// remaining)` — with the policy, everything needed to rebuild the
     /// breaker mid-run (savestate serialization view).
     pub fn state(&self) -> (usize, usize) {
-        (
-            self.consecutive.load(Ordering::Relaxed),
-            self.open_remaining.load(Ordering::Relaxed),
-        )
+        (self.consecutive.load(Ordering::Relaxed), self.open_remaining.load(Ordering::Relaxed))
     }
 
     /// Rebuild a breaker mid-run from [`Breaker::state`] (savestate

@@ -61,8 +61,7 @@ fn server_with_faults(cfg: ServeConfig, faults: FaultConfig) -> (Server, Arc<Fau
     let injector = Arc::new(FaultInjector::new(faults));
     let session = Session::new(Framework::new(ArchSpec::volta_v100()));
     let obs = Arc::new(Obs::wall());
-    let server =
-        Server::with_instrumentation(session, cfg, Some(Arc::clone(&injector)), Some(obs));
+    let server = Server::with_instrumentation(session, cfg, Some(Arc::clone(&injector)), Some(obs));
     (server, injector)
 }
 
@@ -227,9 +226,7 @@ fn slow_worker_and_deadline_storm_accounts_expiries_exactly() {
             batch_window: Duration::from_micros(100),
             ..ServeConfig::default()
         },
-        FaultConfig::new(0xD0DEC0DE)
-            .expire(250)
-            .slow_worker(200, Duration::from_millis(2)),
+        FaultConfig::new(0xD0DEC0DE).expire(250).slow_worker(200, Duration::from_millis(2)),
     );
     let pool = shape_pool();
     let tickets: Vec<(Ticket, Vec<MatF32>)> = (0..N)
@@ -385,9 +382,8 @@ fn combined_storm_conserves_every_request_and_reconciles_stats() {
     audit_and_reconcile(&obs, &final_stats);
 
     let log = injector.log();
-    let (ok, expired, panicked) = tallies
-        .iter()
-        .fold((0, 0, 0), |(a, b, c), (x, y, z)| (a + x, b + y, c + z));
+    let (ok, expired, panicked) =
+        tallies.iter().fold((0, 0, 0), |(a, b, c), (x, y, z)| (a + x, b + y, c + z));
     let total = PRODUCERS * PER_PRODUCER;
     assert!(
         log.plan_fails > 0 && log.exec_panics > 0 && log.expires > 0,
