@@ -10,15 +10,13 @@
 //! the zero-rate point doubles as the "injection armed but silent"
 //! overhead reference.
 
-use crate::Json;
+use crate::{closed_loop, percentile, Json};
 use ctb_core::{Framework, Session};
 use ctb_gpu_specs::ArchSpec;
-use ctb_matrix::{bitwise_mismatch, GemmBatch, GemmShape};
-use ctb_serve::{
-    BreakerPolicy, FaultConfig, FaultInjector, GemmRequest, RetryPolicy, ServeConfig, Server,
-};
+use ctb_matrix::GemmShape;
+use ctb_serve::{BreakerPolicy, FaultConfig, FaultInjector, RetryPolicy, ServeConfig, Server};
 use std::sync::{Arc, Once};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Injected panics unwind through the server's isolation boundary by
 /// design; keep their default-hook noise out of the harness output
@@ -75,7 +73,7 @@ fn shape_pool() -> Vec<GemmShape> {
     ]
 }
 
-/// Closed loop at one injected fault rate: `producers` threads,
+/// [`closed_loop`] at one injected fault rate: `producers` threads,
 /// `per_producer` requests each, every result verified bitwise.
 pub fn run_chaos_point(
     arch: &ArchSpec,
@@ -84,14 +82,13 @@ pub fn run_chaos_point(
     per_producer: usize,
 ) -> ChaosPoint {
     quiet_injected_panics();
-    let injector = Arc::new(FaultInjector::new(
+    let injector = FaultInjector::new(
         FaultConfig::new(0xC4A0_5EED ^ u64::from(fault_per_mille))
             .plan_fail(fault_per_mille)
             .exec_panic(fault_per_mille),
-    ));
-    let session = Arc::new(Session::new(Framework::new(arch.clone())));
-    let server = Arc::new(Server::with_fault_injection(
-        session,
+    );
+    let server = Server::with_instrumentation(
+        Session::new(Framework::new(arch.clone())),
         ServeConfig {
             max_batch: 32,
             batch_window: Duration::from_micros(300),
@@ -105,54 +102,15 @@ pub fn run_chaos_point(
             },
             breaker: BreakerPolicy::default(),
         },
-        Arc::clone(&injector),
-    ));
+        Some(Arc::new(injector)),
+        None,
+    );
     let pool = shape_pool();
-
-    let t0 = Instant::now();
-    let degraded_total: usize = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..producers)
-            .map(|t| {
-                let server = Arc::clone(&server);
-                let pool = pool.clone();
-                scope.spawn(move || {
-                    let mut degraded = 0usize;
-                    for i in 0..per_producer {
-                        let shape = pool[(t + i) % pool.len()];
-                        let seed = (t * 10_000 + i) as u64;
-                        let batch = GemmBatch::random(&[shape], 1.0, 0.5, seed);
-                        let expected = batch.reference_result_exact();
-                        let got = server
-                            .submit(GemmRequest {
-                                a: batch.a[0].clone(),
-                                b: batch.b[0].clone(),
-                                c: batch.c[0].clone(),
-                                alpha: batch.alpha,
-                                beta: batch.beta,
-                                deadline: None,
-                            })
-                            .expect("closed-loop submit admitted")
-                            .wait_for(Duration::from_secs(60))
-                            .expect("every faulted request still resolves to a result");
-                        assert!(
-                            bitwise_mismatch(&expected, std::slice::from_ref(&got.c)).is_none(),
-                            "producer {t} request {i}: result diverged under fault injection"
-                        );
-                        degraded += usize::from(got.degraded);
-                    }
-                    degraded
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("producer survived the storm")).sum()
-    });
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    let server = Arc::into_inner(server).expect("all producers joined");
+    let run = closed_loop(&server, producers, per_producer, |t, i| pool[(t + i) % pool.len()]);
     let stats = server.shutdown();
     let requests = producers * per_producer;
     assert_eq!(stats.completed, requests, "zero drops at any fault rate");
-    assert_eq!(stats.degraded, degraded_total, "server and clients agree on degraded count");
+    assert_eq!(stats.degraded, run.degraded, "server and clients agree on degraded count");
 
     ChaosPoint {
         fault_per_mille,
@@ -161,9 +119,9 @@ pub fn run_chaos_point(
         retries: stats.retries,
         worker_panics: stats.worker_panics,
         breaker_trips: stats.breaker_trips,
-        throughput_rps: requests as f64 / (wall_ms / 1e3),
-        p50_us: stats.p50_us,
-        p95_us: stats.p95_us,
+        throughput_rps: run.throughput_rps(),
+        p50_us: percentile(&run.latencies_us, 0.50),
+        p95_us: percentile(&run.latencies_us, 0.95),
     }
 }
 

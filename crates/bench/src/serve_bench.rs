@@ -1,21 +1,20 @@
 //! `reproduce serve` — the tracked serving-layer harness.
 //!
-//! Drives the `ctb-serve` server with a closed-loop multi-producer
-//! workload (each producer submits a request, waits for its result,
-//! verifies it bitwise against the exact oracle, and immediately
-//! submits the next) and reports the service-level numbers the serving
-//! layer exists to move: throughput, coalescing achieved (mean batch
-//! size), plan-cache hit rate, and tail latency. Results are written as
-//! `BENCH_serve.json` at the repository root so successive commits can
-//! be compared.
+//! Drives the `ctb-serve` server with the multi-producer
+//! [`closed_loop`] (each producer submits a request, waits for its
+//! result, verifies it bitwise against the exact oracle, and
+//! immediately submits the next) and reports the service-level numbers
+//! the serving layer exists to move: throughput, coalescing achieved
+//! (mean batch size), plan-cache hit rate, and tail latency. Results
+//! are written as `BENCH_serve.json` at the repository root so
+//! successive commits can be compared.
 
-use crate::Json;
+use crate::{closed_loop, percentile, Json};
 use ctb_core::Framework;
 use ctb_gpu_specs::ArchSpec;
-use ctb_matrix::{bitwise_mismatch, GemmBatch, GemmShape};
-use ctb_serve::{GemmRequest, ServeConfig, Server};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use ctb_matrix::GemmShape;
+use ctb_serve::{ServeConfig, Server};
+use std::time::Duration;
 
 /// The tracked service-level numbers for one closed-loop run.
 #[derive(Debug, Clone)]
@@ -61,7 +60,7 @@ fn shape_pool() -> Vec<GemmShape> {
 /// Run the closed loop: `producers` threads, `per_producer` requests
 /// each, every result checked bitwise against the exact oracle.
 pub fn run_serve_bench(arch: &ArchSpec, producers: usize, per_producer: usize) -> ServeBenchReport {
-    let server = Arc::new(Server::new(
+    let server = Server::new(
         Framework::new(arch.clone()),
         ServeConfig {
             max_batch: 32,
@@ -70,46 +69,9 @@ pub fn run_serve_bench(arch: &ArchSpec, producers: usize, per_producer: usize) -
             workers: 2,
             ..ServeConfig::default()
         },
-    ));
+    );
     let pool = shape_pool();
-
-    let t0 = Instant::now();
-    let handles: Vec<_> = (0..producers)
-        .map(|t| {
-            let server = Arc::clone(&server);
-            let pool = pool.clone();
-            std::thread::spawn(move || {
-                for i in 0..per_producer {
-                    let shape = pool[(t + i) % pool.len()];
-                    let seed = (t * 10_000 + i) as u64;
-                    let batch = GemmBatch::random(&[shape], 1.0, 0.5, seed);
-                    let expected = batch.reference_result_exact();
-                    let got = server
-                        .submit(GemmRequest {
-                            a: batch.a[0].clone(),
-                            b: batch.b[0].clone(),
-                            c: batch.c[0].clone(),
-                            alpha: batch.alpha,
-                            beta: batch.beta,
-                            deadline: None,
-                        })
-                        .expect("closed-loop submit admitted")
-                        .wait()
-                        .expect("closed-loop request completed");
-                    assert!(
-                        bitwise_mismatch(&expected, std::slice::from_ref(&got.c)).is_none(),
-                        "producer {t} request {i}: served result diverged from oracle"
-                    );
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("producer thread panicked");
-    }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    let server = Arc::into_inner(server).expect("all producers joined");
+    let run = closed_loop(&server, producers, per_producer, |t, i| pool[(t + i) % pool.len()]);
     let stats = server.shutdown();
     let requests = producers * per_producer;
     assert_eq!(stats.completed, requests, "closed loop completed everything it submitted");
@@ -121,10 +83,10 @@ pub fn run_serve_bench(arch: &ArchSpec, producers: usize, per_producer: usize) -
         mean_batch_size: stats.mean_batch_size,
         plan_cache_hit_rate: stats.plan_cache.hit_rate(),
         sim_memo_hit_rate: stats.sim_memo.hit_rate(),
-        wall_ms,
-        throughput_rps: requests as f64 / (wall_ms / 1e3),
-        p50_us: stats.p50_us,
-        p95_us: stats.p95_us,
+        wall_ms: run.wall_ms,
+        throughput_rps: run.throughput_rps(),
+        p50_us: percentile(&run.latencies_us, 0.50),
+        p95_us: percentile(&run.latencies_us, 0.95),
     }
 }
 
