@@ -19,7 +19,7 @@ use ctb_matrix::{assert_bitwise_eq, GemmBatch, GemmShape};
 use ctb_serve::{GemmRequest, ServeConfig, ServeError, Server};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Mixed shape pool: small/large, edge sizes 1, odd K — the
 /// variable-size traffic the paper's coalescing targets.
@@ -93,6 +93,7 @@ fn eight_producers_all_get_bitwise_exact_results_under_backpressure() {
                         &format!("producer {t} request {i} ({shape})"),
                     );
                     assert!(got.timing.batch_size >= 1);
+                    assert!(got.timing.total_us() > 0.0, "every response carries its latency");
                 }
             })
         })
@@ -117,7 +118,6 @@ fn eight_producers_all_get_bitwise_exact_results_under_backpressure() {
         stats.batches,
         "one plan lookup per executed batch"
     );
-    assert!(stats.p95_us >= stats.p50_us);
 }
 
 #[test]
@@ -167,8 +167,14 @@ fn shutdown_under_load_drains_every_admitted_request() {
         })
         .collect();
 
-    // Let traffic build, then close admissions mid-flight.
-    std::thread::sleep(Duration::from_millis(50));
+    // Close admissions mid-flight, once the load phase has admitted
+    // something; a generous deadline turns a stalled server into a
+    // failure instead of a hang.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while accepted.load(Ordering::SeqCst) == 0 {
+        assert!(Instant::now() < deadline, "no request admitted within 30 s");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     server.close();
     for h in handles {
         h.join().expect("producer thread panicked");

@@ -8,6 +8,7 @@
 //! cargo run --example serve_demo --release
 //! ```
 
+use ctb::bench::percentile;
 use ctb::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -41,7 +42,7 @@ fn main() {
         .map(|t| {
             let server = Arc::clone(&server);
             std::thread::spawn(move || {
-                let mut worst_us = 0.0f64;
+                let mut latencies_us = Vec::with_capacity(PER_CLIENT);
                 for i in 0..PER_CLIENT {
                     let shape = shapes[(t + i) % shapes.len()];
                     let batch = GemmBatch::random(&[shape], 1.0, 0.5, (t * 1000 + i) as u64);
@@ -63,14 +64,16 @@ fn main() {
                         std::slice::from_ref(&result.c),
                         "served result vs oracle",
                     );
-                    worst_us = worst_us.max(result.timing.total_us());
+                    latencies_us.push(result.timing.total_us());
                 }
-                worst_us
+                latencies_us
             })
         })
         .collect();
-    let worst_us =
-        clients.into_iter().map(|h| h.join().expect("client ok")).fold(0.0f64, f64::max);
+    // Each response carries its own latency; the server keeps none.
+    let mut latencies_us: Vec<f64> =
+        clients.into_iter().flat_map(|h| h.join().expect("client ok")).collect();
+    latencies_us.sort_by(f64::total_cmp);
 
     let server = Arc::into_inner(server).expect("clients done");
     let stats = server.shutdown();
@@ -89,6 +92,8 @@ fn main() {
     );
     println!(
         "latency: p50 {:.0} us, p95 {:.0} us, worst observed {:.0} us",
-        stats.p50_us, stats.p95_us, worst_us
+        percentile(&latencies_us, 0.50),
+        percentile(&latencies_us, 0.95),
+        latencies_us.last().copied().unwrap_or(0.0)
     );
 }
