@@ -235,9 +235,8 @@ mod tests {
         assert!(a.contains(5));
         assert!(b.contains(5));
         // ...but the raw slot contents differ (seed enters the tag).
-        let dump = |g: &BloomGate| {
-            g.slots.iter().map(|s| s.load(Ordering::Relaxed)).collect::<Vec<_>>()
-        };
+        let dump =
+            |g: &BloomGate| g.slots.iter().map(|s| s.load(Ordering::Relaxed)).collect::<Vec<_>>();
         assert_ne!(dump(&a), dump(&b));
     }
 

@@ -56,9 +56,8 @@ pub fn autotune(arch: &ArchSpec, shapes: &[GemmShape], thresholds: &Thresholds) 
     // Evaluate `(solution index, heuristic)` pairs in parallel,
     // returning times in pair order for the deterministic serial scans.
     let eval_pairs = |sols: &[TilingSolution]| -> Vec<(usize, BatchingHeuristic, f64)> {
-        let pairs: Vec<(usize, BatchingHeuristic)> = (0..sols.len())
-            .flat_map(|i| heuristics.iter().map(move |&h| (i, h)))
-            .collect();
+        let pairs: Vec<(usize, BatchingHeuristic)> =
+            (0..sols.len()).flat_map(|i| heuristics.iter().map(move |&h| (i, h))).collect();
         pairs.into_par_iter().map(|(i, h)| (i, h, sim_us(&sols[i], h))).collect()
     };
 
@@ -73,7 +72,12 @@ pub fn autotune(arch: &ArchSpec, shapes: &[GemmShape], thresholds: &Thresholds) 
                 .map(|s| {
                     let avail = available(s, tc);
                     let target = batched(kind, tc);
-                    avail.iter().rev().find(|st| st.kind <= target.kind).copied().unwrap_or(avail[0])
+                    avail
+                        .iter()
+                        .rev()
+                        .find(|st| st.kind <= target.kind)
+                        .copied()
+                        .unwrap_or(avail[0])
                 })
                 .collect();
             let tlp = model::tlp(shapes, &per_gemm);
@@ -208,11 +212,6 @@ mod tests {
         let (arch, th) = setup();
         let shapes = ctb_matrix::gen::uniform_case(16, 128, 128, 128);
         let r = autotune(&arch, &shapes, &th);
-        assert!(
-            r.heuristic_us <= r.us * 2.0,
-            "heuristic {} vs tuned {}",
-            r.heuristic_us,
-            r.us
-        );
+        assert!(r.heuristic_us <= r.us * 2.0, "heuristic {} vs tuned {}", r.heuristic_us, r.us);
     }
 }

@@ -123,7 +123,13 @@ mod tests {
         let st = batched(StrategyKind::Small, ThreadCount::T256);
         // Tiles with wildly different K.
         let tiles: Vec<TileTask> = (0..16)
-            .map(|i| TileTask { gemm: 0, y: i, x: 0, k: if i == 0 { 4096 } else { 64 }, strategy: st })
+            .map(|i| TileTask {
+                gemm: 0,
+                y: i,
+                x: 0,
+                k: if i == 0 { 4096 } else { 64 },
+                strategy: st,
+            })
             .collect();
         let blocks = lpt_assign(&tiles, 4);
         assert_eq!(blocks.iter().map(Vec::len).sum::<usize>(), 16);
@@ -158,10 +164,7 @@ mod tests {
         shapes.extend(vec![GemmShape::new(64, 64, 32); 28]);
         let dynamic = simulate_dynamic(&arch, &shapes, &th);
         let static_best = crate::Framework::new(arch.clone()).plan(&shapes).unwrap().predicted_us;
-        assert!(
-            dynamic <= static_best * 1.25,
-            "dynamic {dynamic} vs best static {static_best}"
-        );
+        assert!(dynamic <= static_best * 1.25, "dynamic {dynamic} vs best static {static_best}");
     }
 
     #[test]

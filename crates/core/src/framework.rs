@@ -149,8 +149,7 @@ impl Framework {
         }
         let solution = select_tiling(shapes, &self.thresholds);
         let tiles = tiles_for(shapes, &solution);
-        let build =
-            |h| memo.candidate(&self.arch, &self.thresholds, shapes, &solution, &tiles, h);
+        let build = |h| memo.candidate(&self.arch, &self.thresholds, shapes, &solution, &tiles, h);
         // Try both heuristics (§5) plus the degenerate
         // one-tile-per-block scheme (what threshold batching
         // produces with no TLP headroom), keeping the first fastest.
@@ -204,11 +203,7 @@ mod tests {
     use ctb_matrix::assert_bitwise_eq;
 
     fn shapes() -> Vec<GemmShape> {
-        vec![
-            GemmShape::new(16, 32, 128),
-            GemmShape::new(64, 64, 64),
-            GemmShape::new(256, 256, 64),
-        ]
+        vec![GemmShape::new(16, 32, 128), GemmShape::new(64, 64, 64), GemmShape::new(256, 256, 64)]
     }
 
     #[test]

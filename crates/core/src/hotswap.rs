@@ -108,7 +108,10 @@ mod tests {
         let h = CalibHandle::new();
         assert_eq!(h.version(), 0);
         assert!(h.snapshot().selector.is_none());
-        assert_eq!(h.correct("Tesla V100", 42.5, &[1.0, 2.0, 3.0, 4.0]).to_bits(), 42.5f64.to_bits());
+        assert_eq!(
+            h.correct("Tesla V100", 42.5, &[1.0, 2.0, 3.0, 4.0]).to_bits(),
+            42.5f64.to_bits()
+        );
     }
 
     #[test]

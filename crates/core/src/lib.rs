@@ -32,13 +32,13 @@ pub mod selector;
 pub mod session;
 pub mod splitk;
 
+pub use admission::{AdmissionPolicy, AdmissionStats, BloomGate};
+pub use dynamic::{plan_dynamic, simulate_dynamic};
 pub use framework::{BatchingPolicy, ExecutionPlan, Framework, FrameworkConfig, RunOutcome};
 pub use hotswap::{CalibHandle, CalibState};
 pub use interface::{execute_plan, execute_plan_unpacked, tile_kernel_name};
-pub use memo::SimMemo;
 pub use lowering::{lower_plan, tile_pass};
+pub use memo::SimMemo;
 pub use selector::OnlineSelector;
-pub use admission::{AdmissionPolicy, AdmissionStats, BloomGate};
 pub use session::{operand_bytes, CacheStats, PlanShare, PlanShareConfig, Session};
-pub use dynamic::{plan_dynamic, simulate_dynamic};
 pub use splitk::{plan_splitk, run_splitk};

@@ -124,12 +124,16 @@ mod tests {
 
     #[test]
     fn lowered_plan_has_one_block_work_per_block() {
-        let shapes =
-            vec![GemmShape::new(64, 64, 32), GemmShape::new(128, 128, 64), GemmShape::new(16, 32, 16)];
+        let shapes = vec![
+            GemmShape::new(64, 64, 32),
+            GemmShape::new(128, 128, 64),
+            GemmShape::new(16, 32, 16),
+        ];
         let th = Thresholds::paper_v100();
         let sol = select_tiling(&shapes, &th);
         let tiles = tiles_for(&shapes, &sol);
-        let plan = assign_blocks(&tiles, BatchingHeuristic::Threshold, &th, sol.thread_count.threads());
+        let plan =
+            assign_blocks(&tiles, BatchingHeuristic::Threshold, &th, sol.thread_count.threads());
         let kd = lower_plan("test", &plan, &shapes);
         assert_eq!(kd.blocks.len(), plan.num_blocks());
         assert_eq!(kd.footprint.threads, sol.thread_count.threads());

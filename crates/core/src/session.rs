@@ -10,8 +10,8 @@
 
 use crate::admission::{AdmissionPolicy, AdmissionStats, BloomGate};
 use crate::framework::{BatchingPolicy, ExecutionPlan, Framework, RunOutcome};
-use crate::hotswap::CalibHandle;
 use crate::hash::{fnv1a, fnv1a_shapes, mix64, FNV_OFFSET};
+use crate::hotswap::CalibHandle;
 use crate::memo::{arch_fingerprint, SimMemo};
 use ctb_matrix::{GemmBatch, GemmShape};
 use ctb_obs::{Obs, PointKind, SpanKind};
@@ -757,11 +757,7 @@ mod tests {
         let cases = vec![vec![GemmShape::new(32, 32, 32)], vec![GemmShape::new(16, 16, 256)]];
         let forest = || {
             let cfg = FrameworkConfig {
-                batching: BatchingPolicy::Forest(OnlineSelector::train(
-                    &arch,
-                    &thresholds,
-                    &cases,
-                )),
+                batching: BatchingPolicy::Forest(OnlineSelector::train(&arch, &thresholds, &cases)),
                 thresholds: None,
             };
             Session::with_share(Framework::with_config(arch.clone(), cfg), Arc::clone(&share))
@@ -818,7 +814,8 @@ mod tests {
         // Restoring with a session for a *different* arch: no session
         // matches the saved fingerprint.
         let share2 = Arc::new(PlanShare::new());
-        let wrong = Session::with_share(Framework::new(ArchSpec::maxwell_m60()), Arc::clone(&share2));
+        let wrong =
+            Session::with_share(Framework::new(ArchSpec::maxwell_m60()), Arc::clone(&share2));
         let err = share2
             .restore_with_sessions(&mut ctb_savestate::Reader::new(&bytes), &[&wrong])
             .unwrap_err();
@@ -849,13 +846,19 @@ mod tests {
         // Second sighting: admitted.
         s.plan(&shapes()).unwrap();
         assert_eq!(share.cached_plans_total(), 1);
-        assert_eq!(share.admission_stats(), AdmissionStats { admitted: 1, denied: 1, evicted_tags: 0 });
+        assert_eq!(
+            share.admission_stats(),
+            AdmissionStats { admitted: 1, denied: 1, evicted_tags: 0 }
+        );
         assert_eq!(s.stats(), CacheStats { hits: 0, misses: 2 });
 
         // Third sighting: a plain cache hit, no new gate decision.
         s.plan(&shapes()).unwrap();
         assert_eq!(s.stats(), CacheStats { hits: 1, misses: 2 });
-        assert_eq!(share.admission_stats(), AdmissionStats { admitted: 1, denied: 1, evicted_tags: 0 });
+        assert_eq!(
+            share.admission_stats(),
+            AdmissionStats { admitted: 1, denied: 1, evicted_tags: 0 }
+        );
     }
 
     #[test]
@@ -899,8 +902,16 @@ mod tests {
         assert_eq!(s.cached_plans(), 12);
         assert!(sizes.iter().filter(|&&n| n > 0).count() > 1, "keys spread across shards");
         // Shard counts are rounded up to a power of two.
-        assert_eq!(PlanShare::with_config(PlanShareConfig { shards: 5, ..Default::default() }).shard_count(), 8);
-        assert_eq!(PlanShare::with_config(PlanShareConfig { shards: 0, ..Default::default() }).shard_count(), 1);
+        assert_eq!(
+            PlanShare::with_config(PlanShareConfig { shards: 5, ..Default::default() })
+                .shard_count(),
+            8
+        );
+        assert_eq!(
+            PlanShare::with_config(PlanShareConfig { shards: 0, ..Default::default() })
+                .shard_count(),
+            1
+        );
         // A forged count is clamped to 2^16 before it is rounded up.
         let forged = PlanShareConfig { shards: usize::MAX, ..Default::default() };
         assert_eq!(PlanShare::with_config(forged).shard_count(), 1 << 16);
@@ -995,7 +1006,11 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let batch = GemmBatch::random(&shapes(), 1.0, 0.0, t);
                 let out = s.run(&batch).expect("runs");
-                assert_bitwise_eq(&batch.reference_result_exact(), &out.results, "shared session run");
+                assert_bitwise_eq(
+                    &batch.reference_result_exact(),
+                    &out.results,
+                    "shared session run",
+                );
             }));
         }
         for h in handles {

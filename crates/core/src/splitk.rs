@@ -80,11 +80,8 @@ pub fn auto_split(
     thresholds: &Thresholds,
     max_split: usize,
 ) -> usize {
-    let tiles: usize = shapes
-        .iter()
-        .zip(&solution.per_gemm)
-        .map(|(s, st)| st.tiles(s.m, s.n))
-        .sum();
+    let tiles: usize =
+        shapes.iter().zip(&solution.per_gemm).map(|(s, st)| st.tiles(s.m, s.n)).sum();
     let min_k = shapes.iter().map(|s| s.k).min().unwrap_or(0);
     let bk = solution.per_gemm.first().map(|st| st.bk).unwrap_or(8);
     let mut split = 1usize;
@@ -253,10 +250,7 @@ mod tests {
             let slices = split_tiles(&tiles, split);
             // Per tile: slices are contiguous, disjoint, and cover [0, K).
             for t in &tiles {
-                let mut mine: Vec<&SplitTile> = slices
-                    .iter()
-                    .filter(|s| s.tile == *t)
-                    .collect();
+                let mut mine: Vec<&SplitTile> = slices.iter().filter(|s| s.tile == *t).collect();
                 mine.sort_by_key(|s| s.k0);
                 assert_eq!(mine.first().unwrap().k0, 0);
                 assert_eq!(mine.last().unwrap().k1, t.k);
