@@ -5,8 +5,8 @@
 //! end on the discrete-event cluster engine:
 //!
 //! 1. **Record** — a seeded exec-panic storm runs through an
-//!    instrumented 2-device pool. Every injected panic snapshots the
-//!    flight-recorder ring ([`ctb_obs::Obs::dump_flight`]); the run
+//!    instrumented 2-device pool. Every injected panic marks a flight
+//!    dump in the obs log ([`ctb_obs::Obs::dump_flight`]); the run
 //!    ends with a full obs trace and a set of flight dumps.
 //! 2. **Re-run** — a brand-new engine with the same seeds replays the
 //!    scenario from scratch. Its trace bytes and flight dumps must be
@@ -73,7 +73,7 @@ pub struct RecordedRun {
     pub failed: usize,
     pub worker_panics: usize,
     pub breaker_trips: usize,
-    /// Flight-recorder snapshots captured (one per panic / trip).
+    /// Flight dumps taken (one per panic / trip).
     pub flight_dumps: usize,
     /// Events across all flight dumps.
     pub dump_events: usize,
@@ -263,7 +263,7 @@ mod tests {
     fn smoke_scenario_records_and_replays_exactly() {
         let r = run_report(&ReplayBenchConfig::smoke());
         assert!(r.recorded.worker_panics > 0, "the storm must catch panics");
-        assert!(r.recorded.flight_dumps > 0, "every panic snapshots the flight ring");
+        assert!(r.recorded.flight_dumps > 0, "every panic takes a flight dump");
         assert!(r.recorded.dump_events > 0);
         assert!(r.recorded.trace_bytes > 0);
         assert!(r.replay.rerun_identical, "from-scratch re-run must be byte-identical");

@@ -198,12 +198,13 @@ impl EventCluster {
         // counters; v4 moved plan-cache accounting from the devices to
         // the arch classes and keys residency by shapes; v5 writes each
         // arch once per class and drops what restore can count; v6 drops
-        // the obs bus's config. Each time an older checkpoint stopped
-        // describing a decodable engine.
-        if version < 6 {
+        // the obs bus's config; v7 writes the obs log and dump marks
+        // only. Each time an older checkpoint stopped describing a
+        // decodable engine.
+        if version < 7 {
             return Err(SavestateError::Mismatch(format!(
-                "cluster checkpoint format v{version} predates v6, whose obs image holds no \
-                 bus config; re-checkpoint with the current engine"
+                "cluster checkpoint format v{version} predates v7, whose obs image holds only \
+                 the event log and dump marks; re-checkpoint with the current engine"
             )));
         }
         // The cfg carries the share's shard/capacity/admission layout,

@@ -18,7 +18,7 @@
 //! save → load → save byte-identically at every crash point.
 //!
 //! The suite also pins the golden on-disk fixture
-//! (`tests/fixtures/savestate_v6.bin`) for format-version discipline —
+//! (`tests/fixtures/savestate_v7.bin`) for format-version discipline —
 //! since v2 the embedded `PlanShare` image carries the shard layout,
 //! the optional capacity bound and the Bloom admission gate, and one
 //! crash-swept schedule runs with a `SeenTwice` gate over a bounded
@@ -31,8 +31,10 @@
 //! per arch class and residency as `(shapes, device)` records; since v5
 //! it writes each arch's name and topology once per class, and none of
 //! the pending counts and flags restore counts from the timeline; since
-//! v6 its obs image holds no bus config. The v5 fixture stays committed
-//! as the input of a typed-rejection test.
+//! v6 its obs image holds no bus config; since v7 that image is the
+//! event log and one mark per flight dump, with no ring, sequence
+//! counter or dump copies. The v6 fixture stays committed as the input
+//! of a typed-rejection test.
 //! The suite further exercises queue migration between two engine
 //! instances (`halt_and_export` → `import_jobs`, zero drops) and
 //! round-trips randomized mid-run states under proptest.
@@ -572,23 +574,25 @@ fn v2_checkpoint_is_rejected_with_typed_mismatch() {
     }
 }
 
-/// The committed v5 fixture, whose obs image still holds the bus
-/// config, is refused with a typed [`SavestateError::Mismatch`] that
-/// names v5.
+/// The committed v6 fixture, whose obs image still holds the flight
+/// ring, the sequence counter and each dump's event copies, is refused
+/// with a typed [`SavestateError::Mismatch`] that names v6 and v7.
 #[test]
-fn v5_checkpoint_is_rejected_with_typed_mismatch() {
-    let v5 = std::fs::read(fixture_path(5)).expect("the v5 fixture is committed");
-    match EventCluster::restore(pool(), &v5) {
-        Err(SavestateError::Mismatch(msg)) => assert!(msg.contains("v5"), "{msg}"),
+fn v6_checkpoint_is_rejected_with_typed_mismatch() {
+    let v6 = std::fs::read(fixture_path(6)).expect("the v6 fixture is committed");
+    match EventCluster::restore(pool(), &v6) {
+        Err(SavestateError::Mismatch(msg)) => {
+            assert!(msg.contains("v6") && msg.contains("v7"), "{msg}")
+        }
         Err(e) => panic!("expected Mismatch, got {e:?}"),
-        Ok(_) => panic!("the v5 fixture restored successfully"),
+        Ok(_) => panic!("the v6 fixture restored successfully"),
     }
 }
 
 /// The v5 job layout has no arrival time, so `import_jobs` refuses a job
 /// export stamped v4 with a typed [`SavestateError::Mismatch`] that
 /// names v4, and imports the same export stamped v5 (the job layout did
-/// not change in v6) and as written.
+/// not change in v6 or v7) and as written.
 #[test]
 fn import_jobs_refuses_a_v4_job_export() {
     let mut source = EventCluster::new(pool(), EventConfig::default());

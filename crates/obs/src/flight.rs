@@ -1,18 +1,17 @@
-//! Flight recorder: a bounded ring of the most recent events, dumped
-//! when something goes wrong (worker panic, breaker trip) so a chaos
-//! failure arrives with its last-N-events context attached.
+//! Flight recorder: when something goes wrong (worker panic, breaker
+//! trip) the bus marks its log, so a chaos failure arrives with its
+//! last-N-events context attached. A dump is a mark, not a copy: it
+//! reads back from the log as the 256 events before it.
 
 use crate::event::Event;
 
-/// One captured ring: the reason it was dumped plus the events that
-/// were in the ring at that instant, oldest first.
+/// One dump read back from the log: the reason it was taken plus the
+/// latest 256 events logged before it, oldest first.
 #[derive(Debug, Clone)]
 pub struct FlightDump {
     pub reason: String,
     pub events: Vec<Event>,
 }
-
-ctb_savestate::savestate_struct!(FlightDump { reason, events });
 
 impl FlightDump {
     /// Human-readable rendering for panic messages and logs.

@@ -55,10 +55,12 @@ pub const MAGIC: [u8; 4] = *b"CTBS";
 /// probe), the cluster counters that restate per-device ones, the
 /// latency log and each job's arrival time; v6 drops the obs bus's
 /// config (flight-ring capacity and log flag), which is now a constant
-/// of the bus. Each extension changed the layout in place, so older
-/// blobs no longer decode (the cluster restore rejects them with a
-/// typed [`SavestateError::Mismatch`]).
-pub const FORMAT_VERSION: u32 = 6;
+/// of the bus; v7 drops the obs bus's flight ring, its sequence counter
+/// and the dumps' event copies, writing only the event log and one
+/// `(reason, log length)` mark per dump. Each extension changed the
+/// layout in place, so older blobs no longer decode (the cluster
+/// restore rejects them with a typed [`SavestateError::Mismatch`]).
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Cap on speculative pre-allocation while decoding length-prefixed
 /// containers. Real lengths above this are still decoded — the vector

@@ -647,8 +647,8 @@ fn run_job(shared: &Shared, job: Job) {
             }
         }
         Err(_payload) => {
-            // Close the span before snapshotting, so the flight ring
-            // holds the panicking batch's complete exec span.
+            // Close the span before the dump's mark, so the dump holds
+            // the panicking batch's complete exec span.
             if let Some(g) = exec_guard {
                 g.finish();
             }
