@@ -14,30 +14,12 @@ use crate::{closed_loop, percentile, Json};
 use ctb_core::{Framework, Session};
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::GemmShape;
-use ctb_serve::{BreakerPolicy, FaultConfig, FaultInjector, RetryPolicy, ServeConfig, Server};
-use std::sync::{Arc, Once};
+use ctb_serve::{
+    quiet_injected_panics, BreakerPolicy, FaultConfig, FaultInjector, RetryPolicy, ServeConfig,
+    Server,
+};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// Injected panics unwind through the server's isolation boundary by
-/// design; keep their default-hook noise out of the harness output
-/// while leaving real panics loud.
-fn quiet_injected_panics() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let msg = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
-            let injected = msg.is_some_and(|s| s.contains("ctb-serve injected fault"));
-            if !injected {
-                default(info);
-            }
-        }));
-    });
-}
 
 /// One fault-rate point of the sweep.
 #[derive(Debug, Clone)]

@@ -57,8 +57,8 @@ mod server;
 mod stats;
 
 pub use fault::{
-    panic_message, FaultConfig, FaultInjector, FaultLog, FaultSite, INJECTED_DEGRADED_PANIC_MSG,
-    INJECTED_PANIC_MSG,
+    panic_message, quiet_injected_panics, FaultConfig, FaultInjector, FaultLog, FaultSite,
+    INJECTED_DEGRADED_PANIC_MSG, INJECTED_PANIC_MSG,
 };
 pub use front::AsyncFront;
 pub use request::{GemmRequest, GemmResult, RequestTiming, ServeError, Ticket};

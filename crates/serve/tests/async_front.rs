@@ -27,35 +27,15 @@ use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::{assert_bitwise_eq, GemmBatch, GemmShape, MatF32};
 use ctb_obs::{Obs, TraceAudit, TraceCounts};
 use ctb_serve::{
-    BreakerPolicy, FaultConfig, FaultInjector, GemmRequest, RetryPolicy, ServeConfig, ServeStats,
-    Server,
+    quiet_injected_panics, BreakerPolicy, FaultConfig, FaultInjector, GemmRequest, RetryPolicy,
+    ServeConfig, ServeStats, Server,
 };
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Far beyond every injected delay: hitting it means a hang, not
 /// slowness.
 const HANG_BOUND: Duration = Duration::from_secs(30);
-
-/// Injected panics unwind through `catch_unwind` by design; silence
-/// only *their* default-hook noise so real panics still print.
-fn quiet_injected_panics() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let msg = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
-            let injected = msg.is_some_and(|s| s.contains("ctb-serve injected fault"));
-            if !injected {
-                default(info);
-            }
-        }));
-    });
-}
 
 /// One differential schedule: the server tuning, the chaos schedule,
 /// the traffic volume, and the cache behind the session.

@@ -26,35 +26,15 @@ use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::{assert_bitwise_eq, GemmBatch, GemmShape, MatF32};
 use ctb_obs::{Obs, TraceAudit, TraceCounts};
 use ctb_serve::{
-    BreakerPolicy, FaultConfig, FaultInjector, GemmRequest, RetryPolicy, ServeConfig, ServeError,
-    ServeStats, Server, Ticket,
+    quiet_injected_panics, BreakerPolicy, FaultConfig, FaultInjector, GemmRequest, RetryPolicy,
+    ServeConfig, ServeError, ServeStats, Server, Ticket,
 };
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Upper bound on any single wait: far beyond every injected delay, so
 /// hitting it means a genuine hang, not slowness.
 const HANG_BOUND: Duration = Duration::from_secs(30);
-
-/// Injected panics unwind through `catch_unwind` by design; silence
-/// only *their* default-hook noise so real panics still print.
-fn quiet_injected_panics() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let msg = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
-            let injected = msg.is_some_and(|s| s.contains("ctb-serve injected fault"));
-            if !injected {
-                default(info);
-            }
-        }));
-    });
-}
 
 fn server_with_faults(cfg: ServeConfig, faults: FaultConfig) -> (Server, Arc<FaultInjector>) {
     quiet_injected_panics();

@@ -1,37 +1,19 @@
 //! Observability-specific serve tests: the flight recorder's panic-path
 //! contract. A worker panic's dump must contain the panicking batch's
 //! *closed* Exec span, i.e. the span guard outlives the `catch_unwind`
-//! boundary and finishes before the ring is captured.
+//! boundary and finishes before the dump is marked.
 
 use ctb_core::{Framework, Session};
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::{GemmBatch, GemmShape};
 use ctb_obs::{EventKind, Obs, PointKind, SpanKind, TraceAudit};
-use ctb_serve::{FaultConfig, FaultInjector, GemmRequest, ServeConfig, Server};
-use std::sync::{Arc, Once};
+use ctb_serve::{
+    quiet_injected_panics, FaultConfig, FaultInjector, GemmRequest, ServeConfig, Server,
+};
+use std::sync::Arc;
 use std::time::Duration;
 
 const HANG_BOUND: Duration = Duration::from_secs(30);
-
-/// Injected panics unwind through `catch_unwind` by design; silence
-/// only *their* default-hook noise so real panics still print.
-fn quiet_injected_panics() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let msg = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
-            let injected = msg.is_some_and(|s| s.contains("ctb-serve injected fault"));
-            if !injected {
-                default(info);
-            }
-        }));
-    });
-}
 
 fn request(seed: u64) -> GemmRequest {
     let batch = GemmBatch::random(&[GemmShape::new(32, 48, 64)], 1.0, 0.5, seed);
@@ -51,7 +33,7 @@ fn worker_panic_dump_contains_the_panicking_exec_span() {
     // retry-then-degrade path, so every batch produces a "worker panic"
     // flight dump. The contract under test: the Exec span guard lives
     // *outside* the `catch_unwind` boundary and is finished before the
-    // ring is captured, so each dump ends with the panicking batch's
+    // dump is marked, so each dump ends with the panicking batch's
     // complete SpanBegin/SpanEnd pair followed by its PanicCaught mark.
     quiet_injected_panics();
     let injector = Arc::new(FaultInjector::new(FaultConfig::new(0x0B5CA11).exec_panic(1000)));
