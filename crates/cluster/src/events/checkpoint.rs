@@ -262,7 +262,17 @@ impl EventCluster {
             images.push(d);
         }
         let mut timeline = Timeline::load(&mut r)?;
-        for ev in timeline.pending() {
+        for (at, ev) in timeline.pending() {
+            // The timeline pops in `(at, seq)` order and the engine steps
+            // its clock to each popped time, so an event before `now`
+            // would run simulated time backwards.
+            if at < now {
+                return Err(SavestateError::Corrupt(format!(
+                    "pending event at {} ns precedes the checkpoint's now, {} ns",
+                    at.as_ns(),
+                    now.as_ns()
+                )));
+            }
             if let Ev::ExecDone { device }
             | Ev::StealCheck { device }
             | Ev::BreakerProbe { device }
@@ -305,7 +315,7 @@ impl EventCluster {
         // Each pending count and flag is kept where its events are
         // scheduled and fired, so the timeline and the devices fix it:
         // an open job is awaiting placement, queued or running.
-        for ev in timeline.pending() {
+        for (_, ev) in timeline.pending() {
             match *ev {
                 Ev::Arrive { .. } => eng.pending_arrivals += 1,
                 Ev::PlaceDone { .. } => eng.open_jobs += 1,
@@ -395,7 +405,7 @@ impl EventCluster {
             self.next_job_id += 1;
             job.attempts = 0;
             self.pending_arrivals += 1;
-            self.timeline.schedule(self.now, Ev::Arrive { job });
+            self.timeline.schedule(self.now, Ev::Arrive { job: Box::new(job) });
         }
         Ok(n)
     }

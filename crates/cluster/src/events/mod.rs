@@ -3,12 +3,13 @@
 //!
 //! Every device is an element of a `Vec` — a bounded `VecDeque` of
 //! jobs, a [`Breaker`] and an optional [`FaultInjector`] — and one
-//! binary-heap timeline drives them all. The devices of one
-//! architecture form an arch class, which plans through its one
+//! timeline drives them all: a min-heap of 32-byte entries, plus a FIFO
+//! for the events scheduled at the instant last popped. The devices of
+//! one architecture form an arch class, which plans through its one
 //! [`Session`] on the pool-wide [`PlanShare`]. No thread is spawned and
 //! nothing is locked, so pool size is bounded by memory, not by host
-//! threads: a 10k-device pool processing a million requests is just a
-//! larger heap.
+//! threads: a 10k-device pool processing a million requests only holds
+//! longer vectors and more pending events.
 //!
 //! **Scheduling policy.** Placement walks
 //! [`placer::rank`](crate::placer::rank), idle devices steal through
@@ -63,6 +64,7 @@ use ctb_savestate::{savestate_enum, savestate_struct, Reader, Savestate, Savesta
 use ctb_serve::{Breaker, BreakerPolicy, FaultInjector, FaultSite};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -72,7 +74,7 @@ mod placement;
 mod timeline;
 
 use execution::Running;
-use placement::{ClassPrediction, Signature};
+use placement::{ClassPrediction, Signature, WordHasher};
 pub use timeline::SimTime;
 use timeline::{Ev, Timeline};
 
@@ -94,9 +96,11 @@ const BACKOFF_NS: u64 = 50_000;
 /// One request in flight inside the event engine. It carries no
 /// matrices — only the shape signature the cost model needs — unless it
 /// is a witness (see module docs), in which case the matrices are
-/// rebuilt from `seed` at execution time. Every pending `Arrive` and
-/// `PlaceDone` event inlines one, so a field here costs every such
-/// timeline entry its size.
+/// rebuilt from `seed` at execution time. A pending `Arrive` or
+/// `PlaceDone` event holds one in a box, allocated where the arrival is
+/// scheduled and kept until placement unboxes it, so the timeline entry
+/// stays 32 bytes whatever the fields; a device queue holds its jobs
+/// inline.
 #[derive(Clone)]
 struct EvJob {
     id: u64,
@@ -573,7 +577,7 @@ pub struct EventCluster {
     /// Dense signature ids: every shape signature gets one at
     /// admission ([`intern`](Self::intern)), and `sigs[id]` holds it
     /// with the device its operands live on.
-    sig_ids: HashMap<Arc<[GemmShape]>, usize>,
+    sig_ids: HashMap<Arc<[GemmShape]>, usize, BuildHasherDefault<WordHasher>>,
     sigs: Vec<Signature>,
     /// The engine's prediction cache, one [`ClassPrediction`] per
     /// (signature, arch class) at `sig * classes.len() + class`: one
@@ -739,7 +743,7 @@ impl EventCluster {
             clock,
             stats: ClusterInner::default(),
             outcomes: Vec::new(),
-            sig_ids: HashMap::new(),
+            sig_ids: HashMap::default(),
             sigs: Vec::new(),
             predictions: Vec::new(),
             class_of,
@@ -797,7 +801,7 @@ impl EventCluster {
         let id = self.next_job_id;
         self.next_job_id += 1;
         let witness = self.is_witness(id);
-        let job = EvJob {
+        let job = Box::new(EvJob {
             id,
             shapes,
             sig: UNINTERNED,
@@ -806,7 +810,7 @@ impl EventCluster {
             attempts: 0,
             stolen: false,
             witness,
-        };
+        });
         self.pending_arrivals += 1;
         self.timeline.schedule(at, Ev::Arrive { job });
         id
@@ -945,7 +949,7 @@ impl EventCluster {
     fn dispatch(&mut self, ev: Ev) {
         match ev {
             Ev::Arrive { job } => self.on_arrive(job),
-            Ev::PlaceDone { job } => self.on_place(job),
+            Ev::PlaceDone { job } => self.on_place(*job),
             Ev::ExecDone { device } => self.on_exec_done(device),
             Ev::StealCheck { device } => self.on_steal_check(device),
             Ev::BreakerProbe { device } => self.on_breaker_probe(device),
@@ -953,7 +957,7 @@ impl EventCluster {
         }
     }
 
-    fn on_arrive(&mut self, mut job: EvJob) {
+    fn on_arrive(&mut self, mut job: Box<EvJob>) {
         job.sig = self.intern(&job.shapes);
         self.pending_arrivals -= 1;
         self.open_jobs += 1;
@@ -987,7 +991,8 @@ impl EventCluster {
             Err(fail) if fail.any_full => {
                 // Backpressure: every candidate queue is full. Retry
                 // the placement one backoff interval later.
-                self.timeline.schedule(self.now.plus(BACKOFF_NS), Ev::PlaceDone { job: fail.job });
+                let job = Box::new(fail.job);
+                self.timeline.schedule(self.now.plus(BACKOFF_NS), Ev::PlaceDone { job });
             }
             Err(fail) if fail.plan_err.is_some() => {
                 self.end_request(ReqOutcome::PlanRejected { id });
@@ -1043,6 +1048,7 @@ impl EventCluster {
 mod tests {
     use super::*;
     use ctb_serve::FaultConfig;
+    use proptest::prelude::*;
     use std::time::Duration;
 
     fn sig(shapes: &[GemmShape]) -> Arc<[GemmShape]> {
@@ -1053,21 +1059,112 @@ mod tests {
         EventConfig::default()
     }
 
-    #[test]
-    fn timeline_orders_by_time_then_schedule_order() {
-        let mut t = Timeline::new();
-        for (at, device) in [(50, 1), (10, 2), (50, 3), (10, 4)] {
-            t.schedule(SimTime(at), Ev::StealCheck { device });
+    /// What [`timeline_orders_by_time_then_schedule_order`] does to a
+    /// timeline and to its model.
+    #[derive(Debug, Clone)]
+    enum TimelineOp {
+        /// Schedule an event this many ns after the instant last
+        /// popped: a steal check (kind 0), an arrival (1) or a
+        /// placement (2), tagged with its schedule order.
+        Schedule {
+            after_ns: u64,
+            kind: u32,
+        },
+        Pop,
+        /// Save, load, and check that saving again gives the same bytes.
+        RoundTrip,
+    }
+
+    fn timeline_op() -> impl Strategy<Value = TimelineOp> {
+        let schedule = || {
+            (0u64..3, 0u32..3).prop_map(|(after_ns, kind)| TimelineOp::Schedule { after_ns, kind })
+        };
+        prop_oneof![schedule(), schedule(), Just(TimelineOp::Pop), Just(TimelineOp::RoundTrip)]
+    }
+
+    /// The tag an event of [`timeline_orders_by_time_then_schedule_order`]
+    /// carries.
+    fn tag(ev: &Ev) -> u64 {
+        match ev {
+            Ev::Arrive { job } | Ev::PlaceDone { job } => job.id,
+            Ev::StealCheck { device } => *device as u64,
+            _ => unreachable!("only steal checks, arrivals and placements are scheduled"),
         }
-        let order: Vec<(u64, usize)> = std::iter::from_fn(|| t.pop())
-            .map(|(at, ev)| match ev {
-                Ev::StealCheck { device } => (at.as_ns(), device),
-                _ => unreachable!("only steal checks were scheduled"),
-            })
-            .collect();
-        // Equal timestamps pop FIFO in schedule order, and nothing else
-        // is left.
-        assert_eq!(order, vec![(10, 2), (10, 4), (50, 1), (50, 3)]);
+    }
+
+    proptest::proptest! {
+        /// Schedules at and just after the instant last popped, pops and
+        /// save → load round trips pop in the `(at, seq)` order of a
+        /// sorted model, and `pending` and `for_each_job` see every
+        /// pending event, on the heap or on the same-instant FIFO.
+        #[test]
+        fn timeline_orders_by_time_then_schedule_order(
+            ops in proptest::collection::vec(timeline_op(), 1..160)
+        ) {
+            let mut t = Timeline::new();
+            // `(at, seq, is a job)` of every pending event, sorted; its
+            // seq is also its tag.
+            let mut model: Vec<(u64, u64, bool)> = Vec::new();
+            let (mut now, mut seq) = (0, 0);
+            for op in ops {
+                match op {
+                    TimelineOp::Schedule { after_ns, kind } => {
+                        let job = || {
+                            Box::new(EvJob {
+                                id: seq,
+                                shapes: sig(&[GemmShape::new(8, 8, 8)]),
+                                sig: UNINTERNED,
+                                seed: seq,
+                                predicted_us: 0.0,
+                                attempts: 0,
+                                stolen: false,
+                                witness: false,
+                            })
+                        };
+                        let ev = match kind {
+                            0 => Ev::StealCheck { device: seq as usize },
+                            1 => Ev::Arrive { job: job() },
+                            _ => Ev::PlaceDone { job: job() },
+                        };
+                        let at = now + after_ns;
+                        t.schedule(SimTime(at), ev);
+                        // `seq` is the largest yet: last among equal times.
+                        let i = model.partition_point(|e| e.0 <= at);
+                        model.insert(i, (at, seq, kind != 0));
+                        seq += 1;
+                    }
+                    TimelineOp::Pop => {
+                        let want = (!model.is_empty()).then(|| model.remove(0)).map(|e| (e.0, e.1));
+                        let got = t.pop().map(|(at, ev)| (at.as_ns(), tag(&ev)));
+                        assert_eq!(got, want, "pop order");
+                        now = got.map_or(now, |(at, _)| at);
+                    }
+                    TimelineOp::RoundTrip => {
+                        let blob = encoded(&t);
+                        t = Timeline::load(&mut Reader::new(&blob)).expect("loads");
+                        assert_eq!(encoded(&t), blob, "save -> load -> save differs");
+                    }
+                }
+                let mut pending: Vec<(u64, u64)> =
+                    t.pending().map(|(at, ev)| (at.as_ns(), tag(ev))).collect();
+                pending.sort_unstable();
+                let want: Vec<(u64, u64)> = model.iter().map(|e| (e.0, e.1)).collect();
+                assert_eq!(pending, want, "pending events");
+                let mut jobs = Vec::new();
+                t.for_each_job(|job| jobs.push(job.id));
+                jobs.sort_unstable();
+                let mut want: Vec<u64> = model.iter().filter(|e| e.2).map(|e| e.1).collect();
+                want.sort_unstable();
+                assert_eq!(jobs, want, "jobs seen by for_each_job");
+            }
+        }
+    }
+
+    /// A job rides boxed, so an event is two words (a timeline entry
+    /// four).
+    #[test]
+    fn an_event_is_two_words() {
+        assert_eq!(std::mem::size_of::<Ev>(), 2 * std::mem::size_of::<usize>());
     }
 
     #[test]
@@ -1117,6 +1214,25 @@ mod tests {
                 Err(e) => panic!("expected Corrupt, got {e:?}"),
                 Ok(_) => panic!("restore accepted a device outside the pool"),
             }
+        }
+    }
+
+    /// A checkpoint whose pending event precedes its `now` restores as
+    /// `Corrupt`: its first `step` would run simulated time backwards.
+    #[test]
+    fn restore_rejects_a_pending_event_before_now() {
+        let mut eng = EventCluster::new(ArchSpec::pool_presets(2), quiet_cfg());
+        closed_loop(&mut eng, &[GemmShape::new(48, 64, 96)], 10);
+        assert_eq!(eng.run_steps(20), 20);
+        let now = eng.now.as_ns();
+        assert!(now > 1, "20 steps must pass the first nanosecond");
+        eng.timeline.schedule(SimTime(1), Ev::StealCheck { device: 0 });
+        match EventCluster::restore(ArchSpec::pool_presets(2), &eng.checkpoint()) {
+            Err(SavestateError::Corrupt(msg)) => {
+                assert!(msg.contains("at 1 ns") && msg.contains(&format!("{now} ns")), "{msg}")
+            }
+            Err(e) => panic!("expected Corrupt, got {e:?}"),
+            Ok(_) => panic!("restore accepted a pending event before now"),
         }
     }
 
@@ -1230,7 +1346,7 @@ mod tests {
             eng.submit_at(SimTime(at), shapes.clone(), seed);
         }
         let placing = |eng: &EventCluster| {
-            eng.timeline.pending().any(|ev| matches!(ev, Ev::PlaceDone { .. }))
+            eng.timeline.pending().any(|(_, ev)| matches!(ev, Ev::PlaceDone { .. }))
         };
         let flags = |eng: &EventCluster| -> Vec<(bool, bool)> {
             eng.devices.iter().map(|d| (d.steal_pending, d.probe_pending)).collect()

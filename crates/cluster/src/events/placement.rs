@@ -5,11 +5,13 @@
 use super::timeline::Ev;
 use super::{ArchClass, EvJob, EventCluster, PlacementMode};
 use crate::placer::{self, Candidate};
+use ctb_core::hash::mix64;
 use ctb_matrix::GemmShape;
 use ctb_obs::{PointKind, SpanKind};
 use ctb_savestate::{Reader, Savestate, SavestateError, Writer};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// Why a placement attempt found no home. Boxed at the placement
@@ -19,6 +21,37 @@ pub(super) struct PlaceFail {
     pub(super) job: EvJob,
     pub(super) any_full: bool,
     pub(super) plan_err: Option<String>,
+}
+
+/// The hasher of the signature table, which every arrival probes: each
+/// word a key writes is folded through [`mix64`], a bijective
+/// full-avalanche mix, in place of SipHash's rounds. Unlike SipHash it
+/// has no secret key, so shapes crafted to collide could slow admission
+/// down; the keys are the shapes of the jobs the engine's own caller
+/// submits. The table is never iterated, so the hash fixes no id.
+#[derive(Default)]
+pub(super) struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = mix64(self.0 ^ word);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
 }
 
 /// An interned shape signature, with what every landing of it reads.

@@ -8,8 +8,8 @@
 //! `#[derive(Savestate)]` without a proc-macro dependency:
 //!
 //! * integers, `bool`, `f64`, `usize`, [`Duration`], `String`,
-//!   `Option`, `Result`, `Vec`, `Arc<[T]>`, `Arc<T>`, arrays and pairs
-//!   are implemented here, once;
+//!   `Option`, `Result`, `Vec`, `Arc<[T]>`, `Arc<T>`, `Box<T>`, arrays
+//!   and pairs are implemented here, once;
 //! * [`savestate_struct!`] and [`savestate_enum!`] generate `save` and
 //!   `load` from one field list (enum tags are explicit `u8`s);
 //! * a type whose blob widens or interns a field writes its impl by
@@ -364,6 +364,17 @@ impl<T: Savestate> Savestate for Arc<T> {
     }
 }
 
+/// The boxed value's own encoding: boxing a field leaves its bytes as
+/// they were.
+impl<T: Savestate> Savestate for Box<T> {
+    fn save(&self, w: &mut Writer) {
+        (**self).save(w);
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, SavestateError> {
+        T::load(r).map(Box::new)
+    }
+}
+
 /// A presence `bool`, then the value when present.
 impl<T: Savestate> Savestate for Option<T> {
     fn save(&self, w: &mut Writer) {
@@ -586,6 +597,7 @@ mod tests {
         let (back, bytes) = round_trip(&[7usize, 8, 9]);
         assert_eq!((back, bytes.len()), ([7, 8, 9], 3 * 8), "arrays carry no length prefix");
         assert_eq!(*round_trip(&Arc::new(5u32)).0, 5);
+        assert_eq!(round_trip(&Box::new(6u32)), (Box::new(6), round_trip(&6u32).1));
     }
 
     #[test]
