@@ -129,8 +129,9 @@ fn workload(batches: usize, seed: u64) -> Vec<Work> {
 }
 
 /// Knobs of the tracked harness, every one surfaced as a `reproduce
-/// cluster` CLI flag; [`Default`] is the tracked configuration, and
-/// [`ClusterBenchConfig::smoke`] is the CI gate's quick variant.
+/// cluster` CLI flag; [`Default`] is the tracked configuration, which
+/// `scripts/check.sh` runs in full, and [`ClusterBenchConfig::smoke`]
+/// is a quick variant.
 #[derive(Debug, Clone)]
 pub struct ClusterBenchConfig {
     /// Batches through the burst scaling sweep (`--batches`).
@@ -158,9 +159,9 @@ impl Default for ClusterBenchConfig {
 }
 
 impl ClusterBenchConfig {
-    /// The CI smoke variant: one 256-device / 100k-request open-loop
+    /// The `--smoke` variant: one 256-device / 100k-request open-loop
     /// point plus a trimmed burst sweep — exercises every report section
-    /// (the schema gate needs them all) in a few seconds.
+    /// (the key-set gate needs them all) in a few seconds.
     pub fn smoke() -> Self {
         ClusterBenchConfig {
             batches: 8,

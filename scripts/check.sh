@@ -48,8 +48,22 @@ cargo run -q -p ctb-bench --bin reproduce --release -- replay
 echo "== BENCH_locality.json, BENCH_calibrate.json and BENCH_replay.json regenerate byte for byte =="
 git diff --exit-code -- BENCH_locality.json BENCH_calibrate.json BENCH_replay.json
 
-echo "== cluster smoke sweep (256 devices / 100k requests) + BENCH_cluster.json key-set gate =="
-cargo run -q -p ctb-bench --bin reproduce --release -- cluster --smoke
+# The full cluster sweep (16 to 10k devices, a million requests each,
+# which covers the smoke's 256-device pool) pins the engine's event
+# order at pool sizes the golden digest test never reaches. Every line
+# of its report but the host-time ones must regenerate byte for byte;
+# the working-tree copy is put back either way.
+echo "== cluster sweep (16 to 10k devices / 1M requests) + BENCH_cluster.json simulated fields regenerate byte for byte =="
+mkdir -p target/experiments
+kept=target/experiments/BENCH_cluster.kept.json
+cp BENCH_cluster.json "$kept"
+cargo run -q -p ctb-bench --bin reproduce --release -- cluster || { mv "$kept" BENCH_cluster.json; exit 1; }
+simulated() { grep -v -e '"wall_s":' -e '"events_per_sec":' "$1"; }
+simulated "$kept" > target/experiments/BENCH_cluster.kept.sim
+simulated BENCH_cluster.json > target/experiments/BENCH_cluster.sim
+mv "$kept" BENCH_cluster.json
+diff target/experiments/BENCH_cluster.kept.sim target/experiments/BENCH_cluster.sim ||
+    { echo "check.sh: the cluster sweep moved a simulated field of BENCH_cluster.json"; exit 1; }
 
 echo "== storm harness smoke (plan-cache admission under distinct-shape storm) + BENCH_storm.json key-set gate =="
 cargo run -q -p ctb-bench --bin reproduce --release -- storm --smoke
