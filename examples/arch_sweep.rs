@@ -50,9 +50,7 @@ fn main() {
     for shapes in cases.iter().take(6) {
         let (m, n, k, b) = GemmBatch::random(shapes, 1.0, 0.0, 1).avg_features();
         let choice = selector.select_shapes(shapes);
-        println!(
-            "batch B={b:<3} avg(M,N,K)=({m:>5.0},{n:>5.0},{k:>6.0})  ->  {choice}"
-        );
+        println!("batch B={b:<3} avg(M,N,K)=({m:>5.0},{n:>5.0},{k:>6.0})  ->  {choice}");
     }
     println!(
         "\naverage decision path depth: {:.1} comparisons per tree (paper: 7-8)",

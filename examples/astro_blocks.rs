@@ -25,7 +25,13 @@ fn main() {
     let expected = batch.reference_result_exact();
 
     println!("== batched small GEMMs: baselines vs coordinated framework ==\n");
-    println!("batch of {} GEMMs, e.g. {}, {}, {} ...", shapes.len(), shapes[0], shapes[1], shapes[2]);
+    println!(
+        "batch of {} GEMMs, e.g. {}, {}, {} ...",
+        shapes.len(),
+        shapes[0],
+        shapes[1],
+        shapes[2]
+    );
     println!("total work: {:.1} MFLOP\n", batch.total_flops() as f64 / 1e6);
 
     let mut rows: Vec<(String, f64)> = Vec::new();

@@ -9,9 +9,9 @@
 //! cargo run --example inception_inference --release
 //! ```
 
+use ctb::convnet::googlenet_v1;
 use ctb::convnet::im2col::conv_via_gemm;
 use ctb::convnet::pipeline::googlenet_times;
-use ctb::convnet::googlenet_v1;
 use ctb::matrix::MatF32;
 use ctb::prelude::*;
 
@@ -26,14 +26,9 @@ fn main() {
     // Stage 1: the four branch heads read the same input feature map.
     let image_batch = 1;
     let shapes = module.stage1_shapes(image_batch);
-    for (conv, shape) in [
-        &module.conv1x1,
-        &module.reduce3x3,
-        &module.reduce5x5,
-        &module.pool_proj,
-    ]
-    .iter()
-    .zip(&shapes)
+    for (conv, shape) in [&module.conv1x1, &module.reduce3x3, &module.reduce5x5, &module.pool_proj]
+        .iter()
+        .zip(&shapes)
     {
         println!("  {:<28} -> GEMM {shape}", conv.name);
     }

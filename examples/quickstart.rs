@@ -10,11 +10,8 @@ use ctb::prelude::*;
 fn main() {
     // The paper's §4.2.3 worked example: three GEMMs of very different
     // sizes batched into one kernel.
-    let shapes = vec![
-        GemmShape::new(16, 32, 128),
-        GemmShape::new(64, 64, 64),
-        GemmShape::new(256, 256, 64),
-    ];
+    let shapes =
+        vec![GemmShape::new(16, 32, 128), GemmShape::new(64, 64, 64), GemmShape::new(256, 256, 64)];
     let batch = GemmBatch::random(&shapes, 1.0, 0.0, 42);
 
     // Bind the framework to a device model (the paper's main platform).

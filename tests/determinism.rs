@@ -135,9 +135,9 @@ const TRACE_SHAPES: [(usize, usize, usize); 5] =
 fn wait_for_respond(obs: &Obs, req: u64) {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let seen = obs.events().iter().any(|e| {
-            matches!(e.kind, EventKind::Point(PointKind::Respond { req: r, .. }) if r == req)
-        });
+        let seen = obs.events().iter().any(
+            |e| matches!(e.kind, EventKind::Point(PointKind::Respond { req: r, .. }) if r == req),
+        );
         if seen {
             return;
         }
@@ -162,12 +162,8 @@ fn served_trace(seed: u64, picks: &[(usize, u64)]) -> String {
     for (k, &(which, advance_us)) in picks.iter().enumerate() {
         clock.advance(advance_us);
         let (m, n, kk) = TRACE_SHAPES[which % TRACE_SHAPES.len()];
-        let batch = GemmBatch::random(
-            &[GemmShape::new(m, n, kk)],
-            1.0,
-            0.5,
-            seed.wrapping_add(k as u64),
-        );
+        let batch =
+            GemmBatch::random(&[GemmShape::new(m, n, kk)], 1.0, 0.5, seed.wrapping_add(k as u64));
         let req = GemmRequest {
             a: batch.a[0].clone(),
             b: batch.b[0].clone(),
@@ -210,11 +206,8 @@ proptest! {
 /// Run an open-loop Table-2 load through the instrumented event engine
 /// and return the rendered trace plus the decision outcomes.
 fn event_trace(seed: u64) -> (String, Vec<ctb::cluster::ReqOutcome>) {
-    let cfg = EventConfig {
-        witness_every: 3,
-        placement: PlacementMode::Exact,
-        ..EventConfig::default()
-    };
+    let cfg =
+        EventConfig { witness_every: 3, placement: PlacementMode::Exact, ..EventConfig::default() };
     let (mut eng, obs) = ctb::cluster::EventCluster::with_instrumentation(
         ArchSpec::pool_presets(4),
         cfg,
@@ -304,10 +297,8 @@ fn plan_share_fanout_storm_inserts_each_signature_once() {
     // Summed misses across sessions equal distinct signatures — losers
     // of first-caller races count as hits, never as extra misses — and
     // every lookup is accounted exactly once.
-    let (hits, misses) = sessions
-        .iter()
-        .map(|s| s.stats())
-        .fold((0, 0), |(h, m), st| (h + st.hits, m + st.misses));
+    let (hits, misses) =
+        sessions.iter().map(|s| s.stats()).fold((0, 0), |(h, m), st| (h + st.hits, m + st.misses));
     assert_eq!(misses, storm.len(), "misses must equal distinct fingerprints");
     assert_eq!(hits + misses, SESSIONS * ROUNDS * storm.len(), "every plan() call accounted");
 
@@ -377,10 +368,8 @@ fn sharded_plan_share_fanout_storm_keeps_exact_miss_accounting() {
         storm.len(),
         "shards partition the cache exactly"
     );
-    let (hits, misses) = sessions
-        .iter()
-        .map(|s| s.stats())
-        .fold((0, 0), |(h, m), st| (h + st.hits, m + st.misses));
+    let (hits, misses) =
+        sessions.iter().map(|s| s.stats()).fold((0, 0), |(h, m), st| (h + st.hits, m + st.misses));
     assert_eq!(misses, storm.len(), "sharding must not change miss accounting");
     assert_eq!(hits + misses, SESSIONS * ROUNDS * storm.len(), "every plan() call accounted");
     let adm = share.admission_stats();
@@ -404,7 +393,8 @@ fn plan_share_restored_from_checkpoint_survives_fanout_storm() {
 
     // Donor: plan the whole storm once, then checkpoint the share.
     let donor_share = Arc::new(ctb::core::PlanShare::new());
-    let donor = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&donor_share));
+    let donor =
+        Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&donor_share));
     for w in &storm {
         donor.plan(w).expect("plannable");
     }
@@ -417,8 +407,7 @@ fn plan_share_restored_from_checkpoint_survives_fanout_storm() {
 
     // Restore into a brand-new share through a single restorer session.
     let share = Arc::new(ctb::core::PlanShare::new());
-    let restorer =
-        Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share));
+    let restorer = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share));
     {
         let (mut r, _version) = ctb_savestate::Reader::with_header(&blob).expect("header parses");
         share.restore_with_sessions(&mut r, &[&restorer]).expect("checkpoint restores");
@@ -468,10 +457,8 @@ fn plan_share_restored_from_checkpoint_survives_fanout_storm() {
     }
 
     assert_eq!(share.cached_plans_total(), storm.len(), "storm added no duplicate inserts");
-    let (hits, misses) = sessions
-        .iter()
-        .map(|s| s.stats())
-        .fold((0, 0), |(h, m), st| (h + st.hits, m + st.misses));
+    let (hits, misses) =
+        sessions.iter().map(|s| s.stats()).fold((0, 0), |(h, m), st| (h + st.hits, m + st.misses));
     assert_eq!(misses, 0, "every storm lookup lands in the restored cache");
     assert_eq!(hits, SESSIONS * ROUNDS * storm.len(), "every plan() call accounted");
     assert_eq!(
@@ -496,7 +483,10 @@ fn sharded_bloom_share_restores_layout_and_gate_state_across_fanout() {
     let geometry = ctb::core::PlanShareConfig {
         shards: 8,
         capacity_per_shard: Some(4),
-        admission: ctb::core::AdmissionPolicy::SeenTwice { seed: 0xB100 /* gate salt */, slots_log2: 10 },
+        admission: ctb::core::AdmissionPolicy::SeenTwice {
+            seed: 0xB100, /* gate salt */
+            slots_log2: 10,
+        },
     };
     let storm: Vec<Vec<GemmShape>> = (0..12)
         .map(|i| vec![GemmShape::new(16 + 8 * i, 24 + 4 * i, 32 + 16 * i); 1 + i % 3])
@@ -539,8 +529,7 @@ fn sharded_bloom_share_restores_layout_and_gate_state_across_fanout() {
 
     // Same-geometry restore.
     let share = Arc::new(ctb::core::PlanShare::with_config(geometry));
-    let restorer =
-        Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share));
+    let restorer = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share));
     {
         let (mut r, _) = ctb_savestate::Reader::with_header(&blob).expect("header parses");
         share.restore_with_sessions(&mut r, &[&restorer]).expect("checkpoint restores");
@@ -589,10 +578,8 @@ fn sharded_bloom_share_restores_layout_and_gate_state_across_fanout() {
     for h in handles {
         h.join().expect("fan-out thread ok");
     }
-    let (hits, misses) = sessions
-        .iter()
-        .map(|s| s.stats())
-        .fold((0, 0), |(h, m), st| (h + st.hits, m + st.misses));
+    let (hits, misses) =
+        sessions.iter().map(|s| s.stats()).fold((0, 0), |(h, m), st| (h + st.hits, m + st.misses));
     assert_eq!(misses, 0, "every fan-out lookup lands in the restored shards");
     assert_eq!(hits, SESSIONS * storm.len(), "every plan() call accounted");
     assert_eq!(share.cached_plans_total(), storm.len(), "fan-out added no inserts");

@@ -9,10 +9,7 @@ use ctb::prelude::*;
 use ctb::sim::simulate;
 
 fn clamp_shapes(shapes: Vec<GemmShape>, cap: usize) -> Vec<GemmShape> {
-    shapes
-        .into_iter()
-        .map(|s| GemmShape::new(s.m.min(cap), s.n.min(cap), s.k.min(cap)))
-        .collect()
+    shapes.into_iter().map(|s| GemmShape::new(s.m.min(cap), s.n.min(cap), s.k.min(cap))).collect()
 }
 
 #[test]
@@ -50,10 +47,7 @@ fn framework_beats_magma_on_the_paper_regime() {
         let shapes = uniform_case(b, mn, mn, k);
         let ours = fw.plan(&shapes).unwrap().predicted_us;
         let magma = simulate(&arch, &magma_vbatch(&arch, &shapes).seq).total_us;
-        assert!(
-            magma / ours > 1.0,
-            "B={b} MN={mn} K={k}: ours {ours} vs magma {magma}"
-        );
+        assert!(magma / ours > 1.0, "B={b} MN={mn} K={k}: ours {ours} vs magma {magma}");
     }
 }
 
@@ -123,10 +117,6 @@ fn portability_every_arch_plans_and_wins_on_small_batches() {
         let ours = fw.plan(&shapes).unwrap().predicted_us;
         let magma = simulate(&arch, &magma_vbatch(&arch, &shapes).seq).total_us;
         assert!(ours > 0.0 && magma > 0.0);
-        assert!(
-            magma / ours > 0.95,
-            "{}: ours {ours} vs magma {magma}",
-            arch.name
-        );
+        assert!(magma / ours > 0.95, "{}: ours {ours} vs magma {magma}", arch.name);
     }
 }

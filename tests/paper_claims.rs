@@ -10,11 +10,8 @@ use ctb::tiling::{model, select_tiling, StrategyKind};
 /// §4.2.3: the worked example's intermediate and final TLP values.
 #[test]
 fn worked_example_tlp_values() {
-    let shapes = [
-        GemmShape::new(16, 32, 128),
-        GemmShape::new(64, 64, 64),
-        GemmShape::new(256, 256, 64),
-    ];
+    let shapes =
+        [GemmShape::new(16, 32, 128), GemmShape::new(64, 64, 64), GemmShape::new(256, 256, 64)];
     let th = Thresholds::paper_v100();
     let sol = select_tiling(&shapes, &th);
     assert_eq!(sol.tlp, 17_920);
@@ -50,11 +47,8 @@ fn googlenet_ordering() {
 /// Fig 3(a): the vbatch bubble structure for the figure's three GEMMs.
 #[test]
 fn vbatch_bubbles_match_figure_3a() {
-    let shapes = vec![
-        GemmShape::new(16, 32, 128),
-        GemmShape::new(64, 48, 64),
-        GemmShape::new(64, 64, 128),
-    ];
+    let shapes =
+        vec![GemmShape::new(16, 32, 128), GemmShape::new(64, 48, 64), GemmShape::new(64, 64, 128)];
     let run = magma_vbatch(&ArchSpec::volta_v100(), &shapes);
     let kernels = run.seq.kernels();
     assert_eq!(kernels.len(), 1, "vbatch is one kernel");
@@ -144,10 +138,7 @@ fn coordinated_never_loses_badly_on_large_uniform_gemms() {
             "B={b} MN={mn} K={k}: coordinated lost {:.1}% to per-kernel default",
             (ratio - 1.0) * 100.0
         );
-        assert!(
-            ours < magma,
-            "B={b} MN={mn} K={k}: must beat vbatch ({ours:.2} vs {magma:.2})"
-        );
+        assert!(ours < magma, "B={b} MN={mn} K={k}: must beat vbatch ({ours:.2} vs {magma:.2})");
         ratios.push(ratio);
     }
     // Aggregate over the large-uniform set the framework is at parity
