@@ -316,14 +316,6 @@ fn run_perf(arch: &ArchSpec) {
             e.workload, e.wall_ms, e.evaluated, e.cache_hits
         );
     }
-    let packed = entries.iter().find(|e| e.workload.starts_with("execute_plan_packed"));
-    let unpacked = entries.iter().find(|e| e.workload.starts_with("execute_plan_unpacked"));
-    if let (Some(p), Some(u)) = (packed, unpacked) {
-        println!(
-            "   packed executor speedup over unpacked baseline: {:.2}x",
-            u.wall_ms / p.wall_ms
-        );
-    }
     publish("executor", &perf::report_json(arch, &entries), false);
 }
 

@@ -1,32 +1,26 @@
-//! The functional persistent-threads interpreter — the Fig 7
-//! programming interface.
+//! The functional executor of the Fig 7 programming interface.
 //!
-//! Each thread block walks its `[Tile[b], Tile[b+1])` range, parses the
-//! GEMM and tile information from the auxiliary arrays, and executes the
-//! Fig 2 main loop for that tile: accumulate over K in `BK` chunks, then
-//! write back `alpha * acc + beta * C`. Blocks run in parallel on the
-//! rayon pool — they own disjoint C tiles by construction (validated by
-//! [`ctb_batching::BatchPlan::validate`]), mirroring the CUDA execution
-//! model where each tile is produced by exactly one block.
+//! A [`BatchPlan`] holds the paper's auxiliary arrays: each thread
+//! block's `[Tile[b], Tile[b+1])` range, and each tile's GEMM, strategy
+//! id and coordinates. On the GPU every block walks its range and runs
+//! the Fig 2 main loop for each tile: accumulate over K, then write back
+//! `alpha * acc + beta * C`. Blocks own disjoint C tiles by construction
+//! (validated by [`ctb_batching::BatchPlan::validate`]), so the order
+//! they run in cannot change a result, and [`execute_plan`] regroups
+//! the tiles by output rows instead of by block: each output matrix is
+//! split into disjoint row bands, and every band is computed and written
+//! by exactly one worker on the rayon pool, with no intermediate tile
+//! buffers. The inner loop is an `MR × NR` register-tile kernel over
+//! hoisted A-row slices with a row-at-a-time fallback for boundary
+//! fringes, built twice and picked once per call for the CPU it runs
+//! on: 8×16 with AVX-512F, otherwise a portable 4×8 (the only one built
+//! for targets other than x86-64). The alpha/beta epilogue is folded
+//! into the single per-worker accumulator pass.
 //!
-//! Two executors are provided:
-//!
-//! * [`execute_plan`] — the packed micro-kernel engine. Tiles are
-//!   bucketed per (GEMM, tile-row) and each output matrix is split into
-//!   disjoint row bands, so every band is computed and written by
-//!   exactly one worker with no intermediate tile buffers. The inner
-//!   loop is an `MR × NR` register-tile kernel over hoisted A-row
-//!   slices with a row-at-a-time fallback for boundary fringes, built
-//!   twice and picked once per call for the CPU it runs on: 8×16 with
-//!   AVX-512F, otherwise a portable 4×8 (the only one built for targets
-//!   other than x86-64). The alpha/beta epilogue is folded into the
-//!   single per-worker accumulator pass.
-//! * [`execute_plan_unpacked`] — the original collect-then-scatter
-//!   interpreter, kept as the A/B baseline for the perf harness.
-//!
-//! Both paths apply every floating-point operation to each C element in
-//! the same order (ascending k, then `alpha * acc + beta * c`), so
-//! their results are bitwise identical.
+//! Every kernel applies every floating-point operation to each C
+//! element in the naive oracle's order (ascending k, then
+//! `alpha * acc + beta * c`), so the results are bitwise identical to
+//! [`GemmBatch::reference_result_exact`].
 
 use std::cell::RefCell;
 
@@ -34,10 +28,6 @@ use ctb_batching::BatchPlan;
 use ctb_matrix::{GemmBatch, MatF32};
 use ctb_tiling::TilingStrategy;
 use rayon::prelude::*;
-
-// ---------------------------------------------------------------------------
-// Packed engine
-// ---------------------------------------------------------------------------
 
 thread_local! {
     /// Per-worker accumulator scratch, reused across the tiles one worker
@@ -55,7 +45,6 @@ thread_local! {
 /// synchronisation.
 struct BandJob<'a> {
     gemm: usize,
-    strategy: TilingStrategy,
     /// First matrix row covered by this band.
     y0: usize,
     /// `rows_in_band * n` slice of the output matrix.
@@ -232,45 +221,45 @@ pub fn tile_kernel_name() -> &'static str {
 /// Execute a batch plan with the packed micro-kernel engine.
 ///
 /// The output matrices start as clones of C and are split into disjoint
-/// tile-row bands (`chunks_mut` of `by * n` elements). All bands across
-/// all GEMMs form one flat job list executed in a single parallel pass;
-/// each job accumulates its tiles in per-worker thread-local scratch and
-/// writes `alpha * acc + beta * C` straight into its band — no
+/// row bands (`chunks_mut` of `band_rows * n` elements). A band is one
+/// tile row when every tile of the GEMM carries one strategy id, as
+/// [`ctb_tiling::select_tiling`] gives every GEMM, and the whole matrix
+/// when a hand-built plan mixes strategies within a GEMM, so each tile
+/// lies in one band either way. All bands across all GEMMs form one flat
+/// job list executed in a single parallel pass; each job accumulates its
+/// tiles, each with its own strategy, in per-worker thread-local scratch
+/// and writes `alpha * acc + beta * C` straight into its band — no
 /// intermediate tile buffers and no serial scatter. The tile kernel is
 /// the widest one this CPU runs ([`tile_kernel_name`]), picked once
 /// per call; every kernel gives the same bits.
-///
-/// If a GEMM's tiles carry heterogeneous tiling ids (which
-/// [`ctb_tiling::select_tiling`] never produces, but a hand-built plan
-/// could), the banded partition is ill-defined and execution falls back
-/// to [`execute_plan_unpacked`].
 pub fn execute_plan(batch: &GemmBatch, plan: &BatchPlan) -> Vec<MatF32> {
     let ngemms = batch.shapes.len();
 
-    // Per-GEMM strategy id; every tile of a GEMM must agree for the
-    // band partition to be well defined.
+    // Per-GEMM band height: the `by` of its first tile's strategy, or
+    // all `m` rows once a tile of another strategy turns up. `None` for
+    // a GEMM without tiles.
     let mut sid: Vec<Option<u8>> = vec![None; ngemms];
+    let mut band_rows: Vec<Option<usize>> = vec![None; ngemms];
     for t in 0..plan.num_tiles() {
-        let g = plan.gemm[t];
+        let (g, id) = (plan.gemm[t], plan.tiling[t]);
         match sid[g] {
-            None => sid[g] = Some(plan.tiling[t]),
-            Some(s) if s != plan.tiling[t] => return execute_plan_unpacked(batch, plan),
+            None => {
+                sid[g] = Some(id);
+                band_rows[g] = Some(TilingStrategy::from_id(id).by);
+            }
+            Some(s) if s != id => band_rows[g] = Some(batch.shapes[g].m),
             _ => {}
         }
     }
 
-    // Bucket tiles per (GEMM, tile-row).
+    // Bucket tiles per (GEMM, band).
     let mut buckets: Vec<Vec<Vec<usize>>> = (0..ngemms)
-        .map(|g| match sid[g] {
-            Some(id) => {
-                let by = TilingStrategy::from_id(id).by;
-                vec![Vec::new(); batch.shapes[g].m.div_ceil(by)]
-            }
-            None => Vec::new(),
-        })
+        .map(|g| vec![Vec::new(); band_rows[g].map_or(0, |h| batch.shapes[g].m.div_ceil(h))])
         .collect();
     for t in 0..plan.num_tiles() {
-        buckets[plan.gemm[t]][plan.y_coord[t]].push(t);
+        let g = plan.gemm[t];
+        let y0 = plan.y_coord[t] * TilingStrategy::from_id(plan.tiling[t]).by;
+        buckets[g][y0 / band_rows[g].expect("tile t's GEMM has a band height")].push(t);
     }
 
     let mut out: Vec<MatF32> = batch.c.clone();
@@ -278,15 +267,14 @@ pub fn execute_plan(batch: &GemmBatch, plan: &BatchPlan) -> Vec<MatF32> {
     // Flatten every (GEMM, band) pair into one job list.
     let mut jobs: Vec<BandJob<'_>> = Vec::new();
     for (g, mat) in out.iter_mut().enumerate() {
-        let Some(id) = sid[g] else { continue };
-        let strategy = TilingStrategy::from_id(id);
+        let Some(h) = band_rows[g] else { continue };
         let n = batch.shapes[g].n;
-        for (ty, band) in mat.as_mut_slice().chunks_mut(strategy.by * n).enumerate() {
-            let tiles = std::mem::take(&mut buckets[g][ty]);
+        for (i, band) in mat.as_mut_slice().chunks_mut(h * n).enumerate() {
+            let tiles = std::mem::take(&mut buckets[g][i]);
             if tiles.is_empty() {
                 continue;
             }
-            jobs.push(BandJob { gemm: g, strategy, y0: ty * strategy.by, band, tiles });
+            jobs.push(BandJob { gemm: g, y0: i * h, band, tiles });
         }
     }
 
@@ -296,12 +284,12 @@ pub fn execute_plan(batch: &GemmBatch, plan: &BatchPlan) -> Vec<MatF32> {
         let a = batch.a[job.gemm].as_slice();
         let b = batch.b[job.gemm].as_slice();
         let (alpha, beta) = (batch.alpha, batch.beta);
-        let st = job.strategy;
         TILE_ACC.with(|cell| {
             let mut acc = cell.borrow_mut();
             for &t in &job.tiles {
+                let st = TilingStrategy::from_id(plan.tiling[t]);
+                let y0 = plan.y_coord[t] * st.by;
                 let x0 = plan.x_coord[t] * st.bx;
-                let y0 = job.y0;
                 let rows = (shape.m - y0).min(st.by);
                 let cols = (shape.n - x0).min(st.bx);
                 acc.clear();
@@ -312,7 +300,7 @@ pub fn execute_plan(batch: &GemmBatch, plan: &BatchPlan) -> Vec<MatF32> {
                 // place. Each element belongs to exactly one tile, so
                 // nothing is read after it is written.
                 for i in 0..rows {
-                    let base = i * shape.n + x0;
+                    let base = (y0 - job.y0 + i) * shape.n + x0;
                     let dst = &mut job.band[base..base + cols];
                     let src = &acc[i * cols..(i + 1) * cols];
                     for (d, &s) in dst.iter_mut().zip(src) {
@@ -323,100 +311,6 @@ pub fn execute_plan(batch: &GemmBatch, plan: &BatchPlan) -> Vec<MatF32> {
         });
     });
 
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Unpacked baseline (the original interpreter)
-// ---------------------------------------------------------------------------
-
-/// One computed C tile, ready to scatter.
-struct TileResult {
-    gemm: usize,
-    y0: usize,
-    x0: usize,
-    rows: usize,
-    cols: usize,
-    /// Row-major `rows × cols` values.
-    data: Vec<f32>,
-}
-
-/// Execute the Fig 2 main loop for one tile, returning its C values.
-fn run_tile(
-    batch: &GemmBatch,
-    gemm: usize,
-    strategy: &TilingStrategy,
-    ty: usize,
-    tx: usize,
-) -> TileResult {
-    let shape = batch.shapes[gemm];
-    let (a, b, c) = (&batch.a[gemm], &batch.b[gemm], &batch.c[gemm]);
-    let y0 = ty * strategy.by;
-    let x0 = tx * strategy.bx;
-    let rows = (shape.m - y0).min(strategy.by);
-    let cols = (shape.n - x0).min(strategy.bx);
-
-    // reg_C accumulators for the whole tile (each simulated thread owns
-    // a sub_y x sub_x sub-tile of this buffer).
-    let mut acc = vec![0.0f32; rows * cols];
-    let bk = strategy.bk;
-    // Main loop along the K dimension, one BK chunk per iteration.
-    let mut k0 = 0;
-    while k0 < shape.k {
-        let k1 = (k0 + bk).min(shape.k);
-        for i in 0..rows {
-            for p in k0..k1 {
-                let av = a.get(y0 + i, p);
-                let brow = &b.as_slice()[p * shape.n + x0..p * shape.n + x0 + cols];
-                let arow = &mut acc[i * cols..(i + 1) * cols];
-                for (dst, &bv) in arow.iter_mut().zip(brow) {
-                    *dst += av * bv;
-                }
-            }
-        }
-        k0 = k1;
-    }
-
-    // Epilogue: C = alpha * acc + beta * C.
-    let mut data = vec![0.0f32; rows * cols];
-    for i in 0..rows {
-        for j in 0..cols {
-            data[i * cols + j] =
-                batch.alpha * acc[i * cols + j] + batch.beta * c.get(y0 + i, x0 + j);
-        }
-    }
-    TileResult { gemm, y0, x0, rows, cols, data }
-}
-
-/// Execute a batch plan with the original collect-then-scatter
-/// interpreter: every block computes its tiles into freshly allocated
-/// buffers, then a serial pass scatters them into clones of C. Kept as
-/// the A/B baseline for `reproduce perf`.
-pub fn execute_plan_unpacked(batch: &GemmBatch, plan: &BatchPlan) -> Vec<MatF32> {
-    // The Fig 7 outer structure: parallel over thread blocks, serial
-    // over the tiles of a block.
-    let results: Vec<TileResult> = (0..plan.num_blocks())
-        .into_par_iter()
-        .flat_map_iter(|blk| {
-            let begin = plan.tile[blk];
-            let end = plan.tile[blk + 1];
-            (begin..end).map(|t| {
-                let gemm = plan.gemm[t];
-                let strategy = TilingStrategy::from_id(plan.tiling[t]);
-                run_tile(batch, gemm, &strategy, plan.y_coord[t], plan.x_coord[t])
-            })
-        })
-        .collect();
-
-    let mut out: Vec<MatF32> = batch.c.clone();
-    for r in results {
-        let n = out[r.gemm].cols();
-        let buf = out[r.gemm].as_mut_slice();
-        for i in 0..r.rows {
-            let dst = &mut buf[(r.y0 + i) * n + r.x0..(r.y0 + i) * n + r.x0 + r.cols];
-            dst.copy_from_slice(&r.data[i * r.cols..(i + 1) * r.cols]);
-        }
-    }
     out
 }
 
@@ -435,11 +329,10 @@ mod tests {
         let tiles = tiles_for(shapes, &sol);
         let plan = assign_blocks(&tiles, heuristic, &th, sol.thread_count.threads());
         plan.validate(shapes, &sol).expect("valid plan");
-        // Both engines accumulate each element in ascending-k order and
-        // apply the oracle's epilogue expression, so both match it bitwise.
+        // The executor accumulates each element in ascending-k order and
+        // applies the oracle's epilogue expression, so it matches bitwise.
         let expect = batch.reference_result_exact();
         assert_bitwise_eq(&expect, &execute_plan(&batch, &plan), "packed executor");
-        assert_bitwise_eq(&expect, &execute_plan_unpacked(&batch, &plan), "unpacked executor");
     }
 
     #[test]
@@ -470,15 +363,18 @@ mod tests {
         );
     }
 
-    /// A GEMM whose tiles carry different strategy ids sends
-    /// [`execute_plan`] to its [`execute_plan_unpacked`] fallback. No
-    /// planner makes such a plan, so this one is built by hand: the
-    /// 48×32 GEMM is one Table 2 medium (32×32) tile over rows 0–31 and
-    /// two small (16×16) tiles over rows 32–47, next to a GEMM tiled
-    /// with medium tiles only.
+    /// [`execute_plan`] runs a GEMM whose tiles carry different strategy
+    /// ids as one band over the whole matrix. No planner makes such a
+    /// plan, so this one is built by hand from Table 2 medium (32×32)
+    /// and small (16×16) tiles. The 48×32 GEMM is one medium tile over
+    /// rows 0–31 and two small tiles over rows 32–47. In the 45×41 GEMM,
+    /// small tiles share rows 0–31 with the medium tile at (0, 0): they
+    /// sit at (0, 2) and (1, 2), and along the boundary tile row 2. The
+    /// 33×40 GEMM between them is tiled with medium tiles only.
     #[test]
-    fn mixed_strategy_gemm_falls_back_bitwise_exact() {
-        let shapes = [GemmShape::new(48, 32, 40), GemmShape::new(33, 40, 24)];
+    fn mixed_strategy_gemms_are_bitwise_exact() {
+        let shapes =
+            [GemmShape::new(48, 32, 40), GemmShape::new(33, 40, 24), GemmShape::new(45, 41, 29)];
         let batch = GemmBatch::random(&shapes, 0.75, -1.5, 7);
         let (small, medium) = (TilingStrategy::from_id(0), TilingStrategy::from_id(1));
         assert_eq!([small.by, small.bx, medium.by, medium.bx], [16, 16, 32, 32]);
@@ -490,10 +386,13 @@ mod tests {
                 vec![tile(0, small, 2, 0), tile(0, small, 2, 1)],
                 vec![tile(1, medium, 0, 0), tile(1, medium, 1, 0)],
                 vec![tile(1, medium, 0, 1), tile(1, medium, 1, 1)],
+                vec![tile(2, small, 0, 2), tile(2, medium, 0, 0), tile(2, small, 1, 2)],
+                vec![tile(2, small, 2, 0), tile(2, small, 2, 1), tile(2, small, 2, 2)],
             ],
             small.threads,
         );
         assert_ne!(plan.tiling[0], plan.tiling[1], "GEMM 0 mixes strategies");
+        assert_ne!(plan.tiling[7], plan.tiling[8], "GEMM 2 mixes strategies");
         let expect = batch.reference_result_exact();
         assert_bitwise_eq(&expect, &execute_plan(&batch, &plan), "mixed-strategy plan");
     }

@@ -13,9 +13,9 @@
 //! The result is an [`ExecutionPlan`] holding the five auxiliary arrays
 //! of §6. The plan is *executed* twice over:
 //!
-//! * functionally, by the persistent-threads interpreter in
-//!   [`interface`] (the Fig 7 code skeleton), producing real `f32`
-//!   results checkable against the reference GEMM;
+//! * functionally, by the packed executor in [`interface`] (the Fig 7
+//!   programming interface), producing real `f32` results checkable
+//!   against the reference GEMM;
 //! * temporally, by lowering it to a [`ctb_sim::KernelDesc`]
 //!   ([`lowering`]) and running the timing simulator.
 
@@ -36,7 +36,7 @@ pub use admission::{AdmissionPolicy, AdmissionStats, BloomGate};
 pub use dynamic::{plan_dynamic, simulate_dynamic};
 pub use framework::{BatchingPolicy, ExecutionPlan, Framework, FrameworkConfig, RunOutcome};
 pub use hotswap::{CalibHandle, CalibState};
-pub use interface::{execute_plan, execute_plan_unpacked, tile_kernel_name};
+pub use interface::{execute_plan, tile_kernel_name};
 pub use lowering::{lower_plan, tile_pass};
 pub use memo::SimMemo;
 pub use selector::OnlineSelector;

@@ -135,11 +135,11 @@ impl GemmBatch {
     ///
     /// Every element is accumulated in ascending-k order with the
     /// `alpha*acc + beta*c` epilogue, the exact operation sequence the
-    /// plan executors apply. The framework path, both plan interpreters
-    /// and every baseline's functional plan are therefore **bitwise
-    /// identical** to this result, including NaN/Inf propagation, as
-    /// long as every NaN in the inputs carries the payload the CPU
-    /// itself makes (∞ × 0); [`crate::bitwise_mismatch`] states why.
+    /// plan executor applies. The framework path and every baseline's
+    /// functional plan are therefore **bitwise identical** to this
+    /// result, including NaN/Inf propagation, as long as every NaN in
+    /// the inputs carries the payload the CPU itself makes (∞ × 0);
+    /// [`crate::bitwise_mismatch`] states why.
     /// The differential, property and serving-layer suites rely on that.
     pub fn reference_result_exact(&self) -> Vec<MatF32> {
         (0..self.len())

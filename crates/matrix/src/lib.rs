@@ -2,8 +2,8 @@
 //! generators.
 //!
 //! Everything in the reproduction is checked against [`gemm::gemm_ref`]:
-//! the framework, both plan interpreters and all four baselines produce
-//! `C` matrices bitwise identical to it for the same inputs
+//! the plan executor, on the framework's plans and all four baselines',
+//! produces `C` matrices bitwise identical to it for the same inputs
 //! ([`GemmBatch::reference_result_exact`]), under the NaN-payload
 //! contract stated on [`bitwise_mismatch`]. What makes it the oracle is
 //! its per-output summation order: `C[i][j]` starts at `+0.0`, adds
