@@ -796,8 +796,15 @@ impl EventCluster {
         self.decisions = if on { Some(Vec::new()) } else { None };
     }
 
-    /// Schedule one request to arrive at `at`. Returns its job id.
+    /// Schedule one request to arrive at `at`, which must not precede
+    /// the engine's current time. Returns its job id.
     pub fn submit_at(&mut self, at: SimTime, shapes: Arc<[GemmShape]>, seed: u64) -> u64 {
+        assert!(
+            at >= self.now,
+            "arrival at {} ns precedes the engine's now, {} ns",
+            at.as_ns(),
+            self.now.as_ns()
+        );
         let id = self.next_job_id;
         self.next_job_id += 1;
         let witness = self.is_witness(id);
@@ -816,9 +823,16 @@ impl EventCluster {
         id
     }
 
-    /// Schedule a device kill at `at` (chaos schedules / sweeps).
+    /// Schedule a device kill at `at` (chaos schedules / sweeps), which
+    /// must not precede the engine's current time.
     pub fn kill_at(&mut self, at: SimTime, device: usize) {
         assert!(device < self.devices.len(), "no such device");
+        assert!(
+            at >= self.now,
+            "kill at {} ns precedes the engine's now, {} ns",
+            at.as_ns(),
+            self.now.as_ns()
+        );
         self.timeline.schedule(at, Ev::DeviceKill { device });
     }
 
@@ -1678,6 +1692,28 @@ mod tests {
         assert_eq!(stats.kills, 1);
         assert!(!stats.devices[1].alive);
         assert!(stats.devices[0].alive);
+    }
+
+    /// An arrival scheduled before the engine's now would run simulated
+    /// time backwards; the engine is not stepped after the refused call.
+    #[test]
+    #[should_panic(expected = "arrival at 1 ns precedes the engine's now, 5000 ns")]
+    fn submit_before_now_is_refused() {
+        let mut eng = EventCluster::new(ArchSpec::pool_presets(2), quiet_cfg());
+        let shapes = sig(&[GemmShape::new(32, 32, 32)]);
+        eng.submit_at(SimTime(5_000), shapes.clone(), 1);
+        assert!(eng.step(), "the arrival");
+        eng.submit_at(SimTime(1), shapes, 2);
+    }
+
+    /// A kill scheduled before the engine's now is refused likewise.
+    #[test]
+    #[should_panic(expected = "kill at 1 ns precedes the engine's now, 5000 ns")]
+    fn kill_before_now_is_refused() {
+        let mut eng = EventCluster::new(ArchSpec::pool_presets(2), quiet_cfg());
+        eng.kill_at(SimTime(5_000), 0);
+        assert!(eng.step(), "the kill");
+        eng.kill_at(SimTime(1), 1);
     }
 
     #[test]

@@ -75,11 +75,14 @@ impl Ord for Entry {
 ///
 /// An event scheduled for the instant last popped — every arrival's
 /// `PlaceDone` — joins `fifo` instead of the min-heap. Nothing is
-/// scheduled before that instant: the engine's `step` debug-asserts
-/// that popped times never fall, and `restore` refuses a blob with a
-/// pending event before its `now`. So every `fifo` entry shares one
-/// instant and sits in `seq` order, and `pop` takes the earlier of the
-/// two fronts.
+/// scheduled before that instant: the engine schedules its own events
+/// at or after its `now`, the public entry points
+/// `EventCluster::submit_at` and `EventCluster::kill_at` assert that
+/// the time they are given does not precede it, the engine's `step`
+/// debug-asserts that popped times never fall, and `restore` refuses a
+/// blob with a pending event before its `now`. So every `fifo` entry
+/// shares one instant and sits in `seq` order, and `pop` takes the
+/// earlier of the two fronts.
 pub(super) struct Timeline {
     heap: BinaryHeap<Reverse<Entry>>,
     fifo: VecDeque<Entry>,
