@@ -540,11 +540,10 @@ fn run_storm(arch: &ArchSpec, args: &[String]) {
         "   {} requests over a {}-signature space ({} hot shapes, cache bound {})",
         r.requests, r.cfg.shape_space, r.cfg.hot_shapes, r.cfg.capacity_total
     );
-    for (label, a) in [("baseline", &r.baseline), ("sharded ", &r.sharded)] {
+    for (label, a) in [("baseline", &r.baseline), ("gated   ", &r.gated)] {
         println!(
-            "   {label}: {} shard(s) {:<10} | hit rate {:>5.1}% ({} hits / {} misses) | \
+            "   {label}: {:<10} | hit rate {:>5.1}% ({} hits / {} misses) | \
              {} denied | p50 {:>7.0} us | p95 {:>7.0} us | {:>6.0} req/s",
-            a.shards,
             a.admission,
             100.0 * a.hit_rate,
             a.plan_cache_hits,
@@ -556,16 +555,16 @@ fn run_storm(arch: &ArchSpec, args: &[String]) {
         );
     }
     println!(
-        "   sharded vs baseline: hit rate {:+.1} pp | p95 {:.2}x",
-        100.0 * (r.sharded.hit_rate - r.baseline.hit_rate),
-        if r.sharded.p95_us > 0.0 { r.baseline.p95_us / r.sharded.p95_us } else { 0.0 }
+        "   gated vs baseline: hit rate {:+.1} pp | p95 {:.2}x",
+        100.0 * (r.gated.hit_rate - r.baseline.hit_rate),
+        if r.gated.p95_us > 0.0 { r.baseline.p95_us / r.gated.p95_us } else { 0.0 }
     );
     publish("storm", &storm_bench::report_json(arch, &r), smoke);
-    if r.sharded.hit_rate < r.baseline.hit_rate {
+    if r.gated.hit_rate < r.baseline.hit_rate {
         eprintln!(
-            "storm regression: sharded+Bloom hit rate {:.4} fell below the unsharded \
+            "storm regression: Bloom-gated hit rate {:.4} fell below the admit-all \
              baseline {:.4}",
-            r.sharded.hit_rate, r.baseline.hit_rate
+            r.gated.hit_rate, r.baseline.hit_rate
         );
         std::process::exit(1);
     }

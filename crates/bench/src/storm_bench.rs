@@ -5,13 +5,12 @@
 //! shape space (10^6 distinct signatures at the full scale): a small
 //! hot set of repeated signatures carries half the traffic, the rest
 //! are effectively one-off shapes. The same seeded request streams run
-//! twice against two bounded plan caches of equal total capacity:
+//! twice against two plan caches of equal capacity:
 //!
-//! * **baseline** — one shard, admit-everything (every one-off shape is
-//!   inserted and churns the FIFO, evicting hot entries), and
-//! * **sharded** — 16 independently locked shards gated by the Bloom
-//!   "seen twice" doorkeeper (one-off shapes are planned but never
-//!   cached, so the hot set stays resident).
+//! * **baseline** — admit-everything (every one-off shape is inserted
+//!   and churns the FIFO, evicting hot entries), and
+//! * **gated** — the Bloom "seen twice" doorkeeper (one-off shapes are
+//!   planned but never cached, so the hot set stays resident).
 //!
 //! Coalescing is disabled (`max_batch: 1`) so the cache key stream is
 //! exactly the per-request shape stream — the point of this harness is
@@ -45,11 +44,8 @@ pub struct StormBenchConfig {
     pub hot_shapes: usize,
     /// Per-mille of requests drawn from the hot set.
     pub hot_per_mille: u32,
-    /// Total cached-plan capacity of each arm (split across shards in
-    /// the sharded arm).
+    /// Cached-plan capacity of each arm.
     pub capacity_total: usize,
-    /// Shard count of the sharded arm.
-    pub shards: usize,
     /// Stream seed (also salts the Bloom gate).
     pub seed: u64,
 }
@@ -63,7 +59,6 @@ impl Default for StormBenchConfig {
             hot_shapes: 32,
             hot_per_mille: 500,
             capacity_total: 256,
-            shards: 16,
             seed: 0x57_0F_A1,
         }
     }
@@ -79,7 +74,6 @@ impl StormBenchConfig {
             per_producer: 150,
             hot_shapes: 8,
             capacity_total: 32,
-            shards: 8,
             ..StormBenchConfig::default()
         }
     }
@@ -88,8 +82,6 @@ impl StormBenchConfig {
 /// Service-level numbers for one cache arm.
 #[derive(Debug, Clone)]
 pub struct StormArm {
-    /// Shards behind the plan cache.
-    pub shards: usize,
     /// `"admit_all"` or `"seen_twice"`.
     pub admission: &'static str,
     /// Plan-cache hits over the run.
@@ -120,10 +112,10 @@ pub struct StormBenchReport {
     pub cfg: StormBenchConfig,
     /// Requests completed per arm (`producers * per_producer`).
     pub requests: usize,
-    /// One shard, admit-all.
+    /// Admit-all.
     pub baseline: StormArm,
-    /// Sharded, Bloom "seen twice".
-    pub sharded: StormArm,
+    /// Bloom "seen twice".
+    pub gated: StormArm,
 }
 
 /// SplitMix64 as a stream generator: one independent stream per
@@ -145,7 +137,7 @@ fn request_shape(cfg: &StormBenchConfig, t: usize, i: usize) -> GemmShape {
     let mut state = cfg.seed ^ ((t as u64) << 32) ^ i as u64;
     let roll = next_draw(&mut state);
     if (roll % 1000) < cfg.hot_per_mille as u64 {
-        // Hot set: spread through the space so shards share the load.
+        // Hot set: spread through the space.
         let hot = next_draw(&mut state) as usize % cfg.hot_shapes;
         shape_at(hot * (cfg.shape_space / cfg.hot_shapes))
     } else {
@@ -175,7 +167,6 @@ fn run_arm(arch: &ArchSpec, cfg: &StormBenchConfig, share_cfg: PlanShareConfig) 
     assert_eq!(stats.completed, requests, "the storm completed everything it submitted");
 
     StormArm {
-        shards: stats.plan_shards,
         admission: match share_cfg.admission {
             AdmissionPolicy::AdmitAll => "admit_all",
             AdmissionPolicy::SeenTwice { .. } => "seen_twice",
@@ -195,21 +186,14 @@ fn run_arm(arch: &ArchSpec, cfg: &StormBenchConfig, share_cfg: PlanShareConfig) 
 
 /// Run both arms over the identical seeded streams.
 pub fn run_storm_bench(arch: &ArchSpec, cfg: &StormBenchConfig) -> StormBenchReport {
-    let baseline = run_arm(
+    let capacity = Some(cfg.capacity_total);
+    let baseline =
+        run_arm(arch, cfg, PlanShareConfig { capacity, admission: AdmissionPolicy::AdmitAll });
+    let gated = run_arm(
         arch,
         cfg,
         PlanShareConfig {
-            shards: 1,
-            capacity_per_shard: Some(cfg.capacity_total),
-            admission: AdmissionPolicy::AdmitAll,
-        },
-    );
-    let sharded = run_arm(
-        arch,
-        cfg,
-        PlanShareConfig {
-            shards: cfg.shards,
-            capacity_per_shard: Some(cfg.capacity_total.div_ceil(cfg.shards)),
+            capacity,
             admission: AdmissionPolicy::SeenTwice { seed: cfg.seed, slots_log2: 12 },
         },
     );
@@ -217,7 +201,7 @@ pub fn run_storm_bench(arch: &ArchSpec, cfg: &StormBenchConfig) -> StormBenchRep
         cfg: cfg.clone(),
         requests: cfg.producers * cfg.per_producer,
         baseline,
-        sharded,
+        gated,
     }
 }
 
@@ -225,7 +209,6 @@ pub fn run_storm_bench(arch: &ArchSpec, cfg: &StormBenchConfig) -> StormBenchRep
 pub fn report_json(arch: &ArchSpec, r: &StormBenchReport) -> Json {
     let arm = |a: &StormArm| {
         Json::obj([
-            ("shards", a.shards.into()),
             ("admission", a.admission.into()),
             ("plan_cache_hits", a.plan_cache_hits.into()),
             ("plan_cache_misses", a.plan_cache_misses.into()),
@@ -248,7 +231,7 @@ pub fn report_json(arch: &ArchSpec, r: &StormBenchReport) -> Json {
         ("hot_shapes", r.cfg.hot_shapes.into()),
         ("capacity_total", r.cfg.capacity_total.into()),
         ("baseline", arm(&r.baseline)),
-        ("sharded", arm(&r.sharded)),
+        ("gated", arm(&r.gated)),
     ])
 }
 
@@ -283,18 +266,15 @@ mod tests {
             per_producer: 20,
             hot_shapes: 4,
             capacity_total: 8,
-            shards: 4,
             ..StormBenchConfig::default()
         };
         let r = run_storm_bench(&ArchSpec::volta_v100(), &cfg);
         assert_eq!(r.requests, 40);
-        assert_eq!(r.baseline.shards, 1);
-        assert_eq!(r.sharded.shards, 4);
         assert_eq!(r.baseline.admission, "admit_all");
-        assert_eq!(r.sharded.admission, "seen_twice");
+        assert_eq!(r.gated.admission, "seen_twice");
         assert_eq!(r.baseline.denied, 0, "admit-all never denies");
-        assert!(r.sharded.denied > 0, "one-off shapes are denied by the doorkeeper");
-        for a in [&r.baseline, &r.sharded] {
+        assert!(r.gated.denied > 0, "one-off shapes are denied by the doorkeeper");
+        for a in [&r.baseline, &r.gated] {
             assert_eq!(a.plan_cache_hits + a.plan_cache_misses, 40);
             assert!((0.0..=1.0).contains(&a.hit_rate));
             assert!(a.p95_us >= a.p50_us);

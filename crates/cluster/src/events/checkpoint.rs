@@ -199,17 +199,18 @@ impl EventCluster {
         // the arch classes and keys residency by shapes; v5 writes each
         // arch once per class and drops what restore can count; v6 drops
         // the obs bus's config; v7 writes the obs log and dump marks
-        // only. Each time an older checkpoint stopped describing a
-        // decodable engine.
-        if version < 7 {
+        // only; v8 drops the shard count and gives each plan-cache key
+        // its calibration epoch. Each time an older checkpoint stopped
+        // describing a decodable engine.
+        if version < 8 {
             return Err(SavestateError::Mismatch(format!(
-                "cluster checkpoint format v{version} predates v7, whose obs image holds only \
-                 the event log and dump marks; re-checkpoint with the current engine"
+                "cluster checkpoint format v{version} predates v8, whose plan-cache image keys \
+                 each plan by its calibration epoch too; re-checkpoint with the current engine"
             )));
         }
-        // The cfg carries the share's shard/capacity/admission layout,
-        // so the share `build` makes matches the gate and shard images
-        // embedded later in the blob.
+        // The cfg carries the share's capacity bound and admission
+        // policy, so the share `build` makes matches the cache and gate
+        // images embedded later in the blob.
         let cfg = EventConfig::load(&mut r)?;
         let (clock, obs) = if bool::load(&mut r)? {
             let clock = Arc::new(SimClock::new());

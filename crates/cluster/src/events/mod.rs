@@ -309,9 +309,9 @@ pub struct EventConfig {
     /// Keep a per-request routing outcome log (the suites' per-request
     /// comparison payload); costs one small record per request.
     pub record_outcomes: bool,
-    /// Shard/capacity/admission layout of the shared plan cache. Part
-    /// of the checkpoint (v2), so a restored engine rebuilds the same
-    /// cache geometry the blob's gate and shard images describe.
+    /// Capacity bound and admission policy of the shared plan cache.
+    /// Part of the checkpoint, so a restored engine rebuilds the same
+    /// cache bound and gate geometry the blob's share image describes.
     pub share: PlanShareConfig,
     /// Whether placement ranks candidates with the locality routing
     /// penalty. On by default; a no-op on single-chiplet pools (the
@@ -1279,22 +1279,6 @@ mod tests {
             Err(SavestateError::Corrupt(msg)) => assert!(msg.contains("zero devices"), "{msg}"),
             Err(e) => panic!("expected Corrupt, got {e:?}"),
             Ok(_) => panic!("restore accepted a checkpoint without devices"),
-        }
-    }
-
-    /// A forged shard count in the checkpointed config cannot make
-    /// restore allocate it: `PlanShare::with_config` clamps it, and the
-    /// share image's own count then disagrees.
-    #[test]
-    fn restore_rejects_a_forged_shard_count() {
-        let eng = EventCluster::new(ArchSpec::pool_presets(2), quiet_cfg());
-        let mut forged = quiet_cfg();
-        forged.share.shards = 1 << 40;
-        let blob = splice(&eng.checkpoint(), &encoded(&eng.cfg), &encoded(&forged));
-        match EventCluster::restore(ArchSpec::pool_presets(2), &blob) {
-            Err(SavestateError::Mismatch(msg)) => assert!(msg.contains("shards"), "{msg}"),
-            Err(e) => panic!("expected Mismatch, got {e:?}"),
-            Ok(_) => panic!("restore accepted 2^40 shards"),
         }
     }
 

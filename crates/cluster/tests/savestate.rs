@@ -18,12 +18,12 @@
 //! save → load → save byte-identically at every crash point.
 //!
 //! The suite also pins the golden on-disk fixture
-//! (`tests/fixtures/savestate_v7.bin`) for format-version discipline —
-//! since v2 the embedded `PlanShare` image carries the shard layout,
-//! the optional capacity bound and the Bloom admission gate, and one
-//! crash-swept schedule runs with a `SeenTwice` gate over a bounded
-//! sharded cache so the gate's tag slots and the shard maps round-trip
-//! under fire; since v3 the blob additionally carries each device's
+//! (`tests/fixtures/savestate_v8.bin`) for format-version discipline —
+//! since v2 the embedded `PlanShare` image carries the optional
+//! capacity bound and the Bloom admission gate, and one crash-swept
+//! schedule runs with a `SeenTwice` gate over a cache bounded below its
+//! key count so the gate's tag slots and the cache's eviction order
+//! round-trip under fire; since v3 the blob additionally carries each device's
 //! chiplet topology, the locality-ranking flag, operand residency and
 //! the residency counters, and one crash-swept schedule runs
 //! locality-aware placement over a multi-chiplet pool so all of it
@@ -33,8 +33,10 @@
 //! the pending counts and flags restore counts from the timeline; since
 //! v6 its obs image holds no bus config; since v7 that image is the
 //! event log and one mark per flight dump, with no ring, sequence
-//! counter or dump copies. The v6 fixture stays committed as the input
-//! of a typed-rejection test.
+//! counter or dump copies; since v8 the plan cache is one map with no
+//! shard count, each key carries its calibration epoch, and a bounded
+//! cache writes its keys in insertion order. The v7 fixture stays
+//! committed as the input of a typed-rejection test.
 //! The suite further exercises queue migration between two engine
 //! instances (`halt_and_export` → `import_jobs`, zero drops) and
 //! round-trips randomized mid-run states under proptest.
@@ -80,7 +82,7 @@ struct Schedule {
     gap_ns: u64,
     faults: fn() -> Vec<Option<Arc<FaultInjector>>>,
     kill_first: Option<usize>,
-    /// Plan-cache shard/capacity/admission layout (default = 16 shards,
+    /// Plan-cache capacity bound and admission policy (default:
     /// unbounded, admit-all — the pre-v2 behaviour).
     share: PlanShareConfig,
     /// Device pool the schedule runs (and restores) over; the default
@@ -171,11 +173,12 @@ fn fault_free() -> Schedule {
     }
 }
 
-/// The v2 coverage schedule: a `SeenTwice` Bloom gate over a bounded
-/// 4-shard cache, under an exec-panic storm. First sightings of each
-/// signature are denied caching, second sightings admit — so the
-/// checkpoint taken mid-run embeds a live gate (occupied tag slots,
-/// possibly evictions) and partially filled shards, and the crash sweep
+/// The v2 coverage schedule: a `SeenTwice` Bloom gate over a cache
+/// bounded to 3 entries, under an exec-panic storm. First sightings of
+/// each signature are denied caching, second sightings admit and evict
+/// the oldest entry — so the checkpoint taken mid-run embeds a live gate
+/// (occupied tag slots, possibly evictions) and a full cache whose
+/// insertion order decides the next eviction, and the crash sweep
 /// proves all of it replays exactly.
 fn bloom_gated_bounded_cache() -> Schedule {
     Schedule {
@@ -185,8 +188,7 @@ fn bloom_gated_bounded_cache() -> Schedule {
         faults: || vec![injector(FaultConfig::new(0xB100).exec_panic(300)), None],
         kill_first: None,
         share: PlanShareConfig {
-            shards: 4,
-            capacity_per_shard: Some(8),
+            capacity: Some(3),
             admission: AdmissionPolicy::SeenTwice { seed: 0xCAFE, slots_log2: 6 },
         },
         pool,
@@ -373,10 +375,11 @@ fn crash_restore_burst_into_one_job_queues() {
     differential(s);
 }
 
-/// Bloom gate + bounded shards under fire: every crash point must
+/// Bloom gate + bounded cache under fire: every crash point must
 /// round-trip the gate's tag slots, the admission counters and the
-/// partially filled shard maps byte-identically, and the resumed run's
-/// admission decisions must match the uninterrupted run's exactly.
+/// cache's keys in insertion order byte-identically, and the resumed
+/// run's admission and eviction decisions must match the uninterrupted
+/// run's exactly.
 #[test]
 fn crash_restore_bloom_gated_bounded_cache() {
     let s = bloom_gated_bounded_cache();
@@ -545,9 +548,10 @@ fn newer_format_version_fails_typed_not_panicking() {
     );
 }
 
-/// Version skew the other way: a v1 checkpoint predates the sharded
-/// plan-cache image, so the cluster restore rejects it with a typed
-/// [`SavestateError::Mismatch`] instead of misparsing the payload.
+/// Version skew the other way: a v1 checkpoint predates the plan-cache
+/// image's capacity bound and admission gate, so the cluster restore
+/// rejects it with a typed [`SavestateError::Mismatch`] instead of
+/// misparsing the payload.
 #[test]
 fn v1_checkpoint_is_rejected_with_typed_mismatch() {
     let mut bytes = fixture_bytes();
@@ -574,25 +578,25 @@ fn v2_checkpoint_is_rejected_with_typed_mismatch() {
     }
 }
 
-/// The committed v6 fixture, whose obs image still holds the flight
-/// ring, the sequence counter and each dump's event copies, is refused
-/// with a typed [`SavestateError::Mismatch`] that names v6 and v7.
+/// The committed v7 fixture, whose plan-cache image still holds a shard
+/// count and keys without a calibration epoch, is refused with a typed
+/// [`SavestateError::Mismatch`] that names v7 and v8.
 #[test]
-fn v6_checkpoint_is_rejected_with_typed_mismatch() {
-    let v6 = std::fs::read(fixture_path(6)).expect("the v6 fixture is committed");
-    match EventCluster::restore(pool(), &v6) {
+fn v7_checkpoint_is_rejected_with_typed_mismatch() {
+    let v7 = std::fs::read(fixture_path(7)).expect("the v7 fixture is committed");
+    match EventCluster::restore(pool(), &v7) {
         Err(SavestateError::Mismatch(msg)) => {
-            assert!(msg.contains("v6") && msg.contains("v7"), "{msg}")
+            assert!(msg.contains("v7") && msg.contains("v8"), "{msg}")
         }
         Err(e) => panic!("expected Mismatch, got {e:?}"),
-        Ok(_) => panic!("the v6 fixture restored successfully"),
+        Ok(_) => panic!("the v7 fixture restored successfully"),
     }
 }
 
 /// The v5 job layout has no arrival time, so `import_jobs` refuses a job
 /// export stamped v4 with a typed [`SavestateError::Mismatch`] that
 /// names v4, and imports the same export stamped v5 (the job layout did
-/// not change in v6 or v7) and as written.
+/// not change in v6, v7 or v8) and as written.
 #[test]
 fn import_jobs_refuses_a_v4_job_export() {
     let mut source = EventCluster::new(pool(), EventConfig::default());

@@ -19,10 +19,13 @@
 //! yet"), which is the conservative direction: a hot key may pay one
 //! extra miss, but the cache is never polluted by a key that was not
 //! genuinely seen before.
+//!
+//! The gate is plain state, not a concurrent structure: it sits under
+//! the plan cache's one lock beside the map it guards, so only the
+//! lock holder observes a key, and two sightings never race.
 
 use crate::hash::mix64;
 use ctb_savestate::{savestate_enum, Reader, Savestate, SavestateError, Writer};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// How [`crate::PlanShare`] decides whether a freshly planned key may
 /// enter the plan cache.
@@ -58,27 +61,19 @@ pub struct AdmissionStats {
 }
 
 /// Seeded two-probe tagged doorkeeper. See the module docs for the
-/// guarantee structure. All operations are lock-free; racing observers
-/// of *different* keys can at worst lose a recording (a false
-/// negative), never fabricate a sighting.
+/// guarantee structure.
 pub struct BloomGate {
     seed: u64,
     mask: u64,
-    slots: Vec<AtomicU64>,
-    evicted: AtomicUsize,
+    slots: Vec<u64>,
+    evicted: usize,
 }
 
 impl BloomGate {
     /// A gate with `1 << slots_log2` tag slots (clamped to `2^1..=2^28`).
     pub fn new(seed: u64, slots_log2: u32) -> Self {
-        let log2 = slots_log2.clamp(1, 28);
-        let n = 1usize << log2;
-        BloomGate {
-            seed,
-            mask: (n as u64) - 1,
-            slots: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            evicted: AtomicUsize::new(0),
-        }
+        let n = 1usize << slots_log2.clamp(1, 28);
+        BloomGate { seed, mask: (n as u64) - 1, slots: vec![0; n], evicted: 0 }
     }
 
     /// Tag for `key_hash`: seeded bijective mix, with 0 reserved as the
@@ -93,46 +88,46 @@ impl BloomGate {
         }
     }
 
+    /// The tag of `key_hash` and its two probe positions.
+    #[inline]
+    fn probes(&self, key_hash: u64) -> (u64, usize, usize) {
+        let tag = self.tag(key_hash);
+        let ix = mix64(tag);
+        (tag, (ix & self.mask) as usize, ((ix >> 32) & self.mask) as usize)
+    }
+
     /// Record a sighting of `key_hash`. Returns `true` when the gate
     /// already held this key's tag — i.e. this is (at least) the second
     /// sighting and the key should be admitted.
-    pub fn observe(&self, key_hash: u64) -> bool {
-        let tag = self.tag(key_hash);
-        let ix = mix64(tag);
-        let i1 = (ix & self.mask) as usize;
-        let i2 = ((ix >> 32) & self.mask) as usize;
-        let s1 = self.slots[i1].load(Ordering::Relaxed);
-        if s1 == tag {
-            return true;
-        }
-        let s2 = self.slots[i2].load(Ordering::Relaxed);
-        if s2 == tag {
+    pub fn observe(&mut self, key_hash: u64) -> bool {
+        let (tag, i1, i2) = self.probes(key_hash);
+        if self.slots[i1] == tag || self.slots[i2] == tag {
             return true;
         }
         // First sighting: record the tag, preferring an empty probe
         // position; evict deterministically (by a tag bit) when both
         // are taken.
-        if s1 == 0 {
-            self.slots[i1].store(tag, Ordering::Relaxed);
-        } else if s2 == 0 {
-            self.slots[i2].store(tag, Ordering::Relaxed);
+        let slot = if self.slots[i1] == 0 {
+            i1
+        } else if self.slots[i2] == 0 {
+            i2
         } else {
-            let victim = if tag & 1 == 0 { i1 } else { i2 };
-            self.slots[victim].store(tag, Ordering::Relaxed);
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-        }
+            self.evicted += 1;
+            if tag & 1 == 0 {
+                i1
+            } else {
+                i2
+            }
+        };
+        self.slots[slot] = tag;
         false
     }
 
     /// Whether the gate currently holds `key_hash`'s tag, without
     /// recording a sighting.
     pub fn contains(&self, key_hash: u64) -> bool {
-        let tag = self.tag(key_hash);
-        let ix = mix64(tag);
-        let i1 = (ix & self.mask) as usize;
-        let i2 = ((ix >> 32) & self.mask) as usize;
-        self.slots[i1].load(Ordering::Relaxed) == tag
-            || self.slots[i2].load(Ordering::Relaxed) == tag
+        let (tag, i1, i2) = self.probes(key_hash);
+        self.slots[i1] == tag || self.slots[i2] == tag
     }
 
     /// Number of tag slots.
@@ -142,7 +137,7 @@ impl BloomGate {
 
     /// Slots overwritten while occupied (future false negatives).
     pub fn evicted_tags(&self) -> usize {
-        self.evicted.load(Ordering::Relaxed)
+        self.evicted
     }
 
     /// Serialize seed, slot array and eviction counter. The slot array
@@ -150,17 +145,14 @@ impl BloomGate {
     /// byte-identical.
     pub fn save(&self, w: &mut Writer) {
         self.seed.save(w);
-        w.len_prefix(self.slots.len());
-        for s in &self.slots {
-            s.load(Ordering::Relaxed).save(w);
-        }
-        self.evicted_tags().save(w);
+        self.slots.save(w);
+        self.evicted.save(w);
     }
 
     /// Restore state written by [`BloomGate::save`] into this gate. The
     /// blob must describe a gate of the same geometry (seed and slot
     /// count) — anything else is a typed `Mismatch`.
-    pub fn load(&self, r: &mut Reader<'_>) -> Result<(), SavestateError> {
+    pub fn load(&mut self, r: &mut Reader<'_>) -> Result<(), SavestateError> {
         let seed = u64::load(r)?;
         if seed != self.seed {
             return Err(SavestateError::Mismatch(format!(
@@ -176,10 +168,8 @@ impl BloomGate {
                 slots.len()
             )));
         }
-        for (dst, v) in self.slots.iter().zip(slots) {
-            dst.store(v, Ordering::Relaxed);
-        }
-        self.evicted.store(usize::load(r)?, Ordering::Relaxed);
+        self.slots = slots;
+        self.evicted = usize::load(r)?;
         Ok(())
     }
 }
@@ -190,7 +180,7 @@ mod tests {
 
     #[test]
     fn second_sighting_is_seen_first_is_not() {
-        let g = BloomGate::new(42, 8);
+        let mut g = BloomGate::new(42, 8);
         for key in [0u64, 1, 7, 0xDEAD_BEEF, u64::MAX] {
             assert!(!g.observe(key), "first sighting of {key:#x} must not be 'seen'");
             assert!(g.observe(key), "second sighting of {key:#x} must be 'seen'");
@@ -203,7 +193,7 @@ mod tests {
         // 4 slots with 64 distinct keys: massive slot pressure, lots of
         // tag evictions — but a key never reads as seen before its own
         // second sighting (tags are exact, eviction only forgets).
-        let g = BloomGate::new(7, 2);
+        let mut g = BloomGate::new(7, 2);
         for key in 0..64u64 {
             assert!(!g.observe(key), "key {key} falsely reported seen");
         }
@@ -212,7 +202,7 @@ mod tests {
 
     #[test]
     fn eviction_causes_false_negatives_not_false_positives() {
-        let g = BloomGate::new(3, 1); // 2 slots
+        let mut g = BloomGate::new(3, 1); // 2 slots
         assert!(!g.observe(10));
         // Flood the gate so key 10's tag is (very likely) evicted.
         for key in 100..130u64 {
@@ -227,22 +217,20 @@ mod tests {
 
     #[test]
     fn seeds_change_the_probe_layout() {
-        let a = BloomGate::new(1, 4);
-        let b = BloomGate::new(2, 4);
+        let mut a = BloomGate::new(1, 4);
+        let mut b = BloomGate::new(2, 4);
         a.observe(5);
         b.observe(5);
         // Same key, different seeds: both gates hold it...
         assert!(a.contains(5));
         assert!(b.contains(5));
         // ...but the raw slot contents differ (seed enters the tag).
-        let dump =
-            |g: &BloomGate| g.slots.iter().map(|s| s.load(Ordering::Relaxed)).collect::<Vec<_>>();
-        assert_ne!(dump(&a), dump(&b));
+        assert_ne!(a.slots, b.slots);
     }
 
     #[test]
     fn round_trip_is_byte_identical() {
-        let g = BloomGate::new(99, 6);
+        let mut g = BloomGate::new(99, 6);
         for key in 0..200u64 {
             g.observe(key * 3);
         }
@@ -250,7 +238,7 @@ mod tests {
         g.save(&mut w);
         let bytes = w.into_bytes();
 
-        let fresh = BloomGate::new(99, 6);
+        let mut fresh = BloomGate::new(99, 6);
         let mut r = ctb_savestate::Reader::new(&bytes);
         fresh.load(&mut r).unwrap();
         r.expect_end().unwrap();
@@ -268,11 +256,11 @@ mod tests {
         g.save(&mut w);
         let bytes = w.into_bytes();
 
-        let wrong_seed = BloomGate::new(98, 6);
+        let mut wrong_seed = BloomGate::new(98, 6);
         let err = wrong_seed.load(&mut ctb_savestate::Reader::new(&bytes)).unwrap_err();
         assert!(matches!(err, ctb_savestate::SavestateError::Mismatch(_)));
 
-        let wrong_size = BloomGate::new(99, 5);
+        let mut wrong_size = BloomGate::new(99, 5);
         let err = wrong_size.load(&mut ctb_savestate::Reader::new(&bytes)).unwrap_err();
         assert!(matches!(err, ctb_savestate::SavestateError::Mismatch(_)));
     }

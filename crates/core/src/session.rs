@@ -10,7 +10,7 @@
 
 use crate::admission::{AdmissionPolicy, AdmissionStats, BloomGate};
 use crate::framework::{BatchingPolicy, ExecutionPlan, Framework, RunOutcome};
-use crate::hash::{fnv1a, fnv1a_shapes, mix64, FNV_OFFSET};
+use crate::hash::{fnv1a, fnv1a_shapes, FNV_OFFSET};
 use crate::hotswap::CalibHandle;
 use crate::memo::{arch_fingerprint, SimMemo};
 use ctb_matrix::{GemmBatch, GemmShape};
@@ -18,7 +18,7 @@ use ctb_obs::{Obs, PointKind, SpanKind};
 use ctb_savestate::{savestate_struct, Reader, Savestate, SavestateError, Writer};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Cache statistics.
@@ -47,25 +47,19 @@ impl CacheStats {
 /// deployments where many sessions plan for the *same* architecture and
 /// should pay each planning cost once, pool-wide.
 ///
-/// Entries are keyed by `(context fingerprint, shape signature)` where
-/// the fingerprint covers the architecture, the thresholds and the
-/// batching policy, so sessions with incompatible planning contexts can
-/// share one `PlanShare` without ever observing each other's plans.
+/// Entries are keyed by `(context fingerprint, calibration epoch, shape
+/// signature)` where the fingerprint covers the architecture, the
+/// thresholds and the batching policy, so sessions with incompatible
+/// planning contexts can share one `PlanShare` without ever observing
+/// each other's plans.
 ///
-/// The map is split by key hash into independently locked shards so a
-/// storm of concurrent lookups from many sessions never serializes on
-/// one mutex, and inserts can be gated by a Bloom "seen twice"
-/// admission doorkeeper ([`AdmissionPolicy::SeenTwice`]) so one-shot
-/// shapes never pollute a capacity-bounded cache. [`PlanShare::new`]
-/// keeps the historical behaviour exactly: admit-all, unbounded
-/// (sharding alone is behaviour-invisible).
+/// One lock guards the cache: the map, its insertion order, the
+/// capacity bound and the optional Bloom "seen twice" admission
+/// doorkeeper ([`AdmissionPolicy::SeenTwice`]) that keeps one-shot
+/// shapes out of a capacity-bounded cache. Planning itself runs outside
+/// the lock. [`PlanShare::new`] is admit-all and unbounded.
 pub struct PlanShare {
-    shards: Vec<Mutex<Shard>>,
-    shard_mask: u64,
-    capacity_per_shard: Option<usize>,
-    gate: Option<BloomGate>,
-    admitted: AtomicUsize,
-    denied: AtomicUsize,
+    cache: Mutex<PlanCache>,
     sim_memo: SimMemo,
     /// Hot-swappable calibration state consulted by
     /// [`BatchingPolicy::BestOfBoth`] sessions and by predictors that
@@ -76,54 +70,83 @@ pub struct PlanShare {
     calib: CalibHandle,
 }
 
-/// Construction-time layout + admission configuration for [`PlanShare`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Construction-time capacity + admission configuration for
+/// [`PlanShare`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PlanShareConfig {
-    /// Independently locked shards (clamped to `1..=2^16`, rounded up
-    /// to a power of two).
-    pub shards: usize,
-    /// Per-shard entry bound; `None` (default) is unbounded. A full
-    /// shard evicts its oldest entry (FIFO) to make room for an
-    /// admitted insert.
-    pub capacity_per_shard: Option<usize>,
+    /// Entry bound; `None` (default) is unbounded. A full cache evicts
+    /// its oldest entry (FIFO) to make room for an admitted insert.
+    pub capacity: Option<usize>,
     /// Insert gating policy; [`AdmissionPolicy::AdmitAll`] by default.
     pub admission: AdmissionPolicy,
 }
 
-savestate_struct!(PlanShareConfig { shards, capacity_per_shard, admission });
+savestate_struct!(PlanShareConfig { capacity, admission });
 
-impl Default for PlanShareConfig {
-    fn default() -> Self {
-        PlanShareConfig {
-            shards: 16,
-            capacity_per_shard: None,
-            admission: AdmissionPolicy::AdmitAll,
-        }
+/// The plan cache proper: everything the share's one lock guards.
+#[derive(Default)]
+struct PlanCache {
+    map: HashMap<PlanKey, Arc<ExecutionPlan>>,
+    /// Insertion order, kept only under a capacity bound (FIFO
+    /// eviction); empty when the cache is unbounded.
+    fifo: VecDeque<PlanKey>,
+    capacity: Option<usize>,
+    gate: Option<BloomGate>,
+    admitted: usize,
+    denied: usize,
+}
+
+/// A plan-cache key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+struct PlanKey {
+    /// The planning context's fingerprint ([`Session::fingerprint`]).
+    fp: u64,
+    /// The calibration version the plan was chosen under: a retrained
+    /// selector may choose another plan, so epoch N entries never
+    /// answer epoch N+1 lookups. Always 0 outside best-of-both.
+    epoch: u64,
+    shapes: Vec<GemmShape>,
+}
+
+savestate_struct!(PlanKey { fp, epoch, shapes });
+
+impl PlanKey {
+    /// The Bloom doorkeeper's key: FNV-1a over every field, so it is
+    /// stable across processes and savestate restores.
+    fn gate_hash(&self) -> u64 {
+        let h = fnv1a(FNV_OFFSET, &self.fp.to_le_bytes());
+        fnv1a_shapes(fnv1a(h, &self.epoch.to_le_bytes()), &self.shapes)
     }
 }
 
-/// One lock's worth of the plan cache.
-#[derive(Default)]
-struct Shard {
-    map: PlanMap,
-    /// Insertion order, maintained only under a capacity bound (FIFO
-    /// eviction); empty when the share is unbounded.
-    fifo: VecDeque<PlanKey>,
-}
+impl PlanCache {
+    /// Consult the admission gate for an insert of `key`, counting the
+    /// decision. Always `true` without a gate.
+    fn admit(&mut self, key: &PlanKey) -> bool {
+        let Some(gate) = &mut self.gate else { return true };
+        let seen = gate.observe(key.gate_hash());
+        if seen {
+            self.admitted += 1;
+        } else {
+            self.denied += 1;
+        }
+        seen
+    }
 
-/// `(context fingerprint, shape signature)`.
-type PlanKey = (u64, Vec<GemmShape>);
-type PlanMap = HashMap<PlanKey, Arc<ExecutionPlan>>;
-
-/// Hash of a plan-cache key, used for shard selection and as the Bloom
-/// doorkeeper key. FNV-1a over the fingerprint and every shape, so it
-/// is stable across processes (savestate replay lands keys in the same
-/// shards).
-fn plan_key_hash(fp: u64, shapes: &[GemmShape]) -> u64 {
-    // FNV-1a's low bits cluster for structured inputs (power-of-two
-    // shape dims); the shard index is taken from the low bits, so
-    // finalize with a full-avalanche mix.
-    mix64(fnv1a_shapes(fnv1a(FNV_OFFSET, &fp.to_le_bytes()), shapes))
+    /// Insert a key the cache does not hold, evicting the oldest
+    /// entries past the capacity bound.
+    fn insert(&mut self, key: PlanKey, plan: Arc<ExecutionPlan>) {
+        let Some(cap) = self.capacity else {
+            self.map.insert(key, plan);
+            return;
+        };
+        self.fifo.push_back(key.clone());
+        self.map.insert(key, plan);
+        while self.map.len() > cap {
+            let oldest = self.fifo.pop_front().expect("fifo tracks map");
+            self.map.remove(&oldest);
+        }
+    }
 }
 
 /// Total operand footprint of a shape signature in bytes: for each
@@ -151,11 +174,8 @@ impl PlanShare {
         PlanShare::default()
     }
 
-    /// A share with an explicit shard/capacity/admission configuration.
-    /// The shard count is clamped to `1..=2^16` before it is rounded up,
-    /// so a forged count in a checkpointed config cannot exhaust memory.
+    /// A share with an explicit capacity/admission configuration.
     pub fn with_config(cfg: PlanShareConfig) -> Self {
-        let shards = cfg.shards.clamp(1, 1 << 16).next_power_of_two();
         let gate = match cfg.admission {
             AdmissionPolicy::AdmitAll => None,
             AdmissionPolicy::SeenTwice { seed, slots_log2 } => {
@@ -163,12 +183,7 @@ impl PlanShare {
             }
         };
         PlanShare {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_mask: (shards as u64) - 1,
-            capacity_per_shard: cfg.capacity_per_shard,
-            gate,
-            admitted: AtomicUsize::new(0),
-            denied: AtomicUsize::new(0),
+            cache: Mutex::new(PlanCache { capacity: cfg.capacity, gate, ..PlanCache::default() }),
             sim_memo: SimMemo::default(),
             calib: CalibHandle::new(),
         }
@@ -189,104 +204,71 @@ impl PlanShare {
 
     /// Total cached plans across every planning context in the share.
     pub fn cached_plans_total(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
-    }
-
-    /// Number of independently locked shards (a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Entry count per shard, in shard-index order.
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.lock().map.len()).collect()
-    }
-
-    /// The per-shard entry bound (`None` = unbounded).
-    pub fn capacity_per_shard(&self) -> Option<usize> {
-        self.capacity_per_shard
+        self.cache.lock().map.len()
     }
 
     /// Admission-gate counters. All zero under
     /// [`AdmissionPolicy::AdmitAll`] (no gate decisions are taken).
     pub fn admission_stats(&self) -> AdmissionStats {
+        let cache = self.cache.lock();
         AdmissionStats {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            denied: self.denied.load(Ordering::Relaxed),
-            evicted_tags: self.gate.as_ref().map_or(0, |g| g.evicted_tags()),
-        }
-    }
-
-    /// The shard responsible for `key_hash`.
-    fn shard_for(&self, key_hash: u64) -> &Mutex<Shard> {
-        &self.shards[(key_hash & self.shard_mask) as usize]
-    }
-
-    /// Consult the admission gate for an insert of `key_hash`. Counts
-    /// the decision. Always `true` without a gate.
-    fn admit(&self, key_hash: u64) -> bool {
-        match &self.gate {
-            None => true,
-            Some(g) => {
-                if g.observe(key_hash) {
-                    self.admitted.fetch_add(1, Ordering::Relaxed);
-                    true
-                } else {
-                    self.denied.fetch_add(1, Ordering::Relaxed);
-                    false
-                }
-            }
+            admitted: cache.admitted,
+            denied: cache.denied,
+            evicted_tags: cache.gate.as_ref().map_or(0, BloomGate::evicted_tags),
         }
     }
 
     /// Serialize the share: the simulation memo (entries + counters),
-    /// every plan-cache key (sorted), then the shard layout and
-    /// admission-gate state. Plan *bodies* are not serialized —
-    /// `ExecutionPlan` is a pure deterministic function of the planning
-    /// context and the shapes, and with the memo restored first a
-    /// re-plan replays every candidate simulation from the memo,
-    /// rebuilding bit-identical plans for free. Keys-only blobs stay
-    /// small and can never smuggle a stale plan past a code change.
+    /// every plan-cache key, then the capacity bound and
+    /// admission-gate state. Under a capacity bound the keys are written
+    /// in insertion order, so a restored cache evicts the same plans the
+    /// original would; an unbounded cache never evicts and writes them
+    /// sorted. Either way save → restore → save is byte-identical. Plan
+    /// *bodies* are not serialized — `ExecutionPlan` is a pure
+    /// deterministic function of the planning context and the shapes,
+    /// and with the memo restored first a re-plan replays every
+    /// candidate simulation from the memo, rebuilding bit-identical
+    /// plans for free. Keys-only blobs stay small and can never smuggle
+    /// a stale plan past a code change.
     pub fn save(&self, w: &mut Writer) {
         self.sim_memo.save(w);
-        // Lock every shard for a consistent snapshot; keys are written
-        // globally sorted so save → restore → save is byte-identical
-        // regardless of shard layout or map iteration order.
-        let guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
-        let mut keys: Vec<&PlanKey> = guards.iter().flat_map(|g| g.map.keys()).collect();
-        keys.sort_unstable();
-        w.seq(keys);
-        drop(guards);
-        // v2 section: layout + admission state.
-        self.shards.len().save(w);
-        self.capacity_per_shard.save(w);
-        self.gate.is_some().save(w);
-        if let Some(g) = &self.gate {
+        let cache = self.cache.lock();
+        if cache.capacity.is_some() {
+            w.seq(&cache.fifo);
+        } else {
+            let mut keys: Vec<&PlanKey> = cache.map.keys().collect();
+            keys.sort_unstable();
+            w.seq(keys);
+        }
+        cache.capacity.save(w);
+        cache.gate.is_some().save(w);
+        if let Some(g) = &cache.gate {
             g.save(w);
         }
-        self.admitted.load(Ordering::Relaxed).save(w);
-        self.denied.load(Ordering::Relaxed).save(w);
+        cache.admitted.save(w);
+        cache.denied.save(w);
     }
 
     /// Restore a blob written by [`PlanShare::save`] into this share.
     /// `sessions` must be attached to *this* share and must cover every
-    /// planning fingerprint in the blob — each saved key is re-planned
-    /// through its matching session (all candidate simulations hit the
-    /// just-restored memo), then the memo counters are pinned back to
-    /// the checkpointed values so the rebuild leaves no accounting
-    /// trace. Replayed inserts bypass the admission gate (the key *was*
-    /// cached at checkpoint time; the gate's own state is restored from
-    /// the blob afterwards). The caller owns the sessions' own
-    /// counters: re-planning counts as misses on them (and emits obs
-    /// events when a bus is attached), so restore session stats / obs
-    /// state *after* this.
+    /// planning fingerprint in the blob — each saved key is re-planned,
+    /// in the order it was written, through its matching session (all
+    /// candidate simulations hit the just-restored memo), then the memo
+    /// counters are pinned back to the checkpointed values so the
+    /// rebuild leaves no accounting trace. Replayed inserts bypass the
+    /// admission gate (the key *was* cached at checkpoint time; the
+    /// gate's own state is restored from the blob afterwards). The
+    /// caller owns the sessions' own counters: re-planning counts as
+    /// misses on them (and emits obs events when a bus is attached), so
+    /// restore session stats / obs state *after* this.
     ///
-    /// The blob's shard count, capacity bound and gate geometry must
-    /// match this share's configuration — a capacity-bounded replay
-    /// into a different layout could evict differently than the donor
-    /// ever did. A fingerprint with no matching session — e.g. a
-    /// `Forest`-policy session, whose fingerprint is noncified
-    /// precisely because its selector state is not reproducible — is a
+    /// The blob's capacity bound and gate geometry must match this
+    /// share's configuration — a capacity-bounded replay into another
+    /// bound could evict differently than the donor ever did. A
+    /// fingerprint with no matching session — e.g. a `Forest`-policy
+    /// session, whose fingerprint is noncified precisely because its
+    /// selector state is not reproducible — and a key chosen under a
+    /// calibration profile (which restore does not rebuild) are each a
     /// typed [`Mismatch`](ctb_savestate::SavestateError::Mismatch).
     pub fn restore_with_sessions(
         &self,
@@ -302,7 +284,13 @@ impl PlanShare {
         }
         self.sim_memo.load(r)?;
         let (memo_hits, memo_misses) = (self.sim_memo.hits(), self.sim_memo.misses());
-        for (fp, shapes) in Vec::<PlanKey>::load(r)? {
+        for PlanKey { fp, epoch, shapes } in Vec::<PlanKey>::load(r)? {
+            if epoch != 0 {
+                return Err(SavestateError::Mismatch(format!(
+                    "saved key was planned under calibration version {epoch}; \
+                     restore rebuilds shares at version 0"
+                )));
+            }
             let session = sessions.iter().find(|s| s.fp == fp).ok_or_else(|| {
                 SavestateError::Mismatch(format!(
                     "no session matches planning fingerprint {fp:#018x} \
@@ -315,22 +303,15 @@ impl PlanShare {
         }
         // Undo the rebuild's accounting pollution (replans hit the memo).
         self.sim_memo.set_counters(memo_hits, memo_misses);
-        // v2 section: layout + admission state.
-        let shard_count = usize::load(r)?;
-        if shard_count != self.shards.len() {
-            return Err(SavestateError::Mismatch(format!(
-                "share has {} shards, blob has {shard_count}",
-                self.shards.len()
-            )));
-        }
+        let mut cache = self.cache.lock();
         let capacity = Option::<usize>::load(r)?;
-        if capacity != self.capacity_per_shard {
+        if capacity != cache.capacity {
             return Err(SavestateError::Mismatch(format!(
                 "share capacity {:?} does not match blob {capacity:?}",
-                self.capacity_per_shard
+                cache.capacity
             )));
         }
-        match (bool::load(r)?, &self.gate) {
+        match (bool::load(r)?, &mut cache.gate) {
             (false, None) => {}
             (true, Some(g)) => g.load(r)?,
             (flag, _) => {
@@ -339,8 +320,8 @@ impl PlanShare {
                 )));
             }
         }
-        self.admitted.store(usize::load(r)?, Ordering::Relaxed);
-        self.denied.store(usize::load(r)?, Ordering::Relaxed);
+        cache.admitted = usize::load(r)?;
+        cache.denied = usize::load(r)?;
         Ok(())
     }
 }
@@ -364,11 +345,11 @@ fn planning_fingerprint(framework: &Framework) -> u64 {
             // Shareable *within* a calibration epoch: sessions on the
             // same share read the same CalibHandle, so at any given
             // version they resolve the same selector and may answer
-            // each other's lookups. The epoch itself is mixed into the
-            // per-lookup key (not this base fingerprint) by
-            // `Session::plan_inner`; only version-0 keys are eligible
-            // for savestate restore — the event engine refuses to
-            // checkpoint mid-calibration for exactly this reason.
+            // each other's lookups. The epoch is a field of the
+            // plan-cache key, not of this fingerprint; only epoch-0
+            // keys are eligible for savestate restore — the event
+            // engine refuses to checkpoint mid-calibration for exactly
+            // this reason.
             h = fnv1a(h, &[2]);
         }
         BatchingPolicy::Forest(_) => {
@@ -470,26 +451,15 @@ impl Session {
         // under one epoch but chosen by another.
         let calib = matches!(self.framework.config().batching, BatchingPolicy::BestOfBoth)
             .then(|| self.share.calib.snapshot());
-        let fp = match &calib {
-            // Mix the epoch into the key so version N entries never
-            // answer version N+1 lookups (the retrained selector may
-            // legitimately choose a different plan). Version 0 keeps
-            // the base fingerprint: pristine sessions stay
-            // bit-compatible with their savestate-restorable keys.
-            Some(c) if c.version > 0 => {
-                mix64(self.fp ^ c.version.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            }
-            _ => self.fp,
+        let key = PlanKey {
+            fp: self.fp,
+            epoch: calib.as_ref().map_or(0, |c| c.version),
+            shapes: shapes.to_vec(),
         };
-        let key = (fp, shapes.to_vec());
-        let key_hash = plan_key_hash(fp, shapes);
-        let shard = self.share.shard_for(key_hash);
-        if let Some(plan) = shard.lock().map.get(&key) {
-            self.stats.lock().hits += 1;
-            if let Some(o) = self.obs.as_deref() {
-                o.point(PointKind::PlanCacheHit);
-            }
-            return Ok(Arc::clone(plan));
+        let hit = self.share.cache.lock().map.get(&key).cloned();
+        if let Some(plan) = hit {
+            self.count_hit();
+            return Ok(plan);
         }
         // Plan outside the lock: planning simulates candidate schemes
         // and can take a while; concurrent first-callers may race and
@@ -512,44 +482,35 @@ impl Session {
                 heuristic_override,
             )?)
         };
-        let mut guard = shard.lock();
-        let sh = &mut *guard;
-        match sh.map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.stats.lock().hits += 1;
-                if let Some(o) = self.obs.as_deref() {
-                    o.point(PointKind::PlanCacheHit);
-                }
-                Ok(Arc::clone(e.get()))
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                self.stats.lock().misses += 1;
-                if let Some(o) = self.obs.as_deref() {
-                    o.point(PointKind::PlanCacheMiss);
-                }
-                // The gate decision runs under the shard lock, so all
-                // sightings of a given key are serialized ("seen
-                // twice" can never be fabricated by a same-key race).
-                if force_admit || self.share.admit(key_hash) {
-                    let fifo_key = self.share.capacity_per_shard.map(|_| v.key().clone());
-                    let plan = Arc::clone(v.insert(plan));
-                    if let Some(cap) = self.share.capacity_per_shard {
-                        sh.fifo.push_back(fifo_key.expect("computed above"));
-                        while sh.map.len() > cap {
-                            let oldest = sh.fifo.pop_front().expect("fifo tracks map");
-                            sh.map.remove(&oldest);
-                        }
-                    }
-                    Ok(plan)
-                } else {
-                    // First sighting under SeenTwice: the plan is
-                    // served but not cached.
-                    if let Some(o) = self.obs.as_deref() {
-                        o.point(PointKind::PlanCacheDenied);
-                    }
-                    Ok(plan)
-                }
-            }
+        let mut cache = self.share.cache.lock();
+        if let Some(winner) = cache.map.get(&key) {
+            let winner = Arc::clone(winner);
+            drop(cache);
+            self.count_hit();
+            return Ok(winner);
+        }
+        self.stats.lock().misses += 1;
+        if let Some(o) = self.obs.as_deref() {
+            o.point(PointKind::PlanCacheMiss);
+        }
+        // The gate decision runs under the cache lock, so all sightings
+        // of a given key are serialized ("seen twice" can never be
+        // fabricated by a same-key race).
+        if force_admit || cache.admit(&key) {
+            cache.insert(key, Arc::clone(&plan));
+        } else if let Some(o) = self.obs.as_deref() {
+            // First sighting under SeenTwice: the plan is served but
+            // not cached.
+            o.point(PointKind::PlanCacheDenied);
+        }
+        Ok(plan)
+    }
+
+    /// Count a lookup answered from the cache.
+    fn count_hit(&self) {
+        self.stats.lock().hits += 1;
+        if let Some(o) = self.obs.as_deref() {
+            o.point(PointKind::PlanCacheHit);
         }
     }
 
@@ -588,22 +549,16 @@ impl Session {
     /// planning context (other contexts in a shared [`PlanShare`] are
     /// not counted).
     pub fn cached_plans(&self) -> usize {
-        self.share
-            .shards
-            .iter()
-            .map(|s| s.lock().map.keys().filter(|(fp, _)| *fp == self.fp).count())
-            .sum()
+        self.share.cache.lock().map.keys().filter(|k| k.fp == self.fp).count()
     }
 
     /// Drop every cached plan for this session's planning context (e.g.
     /// after retuning thresholds). Other contexts sharing the same
     /// [`PlanShare`] keep their entries.
     pub fn clear(&self) {
-        for shard in &self.share.shards {
-            let mut guard = shard.lock();
-            guard.map.retain(|(fp, _), _| *fp != self.fp);
-            guard.fifo.retain(|(fp, _)| *fp != self.fp);
-        }
+        let mut cache = self.share.cache.lock();
+        cache.map.retain(|k, _| k.fp != self.fp);
+        cache.fifo.retain(|k| k.fp != self.fp);
     }
 
     pub fn framework(&self) -> &Framework {
@@ -611,8 +566,8 @@ impl Session {
     }
 
     /// This session's planning-context fingerprint within its share —
-    /// the key half a savestate stores next to each cached plan's
-    /// shape signature.
+    /// the key field a savestate stores next to each cached plan's
+    /// epoch and shape signature.
     pub fn fingerprint(&self) -> u64 {
         self.fp
     }
@@ -864,8 +819,7 @@ mod tests {
     #[test]
     fn capacity_bound_evicts_oldest_entry_fifo() {
         let share = Arc::new(PlanShare::with_config(PlanShareConfig {
-            shards: 1,
-            capacity_per_shard: Some(2),
+            capacity: Some(2),
             admission: AdmissionPolicy::AdmitAll,
         }));
         let s = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share));
@@ -886,42 +840,9 @@ mod tests {
     }
 
     #[test]
-    fn sharding_distributes_entries_and_preserves_totals() {
-        let share = Arc::new(PlanShare::with_config(PlanShareConfig {
-            shards: 8,
-            ..PlanShareConfig::default()
-        }));
-        assert_eq!(share.shard_count(), 8);
-        let s = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share));
-        for m in 1..=12usize {
-            s.plan(&[GemmShape::new(m * 8, 32, 32)]).unwrap();
-        }
-        let sizes = share.shard_sizes();
-        assert_eq!(sizes.iter().sum::<usize>(), 12);
-        assert_eq!(share.cached_plans_total(), 12);
-        assert_eq!(s.cached_plans(), 12);
-        assert!(sizes.iter().filter(|&&n| n > 0).count() > 1, "keys spread across shards");
-        // Shard counts are rounded up to a power of two.
-        assert_eq!(
-            PlanShare::with_config(PlanShareConfig { shards: 5, ..Default::default() })
-                .shard_count(),
-            8
-        );
-        assert_eq!(
-            PlanShare::with_config(PlanShareConfig { shards: 0, ..Default::default() })
-                .shard_count(),
-            1
-        );
-        // A forged count is clamped to 2^16 before it is rounded up.
-        let forged = PlanShareConfig { shards: usize::MAX, ..Default::default() };
-        assert_eq!(PlanShare::with_config(forged).shard_count(), 1 << 16);
-    }
-
-    #[test]
     fn configured_share_save_restore_round_trips_gate_state() {
         let cfg = PlanShareConfig {
-            shards: 4,
-            capacity_per_shard: Some(8),
+            capacity: Some(8),
             admission: AdmissionPolicy::SeenTwice { seed: 11, slots_log2: 8 },
         };
         let share = Arc::new(PlanShare::with_config(cfg));
@@ -956,7 +877,7 @@ mod tests {
     #[test]
     fn restore_rejects_mismatched_share_layout() {
         let share = Arc::new(PlanShare::with_config(PlanShareConfig {
-            shards: 4,
+            capacity: Some(4),
             ..PlanShareConfig::default()
         }));
         let s = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share));
@@ -973,20 +894,60 @@ mod tests {
                 .restore_with_sessions(&mut ctb_savestate::Reader::new(&bytes), &[&r2])
                 .unwrap_err()
         };
-        let err = check(PlanShareConfig { shards: 8, ..PlanShareConfig::default() });
-        assert!(matches!(err, ctb_savestate::SavestateError::Mismatch(_)), "shard count pinned");
-        let err = check(PlanShareConfig {
-            shards: 4,
-            capacity_per_shard: Some(2),
-            ..PlanShareConfig::default()
-        });
+        let err = check(PlanShareConfig { capacity: Some(8), ..PlanShareConfig::default() });
         assert!(matches!(err, ctb_savestate::SavestateError::Mismatch(_)), "capacity pinned");
+        let err = check(PlanShareConfig::default());
+        assert!(matches!(err, ctb_savestate::SavestateError::Mismatch(_)), "bound pinned");
         let err = check(PlanShareConfig {
-            shards: 4,
-            capacity_per_shard: None,
+            capacity: Some(4),
             admission: AdmissionPolicy::SeenTwice { seed: 1, slots_log2: 4 },
         });
         assert!(matches!(err, ctb_savestate::SavestateError::Mismatch(_)), "gate presence pinned");
+    }
+
+    /// A bounded share's checkpoint keeps its insertion order: after a
+    /// restore, the next insert evicts the plan the original evicts.
+    #[test]
+    fn restored_bounded_share_evicts_the_original_victim() {
+        let cfg = PlanShareConfig { capacity: Some(2), ..PlanShareConfig::default() };
+        let sig = |m: usize| vec![GemmShape::new(m, 32, 32)];
+        let share = Arc::new(PlanShare::with_config(cfg));
+        let s = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share));
+        // Inserted out of key order: 48 is the oldest entry.
+        s.plan(&sig(48)).unwrap();
+        s.plan(&sig(16)).unwrap();
+        let mut w = ctb_savestate::Writer::new();
+        share.save(&mut w);
+        let bytes = w.into_bytes();
+
+        let share2 = Arc::new(PlanShare::with_config(cfg));
+        let r2 = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share2));
+        let mut rd = ctb_savestate::Reader::new(&bytes);
+        share2.restore_with_sessions(&mut rd, &[&r2]).unwrap();
+        rd.expect_end().unwrap();
+        let mut w2 = ctb_savestate::Writer::new();
+        share2.save(&mut w2);
+        assert_eq!(w2.into_bytes(), bytes, "save -> restore -> save is byte-identical");
+
+        for session in [&s, &r2] {
+            session.plan(&sig(32)).unwrap();
+            session.set_stats(CacheStats::default());
+            session.plan(&sig(48)).unwrap();
+            assert_eq!(session.stats(), CacheStats { hits: 0, misses: 1 }, "48 was evicted");
+        }
+    }
+
+    /// Plans chosen under an installed calibration profile belong to
+    /// the session's planning context: it counts and clears them.
+    #[test]
+    fn calibrated_plans_are_counted_and_cleared() {
+        let share = Arc::new(PlanShare::new());
+        let s = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share));
+        assert_eq!(share.calib().install(Arc::new(ctb_sim::CorrectionSet::identity()), None), 1);
+        s.plan(&shapes()).unwrap();
+        assert_eq!(s.cached_plans(), 1);
+        s.clear();
+        assert_eq!(share.cached_plans_total(), 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   hand, still next to the type.
 //!
 //! Types that restore *into a live object* — a plan cache that replans
-//! its keys, a lock-free gate, an event bus, a whole engine — keep
+//! its keys, an admission gate, an event bus, a whole engine — keep
 //! inherent save/restore methods, because the receiver checks the blob
 //! against its own configuration; their bodies call the impls.
 //!
@@ -57,10 +57,14 @@ pub const MAGIC: [u8; 4] = *b"CTBS";
 /// config (flight-ring capacity and log flag), which is now a constant
 /// of the bus; v7 drops the obs bus's flight ring, its sequence counter
 /// and the dumps' event copies, writing only the event log and one
-/// `(reason, log length)` mark per dump. Each extension changed the
-/// layout in place, so older blobs no longer decode (the cluster
-/// restore rejects them with a typed [`SavestateError::Mismatch`]).
-pub const FORMAT_VERSION: u32 = 7;
+/// `(reason, log length)` mark per dump; v8 puts the `PlanShare` behind
+/// one lock, so its image and config drop the shard count, its capacity
+/// bound covers the whole cache, each plan-cache key carries the
+/// calibration epoch it was planned under, and a bounded cache writes
+/// its keys in insertion order. Each extension changed the layout in
+/// place, so older blobs no longer decode (the cluster restore rejects
+/// them with a typed [`SavestateError::Mismatch`]).
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Cap on speculative pre-allocation while decoding length-prefixed
 /// containers. Real lengths above this are still decoded — the vector

@@ -345,14 +345,12 @@ impl Server {
     }
 
     /// Point-in-time accounting: request/batch/resilience counters plus
-    /// the shared session's plan-cache, shard/admission-gate and
+    /// the shared session's plan-cache, admission-gate and
     /// simulation-memo statistics.
     pub fn stats(&self) -> ServeStats {
-        let share = self.shared.session.share();
         self.shared.stats.snapshot(
             self.shared.session.stats(),
-            share.shard_count(),
-            share.admission_stats(),
+            self.shared.session.share().admission_stats(),
             self.shared.session.sim_stats(),
             self.shared.breaker.is_open(),
         )

@@ -45,8 +45,6 @@ pub struct ServeStats {
     pub breaker_open: bool,
     /// Shared-session plan cache (hits = re-used shape signatures).
     pub plan_cache: CacheStats,
-    /// Number of independently locked shards behind `plan_cache`.
-    pub plan_shards: usize,
     /// Cache-admission gate counters (all zero under
     /// [`ctb_core::AdmissionPolicy::AdmitAll`], the default).
     pub cache_admission: AdmissionStats,
@@ -72,12 +70,11 @@ pub struct StatsInner {
 
 impl StatsInner {
     /// Snapshot the counters together with session cache statistics
-    /// (exact counters plus the shard/admission-gate view of the shared
-    /// plan cache) and the breaker's point-in-time state.
+    /// (exact counters plus the admission-gate view of the shared plan
+    /// cache) and the breaker's point-in-time state.
     pub fn snapshot(
         &self,
         plan_cache: CacheStats,
-        plan_shards: usize,
         cache_admission: AdmissionStats,
         sim_memo: CacheStats,
         breaker_open: bool,
@@ -99,7 +96,6 @@ impl StatsInner {
             breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
             breaker_open,
             plan_cache,
-            plan_shards,
             cache_admission,
             sim_memo,
         }
@@ -117,7 +113,6 @@ mod tests {
         inner.batches.store(4, Ordering::Relaxed);
         let s = inner.snapshot(
             CacheStats::default(),
-            0,
             AdmissionStats::default(),
             CacheStats::default(),
             false,
@@ -137,7 +132,6 @@ mod tests {
         inner.breaker_trips.store(6, Ordering::Relaxed);
         let s = inner.snapshot(
             CacheStats::default(),
-            0,
             AdmissionStats::default(),
             CacheStats::default(),
             true,

@@ -315,11 +315,11 @@ fn front_matches_blocking_with_zero_retry_budget() {
     });
 }
 
-/// Schedule 8: a sharded, bounded, Bloom-gated plan cache behind the
-/// session while the executor panics — denial, shard, and admission
-/// counters must reconcile `==` across the admission paths too.
+/// Schedule 8: a bounded, Bloom-gated plan cache behind the session
+/// while the executor panics — denial and admission counters must
+/// reconcile `==` across the admission paths too.
 #[test]
-fn front_matches_blocking_over_sharded_bloom_gated_cache() {
+fn front_matches_blocking_over_bounded_bloom_gated_cache() {
     let s = Schedule {
         cfg: ServeConfig {
             max_batch: 1,
@@ -337,8 +337,7 @@ fn front_matches_blocking_over_sharded_bloom_gated_cache() {
         n: 60,
         deadline: false,
         share: Some(PlanShareConfig {
-            shards: 4,
-            capacity_per_shard: Some(8),
+            capacity: Some(8),
             admission: AdmissionPolicy::SeenTwice { seed: 0xCAFE, slots_log2: 6 },
         }),
     };
@@ -347,6 +346,5 @@ fn front_matches_blocking_over_sharded_bloom_gated_cache() {
     let probe = drive(&s, true);
     assert!(probe.stats.cache_admission.denied > 0, "first sightings were denied");
     assert!(probe.stats.cache_admission.admitted > 0, "second sightings were admitted");
-    assert_eq!(probe.stats.plan_shards, 4);
     assert_paths_equivalent(s);
 }

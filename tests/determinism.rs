@@ -308,70 +308,6 @@ fn plan_share_fanout_storm_inserts_each_signature_once() {
         share.sim_memo().len(),
         "no candidate simulated twice share-wide"
     );
-}
-
-/// The fan-out storm again, but over a *sharded* share: splitting the
-/// cache into independently locked shards must not change the exact
-/// accounting — misses still equal distinct signatures, share-wide,
-/// whatever the interleaving — and under the default admit-all policy
-/// the admission counters stay untouched.
-#[test]
-fn sharded_plan_share_fanout_storm_keeps_exact_miss_accounting() {
-    const SESSIONS: usize = 8;
-    const ROUNDS: usize = 3;
-
-    let storm: Vec<Vec<GemmShape>> = (0..12)
-        .map(|i| vec![GemmShape::new(16 + 8 * i, 24 + 4 * i, 32 + 16 * i); 1 + i % 3])
-        .collect();
-
-    let share = Arc::new(ctb::core::PlanShare::with_config(ctb::core::PlanShareConfig {
-        shards: 8,
-        capacity_per_shard: None,
-        admission: ctb::core::AdmissionPolicy::AdmitAll,
-    }));
-    let sessions: Vec<Arc<Session>> = (0..SESSIONS)
-        .map(|_| {
-            Arc::new(Session::with_share(
-                Framework::new(ArchSpec::volta_v100()),
-                Arc::clone(&share),
-            ))
-        })
-        .collect();
-
-    let barrier = Arc::new(Barrier::new(SESSIONS));
-    let handles: Vec<_> = sessions
-        .iter()
-        .enumerate()
-        .map(|(t, session)| {
-            let session = Arc::clone(session);
-            let barrier = Arc::clone(&barrier);
-            let storm = storm.clone();
-            std::thread::spawn(move || {
-                barrier.wait();
-                for round in 0..ROUNDS {
-                    for i in 0..storm.len() {
-                        let w = &storm[(t + round + i) % storm.len()];
-                        session.plan(w).expect("plannable");
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("storm thread ok");
-    }
-
-    assert_eq!(share.shard_count(), 8);
-    assert_eq!(share.cached_plans_total(), storm.len(), "one insert per distinct signature");
-    assert_eq!(
-        share.shard_sizes().iter().sum::<usize>(),
-        storm.len(),
-        "shards partition the cache exactly"
-    );
-    let (hits, misses) =
-        sessions.iter().map(|s| s.stats()).fold((0, 0), |(h, m), st| (h + st.hits, m + st.misses));
-    assert_eq!(misses, storm.len(), "sharding must not change miss accounting");
-    assert_eq!(hits + misses, SESSIONS * ROUNDS * storm.len(), "every plan() call accounted");
     let adm = share.admission_stats();
     assert_eq!((adm.admitted, adm.denied), (0, 0), "admit-all leaves the gate counters at zero");
 }
@@ -468,21 +404,21 @@ fn plan_share_restored_from_checkpoint_survives_fanout_storm() {
     );
 }
 
-/// Satellite of the calibration PR: the v2 checkpoint section (shard
-/// layout + Bloom gate state) restores a *sharded, admission-gated*
-/// share exactly. The donor plans each signature twice (under "seen
-/// twice" the first insert of every key is denied), checkpoints, and a
-/// same-geometry share restores: shard-by-shard layout and the
-/// admitted/denied counters must match the donor, 8 fan-out sessions
-/// must replan identically (all hits, zero new misses, zero new
-/// inserts), and the restored doorkeeper must still deny a fresh
-/// signature's first sighting before admitting its second.
+/// The checkpoint's plan-cache section (capacity bound + Bloom gate
+/// state) restores a *bounded, admission-gated* share exactly. The
+/// donor plans each signature twice (under "seen twice" the first
+/// insert of every key is denied), checkpoints, and a same-geometry
+/// share restores: the cached plans and the admitted/denied counters
+/// must match the donor, 8 fan-out sessions must replan identically
+/// (all hits, zero new misses, zero new inserts), and the restored
+/// doorkeeper must still deny a fresh signature's first sighting before
+/// admitting its second. The bound holds the 12 signatures plus that
+/// probe, so nothing is evicted.
 #[test]
-fn sharded_bloom_share_restores_layout_and_gate_state_across_fanout() {
+fn bloom_share_restores_cache_and_gate_state_across_fanout() {
     const SESSIONS: usize = 8;
     let geometry = ctb::core::PlanShareConfig {
-        shards: 8,
-        capacity_per_shard: Some(4),
+        capacity: Some(16),
         admission: ctb::core::AdmissionPolicy::SeenTwice {
             seed: 0xB100, /* gate salt */
             slots_log2: 10,
@@ -493,7 +429,7 @@ fn sharded_bloom_share_restores_layout_and_gate_state_across_fanout() {
         .collect();
 
     // Donor: two passes, so every signature is first denied (first
-    // sighting) and then admitted into its shard.
+    // sighting) and then admitted.
     let donor_share = Arc::new(ctb::core::PlanShare::with_config(geometry));
     let donor =
         Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&donor_share));
@@ -502,7 +438,6 @@ fn sharded_bloom_share_restores_layout_and_gate_state_across_fanout() {
             donor.plan(w).expect("plannable");
         }
     }
-    let donor_layout = donor_share.shard_sizes();
     let donor_admission = donor_share.admission_stats();
     assert_eq!(donor_share.cached_plans_total(), storm.len());
     assert_eq!(donor_admission.denied, storm.len(), "every key's first sighting denied");
@@ -515,7 +450,7 @@ fn sharded_bloom_share_restores_layout_and_gate_state_across_fanout() {
     // A mismatched geometry is a typed error, not a silent mis-restore.
     {
         let wrong = Arc::new(ctb::core::PlanShare::with_config(ctb::core::PlanShareConfig {
-            shards: 4,
+            capacity: Some(8),
             ..geometry
         }));
         let wrong_restorer =
@@ -523,7 +458,7 @@ fn sharded_bloom_share_restores_layout_and_gate_state_across_fanout() {
         let (mut r, _) = ctb_savestate::Reader::with_header(&blob).expect("header parses");
         match wrong.restore_with_sessions(&mut r, &[&wrong_restorer]) {
             Err(ctb_savestate::SavestateError::Mismatch(_)) => {}
-            other => panic!("expected shard-count Mismatch, got {other:?}"),
+            other => panic!("expected capacity Mismatch, got {other:?}"),
         }
     }
 
@@ -536,11 +471,10 @@ fn sharded_bloom_share_restores_layout_and_gate_state_across_fanout() {
         r.expect_end().expect("blob fully consumed");
     }
     assert_eq!(share.cached_plans_total(), storm.len(), "restored share holds every plan");
-    assert_eq!(share.shard_sizes(), donor_layout, "shard-by-shard layout matches the donor");
     assert_eq!(share.admission_stats(), donor_admission, "gate counters restored");
 
     // 8-session fan-out: every signature replans identically from the
-    // restored shards — all hits, so no insert ever re-faces the gate.
+    // restored cache — all hits, so no insert ever re-faces the gate.
     // Reference plans come from the donor (a third pass, all hits).
     let reference: Vec<String> =
         storm.iter().map(|w| format!("{:?}", donor.plan(w).expect("plannable"))).collect();
@@ -569,7 +503,7 @@ fn sharded_bloom_share_restores_layout_and_gate_state_across_fanout() {
                     assert_eq!(
                         format!("{got:?}"),
                         reference[idx],
-                        "restored shard served a different plan than the donor"
+                        "restored cache served a different plan than the donor"
                     );
                 }
             })
@@ -580,7 +514,7 @@ fn sharded_bloom_share_restores_layout_and_gate_state_across_fanout() {
     }
     let (hits, misses) =
         sessions.iter().map(|s| s.stats()).fold((0, 0), |(h, m), st| (h + st.hits, m + st.misses));
-    assert_eq!(misses, 0, "every fan-out lookup lands in the restored shards");
+    assert_eq!(misses, 0, "every fan-out lookup lands in the restored cache");
     assert_eq!(hits, SESSIONS * storm.len(), "every plan() call accounted");
     assert_eq!(share.cached_plans_total(), storm.len(), "fan-out added no inserts");
     assert_eq!(share.admission_stats(), donor_admission, "hits never consult the gate");

@@ -254,7 +254,7 @@ proptest! {
         slots_log2 in 1u32..=10,
         keys in proptest::collection::vec(0u64..u64::MAX, 1..=512),
     ) {
-        let gate = ctb::core::BloomGate::new(seed, slots_log2);
+        let mut gate = ctb::core::BloomGate::new(seed, slots_log2);
         let mut seen = std::collections::HashSet::new();
         for &k in &keys {
             if gate.observe(k) {
@@ -272,7 +272,7 @@ proptest! {
         slots_log2 in 1u32..=8,
         keys in proptest::collection::vec(0u64..u64::MAX, 1..=256),
     ) {
-        let gate = ctb::core::BloomGate::new(seed, slots_log2);
+        let mut gate = ctb::core::BloomGate::new(seed, slots_log2);
         for &k in &keys {
             let _ = gate.observe(k);
             prop_assert!(gate.contains(k), "a just-observed key is held");
@@ -289,8 +289,8 @@ proptest! {
         slots_log2 in 1u32..=8,
         keys in proptest::collection::vec(0u64..u64::MAX, 1..=256),
     ) {
-        let a = ctb::core::BloomGate::new(seed, slots_log2);
-        let b = ctb::core::BloomGate::new(seed, slots_log2);
+        let mut a = ctb::core::BloomGate::new(seed, slots_log2);
+        let mut b = ctb::core::BloomGate::new(seed, slots_log2);
         for &k in &keys {
             prop_assert_eq!(a.observe(k), b.observe(k));
         }
