@@ -68,9 +68,6 @@ diff target/experiments/BENCH_cluster.kept.sim target/experiments/BENCH_cluster.
 echo "== storm harness smoke (plan-cache admission under distinct-shape storm) + BENCH_storm.json key-set gate =="
 cargo run -q -p ctb-bench --bin reproduce --release -- storm --smoke
 
-echo "== cluster demo compiles against the release profile =="
-cargo build --release --example cluster_demo
-
 # A doc link to a deleted or renamed item fails the gate.
 echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
