@@ -135,12 +135,17 @@ fn flag_value<T: FromStr>(args: &mut std::slice::Iter<'_, String>, flag: &str) -
     parse_value(raw, flag)
 }
 
+/// `count` as the value of `flag`, which needs at least 1.
+fn at_least_one(count: usize, flag: &str) -> usize {
+    if count == 0 {
+        usage_error(&format!("bad value '0' for {flag}: needs at least 1"));
+    }
+    count
+}
+
 /// The value following `flag`, which must be at least 1.
 fn flag_count(args: &mut std::slice::Iter<'_, String>, flag: &str) -> usize {
-    match flag_value(args, flag) {
-        0 => usage_error(&format!("bad value '0' for {flag}: needs at least 1")),
-        count => count,
-    }
+    at_least_one(flag_value(args, flag), flag)
 }
 
 /// `text` as a GEMM shape: three unsigned integers separated by `x` or
@@ -157,6 +162,11 @@ fn parse_shape(text: &str) -> Option<ctb_matrix::GemmShape> {
 fn flag_list<T: FromStr>(args: &mut std::slice::Iter<'_, String>, flag: &str) -> Vec<T> {
     let raw: String = flag_value(args, flag);
     raw.split(',').map(|item| parse_value(item.trim(), flag)).collect()
+}
+
+/// The comma-separated list following `flag`, each item at least 1.
+fn flag_counts(args: &mut std::slice::Iter<'_, String>, flag: &str) -> Vec<usize> {
+    flag_list(args, flag).into_iter().map(|count| at_least_one(count, flag)).collect()
 }
 
 /// Write `report` through [`ctb_bench::publish`], the one writer and
@@ -391,29 +401,32 @@ fn run_obs(arch: &ArchSpec, args: &[String]) {
     publish("obs", &obs_bench::report_json(arch, &r), smoke);
 }
 
+/// Whether `--smoke` is on the command line: it picks the starting
+/// configuration, and every other flag applies on top of it.
+fn has_smoke(args: &[String]) -> bool {
+    args.iter().any(|a| a == "--smoke")
+}
+
 /// Parse `--flag value` pairs for the cluster harness. Unknown flags
 /// are an error so typos don't silently run the default sweep.
 fn cluster_config(args: &[String]) -> (ctb_bench::cluster_bench::ClusterBenchConfig, bool) {
     use ctb_bench::cluster_bench::ClusterBenchConfig;
-    let mut cfg = ClusterBenchConfig::default();
-    let mut smoke = false;
+    let smoke = has_smoke(args);
+    let mut cfg = if smoke { ClusterBenchConfig::smoke() } else { ClusterBenchConfig::default() };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--batches" => cfg.batches = flag_value(&mut it, flag),
-            "--devices" => cfg.devices = flag_list(&mut it, flag),
+            "--devices" => cfg.devices = flag_counts(&mut it, flag),
             "--seed" => cfg.seed = flag_value(&mut it, flag),
-            "--event-devices" => cfg.event_devices = flag_list(&mut it, flag),
+            "--event-devices" => cfg.event_devices = flag_counts(&mut it, flag),
             "--requests" => cfg.event_requests = flag_value(&mut it, flag),
-            "--smoke" => smoke = true,
+            "--smoke" => {}
             other => usage_error(&format!(
                 "unknown cluster flag '{other}'; expected --batches N, --devices a,b,c, \
                  --seed S, --event-devices a,b,c, --requests R, --smoke"
             )),
         }
-    }
-    if smoke {
-        cfg = ClusterBenchConfig::smoke();
     }
     (cfg, smoke)
 }
@@ -463,23 +476,20 @@ fn run_cluster(args: &[String]) {
 /// Parse `--flag value` pairs for the replay harness.
 fn replay_config(args: &[String]) -> (ctb_bench::replay_bench::ReplayBenchConfig, bool) {
     use ctb_bench::replay_bench::ReplayBenchConfig;
-    let mut cfg = ReplayBenchConfig::default();
-    let mut smoke = false;
+    let smoke = has_smoke(args);
+    let mut cfg = if smoke { ReplayBenchConfig::smoke() } else { ReplayBenchConfig::default() };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--requests" => cfg.requests = flag_value(&mut it, flag),
+            "--requests" => cfg.requests = flag_count(&mut it, flag),
             "--seed" => cfg.seed = flag_value(&mut it, flag),
             "--panics" => cfg.exec_panic_per_mille = flag_value(&mut it, flag),
-            "--smoke" => smoke = true,
+            "--smoke" => {}
             other => usage_error(&format!(
                 "unknown replay flag '{other}'; expected --requests N, --seed S, \
                  --panics PER_MILLE, --smoke"
             )),
         }
-    }
-    if smoke {
-        cfg = ReplayBenchConfig::smoke();
     }
     (cfg, smoke)
 }
@@ -491,7 +501,7 @@ fn run_replay(args: &[String]) {
         "== replay harness: record a seeded panic storm, re-run + crash/restore it exactly{} ==",
         if smoke { " (smoke)" } else { "" }
     );
-    let r = replay_bench::run_report(&cfg);
+    let r = replay_bench::run_report(&cfg).unwrap_or_else(|e| usage_error(&e));
     println!(
         "   recorded: {} requests (seed {:#x}, {}‰ exec panics) -> {} events | \
          {} completed, {} failed | {} panics caught, {} breaker trips",

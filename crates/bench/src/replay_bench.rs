@@ -158,23 +158,19 @@ fn run_to_completion(mut eng: EventCluster, obs: &Obs) -> Recording {
 }
 
 /// Run the scenario uninterrupted and keep the raw recording around for
-/// the replay comparisons.
-fn record(cfg: &ReplayBenchConfig) -> (Recording, usize) {
+/// the replay comparisons. A storm that catches no panic leaves nothing
+/// to replay: that is an error naming the rate and the seed.
+fn record(cfg: &ReplayBenchConfig) -> Result<(Recording, usize), String> {
     let (eng, obs) = build(cfg);
-    let dump_events: usize;
-    let rec = {
-        let r = run_to_completion(eng, &obs);
-        dump_events = obs.flight_dumps().iter().map(|d| d.events.len()).sum();
-        r
-    };
-    assert!(
-        rec.stats.worker_panics > 0 && !rec.dumps.is_empty(),
-        "the replay harness needs a recorded failure to replay \
-         (seed {:#x} at {}‰ caught no panic)",
-        cfg.seed,
-        cfg.exec_panic_per_mille
-    );
-    (rec, dump_events)
+    let rec = run_to_completion(eng, &obs);
+    let dump_events = obs.flight_dumps().iter().map(|d| d.events.len()).sum();
+    if rec.stats.worker_panics == 0 || rec.dumps.is_empty() {
+        return Err(format!(
+            "no failure to replay for --panics {} at --seed {}: the storm caught no panic",
+            cfg.exec_panic_per_mille, cfg.seed
+        ));
+    }
+    Ok((rec, dump_events))
 }
 
 /// Re-run the scenario from scratch on a brand-new engine.
@@ -197,16 +193,17 @@ fn resume(cfg: &ReplayBenchConfig, offset: u64) -> (Recording, usize) {
     (run_to_completion(restored, &obs), blob_len)
 }
 
-/// Run every section of the harness under `cfg`.
-pub fn run_report(cfg: &ReplayBenchConfig) -> ReplayBenchReport {
-    let (recorded, dump_events) = record(cfg);
+/// Run every section of the harness under `cfg`; an error when the
+/// recording catches no failure to replay.
+pub fn run_report(cfg: &ReplayBenchConfig) -> Result<ReplayBenchReport, String> {
+    let (recorded, dump_events) = record(cfg)?;
     let rerun_identical = rerun(cfg) == recorded;
     let resume_offset = (recorded.events_processed / 2).max(1);
     let (resumed, checkpoint_bytes) = resume(cfg, resume_offset);
     let resume_identical = resumed == recorded;
     let failed =
         recorded.outcomes.iter().filter(|o| matches!(o, ReqOutcome::Failed { .. })).count();
-    ReplayBenchReport {
+    Ok(ReplayBenchReport {
         cfg: cfg.clone(),
         recorded: RecordedRun {
             events_processed: recorded.events_processed,
@@ -219,7 +216,7 @@ pub fn run_report(cfg: &ReplayBenchConfig) -> ReplayBenchReport {
             trace_bytes: recorded.trace.len(),
         },
         replay: ReplayCheck { rerun_identical, resume_offset, checkpoint_bytes, resume_identical },
-    }
+    })
 }
 
 /// The tracked `BENCH_replay.json` report.
@@ -261,7 +258,7 @@ mod tests {
 
     #[test]
     fn smoke_scenario_records_and_replays_exactly() {
-        let r = run_report(&ReplayBenchConfig::smoke());
+        let r = run_report(&ReplayBenchConfig::smoke()).expect("the smoke storm records a failure");
         assert!(r.recorded.worker_panics > 0, "the storm must catch panics");
         assert!(r.recorded.flight_dumps > 0, "every panic takes a flight dump");
         assert!(r.recorded.dump_events > 0);
@@ -275,8 +272,9 @@ mod tests {
 
     #[test]
     fn different_seeds_record_different_failures() {
-        let a = record(&ReplayBenchConfig::smoke()).0;
-        let b = record(&ReplayBenchConfig { seed: 0xBAD5EED, ..ReplayBenchConfig::smoke() }).0;
+        let a = record(&ReplayBenchConfig::smoke()).unwrap().0;
+        let b =
+            record(&ReplayBenchConfig { seed: 0xBAD5EED, ..ReplayBenchConfig::smoke() }).unwrap().0;
         assert_ne!(a.trace, b.trace, "the seed is the identity of the recorded failure");
     }
 }

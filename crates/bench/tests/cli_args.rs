@@ -33,6 +33,15 @@ fn bad_flag_values_exit_2_without_panicking() {
         ("calibrate", "--requests", "0"),
         ("locality", "--devices", "0"),
         ("locality", "--requests", "0"),
+        ("cluster", "--devices", "0"),
+        ("cluster", "--devices", "2,0"),
+        ("cluster", "--event-devices", "0"),
+        ("replay", "--requests", "0"),
+        // Storms that catch no panic leave no failure to replay.
+        ("replay", "--panics", "0"),
+        ("replay", "--panics", "1"),
+        ("replay", "--panics", "2"),
+        ("replay", "--panics", "5"),
     ] {
         let (code, stderr) = run(&[subcommand, flag, value]);
         let what = format!("reproduce {subcommand} {flag} '{value}'");
@@ -40,6 +49,24 @@ fn bad_flag_values_exit_2_without_panicking() {
         assert!(!stderr.contains("panicked"), "{what} panicked: {stderr}");
         assert!(stderr.contains(&format!("for {flag}")), "{what}: stderr {stderr}");
     }
+}
+
+#[test]
+fn smoke_applies_the_explicit_flags_on_top() {
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["cluster", "--smoke", "--requests", "2000"])
+        .output()
+        .expect("reproduce runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "stdout {stdout}\nstderr {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let event_rows: Vec<&str> = stdout.lines().filter(|l| l.contains("event engine")).collect();
+    assert_eq!(event_rows.len(), 1, "the smoke sweep has one event point: {stdout}");
+    assert!(event_rows[0].contains("256 device(s):") && event_rows[0].contains(" 2000 requests"));
+    assert!(stdout.contains(" 2 device(s) [") && !stdout.contains(" 4 device(s) ["), "{stdout}");
 }
 
 #[test]

@@ -200,12 +200,14 @@ impl EventCluster {
         // arch once per class and drops what restore can count; v6 drops
         // the obs bus's config; v7 writes the obs log and dump marks
         // only; v8 drops the shard count and gives each plan-cache key
-        // its calibration epoch. Each time an older checkpoint stopped
-        // describing a decodable engine.
-        if version < 8 {
+        // its calibration epoch; v9 drops the fault injector's admission
+        // site and `BatchDone`'s abandoned flag, and writes the share's
+        // bound, gate and counters ahead of its memo and keys. Each time
+        // an older checkpoint stopped describing a decodable engine.
+        if version < 9 {
             return Err(SavestateError::Mismatch(format!(
-                "cluster checkpoint format v{version} predates v8, whose plan-cache image keys \
-                 each plan by its calibration epoch too; re-checkpoint with the current engine"
+                "cluster checkpoint format v{version} predates v9, whose fault injectors have no \
+                 admission site; re-checkpoint with the current engine"
             )));
         }
         // The cfg carries the share's capacity bound and admission

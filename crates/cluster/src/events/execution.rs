@@ -238,9 +238,9 @@ impl EventCluster {
         if let Some(o) = self.obs() {
             o.point(match outcome {
                 ReqOutcome::Done { id, device, degraded, .. } => {
-                    PointKind::BatchDone { req: id, device, degraded, abandoned: false }
+                    PointKind::BatchDone { req: id, device, degraded }
                 }
-                ReqOutcome::PlanRejected { id } => PointKind::Reject { req: Some(id) },
+                ReqOutcome::PlanRejected { id } => PointKind::Reject { req: id },
                 ReqOutcome::Failed { id } => PointKind::Failed { req: id, abandoned: false },
             });
         }

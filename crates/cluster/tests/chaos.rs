@@ -56,7 +56,7 @@ fn mix_shapes(i: usize) -> Arc<[GemmShape]> {
 fn audit_and_reconcile(obs: &Obs, stats: &ClusterStats) -> TraceCounts {
     let counts = TraceAudit::new(obs.events()).check().expect("trace invariants hold");
     assert_eq!(counts.terminals(), counts.admits, "one terminal event per admitted batch");
-    assert_eq!(counts.admits - counts.rejects_admitted, stats.submitted, "admits vs submitted");
+    assert_eq!(counts.admits - counts.rejects, stats.submitted, "admits vs submitted");
     assert_eq!(counts.batch_done, stats.completed, "batch-done events vs completed");
     assert_eq!(counts.batch_done_degraded, stats.degraded, "degraded events vs degraded");
     assert_eq!(counts.routed, stats.routed, "routed events vs routed");

@@ -18,7 +18,7 @@
 //! save → load → save byte-identically at every crash point.
 //!
 //! The suite also pins the golden on-disk fixture
-//! (`tests/fixtures/savestate_v8.bin`) for format-version discipline —
+//! (`tests/fixtures/savestate_v9.bin`) for format-version discipline —
 //! since v2 the embedded `PlanShare` image carries the optional
 //! capacity bound and the Bloom admission gate, and one crash-swept
 //! schedule runs with a `SeenTwice` gate over a cache bounded below its
@@ -35,8 +35,11 @@
 //! event log and one mark per flight dump, with no ring, sequence
 //! counter or dump copies; since v8 the plan cache is one map with no
 //! shard count, each key carries its calibration epoch, and a bounded
-//! cache writes its keys in insertion order. The v7 fixture stays
-//! committed as the input of a typed-rejection test.
+//! cache writes its keys in insertion order; since v9 the fault
+//! injectors have no admission site, a `BatchDone` event no abandoned
+//! flag, and the share writes its bound, gate and gate counters ahead
+//! of its memo and keys. The v8 fixture stays committed as the input
+//! of a typed-rejection test.
 //! The suite further exercises queue migration between two engine
 //! instances (`halt_and_export` → `import_jobs`, zero drops) and
 //! round-trips randomized mid-run states under proptest.
@@ -578,25 +581,26 @@ fn v2_checkpoint_is_rejected_with_typed_mismatch() {
     }
 }
 
-/// The committed v7 fixture, whose plan-cache image still holds a shard
-/// count and keys without a calibration epoch, is refused with a typed
-/// [`SavestateError::Mismatch`] that names v7 and v8.
+/// The committed v8 fixture, whose fault injectors still carry an
+/// admission site and whose share writes its bound and gate after the
+/// keys, is refused with a typed [`SavestateError::Mismatch`] that
+/// names v8 and v9.
 #[test]
-fn v7_checkpoint_is_rejected_with_typed_mismatch() {
-    let v7 = std::fs::read(fixture_path(7)).expect("the v7 fixture is committed");
-    match EventCluster::restore(pool(), &v7) {
+fn v8_checkpoint_is_rejected_with_typed_mismatch() {
+    let v8 = std::fs::read(fixture_path(8)).expect("the v8 fixture is committed");
+    match EventCluster::restore(pool(), &v8) {
         Err(SavestateError::Mismatch(msg)) => {
-            assert!(msg.contains("v7") && msg.contains("v8"), "{msg}")
+            assert!(msg.contains("v8") && msg.contains("v9"), "{msg}")
         }
         Err(e) => panic!("expected Mismatch, got {e:?}"),
-        Ok(_) => panic!("the v7 fixture restored successfully"),
+        Ok(_) => panic!("the v8 fixture restored successfully"),
     }
 }
 
 /// The v5 job layout has no arrival time, so `import_jobs` refuses a job
 /// export stamped v4 with a typed [`SavestateError::Mismatch`] that
 /// names v4, and imports the same export stamped v5 (the job layout did
-/// not change in v6, v7 or v8) and as written.
+/// not change in v6, v7, v8 or v9) and as written.
 #[test]
 fn import_jobs_refuses_a_v4_job_export() {
     let mut source = EventCluster::new(pool(), EventConfig::default());

@@ -218,12 +218,13 @@ impl PlanShare {
         }
     }
 
-    /// Serialize the share: the simulation memo (entries + counters),
-    /// every plan-cache key, then the capacity bound and
-    /// admission-gate state. Under a capacity bound the keys are written
-    /// in insertion order, so a restored cache evicts the same plans the
-    /// original would; an unbounded cache never evicts and writes them
-    /// sorted. Either way save → restore → save is byte-identical. Plan
+    /// Serialize the share: the capacity bound, the admission-gate
+    /// state and its counters, then the simulation memo (entries +
+    /// counters) and every plan-cache key. Under a capacity bound the
+    /// keys are written in insertion order, so a restored cache evicts
+    /// the same plans the original would; an unbounded cache never
+    /// evicts and writes them sorted. Either way save → restore → save
+    /// is byte-identical. Plan
     /// *bodies* are not serialized — `ExecutionPlan` is a pure
     /// deterministic function of the planning context and the shapes,
     /// and with the memo restored first a re-plan replays every
@@ -231,15 +232,7 @@ impl PlanShare {
     /// plans for free. Keys-only blobs stay small and can never smuggle
     /// a stale plan past a code change.
     pub fn save(&self, w: &mut Writer) {
-        self.sim_memo.save(w);
         let cache = self.cache.lock();
-        if cache.capacity.is_some() {
-            w.seq(&cache.fifo);
-        } else {
-            let mut keys: Vec<&PlanKey> = cache.map.keys().collect();
-            keys.sort_unstable();
-            w.seq(keys);
-        }
         cache.capacity.save(w);
         cache.gate.is_some().save(w);
         if let Some(g) = &cache.gate {
@@ -247,6 +240,14 @@ impl PlanShare {
         }
         cache.admitted.save(w);
         cache.denied.save(w);
+        self.sim_memo.save(w);
+        if cache.capacity.is_some() {
+            w.seq(&cache.fifo);
+        } else {
+            let mut keys: Vec<&PlanKey> = cache.map.keys().collect();
+            keys.sort_unstable();
+            w.seq(keys);
+        }
     }
 
     /// Restore a blob written by [`PlanShare::save`] into this share.
@@ -257,19 +258,21 @@ impl PlanShare {
     /// counters are pinned back to the checkpointed values so the
     /// rebuild leaves no accounting trace. Replayed inserts bypass the
     /// admission gate (the key *was* cached at checkpoint time; the
-    /// gate's own state is restored from the blob afterwards). The
-    /// caller owns the sessions' own counters: re-planning counts as
-    /// misses on them (and emits obs events when a bus is attached), so
-    /// restore session stats / obs state *after* this.
+    /// gate's own state and counters come from the blob). The caller
+    /// owns the sessions' own counters: re-planning counts as misses on
+    /// them (and emits obs events when a bus is attached), so restore
+    /// session stats / obs state *after* this.
     ///
     /// The blob's capacity bound and gate geometry must match this
     /// share's configuration — a capacity-bounded replay into another
-    /// bound could evict differently than the donor ever did. A
-    /// fingerprint with no matching session — e.g. a `Forest`-policy
-    /// session, whose fingerprint is noncified precisely because its
-    /// selector state is not reproducible — and a key chosen under a
-    /// calibration profile (which restore does not rebuild) are each a
-    /// typed [`Mismatch`](ctb_savestate::SavestateError::Mismatch).
+    /// bound could evict differently than the donor ever did — and are
+    /// checked first, so a mismatch is refused before the memo or any
+    /// plan is loaded. A fingerprint with no matching session — e.g. a
+    /// `Forest`-policy session, whose fingerprint is noncified
+    /// precisely because its selector state is not reproducible — and a
+    /// key chosen under a calibration profile (which restore does not
+    /// rebuild) are each a typed
+    /// [`Mismatch`](ctb_savestate::SavestateError::Mismatch).
     pub fn restore_with_sessions(
         &self,
         r: &mut Reader<'_>,
@@ -281,6 +284,29 @@ impl PlanShare {
                     "restore_with_sessions: session not attached to this share".into(),
                 ));
             }
+        }
+        // The layout checks come first; the lock drops before the
+        // replanning below takes it again.
+        {
+            let mut cache = self.cache.lock();
+            let capacity = Option::<usize>::load(r)?;
+            if capacity != cache.capacity {
+                return Err(SavestateError::Mismatch(format!(
+                    "share capacity {:?} does not match blob {capacity:?}",
+                    cache.capacity
+                )));
+            }
+            match (bool::load(r)?, &mut cache.gate) {
+                (false, None) => {}
+                (true, Some(g)) => g.load(r)?,
+                (flag, _) => {
+                    return Err(SavestateError::Mismatch(format!(
+                        "blob gate flag {flag} does not match configured admission policy"
+                    )));
+                }
+            }
+            cache.admitted = usize::load(r)?;
+            cache.denied = usize::load(r)?;
         }
         self.sim_memo.load(r)?;
         let (memo_hits, memo_misses) = (self.sim_memo.hits(), self.sim_memo.misses());
@@ -303,25 +329,6 @@ impl PlanShare {
         }
         // Undo the rebuild's accounting pollution (replans hit the memo).
         self.sim_memo.set_counters(memo_hits, memo_misses);
-        let mut cache = self.cache.lock();
-        let capacity = Option::<usize>::load(r)?;
-        if capacity != cache.capacity {
-            return Err(SavestateError::Mismatch(format!(
-                "share capacity {:?} does not match blob {capacity:?}",
-                cache.capacity
-            )));
-        }
-        match (bool::load(r)?, &mut cache.gate) {
-            (false, None) => {}
-            (true, Some(g)) => g.load(r)?,
-            (flag, _) => {
-                return Err(SavestateError::Mismatch(format!(
-                    "blob gate flag {flag} does not match configured admission policy"
-                )));
-            }
-        }
-        cache.admitted = usize::load(r)?;
-        cache.denied = usize::load(r)?;
         Ok(())
     }
 }
@@ -886,13 +893,19 @@ mod tests {
         share.save(&mut w);
         let bytes = w.into_bytes();
 
+        // A refused restore loads nothing: no plan, no memo entry, and
+        // no replanning on the restoring session.
         let check = |cfg: PlanShareConfig| {
             let share2 = Arc::new(PlanShare::with_config(cfg));
             let r2 =
                 Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share2));
-            share2
+            let err = share2
                 .restore_with_sessions(&mut ctb_savestate::Reader::new(&bytes), &[&r2])
-                .unwrap_err()
+                .unwrap_err();
+            assert_eq!(share2.cached_plans_total(), 0, "refused restore cached a plan");
+            assert!(share2.sim_memo().is_empty(), "refused restore loaded the memo");
+            assert_eq!(r2.stats(), CacheStats::default(), "refused restore replanned");
+            err
         };
         let err = check(PlanShareConfig { capacity: Some(8), ..PlanShareConfig::default() });
         assert!(matches!(err, ctb_savestate::SavestateError::Mismatch(_)), "capacity pinned");

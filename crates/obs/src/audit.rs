@@ -11,8 +11,8 @@
 //! 3. Every opened span is closed by the end of the trace (the
 //!    panic-safe `SpanGuard` drop guarantees this even on unwind).
 //! 4. Terminal uniqueness: every admitted request reaches *exactly
-//!    one* terminal event (`Respond` / `Expired` / `Failed` /
-//!    `BatchDone`), and no terminal names an unadmitted request.
+//!    one* terminal event (`Reject` / `Respond` / `Expired` / `Failed`
+//!    / `BatchDone`), and no terminal names an unadmitted request.
 //! 5. Timing additivity: every `Respond` satisfies
 //!    `queue_us + plan_us + exec_us == total_us` exactly (`==`, not ≈).
 //! 6. Span linkage: every non-degraded `Respond` references a closed
@@ -32,9 +32,6 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 pub struct TraceCounts {
     pub admits: usize,
     pub rejects: usize,
-    /// Rejects that closed an already-admitted request (post-`Admit`
-    /// queue-full/closed bounce) — a terminal flavour.
-    pub rejects_admitted: usize,
     pub retries: usize,
     pub panics_caught: usize,
     pub plan_failures: usize,
@@ -60,7 +57,6 @@ pub struct TraceCounts {
     pub kills: usize,
     pub batch_done: usize,
     pub batch_done_degraded: usize,
-    pub batch_done_abandoned: usize,
     /// Placements (and steals) that landed on the operand-resident device.
     pub residency_hits: usize,
     /// Placements (and steals) that staged operands onto a new device.
@@ -72,15 +68,12 @@ pub struct TraceCounts {
 impl TraceCounts {
     /// Terminal events across all flavours.
     pub fn terminals(&self) -> usize {
-        self.responds + self.expired + self.failed + self.batch_done + self.rejects_admitted
+        self.rejects + self.responds + self.expired + self.failed + self.batch_done
     }
 
     /// Requests whose ticket receiver was dropped before delivery.
     pub fn abandoned(&self) -> usize {
-        self.responds_abandoned
-            + self.expired_abandoned
-            + self.failed_abandoned
-            + self.batch_done_abandoned
+        self.responds_abandoned + self.expired_abandoned + self.failed_abandoned
     }
 
     /// Completed spans of one kind (0 when none).
@@ -192,13 +185,10 @@ impl TraceAudit {
                             }
                             linkage.push((req, batch, degraded, exec_us));
                         }
-                        PointKind::Expired { req, .. } | PointKind::Failed { req, .. } => {
-                            *terminated.entry(req).or_insert(0) += 1;
-                        }
-                        PointKind::Reject { req: Some(req) } => {
-                            *terminated.entry(req).or_insert(0) += 1;
-                        }
-                        PointKind::BatchDone { req, .. } => {
+                        PointKind::Reject { req }
+                        | PointKind::Expired { req, .. }
+                        | PointKind::Failed { req, .. }
+                        | PointKind::BatchDone { req, .. } => {
                             *terminated.entry(req).or_insert(0) += 1;
                         }
                         _ => {}
@@ -252,12 +242,7 @@ impl TraceAudit {
     fn tally(c: &mut TraceCounts, p: &PointKind) {
         match p {
             PointKind::Admit { .. } => c.admits += 1,
-            PointKind::Reject { req } => {
-                c.rejects += 1;
-                if req.is_some() {
-                    c.rejects_admitted += 1;
-                }
-            }
+            PointKind::Reject { .. } => c.rejects += 1,
             PointKind::Retry { .. } => c.retries += 1,
             PointKind::PanicCaught => c.panics_caught += 1,
             PointKind::PlanFailure => c.plan_failures += 1,
@@ -294,13 +279,10 @@ impl TraceAudit {
             PointKind::Steal { .. } => c.steals += 1,
             PointKind::Reroute { .. } => c.reroutes += 1,
             PointKind::Kill { .. } => c.kills += 1,
-            PointKind::BatchDone { degraded, abandoned, .. } => {
+            PointKind::BatchDone { degraded, .. } => {
                 c.batch_done += 1;
                 if *degraded {
                     c.batch_done_degraded += 1;
-                }
-                if *abandoned {
-                    c.batch_done_abandoned += 1;
                 }
             }
             PointKind::ResidencyHit { .. } => c.residency_hits += 1,

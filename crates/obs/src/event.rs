@@ -54,11 +54,11 @@ impl SpanKind {
 
 /// An instantaneous state transition.
 ///
-/// Terminal events — [`Respond`](PointKind::Respond),
-/// [`Expired`](PointKind::Expired), [`Failed`](PointKind::Failed),
-/// [`BatchDone`](PointKind::BatchDone) — close the life of one admitted
-/// request; the audit demands exactly one per
-/// [`Admit`](PointKind::Admit).
+/// Terminal events — [`Reject`](PointKind::Reject),
+/// [`Respond`](PointKind::Respond), [`Expired`](PointKind::Expired),
+/// [`Failed`](PointKind::Failed), [`BatchDone`](PointKind::BatchDone) —
+/// close the life of one admitted request; the audit demands exactly
+/// one per [`Admit`](PointKind::Admit).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PointKind {
     /// Request accepted into an admission queue.
@@ -67,11 +67,10 @@ pub enum PointKind {
     /// precede it in the log; if the push then fails, a
     /// [`Reject`](PointKind::Reject) carrying the same `req` closes it.
     Admit { req: u64 },
-    /// Request refused at admission. `req` is `None` when the refusal
-    /// happened before admission (injected saturation); `Some` when an
-    /// already-admitted request bounced off a full/closed queue — that
-    /// form is a terminal event for `req`.
-    Reject { req: Option<u64> },
+    /// Terminal: an admitted request refused — by a serve queue that
+    /// closed before it could be pushed, or by a cluster on which no
+    /// live device could plan its shapes.
+    Reject { req: u64 },
     /// A panicked batch member re-queued as a singleton.
     Retry { req: u64 },
     /// A worker panic contained by `catch_unwind`.
@@ -121,8 +120,9 @@ pub enum PointKind {
     Reroute { from: usize },
     /// Cluster: device administratively killed.
     Kill { device: usize },
-    /// Terminal (cluster): batch finished on `device`.
-    BatchDone { req: u64, device: usize, degraded: bool, abandoned: bool },
+    /// Terminal (cluster): batch finished on `device`. The engine holds
+    /// no tickets a caller could drop, so nothing is ever abandoned.
+    BatchDone { req: u64, device: usize, degraded: bool },
     /// Cluster: a placement (or steal) landed on the device already
     /// holding the batch's operands — no interposer staging.
     ResidencyHit { device: usize },
@@ -244,7 +244,7 @@ ctb_savestate::savestate_enum!(PointKind {
     13 => Steal { to, from },
     14 => Reroute { from },
     15 => Kill { device },
-    16 => BatchDone { req, device, degraded, abandoned },
+    16 => BatchDone { req, device, degraded },
     17 => PlanCacheDenied,
     18 => ResidencyHit { device },
     19 => ResidencyMiss { device },
@@ -274,9 +274,9 @@ mod tests {
         }
         // Spot-check that `name()` agrees with the ALL_NAMES table.
         assert_eq!(PointKind::Admit { req: 0 }.name(), PointKind::ALL_NAMES[0]);
-        assert_eq!(PointKind::Reject { req: None }.name(), PointKind::ALL_NAMES[1]);
+        assert_eq!(PointKind::Reject { req: 0 }.name(), PointKind::ALL_NAMES[1]);
         assert_eq!(
-            PointKind::BatchDone { req: 0, device: 0, degraded: false, abandoned: false }.name(),
+            PointKind::BatchDone { req: 0, device: 0, degraded: false }.name(),
             PointKind::ALL_NAMES[17]
         );
         assert_eq!(PointKind::PlanCacheDenied.name(), PointKind::ALL_NAMES[12]);
@@ -294,8 +294,7 @@ mod tests {
         }
         kinds.extend([
             EventKind::Point(PointKind::Admit { req: 3 }),
-            EventKind::Point(PointKind::Reject { req: None }),
-            EventKind::Point(PointKind::Reject { req: Some(9) }),
+            EventKind::Point(PointKind::Reject { req: 9 }),
             EventKind::Point(PointKind::Retry { req: 4 }),
             EventKind::Point(PointKind::PanicCaught),
             EventKind::Point(PointKind::PlanFailure),
@@ -320,12 +319,7 @@ mod tests {
             EventKind::Point(PointKind::Steal { to: 1, from: 2 }),
             EventKind::Point(PointKind::Reroute { from: 0 }),
             EventKind::Point(PointKind::Kill { device: 9 }),
-            EventKind::Point(PointKind::BatchDone {
-                req: 8,
-                device: 1,
-                degraded: false,
-                abandoned: true,
-            }),
+            EventKind::Point(PointKind::BatchDone { req: 8, device: 1, degraded: true }),
             EventKind::Point(PointKind::ResidencyHit { device: 4 }),
             EventKind::Point(PointKind::ResidencyMiss { device: 5 }),
         ]);

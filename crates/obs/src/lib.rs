@@ -318,9 +318,9 @@ mod tests {
         let clock = Arc::new(SimClock::new());
         let obs = Obs::sim(Arc::clone(&clock));
         clock.advance(500);
-        let t = obs.point(PointKind::Reject { req: None });
+        let t = obs.point(PointKind::Reject { req: 3 });
         assert_eq!(t, 500);
-        assert_eq!(obs.events()[0].kind, EventKind::Point(PointKind::Reject { req: None }));
+        assert_eq!(obs.events()[0].kind, EventKind::Point(PointKind::Reject { req: 3 }));
     }
 
     #[test]
@@ -380,12 +380,7 @@ mod tests {
         };
         let script_suffix = |obs: &Obs, clock: &SimClock| {
             clock.advance(25);
-            obs.point(PointKind::BatchDone {
-                req: 1,
-                device: 0,
-                degraded: false,
-                abandoned: false,
-            });
+            obs.point(PointKind::BatchDone { req: 1, device: 0, degraded: false });
         };
 
         let clock_a = Arc::new(SimClock::new());

@@ -61,10 +61,15 @@ pub const MAGIC: [u8; 4] = *b"CTBS";
 /// one lock, so its image and config drop the shard count, its capacity
 /// bound covers the whole cache, each plan-cache key carries the
 /// calibration epoch it was planned under, and a bounded cache writes
-/// its keys in insertion order. Each extension changed the layout in
-/// place, so older blobs no longer decode (the cluster restore rejects
-/// them with a typed [`SavestateError::Mismatch`]).
-pub const FORMAT_VERSION: u32 = 8;
+/// its keys in insertion order; v9 drops the fault injector's
+/// admission site (its rate and cursors) and the always-false
+/// `abandoned` flag of a cluster `BatchDone` event, and writes the
+/// `PlanShare`'s capacity bound, admission gate and gate counters ahead
+/// of its memo and keys, so a mismatched share is refused before
+/// anything is loaded. Each extension changed the layout in place, so
+/// older blobs no longer decode (the cluster restore rejects them with
+/// a typed [`SavestateError::Mismatch`]).
+pub const FORMAT_VERSION: u32 = 9;
 
 /// Cap on speculative pre-allocation while decoding length-prefixed
 /// containers. Real lengths above this are still decoded — the vector

@@ -3,11 +3,10 @@
 //! Production serving code earns its resilience claims only if every
 //! failure path can be *driven on demand*: a chaos test that merely
 //! hopes for a panic proves nothing. [`FaultInjector`] is the seam the
-//! server consults at each failure-capable site — admission, batch
-//! expiry, planning, coordinated execution, the degraded baseline path,
-//! and worker pacing — and it decides *deterministically* (a counter
-//! per site hashed with the schedule seed) whether to inject a fault
-//! there.
+//! server consults at each failure-capable site — batch expiry,
+//! planning, coordinated execution, the degraded baseline path, and
+//! worker pacing — and it decides *deterministically* (a counter per
+//! site hashed with the schedule seed) whether to inject a fault there.
 //!
 //! Two properties matter:
 //!
@@ -76,21 +75,19 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum FaultSite {
-    /// `try_submit` is forced to report a saturated admission queue.
-    AdmitReject = 0,
     /// A deadline-carrying request is expired at batch formation.
-    Expire = 1,
+    Expire = 0,
     /// `Session::plan` is replaced by a typed planning error.
-    PlanFail = 2,
+    PlanFail = 1,
     /// The coordinated executor panics mid-batch.
-    ExecPanic = 3,
+    ExecPanic = 2,
     /// The degraded (baseline) executor panics.
-    DegradedPanic = 4,
+    DegradedPanic = 3,
     /// The worker stalls for `slow_delay` before planning.
-    SlowWorker = 5,
+    SlowWorker = 4,
 }
 
-const N_SITES: usize = 6;
+const N_SITES: usize = 5;
 
 /// One chaos schedule: a seed plus a per-site injection rate.
 #[derive(Debug, Clone)]
@@ -98,8 +95,6 @@ pub struct FaultConfig {
     /// Schedule seed; two injectors with equal configs draw identical
     /// per-site decision sequences.
     pub seed: u64,
-    /// Forced `QueueFull` rate on `try_submit`, per mille.
-    pub admit_reject_per_mille: u32,
     /// Forced expiry rate for deadline-carrying requests, per mille.
     pub expire_per_mille: u32,
     /// Planning-failure rate, per mille.
@@ -116,7 +111,6 @@ pub struct FaultConfig {
 
 savestate_struct!(FaultConfig {
     seed,
-    admit_reject_per_mille,
     expire_per_mille,
     plan_fail_per_mille,
     exec_panic_per_mille,
@@ -131,7 +125,6 @@ impl FaultConfig {
     pub fn new(seed: u64) -> Self {
         FaultConfig {
             seed,
-            admit_reject_per_mille: 0,
             expire_per_mille: 0,
             plan_fail_per_mille: 0,
             exec_panic_per_mille: 0,
@@ -139,11 +132,6 @@ impl FaultConfig {
             slow_worker_per_mille: 0,
             slow_delay: Duration::from_micros(500),
         }
-    }
-
-    pub fn admit_reject(mut self, per_mille: u32) -> Self {
-        self.admit_reject_per_mille = per_mille;
-        self
     }
 
     pub fn expire(mut self, per_mille: u32) -> Self {
@@ -174,7 +162,6 @@ impl FaultConfig {
 
     fn rate(&self, site: FaultSite) -> u32 {
         match site {
-            FaultSite::AdmitReject => self.admit_reject_per_mille,
             FaultSite::Expire => self.expire_per_mille,
             FaultSite::PlanFail => self.plan_fail_per_mille,
             FaultSite::ExecPanic => self.exec_panic_per_mille,
@@ -187,7 +174,6 @@ impl FaultConfig {
 /// Point-in-time record of every fault the injector has fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultLog {
-    pub admit_rejects: usize,
     pub expires: usize,
     pub plan_fails: usize,
     pub exec_panics: usize,
@@ -198,12 +184,7 @@ pub struct FaultLog {
 impl FaultLog {
     /// Total faults fired across every site.
     pub fn total(&self) -> usize {
-        self.admit_rejects
-            + self.expires
-            + self.plan_fails
-            + self.exec_panics
-            + self.degraded_panics
-            + self.slow_workers
+        self.expires + self.plan_fails + self.exec_panics + self.degraded_panics + self.slow_workers
     }
 }
 
@@ -229,8 +210,10 @@ impl FaultInjector {
             return false;
         }
         let n = self.draws[site as usize].fetch_add(1, Ordering::Relaxed) as u64;
+        // The salt `site + 2` is part of every recorded decision stream
+        // (pinned chaos counts, committed reports): keep it.
         let h = splitmix64(
-            self.cfg.seed ^ ((site as u64 + 1) << 56) ^ n.wrapping_mul(0xD6E8_FEB8_6659_FD93),
+            self.cfg.seed ^ ((site as u64 + 2) << 56) ^ n.wrapping_mul(0xD6E8_FEB8_6659_FD93),
         );
         let hit = h % 1000 < rate as u64;
         if hit {
@@ -252,7 +235,6 @@ impl FaultInjector {
     pub fn log(&self) -> FaultLog {
         let f = |s: FaultSite| self.fired[s as usize].load(Ordering::Relaxed);
         FaultLog {
-            admit_rejects: f(FaultSite::AdmitReject),
             expires: f(FaultSite::Expire),
             plan_fails: f(FaultSite::PlanFail),
             exec_panics: f(FaultSite::ExecPanic),

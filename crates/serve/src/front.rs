@@ -2,15 +2,14 @@
 //! batching.
 //!
 //! [`crate::Server::submit`] blocks the producer while the admission
-//! queue is at capacity, and [`crate::Server::try_submit`] makes the
-//! producer handle `QueueFull` itself. [`AsyncFront`] removes both
-//! burdens: `try_submit` *always* returns a [`Ticket`] once the request
-//! validates, and requests the bounded queue cannot take right now are
-//! buffered inside the front and flushed — many at a time, under one
-//! queue lock (`BoundedQueue::try_push_many`) — as capacity
-//! frees up. Producers never block and never see backpressure; the
-//! bound still holds because buffered requests only enter the server
-//! when the queue has room.
+//! queue is at capacity. [`AsyncFront`] never does: `try_submit`
+//! *always* returns a [`Ticket`] once the request validates, and
+//! requests the bounded queue cannot take right now are buffered inside
+//! the front and flushed — many at a time, under one queue lock
+//! (`BoundedQueue::try_push_many`) — as capacity frees up. Producers
+//! never block and never see backpressure; the bound still holds
+//! because buffered requests only enter the server when the queue has
+//! room.
 //!
 //! **Equivalence contract.** For any submission order, driving requests
 //! through the front yields bitwise-identical results and identical
@@ -20,11 +19,9 @@
 //! `submitted` per request actually handed to the queue, and closes
 //! every admitted-but-unpushable request out with a `Reject` trace
 //! event, a `rejected` count and a [`ServeError::ShuttingDown`]
-//! response. The differential suite in `tests/async_front.rs` pins this
-//! down across the chaos schedules. (The front never consults the
-//! [`crate::FaultSite::AdmitReject`] chaos site — that seam models a
-//! *saturated* queue, which the front by construction absorbs; this is
-//! also what keeps its fault cursors aligned with the blocking path's.)
+//! response. Neither path consults a fault site at admission, so the
+//! chaos cursors advance alike downstream. The differential suite in
+//! `tests/async_front.rs` pins this down across the chaos schedules.
 //!
 //! **Terminal contract.** Every `Admit` the front traces is eventually
 //! matched by exactly one terminal event: the server's (respond, expire,
@@ -59,9 +56,9 @@ impl AsyncFront {
         AsyncFront { shared, backlog: Mutex::new(VecDeque::new()) }
     }
 
-    /// Submit without ever blocking and without ever reporting
-    /// `QueueFull`: once the request validates, the producer holds a
-    /// [`Ticket`] and the front guarantees a terminal outcome for it.
+    /// Submit without ever blocking or reporting a full queue: once the
+    /// request validates, the producer holds a [`Ticket`] and the front
+    /// guarantees a terminal outcome for it.
     /// If the server is shutting down, the ticket resolves to
     /// [`ServeError::ShuttingDown`] rather than the call failing.
     pub fn try_submit(&self, req: GemmRequest) -> Result<Ticket, ServeError> {
@@ -92,31 +89,6 @@ impl AsyncFront {
         backlog.len()
     }
 
-    /// Block until the backlog is fully handed to the server (or
-    /// resolved as rejected because the server shut down). Returns
-    /// `true` when everything was pushed, `false` when leftovers were
-    /// closed out with [`ServeError::ShuttingDown`].
-    pub fn drain(&self) -> bool {
-        loop {
-            let mut backlog = self.lock_backlog();
-            match self.flush_locked(&mut backlog) {
-                // Fully pushed, or Closed (flush already resolved the
-                // leftovers as rejected).
-                None => return true,
-                Some(PushError::Closed) => return false,
-                Some(PushError::Full) => {}
-            }
-            drop(backlog);
-            if !self.shared.admission.wait_not_full() {
-                // Closed while full: no push can ever succeed again.
-                let mut backlog = self.lock_backlog();
-                let resolved = backlog.is_empty();
-                self.reject_all(&mut backlog);
-                return resolved;
-            }
-        }
-    }
-
     /// Requests currently buffered in the front (admitted, not yet in
     /// the server's queue). Monitoring hook; racy by nature.
     pub fn backlog_len(&self) -> usize {
@@ -127,30 +99,25 @@ impl AsyncFront {
         self.backlog.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Flush under the held backlog lock. `None` means the backlog was
-    /// fully pushed; `Full` means leftovers stay buffered; `Closed`
-    /// means the leftovers were just resolved as rejected.
-    fn flush_locked(&self, backlog: &mut VecDeque<Pending>) -> Option<PushError> {
+    /// Flush under the held backlog lock. Leftovers of a full queue
+    /// stay buffered; those of a closed one are resolved as rejected.
+    fn flush_locked(&self, backlog: &mut VecDeque<Pending>) {
         let (pushed, err) = self.shared.admission.try_push_many(backlog);
         if pushed > 0 {
             self.shared.stats.submitted.fetch_add(pushed, Ordering::Relaxed);
         }
-        if matches!(err, Some(PushError::Closed)) {
+        if err == Some(PushError::Closed) {
             self.reject_all(backlog);
         }
-        err
     }
 
     /// Close every buffered request out with the same accounting the
     /// blocking path gives a push that fails on a closed queue: a
-    /// request-carrying `Reject` trace event, a `rejected` count, and a
-    /// `ShuttingDown` response (undeliverable ones count as abandoned).
+    /// `Reject` trace event, a `rejected` count, and a `ShuttingDown`
+    /// response (undeliverable ones count as abandoned).
     fn reject_all(&self, backlog: &mut VecDeque<Pending>) {
         while let Some(p) = backlog.pop_front() {
-            self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = self.shared.obs() {
-                o.point(PointKind::Reject { req: Some(p.id) });
-            }
+            self.shared.reject(p.id);
             self.shared.respond(&p.tx, Err(ServeError::ShuttingDown));
         }
     }
@@ -162,9 +129,8 @@ impl Drop for AsyncFront {
     /// reaches a terminal event.
     fn drop(&mut self) {
         let mut backlog = self.lock_backlog();
-        if self.flush_locked(&mut backlog).is_some() {
-            self.reject_all(&mut backlog);
-        }
+        self.flush_locked(&mut backlog);
+        self.reject_all(&mut backlog);
     }
 }
 
@@ -179,7 +145,6 @@ mod tests {
     use ctb_gpu_specs::ArchSpec;
     use ctb_matrix::MatF32;
     use std::sync::atomic::{AtomicU64, AtomicUsize};
-    use std::time::Duration;
 
     fn request(seed: u64) -> GemmRequest {
         GemmRequest::new(MatF32::random(16, 8, seed), MatF32::random(8, 12, seed + 1))
@@ -281,41 +246,5 @@ mod tests {
             other => panic!("expected ShuttingDown, got {:?}", other.map(|r| r.timing)),
         }
         assert_eq!(shared.stats.rejected.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn drain_waits_for_space_and_reports_close() {
-        // Space frees up: drain pushes everything and reports true.
-        let shared = standalone_shared(1);
-        let front = Arc::new(AsyncFront::new(Arc::clone(&shared)));
-        let _t0 = front.try_submit(request(0)).expect("admitted");
-        let _t1 = front.try_submit(request(2)).expect("admitted");
-        let drainer = {
-            let front = Arc::clone(&front);
-            std::thread::spawn(move || front.drain())
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        shared.admission.pop().expect("make room");
-        assert!(drainer.join().expect("drainer exits"), "drain pushed the backlog");
-        assert_eq!(front.backlog_len(), 0);
-        assert_eq!(shared.admission.len(), 1);
-
-        // Closed while full: drain resolves the leftover and reports
-        // false.
-        let shared = standalone_shared(1);
-        let front = Arc::new(AsyncFront::new(Arc::clone(&shared)));
-        let _t0 = front.try_submit(request(0)).expect("admitted");
-        let t1 = front.try_submit(request(2)).expect("admitted");
-        let drainer = {
-            let front = Arc::clone(&front);
-            std::thread::spawn(move || front.drain())
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        shared.admission.close();
-        assert!(!drainer.join().expect("drainer exits"), "leftover was rejected");
-        match t1.wait() {
-            Err(ServeError::ShuttingDown) => {}
-            other => panic!("expected ShuttingDown, got {:?}", other.map(|r| r.timing)),
-        }
     }
 }

@@ -75,14 +75,11 @@ impl<T> BoundedQueue<T> {
     /// guarantee depends on this: a retry re-pushed against a closed
     /// queue must still be resolvable inline).
     ///
-    /// Saturation is checked *before* the closed flag: a push that
-    /// finds the queue at capacity reports `Full` even when a `close`
-    /// raced in just ahead of it. The queue being full is the
-    /// backpressure signal the saturation metrics are built on —
-    /// attributing it to shutdown instead would silently drop those
-    /// rejects from the backpressure accounting (the old behaviour;
-    /// see `closed_full_queue_reports_full_not_closed`). `Closed` is
-    /// reported only when a slot would otherwise have been free.
+    /// Saturation is checked *before* the closed flag, as in
+    /// [`BoundedQueue::try_push_many`]: a push that finds the queue at
+    /// capacity reports `Full` even when a `close` raced in just ahead
+    /// of it, and `Closed` only when a slot would otherwise have been
+    /// free.
     pub fn try_push(&self, item: T) -> Result<(), (PushError, T)> {
         let mut st = self.lock();
         if st.q.len() >= self.capacity {
@@ -111,8 +108,7 @@ impl<T> BoundedQueue<T> {
         let mut pushed = 0usize;
         let mut st = self.lock();
         // Emptiness is checked before capacity: a flush that fills the
-        // queue exactly has nothing left blocked, so it must not report
-        // `Full` (a drain would then wait for space it never needs).
+        // queue exactly left nothing blocked, so it reports no `Full`.
         let blocker = loop {
             if buf.is_empty() {
                 break None;
@@ -131,24 +127,6 @@ impl<T> BoundedQueue<T> {
             self.not_empty.notify_all();
         }
         (pushed, blocker)
-    }
-
-    /// Park until the queue has free capacity or is closed. Returns
-    /// `true` when a slot was free and the queue still open at wake-up
-    /// time, `false` once the queue is closed (a closed queue never
-    /// accepts another item, full or not). Used by the async front
-    /// door's `drain` to wait out backpressure without spinning.
-    pub fn wait_not_full(&self) -> bool {
-        let mut st = self.lock();
-        loop {
-            if st.closed {
-                return false;
-            }
-            if st.q.len() < self.capacity {
-                return true;
-            }
-            st = self.not_full.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
     }
 
     /// Blocking pop: `None` only when the queue is closed *and* fully
@@ -207,7 +185,7 @@ impl<T> BoundedQueue<T> {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.lock().q.is_empty()
+        self.len() == 0
     }
 }
 
@@ -277,18 +255,12 @@ mod tests {
 
     #[test]
     fn closed_full_queue_reports_full_not_closed() {
-        // Regression: a close racing in ahead of a try_push against a
-        // saturated queue used to report Closed, so the reject vanished
-        // from the backpressure accounting (saturation counters key off
-        // Full). Capacity must win over the closed flag.
+        // A close racing in ahead of a try_push against a saturated
+        // queue still reports Full: capacity wins over the closed flag.
         let q = BoundedQueue::new(1);
         q.push(1).unwrap();
         q.close();
-        assert_eq!(
-            q.try_push(2),
-            Err((PushError::Full, 2)),
-            "saturation attribution survives close"
-        );
+        assert_eq!(q.try_push(2), Err((PushError::Full, 2)), "Full wins over the close");
         // Once the close is observable through a free slot, Closed is
         // the right answer again.
         assert_eq!(q.pop(), Some(1));
@@ -333,29 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_not_full_wakes_on_pop_and_close() {
-        // Free slot + open queue: returns true immediately.
-        let q = Arc::new(BoundedQueue::new(1));
-        assert!(q.wait_not_full());
-
-        // Full queue: parks until the consumer frees a slot.
-        q.push(1).unwrap();
-        let q2 = Arc::clone(&q);
-        let waiter = std::thread::spawn(move || q2.wait_not_full());
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.pop(), Some(1));
-        assert!(waiter.join().unwrap(), "slot freed while open");
-
-        // Full queue + close: wakes with false (will never accept).
-        q.push(2).unwrap();
-        let q2 = Arc::clone(&q);
-        let waiter = std::thread::spawn(move || q2.wait_not_full());
-        std::thread::sleep(Duration::from_millis(20));
-        q.close();
-        assert!(!waiter.join().unwrap(), "closed queue reports false even while full");
-    }
-
-    #[test]
     fn pop_until_times_out_when_idle() {
         let q: BoundedQueue<i32> = BoundedQueue::new(1);
         let deadline = Instant::now() + Duration::from_millis(5);
@@ -389,8 +338,7 @@ mod invariant_props {
             match op % 3 {
                 0 => {
                     let r = q.try_push(next_id);
-                    // Full is checked before Closed: saturation keeps
-                    // its backpressure attribution even after a close.
+                    // Full is checked before Closed, even after a close.
                     if model.len() >= cap {
                         prop_assert_eq!(r, Err((PushError::Full, next_id)));
                     } else if closed {

@@ -72,8 +72,6 @@ impl GemmRequest {
 pub enum ServeError {
     /// Request failed validation at submit time.
     Invalid(String),
-    /// `try_submit` found the admission queue full.
-    QueueFull,
     /// The server no longer accepts requests.
     ShuttingDown,
     /// The request out-waited its deadline in the admission queue.
@@ -97,7 +95,6 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Invalid(m) => write!(f, "invalid request: {m}"),
-            ServeError::QueueFull => write!(f, "admission queue full"),
             ServeError::ShuttingDown => write!(f, "server shutting down"),
             ServeError::Expired => write!(f, "deadline expired in queue"),
             ServeError::PlanFailed(m) => write!(f, "planning failed: {m}"),

@@ -26,8 +26,8 @@
 //! admission queue is at capacity; once it returns `Ok`, the request
 //! *will* be completed — by a result (coordinated or degraded), a
 //! deadline expiry, or a typed error — even if the server is shut down
-//! immediately afterwards. [`Server::try_submit`] returns
-//! [`ServeError::QueueFull`] instead of blocking.
+//! immediately afterwards. Producers that must not block go through
+//! [`Server::front`], which buffers what the queue cannot take yet.
 //!
 //! **Failure contract:** workers never die and never drop a ticket. A
 //! panic anywhere in the planning/execution path is caught at the job
@@ -51,7 +51,7 @@
 use crate::fault::{
     panic_message, FaultInjector, FaultSite, INJECTED_DEGRADED_PANIC_MSG, INJECTED_PANIC_MSG,
 };
-use crate::queue::{BoundedQueue, PushError};
+use crate::queue::BoundedQueue;
 use crate::request::{GemmRequest, GemmResult, RequestTiming, ServeError, Ticket};
 use crate::retry::{Breaker, BreakerPolicy, RetryPolicy};
 use crate::stats::{ServeStats, StatsInner};
@@ -186,6 +186,15 @@ impl Shared {
         abandoned
     }
 
+    /// Count and trace an admitted request refused because admissions
+    /// had stopped: the one accounting both ways in give it.
+    pub(crate) fn reject(&self, id: u64) {
+        self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+        if let Some(o) = self.obs() {
+            o.point(PointKind::Reject { req: id });
+        }
+    }
+
     pub(crate) fn obs(&self) -> Option<&Obs> {
         self.obs.as_deref()
     }
@@ -272,15 +281,29 @@ impl Server {
     }
 
     /// Submit a request, blocking while the admission queue is full.
+    /// A server that has stopped admissions refuses it with
+    /// [`ServeError::ShuttingDown`].
     pub fn submit(&self, req: GemmRequest) -> Result<Ticket, ServeError> {
-        self.admit(req, true)
-    }
-
-    /// Submit without blocking; [`ServeError::QueueFull`] when the
-    /// admission queue is at capacity (or a chaos schedule injects
-    /// saturation).
-    pub fn try_submit(&self, req: GemmRequest) -> Result<Ticket, ServeError> {
-        self.admit(req, false)
+        if let Err(m) = req.validate() {
+            return Err(ServeError::Invalid(m));
+        }
+        let id = self.shared.req_ids.fetch_add(1, Ordering::Relaxed);
+        // Admit is traced *before* the push: once the pending request is
+        // in the queue the batcher can emit downstream events for it,
+        // and the log must never show those ahead of the admission. A
+        // push refused by a closed queue is closed out with a Reject.
+        let enqueued_us = match self.shared.obs() {
+            Some(o) => o.point(PointKind::Admit { req: id }),
+            None => 0,
+        };
+        let (tx, rx) = mpsc::channel();
+        let pending = Pending { id, req, tx, enqueued: Instant::now(), enqueued_us };
+        if self.shared.admission.push(pending).is_err() {
+            self.shared.reject(id);
+            return Err(ServeError::ShuttingDown);
+        }
+        self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
+        Ok(Ticket { rx })
     }
 
     /// Submit and wait — the synchronous convenience path.
@@ -294,54 +317,6 @@ impl Server {
     /// flushed in submission batches. See [`crate::AsyncFront`].
     pub fn front(&self) -> crate::AsyncFront {
         crate::AsyncFront::new(Arc::clone(&self.shared))
-    }
-
-    fn admit(&self, req: GemmRequest, blocking: bool) -> Result<Ticket, ServeError> {
-        if let Err(m) = req.validate() {
-            return Err(ServeError::Invalid(m));
-        }
-        // Injected queue saturation (non-blocking path only — `submit`'s
-        // contract is to block, not to report Full). Refused before
-        // admission, so the trace's reject carries no request id.
-        if !blocking && self.shared.roll(FaultSite::AdmitReject) {
-            self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = self.shared.obs() {
-                o.point(PointKind::Reject { req: None });
-            }
-            return Err(ServeError::QueueFull);
-        }
-        let id = self.shared.req_ids.fetch_add(1, Ordering::Relaxed);
-        // Admit is traced *before* the push: once the pending request is
-        // in the queue the batcher can emit downstream events for it,
-        // and the log must never show those ahead of the admission. A
-        // failed push is closed out with a request-carrying Reject.
-        let enqueued_us = match self.shared.obs() {
-            Some(o) => o.point(PointKind::Admit { req: id }),
-            None => 0,
-        };
-        let (tx, rx) = mpsc::channel();
-        let pending = Pending { id, req, tx, enqueued: Instant::now(), enqueued_us };
-        let pushed = if blocking {
-            self.shared.admission.push(pending)
-        } else {
-            self.shared.admission.try_push(pending).map_err(|(kind, _)| kind)
-        };
-        match pushed {
-            Ok(()) => {
-                self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(Ticket { rx })
-            }
-            Err(kind) => {
-                self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = self.shared.obs() {
-                    o.point(PointKind::Reject { req: Some(id) });
-                }
-                Err(match kind {
-                    PushError::Full => ServeError::QueueFull,
-                    PushError::Closed => ServeError::ShuttingDown,
-                })
-            }
-        }
     }
 
     /// Point-in-time accounting: request/batch/resilience counters plus
@@ -366,15 +341,9 @@ impl Server {
         self.shared.obs.as_ref()
     }
 
-    /// Requests currently waiting in the admission queue (monitoring
-    /// hook; racy by nature).
-    pub fn queue_depth(&self) -> usize {
-        self.shared.admission.len()
-    }
-
     /// Stop accepting new requests without waiting for the drain:
-    /// subsequent `submit`/`try_submit` calls fail with
-    /// [`ServeError::ShuttingDown`], already-admitted requests keep
+    /// subsequent `submit` calls fail with [`ServeError::ShuttingDown`]
+    /// (a front's tickets resolve to it), already-admitted requests keep
     /// flowing. Call [`Server::shutdown`] to drain and join.
     pub fn close(&self) {
         self.shared.admission.close();

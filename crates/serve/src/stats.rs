@@ -12,8 +12,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub struct ServeStats {
     /// Requests accepted into the admission queue.
     pub submitted: usize,
-    /// `try_submit` rejections (queue full, real or injected) +
-    /// shutdown rejections.
+    /// Admitted requests refused because admissions had stopped: a
+    /// `submit` that found the queue closed, or a request the async
+    /// front still held when the server shut down.
     pub rejected: usize,
     /// Requests completed with [`crate::ServeError::Expired`].
     pub expired: usize,

@@ -16,11 +16,10 @@
 //!    so the front emits exactly one admission and one terminal per
 //!    request, the same as the blocking path.
 //!
-//! The parity hinges on a deliberate design point: the front never
-//! consults the `AdmitReject` fault seam (it buffers instead of
-//! rejecting) and the blocking path never consults it either (it parks
-//! instead of rejecting), so the seeded per-site fault cursors stay
-//! aligned whatever the schedule.
+//! The parity hinges on a deliberate design point: neither path
+//! consults a fault site at admission (the front buffers and the
+//! blocking path parks instead of rejecting), so the seeded per-site
+//! fault cursors stay aligned whatever the schedule.
 
 use ctb_core::{AdmissionPolicy, Framework, PlanShare, PlanShareConfig, Session};
 use ctb_gpu_specs::ArchSpec;
@@ -223,28 +222,7 @@ fn front_matches_blocking_under_slow_worker_and_deadline_storm() {
     });
 }
 
-/// Schedule 4: an `AdmitReject` schedule is configured but — by design —
-/// dormant on both paths: the blocking path parks instead of rejecting
-/// and the front buffers instead of rejecting, so neither consults the
-/// seam and the cursors stay aligned. This pins the design point the
-/// whole suite's parity rests on.
-#[test]
-fn front_matches_blocking_with_dormant_admit_reject_seam() {
-    assert_paths_equivalent(Schedule {
-        cfg: ServeConfig {
-            max_batch: 8,
-            batch_window: Duration::from_micros(50),
-            queue_capacity: 320,
-            ..ServeConfig::default()
-        },
-        faults: FaultConfig::new(0x5A7A5A7A).admit_reject(300),
-        n: 80,
-        deadline: false,
-        share: None,
-    });
-}
-
-/// Schedule 5: everything at once — plan failures, executor panics,
+/// Schedule 4: everything at once — plan failures, executor panics,
 /// degraded-path panics, slow workers, deadline storms — with retries
 /// and the breaker live.
 #[test]
@@ -275,7 +253,7 @@ fn front_matches_blocking_under_combined_storm() {
     });
 }
 
-/// Schedule 6: a hard panic storm (100%) against one worker — the
+/// Schedule 5: a hard panic storm (100%) against one worker — the
 /// breaker's deterministic trip/recover cycle must phase identically
 /// on both paths.
 #[test]
@@ -296,7 +274,7 @@ fn front_matches_blocking_through_breaker_cycles() {
     });
 }
 
-/// Schedule 7: zero retry budget — panics degrade immediately, on both
+/// Schedule 6: zero retry budget — panics degrade immediately, on both
 /// paths, with the retry counter pinned at zero.
 #[test]
 fn front_matches_blocking_with_zero_retry_budget() {
@@ -315,7 +293,7 @@ fn front_matches_blocking_with_zero_retry_budget() {
     });
 }
 
-/// Schedule 8: a bounded, Bloom-gated plan cache behind the session
+/// Schedule 7: a bounded, Bloom-gated plan cache behind the session
 /// while the executor panics — denial and admission counters must
 /// reconcile `==` across the admission paths too.
 #[test]
