@@ -177,7 +177,8 @@ impl EventCluster {
     ///
     /// Restore order matters and is fixed: every device image is
     /// validated against the pool, the engine is built exactly as
-    /// [`new`](Self::new) builds it, the shared memo loads, plans are
+    /// [`new`](Self::new) builds it, every plan-cache key is checked
+    /// against the class sessions, the shared memo loads, plans are
     /// *replanned* through the class sessions (every candidate
     /// simulation hits the restored memo, so this is cheap and
     /// bitwise-faithful), then the device images and the classes' cache
@@ -202,17 +203,16 @@ impl EventCluster {
         // only; v8 drops the shard count and gives each plan-cache key
         // its calibration epoch; v9 drops the fault injector's admission
         // site and `BatchDone`'s abandoned flag, and writes the share's
-        // bound, gate and counters ahead of its memo and keys. Each time
-        // an older checkpoint stopped describing a decodable engine.
-        if version < 9 {
+        // bound, gate and counters ahead of its memo and keys; v10 drops
+        // the share's config, bound, gate and counters, and writes its
+        // keys ahead of its memo. Each time an older checkpoint stopped
+        // describing a decodable engine.
+        if version < 10 {
             return Err(SavestateError::Mismatch(format!(
-                "cluster checkpoint format v{version} predates v9, whose fault injectors have no \
-                 admission site; re-checkpoint with the current engine"
+                "cluster checkpoint format v{version} predates v10, whose plan-cache image is \
+                 its keys and memo only; re-checkpoint with the current engine"
             )));
         }
-        // The cfg carries the share's capacity bound and admission
-        // policy, so the share `build` makes matches the cache and gate
-        // images embedded later in the blob.
         let cfg = EventConfig::load(&mut r)?;
         let (clock, obs) = if bool::load(&mut r)? {
             let clock = Arc::new(SimClock::new());

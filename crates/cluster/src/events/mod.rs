@@ -56,7 +56,7 @@ use crate::drift::{GroundTruth, PlacementDecision};
 use crate::placer::LocalityPolicy;
 use crate::stats::{ClusterInner, ClusterStats, DeviceStats};
 use ctb_core::hash::splitmix64;
-use ctb_core::{CacheStats, Framework, PlanShare, PlanShareConfig, Session};
+use ctb_core::{CacheStats, Framework, PlanShare, Session};
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::GemmShape;
 use ctb_obs::{Obs, PointKind, SimClock};
@@ -309,10 +309,6 @@ pub struct EventConfig {
     /// Keep a per-request routing outcome log (the suites' per-request
     /// comparison payload); costs one small record per request.
     pub record_outcomes: bool,
-    /// Capacity bound and admission policy of the shared plan cache.
-    /// Part of the checkpoint, so a restored engine rebuilds the same
-    /// cache bound and gate geometry the blob's share image describes.
-    pub share: PlanShareConfig,
     /// Whether placement ranks candidates with the locality routing
     /// penalty. On by default; a no-op on single-chiplet pools (the
     /// penalty is exactly zero there). Part of the checkpoint (v3), so
@@ -328,7 +324,6 @@ savestate_struct!(EventConfig {
     witness_every,
     placement,
     record_outcomes,
-    share,
     locality,
 });
 
@@ -342,7 +337,6 @@ impl Default for EventConfig {
             witness_every: 1,
             placement: PlacementMode::Exact,
             record_outcomes: true,
-            share: PlanShareConfig::default(),
             locality: LocalityPolicy::default(),
         }
     }
@@ -678,7 +672,7 @@ impl EventCluster {
     ) -> Self {
         assert!(!pool.is_empty(), "a cluster needs at least one device");
         assert_eq!(pool.len(), faults.len(), "one fault schedule slot per device");
-        let share = Arc::new(PlanShare::with_config(cfg.share));
+        let share = Arc::new(PlanShare::new());
         let mut classes: Vec<ArchClass> = Vec::new();
         let class_of = pool
             .into_iter()

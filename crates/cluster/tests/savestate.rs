@@ -18,12 +18,8 @@
 //! save → load → save byte-identically at every crash point.
 //!
 //! The suite also pins the golden on-disk fixture
-//! (`tests/fixtures/savestate_v9.bin`) for format-version discipline —
-//! since v2 the embedded `PlanShare` image carries the optional
-//! capacity bound and the Bloom admission gate, and one crash-swept
-//! schedule runs with a `SeenTwice` gate over a cache bounded below its
-//! key count so the gate's tag slots and the cache's eviction order
-//! round-trip under fire; since v3 the blob additionally carries each device's
+//! (`tests/fixtures/savestate_v10.bin`) for format-version discipline —
+//! since v3 the blob carries each device's
 //! chiplet topology, the locality-ranking flag, operand residency and
 //! the residency counters, and one crash-swept schedule runs
 //! locality-aware placement over a multi-chiplet pool so all of it
@@ -34,18 +30,17 @@
 //! v6 its obs image holds no bus config; since v7 that image is the
 //! event log and one mark per flight dump, with no ring, sequence
 //! counter or dump copies; since v8 the plan cache is one map with no
-//! shard count, each key carries its calibration epoch, and a bounded
-//! cache writes its keys in insertion order; since v9 the fault
-//! injectors have no admission site, a `BatchDone` event no abandoned
-//! flag, and the share writes its bound, gate and gate counters ahead
-//! of its memo and keys. The v8 fixture stays committed as the input
-//! of a typed-rejection test.
+//! shard count and each key carries its calibration epoch; since v9
+//! the fault injectors have no admission site and a `BatchDone` event
+//! no abandoned flag; since v10 the engine's plan cache is always
+//! unbounded and admit-all, so the config holds no share config and the
+//! share image is its sorted keys followed by the simulation memo. The
+//! v9 fixture stays committed as the input of a typed-rejection test.
 //! The suite further exercises queue migration between two engine
 //! instances (`halt_and_export` → `import_jobs`, zero drops) and
 //! round-trips randomized mid-run states under proptest.
 
 use ctb_cluster::{EventCluster, EventConfig, ReqOutcome, SimTime, StealPolicy};
-use ctb_core::{AdmissionPolicy, PlanShareConfig};
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::GemmShape;
 use ctb_obs::Obs;
@@ -85,9 +80,6 @@ struct Schedule {
     gap_ns: u64,
     faults: fn() -> Vec<Option<Arc<FaultInjector>>>,
     kill_first: Option<usize>,
-    /// Plan-cache capacity bound and admission policy (default:
-    /// unbounded, admit-all — the pre-v2 behaviour).
-    share: PlanShareConfig,
     /// Device pool the schedule runs (and restores) over; the default
     /// Table 1 pair for most schedules, a multi-chiplet pool for the
     /// v3 locality coverage.
@@ -104,7 +96,6 @@ fn breaker_opens_mid_load() -> Schedule {
         gap_ns: GAP_NS,
         faults: || vec![injector(FaultConfig::new(0xA11CE).plan_fail(1000)), None],
         kill_first: None,
-        share: PlanShareConfig::default(),
         pool,
     }
 }
@@ -119,7 +110,6 @@ fn exec_panic_storm() -> Schedule {
         gap_ns: GAP_NS,
         faults: || vec![injector(FaultConfig::new(0x5EED).exec_panic(400)), None],
         kill_first: None,
-        share: PlanShareConfig::default(),
         pool,
     }
 }
@@ -134,7 +124,6 @@ fn kill_device_routes_to_survivor() -> Schedule {
         gap_ns: GAP_NS,
         faults: || vec![None, None],
         kill_first: Some(0),
-        share: PlanShareConfig::default(),
         pool,
     }
 }
@@ -159,7 +148,6 @@ fn chaos_on_every_device() -> Schedule {
             ]
         },
         kill_first: None,
-        share: PlanShareConfig::default(),
         pool,
     }
 }
@@ -171,29 +159,6 @@ fn fault_free() -> Schedule {
         gap_ns: GAP_NS,
         faults: || vec![None, None],
         kill_first: None,
-        share: PlanShareConfig::default(),
-        pool,
-    }
-}
-
-/// The v2 coverage schedule: a `SeenTwice` Bloom gate over a cache
-/// bounded to 3 entries, under an exec-panic storm. First sightings of
-/// each signature are denied caching, second sightings admit and evict
-/// the oldest entry — so the checkpoint taken mid-run embeds a live gate
-/// (occupied tag slots, possibly evictions) and a full cache whose
-/// insertion order decides the next eviction, and the crash sweep
-/// proves all of it replays exactly.
-fn bloom_gated_bounded_cache() -> Schedule {
-    Schedule {
-        cfg: EventConfig::default(),
-        n: 24,
-        gap_ns: GAP_NS,
-        faults: || vec![injector(FaultConfig::new(0xB100).exec_panic(300)), None],
-        kill_first: None,
-        share: PlanShareConfig {
-            capacity: Some(3),
-            admission: AdmissionPolicy::SeenTwice { seed: 0xCAFE, slots_log2: 6 },
-        },
         pool,
     }
 }
@@ -211,7 +176,6 @@ fn locality_on_chiplet_pool() -> Schedule {
         gap_ns: GAP_NS,
         faults: || vec![None, injector(FaultConfig::new(0x10CA1).exec_panic(200)), None],
         kill_first: None,
-        share: PlanShareConfig::default(),
         pool: || ArchSpec::chiplet_pool_presets(3),
     }
 }
@@ -226,7 +190,6 @@ fn burst_into_one_job_queues() -> Schedule {
         gap_ns: 100,
         faults: || vec![injector(FaultConfig::new(0xB0257).exec_panic(200)), None],
         kill_first: None,
-        share: PlanShareConfig::default(),
         pool,
     }
 }
@@ -234,9 +197,8 @@ fn burst_into_one_job_queues() -> Schedule {
 /// Build the schedule's instrumented engine with every request already
 /// on the timeline.
 fn build(s: &Schedule) -> (EventCluster, Arc<Obs>) {
-    let mut ev_cfg = s.cfg.clone();
-    ev_cfg.share = s.share;
-    let (mut eng, obs) = EventCluster::with_instrumentation((s.pool)(), ev_cfg, (s.faults)());
+    let (mut eng, obs) =
+        EventCluster::with_instrumentation((s.pool)(), s.cfg.clone(), (s.faults)());
     if let Some(dev) = s.kill_first {
         eng.kill_at(SimTime::ZERO, dev);
     }
@@ -375,26 +337,6 @@ fn crash_restore_burst_into_one_job_queues() {
         filled |= devices.iter().any(|d| d.queue_depth >= s.cfg.queue_capacity);
     }
     assert!(filled, "schedule never filled a queue");
-    differential(s);
-}
-
-/// Bloom gate + bounded cache under fire: every crash point must
-/// round-trip the gate's tag slots, the admission counters and the
-/// cache's keys in insertion order byte-identically, and the resumed
-/// run's admission and eviction decisions must match the uninterrupted
-/// run's exactly.
-#[test]
-fn crash_restore_bloom_gated_bounded_cache() {
-    let s = bloom_gated_bounded_cache();
-    // The gate must actually deny and admit during this schedule, or
-    // the sweep proves nothing about it.
-    let (eng, obs) = build(&s);
-    let share = Arc::clone(eng.share());
-    let baseline = finish(eng, &obs);
-    let adm = share.admission_stats();
-    assert!(adm.denied > 0, "schedule never exercised a first-sighting denial");
-    assert!(adm.admitted > 0, "schedule never admitted a second sighting");
-    drop(baseline);
     differential(s);
 }
 
@@ -551,10 +493,9 @@ fn newer_format_version_fails_typed_not_panicking() {
     );
 }
 
-/// Version skew the other way: a v1 checkpoint predates the plan-cache
-/// image's capacity bound and admission gate, so the cluster restore
-/// rejects it with a typed [`SavestateError::Mismatch`] instead of
-/// misparsing the payload.
+/// Version skew the other way: a v1 checkpoint predates every layout
+/// change since, so the cluster restore rejects it with a typed
+/// [`SavestateError::Mismatch`] instead of misparsing the payload.
 #[test]
 fn v1_checkpoint_is_rejected_with_typed_mismatch() {
     let mut bytes = fixture_bytes();
@@ -581,26 +522,26 @@ fn v2_checkpoint_is_rejected_with_typed_mismatch() {
     }
 }
 
-/// The committed v8 fixture, whose fault injectors still carry an
-/// admission site and whose share writes its bound and gate after the
-/// keys, is refused with a typed [`SavestateError::Mismatch`] that
-/// names v8 and v9.
+/// The committed v9 fixture, whose config still holds a share config
+/// and whose share image writes its bound, gate and counters ahead of
+/// its memo and keys, is refused with a typed
+/// [`SavestateError::Mismatch`] that names v9 and v10.
 #[test]
-fn v8_checkpoint_is_rejected_with_typed_mismatch() {
-    let v8 = std::fs::read(fixture_path(8)).expect("the v8 fixture is committed");
-    match EventCluster::restore(pool(), &v8) {
+fn v9_checkpoint_is_rejected_with_typed_mismatch() {
+    let v9 = std::fs::read(fixture_path(9)).expect("the v9 fixture is committed");
+    match EventCluster::restore(pool(), &v9) {
         Err(SavestateError::Mismatch(msg)) => {
-            assert!(msg.contains("v8") && msg.contains("v9"), "{msg}")
+            assert!(msg.contains("v9") && msg.contains("v10"), "{msg}")
         }
         Err(e) => panic!("expected Mismatch, got {e:?}"),
-        Ok(_) => panic!("the v8 fixture restored successfully"),
+        Ok(_) => panic!("the v9 fixture restored successfully"),
     }
 }
 
 /// The v5 job layout has no arrival time, so `import_jobs` refuses a job
 /// export stamped v4 with a typed [`SavestateError::Mismatch`] that
 /// names v4, and imports the same export stamped v5 (the job layout did
-/// not change in v6, v7, v8 or v9) and as written.
+/// not change in v6, v7, v8, v9 or v10) and as written.
 #[test]
 fn import_jobs_refuses_a_v4_job_export() {
     let mut source = EventCluster::new(pool(), EventConfig::default());

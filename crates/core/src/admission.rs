@@ -25,7 +25,6 @@
 //! lock holder observes a key, and two sightings never race.
 
 use crate::hash::mix64;
-use ctb_savestate::{savestate_enum, Reader, Savestate, SavestateError, Writer};
 
 /// How [`crate::PlanShare`] decides whether a freshly planned key may
 /// enter the plan cache.
@@ -40,11 +39,6 @@ pub enum AdmissionPolicy {
     /// two-probe [`BloomGate`] with `1 << slots_log2` tag slots.
     SeenTwice { seed: u64, slots_log2: u32 },
 }
-
-savestate_enum!(AdmissionPolicy {
-    0 => AdmitAll,
-    1 => SeenTwice { seed, slots_log2 },
-});
 
 /// Admission counters exposed through `PlanShare::admission_stats` and
 /// `ServeStats`.
@@ -139,39 +133,6 @@ impl BloomGate {
     pub fn evicted_tags(&self) -> usize {
         self.evicted
     }
-
-    /// Serialize seed, slot array and eviction counter. The slot array
-    /// is written in index order, so save → load → save is
-    /// byte-identical.
-    pub fn save(&self, w: &mut Writer) {
-        self.seed.save(w);
-        self.slots.save(w);
-        self.evicted.save(w);
-    }
-
-    /// Restore state written by [`BloomGate::save`] into this gate. The
-    /// blob must describe a gate of the same geometry (seed and slot
-    /// count) — anything else is a typed `Mismatch`.
-    pub fn load(&mut self, r: &mut Reader<'_>) -> Result<(), SavestateError> {
-        let seed = u64::load(r)?;
-        if seed != self.seed {
-            return Err(SavestateError::Mismatch(format!(
-                "bloom gate seed {seed:#x} does not match configured {:#x}",
-                self.seed
-            )));
-        }
-        let slots = Vec::<u64>::load(r)?;
-        if slots.len() != self.slots.len() {
-            return Err(SavestateError::Mismatch(format!(
-                "bloom gate has {} slots, blob has {}",
-                self.slots.len(),
-                slots.len()
-            )));
-        }
-        self.slots = slots;
-        self.evicted = usize::load(r)?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -226,43 +187,6 @@ mod tests {
         assert!(b.contains(5));
         // ...but the raw slot contents differ (seed enters the tag).
         assert_ne!(a.slots, b.slots);
-    }
-
-    #[test]
-    fn round_trip_is_byte_identical() {
-        let mut g = BloomGate::new(99, 6);
-        for key in 0..200u64 {
-            g.observe(key * 3);
-        }
-        let mut w = ctb_savestate::Writer::new();
-        g.save(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut fresh = BloomGate::new(99, 6);
-        let mut r = ctb_savestate::Reader::new(&bytes);
-        fresh.load(&mut r).unwrap();
-        r.expect_end().unwrap();
-        assert_eq!(fresh.evicted_tags(), g.evicted_tags());
-
-        let mut w2 = ctb_savestate::Writer::new();
-        fresh.save(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes, "save→load→save byte-identical");
-    }
-
-    #[test]
-    fn restore_rejects_wrong_geometry_with_typed_mismatch() {
-        let g = BloomGate::new(99, 6);
-        let mut w = ctb_savestate::Writer::new();
-        g.save(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut wrong_seed = BloomGate::new(98, 6);
-        let err = wrong_seed.load(&mut ctb_savestate::Reader::new(&bytes)).unwrap_err();
-        assert!(matches!(err, ctb_savestate::SavestateError::Mismatch(_)));
-
-        let mut wrong_size = BloomGate::new(99, 5);
-        let err = wrong_size.load(&mut ctb_savestate::Reader::new(&bytes)).unwrap_err();
-        assert!(matches!(err, ctb_savestate::SavestateError::Mismatch(_)));
     }
 
     #[test]

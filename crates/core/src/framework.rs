@@ -3,7 +3,6 @@
 use crate::interface::execute_plan;
 use crate::lowering::lower_plan;
 use crate::memo::{SimMemo, KERNEL_NAME};
-use crate::selector::OnlineSelector;
 use ctb_batching::{tiles_for, BatchPlan, BatchingHeuristic};
 use ctb_gpu_specs::{ArchSpec, Thresholds};
 use ctb_matrix::{GemmBatch, GemmShape, MatF32};
@@ -21,13 +20,12 @@ pub enum BatchingPolicy {
     /// are fixed across calls (e.g. training a fixed network). This is
     /// also the hot-swap seam: a session consults its share's
     /// [`CalibHandle`](crate::CalibHandle) per plan and passes an
-    /// installed selector's choice in as a heuristic override. With no
-    /// selector installed (or when `Framework::plan` is called
+    /// installed selector's choice in as a heuristic override; that is
+    /// how the random-forest on-line selector, the paper's
+    /// recommendation when shapes vary between calls, reaches planning.
+    /// With no selector installed (or when `Framework::plan` is called
     /// standalone, outside a session) all three candidates are tried.
     BestOfBoth,
-    /// The random-forest on-line selector — the paper's recommendation
-    /// when shapes vary between calls.
-    Forest(OnlineSelector),
 }
 
 /// Framework configuration.
@@ -133,8 +131,8 @@ impl Framework {
     /// identical to `plan`'s. The override serves the
     /// [`BatchingPolicy::BestOfBoth`] policy — the hot-swap seam through
     /// which a session injects its calibration handle's current
-    /// selector choice — and is ignored under every other policy (those
-    /// remain fully determined by the framework's own configuration).
+    /// selector choice — and is ignored under `Fixed`, which stays
+    /// fully determined by the framework's own configuration.
     pub fn plan_memoized_with(
         &self,
         shapes: &[GemmShape],
@@ -166,7 +164,6 @@ impl Framework {
         };
         let best = match &self.config.batching {
             BatchingPolicy::Fixed(h) => build(*h),
-            BatchingPolicy::Forest(selector) => build(selector.select_shapes(shapes)),
             BatchingPolicy::BestOfBoth => heuristic_override.map_or_else(best_of_both, build),
         };
         best.plan.validate(shapes, &solution)?;

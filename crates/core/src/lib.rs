@@ -7,8 +7,9 @@
 //! 1. **Tiling engine** (§4): [`ctb_tiling::select_tiling`] picks one
 //!    Table 2 strategy per GEMM under the unified thread structure;
 //! 2. **Batching engine** (§5): a batching policy (threshold heuristic,
-//!    binary heuristic, best-of-both, or the random-forest online
-//!    selector) assigns the tiles to thread blocks.
+//!    binary heuristic, or best-of-both, which an installed
+//!    random-forest online selector narrows to its pick) assigns the
+//!    tiles to thread blocks.
 //!
 //! The result is an [`ExecutionPlan`] holding the five auxiliary arrays
 //! of §6. The plan is *executed* twice over:

@@ -18,7 +18,6 @@ use ctb_obs::{Obs, PointKind, SpanKind};
 use ctb_savestate::{savestate_struct, Reader, Savestate, SavestateError, Writer};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Cache statistics.
@@ -57,7 +56,8 @@ impl CacheStats {
 /// capacity bound and the optional Bloom "seen twice" admission
 /// doorkeeper ([`AdmissionPolicy::SeenTwice`]) that keeps one-shot
 /// shapes out of a capacity-bounded cache. Planning itself runs outside
-/// the lock. [`PlanShare::new`] is admit-all and unbounded.
+/// the lock. [`PlanShare::new`] is admit-all and unbounded, and only
+/// such a share checkpoints ([`PlanShare::save`]).
 pub struct PlanShare {
     cache: Mutex<PlanCache>,
     sim_memo: SimMemo,
@@ -80,8 +80,6 @@ pub struct PlanShareConfig {
     /// Insert gating policy; [`AdmissionPolicy::AdmitAll`] by default.
     pub admission: AdmissionPolicy,
 }
-
-savestate_struct!(PlanShareConfig { capacity, admission });
 
 /// The plan cache proper: everything the share's one lock guards.
 #[derive(Default)]
@@ -120,6 +118,19 @@ impl PlanKey {
 }
 
 impl PlanCache {
+    /// Why this cache cannot be checkpointed, if it cannot: the share's
+    /// image is its keys and the memo, with no room for a bound's
+    /// eviction order or a gate's sightings.
+    fn unsaveable(&self) -> Option<&'static str> {
+        if self.capacity.is_some() {
+            Some("checkpoints hold an unbounded plan cache; this share has a capacity bound")
+        } else if self.gate.is_some() {
+            Some("checkpoints hold an admit-all plan cache; this share has an admission gate")
+        } else {
+            None
+        }
+    }
+
     /// Consult the admission gate for an insert of `key`, counting the
     /// decision. Always `true` without a gate.
     fn admit(&mut self, key: &PlanKey) -> bool {
@@ -218,66 +229,57 @@ impl PlanShare {
         }
     }
 
-    /// Serialize the share: the capacity bound, the admission-gate
-    /// state and its counters, then the simulation memo (entries +
-    /// counters) and every plan-cache key. Under a capacity bound the
-    /// keys are written in insertion order, so a restored cache evicts
-    /// the same plans the original would; an unbounded cache never
-    /// evicts and writes them sorted. Either way save → restore → save
-    /// is byte-identical. Plan
-    /// *bodies* are not serialized — `ExecutionPlan` is a pure
-    /// deterministic function of the planning context and the shapes,
-    /// and with the memo restored first a re-plan replays every
-    /// candidate simulation from the memo, rebuilding bit-identical
-    /// plans for free. Keys-only blobs stay small and can never smuggle
-    /// a stale plan past a code change.
+    /// Serialize the share: every plan-cache key, sorted, then the
+    /// simulation memo (entries + counters), so save → restore → save
+    /// is byte-identical. Plan *bodies* are not serialized —
+    /// `ExecutionPlan` is a pure deterministic function of the planning
+    /// context and the shapes, and with the memo restored first a
+    /// re-plan replays every candidate simulation from the memo,
+    /// rebuilding bit-identical plans for free. Keys-only blobs stay
+    /// small and can never smuggle a stale plan past a code change.
+    ///
+    /// # Panics
+    ///
+    /// A capacity-bounded or admission-gated share is not
+    /// checkpointable: the image holds neither the bound nor the gate,
+    /// so a restore could not rebuild its evictions or first sightings.
     pub fn save(&self, w: &mut Writer) {
         let cache = self.cache.lock();
-        cache.capacity.save(w);
-        cache.gate.is_some().save(w);
-        if let Some(g) = &cache.gate {
-            g.save(w);
+        if let Some(why) = cache.unsaveable() {
+            panic!("{why}");
         }
-        cache.admitted.save(w);
-        cache.denied.save(w);
+        let mut keys: Vec<&PlanKey> = cache.map.keys().collect();
+        keys.sort_unstable();
+        w.seq(keys);
         self.sim_memo.save(w);
-        if cache.capacity.is_some() {
-            w.seq(&cache.fifo);
-        } else {
-            let mut keys: Vec<&PlanKey> = cache.map.keys().collect();
-            keys.sort_unstable();
-            w.seq(keys);
-        }
     }
 
     /// Restore a blob written by [`PlanShare::save`] into this share.
     /// `sessions` must be attached to *this* share and must cover every
-    /// planning fingerprint in the blob — each saved key is re-planned,
-    /// in the order it was written, through its matching session (all
-    /// candidate simulations hit the just-restored memo), then the memo
+    /// planning fingerprint in the blob. Every key is checked before
+    /// anything loads: a share that could not have written the blob (a
+    /// bounded or gated one), a session attached elsewhere, a
+    /// fingerprint no session matches and a key chosen under a
+    /// calibration profile (which restore does not rebuild) are each a
+    /// typed [`Mismatch`](ctb_savestate::SavestateError::Mismatch) that
+    /// leaves the share and the sessions untouched. Then the memo loads
+    /// and each key is re-planned through its matching session (all
+    /// candidate simulations hit the just-restored memo), and the memo
     /// counters are pinned back to the checkpointed values so the
-    /// rebuild leaves no accounting trace. Replayed inserts bypass the
-    /// admission gate (the key *was* cached at checkpoint time; the
-    /// gate's own state and counters come from the blob). The caller
-    /// owns the sessions' own counters: re-planning counts as misses on
-    /// them (and emits obs events when a bus is attached), so restore
-    /// session stats / obs state *after* this.
-    ///
-    /// The blob's capacity bound and gate geometry must match this
-    /// share's configuration — a capacity-bounded replay into another
-    /// bound could evict differently than the donor ever did — and are
-    /// checked first, so a mismatch is refused before the memo or any
-    /// plan is loaded. A fingerprint with no matching session — e.g. a
-    /// `Forest`-policy session, whose fingerprint is noncified
-    /// precisely because its selector state is not reproducible — and a
-    /// key chosen under a calibration profile (which restore does not
-    /// rebuild) are each a typed
-    /// [`Mismatch`](ctb_savestate::SavestateError::Mismatch).
+    /// rebuild leaves no accounting trace. A key whose re-planning
+    /// fails can only be found by re-planning it, so that `Mismatch`
+    /// comes after the memo and the keys before it have loaded. The
+    /// caller owns the sessions' own counters: re-planning counts as
+    /// misses on them (and emits obs events when a bus is attached), so
+    /// restore session stats / obs state *after* this.
     pub fn restore_with_sessions(
         &self,
         r: &mut Reader<'_>,
         sessions: &[&Session],
     ) -> Result<(), SavestateError> {
+        if let Some(why) = self.cache.lock().unsaveable() {
+            return Err(SavestateError::Mismatch(why.into()));
+        }
         for s in sessions {
             if !std::ptr::eq(Arc::as_ptr(&s.share), self) {
                 return Err(SavestateError::Mismatch(
@@ -285,31 +287,7 @@ impl PlanShare {
                 ));
             }
         }
-        // The layout checks come first; the lock drops before the
-        // replanning below takes it again.
-        {
-            let mut cache = self.cache.lock();
-            let capacity = Option::<usize>::load(r)?;
-            if capacity != cache.capacity {
-                return Err(SavestateError::Mismatch(format!(
-                    "share capacity {:?} does not match blob {capacity:?}",
-                    cache.capacity
-                )));
-            }
-            match (bool::load(r)?, &mut cache.gate) {
-                (false, None) => {}
-                (true, Some(g)) => g.load(r)?,
-                (flag, _) => {
-                    return Err(SavestateError::Mismatch(format!(
-                        "blob gate flag {flag} does not match configured admission policy"
-                    )));
-                }
-            }
-            cache.admitted = usize::load(r)?;
-            cache.denied = usize::load(r)?;
-        }
-        self.sim_memo.load(r)?;
-        let (memo_hits, memo_misses) = (self.sim_memo.hits(), self.sim_memo.misses());
+        let mut replans = Vec::new();
         for PlanKey { fp, epoch, shapes } in Vec::<PlanKey>::load(r)? {
             if epoch != 0 {
                 return Err(SavestateError::Mismatch(format!(
@@ -319,11 +297,15 @@ impl PlanShare {
             }
             let session = sessions.iter().find(|s| s.fp == fp).ok_or_else(|| {
                 SavestateError::Mismatch(format!(
-                    "no session matches planning fingerprint {fp:#018x} \
-                     (unshareable context, e.g. a Forest-policy session?)"
+                    "no session matches planning fingerprint {fp:#018x}"
                 ))
             })?;
-            session.plan_inner(&shapes, true).map_err(|e| {
+            replans.push((session, shapes));
+        }
+        self.sim_memo.load(r)?;
+        let (memo_hits, memo_misses) = (self.sim_memo.hits(), self.sim_memo.misses());
+        for (session, shapes) in replans {
+            session.plan(&shapes).map_err(|e| {
                 SavestateError::Mismatch(format!("re-planning saved key failed: {e}"))
             })?;
         }
@@ -332,11 +314,6 @@ impl PlanShare {
         Ok(())
     }
 }
-
-/// Serial tag handed to each `Forest`-policy session: the on-line
-/// selector is stateful, so two forest sessions may legitimately pick
-/// different plans for the same shapes and must never share entries.
-static FOREST_NONCE: AtomicU64 = AtomicU64::new(1);
 
 /// Fingerprint of a framework's planning context: architecture name,
 /// thresholds, and batching policy. Two sessions whose frameworks agree
@@ -358,11 +335,6 @@ fn planning_fingerprint(framework: &Framework) -> u64 {
             // engine refuses to checkpoint mid-calibration for exactly
             // this reason.
             h = fnv1a(h, &[2]);
-        }
-        BatchingPolicy::Forest(_) => {
-            // Unique per session: opt stateful selectors out of sharing.
-            h = fnv1a(h, &[3]);
-            h = fnv1a(h, &FOREST_NONCE.fetch_add(1, Ordering::Relaxed).to_le_bytes());
         }
     }
     h
@@ -436,18 +408,6 @@ impl Session {
 
     /// The plan for `shapes`, computed on first use and cached.
     pub fn plan(&self, shapes: &[GemmShape]) -> Result<Arc<ExecutionPlan>, String> {
-        self.plan_inner(shapes, false)
-    }
-
-    /// Lookup-or-plan with an optional admission-gate bypass
-    /// (`force_admit`), used by savestate replay: a key that *was*
-    /// cached at checkpoint time must land back in the cache regardless
-    /// of what the (not-yet-restored) gate would say.
-    pub(crate) fn plan_inner(
-        &self,
-        shapes: &[GemmShape],
-        force_admit: bool,
-    ) -> Result<Arc<ExecutionPlan>, String> {
         // Span covers the whole lookup-or-plan; the guard's drop emits
         // the end even on the early returns.
         let _plan_span = self.obs.as_deref().map(|o| o.span(SpanKind::Plan));
@@ -503,7 +463,7 @@ impl Session {
         // The gate decision runs under the cache lock, so all sightings
         // of a given key are serialized ("seen twice" can never be
         // fabricated by a same-key race).
-        if force_admit || cache.admit(&key) {
+        if cache.admit(&key) {
             cache.insert(key, Arc::clone(&plan));
         } else if let Some(o) = self.obs.as_deref() {
             // First sighting under SeenTwice: the plan is served but
@@ -710,28 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn forest_policy_sessions_opt_out_of_sharing() {
-        use crate::framework::{BatchingPolicy, FrameworkConfig};
-        use crate::selector::OnlineSelector;
-        let share = Arc::new(PlanShare::new());
-        let arch = ArchSpec::volta_v100();
-        let thresholds = ctb_gpu_specs::Thresholds::paper_v100();
-        let cases = vec![vec![GemmShape::new(32, 32, 32)], vec![GemmShape::new(16, 16, 256)]];
-        let forest = || {
-            let cfg = FrameworkConfig {
-                batching: BatchingPolicy::Forest(OnlineSelector::train(&arch, &thresholds, &cases)),
-                thresholds: None,
-            };
-            Session::with_share(Framework::with_config(arch.clone(), cfg), Arc::clone(&share))
-        };
-        let (a, b) = (forest(), forest());
-        a.plan(&shapes()).unwrap();
-        b.plan(&shapes()).unwrap();
-        assert_eq!(b.stats().misses, 1, "stateful selectors never share entries");
-        assert_eq!(share.cached_plans_total(), 2);
-    }
-
-    #[test]
     fn plan_share_save_restore_rebuilds_identical_plans_without_new_simulations() {
         let share = Arc::new(PlanShare::new());
         let s = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share));
@@ -764,6 +702,24 @@ mod tests {
         assert_eq!(w2.into_bytes(), bytes);
     }
 
+    /// Restore `bytes` into a fresh share through one session on
+    /// `arch`, expecting a refusal that loads nothing: no memo entry or
+    /// counter, no plan, no replanning on the restoring session.
+    fn refused_restore(bytes: &[u8], arch: ArchSpec) -> String {
+        let share = Arc::new(PlanShare::new());
+        let s = Session::with_share(Framework::new(arch), Arc::clone(&share));
+        let err =
+            share.restore_with_sessions(&mut ctb_savestate::Reader::new(bytes), &[&s]).unwrap_err();
+        assert!(share.sim_memo().is_empty(), "refused restore loaded the memo");
+        assert_eq!(s.sim_stats(), CacheStats::default(), "refused restore set the memo counters");
+        assert_eq!(share.cached_plans_total(), 0, "refused restore cached a plan");
+        assert_eq!(s.stats(), CacheStats::default(), "refused restore replanned");
+        match err {
+            ctb_savestate::SavestateError::Mismatch(msg) => msg,
+            e => panic!("expected Mismatch, got {e:?}"),
+        }
+    }
+
     #[test]
     fn plan_share_restore_rejects_unknown_fingerprints_with_typed_mismatch() {
         let share = Arc::new(PlanShare::new());
@@ -775,15 +731,23 @@ mod tests {
 
         // Restoring with a session for a *different* arch: no session
         // matches the saved fingerprint.
-        let share2 = Arc::new(PlanShare::new());
-        let wrong =
-            Session::with_share(Framework::new(ArchSpec::maxwell_m60()), Arc::clone(&share2));
-        let err = share2
-            .restore_with_sessions(&mut ctb_savestate::Reader::new(&bytes), &[&wrong])
-            .unwrap_err();
-        assert!(matches!(err, ctb_savestate::SavestateError::Mismatch(_)));
+        let msg = refused_restore(&bytes, ArchSpec::maxwell_m60());
+        assert!(msg.contains("fingerprint"), "{msg}");
+
+        // A key planned under calibration version 1: restore rebuilds
+        // shares at version 0.
+        let calibrated = Arc::new(PlanShare::new());
+        let c =
+            Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&calibrated));
+        calibrated.calib().install(Arc::new(ctb_sim::CorrectionSet::identity()), None);
+        c.plan(&shapes()).unwrap();
+        let mut w = ctb_savestate::Writer::new();
+        calibrated.save(&mut w);
+        let msg = refused_restore(&w.into_bytes(), ArchSpec::volta_v100());
+        assert!(msg.contains("calibration version 1"), "{msg}");
 
         // A session attached to some other share is rejected outright.
+        let share2 = Arc::new(PlanShare::new());
         let stray = Session::new(Framework::new(ArchSpec::volta_v100()));
         let err = share2
             .restore_with_sessions(&mut ctb_savestate::Reader::new(&bytes), &[&stray])
@@ -846,107 +810,42 @@ mod tests {
         assert_eq!(s.stats(), CacheStats { hits: 2, misses: 1 }, "evicted key re-misses");
     }
 
-    #[test]
-    fn configured_share_save_restore_round_trips_gate_state() {
-        let cfg = PlanShareConfig {
-            capacity: Some(8),
-            admission: AdmissionPolicy::SeenTwice { seed: 11, slots_log2: 8 },
-        };
-        let share = Arc::new(PlanShare::with_config(cfg));
-        let s = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share));
-        // Two sightings of one signature (cached), one of another
-        // (denied, gate remembers it).
-        s.plan(&shapes()).unwrap();
-        s.plan(&shapes()).unwrap();
-        s.plan(&[GemmShape::new(128, 128, 64)]).unwrap();
-        let mut w = ctb_savestate::Writer::new();
-        share.save(&mut w);
-        let bytes = w.into_bytes();
-
-        let share2 = Arc::new(PlanShare::with_config(cfg));
-        let r2 = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share2));
-        let mut rd = ctb_savestate::Reader::new(&bytes);
-        share2.restore_with_sessions(&mut rd, &[&r2]).unwrap();
-        rd.expect_end().unwrap();
-
-        assert_eq!(share2.cached_plans_total(), 1, "replay bypasses the gate for cached keys");
-        assert_eq!(share2.admission_stats(), share.admission_stats(), "counters pinned back");
-        // Byte-identity: save(restored) == save(original), before any
-        // further traffic mutates the restored share.
-        let mut w2 = ctb_savestate::Writer::new();
-        share2.save(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes);
-        // The gate remembered the denied key: its next sighting admits.
-        r2.plan(&[GemmShape::new(128, 128, 64)]).unwrap();
-        assert_eq!(share2.cached_plans_total(), 2, "restored gate state carries first sightings");
-    }
-
+    /// The share image holds an unbounded, admit-all cache: a bounded
+    /// or gated share refuses to save, naming why, and refuses a
+    /// restore before reading a byte.
     #[test]
     fn restore_rejects_mismatched_share_layout() {
-        let share = Arc::new(PlanShare::with_config(PlanShareConfig {
-            capacity: Some(4),
-            ..PlanShareConfig::default()
-        }));
+        let share = Arc::new(PlanShare::new());
         let s = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share));
         s.plan(&shapes()).unwrap();
         let mut w = ctb_savestate::Writer::new();
         share.save(&mut w);
         let bytes = w.into_bytes();
 
-        // A refused restore loads nothing: no plan, no memo entry, and
-        // no replanning on the restoring session.
-        let check = |cfg: PlanShareConfig| {
+        let bounded = PlanShareConfig { capacity: Some(4), ..PlanShareConfig::default() };
+        let gated = PlanShareConfig {
+            admission: AdmissionPolicy::SeenTwice { seed: 1, slots_log2: 4 },
+            ..PlanShareConfig::default()
+        };
+        for (cfg, why) in [(bounded, "capacity bound"), (gated, "admission gate")] {
             let share2 = Arc::new(PlanShare::with_config(cfg));
             let r2 =
                 Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share2));
-            let err = share2
-                .restore_with_sessions(&mut ctb_savestate::Reader::new(&bytes), &[&r2])
-                .unwrap_err();
-            assert_eq!(share2.cached_plans_total(), 0, "refused restore cached a plan");
-            assert!(share2.sim_memo().is_empty(), "refused restore loaded the memo");
+            let save = || share2.save(&mut ctb_savestate::Writer::new());
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(save))
+                .expect_err("a bounded or gated share saved");
+            let msg = panic.downcast_ref::<String>().expect("panic names the reason");
+            assert!(msg.contains(why), "{msg}");
+
+            let mut rd = ctb_savestate::Reader::new(&bytes);
+            match share2.restore_with_sessions(&mut rd, &[&r2]) {
+                Err(ctb_savestate::SavestateError::Mismatch(msg)) => {
+                    assert!(msg.contains(why), "{msg}")
+                }
+                other => panic!("expected Mismatch, got {other:?}"),
+            }
+            assert_eq!(rd.remaining(), bytes.len(), "refused restore read the blob");
             assert_eq!(r2.stats(), CacheStats::default(), "refused restore replanned");
-            err
-        };
-        let err = check(PlanShareConfig { capacity: Some(8), ..PlanShareConfig::default() });
-        assert!(matches!(err, ctb_savestate::SavestateError::Mismatch(_)), "capacity pinned");
-        let err = check(PlanShareConfig::default());
-        assert!(matches!(err, ctb_savestate::SavestateError::Mismatch(_)), "bound pinned");
-        let err = check(PlanShareConfig {
-            capacity: Some(4),
-            admission: AdmissionPolicy::SeenTwice { seed: 1, slots_log2: 4 },
-        });
-        assert!(matches!(err, ctb_savestate::SavestateError::Mismatch(_)), "gate presence pinned");
-    }
-
-    /// A bounded share's checkpoint keeps its insertion order: after a
-    /// restore, the next insert evicts the plan the original evicts.
-    #[test]
-    fn restored_bounded_share_evicts_the_original_victim() {
-        let cfg = PlanShareConfig { capacity: Some(2), ..PlanShareConfig::default() };
-        let sig = |m: usize| vec![GemmShape::new(m, 32, 32)];
-        let share = Arc::new(PlanShare::with_config(cfg));
-        let s = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share));
-        // Inserted out of key order: 48 is the oldest entry.
-        s.plan(&sig(48)).unwrap();
-        s.plan(&sig(16)).unwrap();
-        let mut w = ctb_savestate::Writer::new();
-        share.save(&mut w);
-        let bytes = w.into_bytes();
-
-        let share2 = Arc::new(PlanShare::with_config(cfg));
-        let r2 = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share2));
-        let mut rd = ctb_savestate::Reader::new(&bytes);
-        share2.restore_with_sessions(&mut rd, &[&r2]).unwrap();
-        rd.expect_end().unwrap();
-        let mut w2 = ctb_savestate::Writer::new();
-        share2.save(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes, "save -> restore -> save is byte-identical");
-
-        for session in [&s, &r2] {
-            session.plan(&sig(32)).unwrap();
-            session.set_stats(CacheStats::default());
-            session.plan(&sig(48)).unwrap();
-            assert_eq!(session.stats(), CacheStats { hits: 0, misses: 1 }, "48 was evicted");
         }
     }
 

@@ -16,7 +16,7 @@
 //!   hand, still next to the type.
 //!
 //! Types that restore *into a live object* — a plan cache that replans
-//! its keys, an admission gate, an event bus, a whole engine — keep
+//! its keys, an event bus, a whole engine — keep
 //! inherent save/restore methods, because the receiver checks the blob
 //! against its own configuration; their bodies call the impls.
 //!
@@ -66,10 +66,14 @@ pub const MAGIC: [u8; 4] = *b"CTBS";
 /// `abandoned` flag of a cluster `BatchDone` event, and writes the
 /// `PlanShare`'s capacity bound, admission gate and gate counters ahead
 /// of its memo and keys, so a mismatched share is refused before
-/// anything is loaded. Each extension changed the layout in place, so
-/// older blobs no longer decode (the cluster restore rejects them with
-/// a typed [`SavestateError::Mismatch`]).
-pub const FORMAT_VERSION: u32 = 9;
+/// anything is loaded; v10 checkpoints only an unbounded, admit-all
+/// `PlanShare`, so the cluster config drops the share's config and the
+/// share image drops its bound, gate and gate counters and writes its
+/// keys ahead of its memo, so a key no session can replan is refused
+/// before anything is loaded. Each extension changed the layout in
+/// place, so older blobs no longer decode (the cluster restore rejects
+/// them with a typed [`SavestateError::Mismatch`]).
+pub const FORMAT_VERSION: u32 = 10;
 
 /// Cap on speculative pre-allocation while decoding length-prefixed
 /// containers. Real lengths above this are still decoded — the vector

@@ -403,131 +403,3 @@ fn plan_share_restored_from_checkpoint_survives_fanout_storm() {
         "cache hits never touch the simulation memo"
     );
 }
-
-/// The checkpoint's plan-cache section (capacity bound + Bloom gate
-/// state) restores a *bounded, admission-gated* share exactly. The
-/// donor plans each signature twice (under "seen twice" the first
-/// insert of every key is denied), checkpoints, and a same-geometry
-/// share restores: the cached plans and the admitted/denied counters
-/// must match the donor, 8 fan-out sessions must replan identically
-/// (all hits, zero new misses, zero new inserts), and the restored
-/// doorkeeper must still deny a fresh signature's first sighting before
-/// admitting its second. The bound holds the 12 signatures plus that
-/// probe, so nothing is evicted.
-#[test]
-fn bloom_share_restores_cache_and_gate_state_across_fanout() {
-    const SESSIONS: usize = 8;
-    let geometry = ctb::core::PlanShareConfig {
-        capacity: Some(16),
-        admission: ctb::core::AdmissionPolicy::SeenTwice {
-            seed: 0xB100, /* gate salt */
-            slots_log2: 10,
-        },
-    };
-    let storm: Vec<Vec<GemmShape>> = (0..12)
-        .map(|i| vec![GemmShape::new(16 + 8 * i, 24 + 4 * i, 32 + 16 * i); 1 + i % 3])
-        .collect();
-
-    // Donor: two passes, so every signature is first denied (first
-    // sighting) and then admitted.
-    let donor_share = Arc::new(ctb::core::PlanShare::with_config(geometry));
-    let donor =
-        Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&donor_share));
-    for _ in 0..2 {
-        for w in &storm {
-            donor.plan(w).expect("plannable");
-        }
-    }
-    let donor_admission = donor_share.admission_stats();
-    assert_eq!(donor_share.cached_plans_total(), storm.len());
-    assert_eq!(donor_admission.denied, storm.len(), "every key's first sighting denied");
-    let blob = {
-        let mut w = ctb_savestate::Writer::with_header();
-        donor_share.save(&mut w);
-        w.into_bytes()
-    };
-
-    // A mismatched geometry is a typed error, not a silent mis-restore.
-    {
-        let wrong = Arc::new(ctb::core::PlanShare::with_config(ctb::core::PlanShareConfig {
-            capacity: Some(8),
-            ..geometry
-        }));
-        let wrong_restorer =
-            Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&wrong));
-        let (mut r, _) = ctb_savestate::Reader::with_header(&blob).expect("header parses");
-        match wrong.restore_with_sessions(&mut r, &[&wrong_restorer]) {
-            Err(ctb_savestate::SavestateError::Mismatch(_)) => {}
-            other => panic!("expected capacity Mismatch, got {other:?}"),
-        }
-    }
-
-    // Same-geometry restore.
-    let share = Arc::new(ctb::core::PlanShare::with_config(geometry));
-    let restorer = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share));
-    {
-        let (mut r, _) = ctb_savestate::Reader::with_header(&blob).expect("header parses");
-        share.restore_with_sessions(&mut r, &[&restorer]).expect("checkpoint restores");
-        r.expect_end().expect("blob fully consumed");
-    }
-    assert_eq!(share.cached_plans_total(), storm.len(), "restored share holds every plan");
-    assert_eq!(share.admission_stats(), donor_admission, "gate counters restored");
-
-    // 8-session fan-out: every signature replans identically from the
-    // restored cache — all hits, so no insert ever re-faces the gate.
-    // Reference plans come from the donor (a third pass, all hits).
-    let reference: Vec<String> =
-        storm.iter().map(|w| format!("{:?}", donor.plan(w).expect("plannable"))).collect();
-    let sessions: Vec<Arc<Session>> = (0..SESSIONS)
-        .map(|_| {
-            Arc::new(Session::with_share(
-                Framework::new(ArchSpec::volta_v100()),
-                Arc::clone(&share),
-            ))
-        })
-        .collect();
-    let barrier = Arc::new(Barrier::new(SESSIONS));
-    let handles: Vec<_> = sessions
-        .iter()
-        .enumerate()
-        .map(|(t, session)| {
-            let session = Arc::clone(session);
-            let barrier = Arc::clone(&barrier);
-            let storm = storm.clone();
-            let reference = reference.clone();
-            std::thread::spawn(move || {
-                barrier.wait();
-                for i in 0..storm.len() {
-                    let idx = (t + i) % storm.len();
-                    let got = session.plan(&storm[idx]).expect("plannable");
-                    assert_eq!(
-                        format!("{got:?}"),
-                        reference[idx],
-                        "restored cache served a different plan than the donor"
-                    );
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("fan-out thread ok");
-    }
-    let (hits, misses) =
-        sessions.iter().map(|s| s.stats()).fold((0, 0), |(h, m), st| (h + st.hits, m + st.misses));
-    assert_eq!(misses, 0, "every fan-out lookup lands in the restored cache");
-    assert_eq!(hits, SESSIONS * storm.len(), "every plan() call accounted");
-    assert_eq!(share.cached_plans_total(), storm.len(), "fan-out added no inserts");
-    assert_eq!(share.admission_stats(), donor_admission, "hits never consult the gate");
-
-    // The restored doorkeeper still carries the donor's sightings: a
-    // brand-new signature is denied once, then admitted.
-    let probe = vec![GemmShape::new(250, 250, 250)];
-    sessions[0].plan(&probe).expect("plannable");
-    let st = share.admission_stats();
-    assert_eq!(st.denied, donor_admission.denied + 1, "fresh key's first sighting denied");
-    assert_eq!(share.cached_plans_total(), storm.len(), "denied insert cached nothing");
-    sessions[0].plan(&probe).expect("plannable");
-    let st = share.admission_stats();
-    assert_eq!(st.admitted, donor_admission.admitted + 1, "second sighting admitted");
-    assert_eq!(share.cached_plans_total(), storm.len() + 1);
-}
