@@ -11,10 +11,11 @@
 //! print the paper's row/series layout and mirror CSV under
 //! `target/experiments/`; the serving harnesses (`perf`, `serve`,
 //! `chaos`, `cluster`, `obs`, `replay`, `storm`, `calibrate`,
-//! `locality`) additionally write a tracked `BENCH_<name>.json` at the
-//! repository root through [`ctb_bench::publish`], with the key set
-//! gated against the committed `BENCH_<name>.json`: a report that adds
-//! or drops a key path fails the run.
+//! `locality`) additionally write a `BENCH_<name>.json` report through
+//! [`ctb_bench::publish`], the tracked one at the repository root only
+//! on a run with no flags, with the key set gated against the committed
+//! `BENCH_<name>.json`: a report that adds or drops a key path fails the
+//! run.
 
 use ctb_bench::figures::{fig11_portability, fig8_grid, fig9_grid, mean_speedup, CellResult};
 use ctb_bench::Json;
@@ -45,8 +46,8 @@ paper experiments (print the paper's layout; CSV under target/experiments/):
   all                 every paper experiment above (not the harnesses)
 
 serving harnesses (write BENCH_<name>.json at the repo root, or
-target/experiments/BENCH_<name>_smoke.json with --smoke; the key set is
-gated against the committed BENCH_<name>.json and drift fails the run):
+target/experiments/BENCH_<name>.json when any flag is given; the key set
+is gated against the committed BENCH_<name>.json and drift fails the run):
   perf                executor / autotune / fig9-grid timings
   serve               4-producer closed loop through ctb-serve
   chaos               fault-rate sweep over the resilience layer
@@ -170,9 +171,10 @@ fn flag_counts(args: &mut std::slice::Iter<'_, String>, flag: &str) -> Vec<usize
 }
 
 /// Write `report` through [`ctb_bench::publish`], the one writer and
-/// key-set gate of every tracked report; exits 1 if it refuses.
-fn publish(name: &str, report: &Json, smoke: bool) {
-    let path = ctb_bench::publish(name, report, smoke).unwrap_or_else(|e| {
+/// key-set gate of every tracked report; exits 1 if it refuses. Only a
+/// run with no flags (`args` empty) writes the tracked report.
+fn publish(name: &str, report: &Json, args: &[String]) {
+    let path = ctb_bench::publish(name, report, args.is_empty()).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(1)
     });
@@ -248,7 +250,7 @@ fn run_calibrate_loop(args: &[String]) {
         r.swap_completed,
         r.swap_dropped
     );
-    publish("calibrate", &calib_bench::report_json(&r), false);
+    publish("calibrate", &calib_bench::report_json(&r), args);
     if r.replay.mean_abs_err_us >= r.record.mean_abs_err_us {
         eprintln!(
             "calibration regression: replay error {:.4} us did not fall below the recorded \
@@ -299,7 +301,7 @@ fn run_locality(args: &[String]) {
         r.miss_reduction_pct(),
         r.remote_bytes_reduction_pct()
     );
-    publish("locality", &locality_bench::report_json(&r), false);
+    publish("locality", &locality_bench::report_json(&r), args);
     if !r.gate_passed() {
         eprintln!(
             "locality regression: aware arm must strictly reduce remote traffic with exact \
@@ -326,7 +328,7 @@ fn run_perf(arch: &ArchSpec) {
             e.workload, e.wall_ms, e.evaluated, e.cache_hits
         );
     }
-    publish("executor", &perf::report_json(arch, &entries), false);
+    publish("executor", &perf::report_json(arch, &entries), &[]);
 }
 
 fn run_serve(arch: &ArchSpec) {
@@ -343,7 +345,7 @@ fn run_serve(arch: &ArchSpec) {
         100.0 * r.sim_memo_hit_rate
     );
     println!("   latency p50 {:.0} us, p95 {:.0} us", r.p50_us, r.p95_us);
-    publish("serve", &serve_bench::report_json(arch, &r), false);
+    publish("serve", &serve_bench::report_json(arch, &r), &[]);
 }
 
 fn run_chaos(arch: &ArchSpec) {
@@ -363,7 +365,7 @@ fn run_chaos(arch: &ArchSpec) {
             p.throughput_rps
         );
     }
-    publish("chaos", &chaos_bench::report_json(arch, &points), false);
+    publish("chaos", &chaos_bench::report_json(arch, &points), &[]);
 }
 
 fn run_obs(arch: &ArchSpec, args: &[String]) {
@@ -398,7 +400,7 @@ fn run_obs(arch: &ArchSpec, args: &[String]) {
             0.0
         }
     );
-    publish("obs", &obs_bench::report_json(arch, &r), smoke);
+    publish("obs", &obs_bench::report_json(arch, &r), args);
 }
 
 /// Whether `--smoke` is on the command line: it picks the starting
@@ -470,7 +472,7 @@ fn run_cluster(args: &[String]) {
             p.witness_mismatches
         );
     }
-    publish("cluster", &cluster_bench::report_json(&r), smoke);
+    publish("cluster", &cluster_bench::report_json(&r), args);
 }
 
 /// Parse `--flag value` pairs for the replay harness.
@@ -526,7 +528,7 @@ fn run_replay(args: &[String]) {
         r.replay.checkpoint_bytes,
         r.replay.resume_identical
     );
-    publish("replay", &replay_bench::report_json(&r), smoke);
+    publish("replay", &replay_bench::report_json(&r), args);
     if !r.replay.rerun_identical || !r.replay.resume_identical {
         eprintln!("replay divergence: the recorded failure did not re-execute identically");
         std::process::exit(1);
@@ -569,7 +571,7 @@ fn run_storm(arch: &ArchSpec, args: &[String]) {
         100.0 * (r.gated.hit_rate - r.baseline.hit_rate),
         if r.gated.p95_us > 0.0 { r.baseline.p95_us / r.gated.p95_us } else { 0.0 }
     );
-    publish("storm", &storm_bench::report_json(arch, &r), smoke);
+    publish("storm", &storm_bench::report_json(arch, &r), args);
     if r.gated.hit_rate < r.baseline.hit_rate {
         eprintln!(
             "storm regression: Bloom-gated hit rate {:.4} fell below the admit-all \

@@ -92,19 +92,20 @@ fn committed_report(name: &str) -> Result<Json, PublishError> {
     Json::parse(&text).map_err(|e| PublishError::Parse(path, e))
 }
 
-/// The one writer of tracked reports. A full run writes
-/// `BENCH_<name>.json` at the repo root; a smoke run writes
-/// `target/experiments/BENCH_<name>_smoke.json` and leaves the tracked
+/// The one writer of tracked reports. The `tracked` run, a full run
+/// with no flags, writes `BENCH_<name>.json` at the repo root; any other
+/// run (a smoke run, or one whose flags change its configuration)
+/// writes `target/experiments/BENCH_<name>.json` and leaves the tracked
 /// numbers alone. Either way the key set must equal the committed
 /// report's. The file is written before that check, so a deliberate key
 /// change, or a report with no committed file yet, is accepted by
 /// committing the new full-run report. Returns the path written.
-pub fn publish(name: &str, report: &Json, smoke: bool) -> Result<PathBuf, PublishError> {
+pub fn publish(name: &str, report: &Json, tracked: bool) -> Result<PathBuf, PublishError> {
     let committed = committed_report(name);
-    let path = if smoke {
-        experiments_dir().join(format!("BENCH_{name}_smoke.json"))
-    } else {
+    let path = if tracked {
         bench_json_path(name)
+    } else {
+        experiments_dir().join(format!("BENCH_{name}.json"))
     };
     std::fs::write(&path, report.render()).map_err(|e| PublishError::Io(path.clone(), e))?;
     let (want, got) = (committed?.key_paths(), report.key_paths());
@@ -283,13 +284,13 @@ mod tests {
     #[test]
     fn publish_writes_the_smoke_report_then_gates_its_key_set() {
         let committed = committed_report("serve").unwrap_or_else(|e| panic!("{e}"));
-        let smoke = experiments_dir().join("BENCH_serve_smoke.json");
-        assert_eq!(publish("serve", &committed, true).expect("same key set"), smoke);
+        let smoke = experiments_dir().join("BENCH_serve.json");
+        assert_eq!(publish("serve", &committed, false).expect("same key set"), smoke);
         let Json::Obj(mut pairs) = committed else { panic!("a report is an object") };
         pairs.retain(|(key, _)| key != "p95_us");
         pairs.push(("p99_us".into(), Json::fixed(1.0, 1)));
         let drifted = Json::Obj(pairs);
-        let err = publish("serve", &drifted, true).expect_err("p95_us dropped, p99_us added");
+        let err = publish("serve", &drifted, false).expect_err("p95_us dropped, p99_us added");
         let listing = "committed report:\n   missing key: p95_us\n   unexpected key: p99_us\n";
         assert!(err.to_string().contains(listing), "{err}");
         assert_eq!(std::fs::read_to_string(&smoke).expect("written"), drifted.render());

@@ -17,10 +17,11 @@
 //!    the remainder. The resumed trace and dumps must *also* match the
 //!    recording byte for byte — crash/restore changes nothing.
 //!
-//! Results land in `BENCH_replay.json` at the repository root; the
-//! `--smoke` variant writes `target/experiments/BENCH_replay_smoke.json`
-//! so CI never clobbers tracked full-run numbers. Both are key-set gated
-//! against the committed `BENCH_replay.json`. The report holds no host
+//! Results land in `BENCH_replay.json` at the repository root; a run
+//! with `--smoke` or any other flag writes
+//! `target/experiments/BENCH_replay.json` so it never clobbers the
+//! tracked full-run numbers. Both are key-set gated against the
+//! committed `BENCH_replay.json`. The report holds no host
 //! time, only counts and check results of seeded runs, so the full run
 //! regenerates the committed file byte for byte (`scripts/check.sh`
 //! requires it).

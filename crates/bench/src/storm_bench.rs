@@ -18,7 +18,7 @@
 //! arms directly comparable. Every served result is still verified
 //! bitwise against the exact oracle. Full runs land in
 //! `BENCH_storm.json` at the repository root (`--smoke` writes
-//! `target/experiments/BENCH_storm_smoke.json` instead), with the key
+//! `target/experiments/BENCH_storm.json` instead), with the key
 //! set gated against the committed `BENCH_storm.json`.
 
 use crate::{closed_loop, percentile, Json};

@@ -69,6 +69,28 @@ fn smoke_applies_the_explicit_flags_on_top() {
     assert!(stdout.contains(" 2 device(s) [") && !stdout.contains(" 4 device(s) ["), "{stdout}");
 }
 
+/// Only a run with no flags rewrites the tracked report at the repo
+/// root; a flagged run writes its report under `target/experiments/`.
+#[test]
+fn a_flagged_run_leaves_the_tracked_report_alone() {
+    let tracked = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_cluster.json");
+    let before = std::fs::read(&tracked).expect("BENCH_cluster.json is committed");
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["cluster", "--batches", "4", "--devices", "1,2", "--event-devices", "16"])
+        .args(["--requests", "200"])
+        .output()
+        .expect("reproduce runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "stdout {stdout}\nstderr {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let after = std::fs::read(&tracked).expect("BENCH_cluster.json is still there");
+    assert!(after == before, "a flagged run rewrote BENCH_cluster.json");
+    assert!(stdout.contains("target/experiments/BENCH_cluster.json"), "{stdout}");
+}
+
 #[test]
 fn a_flag_without_its_value_exits_2() {
     for subcommand in ["calibrate", "locality", "cluster", "replay"] {
