@@ -126,11 +126,6 @@ impl MatF32 {
         }
         t
     }
-
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f64 {
-        self.data.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>().sqrt()
-    }
 }
 
 #[cfg(test)]

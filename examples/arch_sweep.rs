@@ -6,6 +6,7 @@
 //! cargo run --example arch_sweep --release
 //! ```
 
+use ctb::core::selector::features;
 use ctb::core::OnlineSelector;
 use ctb::matrix::gen::random_cases;
 use ctb::prelude::*;
@@ -48,9 +49,12 @@ fn main() {
     let thresholds = Thresholds::for_arch(&arch);
     let selector = OnlineSelector::train(&arch, &thresholds, &random_cases(120, 3));
     for shapes in cases.iter().take(6) {
-        let (m, n, k, b) = GemmBatch::random(shapes, 1.0, 0.0, 1).avg_features();
+        let f = features(shapes);
         let choice = selector.select_shapes(shapes);
-        println!("batch B={b:<3} avg(M,N,K)=({m:>5.0},{n:>5.0},{k:>6.0})  ->  {choice}");
+        println!(
+            "batch B={:<3} avg(M,N,K)=({:>5.0},{:>5.0},{:>6.0})  ->  {choice}",
+            f[3], f[0], f[1], f[2]
+        );
     }
     println!(
         "\naverage decision path depth: {:.1} comparisons per tree (paper: 7-8)",
