@@ -20,11 +20,7 @@ fn abs_diff(x: f32, y: f32) -> f32 {
 /// against a number is an infinite difference.
 pub fn max_abs_diff(a: &MatF32, b: &MatF32) -> f32 {
     assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "shape mismatch");
-    a.as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(&x, &y)| abs_diff(x, y))
-        .fold(0.0f32, f32::max)
+    a.as_slice().iter().zip(b.as_slice()).map(|(&x, &y)| abs_diff(x, y)).fold(0.0f32, f32::max)
 }
 
 /// Summary of a comparison across a batch of matrices.

@@ -23,6 +23,8 @@ pub mod gen;
 pub mod mat;
 
 pub use batch::{GemmBatch, GemmShape};
-pub use compare::{assert_all_close, assert_bitwise_eq, bitwise_mismatch, max_abs_diff, MatchReport};
+pub use compare::{
+    assert_all_close, assert_bitwise_eq, bitwise_mismatch, max_abs_diff, MatchReport,
+};
 pub use gemm::gemm_ref;
 pub use mat::MatF32;
