@@ -22,20 +22,12 @@ use ctb_matrix::GemmShape;
 
 /// The data-gradient GEMM of a layer.
 pub fn dgrad_shape(conv: &Conv2dDesc, batch: usize) -> GemmShape {
-    GemmShape::new(
-        conv.in_c * conv.kh * conv.kw,
-        conv.out_h() * conv.out_w() * batch,
-        conv.out_c,
-    )
+    GemmShape::new(conv.in_c * conv.kh * conv.kw, conv.out_h() * conv.out_w() * batch, conv.out_c)
 }
 
 /// The weight-gradient GEMM of a layer.
 pub fn wgrad_shape(conv: &Conv2dDesc, batch: usize) -> GemmShape {
-    GemmShape::new(
-        conv.out_c,
-        conv.in_c * conv.kh * conv.kw,
-        conv.out_h() * conv.out_w() * batch,
-    )
+    GemmShape::new(conv.out_c, conv.in_c * conv.kh * conv.kw, conv.out_h() * conv.out_w() * batch)
 }
 
 /// The backward fan of an inception module: the data-gradient GEMMs of

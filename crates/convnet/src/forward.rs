@@ -14,8 +14,8 @@
 
 use crate::conv::Conv2dDesc;
 use crate::googlenet::{GoogleNet, InceptionModule};
-use crate::squeezenet::FireModule;
 use crate::im2col::im2col;
+use crate::squeezenet::FireModule;
 use crate::tensor::{concat_channels, global_avgpool, maxpool, Tensor};
 use ctb_core::Framework;
 use ctb_matrix::{GemmBatch, MatF32};
@@ -43,9 +43,7 @@ impl Weights {
 
     /// The `out_c × (in_c·kh·kw)` filter matrix of a layer.
     pub fn get(&self, conv: &Conv2dDesc) -> &MatF32 {
-        self.entries
-            .get(&conv.name)
-            .unwrap_or_else(|| panic!("no weights for layer {}", conv.name))
+        self.entries.get(&conv.name).unwrap_or_else(|| panic!("no weights for layer {}", conv.name))
     }
 }
 
@@ -131,11 +129,8 @@ impl ForwardEngine {
         let reduce3 = stage1.pop().expect("3x3 reduce");
         let branch1 = stage1.pop().expect("1x1 branch");
 
-        let stage2 = self.conv_fan(
-            &[&module.conv3x3, &module.conv5x5],
-            weights,
-            &[&reduce3, &reduce5],
-        );
+        let stage2 =
+            self.conv_fan(&[&module.conv3x3, &module.conv5x5], weights, &[&reduce3, &reduce5]);
         let mut stage2 = stage2.into_iter().map(Tensor::relu);
         let branch3 = stage2.next().expect("3x3 branch");
         let branch5 = stage2.next().expect("5x5 branch");

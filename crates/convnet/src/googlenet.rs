@@ -197,9 +197,6 @@ mod tests {
         // GoogleNet-v1 is commonly quoted at ~1.5 GMACs per 224x224
         // image (convolutions only).
         let macs = googlenet_v1().total_macs();
-        assert!(
-            (1_200_000_000..1_800_000_000).contains(&macs),
-            "total MACs {macs}"
-        );
+        assert!((1_200_000_000..1_800_000_000).contains(&macs), "total MACs {macs}");
     }
 }

@@ -16,19 +16,19 @@
 //!   coordinated batched GEMM.
 
 pub mod backward;
-pub mod forward;
 pub mod conv;
+pub mod forward;
 pub mod googlenet;
 pub mod im2col;
 pub mod pipeline;
 pub mod resnet;
-pub mod tensor;
 pub mod squeezenet;
+pub mod tensor;
 
 pub use conv::Conv2dDesc;
 pub use forward::{ForwardEngine, Weights};
-pub use tensor::Tensor;
 pub use googlenet::{googlenet_v1, GoogleNet, InceptionModule};
 pub use pipeline::{googlenet_times, inception_layer_speedups, GoogleNetTimes};
 pub use resnet::{resnet50_blocks, BottleneckBlock};
 pub use squeezenet::{squeezenet_v1, FireModule, SqueezeNet};
+pub use tensor::Tensor;
