@@ -10,12 +10,13 @@
 //! `fig10`, `googlenet`, `fig11`, `tlp`, `ablate`, `fans`, `splitk`)
 //! print the paper's row/series layout and mirror CSV under
 //! `target/experiments/`; the serving harnesses (`perf`, `serve`,
-//! `chaos`, `cluster`, `obs`, `replay`, `storm`, `calibrate`,
-//! `locality`) additionally write a `BENCH_<name>.json` report through
+//! `chaos`, `cluster`, `obs`, `replay`, `calibrate`, `locality`)
+//! additionally write a `BENCH_<name>.json` report through
 //! [`ctb_bench::publish`], the tracked one at the repository root only
 //! on a run with no flags, with the key set gated against the committed
 //! `BENCH_<name>.json`: a report that adds or drops a key path fails the
-//! run.
+//! run. An argument a sub-command does not take exits 2 before anything
+//! runs.
 
 use ctb_bench::figures::{fig11_portability, fig8_grid, fig9_grid, mean_speedup, CellResult};
 use ctb_bench::Json;
@@ -58,8 +59,6 @@ is gated against the committed BENCH_<name>.json and drift fails the run):
       --smoke
   replay              record a seeded panic storm, re-run + crash/restore
       --requests N --seed S --panics PER_MILLE --smoke
-  storm               distinct-shape storm vs two plan-cache arms
-      --smoke
   calibrate           closed loop: record drifted trace -> fit corrections ->
                       retrain selector -> hot-swap replay (gates on strictly
                       lower placement error)
@@ -76,6 +75,19 @@ flags: --help | -h | help    print this listing
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let what = args.first().map(String::as_str).unwrap_or("all");
+    // How many leading arguments `what` reads: `plan` and `custom` take
+    // one operand, the harnesses with flags parse the rest of the line
+    // themselves, and every other sub-command takes nothing.
+    let takes = match what {
+        "plan" | "custom" => 2,
+        "cluster" | "obs" | "replay" | "calibrate" | "locality" | "--help" | "-h" | "help" => {
+            args.len()
+        }
+        _ => 1,
+    };
+    if let Some(stray) = args.get(takes) {
+        usage_error(&format!("unexpected argument '{stray}' after '{what}'\n\n{}", usage()));
+    }
     let arch = ArchSpec::volta_v100();
     match what {
         "--help" | "-h" | "help" => print!("{}", usage()),
@@ -98,7 +110,6 @@ fn main() {
         "cluster" => run_cluster(&args[1..]),
         "obs" => run_obs(&arch, &args[1..]),
         "replay" => run_replay(&args[1..]),
-        "storm" => run_storm(&arch, &args[1..]),
         "calibrate" => run_calibrate_loop(&args[1..]),
         "locality" => run_locality(&args[1..]),
         "all" => {
@@ -531,53 +542,6 @@ fn run_replay(args: &[String]) {
     publish("replay", &replay_bench::report_json(&r), args);
     if !r.replay.rerun_identical || !r.replay.resume_identical {
         eprintln!("replay divergence: the recorded failure did not re-execute identically");
-        std::process::exit(1);
-    }
-}
-
-fn run_storm(arch: &ArchSpec, args: &[String]) {
-    use ctb_bench::storm_bench::{self, StormBenchConfig};
-    let smoke = match args {
-        [] => false,
-        [flag] if flag == "--smoke" => true,
-        _ => usage_error(&format!("unknown storm flags {args:?}; expected at most --smoke")),
-    };
-    println!(
-        "== storm harness: distinct-shape storm vs two plan-cache arms{} ==",
-        if smoke { " (smoke)" } else { "" }
-    );
-    let cfg = if smoke { StormBenchConfig::smoke() } else { StormBenchConfig::default() };
-    let r = storm_bench::run_storm_bench(arch, &cfg);
-    println!(
-        "   {} requests over a {}-signature space ({} hot shapes, cache bound {})",
-        r.requests, r.cfg.shape_space, r.cfg.hot_shapes, r.cfg.capacity_total
-    );
-    for (label, a) in [("baseline", &r.baseline), ("gated   ", &r.gated)] {
-        println!(
-            "   {label}: {:<10} | hit rate {:>5.1}% ({} hits / {} misses) | \
-             {} denied | p50 {:>7.0} us | p95 {:>7.0} us | {:>6.0} req/s",
-            a.admission,
-            100.0 * a.hit_rate,
-            a.plan_cache_hits,
-            a.plan_cache_misses,
-            a.denied,
-            a.p50_us,
-            a.p95_us,
-            a.throughput_rps
-        );
-    }
-    println!(
-        "   gated vs baseline: hit rate {:+.1} pp | p95 {:.2}x",
-        100.0 * (r.gated.hit_rate - r.baseline.hit_rate),
-        if r.gated.p95_us > 0.0 { r.baseline.p95_us / r.gated.p95_us } else { 0.0 }
-    );
-    publish("storm", &storm_bench::report_json(arch, &r), args);
-    if r.gated.hit_rate < r.baseline.hit_rate {
-        eprintln!(
-            "storm regression: Bloom-gated hit rate {:.4} fell below the admit-all \
-             baseline {:.4}",
-            r.gated.hit_rate, r.baseline.hit_rate
-        );
         std::process::exit(1);
     }
 }

@@ -5,8 +5,8 @@
 //! way the paper reports it and writes CSV copies under
 //! `target/experiments/`. The serving harnesses also turn their report
 //! into one [`Json`] value, which [`publish`] writes as the tracked
-//! `BENCH_<name>.json`. The four that drive a `ctb-serve` server
-//! (`serve`, `chaos`, `obs`, `storm`) share one [`closed_loop`].
+//! `BENCH_<name>.json`. The three that drive a `ctb-serve` server
+//! (`serve`, `chaos`, `obs`) share one [`closed_loop`].
 
 pub mod ablations;
 pub mod calib_bench;
@@ -23,7 +23,6 @@ pub mod obs_bench;
 pub mod perf;
 pub mod replay_bench;
 pub mod serve_bench;
-pub mod storm_bench;
 pub mod tables;
 
 pub use calibrate::{calibrate_tlp_threshold, CalibrationPoint};
@@ -243,17 +242,8 @@ mod tests {
     }
 
     /// Every tracked report at the repo root.
-    const REPORTS: [&str; 9] = [
-        "calibrate",
-        "chaos",
-        "cluster",
-        "executor",
-        "locality",
-        "obs",
-        "replay",
-        "serve",
-        "storm",
-    ];
+    const REPORTS: [&str; 8] =
+        ["calibrate", "chaos", "cluster", "executor", "locality", "obs", "replay", "serve"];
 
     fn committed_text(name: &str) -> String {
         std::fs::read_to_string(bench_json_path(name)).expect("tracked report is committed")
@@ -266,6 +256,18 @@ mod tests {
             let json = Json::parse(&text).unwrap_or_else(|e| panic!("BENCH_{name}.json: {e}"));
             assert_eq!(json.render(), text, "BENCH_{name}.json is not in the one layout");
         }
+        // No report outlives its harness: the root holds these and no
+        // other `BENCH_*.json`.
+        let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut at_root: Vec<String> = std::fs::read_dir(root)
+            .expect("the repo root is readable")
+            .map(|entry| {
+                entry.expect("a directory entry").file_name().to_string_lossy().into_owned()
+            })
+            .filter_map(|file| Some(file.strip_prefix("BENCH_")?.strip_suffix(".json")?.to_owned()))
+            .collect();
+        at_root.sort();
+        assert_eq!(at_root, REPORTS, "BENCH_*.json at the repo root");
     }
 
     #[test]

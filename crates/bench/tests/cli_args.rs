@@ -1,6 +1,7 @@
-//! A malformed `reproduce` flag value, shape list or workload file is a
-//! usage error: exit code 2 and a message naming the bad value or line,
-//! never a panic.
+//! A malformed `reproduce` flag value, shape list or workload file, or
+//! an argument a sub-command does not take, is a usage error: exit code
+//! 2 and a message naming the bad value, line or argument, never a
+//! panic.
 
 use std::process::Command;
 
@@ -106,6 +107,48 @@ fn an_unknown_obs_flag_exits_2() {
     assert_eq!(code, Some(2), "reproduce obs --bogus: stderr {stderr}");
     assert!(!stderr.contains("panicked"), "reproduce obs --bogus panicked: {stderr}");
     assert!(stderr.contains("--bogus"), "stderr {stderr}");
+}
+
+/// An argument a sub-command does not take is refused before the
+/// sub-command runs, so a stray flag can never let `perf`, `serve` or
+/// `chaos` run in full and rewrite its tracked report.
+#[test]
+fn stray_arguments_exit_2_and_leave_the_tracked_reports_alone() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let tracked =
+        ["serve", "chaos", "executor"].map(|name| root.join(format!("BENCH_{name}.json")));
+    let before = tracked.clone().map(|path| std::fs::read(path).expect("report is committed"));
+    let bare = [
+        "tables",
+        "motivation",
+        "fig8",
+        "fig9",
+        "fig10",
+        "fig11",
+        "googlenet",
+        "tlp",
+        "ablate",
+        "fans",
+        "splitk",
+        "perf",
+        "serve",
+        "chaos",
+        "all",
+    ];
+    let stray_smoke = bare.map(|subcommand| vec![subcommand, "--smoke"]);
+    let extra_operand = [vec!["plan", "16x32x128", "extra"], vec!["custom", "shapes.csv", "extra"]];
+    for args in stray_smoke.iter().chain(&extra_operand) {
+        let (code, stderr) = run(args);
+        let what = format!("reproduce {}", args.join(" "));
+        assert_eq!(code, Some(2), "{what}: stderr {stderr}");
+        assert!(!stderr.contains("panicked"), "{what} panicked: {stderr}");
+        let stray = args.last().expect("a stray argument");
+        assert!(stderr.contains(&format!("unexpected argument '{stray}'")), "{what}: {stderr}");
+    }
+    for (path, before) in tracked.iter().zip(before) {
+        let after = std::fs::read(path).expect("report is still there");
+        assert!(after == before, "a refused run rewrote {}", path.display());
+    }
 }
 
 #[test]

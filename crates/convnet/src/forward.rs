@@ -94,7 +94,7 @@ impl ForwardEngine {
         }
         let batch = GemmBatch { shapes: shapes.clone(), a, b, c, alpha: 1.0, beta: 0.0 };
         let outcome = self.framework.run(&batch).expect("fan is plannable");
-        self.simulated_us += outcome.report.total_us;
+        self.simulated_us += outcome.plan.predicted_us;
         outcome
             .results
             .into_iter()

@@ -6,7 +6,7 @@ use crate::memo::{SimMemo, KERNEL_NAME};
 use ctb_batching::{tiles_for, BatchPlan, BatchingHeuristic};
 use ctb_gpu_specs::{ArchSpec, Thresholds};
 use ctb_matrix::{GemmBatch, GemmShape, MatF32};
-use ctb_sim::{simulate, KernelDesc, LaunchSequence, SimReport};
+use ctb_sim::KernelDesc;
 use ctb_tiling::{select_tiling, TilingSolution};
 
 /// How the batching engine chooses between its heuristics (§5).
@@ -64,9 +64,8 @@ pub struct ExecutionPlan {
 pub struct RunOutcome {
     /// The computed C matrices, one per GEMM.
     pub results: Vec<MatF32>,
-    /// Simulated timing (single coordinated kernel + launch overhead).
-    pub report: SimReport,
-    /// The plan that produced them.
+    /// The plan that produced them; its `predicted_us` is the batch's
+    /// simulated time.
     pub plan: ExecutionPlan,
 }
 
@@ -82,7 +81,7 @@ pub struct RunOutcome {
 /// let batch = GemmBatch::random(&shapes, 1.0, 0.0, 42);
 /// let outcome = framework.run(&batch).unwrap();
 /// assert_eq!(outcome.results.len(), 2);
-/// assert!(outcome.report.total_us > 0.0);
+/// assert!(outcome.plan.predicted_us > 0.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Framework {
@@ -177,19 +176,11 @@ impl Framework {
         })
     }
 
-    /// Execute a plan: functional results + simulated timing.
-    pub fn execute(&self, batch: &GemmBatch, plan: &ExecutionPlan) -> (Vec<MatF32>, SimReport) {
-        let results = execute_plan(batch, &plan.plan);
-        let report = simulate(&self.arch, &LaunchSequence::Single(plan.kernel.clone()));
-        (results, report)
-    }
-
     /// Plan and execute in one call.
     pub fn run(&self, batch: &GemmBatch) -> Result<RunOutcome, String> {
         batch.validate()?;
         let plan = self.plan(&batch.shapes)?;
-        let (results, report) = self.execute(batch, &plan);
-        Ok(RunOutcome { results, report, plan })
+        Ok(RunOutcome { results: execute_plan(batch, &plan.plan), plan })
     }
 }
 
@@ -198,6 +189,7 @@ mod tests {
     use super::*;
     use crate::selector::simulated_us;
     use ctb_matrix::assert_bitwise_eq;
+    use ctb_sim::{simulate, LaunchSequence};
 
     fn shapes() -> Vec<GemmShape> {
         vec![GemmShape::new(16, 32, 128), GemmShape::new(64, 64, 64), GemmShape::new(256, 256, 64)]
@@ -209,8 +201,7 @@ mod tests {
         let batch = GemmBatch::random(&shapes(), 1.0, 0.25, 5);
         let out = fw.run(&batch).expect("runs");
         assert_bitwise_eq(&batch.reference_result_exact(), &out.results, "framework run");
-        assert!(out.report.total_us > 0.0);
-        assert_eq!(out.report.kernels.len(), 1, "single coordinated kernel");
+        assert!(out.plan.predicted_us > 0.0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The workspace's stable hashes: the SplitMix64 mixers behind every
-//! seeded draw (fault rolls, drift factors, load generation, Bloom
-//! tags) and FNV-1a behind every shape fingerprint (memo keys, plan-cache
-//! keys, residency keys). Each is a pure function of its input, so
-//! draws and keys are identical across engines, processes and savestate
-//! restores.
+//! seeded draw (fault rolls, drift factors, load generation) and the
+//! cluster's signature-table hasher, and FNV-1a behind every shape
+//! fingerprint (memo keys, planning contexts, residency keys). Each is
+//! a pure function of its input, so draws and keys are identical across
+//! engines, processes and savestate restores.
 
 use ctb_matrix::GemmShape;
 

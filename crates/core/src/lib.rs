@@ -12,15 +12,14 @@
 //!    tiles to thread blocks.
 //!
 //! The result is an [`ExecutionPlan`] holding the five auxiliary arrays
-//! of §6. The plan is *executed* twice over:
-//!
-//! * functionally, by the packed executor in [`interface`] (the Fig 7
-//!   programming interface), producing real `f32` results checkable
-//!   against the reference GEMM;
-//! * temporally, by lowering it to a [`ctb_sim::KernelDesc`]
-//!   ([`lowering`]) and running the timing simulator.
+//! of §6 and the plan's simulated time. The time comes from planning:
+//! each candidate scheme is lowered to a [`ctb_sim::KernelDesc`]
+//! ([`lowering`]) and run through the timing simulator, and the plan
+//! keeps the fastest one's `predicted_us`. Running a batch executes the
+//! plan once, functionally, on the packed executor in [`interface`]
+//! (the Fig 7 programming interface), producing real `f32` results
+//! checkable against the reference GEMM.
 
-pub mod admission;
 pub mod autotune;
 pub mod dynamic;
 pub mod framework;
@@ -33,7 +32,6 @@ pub mod selector;
 pub mod session;
 pub mod splitk;
 
-pub use admission::{AdmissionPolicy, AdmissionStats, BloomGate};
 pub use dynamic::{plan_dynamic, simulate_dynamic};
 pub use framework::{BatchingPolicy, ExecutionPlan, Framework, FrameworkConfig, RunOutcome};
 pub use hotswap::{CalibHandle, CalibState};
@@ -41,5 +39,5 @@ pub use interface::{execute_plan, tile_kernel_name};
 pub use lowering::{lower_plan, tile_pass};
 pub use memo::SimMemo;
 pub use selector::OnlineSelector;
-pub use session::{operand_bytes, CacheStats, PlanShare, PlanShareConfig, Session};
+pub use session::{operand_bytes, CacheStats, PlanShare, Session};
 pub use splitk::{plan_splitk, run_splitk};

@@ -8,16 +8,16 @@
 //! exactly that: a concurrent plan cache keyed by the batch's shape
 //! signature.
 
-use crate::admission::{AdmissionPolicy, AdmissionStats, BloomGate};
 use crate::framework::{BatchingPolicy, ExecutionPlan, Framework, RunOutcome};
-use crate::hash::{fnv1a, fnv1a_shapes, FNV_OFFSET};
+use crate::hash::fnv1a;
 use crate::hotswap::CalibHandle;
+use crate::interface::execute_plan;
 use crate::memo::{arch_fingerprint, SimMemo};
 use ctb_matrix::{GemmBatch, GemmShape};
 use ctb_obs::{Obs, PointKind, SpanKind};
 use ctb_savestate::{savestate_struct, Reader, Savestate, SavestateError, Writer};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Cache statistics.
@@ -52,14 +52,11 @@ impl CacheStats {
 /// planning contexts can share one `PlanShare` without ever observing
 /// each other's plans.
 ///
-/// One lock guards the cache: the map, its insertion order, the
-/// capacity bound and the optional Bloom "seen twice" admission
-/// doorkeeper ([`AdmissionPolicy::SeenTwice`]) that keeps one-shot
-/// shapes out of a capacity-bounded cache. Planning itself runs outside
-/// the lock. [`PlanShare::new`] is admit-all and unbounded, and only
-/// such a share checkpoints ([`PlanShare::save`]).
+/// One lock guards the cache, an unbounded map that keeps every plan
+/// a session computes. Planning itself runs outside the lock.
+#[derive(Default)]
 pub struct PlanShare {
-    cache: Mutex<PlanCache>,
+    cache: Mutex<HashMap<PlanKey, Arc<ExecutionPlan>>>,
     sim_memo: SimMemo,
     /// Hot-swappable calibration state consulted by
     /// [`BatchingPolicy::BestOfBoth`] sessions and by predictors that
@@ -68,30 +65,6 @@ pub struct PlanShare {
     /// rebuild shares at calibration version 0 and the operator
     /// re-installs a profile afterwards.
     calib: CalibHandle,
-}
-
-/// Construction-time capacity + admission configuration for
-/// [`PlanShare`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PlanShareConfig {
-    /// Entry bound; `None` (default) is unbounded. A full cache evicts
-    /// its oldest entry (FIFO) to make room for an admitted insert.
-    pub capacity: Option<usize>,
-    /// Insert gating policy; [`AdmissionPolicy::AdmitAll`] by default.
-    pub admission: AdmissionPolicy,
-}
-
-/// The plan cache proper: everything the share's one lock guards.
-#[derive(Default)]
-struct PlanCache {
-    map: HashMap<PlanKey, Arc<ExecutionPlan>>,
-    /// Insertion order, kept only under a capacity bound (FIFO
-    /// eviction); empty when the cache is unbounded.
-    fifo: VecDeque<PlanKey>,
-    capacity: Option<usize>,
-    gate: Option<BloomGate>,
-    admitted: usize,
-    denied: usize,
 }
 
 /// A plan-cache key.
@@ -108,58 +81,6 @@ struct PlanKey {
 
 savestate_struct!(PlanKey { fp, epoch, shapes });
 
-impl PlanKey {
-    /// The Bloom doorkeeper's key: FNV-1a over every field, so it is
-    /// stable across processes and savestate restores.
-    fn gate_hash(&self) -> u64 {
-        let h = fnv1a(FNV_OFFSET, &self.fp.to_le_bytes());
-        fnv1a_shapes(fnv1a(h, &self.epoch.to_le_bytes()), &self.shapes)
-    }
-}
-
-impl PlanCache {
-    /// Why this cache cannot be checkpointed, if it cannot: the share's
-    /// image is its keys and the memo, with no room for a bound's
-    /// eviction order or a gate's sightings.
-    fn unsaveable(&self) -> Option<&'static str> {
-        if self.capacity.is_some() {
-            Some("checkpoints hold an unbounded plan cache; this share has a capacity bound")
-        } else if self.gate.is_some() {
-            Some("checkpoints hold an admit-all plan cache; this share has an admission gate")
-        } else {
-            None
-        }
-    }
-
-    /// Consult the admission gate for an insert of `key`, counting the
-    /// decision. Always `true` without a gate.
-    fn admit(&mut self, key: &PlanKey) -> bool {
-        let Some(gate) = &mut self.gate else { return true };
-        let seen = gate.observe(key.gate_hash());
-        if seen {
-            self.admitted += 1;
-        } else {
-            self.denied += 1;
-        }
-        seen
-    }
-
-    /// Insert a key the cache does not hold, evicting the oldest
-    /// entries past the capacity bound.
-    fn insert(&mut self, key: PlanKey, plan: Arc<ExecutionPlan>) {
-        let Some(cap) = self.capacity else {
-            self.map.insert(key, plan);
-            return;
-        };
-        self.fifo.push_back(key.clone());
-        self.map.insert(key, plan);
-        while self.map.len() > cap {
-            let oldest = self.fifo.pop_front().expect("fifo tracks map");
-            self.map.remove(&oldest);
-        }
-    }
-}
-
 /// Total operand footprint of a shape signature in bytes: for each
 /// GEMM, the f32 A (m×k), B (k×n) and C (m×n) tiles. This is the
 /// footprint the locality model splits into local and remote shares
@@ -174,30 +95,9 @@ pub fn operand_bytes(shapes: &[GemmShape]) -> u64 {
         .sum()
 }
 
-impl Default for PlanShare {
-    fn default() -> Self {
-        PlanShare::with_config(PlanShareConfig::default())
-    }
-}
-
 impl PlanShare {
     pub fn new() -> Self {
         PlanShare::default()
-    }
-
-    /// A share with an explicit capacity/admission configuration.
-    pub fn with_config(cfg: PlanShareConfig) -> Self {
-        let gate = match cfg.admission {
-            AdmissionPolicy::AdmitAll => None,
-            AdmissionPolicy::SeenTwice { seed, slots_log2 } => {
-                Some(BloomGate::new(seed, slots_log2))
-            }
-        };
-        PlanShare {
-            cache: Mutex::new(PlanCache { capacity: cfg.capacity, gate, ..PlanCache::default() }),
-            sim_memo: SimMemo::default(),
-            calib: CalibHandle::new(),
-        }
     }
 
     /// The hot-swap calibration handle shared by every attached session
@@ -215,18 +115,7 @@ impl PlanShare {
 
     /// Total cached plans across every planning context in the share.
     pub fn cached_plans_total(&self) -> usize {
-        self.cache.lock().map.len()
-    }
-
-    /// Admission-gate counters. All zero under
-    /// [`AdmissionPolicy::AdmitAll`] (no gate decisions are taken).
-    pub fn admission_stats(&self) -> AdmissionStats {
-        let cache = self.cache.lock();
-        AdmissionStats {
-            admitted: cache.admitted,
-            denied: cache.denied,
-            evicted_tags: cache.gate.as_ref().map_or(0, BloomGate::evicted_tags),
-        }
+        self.cache.lock().len()
     }
 
     /// Serialize the share: every plan-cache key, sorted, then the
@@ -237,18 +126,9 @@ impl PlanShare {
     /// re-plan replays every candidate simulation from the memo,
     /// rebuilding bit-identical plans for free. Keys-only blobs stay
     /// small and can never smuggle a stale plan past a code change.
-    ///
-    /// # Panics
-    ///
-    /// A capacity-bounded or admission-gated share is not
-    /// checkpointable: the image holds neither the bound nor the gate,
-    /// so a restore could not rebuild its evictions or first sightings.
     pub fn save(&self, w: &mut Writer) {
         let cache = self.cache.lock();
-        if let Some(why) = cache.unsaveable() {
-            panic!("{why}");
-        }
-        let mut keys: Vec<&PlanKey> = cache.map.keys().collect();
+        let mut keys: Vec<&PlanKey> = cache.keys().collect();
         keys.sort_unstable();
         w.seq(keys);
         self.sim_memo.save(w);
@@ -257,8 +137,7 @@ impl PlanShare {
     /// Restore a blob written by [`PlanShare::save`] into this share.
     /// `sessions` must be attached to *this* share and must cover every
     /// planning fingerprint in the blob. Every key is checked before
-    /// anything loads: a share that could not have written the blob (a
-    /// bounded or gated one), a session attached elsewhere, a
+    /// anything loads: a session attached elsewhere, a
     /// fingerprint no session matches and a key chosen under a
     /// calibration profile (which restore does not rebuild) are each a
     /// typed [`Mismatch`](ctb_savestate::SavestateError::Mismatch) that
@@ -277,9 +156,6 @@ impl PlanShare {
         r: &mut Reader<'_>,
         sessions: &[&Session],
     ) -> Result<(), SavestateError> {
-        if let Some(why) = self.cache.lock().unsaveable() {
-            return Err(SavestateError::Mismatch(why.into()));
-        }
         for s in sessions {
             if !std::ptr::eq(Arc::as_ptr(&s.share), self) {
                 return Err(SavestateError::Mismatch(
@@ -423,7 +299,7 @@ impl Session {
             epoch: calib.as_ref().map_or(0, |c| c.version),
             shapes: shapes.to_vec(),
         };
-        let hit = self.share.cache.lock().map.get(&key).cloned();
+        let hit = self.share.cache.lock().get(&key).cloned();
         if let Some(plan) = hit {
             self.count_hit();
             return Ok(plan);
@@ -434,9 +310,7 @@ impl Session {
         // Only the insert that actually populates the cache counts as a
         // miss — a racer that loses is answered from the winner's entry
         // and counts as a hit, so summed misses == distinct cached keys
-        // holds even under first-caller races and shared caches (an
-        // admission-denied planning event still counts as a miss: the
-        // plan was computed, not served from the cache).
+        // holds even under first-caller races and shared caches.
         let plan = {
             // The cold path is the paper's expensive phase: candidate
             // tiling enumeration + batching coordination + simulation.
@@ -450,7 +324,7 @@ impl Session {
             )?)
         };
         let mut cache = self.share.cache.lock();
-        if let Some(winner) = cache.map.get(&key) {
+        if let Some(winner) = cache.get(&key) {
             let winner = Arc::clone(winner);
             drop(cache);
             self.count_hit();
@@ -460,16 +334,7 @@ impl Session {
         if let Some(o) = self.obs.as_deref() {
             o.point(PointKind::PlanCacheMiss);
         }
-        // The gate decision runs under the cache lock, so all sightings
-        // of a given key are serialized ("seen twice" can never be
-        // fabricated by a same-key race).
-        if cache.admit(&key) {
-            cache.insert(key, Arc::clone(&plan));
-        } else if let Some(o) = self.obs.as_deref() {
-            // First sighting under SeenTwice: the plan is served but
-            // not cached.
-            o.point(PointKind::PlanCacheDenied);
-        }
+        cache.insert(key, Arc::clone(&plan));
         Ok(plan)
     }
 
@@ -486,11 +351,11 @@ impl Session {
     pub fn run(&self, batch: &GemmBatch) -> Result<RunOutcome, String> {
         batch.validate()?;
         let plan = self.plan(&batch.shapes)?;
-        let (results, report) = {
+        let results = {
             let _exec = self.obs.as_deref().map(|o| o.span(SpanKind::Exec));
-            self.framework.execute(batch, &plan)
+            execute_plan(batch, &plan.plan)
         };
-        Ok(RunOutcome { results, report, plan: (*plan).clone() })
+        Ok(RunOutcome { results, plan: (*plan).clone() })
     }
 
     /// Cache statistics so far.
@@ -516,16 +381,14 @@ impl Session {
     /// planning context (other contexts in a shared [`PlanShare`] are
     /// not counted).
     pub fn cached_plans(&self) -> usize {
-        self.share.cache.lock().map.keys().filter(|k| k.fp == self.fp).count()
+        self.share.cache.lock().keys().filter(|k| k.fp == self.fp).count()
     }
 
     /// Drop every cached plan for this session's planning context (e.g.
     /// after retuning thresholds). Other contexts sharing the same
     /// [`PlanShare`] keep their entries.
     pub fn clear(&self) {
-        let mut cache = self.share.cache.lock();
-        cache.map.retain(|k, _| k.fp != self.fp);
-        cache.fifo.retain(|k| k.fp != self.fp);
+        self.share.cache.lock().retain(|k, _| k.fp != self.fp);
     }
 
     pub fn framework(&self) -> &Framework {
@@ -753,100 +616,6 @@ mod tests {
             .restore_with_sessions(&mut ctb_savestate::Reader::new(&bytes), &[&stray])
             .unwrap_err();
         assert!(matches!(err, ctb_savestate::SavestateError::Mismatch(_)));
-    }
-
-    #[test]
-    fn seen_twice_admission_caches_only_on_second_sighting() {
-        let share = Arc::new(PlanShare::with_config(PlanShareConfig {
-            admission: AdmissionPolicy::SeenTwice { seed: 7, slots_log2: 10 },
-            ..PlanShareConfig::default()
-        }));
-        let s = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share));
-
-        // First sighting: planned and served, but not cached.
-        s.plan(&shapes()).unwrap();
-        assert_eq!(share.cached_plans_total(), 0, "first sighting is not cached");
-        assert_eq!(share.admission_stats().denied, 1);
-        assert_eq!(s.stats(), CacheStats { hits: 0, misses: 1 }, "a planning event is a miss");
-
-        // Second sighting: admitted.
-        s.plan(&shapes()).unwrap();
-        assert_eq!(share.cached_plans_total(), 1);
-        assert_eq!(
-            share.admission_stats(),
-            AdmissionStats { admitted: 1, denied: 1, evicted_tags: 0 }
-        );
-        assert_eq!(s.stats(), CacheStats { hits: 0, misses: 2 });
-
-        // Third sighting: a plain cache hit, no new gate decision.
-        s.plan(&shapes()).unwrap();
-        assert_eq!(s.stats(), CacheStats { hits: 1, misses: 2 });
-        assert_eq!(
-            share.admission_stats(),
-            AdmissionStats { admitted: 1, denied: 1, evicted_tags: 0 }
-        );
-    }
-
-    #[test]
-    fn capacity_bound_evicts_oldest_entry_fifo() {
-        let share = Arc::new(PlanShare::with_config(PlanShareConfig {
-            capacity: Some(2),
-            admission: AdmissionPolicy::AdmitAll,
-        }));
-        let s = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share));
-        let sig = |m: usize| vec![GemmShape::new(m, 32, 32)];
-        s.plan(&sig(16)).unwrap();
-        s.plan(&sig(32)).unwrap();
-        assert_eq!(share.cached_plans_total(), 2);
-        s.plan(&sig(48)).unwrap();
-        assert_eq!(share.cached_plans_total(), 2, "bound holds");
-        // The oldest signature (16) was evicted: looking it up again is
-        // a fresh miss; 32 and 48 are still resident hits.
-        s.set_stats(CacheStats::default());
-        s.plan(&sig(32)).unwrap();
-        s.plan(&sig(48)).unwrap();
-        assert_eq!(s.stats(), CacheStats { hits: 2, misses: 0 });
-        s.plan(&sig(16)).unwrap();
-        assert_eq!(s.stats(), CacheStats { hits: 2, misses: 1 }, "evicted key re-misses");
-    }
-
-    /// The share image holds an unbounded, admit-all cache: a bounded
-    /// or gated share refuses to save, naming why, and refuses a
-    /// restore before reading a byte.
-    #[test]
-    fn restore_rejects_mismatched_share_layout() {
-        let share = Arc::new(PlanShare::new());
-        let s = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share));
-        s.plan(&shapes()).unwrap();
-        let mut w = ctb_savestate::Writer::new();
-        share.save(&mut w);
-        let bytes = w.into_bytes();
-
-        let bounded = PlanShareConfig { capacity: Some(4), ..PlanShareConfig::default() };
-        let gated = PlanShareConfig {
-            admission: AdmissionPolicy::SeenTwice { seed: 1, slots_log2: 4 },
-            ..PlanShareConfig::default()
-        };
-        for (cfg, why) in [(bounded, "capacity bound"), (gated, "admission gate")] {
-            let share2 = Arc::new(PlanShare::with_config(cfg));
-            let r2 =
-                Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share2));
-            let save = || share2.save(&mut ctb_savestate::Writer::new());
-            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(save))
-                .expect_err("a bounded or gated share saved");
-            let msg = panic.downcast_ref::<String>().expect("panic names the reason");
-            assert!(msg.contains(why), "{msg}");
-
-            let mut rd = ctb_savestate::Reader::new(&bytes);
-            match share2.restore_with_sessions(&mut rd, &[&r2]) {
-                Err(ctb_savestate::SavestateError::Mismatch(msg)) => {
-                    assert!(msg.contains(why), "{msg}")
-                }
-                other => panic!("expected Mismatch, got {other:?}"),
-            }
-            assert_eq!(rd.remaining(), bytes.len(), "refused restore read the blob");
-            assert_eq!(r2.stats(), CacheStats::default(), "refused restore replanned");
-        }
     }
 
     /// Plans chosen under an installed calibration profile belong to

@@ -48,9 +48,6 @@ pub struct TraceCounts {
     pub failed_abandoned: usize,
     pub plan_cache_hits: usize,
     pub plan_cache_misses: usize,
-    /// Inserts turned away by the Bloom admission gate (each one also
-    /// counted in `plan_cache_misses`).
-    pub plan_cache_denied: usize,
     pub routed: usize,
     pub steals: usize,
     pub reroutes: usize,
@@ -274,7 +271,6 @@ impl TraceAudit {
             }
             PointKind::PlanCacheHit => c.plan_cache_hits += 1,
             PointKind::PlanCacheMiss => c.plan_cache_misses += 1,
-            PointKind::PlanCacheDenied => c.plan_cache_denied += 1,
             PointKind::Routed { .. } => c.routed += 1,
             PointKind::Steal { .. } => c.steals += 1,
             PointKind::Reroute { .. } => c.reroutes += 1,

@@ -106,11 +106,6 @@ pub enum PointKind {
     PlanCacheHit,
     /// Plan cache miss (this call built and inserted the plan).
     PlanCacheMiss,
-    /// Plan cache insert turned away by the Bloom "seen twice"
-    /// admission gate (first sighting of the key: the plan was served
-    /// but not cached). Always accompanied by a
-    /// [`PlanCacheMiss`](PointKind::PlanCacheMiss).
-    PlanCacheDenied,
     /// Cluster: batch placed on a device queue.
     Routed { device: usize },
     /// Cluster: idle device stole a batch from a victim's queue.
@@ -147,7 +142,6 @@ impl PointKind {
             PointKind::Failed { .. } => "failed",
             PointKind::PlanCacheHit => "plan_cache_hit",
             PointKind::PlanCacheMiss => "plan_cache_miss",
-            PointKind::PlanCacheDenied => "plan_cache_denied",
             PointKind::Routed { .. } => "routed",
             PointKind::Steal { .. } => "steal",
             PointKind::Reroute { .. } => "reroute",
@@ -160,7 +154,7 @@ impl PointKind {
 
     /// Names of every point kind, in a fixed order (JSON schema
     /// stability — exports emit all of them even when zero).
-    pub const ALL_NAMES: [&'static str; 20] = [
+    pub const ALL_NAMES: [&'static str; 19] = [
         "admit",
         "reject",
         "retry",
@@ -173,7 +167,6 @@ impl PointKind {
         "failed",
         "plan_cache_hit",
         "plan_cache_miss",
-        "plan_cache_denied",
         "routed",
         "steal",
         "reroute",
@@ -225,8 +218,9 @@ ctb_savestate::savestate_enum!(SpanKind {
     5 => Place,
 });
 
-// Tags 17..=19 were appended after the cluster tags, so every tag value
-// stays stable across format versions.
+// Every tag keeps its value across format versions: 18 and 19 were
+// appended after the cluster tags, and 17 (a plan-cache insert refused
+// by an admission gate the cache no longer has) is retired, not reused.
 ctb_savestate::savestate_enum!(PointKind {
     0 => Admit { req },
     1 => Reject { req },
@@ -245,7 +239,6 @@ ctb_savestate::savestate_enum!(PointKind {
     14 => Reroute { from },
     15 => Kill { device },
     16 => BatchDone { req, device, degraded },
-    17 => PlanCacheDenied,
     18 => ResidencyHit { device },
     19 => ResidencyMiss { device },
 });
@@ -277,11 +270,10 @@ mod tests {
         assert_eq!(PointKind::Reject { req: 0 }.name(), PointKind::ALL_NAMES[1]);
         assert_eq!(
             PointKind::BatchDone { req: 0, device: 0, degraded: false }.name(),
-            PointKind::ALL_NAMES[17]
+            PointKind::ALL_NAMES[16]
         );
-        assert_eq!(PointKind::PlanCacheDenied.name(), PointKind::ALL_NAMES[12]);
-        assert_eq!(PointKind::ResidencyHit { device: 0 }.name(), PointKind::ALL_NAMES[18]);
-        assert_eq!(PointKind::ResidencyMiss { device: 0 }.name(), PointKind::ALL_NAMES[19]);
+        assert_eq!(PointKind::ResidencyHit { device: 0 }.name(), PointKind::ALL_NAMES[17]);
+        assert_eq!(PointKind::ResidencyMiss { device: 0 }.name(), PointKind::ALL_NAMES[18]);
     }
 
     #[test]
@@ -314,7 +306,6 @@ mod tests {
             EventKind::Point(PointKind::Failed { req: 6, abandoned: false }),
             EventKind::Point(PointKind::PlanCacheHit),
             EventKind::Point(PointKind::PlanCacheMiss),
-            EventKind::Point(PointKind::PlanCacheDenied),
             EventKind::Point(PointKind::Routed { device: 3 }),
             EventKind::Point(PointKind::Steal { to: 1, from: 2 }),
             EventKind::Point(PointKind::Reroute { from: 0 }),
@@ -340,13 +331,29 @@ mod tests {
     #[test]
     fn event_codec_rejects_bad_tags_with_typed_errors() {
         use ctb_savestate::{Reader, Savestate as _, SavestateError, Writer};
-        let mut w = Writer::new();
-        (0u64, 0u64).save(&mut w);
-        0u32.save(&mut w);
-        2u8.save(&mut w); // point…
-        99u8.save(&mut w); // …with an invalid point tag
-        let bytes = w.into_bytes();
-        assert!(matches!(Event::load(&mut Reader::new(&bytes)), Err(SavestateError::Corrupt(_))));
+        // 17 is a retired tag; 99 was never one.
+        for tag in [17u8, 99] {
+            let mut w = Writer::new();
+            (0u64, 0u64).save(&mut w);
+            0u32.save(&mut w);
+            2u8.save(&mut w); // point…
+            tag.save(&mut w); // …with an invalid point tag
+            let bytes = w.into_bytes();
+            assert_eq!(
+                Event::load(&mut Reader::new(&bytes)),
+                Err(SavestateError::Corrupt(format!("bad PointKind tag {tag}")))
+            );
+        }
+        // The tags after the retired one keep the values a v10
+        // checkpoint holds.
+        for (kind, tag) in [
+            (PointKind::ResidencyHit { device: 4 }, 18u8),
+            (PointKind::ResidencyMiss { device: 4 }, 19),
+        ] {
+            let mut w = Writer::new();
+            kind.save(&mut w);
+            assert_eq!(w.into_bytes()[0], tag, "{kind:?}");
+        }
     }
 
     #[test]

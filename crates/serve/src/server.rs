@@ -14,7 +14,7 @@
 //!                       ┌───────┴───────┐
 //!                   worker 0 … worker W-1
 //!            session.plan (shared cache + SimMemo)
-//!            framework.execute (packed execute_plan)
+//!            execute_plan (packed executor)
 //!              │ plan error / panic / open breaker
 //!              ▼
 //!            degraded per-kernel baseline (ctb-baselines default)
@@ -320,12 +320,10 @@ impl Server {
     }
 
     /// Point-in-time accounting: request/batch/resilience counters plus
-    /// the shared session's plan-cache, admission-gate and
-    /// simulation-memo statistics.
+    /// the shared session's plan-cache and simulation-memo statistics.
     pub fn stats(&self) -> ServeStats {
         self.shared.stats.snapshot(
             self.shared.session.stats(),
-            self.shared.session.share().admission_stats(),
             self.shared.session.sim_stats(),
             self.shared.breaker.is_open(),
         )

@@ -1,6 +1,6 @@
 //! Server-wide counters and the [`ServeStats`] snapshot.
 
-use ctb_core::{AdmissionStats, CacheStats};
+use ctb_core::CacheStats;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Point-in-time view of the server's accounting: counters and the
@@ -46,9 +46,6 @@ pub struct ServeStats {
     pub breaker_open: bool,
     /// Shared-session plan cache (hits = re-used shape signatures).
     pub plan_cache: CacheStats,
-    /// Cache-admission gate counters (all zero under
-    /// [`ctb_core::AdmissionPolicy::AdmitAll`], the default).
-    pub cache_admission: AdmissionStats,
     /// Candidate-simulation memo behind the planner.
     pub sim_memo: CacheStats,
 }
@@ -70,13 +67,11 @@ pub struct StatsInner {
 }
 
 impl StatsInner {
-    /// Snapshot the counters together with session cache statistics
-    /// (exact counters plus the admission-gate view of the shared plan
-    /// cache) and the breaker's point-in-time state.
+    /// Snapshot the counters together with the session's plan-cache and
+    /// memo statistics and the breaker's point-in-time state.
     pub fn snapshot(
         &self,
         plan_cache: CacheStats,
-        cache_admission: AdmissionStats,
         sim_memo: CacheStats,
         breaker_open: bool,
     ) -> ServeStats {
@@ -97,7 +92,6 @@ impl StatsInner {
             breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
             breaker_open,
             plan_cache,
-            cache_admission,
             sim_memo,
         }
     }
@@ -112,12 +106,7 @@ mod tests {
         let inner = StatsInner::default();
         inner.completed.store(12, Ordering::Relaxed);
         inner.batches.store(4, Ordering::Relaxed);
-        let s = inner.snapshot(
-            CacheStats::default(),
-            AdmissionStats::default(),
-            CacheStats::default(),
-            false,
-        );
+        let s = inner.snapshot(CacheStats::default(), CacheStats::default(), false);
         assert_eq!(s.mean_batch_size, 3.0);
         assert!(!s.breaker_open);
     }
@@ -131,12 +120,7 @@ mod tests {
         inner.degraded.store(5, Ordering::Relaxed);
         inner.abandoned.store(1, Ordering::Relaxed);
         inner.breaker_trips.store(6, Ordering::Relaxed);
-        let s = inner.snapshot(
-            CacheStats::default(),
-            AdmissionStats::default(),
-            CacheStats::default(),
-            true,
-        );
+        let s = inner.snapshot(CacheStats::default(), CacheStats::default(), true);
         assert_eq!(
             (s.retries, s.worker_panics, s.plan_failures, s.degraded, s.abandoned, s.breaker_trips),
             (3, 2, 4, 5, 1, 6)

@@ -21,7 +21,7 @@
 //! blocking path parks instead of rejecting), so the seeded per-site
 //! fault cursors stay aligned whatever the schedule.
 
-use ctb_core::{AdmissionPolicy, Framework, PlanShare, PlanShareConfig, Session};
+use ctb_core::{Framework, Session};
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::{assert_bitwise_eq, GemmBatch, GemmShape, MatF32};
 use ctb_obs::{Obs, TraceAudit, TraceCounts};
@@ -36,8 +36,8 @@ use std::time::Duration;
 /// slowness.
 const HANG_BOUND: Duration = Duration::from_secs(30);
 
-/// One differential schedule: the server tuning, the chaos schedule,
-/// the traffic volume, and the cache behind the session.
+/// One differential schedule: the server tuning, the chaos schedule
+/// and the traffic volume.
 struct Schedule {
     cfg: ServeConfig,
     faults: FaultConfig,
@@ -45,8 +45,6 @@ struct Schedule {
     /// Attach a generous real deadline to every request so the
     /// injected-expiry seam is consulted on both paths.
     deadline: bool,
-    /// `None` = default unbounded single-tenant cache.
-    share: Option<PlanShareConfig>,
 }
 
 fn shape_pool() -> Vec<GemmShape> {
@@ -89,11 +87,7 @@ struct Drive {
 fn drive(s: &Schedule, use_front: bool) -> Drive {
     quiet_injected_panics();
     let injector = Arc::new(FaultInjector::new(s.faults.clone()));
-    let framework = Framework::new(ArchSpec::volta_v100());
-    let session = match s.share {
-        Some(share) => Session::with_share(framework, Arc::new(PlanShare::with_config(share))),
-        None => Session::new(framework),
-    };
+    let session = Session::new(Framework::new(ArchSpec::volta_v100()));
     let obs = Arc::new(Obs::wall());
     let server = Server::with_instrumentation(
         session,
@@ -178,7 +172,6 @@ fn front_matches_blocking_under_plan_failure_storm() {
         faults: FaultConfig::new(0xC0FFEE).plan_fail(400),
         n: 60,
         deadline: false,
-        share: None,
     });
 }
 
@@ -201,7 +194,6 @@ fn front_matches_blocking_under_exec_panic_storm() {
         faults: FaultConfig::new(0xBADC0DE).exec_panic(300),
         n: 60,
         deadline: false,
-        share: None,
     });
 }
 
@@ -218,7 +210,6 @@ fn front_matches_blocking_under_slow_worker_and_deadline_storm() {
         faults: FaultConfig::new(0xD0DEC0DE).expire(250).slow_worker(200, Duration::from_millis(2)),
         n: 50,
         deadline: true,
-        share: None,
     });
 }
 
@@ -249,7 +240,6 @@ fn front_matches_blocking_under_combined_storm() {
             .slow_worker(100, Duration::from_micros(500)),
         n: 120,
         deadline: true,
-        share: None,
     });
 }
 
@@ -270,7 +260,6 @@ fn front_matches_blocking_through_breaker_cycles() {
         faults: FaultConfig::new(0xDEAD10CC).exec_panic(1000),
         n: 26,
         deadline: false,
-        share: None,
     });
 }
 
@@ -289,40 +278,5 @@ fn front_matches_blocking_with_zero_retry_budget() {
         faults: FaultConfig::new(0xACE0FBA5E).exec_panic(350),
         n: 40,
         deadline: false,
-        share: None,
     });
-}
-
-/// Schedule 7: a bounded, Bloom-gated plan cache behind the session
-/// while the executor panics — denial and admission counters must
-/// reconcile `==` across the admission paths too.
-#[test]
-fn front_matches_blocking_over_bounded_bloom_gated_cache() {
-    let s = Schedule {
-        cfg: ServeConfig {
-            max_batch: 1,
-            batch_window: Duration::ZERO,
-            retry: RetryPolicy {
-                max_retries: 10,
-                backoff_base: Duration::from_micros(10),
-                backoff_cap: Duration::from_micros(100),
-                retry_budget: 100_000,
-            },
-            breaker: BreakerPolicy { trip_threshold: 0, open_batches: 0 },
-            ..ServeConfig::default()
-        },
-        faults: FaultConfig::new(0xB100B100).exec_panic(250),
-        n: 60,
-        deadline: false,
-        share: Some(PlanShareConfig {
-            capacity: Some(8),
-            admission: AdmissionPolicy::SeenTwice { seed: 0xCAFE, slots_log2: 6 },
-        }),
-    };
-    // The gate must actually fire under this schedule, or the test
-    // proves parity of nothing.
-    let probe = drive(&s, true);
-    assert!(probe.stats.cache_admission.denied > 0, "first sightings were denied");
-    assert!(probe.stats.cache_admission.admitted > 0, "second sightings were admitted");
-    assert_paths_equivalent(s);
 }

@@ -49,7 +49,7 @@ fn main() {
     let framework = Framework::new(arch);
     let outcome = framework.run(&batch).expect("plannable");
     ctb::matrix::assert_bitwise_eq(&expected, &outcome.results, "coordinated");
-    rows.push(("coordinated (ours)".into(), outcome.report.total_us));
+    rows.push(("coordinated (ours)".into(), outcome.plan.predicted_us));
 
     let worst = rows.iter().map(|(_, us)| *us).fold(0.0f64, f64::max);
     println!("{:<20} {:>10}  {:>8}", "execution", "time (us)", "speedup");

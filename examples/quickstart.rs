@@ -37,10 +37,11 @@ fn main() {
         outcome.plan.plan.num_blocks(),
     );
 
-    println!("\nsimulated single-kernel execution: {:.1} us", outcome.report.total_us);
+    let us = outcome.plan.predicted_us;
+    println!("\nsimulated single-kernel execution: {us:.1} us");
     println!(
         "achieved: {:.1} GFLOP/s of {:.1} GFLOP/s peak",
-        outcome.report.gflops(batch.total_flops()),
+        batch.total_flops() as f64 / (us * 1000.0),
         framework.arch().peak_gflops()
     );
 

@@ -65,9 +65,6 @@ mv "$kept" BENCH_cluster.json
 diff target/experiments/BENCH_cluster.kept.sim target/experiments/BENCH_cluster.sim ||
     { echo "check.sh: the cluster sweep moved a simulated field of BENCH_cluster.json"; exit 1; }
 
-echo "== storm harness smoke (plan-cache admission under distinct-shape storm) + BENCH_storm.json key-set gate =="
-cargo run -q -p ctb-bench --bin reproduce --release -- storm --smoke
-
 # A doc link to a deleted or renamed item fails the gate.
 echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

@@ -11,7 +11,7 @@
 //! let batch = GemmBatch::random(&shapes, 1.0, 0.0, 42);
 //! let framework = Framework::new(arch);
 //! let outcome = framework.run(&batch).expect("planning succeeded");
-//! println!("simulated time: {:.1} us", outcome.report.total_us);
+//! println!("simulated time: {:.1} us", outcome.plan.predicted_us);
 //! ```
 
 pub use ctb_baselines as baselines;

@@ -308,8 +308,6 @@ fn plan_share_fanout_storm_inserts_each_signature_once() {
         share.sim_memo().len(),
         "no candidate simulated twice share-wide"
     );
-    let adm = share.admission_stats();
-    assert_eq!((adm.admitted, adm.denied), (0, 0), "admit-all leaves the gate counters at zero");
 }
 
 /// The fan-out storm again, but over a [`PlanShare`] *restored from a

@@ -238,62 +238,3 @@ proptest! {
         prop_assert!(trace.chosen == trace.rounds.len() - 1);
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The Bloom doorkeeper never claims "seen twice" before a real
-    /// second sighting: its tags are a bijective mix of the key, so for
-    /// any seed, any slot count, and any key stream, an admit can only
-    /// come from an earlier observation of the same key. (Tag eviction
-    /// produces false *negatives* only — a forgotten first sighting —
-    /// never a false admit.)
-    #[test]
-    fn bloom_gate_never_admits_a_first_sighting(
-        seed in 0u64..u64::MAX,
-        slots_log2 in 1u32..=10,
-        keys in proptest::collection::vec(0u64..u64::MAX, 1..=512),
-    ) {
-        let mut gate = ctb::core::BloomGate::new(seed, slots_log2);
-        let mut seen = std::collections::HashSet::new();
-        for &k in &keys {
-            if gate.observe(k) {
-                prop_assert!(seen.contains(&k), "admitted never-seen key {k:#x}");
-            }
-            seen.insert(k);
-        }
-    }
-
-    /// A sighting is held at least until another key evicts it: an
-    /// immediate re-observation is always admitted, for any stream.
-    #[test]
-    fn bloom_gate_admits_an_immediate_second_sighting(
-        seed in 0u64..u64::MAX,
-        slots_log2 in 1u32..=8,
-        keys in proptest::collection::vec(0u64..u64::MAX, 1..=256),
-    ) {
-        let mut gate = ctb::core::BloomGate::new(seed, slots_log2);
-        for &k in &keys {
-            let _ = gate.observe(k);
-            prop_assert!(gate.contains(k), "a just-observed key is held");
-            prop_assert!(gate.observe(k), "an immediate second sighting admits");
-        }
-    }
-
-    /// The gate is a pure function of (seed, stream): replaying an
-    /// identical stream over a fresh gate reproduces every decision and
-    /// the eviction count.
-    #[test]
-    fn bloom_gate_decisions_are_deterministic(
-        seed in 0u64..u64::MAX,
-        slots_log2 in 1u32..=8,
-        keys in proptest::collection::vec(0u64..u64::MAX, 1..=256),
-    ) {
-        let mut a = ctb::core::BloomGate::new(seed, slots_log2);
-        let mut b = ctb::core::BloomGate::new(seed, slots_log2);
-        for &k in &keys {
-            prop_assert_eq!(a.observe(k), b.observe(k));
-        }
-        prop_assert_eq!(a.evicted_tags(), b.evicted_tags());
-    }
-}
