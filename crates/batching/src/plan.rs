@@ -126,8 +126,7 @@ impl BatchPlan {
         if self.tile.windows(2).any(|w| w[1] < w[0]) {
             return Err("prefix array must be monotone".into());
         }
-        let lens =
-            [self.gemm.len(), self.tiling.len(), self.y_coord.len(), self.x_coord.len()];
+        let lens = [self.gemm.len(), self.tiling.len(), self.y_coord.len(), self.x_coord.len()];
         if lens.iter().any(|&l| l != self.num_tiles()) {
             return Err("per-tile arrays must have equal length".into());
         }
@@ -148,18 +147,26 @@ impl BatchPlan {
             }
             let st = &solution.per_gemm[g];
             if self.tiling[t] != st.id() {
-                return Err(format!("tile {t}: strategy id {} != solution {}", self.tiling[t], st.id()));
+                return Err(format!(
+                    "tile {t}: strategy id {} != solution {}",
+                    self.tiling[t],
+                    st.id()
+                ));
             }
             let (gy, gx) = (shapes[g].m.div_ceil(st.by), shapes[g].n.div_ceil(st.bx));
             if self.y_coord[t] >= gy || self.x_coord[t] >= gx {
                 return Err(format!("tile {t}: coordinate out of grid"));
             }
-            if std::mem::replace(&mut seen[first[g] + self.y_coord[t] * gx + self.x_coord[t]], true) {
+            if std::mem::replace(&mut seen[first[g] + self.y_coord[t] * gx + self.x_coord[t]], true)
+            {
                 return Err(format!("tile {t}: duplicate tile"));
             }
         }
         if self.num_tiles() != expected {
-            return Err(format!("plan has {} tiles, solution implies {expected}", self.num_tiles()));
+            return Err(format!(
+                "plan has {} tiles, solution implies {expected}",
+                self.num_tiles()
+            ));
         }
         Ok(())
     }

@@ -59,11 +59,8 @@ mod tests {
 
     #[test]
     fn tiles_cover_worked_example() {
-        let shapes = [
-            GemmShape::new(16, 32, 128),
-            GemmShape::new(64, 64, 64),
-            GemmShape::new(256, 256, 64),
-        ];
+        let shapes =
+            [GemmShape::new(16, 32, 128), GemmShape::new(64, 64, 64), GemmShape::new(256, 256, 64)];
         let sol = select_tiling(&shapes, &Thresholds::paper_v100());
         let tiles = tiles_for(&shapes, &sol);
         // (small, medium, medium): 1x2 + 2x2 + 8x8 tiles.
