@@ -1,29 +1,38 @@
-//! Savestate: device images, checkpoint and restore at an event
-//! boundary, and the halt-and-export / import migration pair.
+//! Savestate: class and device images, checkpoint and restore at an
+//! event boundary.
 
 use super::execution::Running;
 use super::timeline::{Ev, SimTime, Timeline};
 use super::{ArchClass, EvDevice, EvJob, EventCluster, EventConfig, LoadGen, ReqOutcome};
 use crate::stats::ClusterInner;
-use ctb_core::{CacheStats, Session};
+use ctb_core::CacheStats;
 use ctb_gpu_specs::{ArchSpec, ChipletTopology};
-use ctb_obs::{Obs, ObsClock, SimClock};
+use ctb_matrix::GemmShape;
+use ctb_obs::{Obs, ObsClock, ObsLog, SimClock};
 use ctb_savestate::{savestate_struct, Reader, Savestate, SavestateError, Writer};
 use ctb_serve::{Breaker, BreakerPolicy, FaultInjector, FaultLog};
 use std::sync::Arc;
 
 /// One arch class's checkpoint record, written once for all its
 /// devices: the name and topology each of them is checked against on
-/// restore, and the class session's plan-cache counters, pinned back
-/// after the restore replans (replanning would otherwise count as
-/// misses).
+/// restore, the class session's plan-cache `(hits, misses)`, pinned
+/// back after the restore's replans (which count as misses), and every
+/// prediction the class made.
 pub(super) struct ClassImage {
     name: String,
     topology: ChipletTopology,
-    cache: CacheStats,
+    cache: (usize, usize),
+    /// Each signature the class predicted, sorted by shapes. A plan is
+    /// a pure function of the arch, its thresholds and the shapes, so
+    /// this is the class's whole planning record; restore replans each
+    /// `Ok`.
+    predictions: Vec<Prediction>,
 }
 
-savestate_struct!(ClassImage { name, topology, cache });
+/// A predicted signature: its predicted µs, or the planner's rejection.
+type Prediction = (Arc<[GemmShape]>, Result<f64, String>);
+
+savestate_struct!(ClassImage { name, topology, cache, predictions });
 
 /// One device's checkpoint record. Its arch is the one of its class
 /// record, and its breaker is a live object, rebuilt around these values
@@ -99,13 +108,13 @@ impl EvDevice {
     }
 }
 
-/// Checkpoint / restore / migration. The engine is single-threaded, so
-/// any moment between [`EventCluster::step`] calls is a consistent
-/// *event boundary*: no half-dispatched event exists, every pending
-/// cause lives on the timeline, and every decision source (fault
-/// cursors, breaker runs, memoized sims, the tie-break counter) is a
-/// plain value. [`checkpoint`](Self::checkpoint) serializes exactly
-/// those values — no wall-clock, no addresses — which is why a restored
+/// Checkpoint / restore. The engine is single-threaded, so any moment
+/// between [`EventCluster::step`] calls is a consistent *event
+/// boundary*: no half-dispatched event exists, every pending cause
+/// lives on the timeline, and every decision source (fault cursors,
+/// breaker runs, predictions, the tie-break counter) is a plain value.
+/// [`checkpoint`](Self::checkpoint) serializes exactly those values —
+/// no wall-clock, no addresses, no plan — which is why a restored
 /// engine re-runs the remainder of the schedule decision-for-decision
 /// and byte-for-byte (trace included); `tests/savestate.rs` enforces
 /// this differentially at swept crash points over the chaos schedules.
@@ -150,16 +159,13 @@ impl EventCluster {
         }
         // -- timeline (pending events + tie-break counter)
         self.timeline.save(&mut w);
-        // -- shared plans + simulation memo, then operand residency
-        self.share.save(&mut w);
+        // -- operand residency
         self.save_residency(&mut w);
-        // -- engine prediction cache
-        self.save_predictions(&mut w);
         // -- recorded outcomes, cluster-wide counters
         self.outcomes.save(&mut w);
         self.stats.save(&mut w);
-        // -- instrumentation state, last: restore replays plans first
-        // (which emits events), then overwrites the log with this.
+        // -- instrumentation state, last: restore replans first (which
+        // emits events), then overwrites the log with this.
         if let (Some(clock), Some(obs)) = (&self.clock, &self.obs) {
             clock.now_us().save(&mut w);
             obs.save(&mut w);
@@ -170,24 +176,29 @@ impl EventCluster {
     /// Rebuild an engine from a [`checkpoint`](Self::checkpoint) blob.
     /// `pool` must be the same architecture sequence the checkpointed
     /// engine was built over (checked by name and topology, per device,
-    /// against the device's class record — a typed
+    /// against the device's class record, and by replanning — a typed
     /// [`SavestateError::Mismatch`] otherwise). Returns the engine and,
     /// when the checkpoint was instrumented, its freshly attached
     /// [`Obs`] (the caller's handle for trace comparison).
     ///
-    /// Restore order matters and is fixed: every device image is
-    /// validated against the pool, the engine is built exactly as
-    /// [`new`](Self::new) builds it, every plan-cache key is checked
-    /// against the class sessions, the shared memo loads, plans are
-    /// *replanned* through the class sessions (every candidate
-    /// simulation hits the restored memo, so this is cheap and
-    /// bitwise-faithful), then the device images and the classes' cache
-    /// counters overwrite the fresh state and the replanning traffic,
-    /// and the obs log is overwritten last — discarding the plan spans
-    /// replanning just emitted. What the blob does not hold because the
-    /// timeline and the devices fix it is counted from them: the pending
-    /// arrivals, the open jobs, the pending steal checks and breaker
-    /// probes, and whether any breaker has tripped.
+    /// Restore order matters and is fixed. The whole blob is read and
+    /// checked first, the obs log included, with the engine built
+    /// exactly as [`new`](Self::new) builds it, so a truncated or
+    /// corrupt blob is refused before anything is planned. Then every
+    /// successful prediction is *replanned* through its class session
+    /// on the engine's fresh plan cache and memo, and a replan that
+    /// fails or predicts other bits than the checkpoint is a typed
+    /// `Mismatch` naming the arch: a pool whose specs kept their names
+    /// but not their model cannot resume on the checkpoint's times.
+    /// The replans rebuild the plan cache and the memo, whose counters
+    /// then equal the checkpoint's (each class plans each signature
+    /// once, three candidates per plan, in a memo context of its own);
+    /// only the classes' cache counters are pinned back, and the obs
+    /// log is installed last, discarding the plan spans the replans
+    /// emitted. What the blob does not hold because the timeline and
+    /// the devices fix it is counted from them: the pending arrivals,
+    /// the open jobs, the pending steal checks and breaker probes, and
+    /// whether any breaker has tripped.
     pub fn restore(
         pool: Vec<ArchSpec>,
         bytes: &[u8],
@@ -205,12 +216,15 @@ impl EventCluster {
         // site and `BatchDone`'s abandoned flag, and writes the share's
         // bound, gate and counters ahead of its memo and keys; v10 drops
         // the share's config, bound, gate and counters, and writes its
-        // keys ahead of its memo. Each time an older checkpoint stopped
+        // keys ahead of its memo; v11 drops the plan-cache keys, the
+        // memo and its counters, and writes each class's predictions in
+        // its class record. Each time an older checkpoint stopped
         // describing a decodable engine.
-        if version < 10 {
+        if version < 11 {
             return Err(SavestateError::Mismatch(format!(
-                "cluster checkpoint format v{version} predates v10, whose plan-cache image is \
-                 its keys and memo only; re-checkpoint with the current engine"
+                "cluster checkpoint format v{version} predates v11, which records each arch \
+                 class's predictions instead of plan-cache keys and a memo; re-checkpoint with \
+                 the current engine"
             )));
         }
         let cfg = EventConfig::load(&mut r)?;
@@ -297,11 +311,6 @@ impl EventCluster {
                 eng.classes.len()
             )));
         }
-        let sessions: Vec<&Session> = eng.classes.iter().map(|c| &c.session).collect();
-        eng.share.restore_with_sessions(&mut r, &sessions)?;
-        for (class, image) in eng.classes.iter().zip(classes) {
-            class.session.set_stats(image.cache);
-        }
         eng.load_residency(&mut r)?;
         // Signature ids are engine-local and never written: every job the
         // blob held is interned again here.
@@ -331,14 +340,26 @@ impl EventCluster {
             eng.open_jobs += d.queue.len() + usize::from(d.running.is_some());
         }
         eng.breaker_active = eng.devices.iter().any(|d| d.breaker_trips > 0);
-        eng.load_predictions(&mut r)?;
         eng.outcomes = Vec::<ReqOutcome>::load(&mut r)?;
         eng.stats = ClusterInner::load(&mut r)?;
-        if let (Some(clock), Some(obs)) = (&eng.clock, &eng.obs) {
-            clock.set(u64::load(&mut r)?);
-            obs.restore(&mut r)?;
-        }
+        let log = match eng.obs {
+            Some(_) => Some((u64::load(&mut r)?, ObsLog::load(&mut r)?)),
+            None => None,
+        };
         r.expect_end()?;
+        eng.replan(&classes)?;
+        for (class, image) in classes.into_iter().enumerate() {
+            let (hits, misses) = image.cache;
+            eng.classes[class].session.set_stats(CacheStats { hits, misses });
+            for (shapes, predicted) in image.predictions {
+                let sig = eng.intern(&shapes);
+                eng.cell(sig, class).predicted = Some(predicted);
+            }
+        }
+        if let (Some((now_us, log)), Some(clock), Some(obs)) = (log, &eng.clock, &eng.obs) {
+            clock.set(now_us);
+            obs.install(log);
+        }
         eng.timeline = timeline;
         eng.gen = gen;
         eng.now = now;
@@ -357,60 +378,46 @@ impl EventCluster {
 
     /// One record per arch class, in class order.
     pub(super) fn class_images(&self) -> Vec<ClassImage> {
-        let image = |c: &ArchClass| ClassImage {
-            name: c.arch().name.to_string(),
-            topology: c.arch().topology,
-            cache: c.session.stats(),
+        let image = |(class, c): (usize, &ArchClass)| {
+            let cells = self.predictions.iter().skip(class).step_by(self.classes.len());
+            let mut predictions: Vec<_> = cells
+                .zip(&self.sigs)
+                .filter_map(|(cell, s)| Some((Arc::clone(&s.shapes), cell.predicted.clone()?)))
+                .collect();
+            predictions.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            let CacheStats { hits, misses } = c.session.stats();
+            ClassImage {
+                name: c.arch().name.to_string(),
+                topology: c.arch().topology,
+                cache: (hits, misses),
+                predictions,
+            }
         };
-        self.classes.iter().map(image).collect()
+        self.classes.iter().enumerate().map(image).collect()
     }
 
-    /// Take `device` out of service and export its *queued* jobs as a
-    /// portable blob — the migration half of a planned drain. Like
-    /// [`kill_at`](Self::kill_at) the device is marked dead, so it takes
-    /// no further placements, and a job mid-execution still completes
-    /// here (its `ExecDone` is already on the heap); unlike a kill, the
-    /// queued work leaves this engine instead of re-routing, so a peer
-    /// can [`import_jobs`](Self::import_jobs) it with zero drops.
-    pub fn halt_and_export(&mut self, device: usize) -> Vec<u8> {
-        assert!(device < self.devices.len(), "no such device");
-        self.retire(device);
-        let mut jobs = Vec::new();
-        while let Some(job) = self.dequeue(device) {
-            self.devices[device].backlog_us -= job.predicted_us;
-            self.open_jobs -= 1;
-            jobs.push(job);
+    /// Plan each successful prediction of the checkpoint's class records
+    /// again through its class session and check that the replan
+    /// predicts the same bits.
+    fn replan(&self, classes: &[ClassImage]) -> Result<(), SavestateError> {
+        for (class, image) in self.classes.iter().zip(classes) {
+            for (shapes, predicted) in &image.predictions {
+                let Ok(us) = predicted else { continue };
+                let plan = class.session.plan(shapes).map_err(|e| {
+                    SavestateError::Mismatch(format!(
+                        "arch {:?} cannot replan a checkpointed prediction: {e}",
+                        image.name
+                    ))
+                })?;
+                if plan.predicted_us.to_bits() != us.to_bits() {
+                    return Err(SavestateError::Mismatch(format!(
+                        "arch {:?} replans a checkpointed prediction of {us} µs as {} µs",
+                        image.name, plan.predicted_us
+                    )));
+                }
+            }
         }
-        let mut w = Writer::with_header();
-        jobs.save(&mut w);
-        w.into_bytes()
-    }
-
-    /// Admit jobs exported by a peer's [`halt_and_export`](Self::halt_and_export):
-    /// each re-enters through the normal arrival path at the current
-    /// sim time under a fresh engine-local id (ids are engine-scoped),
-    /// keeping its shape signature, data seed and witness flag. Returns
-    /// how many jobs were admitted.
-    pub fn import_jobs(&mut self, bytes: &[u8]) -> Result<usize, SavestateError> {
-        let (mut r, version) = Reader::with_header(bytes)?;
-        // v5 dropped the arrival time from the job layout.
-        if version < 5 {
-            return Err(SavestateError::Mismatch(format!(
-                "job export format v{version} predates the v5 job layout; re-export with \
-                 the current engine"
-            )));
-        }
-        let jobs = Vec::<EvJob>::load(&mut r)?;
-        r.expect_end()?;
-        let n = jobs.len();
-        for mut job in jobs {
-            job.id = self.next_job_id;
-            self.next_job_id += 1;
-            job.attempts = 0;
-            self.pending_arrivals += 1;
-            self.timeline.schedule(self.now, Ev::Arrive { job: Box::new(job) });
-        }
-        Ok(n)
+        Ok(())
     }
 
     /// Per-device injected-fault accounting (`None` where no chaos

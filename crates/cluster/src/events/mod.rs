@@ -1630,10 +1630,10 @@ mod tests {
     #[test]
     fn closed_device_queue_refuses_placements() {
         // Admission never closes — every arrival is served — so the
-        // refused-after-halt contract lives at the device: a halted
+        // refused-after-kill contract lives at the device: a dead
         // device takes no placement, and its peer serves all.
         let mut eng = EventCluster::new(ArchSpec::pool_presets(2), quiet_cfg());
-        eng.halt_and_export(0);
+        eng.kill_at(SimTime::ZERO, 0);
         closed_loop(&mut eng, &[GemmShape::new(16, 16, 16)], 3);
         let report = eng.run();
         assert_eq!(report.stats.completed, 3);

@@ -72,7 +72,7 @@ pub(super) struct ClassPrediction {
     /// the planner's rejection, memoized so a poisoned signature is not
     /// re-planned per device. `None` until first asked, and again after
     /// a profile install.
-    predicted: Option<Result<f64, String>>,
+    pub(super) predicted: Option<Result<f64, String>>,
     /// The raw model µs behind `predicted`, before the correction; kept
     /// for [`PlacementDecision::model_us`](crate::drift::PlacementDecision::model_us).
     pub(super) model_us: Option<f64>,
@@ -103,46 +103,6 @@ impl EventCluster {
     pub(super) fn cell(&mut self, sig: usize, class: usize) -> &mut ClassPrediction {
         let classes = self.classes.len();
         &mut self.predictions[sig * classes + class]
-    }
-
-    /// Write every cached prediction as `((arch name, shapes), result)`,
-    /// sorted by name, then shapes, for byte-stable output. Signature
-    /// ids are engine-local and not written.
-    pub(super) fn save_predictions(&self, w: &mut Writer) {
-        let classes = self.classes.len();
-        let mut preds: Vec<_> = self
-            .predictions
-            .iter()
-            .enumerate()
-            .filter_map(|(at, cell)| {
-                let name = self.classes[at % classes].arch().name;
-                Some(((name, &self.sigs[at / classes].shapes), cell.predicted.as_ref()?))
-            })
-            .collect();
-        preds.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        w.len_prefix(preds.len());
-        for ((name, shapes), res) in preds {
-            name.save(w);
-            shapes.save(w);
-            res.save(w);
-        }
-    }
-
-    /// Read what [`save_predictions`](Self::save_predictions) wrote,
-    /// interning each signature; every arch name must be a class of the
-    /// restore pool.
-    pub(super) fn load_predictions(&mut self, r: &mut Reader<'_>) -> Result<(), SavestateError> {
-        type Entry = ((String, Arc<[GemmShape]>), Result<f64, String>);
-        for ((name, shapes), res) in Vec::<Entry>::load(r)? {
-            let Some(class) = self.classes.iter().position(|c| c.arch().name == name) else {
-                return Err(SavestateError::Mismatch(format!(
-                    "prediction cache names arch {name:?}, absent from the restore pool"
-                )));
-            };
-            let sig = self.intern(&shapes);
-            self.cell(sig, class).predicted = Some(res);
-        }
-        Ok(())
     }
 
     /// Write every signature's holder as `(shapes, device)`, sorted by

@@ -30,8 +30,7 @@ pub struct DeviceStats {
     pub queue_depth: usize,
     /// `busy_sim_us / makespan` across the pool (0 when idle).
     pub utilization: f64,
-    /// `false` once a [`crate::EventCluster::kill_at`] kill (or a
-    /// [`crate::EventCluster::halt_and_export`] halt) took effect.
+    /// `false` once a [`crate::EventCluster::kill_at`] kill took effect.
     pub alive: bool,
     /// Whether the device breaker was open at snapshot time.
     pub breaker_open: bool,
@@ -72,9 +71,8 @@ pub struct ClusterStats {
     pub plan_failures: usize,
     /// Breaker trips: the devices' `breaker_trips`.
     pub breaker_trips: usize,
-    /// Devices removed by [`crate::EventCluster::kill_at`] kills and
-    /// [`crate::EventCluster::halt_and_export`] halts: the devices that
-    /// are not `alive`.
+    /// Devices removed by [`crate::EventCluster::kill_at`] kills: the
+    /// devices that are not `alive`.
     pub kills: usize,
     /// Per-device breakdown, in pool order.
     pub devices: Vec<DeviceStats>,

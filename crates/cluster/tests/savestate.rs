@@ -18,7 +18,7 @@
 //! save → load → save byte-identically at every crash point.
 //!
 //! The suite also pins the golden on-disk fixture
-//! (`tests/fixtures/savestate_v10.bin`) for format-version discipline —
+//! (`tests/fixtures/savestate_v11.bin`) for format-version discipline —
 //! since v3 the blob carries each device's
 //! chiplet topology, the locality-ranking flag, operand residency and
 //! the residency counters, and one crash-swept schedule runs
@@ -33,12 +33,12 @@
 //! shard count and each key carries its calibration epoch; since v9
 //! the fault injectors have no admission site and a `BatchDone` event
 //! no abandoned flag; since v10 the engine's plan cache is always
-//! unbounded and admit-all, so the config holds no share config and the
-//! share image is its sorted keys followed by the simulation memo. The
-//! v9 fixture stays committed as the input of a typed-rejection test.
-//! The suite further exercises queue migration between two engine
-//! instances (`halt_and_export` → `import_jobs`, zero drops) and
-//! round-trips randomized mid-run states under proptest.
+//! unbounded and admit-all, so the config holds no share config; since
+//! v11 the blob holds no plan-cache key and no simulation memo, only
+//! each arch class's predictions, which restore replans and checks bit
+//! for bit. The v10 fixture stays committed as the input of a
+//! typed-rejection test. The suite further round-trips randomized
+//! mid-run states under proptest.
 
 use ctb_cluster::{EventCluster, EventConfig, ReqOutcome, SimTime, StealPolicy};
 use ctb_gpu_specs::ArchSpec;
@@ -359,6 +359,17 @@ fn restore_rejects_wrong_pool_with_typed_mismatch() {
         panic!("swapped pool restored a mismatched checkpoint");
     };
     assert!(matches!(err, SavestateError::Mismatch(_)), "got {err:?}");
+    // The V100 keeps its name and topology but runs at 80% clock, so
+    // only replanning its predictions can tell the pools apart.
+    let mut slowed = pool();
+    let name = ArchSpec::volta_v100().name;
+    let v100 = slowed.iter_mut().find(|a| a.name == name).expect("the pool holds a V100");
+    v100.clock_ghz *= 0.8;
+    match EventCluster::restore(slowed, &blob) {
+        Err(SavestateError::Mismatch(msg)) => assert!(msg.contains(name), "{msg}"),
+        Err(e) => panic!("expected Mismatch, got {e:?}"),
+        Ok(_) => panic!("a V100 at 80% clock resumed on the checkpoint's predictions"),
+    }
     // The class records match, device 1 does not: the checkpoint pool
     // has the same two classes in another device order.
     let (v100, titan) = (ArchSpec::volta_v100(), ArchSpec::pascal_titan_xp());
@@ -384,52 +395,6 @@ fn restore_rejects_wrong_pool_with_typed_mismatch() {
         Err(e) => panic!("expected Mismatch, got {e:?}"),
         Ok(_) => panic!("a rewired device restored the checkpoint"),
     }
-}
-
-// -- queue migration --------------------------------------------------------
-
-/// A killed device's queue drains into a *different engine instance*
-/// through the savestate wire format with zero drops: every job either
-/// completes on the source's survivors or on the target pool.
-#[test]
-fn halted_device_queue_migrates_to_peer_engine_with_zero_drops() {
-    let mut cfg = EventConfig::default();
-    cfg.steal.enabled = false; // keep jobs parked where they were placed
-    cfg.witness_every = 3;
-    let n = 12;
-
-    let mut source = EventCluster::new(pool(), cfg.clone());
-    let shapes: Arc<[GemmShape]> = [GemmShape::new(64, 64, 320); 2].into();
-    for i in 0..n {
-        source.submit_at(SimTime::ZERO, shapes.clone(), i as u64);
-    }
-    // Process all arrivals + placements so queues are populated, then
-    // pull device 0 out of service and export its queue.
-    source.run_steps(2 * n as u64);
-    let blob = source.halt_and_export(0);
-
-    let mut target = EventCluster::new(pool(), cfg);
-    let migrated = target.import_jobs(&blob).expect("exported jobs import cleanly");
-    assert!(migrated > 0, "device 0 should have had queued work to migrate");
-
-    let source_report = source.run();
-    let target_report = target.run();
-    assert_eq!(source_report.witness_mismatches + target_report.witness_mismatches, 0);
-    assert_eq!(
-        source_report.stats.completed + target_report.stats.completed,
-        n,
-        "migration dropped work (source {} + target {} != {n})",
-        source_report.stats.completed,
-        target_report.stats.completed,
-    );
-    assert_eq!(target_report.requests, migrated);
-    assert_eq!(source_report.stats.kills, 1, "halt counts as removing the device");
-    // Truncated migration blobs fail typed, not by panic.
-    assert!(matches!(
-        EventCluster::new(pool(), EventConfig::default())
-            .import_jobs(&blob[..blob.len().saturating_sub(3)]),
-        Err(SavestateError::Corrupt(_))
-    ));
 }
 
 // -- golden fixture + format-version discipline -----------------------------
@@ -522,48 +487,19 @@ fn v2_checkpoint_is_rejected_with_typed_mismatch() {
     }
 }
 
-/// The committed v9 fixture, whose config still holds a share config
-/// and whose share image writes its bound, gate and counters ahead of
-/// its memo and keys, is refused with a typed
-/// [`SavestateError::Mismatch`] that names v9 and v10.
+/// The committed v10 fixture, whose blob still holds the plan-cache
+/// keys and the simulation memo, is refused with a typed
+/// [`SavestateError::Mismatch`] that names v10 and v11.
 #[test]
-fn v9_checkpoint_is_rejected_with_typed_mismatch() {
-    let v9 = std::fs::read(fixture_path(9)).expect("the v9 fixture is committed");
-    match EventCluster::restore(pool(), &v9) {
+fn v10_checkpoint_is_rejected_with_typed_mismatch() {
+    let v10 = std::fs::read(fixture_path(10)).expect("the v10 fixture is committed");
+    match EventCluster::restore(pool(), &v10) {
         Err(SavestateError::Mismatch(msg)) => {
-            assert!(msg.contains("v9") && msg.contains("v10"), "{msg}")
+            assert!(msg.contains("v10") && msg.contains("v11"), "{msg}")
         }
         Err(e) => panic!("expected Mismatch, got {e:?}"),
-        Ok(_) => panic!("the v9 fixture restored successfully"),
+        Ok(_) => panic!("the v10 fixture restored successfully"),
     }
-}
-
-/// The v5 job layout has no arrival time, so `import_jobs` refuses a job
-/// export stamped v4 with a typed [`SavestateError::Mismatch`] that
-/// names v4, and imports the same export stamped v5 (the job layout did
-/// not change in v6, v7, v8, v9 or v10) and as written.
-#[test]
-fn import_jobs_refuses_a_v4_job_export() {
-    let mut source = EventCluster::new(pool(), EventConfig::default());
-    let shapes: Arc<[GemmShape]> = [GemmShape::new(64, 64, 320); 2].into();
-    for i in 0..6 {
-        source.submit_at(SimTime::ZERO, shapes.clone(), i);
-    }
-    source.run_steps(12);
-    let export = source.halt_and_export(0);
-    let mut v4 = export.clone();
-    v4[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&4u32.to_le_bytes());
-    let mut target = EventCluster::new(pool(), EventConfig::default());
-    match target.import_jobs(&v4) {
-        Err(SavestateError::Mismatch(msg)) => assert!(msg.contains("v4"), "{msg}"),
-        Err(e) => panic!("expected Mismatch, got {e:?}"),
-        Ok(n) => panic!("a v4 job export imported {n} jobs"),
-    }
-    let mut v5 = export.clone();
-    v5[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&5u32.to_le_bytes());
-    let imported = target.import_jobs(&v5).expect("the v5 export imports");
-    assert!(imported > 0, "device 0 held no queued jobs to export");
-    assert_eq!(target.import_jobs(&export), Ok(imported), "the current export imports");
 }
 
 /// Truncation anywhere in the blob is a typed `Corrupt`, not a panic:
@@ -586,8 +522,7 @@ fn truncated_fixture_fails_typed_not_panicking() {
 /// Replays the boundary cases recorded in
 /// `tests/savestate.proptest-regressions`. The vendored proptest shim
 /// does not persist or replay regression files itself, so the corpus
-/// is pinned here by hand (see `scripts/check.sh`, which runs this
-/// test by name as the regression gate).
+/// is pinned here by hand and runs with the rest of the suite.
 #[test]
 fn regression_corpus_replays_recorded_boundary_cases() {
     let s = chaos_on_every_device();

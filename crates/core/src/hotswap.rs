@@ -16,8 +16,9 @@
 //!   increasing version. Version `0` is the identity state (no
 //!   correction entries, no selector): planners treat it as "never
 //!   calibrated" and stay bit-for-bit on their uncalibrated paths.
-//! * The handle itself is **never serialized**. Savestate restore
-//!   rebuilds shares at version 0; calibration is re-installed by the
+//! * The handle itself is **never serialized**, nor is the share that
+//!   owns it. A cluster restore replans the checkpoint's predictions
+//!   on a fresh share at version 0; calibration is re-installed by the
 //!   operator after restore (the event engine refuses to checkpoint
 //!   mid-calibration for exactly this reason).
 //! * Old states die when the last in-flight reader drops its snapshot

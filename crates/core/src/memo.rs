@@ -14,8 +14,9 @@
 //! heuristic. [`SimMemo`] caches simulated times under exactly that
 //! key, so revisited candidates — coordinate descent re-proposing a
 //! strategy, clamped uniform passes that collapse to the same
-//! assignment, a re-plan after a plan-cache clear or a savestate
-//! restore — skip the lowering and the simulator run.
+//! assignment, a re-plan after a plan-cache clear — skip the lowering
+//! and the simulator run. The memo lives only in memory: a cluster
+//! checkpoint stores the predictions, and restore replans them cold.
 //!
 //! Memoization never changes a computed time: a hit returns the exact
 //! `f64` the builder produced when the key was first seen.
@@ -25,7 +26,6 @@ use crate::lowering::lower_plan;
 use ctb_batching::{assign_blocks, BatchPlan, BatchingHeuristic, TileTask};
 use ctb_gpu_specs::{ArchSpec, Thresholds};
 use ctb_matrix::GemmShape;
-use ctb_savestate::{savestate_struct, Reader, Savestate, SavestateError, Writer};
 use ctb_sim::{simulate, KernelDesc, LaunchSequence};
 use ctb_tiling::TilingSolution;
 use parking_lot::Mutex;
@@ -35,9 +35,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Name of every kernel the builder lowers.
 pub(crate) const KERNEL_NAME: &str = "coordinated_batched_gemm";
 
-/// Identity of one simulated candidate plan. Ordered field by field,
-/// which is the order [`SimMemo::save`] writes entries in.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// Identity of one simulated candidate plan.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct SimKey {
     /// Fingerprint of the evaluation context: architecture, thresholds
     /// and the shape list (order-sensitive — tile enumeration is
@@ -49,8 +48,6 @@ struct SimKey {
     strategies: Vec<u8>,
     heuristic: BatchingHeuristic,
 }
-
-savestate_struct!(SimKey { context, threads, strategies, heuristic });
 
 /// FNV-1a of an architecture name and thresholds: the prefix of every
 /// planning-context fingerprint.
@@ -157,51 +154,6 @@ impl SimMemo {
     pub fn is_empty(&self) -> bool {
         self.map.lock().is_empty()
     }
-
-    /// Serialize every cached `(key, simulated µs)` entry plus the
-    /// hit/miss counters. Entries are written sorted by key so the
-    /// blob is independent of `HashMap` iteration order (save → load →
-    /// save is byte-identical).
-    pub fn save(&self, w: &mut Writer) {
-        let map = self.map.lock();
-        let mut entries: Vec<(&SimKey, &f64)> = map.iter().collect();
-        entries.sort_by_key(|&(k, _)| k);
-        w.len_prefix(entries.len());
-        for (k, us) in entries {
-            k.save(w);
-            us.save(w);
-        }
-        self.hits().save(w);
-        self.misses().save(w);
-    }
-
-    /// Load entries saved by [`SimMemo::save`] into this memo and
-    /// force the counters to the saved values. Restored times are the
-    /// exact `f64` bit patterns the original computed, so every
-    /// post-restore simulation that hits the memo replays the original
-    /// run bitwise. A blob whose keys are not strictly ascending, as
-    /// `save` writes them, is [`SavestateError::Corrupt`].
-    pub fn load(&self, r: &mut Reader<'_>) -> Result<(), SavestateError> {
-        let entries = Vec::<(SimKey, f64)>::load(r)?;
-        let (hits, misses) = (usize::load(r)?, usize::load(r)?);
-        // `save` writes strictly ascending keys; anything else (a
-        // repeated key in particular) would break `misses() == len()`.
-        if entries.windows(2).any(|w| w[0].0 >= w[1].0) {
-            return Err(SavestateError::Corrupt("memo keys not strictly ascending".into()));
-        }
-        self.map.lock().extend(entries);
-        self.set_counters(hits, misses);
-        Ok(())
-    }
-
-    /// Force the hit/miss counters (savestate restore: replanning
-    /// against the restored memo inflates `hits`, so the engine
-    /// rebuilds plans first and then pins the counters back to the
-    /// checkpointed values).
-    pub fn set_counters(&self, hits: usize, misses: usize) {
-        self.hits.store(hits, Ordering::Relaxed);
-        self.misses.store(misses, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -256,83 +208,6 @@ mod tests {
         assert_eq!(memo.misses(), 3);
         assert_eq!(memo.hits(), 3);
         assert_eq!(memo.len(), 3);
-    }
-
-    #[test]
-    fn memo_save_load_round_trips_bitwise_and_rewrites_identically() {
-        let (arch, th, shapes) = setup();
-        let memo = SimMemo::new();
-        for h in HEURISTICS {
-            time(&memo, &arch, &th, &shapes, h);
-        }
-        time(&memo, &arch, &th, &shapes, BatchingHeuristic::Binary);
-
-        let mut w = ctb_savestate::Writer::new();
-        memo.save(&mut w);
-        let bytes = w.into_bytes();
-
-        let restored = SimMemo::new();
-        let mut r = ctb_savestate::Reader::new(&bytes);
-        restored.load(&mut r).unwrap();
-        r.expect_end().unwrap();
-        assert_eq!(restored.len(), memo.len());
-        assert_eq!(restored.hits(), memo.hits());
-        assert_eq!(restored.misses(), memo.misses());
-        // Restored lookups are hits returning the exact stored bits.
-        let orig = time(&memo, &arch, &th, &shapes, BatchingHeuristic::Binary);
-        let got = time(&restored, &arch, &th, &shapes, BatchingHeuristic::Binary);
-        assert_eq!(orig.to_bits(), got.to_bits());
-        // save(load(save(x))) is byte-identical (counters were bumped
-        // identically by the lookups above).
-        let mut w2 = ctb_savestate::Writer::new();
-        restored.save(&mut w2);
-        assert_eq!(w2.into_bytes(), {
-            let mut w3 = ctb_savestate::Writer::new();
-            memo.save(&mut w3);
-            w3.into_bytes()
-        });
-    }
-
-    #[test]
-    fn memo_load_rejects_bad_heuristic_tag_with_typed_error() {
-        let mut w = ctb_savestate::Writer::new();
-        w.len_prefix(1);
-        1u64.save(&mut w);
-        128u32.save(&mut w);
-        w.len_prefix(0);
-        9u8.save(&mut w); // no such heuristic
-        1.0f64.save(&mut w);
-        w.len_prefix(0);
-        w.len_prefix(0);
-        let bytes = w.into_bytes();
-        let memo = SimMemo::new();
-        let err = memo.load(&mut ctb_savestate::Reader::new(&bytes)).unwrap_err();
-        assert!(matches!(err, ctb_savestate::SavestateError::Corrupt(_)));
-    }
-
-    #[test]
-    fn memo_load_rejects_repeated_and_unordered_keys_with_typed_error() {
-        let key = |context: u64| SimKey {
-            context,
-            threads: 128,
-            strategies: vec![0],
-            heuristic: BatchingHeuristic::Threshold,
-        };
-        for keys in [[key(1), key(1)], [key(2), key(1)]] {
-            let mut w = ctb_savestate::Writer::new();
-            w.len_prefix(keys.len());
-            for k in &keys {
-                k.save(&mut w);
-                1.0f64.save(&mut w);
-            }
-            2usize.save(&mut w);
-            2usize.save(&mut w);
-            let bytes = w.into_bytes();
-            let memo = SimMemo::new();
-            let err = memo.load(&mut ctb_savestate::Reader::new(&bytes)).unwrap_err();
-            assert!(matches!(err, SavestateError::Corrupt(_)), "{keys:?}: {err:?}");
-            assert!(memo.is_empty());
-        }
     }
 
     #[test]

@@ -15,7 +15,6 @@ use crate::interface::execute_plan;
 use crate::memo::{arch_fingerprint, SimMemo};
 use ctb_matrix::{GemmBatch, GemmShape};
 use ctb_obs::{Obs, PointKind, SpanKind};
-use ctb_savestate::{savestate_struct, Reader, Savestate, SavestateError, Writer};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,8 +25,6 @@ pub struct CacheStats {
     pub hits: usize,
     pub misses: usize,
 }
-
-savestate_struct!(CacheStats { hits, misses });
 
 impl CacheStats {
     /// Fraction of lookups answered from the cache (0 when idle).
@@ -54,23 +51,27 @@ impl CacheStats {
 ///
 /// One lock guards the cache, an unbounded map that keeps every plan
 /// a session computes. Planning itself runs outside the lock.
+///
+/// A share is never serialized. A plan is a pure function of the
+/// planning context and the shapes, so a checkpoint names what was
+/// planned (the cluster engine writes each class's predictions) and a
+/// restore plans it again into a fresh share.
 #[derive(Default)]
 pub struct PlanShare {
     cache: Mutex<HashMap<PlanKey, Arc<ExecutionPlan>>>,
     sim_memo: SimMemo,
     /// Hot-swappable calibration state consulted by
     /// [`BatchingPolicy::BestOfBoth`] sessions and by predictors that
-    /// correct analytical-model estimates. Runtime-only: never
-    /// serialized — [`PlanShare::save`]/[`PlanShare::restore_with_sessions`]
-    /// rebuild shares at calibration version 0 and the operator
-    /// re-installs a profile afterwards.
+    /// correct analytical-model estimates. Runtime-only: a restored
+    /// engine replans on a fresh share at calibration version 0 and the
+    /// operator re-installs a profile afterwards.
     calib: CalibHandle,
 }
 
 /// A plan-cache key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
-    /// The planning context's fingerprint ([`Session::fingerprint`]).
+    /// The planning context's fingerprint ([`planning_fingerprint`]).
     fp: u64,
     /// The calibration version the plan was chosen under: a retrained
     /// selector may choose another plan, so epoch N entries never
@@ -78,8 +79,6 @@ struct PlanKey {
     epoch: u64,
     shapes: Vec<GemmShape>,
 }
-
-savestate_struct!(PlanKey { fp, epoch, shapes });
 
 /// Total operand footprint of a shape signature in bytes: for each
 /// GEMM, the f32 A (m×k), B (k×n) and C (m×n) tiles. This is the
@@ -117,78 +116,6 @@ impl PlanShare {
     pub fn cached_plans_total(&self) -> usize {
         self.cache.lock().len()
     }
-
-    /// Serialize the share: every plan-cache key, sorted, then the
-    /// simulation memo (entries + counters), so save → restore → save
-    /// is byte-identical. Plan *bodies* are not serialized —
-    /// `ExecutionPlan` is a pure deterministic function of the planning
-    /// context and the shapes, and with the memo restored first a
-    /// re-plan replays every candidate simulation from the memo,
-    /// rebuilding bit-identical plans for free. Keys-only blobs stay
-    /// small and can never smuggle a stale plan past a code change.
-    pub fn save(&self, w: &mut Writer) {
-        let cache = self.cache.lock();
-        let mut keys: Vec<&PlanKey> = cache.keys().collect();
-        keys.sort_unstable();
-        w.seq(keys);
-        self.sim_memo.save(w);
-    }
-
-    /// Restore a blob written by [`PlanShare::save`] into this share.
-    /// `sessions` must be attached to *this* share and must cover every
-    /// planning fingerprint in the blob. Every key is checked before
-    /// anything loads: a session attached elsewhere, a
-    /// fingerprint no session matches and a key chosen under a
-    /// calibration profile (which restore does not rebuild) are each a
-    /// typed [`Mismatch`](ctb_savestate::SavestateError::Mismatch) that
-    /// leaves the share and the sessions untouched. Then the memo loads
-    /// and each key is re-planned through its matching session (all
-    /// candidate simulations hit the just-restored memo), and the memo
-    /// counters are pinned back to the checkpointed values so the
-    /// rebuild leaves no accounting trace. A key whose re-planning
-    /// fails can only be found by re-planning it, so that `Mismatch`
-    /// comes after the memo and the keys before it have loaded. The
-    /// caller owns the sessions' own counters: re-planning counts as
-    /// misses on them (and emits obs events when a bus is attached), so
-    /// restore session stats / obs state *after* this.
-    pub fn restore_with_sessions(
-        &self,
-        r: &mut Reader<'_>,
-        sessions: &[&Session],
-    ) -> Result<(), SavestateError> {
-        for s in sessions {
-            if !std::ptr::eq(Arc::as_ptr(&s.share), self) {
-                return Err(SavestateError::Mismatch(
-                    "restore_with_sessions: session not attached to this share".into(),
-                ));
-            }
-        }
-        let mut replans = Vec::new();
-        for PlanKey { fp, epoch, shapes } in Vec::<PlanKey>::load(r)? {
-            if epoch != 0 {
-                return Err(SavestateError::Mismatch(format!(
-                    "saved key was planned under calibration version {epoch}; \
-                     restore rebuilds shares at version 0"
-                )));
-            }
-            let session = sessions.iter().find(|s| s.fp == fp).ok_or_else(|| {
-                SavestateError::Mismatch(format!(
-                    "no session matches planning fingerprint {fp:#018x}"
-                ))
-            })?;
-            replans.push((session, shapes));
-        }
-        self.sim_memo.load(r)?;
-        let (memo_hits, memo_misses) = (self.sim_memo.hits(), self.sim_memo.misses());
-        for (session, shapes) in replans {
-            session.plan(&shapes).map_err(|e| {
-                SavestateError::Mismatch(format!("re-planning saved key failed: {e}"))
-            })?;
-        }
-        // Undo the rebuild's accounting pollution (replans hit the memo).
-        self.sim_memo.set_counters(memo_hits, memo_misses);
-        Ok(())
-    }
 }
 
 /// Fingerprint of a framework's planning context: architecture name,
@@ -206,10 +133,9 @@ fn planning_fingerprint(framework: &Framework) -> u64 {
             // same share read the same CalibHandle, so at any given
             // version they resolve the same selector and may answer
             // each other's lookups. The epoch is a field of the
-            // plan-cache key, not of this fingerprint; only epoch-0
-            // keys are eligible for savestate restore — the event
-            // engine refuses to checkpoint mid-calibration for exactly
-            // this reason.
+            // plan-cache key, not of this fingerprint. A restore
+            // replans at epoch 0, which is why the event engine
+            // refuses to checkpoint mid-calibration.
             h = fnv1a(h, &[2]);
         }
     }
@@ -257,6 +183,8 @@ impl Session {
     /// Sessions with identical planning contexts (architecture,
     /// thresholds, batching policy) answer each other's lookups;
     /// sessions with different contexts coexist without collisions.
+    /// The share lives in memory only: a cluster restore replans its
+    /// checkpoint's predictions into a fresh one.
     pub fn with_share(framework: Framework, share: Arc<PlanShare>) -> Self {
         let fp = planning_fingerprint(&framework);
         Session { framework, share, fp, stats: Mutex::new(CacheStats::default()), obs: None }
@@ -395,16 +323,9 @@ impl Session {
         &self.framework
     }
 
-    /// This session's planning-context fingerprint within its share —
-    /// the key field a savestate stores next to each cached plan's
-    /// epoch and shape signature.
-    pub fn fingerprint(&self) -> u64 {
-        self.fp
-    }
-
-    /// Force the cache counters (savestate restore: the rebuild in
-    /// [`PlanShare::restore_with_sessions`] counts its re-plans here,
-    /// so the engine pins the checkpointed values back afterwards).
+    /// Force the cache counters (a cluster restore replans its
+    /// checkpoint's predictions, which count as misses here, then pins
+    /// the checkpointed values back).
     pub fn set_stats(&self, stats: CacheStats) {
         *self.stats.lock() = stats;
     }
@@ -530,92 +451,6 @@ mod tests {
         assert_eq!(v100.cached_plans(), 0);
         assert_eq!(m60.cached_plans(), 1);
         assert_eq!(share.cached_plans_total(), 1);
-    }
-
-    #[test]
-    fn plan_share_save_restore_rebuilds_identical_plans_without_new_simulations() {
-        let share = Arc::new(PlanShare::new());
-        let s = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share));
-        let original = s.plan(&shapes()).unwrap();
-        s.plan(&[GemmShape::new(128, 128, 64)]).unwrap();
-        let mut w = ctb_savestate::Writer::new();
-        share.save(&mut w);
-        let bytes = w.into_bytes();
-
-        let share2 = Arc::new(PlanShare::new());
-        let r2 = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share2));
-        let mut rd = ctb_savestate::Reader::new(&bytes);
-        share2.restore_with_sessions(&mut rd, &[&r2]).unwrap();
-        rd.expect_end().unwrap();
-
-        assert_eq!(share2.cached_plans_total(), 2);
-        // Memo accounting is pinned back to the checkpoint, so the
-        // rebuild is invisible: no new simulator runs, no new hits.
-        assert_eq!(share2.sim_memo().misses(), share.sim_memo().misses());
-        assert_eq!(share2.sim_memo().hits(), share.sim_memo().hits());
-        // A lookup of a restored key is a hit producing the identical plan.
-        r2.set_stats(CacheStats::default());
-        let rebuilt = r2.plan(&shapes()).unwrap();
-        assert_eq!(r2.stats(), CacheStats { hits: 1, misses: 0 });
-        assert_eq!(original.plan, rebuilt.plan, "re-planned plan is identical");
-        assert_eq!(original.heuristic, rebuilt.heuristic);
-        // save(restored) == save(original): keys are written sorted.
-        let mut w2 = ctb_savestate::Writer::new();
-        share2.save(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes);
-    }
-
-    /// Restore `bytes` into a fresh share through one session on
-    /// `arch`, expecting a refusal that loads nothing: no memo entry or
-    /// counter, no plan, no replanning on the restoring session.
-    fn refused_restore(bytes: &[u8], arch: ArchSpec) -> String {
-        let share = Arc::new(PlanShare::new());
-        let s = Session::with_share(Framework::new(arch), Arc::clone(&share));
-        let err =
-            share.restore_with_sessions(&mut ctb_savestate::Reader::new(bytes), &[&s]).unwrap_err();
-        assert!(share.sim_memo().is_empty(), "refused restore loaded the memo");
-        assert_eq!(s.sim_stats(), CacheStats::default(), "refused restore set the memo counters");
-        assert_eq!(share.cached_plans_total(), 0, "refused restore cached a plan");
-        assert_eq!(s.stats(), CacheStats::default(), "refused restore replanned");
-        match err {
-            ctb_savestate::SavestateError::Mismatch(msg) => msg,
-            e => panic!("expected Mismatch, got {e:?}"),
-        }
-    }
-
-    #[test]
-    fn plan_share_restore_rejects_unknown_fingerprints_with_typed_mismatch() {
-        let share = Arc::new(PlanShare::new());
-        let s = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share));
-        s.plan(&shapes()).unwrap();
-        let mut w = ctb_savestate::Writer::new();
-        share.save(&mut w);
-        let bytes = w.into_bytes();
-
-        // Restoring with a session for a *different* arch: no session
-        // matches the saved fingerprint.
-        let msg = refused_restore(&bytes, ArchSpec::maxwell_m60());
-        assert!(msg.contains("fingerprint"), "{msg}");
-
-        // A key planned under calibration version 1: restore rebuilds
-        // shares at version 0.
-        let calibrated = Arc::new(PlanShare::new());
-        let c =
-            Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&calibrated));
-        calibrated.calib().install(Arc::new(ctb_sim::CorrectionSet::identity()), None);
-        c.plan(&shapes()).unwrap();
-        let mut w = ctb_savestate::Writer::new();
-        calibrated.save(&mut w);
-        let msg = refused_restore(&w.into_bytes(), ArchSpec::volta_v100());
-        assert!(msg.contains("calibration version 1"), "{msg}");
-
-        // A session attached to some other share is rejected outright.
-        let share2 = Arc::new(PlanShare::new());
-        let stray = Session::new(Framework::new(ArchSpec::volta_v100()));
-        let err = share2
-            .restore_with_sessions(&mut ctb_savestate::Reader::new(&bytes), &[&stray])
-            .unwrap_err();
-        assert!(matches!(err, ctb_savestate::SavestateError::Mismatch(_)));
     }
 
     /// Plans chosen under an installed calibration profile belong to

@@ -99,8 +99,9 @@ impl Obs {
         Obs { clock, inner: Mutex::default() }
     }
 
-    /// The log, locked. Nothing panics while holding it (restore keeps
-    /// every dump mark inside the log), so a poisoned lock is a bug here.
+    /// The log, locked. Nothing panics while holding it ([`ObsLog::load`]
+    /// keeps every dump mark inside the log), so a poisoned lock is a bug
+    /// here.
     fn log(&self) -> std::sync::MutexGuard<'_, LogInner> {
         self.inner.lock().expect("nothing panics while holding the obs log")
     }
@@ -196,14 +197,30 @@ impl Obs {
         inner.dumps.save(w);
     }
 
-    /// Overwrite this bus's state with a blob written by
-    /// [`Obs::save`]. An event whose `seq` is not its index in the log,
-    /// or a dump marked past the log's end, is a typed `Corrupt`.
-    /// Events emitted on this bus before the restore — e.g. by
-    /// plan-cache rebuilding during an engine restore — are discarded
-    /// wholesale, which is why engine restores apply the obs blob
-    /// *last*.
-    pub fn restore(&self, r: &mut ctb_savestate::Reader<'_>) -> Result<(), SavestateError> {
+    /// Overwrite this bus's log and dump marks with `log`. Events
+    /// emitted on this bus before the install — e.g. by the replans of
+    /// an engine restore — are discarded wholesale, which is why an
+    /// engine restore decodes the log first and installs it *last*.
+    pub fn install(&self, log: ObsLog) {
+        let mut inner = self.log();
+        inner.events = log.events;
+        inner.dumps = log.dumps;
+        inner.workers.clear();
+    }
+}
+
+/// An event log and its dump marks as [`Obs::save`] wrote them,
+/// decoded and checked but not yet [installed](Obs::install).
+pub struct ObsLog {
+    events: Vec<Event>,
+    dumps: Vec<(String, usize)>,
+}
+
+impl ObsLog {
+    /// Decode what [`Obs::save`] wrote. An event whose `seq` is not its
+    /// index in the log, or a dump marked past the log's end, is a
+    /// typed `Corrupt`.
+    pub fn load(r: &mut ctb_savestate::Reader<'_>) -> Result<Self, SavestateError> {
         let events = Vec::<Event>::load(r)?;
         if let Some((i, e)) = events.iter().enumerate().find(|(i, e)| e.seq != *i as u64) {
             return Err(SavestateError::Corrupt(format!("event {i} of the log has seq {}", e.seq)));
@@ -215,11 +232,7 @@ impl Obs {
                 events.len()
             )));
         }
-        let mut inner = self.log();
-        inner.events = events;
-        inner.dumps = dumps;
-        inner.workers.clear();
-        Ok(())
+        Ok(ObsLog { events, dumps })
     }
 }
 
@@ -397,10 +410,10 @@ mod tests {
 
         let clock_c = Arc::new(SimClock::new());
         let c = Obs::sim(Arc::clone(&clock_c));
-        // Pollution emitted before the restore is discarded by it.
+        // Pollution emitted before the install is discarded by it.
         c.point(PointKind::PlanCacheMiss);
         let mut r = ctb_savestate::Reader::new(&bytes);
-        c.restore(&mut r).unwrap();
+        c.install(ObsLog::load(&mut r).unwrap());
         r.expect_end().unwrap();
         clock_c.set(clock_b.now_us());
         script_suffix(&c, &clock_c);
@@ -419,21 +432,20 @@ mod tests {
         let bytes = w.into_bytes();
 
         // Truncation surfaces as Corrupt, never a panic.
-        let b = Obs::sim(Arc::new(SimClock::new()));
         assert!(matches!(
-            b.restore(&mut Reader::new(&bytes[..bytes.len() - 3])),
+            ObsLog::load(&mut Reader::new(&bytes[..bytes.len() - 3])),
             Err(SavestateError::Corrupt(_))
         ));
     }
 
-    /// Restore a blob of `events` followed by the dump marks `dumps`
-    /// into a fresh bus.
+    /// Decode a blob of `events` followed by the dump marks `dumps`
+    /// and install it into a fresh bus.
     fn restore_parts(events: &[Event], dumps: &[(String, usize)]) -> Result<Obs, SavestateError> {
         let mut w = Writer::new();
         w.seq(events);
         w.seq(dumps);
         let obs = Obs::sim(Arc::new(SimClock::new()));
-        obs.restore(&mut Reader::new(&w.into_bytes()))?;
+        obs.install(ObsLog::load(&mut Reader::new(&w.into_bytes()))?);
         Ok(obs)
     }
 

@@ -15,10 +15,10 @@
 //! * a type whose blob widens or interns a field writes its impl by
 //!   hand, still next to the type.
 //!
-//! Types that restore *into a live object* — a plan cache that replans
-//! its keys, an event bus, a whole engine — keep
-//! inherent save/restore methods, because the receiver checks the blob
-//! against its own configuration; their bodies call the impls.
+//! Types that restore *into a live object* — an event bus, a whole
+//! engine that replans its recorded predictions — keep inherent
+//! save/restore methods, because the receiver checks the blob against
+//! its own configuration; their bodies call the impls.
 //!
 //! A savestate is *deterministic*: little-endian integers, `usize` as
 //! `u64`, `f64` as its IEEE bit pattern (NaN payloads round-trip),
@@ -70,10 +70,13 @@ pub const MAGIC: [u8; 4] = *b"CTBS";
 /// `PlanShare`, so the cluster config drops the share's config and the
 /// share image drops its bound, gate and gate counters and writes its
 /// keys ahead of its memo, so a key no session can replan is refused
-/// before anything is loaded. Each extension changed the layout in
-/// place, so older blobs no longer decode (the cluster restore rejects
-/// them with a typed [`SavestateError::Mismatch`]).
-pub const FORMAT_VERSION: u32 = 10;
+/// before anything is loaded; v11 drops the `PlanShare` image (its keys,
+/// its simulation memo and the memo's counters) and writes each arch
+/// class's predictions in its class record, which restore replans and
+/// checks bit for bit. Each extension changed the layout in place, so
+/// older blobs no longer decode (the cluster restore rejects them with
+/// a typed [`SavestateError::Mismatch`]).
+pub const FORMAT_VERSION: u32 = 11;
 
 /// Cap on speculative pre-allocation while decoding length-prefixed
 /// containers. Real lengths above this are still decoded — the vector

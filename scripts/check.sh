@@ -74,7 +74,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # rustfmt.toml holds the style the code follows. Only the crates
 # formatted under it so far are gated; ROADMAP lists the rest.
-echo "== cargo fmt -p ctb -p ctb-cluster -p ctb-savestate -p ctb-bench -p ctb-obs -p ctb-serve -p ctb-core -p ctb-matrix -p ctb-convnet -- --check =="
-cargo fmt -p ctb -p ctb-cluster -p ctb-savestate -p ctb-bench -p ctb-obs -p ctb-serve -p ctb-core -p ctb-matrix -p ctb-convnet -- --check
+echo "== cargo fmt -p ctb -p ctb-cluster -p ctb-savestate -p ctb-bench -p ctb-obs -p ctb-serve -p ctb-core -p ctb-matrix -p ctb-convnet -p ctb-batching -- --check =="
+cargo fmt -p ctb -p ctb-cluster -p ctb-savestate -p ctb-bench -p ctb-obs -p ctb-serve -p ctb-core -p ctb-matrix -p ctb-convnet -p ctb-batching -- --check
 
 echo "check.sh: all gates passed"

@@ -309,95 +309,3 @@ fn plan_share_fanout_storm_inserts_each_signature_once() {
         "no candidate simulated twice share-wide"
     );
 }
-
-/// The fan-out storm again, but over a [`PlanShare`] *restored from a
-/// savestate checkpoint*: one restorer session replans the serialized
-/// keys (misses == distinct signatures, every candidate simulation a
-/// memo hit), then 8 fresh sessions storm all 12 signatures
-/// concurrently — every lookup lands in the restored cache (zero new
-/// misses) and the share never duplicates an insert.
-#[test]
-fn plan_share_restored_from_checkpoint_survives_fanout_storm() {
-    const SESSIONS: usize = 8;
-    const ROUNDS: usize = 3;
-
-    let storm: Vec<Vec<GemmShape>> = (0..12)
-        .map(|i| vec![GemmShape::new(16 + 8 * i, 24 + 4 * i, 32 + 16 * i); 1 + i % 3])
-        .collect();
-
-    // Donor: plan the whole storm once, then checkpoint the share.
-    let donor_share = Arc::new(ctb::core::PlanShare::new());
-    let donor =
-        Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&donor_share));
-    for w in &storm {
-        donor.plan(w).expect("plannable");
-    }
-    let donor_memo = (donor_share.sim_memo().hits(), donor_share.sim_memo().misses());
-    let blob = {
-        let mut w = ctb_savestate::Writer::with_header();
-        donor_share.save(&mut w);
-        w.into_bytes()
-    };
-
-    // Restore into a brand-new share through a single restorer session.
-    let share = Arc::new(ctb::core::PlanShare::new());
-    let restorer = Session::with_share(Framework::new(ArchSpec::volta_v100()), Arc::clone(&share));
-    {
-        let (mut r, _version) = ctb_savestate::Reader::with_header(&blob).expect("header parses");
-        share.restore_with_sessions(&mut r, &[&restorer]).expect("checkpoint restores");
-        r.expect_end().expect("blob fully consumed");
-    }
-    let st = restorer.stats();
-    assert_eq!(st.misses, storm.len(), "restore replans each serialized key exactly once");
-    assert_eq!(st.hits, 0, "the restorer never re-looks-up a key");
-    assert_eq!(share.cached_plans_total(), storm.len(), "restored share holds every plan");
-    assert_eq!(
-        (share.sim_memo().hits(), share.sim_memo().misses()),
-        donor_memo,
-        "replanning hits the restored memo, then the counters pin back to the checkpoint"
-    );
-
-    // Concurrent fan-out over the restored share: 8 fresh sessions,
-    // every signature, rotated start offsets — all hits, no inserts.
-    let sessions: Vec<Arc<Session>> = (0..SESSIONS)
-        .map(|_| {
-            Arc::new(Session::with_share(
-                Framework::new(ArchSpec::volta_v100()),
-                Arc::clone(&share),
-            ))
-        })
-        .collect();
-    let barrier = Arc::new(Barrier::new(SESSIONS));
-    let handles: Vec<_> = sessions
-        .iter()
-        .enumerate()
-        .map(|(t, session)| {
-            let session = Arc::clone(session);
-            let barrier = Arc::clone(&barrier);
-            let storm = storm.clone();
-            std::thread::spawn(move || {
-                barrier.wait();
-                for round in 0..ROUNDS {
-                    for i in 0..storm.len() {
-                        let w = &storm[(t + round + i) % storm.len()];
-                        session.plan(w).expect("plannable");
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("storm thread ok");
-    }
-
-    assert_eq!(share.cached_plans_total(), storm.len(), "storm added no duplicate inserts");
-    let (hits, misses) =
-        sessions.iter().map(|s| s.stats()).fold((0, 0), |(h, m), st| (h + st.hits, m + st.misses));
-    assert_eq!(misses, 0, "every storm lookup lands in the restored cache");
-    assert_eq!(hits, SESSIONS * ROUNDS * storm.len(), "every plan() call accounted");
-    assert_eq!(
-        (share.sim_memo().hits(), share.sim_memo().misses()),
-        donor_memo,
-        "cache hits never touch the simulation memo"
-    );
-}
