@@ -136,8 +136,9 @@ mod tests {
 
     fn trained() -> (RandomForest, Vec<Vec<f64>>) {
         let mut rng = StdRng::seed_from_u64(11);
-        let samples: Vec<Vec<f64>> =
-            (0..200).map(|_| vec![rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)]).collect();
+        let samples: Vec<Vec<f64>> = (0..200)
+            .map(|_| vec![rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)])
+            .collect();
         let labels: Vec<usize> = samples.iter().map(|s| usize::from(s[0] + s[1] > 100.0)).collect();
         (RandomForest::fit(&samples, &labels, 2, &ForestConfig::default()), samples)
     }

@@ -122,12 +122,8 @@ impl RandomForest {
                 continue;
             }
             voted += 1;
-            let pred = v
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, &c)| c)
-                .map(|(i, _)| i)
-                .expect("non-empty");
+            let pred =
+                v.iter().enumerate().max_by_key(|(_, &c)| c).map(|(i, _)| i).expect("non-empty");
             correct += usize::from(pred == labels[s]);
         }
         let oob_accuracy = (voted > 0).then(|| correct as f64 / voted as f64);
@@ -174,11 +170,7 @@ impl RandomForest {
     /// Training-set accuracy (sanity metric; the benches report held-out
     /// accuracy separately).
     pub fn accuracy(&self, samples: &[Vec<f64>], labels: &[usize]) -> f64 {
-        let correct = samples
-            .iter()
-            .zip(labels)
-            .filter(|(s, &l)| self.predict(s) == l)
-            .count();
+        let correct = samples.iter().zip(labels).filter(|(s, &l)| self.predict(s) == l).count();
         correct as f64 / samples.len().max(1) as f64
     }
 
@@ -320,10 +312,7 @@ mod tests {
         let imp = &report.feature_importance;
         assert_eq!(imp.len(), 4);
         assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(
-            imp[2] + imp[3] > imp[0] + imp[1],
-            "informative features should dominate: {imp:?}"
-        );
+        assert!(imp[2] + imp[3] > imp[0] + imp[1], "informative features should dominate: {imp:?}");
     }
 
     #[test]

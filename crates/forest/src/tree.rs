@@ -144,8 +144,7 @@ impl DecisionTree {
                 }
                 let nl = (w + 1) as f64;
                 let nr = (order.len() - w - 1) as f64;
-                let score =
-                    (nl * gini(&left) + nr * gini(&right)) / order.len() as f64;
+                let score = (nl * gini(&left) + nr * gini(&right)) / order.len() as f64;
                 if best.is_none_or(|(_, _, s)| score < s) {
                     best = Some((f, (va + vb) / 2.0, score));
                 }
@@ -339,11 +338,7 @@ mod tests {
             }
         }
         let tree = fit_all(&samples, &labels, 2);
-        let errors = samples
-            .iter()
-            .zip(&labels)
-            .filter(|(s, &l)| tree.predict(s) != l)
-            .count();
+        let errors = samples.iter().zip(&labels).filter(|(s, &l)| tree.predict(s) != l).count();
         assert_eq!(errors, 0);
     }
 
