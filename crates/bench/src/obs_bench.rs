@@ -66,8 +66,11 @@ fn read_log(events: &[Event]) -> (BTreeMap<&'static str, usize>, BTreeMap<&'stat
     (points, span_us)
 }
 
-/// Same repeated-signature pool as the serve harness: cache hits and
-/// real coalescing, so every span kind but the degraded one fires.
+/// The serve harness's pool's first four shapes of six, which
+/// `BENCH_obs.json` is measured on: repeated signatures, so plans hit
+/// the cache and requests coalesce. The plan, autotune, exec and
+/// coalesce spans fire; `degraded_exec` needs a fault, and `place` is
+/// the cluster engine's span.
 fn shape_pool() -> Vec<GemmShape> {
     vec![
         GemmShape::new(16, 32, 64),

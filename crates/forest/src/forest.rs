@@ -40,19 +40,6 @@ pub struct RandomForest {
     pub(crate) n_classes: usize,
 }
 
-/// Training diagnostics: out-of-bag generalisation estimate and
-/// per-feature importance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FitReport {
-    /// Accuracy of out-of-bag majority votes — an unbiased
-    /// generalisation estimate that needs no held-out set. `None` when
-    /// every sample landed in every bootstrap (tiny data).
-    pub oob_accuracy: Option<f64>,
-    /// Mean-decrease-in-impurity per feature, normalised to sum to 1
-    /// (all zeros when no split was ever made).
-    pub feature_importance: Vec<f64>,
-}
-
 impl RandomForest {
     /// Train on `samples`/`labels` (labels `< n_classes`). Each tree
     /// fits a bootstrap resample of the data and subsamples features at
@@ -63,17 +50,6 @@ impl RandomForest {
         n_classes: usize,
         cfg: &ForestConfig,
     ) -> Self {
-        RandomForest::fit_with_report(samples, labels, n_classes, cfg).0
-    }
-
-    /// As [`RandomForest::fit`], also returning out-of-bag accuracy and
-    /// feature importances.
-    pub fn fit_with_report(
-        samples: &[Vec<f64>],
-        labels: &[usize],
-        n_classes: usize,
-        cfg: &ForestConfig,
-    ) -> (Self, FitReport) {
         assert!(!samples.is_empty(), "empty training set");
         assert_eq!(samples.len(), labels.len(), "one label per sample");
         assert!(n_classes >= 2, "need at least two classes");
@@ -88,55 +64,14 @@ impl RandomForest {
             features_per_split: Some(per_split),
         };
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut importance = vec![0.0f64; n_features];
-        // Out-of-bag vote tallies: votes[sample][class].
-        let mut votes = vec![vec![0usize; n_classes]; samples.len()];
-        let trees: Vec<DecisionTree> = (0..cfg.n_trees)
+        let trees = (0..cfg.n_trees)
             .map(|_| {
                 let idx: Vec<usize> =
                     (0..samples.len()).map(|_| rng.random_range(0..samples.len())).collect();
-                let tree = DecisionTree::fit_tracked(
-                    samples,
-                    labels,
-                    &idx,
-                    n_classes,
-                    &tree_cfg,
-                    &mut rng,
-                    &mut importance,
-                );
-                let in_bag: std::collections::HashSet<usize> = idx.iter().copied().collect();
-                for (s, sample) in samples.iter().enumerate() {
-                    if !in_bag.contains(&s) {
-                        votes[s][tree.predict(sample)] += 1;
-                    }
-                }
-                tree
+                DecisionTree::fit(samples, labels, &idx, n_classes, &tree_cfg, &mut rng)
             })
             .collect();
-
-        let mut voted = 0usize;
-        let mut correct = 0usize;
-        for (s, v) in votes.iter().enumerate() {
-            let total: usize = v.iter().sum();
-            if total == 0 {
-                continue;
-            }
-            voted += 1;
-            let pred =
-                v.iter().enumerate().max_by_key(|(_, &c)| c).map(|(i, _)| i).expect("non-empty");
-            correct += usize::from(pred == labels[s]);
-        }
-        let oob_accuracy = (voted > 0).then(|| correct as f64 / voted as f64);
-        let total_importance: f64 = importance.iter().sum();
-        if total_importance > 0.0 {
-            for v in &mut importance {
-                *v /= total_importance;
-            }
-        }
-        (
-            RandomForest { trees, n_classes },
-            FitReport { oob_accuracy, feature_importance: importance },
-        )
+        RandomForest { trees, n_classes }
     }
 
     /// Summed per-class probabilities over all trees (§5: "obtain the
@@ -288,31 +223,6 @@ mod tests {
         let forest = RandomForest::fit(&samples, &labels, 2, &ForestConfig::default());
         let avg = forest.avg_path_depth(&samples[0]);
         assert!(avg <= 8.0, "avg path depth {avg}");
-    }
-
-    #[test]
-    fn oob_accuracy_estimates_generalisation() {
-        let (samples, labels) = synthetic(400, 11);
-        let (forest, report) =
-            RandomForest::fit_with_report(&samples, &labels, 2, &ForestConfig::default());
-        let oob = report.oob_accuracy.expect("enough data for OOB votes");
-        // OOB should roughly track held-out accuracy.
-        let (test_s, test_l) = synthetic(200, 12);
-        let held_out = forest.accuracy(&test_s, &test_l);
-        assert!(oob > 0.7, "oob {oob}");
-        assert!((oob - held_out).abs() < 0.2, "oob {oob} vs held-out {held_out}");
-    }
-
-    #[test]
-    fn feature_importance_identifies_the_informative_features() {
-        // Label depends only on features 2 (K) and 3 (B).
-        let (samples, labels) = synthetic(400, 13);
-        let (_, report) =
-            RandomForest::fit_with_report(&samples, &labels, 2, &ForestConfig::default());
-        let imp = &report.feature_importance;
-        assert_eq!(imp.len(), 4);
-        assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(imp[2] + imp[3] > imp[0] + imp[1], "informative features should dominate: {imp:?}");
     }
 
     #[test]

@@ -17,5 +17,5 @@ pub mod codec;
 pub mod forest;
 pub mod tree;
 
-pub use forest::{FitReport, ForestConfig, RandomForest};
+pub use forest::{ForestConfig, RandomForest};
 pub use tree::DecisionTree;

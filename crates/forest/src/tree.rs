@@ -64,27 +64,11 @@ impl DecisionTree {
         cfg: &TreeConfig,
         rng: &mut StdRng,
     ) -> Self {
-        let mut importance = vec![0.0; samples.first().map_or(0, Vec::len)];
-        DecisionTree::fit_tracked(samples, labels, idx, n_classes, cfg, rng, &mut importance)
-    }
-
-    /// As [`DecisionTree::fit`], additionally accumulating each
-    /// feature's total weighted Gini decrease into `importance` (the
-    /// standard mean-decrease-in-impurity signal).
-    pub fn fit_tracked(
-        samples: &[Vec<f64>],
-        labels: &[usize],
-        idx: &[usize],
-        n_classes: usize,
-        cfg: &TreeConfig,
-        rng: &mut StdRng,
-        importance: &mut [f64],
-    ) -> Self {
         assert_eq!(samples.len(), labels.len(), "one label per sample");
         assert!(!idx.is_empty(), "cannot fit on an empty sample");
         assert!(labels.iter().all(|&l| l < n_classes), "label out of range");
         let mut tree = DecisionTree { nodes: Vec::new(), n_classes };
-        tree.build(samples, labels, idx, 0, cfg, rng, importance);
+        tree.build(samples, labels, idx, 0, cfg, rng);
         tree
     }
 
@@ -99,7 +83,6 @@ impl DecisionTree {
         self.nodes.len() - 1
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn build(
         &mut self,
         samples: &[Vec<f64>],
@@ -108,7 +91,6 @@ impl DecisionTree {
         depth: usize,
         cfg: &TreeConfig,
         rng: &mut StdRng,
-        importance: &mut [f64],
     ) -> usize {
         let counts = class_counts(labels, idx, self.n_classes);
         let impure = gini(&counts);
@@ -164,14 +146,12 @@ impl DecisionTree {
         if l_idx.is_empty() || r_idx.is_empty() {
             return self.leaf(&counts);
         }
-        // Weighted impurity decrease credited to the split feature.
-        importance[feature] += idx.len() as f64 * (impure - score);
         // Reserve our slot before recursing so children indices are
         // stable.
         let me = self.nodes.len();
         self.nodes.push(Node::Split { feature, threshold, left: 0, right: 0 });
-        let left = self.build(samples, labels, &l_idx, depth + 1, cfg, rng, importance);
-        let right = self.build(samples, labels, &r_idx, depth + 1, cfg, rng, importance);
+        let left = self.build(samples, labels, &l_idx, depth + 1, cfg, rng);
+        let right = self.build(samples, labels, &r_idx, depth + 1, cfg, rng);
         self.nodes[me] = Node::Split { feature, threshold, left, right };
         me
         // Note: `build` for the root is called with an empty arena, so

@@ -1,8 +1,9 @@
 //! Pluggable monotonic clocks for the event bus.
 //!
 //! Instrumented code never calls [`std::time::Instant`] directly; it
-//! asks the installed [`Obs`](crate::Obs) for microseconds through an
-//! [`ObsClock`]. Wall-time runs use [`WallClock`]; deterministic tests
+//! reads microseconds through an [`ObsClock`], the installed
+//! [`Obs`](crate::Obs)'s ([`Obs::clock`](crate::Obs::clock)) when there
+//! is one. Wall-time runs use [`WallClock`]; deterministic tests
 //! install a [`SimClock`] they advance by hand, which makes two runs of
 //! the same seeded workload produce byte-identical traces.
 

@@ -106,9 +106,11 @@ impl Obs {
         self.inner.lock().expect("nothing panics while holding the obs log")
     }
 
-    /// Current bus time in microseconds.
-    pub fn now_us(&self) -> u64 {
-        self.clock.now_us()
+    /// The clock every event's timestamp is read from. A layer that
+    /// times its work beside the trace reads this clock too, so its
+    /// numbers and the trace's agree.
+    pub fn clock(&self) -> &Arc<dyn ObsClock> {
+        &self.clock
     }
 
     /// Emit one event whose kind may depend on the seq it is assigned
@@ -255,10 +257,6 @@ impl SpanGuard<'_> {
     /// events reference as `batch`.
     pub fn id(&self) -> u64 {
         self.id
-    }
-
-    pub fn begin_us(&self) -> u64 {
-        self.begin_us
     }
 
     /// Close the span; returns (begin_us, end_us) from the bus clock.

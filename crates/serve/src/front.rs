@@ -14,8 +14,9 @@
 //! **Equivalence contract.** For any submission order, driving requests
 //! through the front yields bitwise-identical results and identical
 //! [`crate::ServeStats`] accounting to driving the same order through
-//! the blocking `submit` path: the front traces `Admit` before
-//! buffering exactly as `submit` traces it before pushing, counts
+//! the blocking `submit` path: both admit through one function, which
+//! stamps the request and traces `Admit` before the front buffers it or
+//! `submit` pushes it; the front counts
 //! `submitted` per request actually handed to the queue, and closes
 //! every admitted-but-unpushable request out with a `Reject` trace
 //! event, a `rejected` count and a [`ServeError::ShuttingDown`]
@@ -33,11 +34,9 @@
 use crate::queue::PushError;
 use crate::request::{GemmRequest, ServeError, Ticket};
 use crate::server::{Pending, Shared};
-use ctb_obs::PointKind;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Non-blocking, buffering admission front over a [`crate::Server`].
 /// Obtain one with [`crate::Server::front`]; cheap to create, and
@@ -62,23 +61,11 @@ impl AsyncFront {
     /// If the server is shutting down, the ticket resolves to
     /// [`ServeError::ShuttingDown`] rather than the call failing.
     pub fn try_submit(&self, req: GemmRequest) -> Result<Ticket, ServeError> {
-        if let Err(m) = req.validate() {
-            return Err(ServeError::Invalid(m));
-        }
-        let id = self.shared.req_ids.fetch_add(1, Ordering::Relaxed);
-        // Admit is traced *before* the request is buffered, mirroring
-        // the blocking path's trace-before-push: downstream events for
-        // this id must never precede its admission in the log.
-        let enqueued_us = match self.shared.obs() {
-            Some(o) => o.point(PointKind::Admit { req: id }),
-            None => 0,
-        };
-        let (tx, rx) = mpsc::channel();
-        let pending = Pending { id, req, tx, enqueued: Instant::now(), enqueued_us };
+        let (pending, ticket) = self.shared.admit(req)?;
         let mut backlog = self.lock_backlog();
         backlog.push_back(pending);
         self.flush_locked(&mut backlog);
-        Ok(Ticket { rx })
+        Ok(ticket)
     }
 
     /// Push as much of the backlog as the queue will take right now.
@@ -137,14 +124,10 @@ impl Drop for AsyncFront {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::BoundedQueue;
-    use crate::retry::{Breaker, BreakerPolicy};
     use crate::server::{ServeConfig, Server};
-    use crate::stats::StatsInner;
     use ctb_core::{Framework, Session};
     use ctb_gpu_specs::ArchSpec;
     use ctb_matrix::MatF32;
-    use std::sync::atomic::{AtomicU64, AtomicUsize};
 
     fn request(seed: u64) -> GemmRequest {
         GemmRequest::new(MatF32::random(16, 8, seed), MatF32::random(8, 12, seed + 1))
@@ -154,18 +137,12 @@ mod tests {
     /// queue fills deterministically, which is exactly what the
     /// buffering tests need.
     fn standalone_shared(queue_capacity: usize) -> Arc<Shared> {
-        Arc::new(Shared {
-            cfg: ServeConfig { queue_capacity, ..ServeConfig::default() },
-            session: Arc::new(Session::new(Framework::new(ArchSpec::volta_v100()))),
-            admission: BoundedQueue::new(queue_capacity),
-            jobs: BoundedQueue::new(usize::MAX),
-            stats: StatsInner::default(),
-            breaker: Breaker::new(BreakerPolicy::default()),
-            retry_tokens: AtomicUsize::new(0),
-            fault: None,
-            obs: None,
-            req_ids: AtomicU64::new(0),
-        })
+        Arc::new(Shared::new(
+            Arc::new(Session::new(Framework::new(ArchSpec::volta_v100()))),
+            ServeConfig { queue_capacity, ..ServeConfig::default() },
+            None,
+            None,
+        ))
     }
 
     #[test]

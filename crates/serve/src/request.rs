@@ -20,7 +20,10 @@ pub struct GemmRequest {
     pub beta: f32,
     /// Drop the request (completing it with [`ServeError::Expired`])
     /// if it has waited in the admission queue longer than this by the
-    /// time a batch is formed. `None` waits indefinitely.
+    /// time a batch is formed. The wait is measured in whole
+    /// microseconds of the server clock, from the request's admission
+    /// stamp: simulated time under a `SimClock` bus, wall time
+    /// otherwise. `None` waits indefinitely.
     pub deadline: Option<Duration>,
 }
 
@@ -107,11 +110,14 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Per-request latency breakdown, microseconds on the server's clock
-/// (the bus's clock when one is installed). This is the one record of
-/// what a request paid: it comes back on the response, the trace's
-/// `Respond` point carries the same four numbers, and the server keeps
-/// no copy.
+/// Per-request latency breakdown in whole microseconds of the server
+/// clock, which stamps and times every request: the bus's clock when one
+/// is installed, a wall clock otherwise. This is the one record of what
+/// a request paid: it comes back on the response, the trace's `Respond`
+/// point carries the same four numbers, and the server keeps no copy.
+/// The batching window, the retry backoff and an injected slow-worker
+/// stall wait on wall time; under a simulated clock they add nothing
+/// here.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RequestTiming {
     /// Submission until the batch containing the request started

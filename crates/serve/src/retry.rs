@@ -111,19 +111,9 @@ impl Breaker {
     /// batch must be served on the baseline). The last consumed slot
     /// closes the breaker.
     pub fn consume_open(&self) -> bool {
-        let mut cur = self.open_remaining.load(Ordering::Relaxed);
-        while cur > 0 {
-            match self.open_remaining.compare_exchange_weak(
-                cur,
-                cur - 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(seen) => cur = seen,
-            }
-        }
-        false
+        self.open_remaining
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+            .is_ok()
     }
 
     pub fn is_open(&self) -> bool {

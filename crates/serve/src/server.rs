@@ -47,6 +47,18 @@
 //! re-queued), joins all threads and returns the final [`ServeStats`].
 //! Dropping the server without calling `shutdown` does the same,
 //! discarding the stats.
+//!
+//! **Clock contract:** every timestamp of a request is read from one
+//! server clock, an [`ObsClock`]: the bus's clock when a bus is
+//! installed, a [`WallClock`] otherwise. The clock stamps the request at
+//! admission (with a bus, the stamp is the `Admit` point's time),
+//! decides its expiry, and reads the start of its batch's planning and
+//! the begin and end of its execution. [`RequestTiming`] therefore holds
+//! whole microseconds of that clock and, with a bus, the numbers of the
+//! request's `Respond` point; under a [`ctb_obs::SimClock`] bus, expiry
+//! follows simulated time. The waits stay on wall time: the batching
+//! window, the retry backoff and an injected slow-worker stall. None of
+//! them stamps a request.
 
 use crate::fault::{
     panic_message, FaultInjector, FaultSite, INJECTED_DEGRADED_PANIC_MSG, INJECTED_PANIC_MSG,
@@ -57,7 +69,7 @@ use crate::retry::{Breaker, BreakerPolicy, RetryPolicy};
 use crate::stats::{ServeStats, StatsInner};
 use ctb_core::{execute_plan, ExecutionPlan, Framework, Session};
 use ctb_matrix::{GemmBatch, MatF32};
-use ctb_obs::{Obs, PointKind, SpanKind};
+use ctb_obs::{Obs, ObsClock, PointKind, SpanKind, WallClock};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -95,18 +107,18 @@ impl Default for ServeConfig {
     }
 }
 
-/// One admitted request waiting to be batched. Built by the blocking
-/// admission path here and by the buffering [`crate::AsyncFront`].
+/// One admitted request waiting to be batched, built by
+/// [`Shared::admit`] for both ways in: the blocking [`Server::submit`]
+/// and the buffering [`crate::AsyncFront`].
 pub(crate) struct Pending {
     /// Server-unique request id; ties the trace's `Admit` event to its
     /// terminal event.
     pub(crate) id: u64,
     pub(crate) req: GemmRequest,
     pub(crate) tx: mpsc::Sender<Result<GemmResult, ServeError>>,
-    pub(crate) enqueued: Instant,
-    /// Admission time on the observability clock (0 when no bus is
-    /// installed). Kept alongside `enqueued` so instrumented runs
-    /// measure queue time on the *same* clock the trace records.
+    /// Admission time in microseconds of the server clock, the
+    /// request's one timestamp: its expiry and its queue time are both
+    /// measured from it.
     pub(crate) enqueued_us: u64,
 }
 
@@ -114,8 +126,10 @@ pub(crate) struct Pending {
 struct Member {
     id: u64,
     tx: mpsc::Sender<Result<GemmResult, ServeError>>,
-    enqueued: Instant,
     enqueued_us: u64,
+    /// Admission until the start of the latest run's planning, set by
+    /// [`run_job`] for every run, a retry's included.
+    queue_us: f64,
     /// Times this request has been re-admitted after a worker panic.
     attempts: u32,
 }
@@ -126,27 +140,77 @@ pub(crate) struct Job {
     members: Vec<Member>,
 }
 
+/// The state a server's threads and fronts share, built only by
+/// [`Shared::new`].
 pub(crate) struct Shared {
-    pub(crate) cfg: ServeConfig,
-    pub(crate) session: Arc<Session>,
+    cfg: ServeConfig,
+    session: Arc<Session>,
     pub(crate) admission: BoundedQueue<Pending>,
-    pub(crate) jobs: BoundedQueue<Job>,
+    jobs: BoundedQueue<Job>,
     pub(crate) stats: StatsInner,
-    pub(crate) breaker: Breaker,
+    breaker: Breaker,
     /// Remaining server-lifetime retry budget.
-    pub(crate) retry_tokens: AtomicUsize,
+    retry_tokens: AtomicUsize,
     /// The chaos seam; `None` (the default) costs one discriminant test
     /// per site.
-    pub(crate) fault: Option<Arc<FaultInjector>>,
+    fault: Option<Arc<FaultInjector>>,
     /// The observability seam; `None` (the default) costs one
     /// discriminant test per site, same as `fault`.
-    pub(crate) obs: Option<Arc<Obs>>,
+    obs: Option<Arc<Obs>>,
+    /// The server clock every request timestamp is read from: the
+    /// bus's clock, or a wall clock when no bus is installed.
+    clock: Arc<dyn ObsClock>,
     /// Request-id source for trace linkage.
-    pub(crate) req_ids: AtomicU64,
+    req_ids: AtomicU64,
 }
 
 impl Shared {
-    pub(crate) fn roll(&self, site: FaultSite) -> bool {
+    pub(crate) fn new(
+        session: Arc<Session>,
+        cfg: ServeConfig,
+        fault: Option<Arc<FaultInjector>>,
+        obs: Option<Arc<Obs>>,
+    ) -> Self {
+        let clock = match &obs {
+            Some(o) => Arc::clone(o.clock()),
+            None => Arc::new(WallClock::new()),
+        };
+        Shared {
+            admission: BoundedQueue::new(cfg.queue_capacity),
+            // The batcher is the only producer besides retry
+            // re-admissions, and both are themselves fed from bounded
+            // work, so the job queue never needs to push back.
+            jobs: BoundedQueue::new(usize::MAX),
+            session,
+            stats: StatsInner::default(),
+            breaker: Breaker::new(cfg.breaker.clone()),
+            retry_tokens: AtomicUsize::new(cfg.retry.retry_budget),
+            fault,
+            obs,
+            clock,
+            req_ids: AtomicU64::new(0),
+            cfg,
+        }
+    }
+
+    /// Admit a request for either way in: validate it, give it an id,
+    /// stamp it and open its response channel. The stamp is the `Admit`
+    /// point's time when a bus is installed. The point is emitted
+    /// before the caller pushes or buffers the request: once it is in
+    /// the queue the batcher can emit downstream events for it, and the
+    /// log must never show those ahead of the admission.
+    pub(crate) fn admit(&self, req: GemmRequest) -> Result<(Pending, Ticket), ServeError> {
+        req.validate().map_err(ServeError::Invalid)?;
+        let id = self.req_ids.fetch_add(1, Ordering::Relaxed);
+        let enqueued_us = match self.obs() {
+            Some(o) => o.point(PointKind::Admit { req: id }),
+            None => self.clock.now_us(),
+        };
+        let (tx, rx) = mpsc::channel();
+        Ok((Pending { id, req, tx, enqueued_us }, Ticket { rx }))
+    }
+
+    fn roll(&self, site: FaultSite) -> bool {
         match &self.fault {
             Some(f) => f.roll(site),
             None => false,
@@ -155,19 +219,9 @@ impl Shared {
 
     /// Claim one retry token; `false` when the budget is spent.
     fn take_retry_token(&self) -> bool {
-        let mut cur = self.retry_tokens.load(Ordering::Relaxed);
-        while cur > 0 {
-            match self.retry_tokens.compare_exchange_weak(
-                cur,
-                cur - 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(seen) => cur = seen,
-            }
-        }
-        false
+        self.retry_tokens
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+            .is_ok()
     }
 
     /// Send a response, counting it as abandoned when the requester has
@@ -195,7 +249,7 @@ impl Shared {
         }
     }
 
-    pub(crate) fn obs(&self) -> Option<&Obs> {
+    fn obs(&self) -> Option<&Obs> {
         self.obs.as_deref()
     }
 }
@@ -250,21 +304,7 @@ impl Server {
         fault: Option<Arc<FaultInjector>>,
         obs: Option<Arc<Obs>>,
     ) -> Self {
-        let shared = Arc::new(Shared {
-            admission: BoundedQueue::new(cfg.queue_capacity),
-            // The batcher is the only producer besides retry
-            // re-admissions, and both are themselves fed from bounded
-            // work, so the job queue never needs to push back.
-            jobs: BoundedQueue::new(usize::MAX),
-            session,
-            stats: StatsInner::default(),
-            breaker: Breaker::new(cfg.breaker.clone()),
-            retry_tokens: AtomicUsize::new(cfg.retry.retry_budget),
-            fault,
-            obs,
-            req_ids: AtomicU64::new(0),
-            cfg,
-        });
+        let shared = Arc::new(Shared::new(session, cfg, fault, obs));
 
         let batcher = {
             let shared = Arc::clone(&shared);
@@ -284,26 +324,15 @@ impl Server {
     /// A server that has stopped admissions refuses it with
     /// [`ServeError::ShuttingDown`].
     pub fn submit(&self, req: GemmRequest) -> Result<Ticket, ServeError> {
-        if let Err(m) = req.validate() {
-            return Err(ServeError::Invalid(m));
-        }
-        let id = self.shared.req_ids.fetch_add(1, Ordering::Relaxed);
-        // Admit is traced *before* the push: once the pending request is
-        // in the queue the batcher can emit downstream events for it,
-        // and the log must never show those ahead of the admission. A
-        // push refused by a closed queue is closed out with a Reject.
-        let enqueued_us = match self.shared.obs() {
-            Some(o) => o.point(PointKind::Admit { req: id }),
-            None => 0,
-        };
-        let (tx, rx) = mpsc::channel();
-        let pending = Pending { id, req, tx, enqueued: Instant::now(), enqueued_us };
+        let (pending, ticket) = self.shared.admit(req)?;
+        let id = pending.id;
+        // A push refused by a closed queue is closed out with a Reject.
         if self.shared.admission.push(pending).is_err() {
             self.shared.reject(id);
             return Err(ServeError::ShuttingDown);
         }
         self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        Ok(Ticket { rx })
+        Ok(ticket)
     }
 
     /// Submit and wait — the synchronous convenience path.
@@ -402,14 +431,15 @@ fn collect_window(shared: &Shared) -> Option<Vec<Pending>> {
 
 fn batcher_loop(shared: &Shared) {
     while let Some(picked) = collect_window(shared) {
-        let now = Instant::now();
+        let now_us = shared.clock.now_us();
         // Expire requests that out-waited their deadline in the queue —
         // plus any the chaos schedule declares expired (deadline storms
         // only strike requests that actually carry a deadline).
         let mut live = Vec::with_capacity(picked.len());
         for p in picked {
+            let waited_us = u128::from(now_us.saturating_sub(p.enqueued_us));
             match p.req.deadline {
-                Some(d) if now.duration_since(p.enqueued) > d || shared.roll(FaultSite::Expire) => {
+                Some(d) if waited_us > d.as_micros() || shared.roll(FaultSite::Expire) => {
                     shared.stats.expired.fetch_add(1, Ordering::Relaxed);
                     let abandoned = shared.respond(&p.tx, Err(ServeError::Expired));
                     if let Some(o) = shared.obs() {
@@ -449,8 +479,8 @@ fn ship_group(shared: &Shared, alpha: f32, beta: f32, group: Vec<Pending>) {
         members.push(Member {
             id: p.id,
             tx: p.tx,
-            enqueued: p.enqueued,
             enqueued_us: p.enqueued_us,
+            queue_us: 0.0,
             attempts: 0,
         });
     }
@@ -479,7 +509,7 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-fn run_job(shared: &Shared, job: Job) {
+fn run_job(shared: &Shared, mut job: Job) {
     // Retried jobs pay their bounded exponential backoff first, in the
     // worker, so the admission path never stalls on a retry.
     let attempt = job.members.iter().map(|m| m.attempts).max().unwrap_or(0);
@@ -489,24 +519,15 @@ fn run_job(shared: &Shared, job: Job) {
 
     let n = job.batch.len();
     let obs = shared.obs();
-    let t_plan = Instant::now();
-    // When the bus is installed, all reported durations come off its
-    // clock so (a) SimClock runs are reproducible and (b) the audit can
-    // demand exact equality between `RequestTiming` and the trace.
-    let t0_us = obs.map(|o| o.now_us());
-    let queue_us: Vec<f64> = match t0_us {
-        Some(t0) => job.members.iter().map(|m| t0.saturating_sub(m.enqueued_us) as f64).collect(),
-        None => job
-            .members
-            .iter()
-            .map(|m| t_plan.duration_since(m.enqueued).as_secs_f64() * 1e6)
-            .collect(),
-    };
+    let t0_us = shared.clock.now_us();
+    for m in &mut job.members {
+        m.queue_us = t0_us.saturating_sub(m.enqueued_us) as f64;
+    }
 
     // Open breaker: the coordinated path is suspect — go straight to
     // the baseline, consuming one of the breaker's open slots.
     if shared.breaker.consume_open() {
-        degrade_job(shared, job, &queue_us, 0.0, n);
+        degrade_job(shared, job, 0.0, n);
         return;
     }
 
@@ -548,75 +569,36 @@ fn run_job(shared: &Shared, job: Job) {
                     o.dump_flight("breaker trip");
                 }
             }
-            let plan_us = match (obs, t0_us) {
-                (Some(o), Some(t0)) => o.now_us().saturating_sub(t0) as f64,
-                _ => t_plan.elapsed().as_secs_f64() * 1e6,
-            };
-            degrade_job(shared, job, &queue_us, plan_us, n);
+            let plan_us = shared.clock.now_us().saturating_sub(t0_us) as f64;
+            degrade_job(shared, job, plan_us, n);
             return;
         }
     };
 
     // Execute — panic-isolated. A panic converts the batch into
-    // per-member retries instead of killing the worker. The exec span is
-    // opened *outside* the unwind boundary so a panicking batch still
-    // gets a closed span in the trace (and in any flight dump).
-    let exec_guard = obs.map(|o| o.span(SpanKind::Exec));
-    let t_exec = Instant::now();
-    let plan_us = match (&exec_guard, t0_us) {
-        (Some(g), Some(t0)) => g.begin_us().saturating_sub(t0) as f64,
-        _ => t_plan.elapsed().as_secs_f64() * 1e6,
-    };
+    // per-member retries instead of killing the worker.
     let inject_panic = shared.roll(FaultSite::ExecPanic);
-    let executed = catch_unwind(AssertUnwindSafe(|| {
+    let (executed, exec) = timed_exec(shared, SpanKind::Exec, || {
         if inject_panic {
             // panic_any keeps the payload a &'static str so harnesses
             // can filter injected-fault noise out of the panic hook.
             std::panic::panic_any(INJECTED_PANIC_MSG);
         }
         execute_plan(&job.batch, &plan.plan)
-    }));
+    });
+    let plan_us = exec.begin_us.saturating_sub(t0_us) as f64;
     match executed {
         Ok(results) => {
             shared.breaker.record_success();
-            let (batch_span, exec_us) = match exec_guard {
-                Some(g) => {
-                    let id = g.id();
-                    let (begin, end) = g.finish();
-                    (id, end.saturating_sub(begin) as f64)
-                }
-                None => (0, t_exec.elapsed().as_secs_f64() * 1e6),
-            };
             shared.stats.batches.fetch_add(1, Ordering::Relaxed);
             if let Some(o) = obs {
                 o.point(PointKind::BatchExecuted { size: n });
             }
-            for ((member, c), queue_us) in job.members.into_iter().zip(results).zip(queue_us) {
-                let timing = RequestTiming { queue_us, plan_us, exec_us, batch_size: n };
-                let total_us = timing.total_us();
-                shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-                let abandoned =
-                    shared.respond(&member.tx, Ok(GemmResult { c, timing, degraded: false }));
-                if let Some(o) = obs {
-                    o.point(PointKind::Respond {
-                        req: member.id,
-                        batch: batch_span,
-                        degraded: false,
-                        abandoned,
-                        queue_us,
-                        plan_us,
-                        exec_us,
-                        total_us,
-                    });
-                }
+            for (member, c) in job.members.into_iter().zip(results) {
+                deliver(shared, member, c, plan_us, n, &exec, false);
             }
         }
         Err(_payload) => {
-            // Close the span before the dump's mark, so the dump holds
-            // the panicking batch's complete exec span.
-            if let Some(g) = exec_guard {
-                g.finish();
-            }
             shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
             if let Some(o) = obs {
                 o.point(PointKind::PanicCaught);
@@ -630,8 +612,75 @@ fn run_job(shared: &Shared, job: Job) {
             if let Some(o) = obs {
                 o.dump_flight("worker panic");
             }
-            retry_or_degrade(shared, job, &queue_us, plan_us, n);
+            retry_or_degrade(shared, job, plan_us, n);
         }
+    }
+}
+
+/// One executor run on the server clock: the span it ran in (0 without
+/// a bus) and its begin and end in microseconds.
+struct ExecTimes {
+    span: u64,
+    begin_us: u64,
+    end_us: u64,
+}
+
+/// Run an executor panic-isolated and time it on the server clock. With
+/// a bus, it runs inside a `kind` span whose begin and end are its
+/// times, so the reported exec time is exactly the span's duration, as
+/// the audit requires. The span is opened outside the unwind boundary
+/// and closed before this returns, so after a panic the flight dump
+/// still holds the whole span.
+fn timed_exec<T>(
+    shared: &Shared,
+    kind: SpanKind,
+    run: impl FnOnce() -> T,
+) -> (std::thread::Result<T>, ExecTimes) {
+    match shared.obs() {
+        Some(o) => {
+            let guard = o.span(kind);
+            let span = guard.id();
+            let out = catch_unwind(AssertUnwindSafe(run));
+            let (begin_us, end_us) = guard.finish();
+            (out, ExecTimes { span, begin_us, end_us })
+        }
+        None => {
+            let begin_us = shared.clock.now_us();
+            let out = catch_unwind(AssertUnwindSafe(run));
+            (out, ExecTimes { span: 0, begin_us, end_us: shared.clock.now_us() })
+        }
+    }
+}
+
+/// Deliver one member's result from either executor: count it, respond,
+/// and trace its `Respond` point, linked to the span it ran in.
+fn deliver(
+    shared: &Shared,
+    member: Member,
+    c: MatF32,
+    plan_us: f64,
+    n: usize,
+    exec: &ExecTimes,
+    degraded: bool,
+) {
+    let exec_us = exec.end_us.saturating_sub(exec.begin_us) as f64;
+    let timing = RequestTiming { queue_us: member.queue_us, plan_us, exec_us, batch_size: n };
+    shared.stats.completed.fetch_add(1, Ordering::Relaxed);
+    if degraded {
+        shared.stats.degraded.fetch_add(1, Ordering::Relaxed);
+    }
+    let abandoned = shared.respond(&member.tx, Ok(GemmResult { c, timing, degraded }));
+    if let Some(o) = shared.obs() {
+        o.point(PointKind::Respond {
+            req: member.id,
+            batch: exec.span,
+            degraded,
+            abandoned,
+            queue_us: timing.queue_us,
+            plan_us,
+            exec_us,
+            total_us: timing.total_us(),
+        });
     }
 }
 
@@ -639,12 +688,11 @@ fn run_job(shared: &Shared, job: Job) {
 /// recovery: re-admission (retry budget and per-request cap allowing)
 /// or the degraded baseline. One poisoned request can re-poison at most
 /// itself.
-fn retry_or_degrade(shared: &Shared, job: Job, queue_us: &[f64], plan_us: f64, n: usize) {
+fn retry_or_degrade(shared: &Shared, job: Job, plan_us: f64, n: usize) {
     let Job { batch, members } = job;
-    let (alpha, beta) = (batch.alpha, batch.beta);
     for (i, mut member) in members.into_iter().enumerate() {
         member.attempts += 1;
-        let single = member_batch(&batch, i, alpha, beta);
+        let single = member_batch(&batch, i);
         if member.attempts <= shared.cfg.retry.max_retries && shared.take_retry_token() {
             shared.stats.retries.fetch_add(1, Ordering::Relaxed);
             if let Some(o) = shared.obs() {
@@ -654,130 +702,63 @@ fn retry_or_degrade(shared: &Shared, job: Job, queue_us: &[f64], plan_us: f64, n
             if let Err((_closed, retry)) = shared.jobs.try_push(retry) {
                 // Shutdown already closed the job queue: resolve inline
                 // rather than dropping the ticket.
-                let Job { batch, members } = retry;
-                for (j, m) in members.into_iter().enumerate() {
-                    degrade_member(
-                        shared,
-                        &batch,
-                        j,
-                        m,
-                        queue_us.get(i).copied().unwrap_or(0.0),
-                        plan_us,
-                        n,
-                    );
+                for m in retry.members {
+                    degrade_member(shared, &retry.batch, m, plan_us, n);
                 }
             }
         } else {
-            degrade_member(
-                shared,
-                &single,
-                0,
-                member,
-                queue_us.get(i).copied().unwrap_or(0.0),
-                plan_us,
-                n,
-            );
+            degrade_member(shared, &single, member, plan_us, n);
         }
     }
 }
 
 /// Re-wrap one member of a batch as a single-GEMM batch.
-fn member_batch(batch: &GemmBatch, i: usize, alpha: f32, beta: f32) -> GemmBatch {
+fn member_batch(batch: &GemmBatch, i: usize) -> GemmBatch {
     GemmBatch::from_parts(
         vec![batch.a[i].clone()],
         vec![batch.b[i].clone()],
         vec![batch.c[i].clone()],
-        alpha,
-        beta,
+        batch.alpha,
+        batch.beta,
     )
     .expect("member buffers were validated at admission")
 }
 
 /// Serve every member of a job through the degraded baseline.
-fn degrade_job(shared: &Shared, job: Job, queue_us: &[f64], plan_us: f64, n: usize) {
+fn degrade_job(shared: &Shared, job: Job, plan_us: f64, n: usize) {
     let Job { batch, members } = job;
     for (i, member) in members.into_iter().enumerate() {
-        degrade_member(
-            shared,
-            &batch,
-            i,
-            member,
-            queue_us.get(i).copied().unwrap_or(0.0),
-            plan_us,
-            n,
-        );
+        degrade_member(shared, &member_batch(&batch, i), member, plan_us, n);
     }
 }
 
-/// Last-resort execution of one member on the per-kernel default
-/// baseline (the paper's Fig 8 reference executor). Panic-isolated like
-/// the coordinated path; a panic *here* is terminal and surfaces as the
-/// typed [`ServeError::WorkerPanic`].
-fn degrade_member(
-    shared: &Shared,
-    batch: &GemmBatch,
-    i: usize,
-    member: Member,
-    queue_us: f64,
-    plan_us: f64,
-    n: usize,
-) {
-    let obs = shared.obs();
-    let t_exec = Instant::now();
+/// Last-resort execution of one member, given as its single-GEMM batch,
+/// on the per-kernel default baseline (the paper's Fig 8 reference
+/// executor). Panic-isolated like the coordinated path; a panic *here*
+/// is terminal and surfaces as the typed [`ServeError::WorkerPanic`].
+fn degrade_member(shared: &Shared, single: &GemmBatch, member: Member, plan_us: f64, n: usize) {
     let inject_panic = shared.roll(FaultSite::DegradedPanic);
     let arch = shared.session.framework().arch();
-    let single = member_batch(batch, i, batch.alpha, batch.beta);
-    // Span opened outside the unwind boundary, same as the coordinated
-    // path: a panicking baseline still leaves a closed span behind.
-    let exec_guard = obs.map(|o| o.span(SpanKind::DegradedExec));
-    let out: Result<Vec<MatF32>, _> = catch_unwind(AssertUnwindSafe(|| {
+    let (out, exec) = timed_exec(shared, SpanKind::DegradedExec, || {
         if inject_panic {
             std::panic::panic_any(INJECTED_DEGRADED_PANIC_MSG);
         }
-        ctb_baselines::default_functional(arch, &single)
-    }));
+        ctb_baselines::default_functional(arch, single)
+    });
     match out {
         Ok(mut results) => {
             let c = results.pop().expect("single-GEMM baseline yields one result");
-            let (batch_span, exec_us) = match exec_guard {
-                Some(g) => {
-                    let id = g.id();
-                    let (begin, end) = g.finish();
-                    (id, end.saturating_sub(begin) as f64)
-                }
-                None => (0, t_exec.elapsed().as_secs_f64() * 1e6),
-            };
-            let timing = RequestTiming { queue_us, plan_us, exec_us, batch_size: n };
-            let total_us = timing.total_us();
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-            shared.stats.degraded.fetch_add(1, Ordering::Relaxed);
-            let abandoned =
-                shared.respond(&member.tx, Ok(GemmResult { c, timing, degraded: true }));
-            if let Some(o) = obs {
-                o.point(PointKind::Respond {
-                    req: member.id,
-                    batch: batch_span,
-                    degraded: true,
-                    abandoned,
-                    queue_us,
-                    plan_us,
-                    exec_us,
-                    total_us,
-                });
-            }
+            deliver(shared, member, c, plan_us, n, &exec, true);
         }
         Err(payload) => {
-            if let Some(g) = exec_guard {
-                g.finish();
-            }
             shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = obs {
+            if let Some(o) = shared.obs() {
                 o.point(PointKind::PanicCaught);
                 o.dump_flight("degraded worker panic");
             }
             let abandoned =
                 shared.respond(&member.tx, Err(ServeError::WorkerPanic(panic_message(&*payload))));
-            if let Some(o) = obs {
+            if let Some(o) = shared.obs() {
                 o.point(PointKind::Failed { req: member.id, abandoned });
             }
         }

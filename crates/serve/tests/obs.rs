@@ -1,14 +1,20 @@
-//! Observability-specific serve tests: the flight recorder's panic-path
-//! contract. A worker panic's dump must contain the panicking batch's
-//! *closed* Exec span, i.e. the span guard outlives the `catch_unwind`
-//! boundary and finishes before the dump is marked.
+//! Observability-specific serve tests.
+//!
+//! - The flight recorder's panic-path contract: a worker panic's dump
+//!   must contain the panicking batch's *closed* Exec span, i.e. the
+//!   span guard outlives the `catch_unwind` boundary and finishes
+//!   before the dump is marked.
+//! - The one server clock: with a bus installed, the bus's clock stamps,
+//!   expires and times every request, so under a `SimClock` a request
+//!   expires by simulated time, whatever the host's timing.
 
 use ctb_core::{Framework, Session};
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::{GemmBatch, GemmShape};
-use ctb_obs::{EventKind, Obs, PointKind, SpanKind, TraceAudit};
+use ctb_obs::{EventKind, Obs, PointKind, SimClock, SpanKind, TraceAudit};
 use ctb_serve::{
-    quiet_injected_panics, FaultConfig, FaultInjector, GemmRequest, ServeConfig, Server,
+    quiet_injected_panics, FaultConfig, FaultInjector, GemmRequest, RequestTiming, ServeConfig,
+    ServeError, Server,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -91,4 +97,43 @@ fn worker_panic_dump_contains_the_panicking_exec_span() {
     let counts = TraceAudit::new(obs.events()).check().expect("trace invariants hold");
     assert_eq!(counts.panics_caught, stats.worker_panics);
     assert_eq!(counts.responds_degraded, stats.degraded);
+}
+
+#[test]
+fn expiry_follows_the_server_clock() {
+    // The first request waits 2 s of simulated time for its 1 s
+    // deadline while almost no wall time passes. Its window can close
+    // only on the second arrival (two fill the batch; the window is a
+    // minute long), which comes after the clock moved, so the batcher's
+    // expiry check reads the advanced clock and the test has no race.
+    let clock = Arc::new(SimClock::new());
+    let obs = Arc::new(Obs::sim(Arc::clone(&clock)));
+    let session = Session::new(Framework::new(ArchSpec::volta_v100()));
+    let cfg = ServeConfig {
+        max_batch: 2,
+        batch_window: Duration::from_secs(60),
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::with_instrumentation(session, cfg, None, Some(Arc::clone(&obs)));
+
+    let late = GemmRequest { deadline: Some(Duration::from_secs(1)), ..request(0) };
+    let late = server.submit(late).expect("admitted");
+    clock.advance(2_000_000);
+    let on_time = server.submit(request(1)).expect("admitted");
+
+    assert_eq!(late.wait_for(HANG_BOUND).map(|r| r.timing), Err(ServeError::Expired));
+    let served = on_time.wait_for(HANG_BOUND).expect("a request without a deadline is served");
+    // The clock stood still after the advance, so every part of the
+    // timing is zero, and the expired request left the batch before it
+    // was coalesced.
+    assert_eq!(
+        served.timing,
+        RequestTiming { queue_us: 0.0, plan_us: 0.0, exec_us: 0.0, batch_size: 1 }
+    );
+
+    let stats = server.shutdown();
+    assert_eq!((stats.expired, stats.completed), (1, 1));
+    let counts = TraceAudit::new(obs.events()).check().expect("trace invariants hold");
+    assert_eq!((counts.expired, counts.responds), (1, 1));
 }
