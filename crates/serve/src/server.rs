@@ -432,9 +432,10 @@ fn collect_window(shared: &Shared) -> Option<Vec<Pending>> {
 fn batcher_loop(shared: &Shared) {
     while let Some(picked) = collect_window(shared) {
         let now_us = shared.clock.now_us();
-        // Expire requests that out-waited their deadline in the queue —
-        // plus any the chaos schedule declares expired (deadline storms
-        // only strike requests that actually carry a deadline).
+        // Expire requests that out-waited their deadline in the queue, in
+        // whole microseconds of the server clock — plus any the chaos
+        // schedule declares expired (deadline storms only strike
+        // requests that actually carry a deadline).
         let mut live = Vec::with_capacity(picked.len());
         for p in picked {
             let waited_us = u128::from(now_us.saturating_sub(p.enqueued_us));
